@@ -34,7 +34,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.analysis.diagnostics import SourceSpan
 from repro.core.algebra import FunctionOperator, Operator
 from repro.core.derived import DIFF, MAP, RETRY, SWITCH, VIEW
-from repro.core.entry import RefAction
+from repro.core.entry import RefAction, template_placeholders
 from repro.core.footprint import ABSENT, Footprint, stable_digest
 from repro.core.operators import (
     CHECK,
@@ -453,7 +453,7 @@ class _Walker:
         roots: set[str] = set()
         for text in texts:
             for root, _status in _context_reads_for_template(
-                shim, text, shadowed=shadowed
+                shim, template_placeholders(text), shadowed=shadowed
             ):
                 roots.add(root)
         return frozenset(roots)
@@ -525,7 +525,7 @@ class _Walker:
         shim = _StateShim(self.context)
         for text in info.texts or ():
             for root, status in _context_reads_for_template(
-                shim, text, shadowed=shadowed
+                shim, template_placeholders(text), shadowed=shadowed
             ):
                 if root not in node.template_params:
                     node.template_params += (root,)

@@ -79,7 +79,7 @@ class Context:
     # -- views over the data -------------------------------------------------
 
     def as_dict(self) -> dict[str, Any]:
-        """A shallow copy of the current values (for template rendering)."""
+        """A shallow copy of the current values."""
         return dict(self._values)
 
     def subset(self, keys: list[str]) -> dict[str, Any]:

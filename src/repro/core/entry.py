@@ -12,6 +12,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Iterator, Mapping
 
 from repro.errors import UnknownVersionError
@@ -22,6 +23,9 @@ __all__ = [
     "RefLogRecord",
     "PromptVersion",
     "PromptEntry",
+    "StaticChunk",
+    "CompiledTemplate",
+    "RenderedPrompt",
     "render_template",
     "template_placeholders",
 ]
@@ -91,12 +95,99 @@ class RefLogRecord:
         return record
 
 
+class StaticChunk:
+    """One literal run of a compiled template.
+
+    The unit of reuse between renders of one prompt version: layers that
+    analyse prompt text (tokens, features) keep their result for this text
+    in ``memo`` — written once, discarded with the version that owns it.
+    """
+
+    __slots__ = ("text", "memo")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.memo: dict[str, Any] = {}
+
+
+class RenderedPrompt(str):
+    """Rendered prompt text that still knows its segments.
+
+    ``segments`` joins back to the text: a :class:`StaticChunk` for each
+    literal run of the template, a plain ``str`` for each interpolated
+    value.  It is a ``str`` everywhere a ``str`` is expected, and any
+    string operation on it returns a plain ``str`` — structure is
+    dropped, never stale.
+    """
+
+    __slots__ = ("segments",)
+    segments: tuple["StaticChunk | str", ...]
+
+    def __new__(cls, text: str, segments: tuple[Any, ...]) -> "RenderedPrompt":
+        self = super().__new__(cls, text)
+        self.segments = segments
+        return self
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (str, (str(self),))  # a copy or pickle is the plain text
+
+
+class CompiledTemplate:
+    """A template text parsed once: literal chunks and placeholder slots."""
+
+    __slots__ = ("parts", "names")
+
+    def __init__(self, text: str) -> None:
+        # ``split`` on a one-group pattern alternates literal, name, literal…
+        pieces = _PLACEHOLDER_RE.split(text)
+        #: literal runs as :class:`StaticChunk`, slots as ``(name, path)``.
+        self.parts: tuple[Any, ...] = tuple(
+            (piece, tuple(piece.split("."))) if index % 2 else StaticChunk(piece)
+            for index, piece in enumerate(pieces)
+            if index % 2 or piece
+        )
+        self.names = tuple(dict.fromkeys(pieces[1::2]))  # ordered, de-duplicated
+
+    def render(self, *scopes: Any) -> RenderedPrompt:
+        """Interpolate each slot from the first of ``scopes`` binding its root.
+
+        A scope is anything supporting ``in`` and ``[]`` (a mapping, the
+        context).  Dotted names descend through nested mappings; a slot
+        nothing binds is left literally in place.
+        """
+        segments: list[Any] = []
+        for part in self.parts:
+            if isinstance(part, StaticChunk):
+                segments.append(part)
+                continue
+            name, path = part
+            value = "{" + name + "}"
+            for scope in scopes:
+                if path[0] in scope:
+                    current = scope[path[0]]
+                    for key in path[1:]:
+                        if not (isinstance(current, Mapping) and key in current):
+                            break
+                        current = current[key]
+                    else:
+                        value = str(current)
+                    break
+            segments.append(value)
+        text = "".join(s if isinstance(s, str) else s.text for s in segments)
+        return RenderedPrompt(text, tuple(segments))
+
+
 @dataclass(frozen=True)
 class PromptVersion:
     """An immutable snapshot of a prompt's text at one version."""
 
     version: int
     text: str
+
+    @cached_property
+    def template(self) -> CompiledTemplate:
+        """The text's one parse (a refinement makes a new version)."""
+        return CompiledTemplate(self.text)
 
 
 def template_placeholders(text: str) -> list[str]:
@@ -105,37 +196,16 @@ def template_placeholders(text: str) -> list[str]:
     Placeholders use ``{name}`` syntax; dotted names (``{note.text}``) are
     allowed and resolved against nested mappings at render time.
     """
-    seen: dict[str, None] = {}
-    for match in _PLACEHOLDER_RE.finditer(text):
-        seen.setdefault(match.group(1))
-    return list(seen)
+    return list(dict.fromkeys(_PLACEHOLDER_RE.findall(text)))
 
 
-def _resolve_dotted(values: Mapping[str, Any], name: str) -> Any:
-    current: Any = values
-    for part in name.split("."):
-        if isinstance(current, Mapping) and part in current:
-            current = current[part]
-        else:
-            raise KeyError(name)
-    return current
-
-
-def render_template(text: str, values: Mapping[str, Any]) -> str:
+def render_template(text: str, values: Mapping[str, Any]) -> RenderedPrompt:
     """Interpolate ``{name}`` placeholders in ``text`` from ``values``.
 
     Unknown placeholders are left intact so that partially-bound templates
     remain valid templates (views may bind parameters in several steps).
     """
-
-    def _substitute(match: re.Match[str]) -> str:
-        name = match.group(1)
-        try:
-            return str(_resolve_dotted(values, name))
-        except KeyError:
-            return match.group(0)
-
-    return _PLACEHOLDER_RE.sub(_substitute, text)
+    return CompiledTemplate(text).render(values)
 
 
 class PromptEntry:
@@ -194,15 +264,18 @@ class PromptEntry:
                 return snapshot.text
         raise UnknownVersionError("<entry>", version)
 
+    @property
+    def template(self) -> CompiledTemplate:
+        """The current version's compiled template."""
+        return self._versions[-1].template
+
     def placeholders(self) -> list[str]:
         """Unbound ``{placeholder}`` names in the current text."""
-        return template_placeholders(self.text)
+        return list(self.template.names)
 
-    def render(self, values: Mapping[str, Any]) -> str:
+    def render(self, values: Mapping[str, Any]) -> RenderedPrompt:
         """Render the current text against ``values`` (see render_template)."""
-        merged: dict[str, Any] = dict(self.params)
-        merged.update(values)
-        return render_template(self.text, merged)
+        return self.template.render(values, self.params)
 
     # -- refinement ------------------------------------------------------
 

@@ -14,10 +14,10 @@ inside the algebra.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Collection, Iterable
 
 from repro.core.algebra import Condition, Operator, as_condition
-from repro.core.entry import PromptEntry, RefAction, RefinementMode, template_placeholders
+from repro.core.entry import PromptEntry, RefAction, RefinementMode
 from repro.core.footprint import ABSENT, Footprint, stable_digest
 from repro.core.state import ExecutionState
 from repro.errors import OperatorError, RefinementError
@@ -26,11 +26,11 @@ from repro.runtime.events import EventKind
 
 def _context_reads_for_template(
     state: ExecutionState,
-    text: str,
+    names: Iterable[str],
     *,
-    shadowed: frozenset[str] = frozenset(),
+    shadowed: Collection[str] = (),
 ) -> tuple[tuple[str, str], ...]:
-    """Fingerprint the context slots a template interpolates.
+    """Fingerprint the context slots a template's placeholder ``names`` read.
 
     Dotted placeholders resolve from their root key; roots bound by the
     operator's literal ``extra`` values are part of the operator identity
@@ -38,7 +38,7 @@ def _context_reads_for_template(
     an input too, because an unbound placeholder renders literally.
     """
     reads: dict[str, str] = {}
-    for name in template_placeholders(text):
+    for name in names:
         root = name.split(".", 1)[0]
         if root in shadowed or root in reads:
             continue
@@ -117,7 +117,7 @@ class RET(Operator):
                     stable_digest(entry.params),
                 ),
             )
-            context_reads = _context_reads_for_template(state, entry.text)
+            context_reads = _context_reads_for_template(state, entry.template.names)
         return Footprint(
             operator=self.label,
             identity=identity,
@@ -216,7 +216,7 @@ class GEN(Operator):
                 ),
             ),
             context_reads=_context_reads_for_template(
-                state, entry.text, shadowed=frozenset(self.extra)
+                state, entry.template.names, shadowed=self.extra
             ),
             context_writes=(self.label_key, f"{self.label_key}__result"),
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.context import Context
+from repro.core.entry import RenderedPrompt
 from repro.core.metadata import Metadata
 from repro.core.store import PromptStore
 from repro.errors import DelegationError, RetrievalError
@@ -149,12 +150,12 @@ class ExecutionState:
 
     # -- template rendering -------------------------------------------------------
 
-    def render_prompt(self, key: str, extra: Mapping[str, Any] | None = None) -> str:
+    def render_prompt(
+        self, key: str, extra: Mapping[str, Any] | None = None
+    ) -> RenderedPrompt:
         """Render prompt ``key`` against the current context (plus ``extra``)."""
-        values = self.context.as_dict()
-        if extra:
-            values.update(extra)
-        return self.prompts[key].render(values)
+        entry = self.prompts[key]
+        return entry.template.render(extra or (), self.context, entry.params)
 
     # -- forking for branches / shadow execution -----------------------------------
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 import re
 import zlib
 from dataclasses import dataclass, field, fields
+from typing import Any
 
-__all__ = ["PromptFeatures", "extract_features"]
+__all__ = ["PromptFeatures", "extract_features", "prompt_features"]
 
 _INSTRUCTION_VERBS = (
     "classify",
@@ -109,10 +110,15 @@ class PromptFeatures:
         Two prompts with identical features behave identically on every
         item — this is what makes strategy comparisons reproducible.
         """
-        parts = []
-        for spec in fields(self):
-            parts.append(f"{spec.name}={getattr(self, spec.name)!r}")
-        return zlib.crc32(";".join(parts).encode("utf-8"))
+        # Memoised outside the frozen fields: equality and ``fields()`` skip it.
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            parts = []
+            for spec in fields(self):
+                parts.append(f"{spec.name}={getattr(self, spec.name)!r}")
+            cached = zlib.crc32(";".join(parts).encode("utf-8"))
+            self.__dict__["_fingerprint"] = cached
+        return cached
 
 
 #: Topical terms the corpus generators use; extraction looks for these so a
@@ -131,20 +137,22 @@ TOPIC_TERMS = (
 )
 
 
+#: Verbs that describe the same stage collapse together; distinct stages
+#: are counted by grouping synonyms.  Every instruction verb is in a group.
+_STAGE_GROUPS = (
+    {"summarize", "summarise", "clean", "rewrite"},
+    {"classify", "label", "decide", "determine"},
+    {"select", "filter"},
+    {"answer", "extract", "identify", "highlight"},
+)
+
+
 def extract_features(text: str) -> PromptFeatures:
     """Parse ``text`` into a :class:`PromptFeatures` record."""
     lowered = text.lower()
 
     found_verbs = {verb for verb in _INSTRUCTION_VERBS if verb in lowered}
-    # Verbs that describe the same stage collapse together; count distinct
-    # stages by grouping synonyms.
-    stage_groups = (
-        {"summarize", "summarise", "clean", "rewrite"},
-        {"classify", "label", "decide", "determine"},
-        {"select", "filter"},
-        {"answer", "extract", "identify", "highlight"},
-    )
-    task_count = sum(1 for group in stage_groups if group & found_verbs)
+    task_count = sum(1 for group in _STAGE_GROUPS if group & found_verbs)
 
     hint_terms = tuple(sorted(term for term in TOPIC_TERMS if term in lowered))
 
@@ -173,4 +181,145 @@ def extract_features(text: str) -> PromptFeatures:
         task_count=task_count,
         hint_terms=hint_terms,
         word_count=len(text.split()),
+    )
+
+
+# -- segment-wise extraction (DESIGN.md §7) -------------------------------------
+
+#: Every marker and bounded regex above matches fewer characters than
+#: this, so a match that no static chunk holds whole lies within this
+#: distance of a slot.  A word-limit clause is "head" (at most 25
+#: characters) + whitespace/digit runs + "words" (5): it can outgrow the
+#: window only through a run of more than 10, which ``_LONG_RUN_RE`` finds.
+_REACH = 40
+_LONG_RUN_RE = re.compile(r"[\s\d]{11}")
+#: With this few characters outside the windows (a plain string, a template
+#: that is mostly slot) combining costs more than scanning them: go flat.
+_MIN_SKIPPED = 2 * _REACH
+
+#: Fields that hold for the text when they hold for any piece of it.
+_ANY_PIECE = (
+    "has_sentiment_terms",
+    "has_focus_hint",
+    "has_examples",
+    "has_output_format",
+    "has_word_limit",
+    "has_reasoning",
+    "has_guidance",
+    "has_view_structure",
+)
+
+
+def _stage_mask(lowered: str) -> int:
+    return sum(
+        1 << index
+        for index, group in enumerate(_STAGE_GROUPS)
+        if any(verb in lowered for verb in group)
+    )
+
+
+def _held(features: PromptFeatures) -> dict[str, bool]:
+    """The :data:`_ANY_PIECE` fields that hold for one piece."""
+    facts = vars(features)
+    return {name: True for name in _ANY_PIECE if facts[name]}
+
+
+def _chunk_features(chunk: Any) -> tuple[Any, ...]:
+    """What a static chunk contributes wherever it is rendered."""
+    text = chunk.text
+    alone = extract_features(text)
+    marker = _CRITERIA_MARKER_RE.search(text)
+    chunk.memo["features"] = part = (
+        alone,
+        _held(alone),
+        _stage_mask(text.lower()),
+        # ``\b`` at offset 0 depends on what is rendered before the chunk.
+        bool(_ADAPTIVE_RE.search(text, 1)),
+        marker and marker.span(),
+    )
+    return part
+
+
+def prompt_features(prompt: str) -> PromptFeatures:
+    """``extract_features(prompt)``, scanning only what is new in it.
+
+    A rendered prompt carries ``segments`` — objects with ``.text`` and
+    ``.memo`` for the template's static chunks, plain strings for
+    interpolated values; a plain string is one slot.  The definition runs
+    once per chunk (kept in ``chunk.memo``) and per call on a window
+    around each slot; what one piece cannot settle (word boundaries, the
+    first criteria marker, unbounded runs) is re-read from the real text.
+    """
+    size = len(prompt)
+    merged = dict.fromkeys(_ANY_PIECE, False)
+    terms: set[str] = set()
+    stages = 0
+    adaptive = False
+    criteria: list[tuple[int, int]] = []  # first-marker candidates
+    seams: list[int] = []
+    windows: list[list[int]] = []  # [low, high) around the slots, merged
+    words, open_word, position, after_chunk = 0, False, 0, False
+    for segment in getattr(prompt, "segments", None) or (prompt,):
+        start = position
+        chunk = not isinstance(segment, str)
+        text = segment.text if chunk else segment
+        position += len(text)
+        if not chunk or after_chunk:  # two chunks meet at an empty slot
+            end = start if chunk else position
+            seams += (start, end)
+            if windows and start - _REACH <= windows[-1][1]:
+                windows[-1][1] = end + _REACH
+            else:
+                windows.append([max(0, start - _REACH), end + _REACH])
+        after_chunk = chunk
+        if not chunk:
+            count = len(text.split())
+        else:
+            part = segment.memo.get("features") or _chunk_features(segment)
+            alone, held, mask, inner_hint, marker = part
+            merged.update(held)
+            terms.update(alone.hint_terms)
+            stages |= mask
+            adaptive |= inner_hint or (start == 0 and alone.has_adaptive_hint)
+            if marker:
+                criteria.append((start + marker[0], start + marker[1]))
+            count = alone.word_count
+        if text:
+            # A word continuing across the seam was counted on both sides.
+            words += count - (open_word and not text[0].isspace())
+            open_word = not text[-1].isspace()
+
+    if size - sum(min(high, size) - low for low, high in windows) <= _MIN_SKIPPED:
+        return extract_features(prompt)
+    for low, high in windows:
+        text = prompt[low:high]
+        window = extract_features(text)
+        merged.update(_held(window))
+        terms.update(window.hint_terms)
+        lowered = text.lower()
+        if window.has_instruction:
+            stages |= _stage_mask(lowered)
+        if window.has_adaptive_hint and not adaptive:
+            adaptive = bool(_ADAPTIVE_RE.search(prompt, low, high))
+        # In ASCII text IGNORECASE and ``lower()`` fold alike: skip the search.
+        if "criteria" in lowered or not text.isascii():
+            marker = _CRITERIA_MARKER_RE.search(prompt, low, high)
+            if marker:
+                criteria.append(marker.span())
+
+    if not merged["has_word_limit"] and any(
+        _LONG_RUN_RE.search(prompt, max(0, seam - 16), seam + 36)
+        for seam in seams
+        if 0 < seam < size
+    ):
+        merged["has_word_limit"] = bool(_WORD_LIMIT_RE.search(prompt))
+    bullets = _BULLET_LINE_RE.findall(prompt[min(criteria)[1] :]) if criteria else ()
+    return PromptFeatures(
+        has_instruction=bool(stages),
+        has_adaptive_hint=adaptive,
+        criteria_count=min(len(bullets), 6),
+        task_count=bin(stages).count("1"),
+        hint_terms=tuple(sorted(terms)),
+        word_count=words,
+        **merged,
     )

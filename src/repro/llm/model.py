@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import ModelError, TokenBudgetExceededError
-from repro.llm.features import PromptFeatures, extract_features
+from repro.llm.features import PromptFeatures, prompt_features
 from repro.llm.kv_cache import BlockPrefixCache
 from repro.llm.latency import LatencyBreakdown, estimate_latency
 from repro.llm.radix_cache import RadixPrefixCache
@@ -159,13 +159,15 @@ class SimulatedLLM:
     def prepare(self, prompt: str) -> tuple[list[int], PromptFeatures]:
         """Tokenize and validate a prompt; returns (tokens, features).
 
+        Exactly ``encode``/``extract_features`` of the text; segments make it cheap.
+
         Raises :class:`ModelError` for an empty prompt and
         :class:`TokenBudgetExceededError` past the context window.
         """
         if not prompt:
             raise ModelError("cannot generate from an empty prompt")
-        features = extract_features(prompt)
-        tokens = self.tokenizer.encode(prompt)
+        features = prompt_features(prompt)
+        tokens = self.tokenizer.encode_prompt(prompt)
         if len(tokens) > self.profile.context_window:
             raise TokenBudgetExceededError(len(tokens), self.profile.context_window)
         return tokens, features

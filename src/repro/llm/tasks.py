@@ -57,6 +57,9 @@ POST_ITEM_MARKER = "Reminder after reading the tweet:"
 _HINT_RE = re.compile(r"refinement hint:\s*(.+)", re.IGNORECASE)
 _OBJECTIVE_RE = re.compile(r"objective:\s*(.+)", re.IGNORECASE)
 
+#: Distinct instruction texts a :class:`TaskEngine` remembers features for.
+_INSTRUCTION_MEMO = 64
+
 _REWRITE_MARKERS = (
     "improve the prompt",
     "rewrite the prompt",
@@ -144,6 +147,9 @@ class TaskEngine:
         self.profile = profile
         self._tweets: TweetCorpus | None = None
         self._clinical: ClinicalCorpus | None = None
+        #: instruction text -> features: a plain dict, cleared wholesale at
+        #: ``_INSTRUCTION_MEMO`` entries, so lanes share it without a lock.
+        self._instruction_features: dict[str, PromptFeatures] = {}
 
     # -- corpus binding ------------------------------------------------------
 
@@ -161,17 +167,7 @@ class TaskEngine:
         """Execute the task requested by ``prompt``."""
         if features is None:
             features = extract_features(prompt)
-        task = route_task(prompt, features)
-        handler = {
-            "sections": self._run_sections,
-            "summarize": self._run_summarize,
-            "classify": self._run_classify,
-            "fused": self._run_fused,
-            "qa": self._run_qa,
-            "rewrite": self._run_rewrite,
-            "freeform": self._run_freeform,
-        }[task]
-        return handler(prompt, features)
+        return self._HANDLERS[route_task(prompt, features)](self, prompt, features)
 
     # -- helpers -----------------------------------------------------------------
 
@@ -180,17 +176,26 @@ class TaskEngine:
             return None
         return self._tweets.find_in(prompt)
 
-    def _strip_item(self, prompt: str, tweet: Tweet | None) -> str:
-        """The prompt's instruction portion, with the item text removed.
+    def _instructions(
+        self, prompt: str, tweet: Tweet | None
+    ) -> tuple[str, PromptFeatures]:
+        """The prompt's instruction portion, item text removed, and its features.
 
         Criteria and quality features must come from what the prompt *asks*,
         not from words that happen to appear in the item itself (a tweet
         about school must not flip the prompt into a school filter).
+        Every item of a batch leaves the same instructions behind, so
+        their features are remembered by text.
         """
-        if tweet is None:
-            return prompt
-        stripped = prompt.replace(tweet.text, "").replace(tweet.clean_text, "")
-        return stripped
+        stripped = prompt
+        if tweet is not None:
+            stripped = prompt.replace(tweet.text, "").replace(tweet.clean_text, "")
+        features = self._instruction_features.get(stripped)
+        if features is None:
+            if len(self._instruction_features) >= _INSTRUCTION_MEMO:
+                self._instruction_features.clear()
+            features = self._instruction_features[stripped] = extract_features(stripped)
+        return stripped, features
 
     def _locate_patient(self, prompt: str) -> Patient | None:
         if self._clinical is None:
@@ -229,7 +234,7 @@ class TaskEngine:
 
     def _run_summarize(self, prompt: str, features: PromptFeatures) -> TaskOutput:
         tweet = self._locate_tweet(prompt)
-        features = extract_features(self._strip_item(prompt, tweet))
+        _, features = self._instructions(prompt, tweet)
         summary, p_error, degraded = self._summary_for(prompt, features, tweet)
         uid = tweet.uid if tweet is not None else "unknown"
         return TaskOutput(
@@ -272,8 +277,7 @@ class TaskEngine:
 
     def _run_classify(self, prompt: str, features: PromptFeatures) -> TaskOutput:
         tweet = self._locate_tweet(prompt)
-        instructions = self._strip_item(prompt, tweet)
-        features = extract_features(instructions)
+        instructions, features = self._instructions(prompt, tweet)
         terms = self._predicate_terms(instructions, features)
         correct = self._true_decision(tweet, prompt, terms)
         difficulty = tweet.difficulty if tweet is not None else 0.5
@@ -296,9 +300,8 @@ class TaskEngine:
 
     def _run_fused(self, prompt: str, features: PromptFeatures) -> TaskOutput:
         tweet = self._locate_tweet(prompt)
-        instructions = self._strip_item(prompt, tweet)
+        instructions, features = self._instructions(prompt, tweet)
         order = _fused_order(instructions)
-        features = extract_features(instructions)
         terms = self._predicate_terms(instructions, features)
         correct = self._true_decision(tweet, prompt, terms)
         difficulty = tweet.difficulty if tweet is not None else 0.5
@@ -547,3 +550,13 @@ class TaskEngine:
             confidence=0.5,
             extras={},
         )
+
+    _HANDLERS = {
+        "sections": _run_sections,
+        "summarize": _run_summarize,
+        "classify": _run_classify,
+        "fused": _run_fused,
+        "qa": _run_qa,
+        "rewrite": _run_rewrite,
+        "freeform": _run_freeform,
+    }

@@ -13,12 +13,33 @@ from __future__ import annotations
 
 import re
 import zlib
+from typing import Any
 
 __all__ = ["Tokenizer"]
 
 _PIECE_RE = re.compile(r"[A-Za-z0-9_']+|[^A-Za-z0-9_'\s]")
+_WORD_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'"
 _CHUNK = 4
 _MAX_WORD = 8
+
+
+class _ChunkTokens:
+    """A static chunk encoded once; kept in ``chunk.memo["tokens"]``."""
+
+    __slots__ = ("table", "pieces", "ids", "head", "head_ids", "tail", "tail_ids")
+
+    def __init__(self, tokenizer: "Tokenizer", chunk: Any) -> None:
+        text = chunk.text
+        self.ids = tokenizer.encode(text)
+        #: the decode table the pieces were last copied into, and the pieces.
+        self.table = tokenizer._id_to_piece
+        self.pieces = {token_id: self.table[token_id] for token_id in self.ids}
+        #: lengths of the leading / trailing word run and their piece counts.
+        self.head = len(text) - len(text.lstrip(_WORD_CHARS))
+        self.tail = len(text) - len(text.rstrip(_WORD_CHARS))
+        self.head_ids = len(tokenizer.pieces(text[: self.head]))
+        self.tail_ids = len(tokenizer.pieces(text[len(text) - self.tail :]))
+        chunk.memo["tokens"] = self
 
 
 class Tokenizer:
@@ -46,6 +67,43 @@ class Tokenizer:
             token_id = zlib.crc32(piece.encode("utf-8"))
             self._id_to_piece.setdefault(token_id, piece)
             ids.append(token_id)
+        return ids
+
+    def encode_prompt(self, prompt: str) -> list[int]:
+        """``encode(prompt)``, re-encoding only what is new in it.
+
+        A static chunk of a rendered prompt (see ``prompt_features`` for
+        ``prompt.segments``) is encoded once and its ids are reused where
+        the text around it cannot change them: pieces never span
+        whitespace or punctuation, so only a word run that continues
+        across a seam is cut off the chunk and encoded with its neighbour.
+        """
+        ids: list[int] = []
+        size = len(prompt)
+        pending = position = 0  # start of the text not encoded yet; cursor
+        for segment in getattr(prompt, "segments", None) or (prompt,):
+            start, chunk = position, not isinstance(segment, str)
+            position += len(segment.text if chunk else segment)
+            if not chunk or position == start:
+                continue
+            memo = segment.memo.get("tokens") or _ChunkTokens(self, segment)
+            if memo.table is not self._id_to_piece:
+                # Encoded by another tokenizer: learn its pieces for decode.
+                self._id_to_piece.update(memo.pieces)
+                memo.table = self._id_to_piece
+            low, first = start, 0
+            if start and prompt[start - 1] in _WORD_CHARS:
+                low, first = start + memo.head, memo.head_ids
+            high, last = position, len(memo.ids)
+            if position < size and prompt[position] in _WORD_CHARS:
+                high, last = position - memo.tail, last - memo.tail_ids
+            if low <= high:  # else: one word run glued on both sides, all pending
+                if pending < low:
+                    ids += self.encode(prompt[pending:low])
+                ids += memo.ids[first:last]
+                pending = high
+        if pending < size:
+            ids += self.encode(prompt[pending:])
         return ids
 
     def decode(self, ids: list[int]) -> str:

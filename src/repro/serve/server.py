@@ -20,8 +20,9 @@ import itertools
 import threading
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import RateLimitError, SpearError
 from repro.llm.partitions import CachePartitions
@@ -121,6 +122,23 @@ class _Admitted:
         return self.order < other.order
 
 
+@contextmanager
+def _briefly(lock: Any) -> Iterator[None]:
+    """Hold one of the pool's microsecond locks, polling instead of queueing.
+
+    A worker queued on a lock is handed it on release but still waits for
+    the GIL; the worker that has the GIL then blocks on the same lock one
+    request later, and every request costs a thread hand-off from then on
+    (a lock convoy: docs/serving.md).  Sleeping gives the holder the GIL.
+    """
+    while not lock.acquire(False):
+        time.sleep(1e-4)
+    try:
+        yield
+    finally:
+        lock.release()
+
+
 class SpearServer:
     """Thread-based multi-tenant serving over warm SPEAR runtimes.
 
@@ -176,6 +194,8 @@ class SpearServer:
         self._tenants: dict[str, TenantConfig] = {}
         self._sessions: dict[str, TenantSession] = {}
         self._admission = threading.Lock()
+        #: serializes the workers' SERVE records (see :func:`_briefly`).
+        self._served = threading.Lock()
         self._queue: list[_Admitted] = []
         self._cv = threading.Condition()
         self._counter = itertools.count()
@@ -457,7 +477,7 @@ class SpearServer:
 
     def _worker_loop(self) -> None:
         while True:
-            with self._cv:
+            with _briefly(self._cv):
                 while self._running and not self._queue:
                     self._cv.wait()
                 if not self._running:
@@ -469,7 +489,6 @@ class SpearServer:
         request = entry.request
         session = entry.session
         queue_wait = time.monotonic() - entry.enqueued_wall
-        started = session.clock.now
         try:
             result = session.execute(request, entry.pipeline, entry.prompts)
         except Exception as error:  # noqa: BLE001 - one request, one verdict
@@ -483,35 +502,42 @@ class SpearServer:
             if session.breaker is not None:
                 session.breaker.record_failure(session.clock.now)
         else:
+            report = dict(result.report)
             response = ServeResponse(
                 tenant=request.tenant,
                 request_id=request.request_id or "?",
                 status="ok",
                 result=result,
-                elapsed=session.clock.now - started,
+                # The run's own measure, taken under the session lock: a
+                # clock read out here would absorb the time of a same-tenant
+                # request another worker is running.
+                elapsed=report["elapsed"],
                 queue_wait=queue_wait,
-                report=dict(result.report),
+                report=report,
             )
             if session.breaker is not None:
                 session.breaker.record_success(session.clock.now)
-        with self._admission:
+        with _briefly(self._admission):
             session.pending -= 1
             depth = session.pending
-        self.events.record(
-            EventKind.SERVE,
-            "SpearServer",
-            at=session.clock.now,
-            payload={
-                "tenant": response.tenant,
-                "request_id": response.request_id,
-                "status": response.status,
-                "elapsed": response.elapsed,
-                "queue_wait": response.queue_wait,
-                "queue_depth": depth,
-                "priority": str(request.priority) if request.priority else None,
-                "deadline_s": request.deadline_s,
-            },
-        )
+        # The log has a lock of its own, which would convoy the same way:
+        # workers take turns here, so they never meet on it.
+        with _briefly(self._served):
+            self.events.record(
+                EventKind.SERVE,
+                "SpearServer",
+                at=session.clock.now,
+                payload={
+                    "tenant": response.tenant,
+                    "request_id": response.request_id,
+                    "status": response.status,
+                    "elapsed": response.elapsed,
+                    "queue_wait": response.queue_wait,
+                    "queue_depth": depth,
+                    "priority": str(request.priority) if request.priority else None,
+                    "deadline_s": request.deadline_s,
+                },
+            )
         entry.future.set_result(response)
 
     def _finish_aborted(self, entry: _Admitted) -> None:

@@ -9,6 +9,7 @@ observability, and the SPEAR147-style submit-time warning.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import TimeoutError as FutureTimeout
 
 import pytest
 
@@ -67,6 +68,26 @@ class TestServeBasics:
         assert isinstance(response.output("summary"), str)
         assert response.report["runner"] == "run"
         assert response.elapsed > 0.0
+
+    def test_elapsed_excludes_a_same_tenant_neighbours_time(self):
+        # Two workers pop one tenant's consecutive requests; the second
+        # waits for the session lock while the first runs.  ``elapsed``
+        # must not absorb that wait (it used to read the tenant clock
+        # before taking the lock).
+        server = make_server(workers=2, shed=ShedPolicy(queue_limit=40))
+        server.add_tenant("acme")
+        futures = [
+            server.submit(request_for(server, "acme", index)) for index in range(40)
+        ]
+        with server:
+            responses = [future.result(timeout=60) for future in futures]
+        assert all(response.ok for response in responses)
+        assert sum(r.elapsed for r in responses) == sum(
+            r.report["elapsed"] for r in responses
+        )
+        assert [r.elapsed for r in responses] == [
+            r.report["elapsed"] for r in responses
+        ]
 
     def test_unknown_tenant_rejected(self):
         server = make_server()
@@ -133,6 +154,23 @@ class TestServeBasics:
         statuses = {future.result().status for future in futures}
         assert statuses <= {"ok", "error"}
         # pending drained back to zero either way
+        assert server.session("acme").pending == 0
+
+    def test_worker_stands_aside_for_a_held_pool_lock(self):
+        # Workers poll the pool's short locks instead of queueing on them
+        # (a queued worker is handed the lock before it has the GIL, and
+        # the pool convoys): held, the lock delays the outcome; released,
+        # the worker carries on and leaves it free.
+        server = make_server(workers=2)
+        server.add_tenant("acme")
+        future = server.submit(request_for(server, "acme"))
+        server._admission.acquire()
+        with server:
+            with pytest.raises(FutureTimeout):
+                future.result(timeout=0.3)
+            server._admission.release()
+            assert future.result(timeout=60).ok
+        assert not server._admission.locked()
         assert server.session("acme").pending == 0
 
 
