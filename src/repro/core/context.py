@@ -20,6 +20,9 @@ class Context:
 
     def __init__(self, initial: Mapping[str, Any] | None = None) -> None:
         self._values: dict[str, Any] = dict(initial or {})
+        #: key -> the prompt chunk of its long ``str`` value (DESIGN.md §7):
+        #: made when a template first interpolates it, dropped with the binding.
+        self.chunks: dict[str, Any] = {}
         #: ordered (key, producer) pairs recording who wrote each value;
         #: producer is an operator/agent label, "initial" for seed data.
         self.write_log: list[tuple[str, str]] = [
@@ -42,6 +45,7 @@ class Context:
             del self._values[key]
         except KeyError:
             raise UnknownContextKeyError(key) from None
+        self.chunks.pop(key, None)
 
     def __contains__(self, key: object) -> bool:
         return key in self._values
@@ -65,6 +69,9 @@ class Context:
     def put(self, key: str, value: Any, *, producer: str = "unknown") -> None:
         """Write ``value`` under ``key``, recording the producing operator."""
         self._values[key] = value
+        chunk = self.chunks.get(key)
+        if chunk is not None and chunk.text is not value:
+            self.chunks.pop(key, None)
         self.write_log.append((key, producer))
 
     def update(self, values: Mapping[str, Any], *, producer: str = "unknown") -> None:
@@ -87,10 +94,15 @@ class Context:
         return {key: self._values[key] for key in keys if key in self._values}
 
     def fork(self) -> "Context":
-        """Shallow-copy the context for branch/shadow execution."""
+        """Shallow-copy the context for branch/shadow execution.
+
+        The copy shares the prompt chunks this context already holds; a
+        fork only reads its parent.
+        """
         copy = Context()
         copy._values = dict(self._values)
         copy.write_log = list(self.write_log)
+        copy.chunks = dict(self.chunks)
         return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -12,9 +12,10 @@ import re
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Iterator, Mapping
 
+from repro.core.context import Context
 from repro.errors import UnknownVersionError
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "StaticChunk",
     "CompiledTemplate",
     "RenderedPrompt",
+    "bound_chunk",
     "render_template",
     "template_placeholders",
 ]
@@ -96,11 +98,12 @@ class RefLogRecord:
 
 
 class StaticChunk:
-    """One literal run of a compiled template.
+    """Prompt text analysed once: a template literal or a long bound value.
 
-    The unit of reuse between renders of one prompt version: layers that
-    analyse prompt text (tokens, features) keep their result for this text
-    in ``memo`` — written once, discarded with the version that owns it.
+    The unit of reuse between renders: layers that analyse prompt text
+    (tokens, features) keep their result for this text in ``memo`` —
+    written once, discarded with the prompt version or the context
+    binding (:func:`bound_chunk`) that owns it.
     """
 
     __slots__ = ("text", "memo")
@@ -110,14 +113,36 @@ class StaticChunk:
         self.memo: dict[str, Any] = {}
 
 
+@cache
+def _chunk_cut() -> int:
+    # ``prompt_features``' windows around a chunk's two seams span this much.
+    from repro.llm.features import _REACH  # repro.llm imports this module
+
+    return 4 * _REACH
+
+
+def bound_chunk(context: Context, key: str, value: Any) -> StaticChunk | None:
+    """The chunk owned by ``context``'s binding of ``key`` to ``value``.
+
+    Made on first use and kept in ``context.chunks`` until the key is
+    rewritten; ``None`` for anything but a ``str`` long enough to pay.
+    """
+    if type(value) is not str or len(value) <= _chunk_cut():
+        return None
+    chunk = context.chunks.get(key)
+    if chunk is None or chunk.text is not value:
+        chunk = context.chunks[key] = StaticChunk(value)
+    return chunk
+
+
 class RenderedPrompt(str):
     """Rendered prompt text that still knows its segments.
 
     ``segments`` joins back to the text: a :class:`StaticChunk` for each
-    literal run of the template, a plain ``str`` for each interpolated
-    value.  It is a ``str`` everywhere a ``str`` is expected, and any
-    string operation on it returns a plain ``str`` — structure is
-    dropped, never stale.
+    literal run of the template and each long value bound in a context,
+    a plain ``str`` for any other interpolated value.  It is a ``str``
+    everywhere a ``str`` is expected, and any string operation on it
+    returns a plain ``str`` — structure is dropped, never stale.
     """
 
     __slots__ = ("segments",)
@@ -153,7 +178,8 @@ class CompiledTemplate:
 
         A scope is anything supporting ``in`` and ``[]`` (a mapping, the
         context).  Dotted names descend through nested mappings; a slot
-        nothing binds is left literally in place.
+        nothing binds is left literally in place.  A long ``str`` bound at
+        the root of a :class:`Context` renders as its :func:`bound_chunk`.
         """
         segments: list[Any] = []
         for part in self.parts:
@@ -171,6 +197,8 @@ class CompiledTemplate:
                         current = current[key]
                     else:
                         value = str(current)
+                        if len(path) == 1 and isinstance(scope, Context):
+                            value = bound_chunk(scope, name, current) or value
                     break
             segments.append(value)
         text = "".join(s if isinstance(s, str) else s.text for s in segments)

@@ -228,13 +228,17 @@ def _chunk_features(chunk: Any) -> tuple[Any, ...]:
     """What a static chunk contributes wherever it is rendered."""
     text = chunk.text
     alone = extract_features(text)
-    marker = _CRITERIA_MARKER_RE.search(text)
+    lowered = text.lower()
+    # As for the windows, in ASCII text IGNORECASE and ``lower()`` fold
+    # alike; and a part of the chunk holds only what the whole does.
+    maybe = "criteria" in lowered or not text.isascii()
+    marker = maybe and _CRITERIA_MARKER_RE.search(text)
     chunk.memo["features"] = part = (
         alone,
         _held(alone),
-        _stage_mask(text.lower()),
+        _stage_mask(lowered) if alone.has_instruction else 0,
         # ``\b`` at offset 0 depends on what is rendered before the chunk.
-        bool(_ADAPTIVE_RE.search(text, 1)),
+        alone.has_adaptive_hint and bool(_ADAPTIVE_RE.search(text, 1)),
         marker and marker.span(),
     )
     return part

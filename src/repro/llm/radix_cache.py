@@ -21,7 +21,8 @@ radix tree over token blocks instead:
   eviction candidates (coldest first, by a deterministic use stamp), so
   subtrees are reclaimed bottom-up and every resident block remains
   reachable from the root at all times: orphaned descendants cannot
-  exist by construction;
+  exist by construction.  Candidates wait in a lazy min-heap, so each
+  eviction costs O(log n) rather than a scan of every leaf;
 - **reference-counted pinning** — :meth:`pin` takes the resident trunk
   of a token sequence out of the eviction candidate set until the
   matching :meth:`unpin`; the continuous scheduler pins the trunks of
@@ -39,6 +40,7 @@ capacity forces eviction decisions.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from typing import Iterator, Sequence
 
@@ -73,7 +75,7 @@ def shared_prefix_tokens(
 class _RadixNode:
     """One cached token block; a root-to-node path is a cached prefix."""
 
-    __slots__ = ("block", "parent", "children", "pins", "stamp")
+    __slots__ = ("block", "parent", "children", "pins", "stamp", "queued")
 
     def __init__(
         self, block: tuple[int, ...] | None, parent: "_RadixNode | None"
@@ -85,6 +87,8 @@ class _RadixNode:
         self.pins = 0
         #: deterministic LRU stamp (monotonic use counter, not wall time).
         self.stamp = 0
+        #: whether the node holds its one entry in the eviction heap.
+        self.queued = False
 
 
 class RadixPrefixCache:
@@ -115,6 +119,9 @@ class RadixPrefixCache:
         self._root = _RadixNode(None, None)
         self._size = 0
         self._leaves: set[_RadixNode] = set()
+        #: ``(stamp, node)``, at most one per node and one for every leaf, keyed
+        #: no later than the node's stamp; None until capacity first runs out.
+        self._heap: list[tuple[int, _RadixNode]] | None = None
         self._pinned_nodes = 0
         self._tick = 0
         self.stats = CacheStats()
@@ -131,6 +138,12 @@ class RadixPrefixCache:
     def _touch(self, node: _RadixNode) -> None:
         self._tick += 1
         node.stamp = self._tick
+
+    def _queue(self, leaf: _RadixNode) -> None:
+        """Give a new leaf its heap entry, unless it still holds one."""
+        if self._heap is not None and not leaf.queued:
+            leaf.queued = True
+            heapq.heappush(self._heap, (leaf.stamp, leaf))
 
     def _walk(self, tokens: Sequence[int]) -> list[_RadixNode]:
         """The resident prefix path of ``tokens`` (longest cached trunk)."""
@@ -151,25 +164,44 @@ class RadixPrefixCache:
         of its descendants are gone, so the resident set is always a
         rooted subtree — no block is ever stranded unreachable.  When
         every leaf is pinned the cache temporarily overflows rather than
-        break a pin.
+        break a pin.  Every leaf holds a heap entry keyed no later than
+        its stamp, and stamps are unique, so the first popped entry that
+        is current and unpinned belongs to the coldest unpinned leaf —
+        the victim a scan of every leaf would pick.
         """
-        while self._size > self.capacity_blocks:
-            victim: _RadixNode | None = None
+        if self._size <= self.capacity_blocks:
+            return
+        heap = self._heap
+        if heap is None:
+            heap = self._heap = [(leaf.stamp, leaf) for leaf in self._leaves]
+            heapq.heapify(heap)
             for leaf in self._leaves:
-                if leaf.pins:
-                    continue
-                if victim is None or leaf.stamp < victim.stamp:
-                    victim = leaf
-            if victim is None:
-                break
-            parent = victim.parent
-            assert parent is not None and victim.block is not None
-            del parent.children[victim.block]
-            self._leaves.discard(victim)
-            if parent is not self._root and not parent.children:
-                self._leaves.add(parent)
-            self._size -= 1
-            self.stats.evictions += 1
+                leaf.queued = True
+        pinned = []
+        while self._size > self.capacity_blocks and heap:
+            stamp, node = heapq.heappop(heap)
+            if node.children:
+                node.queued = False  # re-queued if it becomes a leaf again
+            elif stamp != node.stamp:
+                heapq.heappush(heap, (node.stamp, node))  # touched since
+            elif node.pins:
+                pinned.append((stamp, node))
+            else:
+                node.queued = False
+                self._evict(node)
+        for entry in pinned:
+            heapq.heappush(heap, entry)
+
+    def _evict(self, victim: _RadixNode) -> None:
+        parent = victim.parent
+        assert parent is not None and victim.block is not None
+        del parent.children[victim.block]
+        self._leaves.discard(victim)
+        self._size -= 1
+        self.stats.evictions += 1
+        if parent is not self._root and not parent.children:
+            self._leaves.add(parent)
+            self._queue(parent)
 
     # -- the BlockPrefixCache contract ---------------------------------------
 
@@ -214,6 +246,8 @@ class RadixPrefixCache:
                     added += 1
                 self._touch(child)
                 node = child
+            if added:  # the path ends in a node made just now: a new leaf
+                self._queue(node)
             self._evict_locked()
             return added
 
@@ -245,11 +279,15 @@ class RadixPrefixCache:
             return tuple(path)
 
     def unpin(self, handle: tuple[_RadixNode, ...]) -> None:
-        """Release a :meth:`pin` reference; over-release raises."""
+        """Release a :meth:`pin` reference; over-release raises.
+
+        The whole handle is checked first: a double release must not
+        drop another holder's pin on a shared trunk before it fails.
+        """
         with self._lock:
+            if any(node.pins <= 0 for node in handle):
+                raise ValueError("unpin without a matching pin")
             for node in handle:
-                if node.pins <= 0:
-                    raise ValueError("unpin without a matching pin")
                 node.pins -= 1
                 if node.pins == 0:
                     self._pinned_nodes -= 1
@@ -287,6 +325,7 @@ class RadixPrefixCache:
             self._root = _RadixNode(None, None)
             self._size = 0
             self._leaves = set()
+            self._heap = None
             self._pinned_nodes = 0
             self._tick = 0
             self.stats = CacheStats()

@@ -26,10 +26,11 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.entry import RenderedPrompt
 from repro.data.clinical import ClinicalCorpus, Patient
 from repro.data.tweets import Tweet, TweetCorpus
 from repro.data import vocab
-from repro.llm.features import PromptFeatures, extract_features
+from repro.llm.features import PromptFeatures, extract_features, prompt_features
 from repro.llm.profiles import ModelProfile
 from repro.llm.quality import confidence_for, error_rate, item_rng, noisy_bool
 
@@ -124,6 +125,26 @@ def _fused_order(prompt: str) -> str:
     return "map_filter" if summary_pos <= filter_pos else "filter_map"
 
 
+def _strip_segments(prompt: str, tweet: Tweet, stripped: str) -> str:
+    """``stripped`` as segments, when ``prompt`` has them and they allow.
+
+    ``stripped`` is ``prompt`` with the tweet's text, then its clean text,
+    replaced away — the definition.  Replacing slot by slot keeps every
+    chunk and its analyses, and is used only when it joins to that text.
+    """
+    segments = getattr(prompt, "segments", None)
+    if segments:
+        kept = tuple(
+            s.replace(tweet.text, "").replace(tweet.clean_text, "")
+            if isinstance(s, str)
+            else s
+            for s in segments
+        )
+        if "".join(s if isinstance(s, str) else s.text for s in kept) == stripped:
+            return RenderedPrompt(stripped, kept)
+    return stripped
+
+
 def _lexicon_sentiment(text: str) -> str:
     """Fallback sentiment from word lexicons (for unrecognized items)."""
     words = set(re.findall(r"[a-z']+", text.lower()))
@@ -185,7 +206,8 @@ class TaskEngine:
         not from words that happen to appear in the item itself (a tweet
         about school must not flip the prompt into a school filter).
         Every item of a batch leaves the same instructions behind, so
-        their features are remembered by text.
+        their features are remembered by text; a miss (say, an item-unique
+        lead) analyses the stripped segments, reusing the chunks' work.
         """
         stripped = prompt
         if tweet is not None:
@@ -194,7 +216,11 @@ class TaskEngine:
         if features is None:
             if len(self._instruction_features) >= _INSTRUCTION_MEMO:
                 self._instruction_features.clear()
-            features = self._instruction_features[stripped] = extract_features(stripped)
+            features = prompt_features(
+                stripped if tweet is None else _strip_segments(prompt, tweet, stripped)
+            )
+            # Keyed by plain text: the memo must not keep a binding's chunks alive.
+            self._instruction_features[str(stripped)] = features
         return stripped, features
 
     def _locate_patient(self, prompt: str) -> Patient | None:

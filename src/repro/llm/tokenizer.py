@@ -26,14 +26,13 @@ _MAX_WORD = 8
 class _ChunkTokens:
     """A static chunk encoded once; kept in ``chunk.memo["tokens"]``."""
 
-    __slots__ = ("table", "pieces", "ids", "head", "head_ids", "tail", "tail_ids")
+    __slots__ = ("table", "ids", "head", "head_ids", "tail", "tail_ids")
 
     def __init__(self, tokenizer: "Tokenizer", chunk: Any) -> None:
         text = chunk.text
         self.ids = tokenizer.encode(text)
-        #: the decode table the pieces were last copied into, and the pieces.
+        #: the last decode table known to hold a piece for every id.
         self.table = tokenizer._id_to_piece
-        self.pieces = {token_id: self.table[token_id] for token_id in self.ids}
         #: lengths of the leading / trailing word run and their piece counts.
         self.head = len(text) - len(text.lstrip(_WORD_CHARS))
         self.tail = len(text) - len(text.rstrip(_WORD_CHARS))
@@ -47,6 +46,8 @@ class Tokenizer:
 
     def __init__(self) -> None:
         self._id_to_piece: dict[int, str] = {}
+        #: piece -> id: token lists and radix blocks share one int per id.
+        self._piece_to_id: dict[str, int] = {}
 
     @staticmethod
     def pieces(text: str) -> list[str]:
@@ -63,9 +64,12 @@ class Tokenizer:
     def encode(self, text: str) -> list[int]:
         """Encode ``text`` to a list of stable token ids."""
         ids: list[int] = []
+        known = self._piece_to_id
         for piece in self.pieces(text):
-            token_id = zlib.crc32(piece.encode("utf-8"))
-            self._id_to_piece.setdefault(token_id, piece)
+            token_id = known.get(piece)
+            if token_id is None:
+                token_id = known[piece] = zlib.crc32(piece.encode("utf-8"))
+                self._id_to_piece.setdefault(token_id, piece)
             ids.append(token_id)
         return ids
 
@@ -89,7 +93,8 @@ class Tokenizer:
             memo = segment.memo.get("tokens") or _ChunkTokens(self, segment)
             if memo.table is not self._id_to_piece:
                 # Encoded by another tokenizer: learn its pieces for decode.
-                self._id_to_piece.update(memo.pieces)
+                table = memo.table
+                self._id_to_piece.update({i: table[i] for i in memo.ids})
                 memo.table = self._id_to_piece
             low, first = start, 0
             if start and prompt[start - 1] in _WORD_CHARS:

@@ -222,6 +222,119 @@ class TestPinning:
         with pytest.raises(ValueError):
             cache.unpin(handle)
 
+    def test_double_release_keeps_the_other_holders_pins(self):
+        cache = RadixPrefixCache(block_size=4)
+        cache.insert(list(range(12)))
+        trunk = cache.pin(list(range(8)))     # holder A: two trunk blocks
+        whole = cache.pin(list(range(12)))    # holder B: trunk + its leaf
+        cache.unpin(whole)
+        with pytest.raises(ValueError):
+            cache.unpin(whole)                # B again: its leaf is unpinned
+        assert [node.pins for node in trunk] == [1, 1]
+        assert cache.snapshot()["pinned_blocks"] == 2
+        cache.unpin(trunk)
+        assert cache.snapshot()["pinned_blocks"] == 0
+
+
+# -- differential eviction: the heap against the scan it replaced --------------
+
+
+class _Recording(RadixPrefixCache):
+    """Records each victim as its root-to-node block path."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.victims = []
+
+    def _evict(self, victim):
+        path, node = [], victim
+        while node.block is not None:
+            path.append(node.block)
+            node = node.parent
+        self.victims.append(tuple(reversed(path)))
+        super()._evict(victim)
+
+
+class _ScanReference(_Recording):
+    """The O(leaves) eviction scan, kept as the reference order."""
+
+    def _evict_locked(self):
+        while self._size > self.capacity_blocks:
+            victim = None
+            for leaf in self._leaves:
+                if leaf.pins:
+                    continue
+                if victim is None or leaf.stamp < victim.stamp:
+                    victim = leaf
+            if victim is None:
+                break
+            self._evict(victim)
+
+
+#: Long runs weighted to inserts and pins over a four-token alphabet, so
+#: trunks are shared, pinned leaves go cold, and small capacities evict
+#: constantly.  (op, tokens, which held handle to release)
+OP_KINDS = ["insert", "insert", "lookup", "match", "pin", "pin", "unpin", "clear"]
+cache_ops = st.lists(
+    st.tuples(
+        st.sampled_from(OP_KINDS),
+        st.lists(st.integers(min_value=0, max_value=3), max_size=10),
+        st.integers(min_value=0, max_value=7),
+    ),
+    min_size=40,
+    max_size=80,
+)
+
+
+class TestHeapEviction:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=32), cache_ops)
+    def test_same_victims_snapshots_and_stats_as_the_scan(self, capacity, ops):
+        heap = _Recording(block_size=1, capacity_blocks=capacity)
+        scan = _ScanReference(block_size=1, capacity_blocks=capacity)
+        handles = {id(heap): [], id(scan): []}
+        for op, tokens, index in ops:
+            results = []
+            for cache in (heap, scan):
+                held = handles[id(cache)]
+                if op == "insert":
+                    results.append(cache.insert(tokens))
+                elif op == "lookup":
+                    results.append(cache.lookup_and_insert(tokens))
+                elif op == "match":
+                    results.append(cache.match_prefix(tokens))
+                elif op == "pin":
+                    held.append(cache.pin(tokens))
+                elif op == "unpin" and held:
+                    cache.unpin(held.pop(index % len(held)))
+                elif op == "clear":
+                    cache.clear()
+                    held.clear()
+            assert results[:1] == results[1:]
+            assert heap.victims == scan.victims
+            assert heap.snapshot() == scan.snapshot()
+            assert heap.stats == scan.stats
+            if heap._heap is not None:
+                # One entry per queued node, every leaf among them.
+                queued = [node for _, node in heap._heap]
+                assert len(set(map(id, queued))) == len(queued) <= len(heap)
+                assert all(node.queued for node in queued)
+                assert all(leaf.queued for leaf in heap._leaves)
+
+    def test_capacity_pressure_with_pinned_cold_leaves(self):
+        heap = _Recording(block_size=1, capacity_blocks=4)
+        scan = _ScanReference(block_size=1, capacity_blocks=4)
+        for cache in (heap, scan):
+            cache.insert([1, 2])
+            held = cache.pin([1, 2])
+            for base in range(10, 60, 2):
+                cache.insert([base, base + 1])
+            cache.unpin(held)
+            cache.insert([99])
+        assert heap.victims == scan.victims
+        assert heap.snapshot() == scan.snapshot()
+        assert heap.match_prefix([1, 2]) == scan.match_prefix([1, 2])
+
 
 class TestRadixProperties:
     @settings(max_examples=60)

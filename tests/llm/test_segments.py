@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GEN, ExecutionState
+from repro.core import GEN, Context, ExecutionState
 from repro.core.entry import (
     CompiledTemplate,
     PromptEntry,
@@ -30,9 +30,11 @@ from repro.core.entry import (
     render_template,
     template_placeholders,
 )
+from repro.data.tweets import Tweet
 from repro.llm import SimulatedLLM
 from repro.llm import features as features_module
 from repro.llm.features import extract_features, prompt_features
+from repro.llm.tasks import TaskEngine, _strip_segments
 from repro.llm.tokenizer import Tokenizer
 
 # -- the adversarial alphabet -------------------------------------------------
@@ -378,32 +380,254 @@ class TestCompiledRendering:
         assert entry.placeholders() == ["tweet"]
 
 
+# -- values bound in the context ----------------------------------------------
+
+CUT = 4 * features_module._REACH
+LONG = (
+    "Note 3: harbor lantern willow granite meadow copper saddle orchard " * 8
+    + "Criteria:\n- be brief\n* two\nHint: focus on exams.\n"
+    + "Respond with one word, at most 9 words.\n"
+)
+LEADS = (
+    LONG,
+    "hint: " + LONG[:-1],  # a word and ``\bhint:`` at the chunk's edges
+    "criteria" + "x" * CUT + "words",
+    "under" + " " * 14 + "1234567890123" + LONG,
+    # A case-folding marker further than any window from the seams.
+    "y " * CUT + "crİterİa:\n- one\n- two\n" + "z " * CUT,
+)
+BOUND_TEMPLATES = (
+    "{lead}Tweet:\n{tweet}\nClassify the tweet.",
+    "Summarize the tweet in at most 30 words.\n{lead}",
+    "{lead}{lead}",
+    "x{lead}y",
+    "{tweet}{lead}{tweet}",
+    "criteria {lead} - one\n- two",
+)
+
+
+def chunk_of(prompt: RenderedPrompt, text: str) -> StaticChunk:
+    (chunk,) = {
+        id(s): s for s in prompt.segments if isinstance(s, StaticChunk) and s.text is text
+    }.values()
+    return chunk
+
+
+def assert_analysed_like_flat(prompt: str) -> None:
+    text = str(prompt)
+    want = extract_features(text)
+    got = prompt_features(prompt)
+    assert got == want and got.fingerprint() == want.fingerprint(), prompt
+    assert Tokenizer().encode_prompt(prompt) == Tokenizer().encode(text)
+
+
+class TestBoundValueChunks:
+    def test_chunk_slot_and_flat_analyse_identically(self):
+        for text in BOUND_TEMPLATES:
+            template = CompiledTemplate(text)
+            for lead in LEADS:
+                values = {"tweet": "so tired of exams", "lead": lead}
+                context = Context(values)
+                as_chunk = template.render(context)
+                as_slot = template.render(values)
+                assert as_chunk == as_slot
+                assert lead in as_slot.segments
+                chunk = chunk_of(as_chunk, lead)
+                for prompt in (as_chunk, as_slot, str(as_slot)):
+                    assert_analysed_like_flat(prompt)
+                # The second render is the same chunk, analyses kept.
+                again = template.render(context)
+                assert chunk_of(again, lead) is chunk
+                assert {"features", "tokens"} <= set(chunk.memo)
+                assert_analysed_like_flat(again)
+
+    def test_only_long_root_strings_in_a_context_become_chunks(self):
+        template = CompiledTemplate("{a}|{note.text}|{n}|{r}")
+        long, exact = "y" * (CUT + 1), "z" * CUT
+        context = Context(
+            {"a": exact, "note": {"text": long}, "n": 10**200, "r": RenderedPrompt(long, (long,))}
+        )
+        segments = template.render(context).segments
+        assert [s.text for s in segments if isinstance(s, StaticChunk)] == ["|"] * 3
+        context.put("a", long)
+        first = template.render(context).segments[0]
+        assert isinstance(first, StaticChunk) and first.text is long
+        # A plain mapping (``extra``, params) renders a plain slot.
+        assert template.render({"a": long}).segments[0] == long
+
+    def test_rewriting_or_deleting_the_key_gives_fresh_analyses(self):
+        template = CompiledTemplate("Classify.\n{lead}")
+        context = Context({"lead": LEADS[0]})
+        old = chunk_of(template.render(context), LEADS[0])
+        prompt_features(template.render(context))
+        context.put("lead", LEADS[0])  # the same object: the binding stands
+        assert context.chunks["lead"] is old
+        for lead in LEADS[1:]:
+            context.put("lead", lead)
+            assert "lead" not in context.chunks
+            prompt = template.render(context)
+            assert chunk_of(prompt, lead) is not old
+            assert_analysed_like_flat(prompt)
+        del context["lead"]
+        assert context.chunks == {}
+        assert template.render(context) == "Classify.\n{lead}"
+        # A chunk whose text is not the bound value is never used.
+        context.put("lead", LEADS[2])
+        context.chunks["lead"] = old
+        prompt = template.render(context)
+        assert chunk_of(prompt, LEADS[2]) is not old
+        assert_analysed_like_flat(prompt)
+
+    def test_a_forked_state_shares_the_chunk(self):
+        base = ExecutionState()
+        base.prompts.create("p", "{doc}\nTweet:\n{tweet}\nClassify the tweet.")
+        base.context.put("doc", LONG)
+        # A fork only reads its parent: no chunk is made for it.
+        unrendered = base.fork()
+        assert base.context.chunks == {}
+        chunk_of(unrendered.render_prompt("p"), LONG)
+        assert base.context.chunks == {}
+        shared = chunk_of(base.render_prompt("p"), LONG)
+        forks = [base.fork() for _ in range(3)]
+        rendered = []
+        for index, fork in enumerate(forks):
+            fork.context.put("tweet", f"tweet {index}")
+            rendered.append(fork.render_prompt("p"))
+        assert base.context.chunks["doc"] is shared
+        assert all(chunk_of(prompt, LONG) is shared for prompt in rendered)
+        prompt_features(rendered[0])
+        assert "features" in shared.memo
+        forks[1].context.put("doc", LEADS[1])
+        own = chunk_of(forks[1].render_prompt("p"), LEADS[1])
+        assert base.context.chunks["doc"] is shared is not own
+
+
+# -- the item strip -----------------------------------------------------------
+
+TWEET = Tweet(
+    uid="t1",
+    text="so tired of exams!!! @bob http://x.co",
+    clean_text="so tired of exams",
+    sentiment="negative",
+    school_related=True,
+    difficulty=0.5,
+)
+PROFILE = SimulatedLLM().profile
+STRIP_PIECES = (
+    TWEET.text,
+    TWEET.clean_text,
+    TWEET.text[:9],
+    TWEET.text[9:],
+    TWEET.clean_text[:5],
+    TWEET.clean_text[5:],
+    "Classify the tweet. ",
+    "Criteria:\n- negative\n- school\n",
+    "\n",
+    "Hint: ",
+    "at most 5 words",
+)
+
+
+def assert_strips_like_flat(prompt: str) -> None:
+    flat = str(prompt).replace(TWEET.text, "").replace(TWEET.clean_text, "")
+    segmentwise = _strip_segments(prompt, TWEET, flat)
+    assert segmentwise == flat
+    want = extract_features(flat)
+    got = prompt_features(segmentwise)
+    assert got == want and got.fingerprint() == want.fingerprint()
+    assert TaskEngine(PROFILE)._instructions(prompt, TWEET) == (flat, want)
+
+
+class TestSegmentWiseStrip:
+    @pytest.fixture(autouse=True)
+    def always_combine(self, monkeypatch):
+        monkeypatch.setattr(features_module, "_MIN_SKIPPED", -1)
+
+    SCAFFOLD = "### Task\nClassify the tweet. Criteria:\n- negative\n- school\n" * 3
+
+    def render(self, text: str, values: dict[str, Any]) -> RenderedPrompt:
+        return CompiledTemplate(text).render(Context(values))
+
+    def test_item_in_a_slot_keeps_the_chunks(self):
+        values = {"lead": LONG, "tweet": TWEET.text}
+        prompt = self.render(self.SCAFFOLD + "{lead}Tweet:\n{tweet}\n", values)
+        stripped = _strip_segments(prompt, TWEET, str(prompt).replace(TWEET.text, ""))
+        assert isinstance(stripped, RenderedPrompt)
+        assert chunk_of(stripped, LONG) is chunk_of(prompt, LONG)
+        assert_strips_like_flat(prompt)
+
+    def test_item_inside_a_static_chunk(self):
+        text = self.SCAFFOLD + "Example: " + TWEET.text + "\nTweet:\n{tweet}"
+        assert_strips_like_flat(self.render(text, {"tweet": TWEET.text}))
+
+    def test_item_inside_the_long_value(self):
+        values = {"lead": LONG + TWEET.text + "\n" + LONG, "tweet": "x"}
+        assert_strips_like_flat(self.render(self.SCAFFOLD + "{lead}\n{tweet}", values))
+
+    def test_item_straddling_a_seam(self):
+        for cut in range(1, len(TWEET.text)):
+            head, tail = TWEET.text[:cut], TWEET.text[cut:]
+            values = {"a": head, "b": tail, "lead": LONG}
+            assert_strips_like_flat(self.render(self.SCAFFOLD + head + "{b}", values))
+            assert_strips_like_flat(self.render(self.SCAFFOLD + "{a}{b}\n{lead}", values))
+
+    def test_clean_text_inside_the_text(self):
+        # Removing the text can join two halves of the clean text across a seam.
+        values = {"a": TWEET.clean_text[:5], "b": TWEET.text, "c": TWEET.clean_text[5:]}
+        assert_strips_like_flat(self.render(self.SCAFFOLD + "{a}{b}{c}", values))
+        head = TWEET.clean_text[:5]
+        assert_strips_like_flat(self.render(self.SCAFFOLD + head + "{b}{c}", values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.lists(st.sampled_from(STRIP_PIECES), max_size=3), st.booleans()),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_random_segmentations(self, pieces):
+        parts = ["".join(run) for run, _ in pieces]
+        static = [chunk for _, chunk in pieces]
+        assert_strips_like_flat(segmented(parts, static))
+        assert_strips_like_flat(segmented([self.SCAFFOLD, *parts], [True, *static]))
+
+
 # -- threads ------------------------------------------------------------------
 
 
 def test_concurrent_lanes_and_workers_agree_with_sequential():
     """16 lanes on one model and 2 workers with their own render and prepare
-    one prompt version at once; nothing raises, nothing differs."""
-    entry = PromptEntry(
-        "### Task\nYou are given one tweet from a public social media stream.\n"
+    one prompt version and one long value bound in the base context at
+    once; nothing raises, nothing differs, and the value is one chunk whose
+    analyses every lane fills at the same time."""
+    base = ExecutionState()
+    base.prompts.create(
+        "p",
+        "{lead}### Task\nYou are given one tweet from a public social media stream.\n"
         "Summarize the tweet in at most 30 words.\nCriteria:\n- be brief\n"
-        "- ignore handles and links\nTweet:\n{tweet}\nRespond with one word{suffix}"
+        "- ignore handles and links\nTweet:\n{tweet}\nRespond with one word{suffix}",
     )
+    base.context.put("lead", LONG)
+    base.render_prompt("p")  # the chunk exists, its analyses do not yet
     tweets = [f"tweet {i} about the school exam, soooo stressed" for i in range(40)]
     suffixes = ["", ".", "s only", " hint: now"]
     shared = SimulatedLLM()
     models = [shared] * 16 + [SimulatedLLM(), SimulatedLLM()]
     results: list[Any] = [None] * len(models)
+    leads: set[int] = set()
     barrier = threading.Barrier(len(models))
 
     def lane(index: int) -> None:
         try:
             barrier.wait(timeout=30)
+            state = base.fork()  # as the parallel runner does, per lane
             out = []
             for round_, tweet in enumerate(tweets):
-                prompt = entry.render(
-                    {"tweet": tweet, "suffix": suffixes[(index + round_) % 4]}
-                )
+                state.context.put("tweet", tweet)
+                state.context.put("suffix", suffixes[(index + round_) % 4])
+                prompt = state.render_prompt("p")
+                leads.add(id(prompt.segments[0]))
                 out.append((str(prompt), *models[index].prepare(prompt)))
             results[index] = out
         except BaseException as error:  # noqa: BLE001 - reported below
@@ -429,6 +653,7 @@ def test_concurrent_lanes_and_workers_agree_with_sequential():
             assert tokens == reference.encode(text)
             assert features == extract_features(text)
         assert "<unk>" not in models[index].tokenizer.decode(out[0][1]).split(" ")
+    assert leads == {id(base.context.chunks["lead"])}
 
 
 @pytest.mark.parametrize("method", ["cache_clear", "cache_info", "__wrapped__"])
