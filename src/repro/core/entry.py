@@ -16,6 +16,7 @@ from functools import cache, cached_property
 from typing import Any, Iterator, Mapping
 
 from repro.core.context import Context
+from repro.core.footprint import stable_digest
 from repro.errors import UnknownVersionError
 
 __all__ = [
@@ -217,6 +218,11 @@ class PromptVersion:
         """The text's one parse (a refinement makes a new version)."""
         return CompiledTemplate(self.text)
 
+    @cached_property
+    def text_digest(self) -> str:
+        """``stable_digest(text)``, hashed once per version."""
+        return stable_digest(self.text)
+
 
 def template_placeholders(text: str) -> list[str]:
     """Return the ordered, de-duplicated placeholder names in ``text``.
@@ -296,6 +302,11 @@ class PromptEntry:
     def template(self) -> CompiledTemplate:
         """The current version's compiled template."""
         return self._versions[-1].template
+
+    @property
+    def text_digest(self) -> str:
+        """The current version's text digest."""
+        return self._versions[-1].text_digest
 
     def placeholders(self) -> list[str]:
         """Unbound ``{placeholder}`` names in the current text."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 __all__ = ["ABSENT", "Footprint", "stable_digest"]
@@ -31,6 +32,9 @@ __all__ = ["ABSENT", "Footprint", "stable_digest"]
 #: context does not (yet) hold — absence is part of the input set, because
 #: an unbound placeholder renders literally.
 ABSENT = "<absent>"
+
+#: what ``json.dumps(value, sort_keys=True, default=repr)`` builds per call.
+_STABLE_JSON = json.JSONEncoder(sort_keys=True, default=repr)
 
 
 def stable_digest(value: Any) -> str:
@@ -42,7 +46,7 @@ def stable_digest(value: Any) -> str:
     readable in event payloads while leaving collisions negligible.
     """
     try:
-        payload = json.dumps(value, sort_keys=True, default=repr)
+        payload = _STABLE_JSON.encode(value)
     except (TypeError, ValueError):
         payload = repr(value)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
@@ -77,9 +81,10 @@ class Footprint:
     context_reads: tuple[tuple[str, str], ...] = ()
     context_writes: tuple[str, ...] = ()
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """The content fingerprint cache entries are keyed by."""
+        """The content fingerprint cache entries are keyed by (hashed once:
+        every field is immutable)."""
         return stable_digest(
             {
                 "operator": self.operator,
@@ -90,7 +95,7 @@ class Footprint:
             }
         )
 
-    @property
+    @cached_property
     def prompt_keys(self) -> tuple[str, ...]:
         """The referenced prompt keys (for dependency indexing)."""
         return tuple(dep[0] for dep in self.prompt_deps)

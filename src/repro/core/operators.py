@@ -14,6 +14,7 @@ inside the algebra.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Collection, Iterable
 
 from repro.core.algebra import Condition, Operator, as_condition
@@ -113,8 +114,8 @@ class RET(Operator):
                 (
                     self.prompt_key,
                     entry.version,
-                    stable_digest(entry.text),
-                    stable_digest(entry.params),
+                    entry.text_digest,
+                    stable_digest(entry.params),  # a mutable dict: every call
                 ),
             )
             context_reads = _context_reads_for_template(state, entry.template.names)
@@ -174,6 +175,14 @@ class GEN(Operator):
         self.max_tokens = max_tokens
         self.label = f'GEN["{label_key}"]'
 
+    @cached_property
+    def _identity(self) -> str:
+        # The constructor arguments, which nothing reassigns: hashed once.
+        return stable_digest({
+            "op": "GEN", "label": self.label_key, "prompt": self.prompt_key,
+            "extra": self.extra, "max_tokens": self.max_tokens,
+        })
+
     def footprint(self, state: ExecutionState) -> Footprint | None:
         """GEN's inputs: its params, the prompt at its version, the context
         slots the template interpolates, and the model backend.
@@ -194,25 +203,16 @@ class GEN(Operator):
             # can fail differently, so GEN under injection is not pure.
             return None
         entry = state.prompts[self.prompt_key]
-        identity = stable_digest(
-            {
-                "op": "GEN",
-                "label": self.label_key,
-                "prompt": self.prompt_key,
-                "extra": self.extra,
-                "max_tokens": self.max_tokens,
-            }
-        )
         return Footprint(
             operator=self.label,
-            identity=identity,
+            identity=self._identity,
             model_key=_model_cache_key(model),
             prompt_deps=(
                 (
                     self.prompt_key,
                     entry.version,
-                    stable_digest(entry.text),
-                    stable_digest(entry.params),
+                    entry.text_digest,
+                    stable_digest(entry.params),  # a mutable dict: every call
                 ),
             ),
             context_reads=_context_reads_for_template(

@@ -25,7 +25,6 @@ from repro.llm.kv_cache import BlockPrefixCache
 from repro.llm.latency import LatencyBreakdown, estimate_latency
 from repro.llm.radix_cache import RadixPrefixCache
 from repro.llm.profiles import DEFAULT_PROFILE, ModelProfile, get_profile
-from repro.llm.prompt_cache import StructuredPromptCache
 from repro.llm.tasks import TaskEngine, TaskOutput
 from repro.llm.tokenizer import Tokenizer
 from repro.runtime.clock import VirtualClock
@@ -63,7 +62,6 @@ class SimulatedLLM:
         *,
         clock: VirtualClock | None = None,
         kv_cache: "RadixPrefixCache | BlockPrefixCache | None" = None,
-        prompt_cache: StructuredPromptCache | None = None,
         enable_prefix_cache: bool = True,
         fault_plan: Any = None,
     ) -> None:
@@ -80,9 +78,6 @@ class SimulatedLLM:
         # structure); pass a BlockPrefixCache explicitly for the legacy
         # vLLM hash-chain behaviour (the two are accounting-compatible).
         self.kv_cache = kv_cache if kv_cache is not None else RadixPrefixCache()
-        self.prompt_cache = (
-            prompt_cache if prompt_cache is not None else StructuredPromptCache()
-        )
         self.enable_prefix_cache = enable_prefix_cache
         self.engine = TaskEngine(self.profile)
         # aggregate accounting across all calls; guarded by ``_lock`` so
@@ -389,7 +384,6 @@ class SimulatedLLM:
                 "total_output_tokens": self.total_output_tokens,
                 "overall_cache_hit_rate": self.overall_cache_hit_rate,
                 "kv_cache": self.kv_cache.snapshot(),
-                "prompt_cache": self.prompt_cache.snapshot(),
                 "faults": (
                     self.fault_plan.snapshot()
                     if self.fault_plan is not None
@@ -408,7 +402,6 @@ class SimulatedLLM:
             self.total_output_tokens = 0
         if clear_cache:
             self.kv_cache.clear()
-            self.prompt_cache.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -4,9 +4,8 @@ One serving process hosts many tenants, but KV state must never cross a
 tenant boundary: a tenant's prompts are its data, and prefix-cache hits
 leak timing (and, in a real system, content) across tenants.
 :class:`CachePartitions` gives each namespace its own
-:class:`~repro.llm.radix_cache.RadixPrefixCache` and
-:class:`~repro.llm.prompt_cache.StructuredPromptCache`, created lazily
-and sized uniformly — isolation by construction rather than by key
+:class:`~repro.llm.radix_cache.RadixPrefixCache`, created lazily and
+sized uniformly — isolation by construction rather than by key
 prefixing, so a lookup physically cannot hit another tenant's entries.
 """
 
@@ -15,14 +14,13 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from repro.llm.prompt_cache import StructuredPromptCache
 from repro.llm.radix_cache import RadixPrefixCache
 
 __all__ = ["CachePartition", "CachePartitions"]
 
 
 class CachePartition:
-    """One namespace's private cache pair (radix KV + structured prompt)."""
+    """One namespace's private radix KV cache."""
 
     def __init__(
         self,
@@ -30,20 +28,17 @@ class CachePartition:
         *,
         block_size: int,
         capacity_blocks: int,
-        prompt_capacity: int,
     ) -> None:
         self.namespace = namespace
         self.kv_cache = RadixPrefixCache(
             block_size=block_size, capacity_blocks=capacity_blocks
         )
-        self.prompt_cache = StructuredPromptCache(capacity=prompt_capacity)
 
     def snapshot(self) -> dict[str, Any]:
         """Point-in-time accounting for this partition."""
         return {
             "namespace": self.namespace,
             "kv_cache": self.kv_cache.snapshot(),
-            "prompt_cache": self.prompt_cache.snapshot(),
         }
 
 
@@ -62,11 +57,9 @@ class CachePartitions:
         *,
         block_size: int = 16,
         capacity_blocks: int = 4096,
-        prompt_capacity: int = 4096,
     ) -> None:
         self.block_size = block_size
         self.capacity_blocks = capacity_blocks
-        self.prompt_capacity = prompt_capacity
         self._partitions: dict[str, CachePartition] = {}
         self._lock = threading.Lock()
 
@@ -81,7 +74,6 @@ class CachePartitions:
                     namespace,
                     block_size=self.block_size,
                     capacity_blocks=self.capacity_blocks,
-                    prompt_capacity=self.prompt_capacity,
                 )
                 self._partitions[namespace] = partition
             return partition

@@ -46,7 +46,7 @@ class StructuredPromptCache:
 
     Thread-safe: lookups, inserts, and invalidation from concurrent
     worker lanes are serialized by one reentrant lock, so hit/miss
-    accounting never races and :meth:`snapshot` is atomic.
+    accounting never races.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -100,17 +100,6 @@ class StructuredPromptCache:
         if total == 0:
             return 0.0
         return self.hits / total
-
-    def snapshot(self) -> dict[str, float]:
-        """Point-in-time statistics for gauges and reports (atomic)."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": self.hit_rate,
-            }
 
     def __len__(self) -> int:
         with self._lock:

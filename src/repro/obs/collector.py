@@ -63,8 +63,6 @@ spear_model_latency_seconds_total              gauge      model
 spear_kv_cache_blocks                          gauge      model
 spear_kv_cache_hit_rate                        gauge      model
 spear_kv_cache_evictions_total                 gauge      model
-spear_prompt_cache_entries                     gauge      model
-spear_prompt_cache_hit_rate                    gauge      model
 spear_result_cache_hits_total                  counter    operator
 spear_result_cache_saved_seconds_total         counter    operator
 spear_result_cache_entries                     gauge      —
@@ -93,6 +91,7 @@ cardinality stays bounded.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
@@ -121,23 +120,27 @@ class ObsCollector:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.spans = SpanBuilder()
         self._open_starts: dict[str, list[float]] = {}
-        self._subscribed: set[int] = set()
-        self._attached_models: set[int] = set()
-        self._attached_result_caches: set[int] = set()
+        # Keyed by the object: a collected object's id() gets reused.
+        self._subscribed: weakref.WeakSet[EventLog] = weakref.WeakSet()
+        self._attached_models: weakref.WeakSet[Any] = weakref.WeakSet()
+        self._attached_result_caches: weakref.WeakSet[Any] = weakref.WeakSet()
+        #: (metric name, *label values) -> instrument; registries never
+        #: drop instruments, and each metric has fixed label names.
+        self._instruments: dict[tuple[str, ...], Any] = {}
 
     # -- wiring -------------------------------------------------------------
 
     def subscribe_to(self, log: EventLog) -> None:
         """Attach to ``log`` so every future event updates the metrics."""
-        if id(log) in self._subscribed:
+        if log in self._subscribed:
             return
-        self._subscribed.add(id(log))
+        self._subscribed.add(log)
         log.subscribe(self.on_event)
 
     def unsubscribe_from(self, log: EventLog) -> None:
         """Detach from ``log``."""
         if log.unsubscribe(self.on_event):
-            self._subscribed.discard(id(log))
+            self._subscribed.discard(log)
 
     def replay(self, log: EventLog) -> None:
         """Feed an already-recorded log through the collector (offline path)."""
@@ -148,7 +151,7 @@ class ObsCollector:
         """Instrument a :class:`SimulatedLLM`-shaped model.
 
         Registers pull gauges over the model's aggregate accounting and
-        its kv/prompt cache snapshots; if the model supports generation
+        its kv cache snapshots; if the model supports generation
         listeners, per-call latency/token histograms accrue there too
         (useful for direct ``model.generate`` callers that bypass GEN).
 
@@ -156,9 +159,9 @@ class ObsCollector:
         a no-op, so two executors sharing one collector + model do not
         double-count ``spear_model_*`` metrics.
         """
-        if id(model) in self._attached_models:
+        if model in self._attached_models:
             return
-        self._attached_models.add(id(model))
+        self._attached_models.add(model)
         label = name or getattr(
             getattr(model, "profile", None), "name", type(model).__name__
         )
@@ -203,16 +206,6 @@ class ObsCollector:
                     "Radix nodes pinned against eviction by the scheduler.",
                     model=label,
                 ).set_function(lambda: float(kv.snapshot()["pinned_blocks"]))
-        prompt_cache = getattr(model, "prompt_cache", None)
-        if prompt_cache is not None:
-            gauges.gauge(
-                "spear_prompt_cache_entries",
-                "Entries in the structured prompt cache.", model=label,
-            ).set_function(lambda: float(len(prompt_cache)))
-            gauges.gauge(
-                "spear_prompt_cache_hit_rate",
-                "Structured prompt cache hit rate.", model=label,
-            ).set_function(lambda: prompt_cache.hit_rate)
         if hasattr(model, "add_listener"):
             model.add_listener(
                 lambda result: self.on_generation(result, model=label)
@@ -226,9 +219,9 @@ class ObsCollector:
         accounting: occupancy, lifetime hit rate, invalidation and
         eviction counts.  Idempotent per cache instance.
         """
-        if id(cache) in self._attached_result_caches:
+        if cache in self._attached_result_caches:
             return
-        self._attached_result_caches.add(id(cache))
+        self._attached_result_caches.add(cache)
         gauges = self.registry
         gauges.gauge(
             "spear_result_cache_entries",
@@ -247,20 +240,35 @@ class ObsCollector:
             "Entries evicted by the result cache's LRU policy.",
         ).set_function(lambda: cache.snapshot()["evictions"])
 
+    # -- instruments ----------------------------------------------------------
+
+    def _metric(
+        self, type_: str, name: str, help_text: str, buckets: Any = None, **labels: str
+    ) -> Any:
+        """The registry's ``type_`` instrument ``name{labels}``, resolved once."""
+        key = (name, *labels.values())
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            options = {"buckets": buckets} if buckets else {}
+            make = getattr(self.registry, type_)
+            instrument = make(name, help_text, **options, **labels)
+            self._instruments[key] = instrument
+        return instrument
+
     # -- event handling -----------------------------------------------------
 
     def on_event(self, event: Event) -> None:
         """The :meth:`EventLog.subscribe` callback."""
         self.spans.add(event)
-        self.registry.counter(
-            "spear_events_total", "Events observed, by kind.",
+        self._metric(
+            "counter", "spear_events_total", "Events observed, by kind.",
             kind=event.kind.value,
         ).inc()
         kind = event.kind
         if kind is EventKind.OPERATOR_START:
             op = operator_kind(event.operator)
-            self.registry.counter(
-                "spear_operator_invocations_total",
+            self._metric(
+                "counter", "spear_operator_invocations_total",
                 "Operator applications started.", operator=op,
             ).inc()
             self._open_starts.setdefault(event.operator, []).append(event.at)
@@ -268,19 +276,19 @@ class ObsCollector:
             starts = self._open_starts.get(event.operator)
             if starts:
                 wall = max(event.at - starts.pop(), 0.0)
-                self.registry.histogram(
-                    "spear_operator_wall_seconds",
+                self._metric(
+                    "histogram", "spear_operator_wall_seconds",
                     "Wall time per operator application (virtual clock).",
                     buckets=LATENCY_BUCKETS,
                     operator=operator_kind(event.operator),
                 ).observe(wall)
         elif kind is EventKind.GENERATE:
             prompt = str(event.payload.get("prompt_key", "?"))
-            self.registry.counter(
-                "spear_gen_calls_total", "GEN operator calls.", prompt=prompt
+            self._metric(
+                "counter", "spear_gen_calls_total", "GEN operator calls.", prompt=prompt
             ).inc()
-            self.registry.histogram(
-                "spear_gen_latency_seconds",
+            self._metric(
+                "histogram", "spear_gen_latency_seconds",
                 "Simulated latency per generation call.",
                 buckets=LATENCY_BUCKETS,
                 prompt=prompt,
@@ -292,53 +300,53 @@ class ObsCollector:
             ):
                 value = event.payload.get(signal)
                 if value is not None:
-                    self.registry.counter(
-                        metric, f"Sum of {signal} across GEN calls.",
+                    self._metric(
+                        "counter", metric, f"Sum of {signal} across GEN calls.",
                         prompt=prompt,
                     ).inc(float(value))
         elif kind is EventKind.CACHE_HIT:
             op = operator_kind(event.operator)
-            self.registry.counter(
-                "spear_result_cache_hits_total",
+            self._metric(
+                "counter", "spear_result_cache_hits_total",
                 "Operator applications served from the result cache.",
                 operator=op,
             ).inc()
-            self.registry.counter(
-                "spear_result_cache_saved_seconds_total",
+            self._metric(
+                "counter", "spear_result_cache_saved_seconds_total",
                 "Simulated seconds saved by result-cache hits.",
                 operator=op,
             ).inc(float(event.payload.get("saved_seconds", 0.0) or 0.0))
         elif kind is EventKind.ERROR:
-            self.registry.counter(
-                "spear_operator_errors_total", "Operator errors.",
+            self._metric(
+                "counter", "spear_operator_errors_total", "Operator errors.",
                 operator=operator_kind(event.operator),
             ).inc()
         elif kind is EventKind.FAULT:
             model = str(event.payload.get("model", "?"))
-            self.registry.counter(
-                "spear_model_failures_total",
+            self._metric(
+                "counter", "spear_model_failures_total",
                 "Generation attempts that failed, by model.", model=model,
             ).inc()
             if event.payload.get("injected"):
-                self.registry.counter(
-                    "spear_faults_injected_total",
+                self._metric(
+                    "counter", "spear_faults_injected_total",
                     "Injected faults observed, by fault kind.",
                     kind=str(event.payload.get("kind", "?")),
                 ).inc()
         elif kind is EventKind.RETRY:
             model = str(event.payload.get("model", "?"))
-            self.registry.counter(
-                "spear_retries_total",
+            self._metric(
+                "counter", "spear_retries_total",
                 "Retries performed by resilience policies.", model=model,
             ).inc()
-            self.registry.histogram(
-                "spear_retry_attempts",
+            self._metric(
+                "histogram", "spear_retry_attempts",
                 "Retry ordinal per retried call (1 = first retry).",
                 buckets=(1.0, 2.0, 3.0, 5.0, 8.0),
                 model=model,
             ).observe(float(event.payload.get("attempt", 1) or 1))
-            self.registry.histogram(
-                "spear_retry_backoff_seconds",
+            self._metric(
+                "histogram", "spear_retry_backoff_seconds",
                 "Backoff delay charged before each retry.",
                 buckets=LATENCY_BUCKETS,
                 model=model,
@@ -346,66 +354,67 @@ class ObsCollector:
         elif kind is EventKind.BREAKER:
             model = str(event.payload.get("model", "?"))
             state_name = str(event.payload.get("state", "?"))
-            self.registry.gauge(
-                "spear_breaker_state",
+            self._metric(
+                "gauge", "spear_breaker_state",
                 "Circuit-breaker state (0 closed, 1 half-open, 2 open).",
                 model=model,
             ).set(_BREAKER_STATE_VALUES.get(state_name, -1.0))
             if event.payload.get("action") in ("tripped", "closed"):
-                self.registry.counter(
-                    "spear_breaker_transitions_total",
+                self._metric(
+                    "counter", "spear_breaker_transitions_total",
                     "Circuit-breaker state transitions.", model=model,
                 ).inc()
         elif kind is EventKind.FALLBACK:
-            self.registry.counter(
-                "spear_degraded_runs_total",
+            self._metric(
+                "counter", "spear_degraded_runs_total",
                 "Generations served by a degraded fallback target.",
                 target=str(event.payload.get("target", "?")),
             ).inc()
         elif kind is EventKind.PLAN:
-            self.registry.counter(
-                "spear_plans_total", "Refinement plans produced."
+            self._metric(
+                "counter", "spear_plans_total", "Refinement plans produced."
             ).inc()
-            self.registry.counter(
-                "spear_plan_refiners_chosen_total",
+            self._metric(
+                "counter", "spear_plan_refiners_chosen_total",
                 "Refiners chosen across all plans.",
             ).inc(len(event.payload.get("chosen", ()) or ()))
-            self.registry.counter(
-                "spear_plan_refiners_skipped_total",
+            self._metric(
+                "counter", "spear_plan_refiners_skipped_total",
                 "Refiners skipped across all plans.",
             ).inc(len(event.payload.get("skipped", ()) or ()))
         elif kind is EventKind.SHADOW:
-            self.registry.counter(
-                "spear_shadow_phases_total", "Shadow execution phase markers.",
+            self._metric(
+                "counter", "spear_shadow_phases_total",
+                "Shadow execution phase markers.",
                 phase=str(event.payload.get("phase", "?")),
             ).inc()
         elif kind is EventKind.BATCH:
             mode = str(event.payload.get("mode", "?"))
-            self.registry.counter(
-                "spear_batch_runs_total", "Batch runs completed, by mode.",
+            self._metric(
+                "counter", "spear_batch_runs_total", "Batch runs completed, by mode.",
                 mode=mode,
             ).inc()
-            self.registry.counter(
-                "spear_batch_items_total", "Items processed by batch runs.",
+            self._metric(
+                "counter", "spear_batch_items_total", "Items processed by batch runs.",
                 mode=mode,
             ).inc(float(event.payload.get("items", 0) or 0))
-            self.registry.counter(
-                "spear_batch_failures_total",
+            self._metric(
+                "counter", "spear_batch_failures_total",
                 "Item failures collected by batch runs.", mode=mode,
             ).inc(float(event.payload.get("failures", 0) or 0))
-            self.registry.histogram(
-                "spear_batch_elapsed_seconds",
+            self._metric(
+                "histogram", "spear_batch_elapsed_seconds",
                 "Simulated elapsed time per batch run.",
                 buckets=LATENCY_BUCKETS,
                 mode=mode,
             ).observe(float(event.payload.get("elapsed", 0.0) or 0.0))
-            self.registry.gauge(
-                "spear_batch_throughput",
+            self._metric(
+                "gauge", "spear_batch_throughput",
                 "Items per simulated second of the last batch run.",
                 mode=mode,
             ).set(float(event.payload.get("throughput", 0.0) or 0.0))
-            self.registry.gauge(
-                "spear_batch_workers",
+            self._metric(
+                "gauge", "spear_batch_workers",
                 "Lanes used by the last batch run.", mode=mode,
             ).set(float(event.payload.get("workers", 1) or 1))
         elif kind is EventKind.SCHED:
@@ -414,55 +423,55 @@ class ObsCollector:
             # spear_sched_* counters/histograms — the engine itself only
             # sets gauges, so sharing one registry never double-counts.
             payload = event.payload
-            self.registry.counter(
-                "spear_sched_steps_total",
+            self._metric(
+                "counter", "spear_sched_steps_total",
                 "Continuous-batching engine steps executed.",
             ).inc()
-            self.registry.histogram(
-                "spear_sched_step_size",
+            self._metric(
+                "histogram", "spear_sched_step_size",
                 "Generation calls admitted per engine step.",
                 buckets=(1, 2, 4, 8, 16, 32, 64, 128),
             ).observe(float(payload.get("size", 0) or 0))
-            self.registry.histogram(
-                "spear_sched_step_tokens",
+            self._metric(
+                "histogram", "spear_sched_step_tokens",
                 "Prompt tokens admitted per engine step.",
                 buckets=(64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0),
             ).observe(float(payload.get("tokens", 0) or 0))
-            self.registry.counter(
-                "spear_sched_preemptions_total",
+            self._metric(
+                "counter", "spear_sched_preemptions_total",
                 "Admissions that jumped ahead of an older, "
                 "lower-priority queued call.",
             ).inc(float(payload.get("preemptions", 0) or 0))
-            self.registry.counter(
-                "spear_sched_forced_total",
+            self._metric(
+                "counter", "spear_sched_forced_total",
                 "Admissions forced by the timeout watermark.",
             ).inc(float(payload.get("forced", 0) or 0))
             dedup = float(payload.get("dedup_tokens", 0) or 0)
-            self.registry.counter(
-                "spear_prefix_dedup_tokens_total",
+            self._metric(
+                "counter", "spear_prefix_dedup_tokens_total",
                 "Trunk tokens prefilled once per step instead of once "
                 "per request (intra-step prefix dedup).",
             ).inc(dedup)
-            self.registry.histogram(
-                "spear_prefix_step_dedup_tokens",
+            self._metric(
+                "histogram", "spear_prefix_step_dedup_tokens",
                 "Deduplicated trunk tokens per engine step.",
                 buckets=(0.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0),
             ).observe(dedup)
-            self.registry.gauge(
-                "spear_prefix_last_step_dedup_tokens",
+            self._metric(
+                "gauge", "spear_prefix_last_step_dedup_tokens",
                 "Deduplicated trunk tokens of the most recent engine step.",
             ).set(dedup)
             if payload.get("prefix_groups") is not None:
-                self.registry.histogram(
-                    "spear_prefix_groups_per_step",
+                self._metric(
+                    "histogram", "spear_prefix_groups_per_step",
                     "Distinct shared-trunk groups per engine step.",
                     buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
                 ).observe(float(payload.get("prefix_groups", 0) or 0))
             waits = payload.get("waits", ()) or ()
             classes = payload.get("classes", ()) or ()
             for wait, priority in zip(waits, classes):
-                self.registry.histogram(
-                    "spear_sched_wait_seconds",
+                self._metric(
+                    "histogram", "spear_sched_wait_seconds",
                     "Queue wait per admitted call, by priority class.",
                     buckets=LATENCY_BUCKETS,
                     **{"class": str(priority)},
@@ -474,33 +483,33 @@ class ObsCollector:
             payload = event.payload
             tenant = str(payload.get("tenant", "?"))
             status = str(payload.get("status", "?"))
-            self.registry.counter(
-                "spear_serve_requests_total",
+            self._metric(
+                "counter", "spear_serve_requests_total",
                 "Serving requests completed, by tenant and outcome.",
                 tenant=tenant, status=status,
             ).inc()
             if status == "shed":
-                self.registry.counter(
-                    "spear_serve_shed_total",
+                self._metric(
+                    "counter", "spear_serve_shed_total",
                     "Requests shed by admission control, by tenant.",
                     tenant=tenant,
                 ).inc()
             else:
-                self.registry.histogram(
-                    "spear_serve_latency_seconds",
+                self._metric(
+                    "histogram", "spear_serve_latency_seconds",
                     "Simulated execution time per served request.",
                     buckets=LATENCY_BUCKETS,
                     tenant=tenant,
                 ).observe(float(payload.get("elapsed", 0.0) or 0.0))
-                self.registry.histogram(
-                    "spear_serve_queue_wait_seconds",
+                self._metric(
+                    "histogram", "spear_serve_queue_wait_seconds",
                     "Wall-clock admission-to-start wait per request.",
                     buckets=LATENCY_BUCKETS,
                     tenant=tenant,
                 ).observe(float(payload.get("queue_wait", 0.0) or 0.0))
             if payload.get("queue_depth") is not None:
-                self.registry.gauge(
-                    "spear_serve_queue_depth",
+                self._metric(
+                    "gauge", "spear_serve_queue_depth",
                     "Tenant queue depth after this request's admission "
                     "decision.",
                     tenant=tenant,
@@ -515,12 +524,12 @@ class ObsCollector:
         each other), and callers that bypass the operator layer entirely
         (benchmarks, batch harnesses) still show up here.
         """
-        self.registry.counter(
-            "spear_model_gen_calls_total",
+        self._metric(
+            "counter", "spear_model_gen_calls_total",
             "Generation calls observed at the model layer.", model=model,
         ).inc()
-        self.registry.histogram(
-            "spear_model_gen_latency_seconds",
+        self._metric(
+            "histogram", "spear_model_gen_latency_seconds",
             "Simulated latency per model-layer generation call.",
             buckets=LATENCY_BUCKETS,
             model=model,
@@ -530,8 +539,8 @@ class ObsCollector:
             (result.cached_tokens, "spear_model_cached_tokens_total"),
             (result.output_tokens, "spear_model_output_tokens_total"),
         ):
-            self.registry.counter(
-                metric, "Model-layer token totals.", model=model
+            self._metric(
+                "counter", metric, "Model-layer token totals.", model=model
             ).inc(float(value))
 
     # -- read side ----------------------------------------------------------

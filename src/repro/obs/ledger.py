@@ -32,6 +32,7 @@ import contextlib
 import json
 import os
 import time
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -40,6 +41,7 @@ from repro.obs.attribution import AttributionReport, build_attribution
 from repro.obs.report import Pricing, RunReport
 from repro.obs.timeseries import SeriesRecorder
 from repro.runtime.events import Event, EventLog
+from repro.runtime.tracing import _encode_value
 
 __all__ = ["RunLedger", "Ledger", "LedgerRun", "ledger_scope"]
 
@@ -51,6 +53,26 @@ _FLUSH_EVERY = 64
 #: ``isinstance``) so str/int-backed enums — which must be tagged for the
 #: lossless round-trip — fall through to the slow path.
 _JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _plain(value: Any) -> bool:
+    """True for a JSON scalar or a (nested) list/tuple of them: values
+    ``json.dumps`` writes exactly as the tagged encoding would."""
+    kind = type(value)
+    if kind in _JSON_SCALARS:
+        return True
+    return (kind is list or kind is tuple) and all(map(_plain, value))
+
+
+#: the C encoder ``json.dumps`` builds on every call with its defaults,
+#: built once: the same bytes for the plain values the ledger writes.
+_ENCODER = c_make_encoder and c_make_encoder(
+    None, None, encode_basestring_ascii, None, ": ", ", ", False, False, True
+)
+
+
+def _dumps(value: Any) -> str:
+    return "".join(_ENCODER(value, 0)) if _ENCODER else json.dumps(value)
 
 
 def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
@@ -115,9 +137,6 @@ class RunLedger:
         registry is used when ``registry`` is None) lets finalization
         reuse already-accrued metrics instead of replaying every event.
         """
-        from repro.runtime.tracing import _encode_value
-
-        self._encode = _encode_value
         self._collector = collector
         if registry is None and collector is not None:
             registry = collector.registry
@@ -158,30 +177,30 @@ class RunLedger:
 
         Encoding is deferred to flush time and batched into one write so
         the per-event subscriber stays cheap; payloads made only of JSON
-        scalars (the overwhelming majority) skip the tagged-encoding walk
-        entirely — ``json.dumps`` emits the identical bytes for them.
+        scalars and lists of them (the overwhelming majority) skip the
+        tagged-encoding walk entirely — ``json.dumps`` emits the identical
+        bytes for them.
         """
         handle = self._events_handle
         if handle is None or self._written >= len(self._captured):
             return
         batch = self._captured[self._written :]
         self._written = len(self._captured)
-        encode = self._encode
         lines = []
         for event in batch:
             record = event.to_dict()
             payload = record["payload"]
-            if all(type(v) in _JSON_SCALARS for v in payload.values()):
-                lines.append(json.dumps(record))
+            if all(map(_plain, payload.values())):
+                lines.append(_dumps(record))
             else:
-                lines.append(json.dumps(encode(record)))
+                lines.append(_dumps(_encode_value(record)))
         handle.write("\n".join(lines) + "\n")
         handle.flush()
 
     def _write_series_row(self, row: dict[str, Any]) -> None:
         handle = self._series_handle
         if handle is not None:
-            handle.write(json.dumps(row))
+            handle.write(_dumps(row))
             handle.write("\n")
 
     def finalize(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ObservabilityError
 
@@ -242,27 +242,25 @@ class MetricsRegistry:
             self._families[name] = (kind, help_text, children)
         return children
 
-    def counter(self, name: str, help_text: str = "", **labels: str) -> Counter:
-        """Get or create the counter ``name{labels}``."""
+    def _child(
+        self, name: str, kind: str, help_text: str, labels: dict[str, str], make
+    ) -> Any:
         with self._lock:
-            children = self._family(name, "counter", help_text)
+            children = self._family(name, kind, help_text)
             key = _label_key(labels)
             child = children.get(key)
             if child is None:
-                child = children[key] = Counter()
+                child = children[key] = make()
                 self._version += 1
-            return child  # type: ignore[return-value]
+            return child
+
+    def counter(self, name: str, help_text: str = "", **labels: str) -> Counter:
+        """Get or create the counter ``name{labels}``."""
+        return self._child(name, "counter", help_text, labels, Counter)
 
     def gauge(self, name: str, help_text: str = "", **labels: str) -> Gauge:
         """Get or create the gauge ``name{labels}``."""
-        with self._lock:
-            children = self._family(name, "gauge", help_text)
-            key = _label_key(labels)
-            child = children.get(key)
-            if child is None:
-                child = children[key] = Gauge()
-                self._version += 1
-            return child  # type: ignore[return-value]
+        return self._child(name, "gauge", help_text, labels, Gauge)
 
     def histogram(
         self,
@@ -273,14 +271,9 @@ class MetricsRegistry:
         **labels: str,
     ) -> Histogram:
         """Get or create the histogram ``name{labels}``."""
-        with self._lock:
-            children = self._family(name, "histogram", help_text)
-            key = _label_key(labels)
-            child = children.get(key)
-            if child is None:
-                child = children[key] = Histogram(buckets)
-                self._version += 1
-            return child  # type: ignore[return-value]
+        return self._child(
+            name, "histogram", help_text, labels, lambda: Histogram(buckets)
+        )
 
     # -- read side ----------------------------------------------------------
 

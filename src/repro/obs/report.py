@@ -21,7 +21,6 @@ from typing import Any
 
 from repro.obs.collector import ObsCollector
 from repro.obs.metrics import Counter, Gauge, Histogram
-from repro.obs.spans import top_slowest
 from repro.runtime.events import EventLog
 
 __all__ = ["Pricing", "RunReport", "build_report", "build_run_report"]
@@ -356,8 +355,6 @@ def build_report(
         "spear_kv_cache_blocks",
         "spear_kv_cache_hit_rate",
         "spear_kv_cache_evictions_total",
-        "spear_prompt_cache_entries",
-        "spear_prompt_cache_hit_rate",
     ):
         for labels, child in _family_children(registry, gauge_name):
             if isinstance(child, Gauge):
@@ -474,11 +471,9 @@ def build_report(
     }
 
     # -- slowest spans ------------------------------------------------------
-    # A snapshot, not finish(): reports may be generated mid-run (live
-    # scrape), and closing the live span stack would orphan every event
-    # that follows.
-    roots = collector.spans.snapshot()
-    for span in top_slowest(roots, top_k):
+    # Copies, not finish(): reports may be generated mid-run (live scrape),
+    # and closing the live span stack would orphan every event that follows.
+    for span in collector.spans.slowest(top_k):
         report.slowest_spans.append(
             {
                 "operator": span.operator,

@@ -20,6 +20,8 @@ logs degrade gracefully:
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -67,29 +69,6 @@ class Span:
             return 0.0
         return self.cached_tokens / self.prompt_tokens
 
-    def clone(self) -> "Span":
-        """A structural copy of the span and its subtree.
-
-        Every field outside ``children`` is an immutable scalar, so a
-        field-by-field copy is equivalent to ``copy.deepcopy`` at a
-        fraction of the cost — :meth:`SpanBuilder.snapshot` runs on the
-        live path (metrics scrapes, ledger finalization).
-        """
-        return Span(
-            operator=self.operator,
-            start=self.start,
-            end=self.end,
-            depth=self.depth,
-            complete=self.complete,
-            children=[child.clone() for child in self.children],
-            gen_calls=self.gen_calls,
-            prompt_tokens=self.prompt_tokens,
-            cached_tokens=self.cached_tokens,
-            output_tokens=self.output_tokens,
-            gen_latency=self.gen_latency,
-            events=self.events,
-        )
-
     def to_dict(self) -> dict:
         """Serialize the span (and its subtree) for the JSON report."""
         return {
@@ -130,7 +109,11 @@ class SpanBuilder:
             self._stack.append(span)
             return
         if event.kind is EventKind.OPERATOR_END:
-            if not any(span.operator == event.operator for span in self._stack):
+            stack = self._stack
+            if stack and stack[-1].operator == event.operator:
+                stack.pop().end = event.at  # the balanced case
+                return
+            if not any(span.operator == event.operator for span in stack):
                 return  # unbalanced: END with no open START
             # Close any inner spans the log never ended (interleaving /
             # truncation), then the matching span itself.
@@ -161,7 +144,7 @@ class SpanBuilder:
 
         Destructive: the builder stops tracking the open spans, so later
         ``add`` calls would start a fresh forest.  For a mid-run view
-        that leaves the live stack intact, use :meth:`snapshot`.
+        that leaves the live stack intact, use :meth:`slowest`.
         """
         while self._stack:
             span = self._stack.pop()
@@ -169,20 +152,26 @@ class SpanBuilder:
             span.complete = False
         return self.roots
 
-    def snapshot(self) -> list[Span]:
-        """A finished *copy* of the forest; the live builder is untouched.
+    def slowest(self, k: int = 5) -> list[Span]:
+        """The ``k`` slowest spans so far, the live builder untouched.
 
-        Open spans are closed at the last seen timestamp and marked
-        incomplete in the copy only — safe to call mid-run (a metrics
-        scrape or live report) without breaking reconstruction of the
-        events that follow.
+        Ranks as ``top_slowest(self.finish(), k)`` would, but copies only
+        the winners (without children); an open one is closed at the last
+        seen timestamp and marked incomplete in its copy alone, so a
+        mid-run report never disturbs the events that follow.
         """
-        roots = [span.clone() for span in self.roots]
-        for span in iter_spans(roots):
-            if span.end is None:
-                span.end = self._last_at
-                span.complete = False
-        return roots
+        last = self._last_at
+
+        def wall(span: Span) -> float:
+            return max((last if span.end is None else span.end) - span.start, 0.0)
+
+        picked = []
+        for span in heapq.nsmallest(k, iter_spans(self.roots), key=lambda s: -wall(s)):
+            copy = dataclasses.replace(span, children=[])
+            if copy.end is None:
+                copy.end, copy.complete = last, False
+            picked.append(copy)
+        return picked
 
 
 def build_span_tree(log: EventLog) -> list[Span]:

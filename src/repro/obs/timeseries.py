@@ -122,9 +122,10 @@ class SeriesRecorder:
         return self._instruments
 
     def _record(self, at: float, trigger: str) -> dict[str, Any]:
-        metrics: dict[str, float] = {}
-        for display_name, instrument in self._scan_instruments():
-            metrics[display_name] = round(float(instrument.value), 6)
+        metrics = {
+            name: round(float(instrument.value), 6)
+            for name, instrument in self._scan_instruments()
+        }
         row = {"at": round(at, 6), "trigger": trigger, "metrics": metrics}
         self.rows.append(row)
         if self.sink is not None:

@@ -78,9 +78,9 @@ class EventLog:
         self._events: list[Event] = []
         self._counter = itertools.count()
         self._lock = threading.RLock()
-        #: optional live subscribers (e.g. a shadow executor); each is
-        #: called with every appended event.
-        self._subscribers: list[Callable[[Event], None]] = []
+        #: live subscribers (e.g. a shadow executor), called with every event;
+        #: copy-on-write, so each dispatch iterates a snapshot for free.
+        self._subscribers: tuple[Callable[[Event], None], ...] = ()
 
     def emit(
         self,
@@ -99,7 +99,7 @@ class EventLog:
         failure while handling such an ERROR event is recorded but not
         re-delivered, so a persistently failing subscriber cannot recurse.
         """
-        return self.record(kind, operator, at=at, payload=payload)
+        return self._append(kind, operator, at, payload)
 
     def record(
         self,
@@ -113,18 +113,18 @@ class EventLog:
 
         Payload keys that collide with ``emit``'s own parameters
         (``kind``, ``operator``, ``at``) are only representable this way;
-        the import/replay path depends on it.
+        the import/replay path depends on it.  The payload is copied, so
+        the caller keeps ownership of its mapping.
         """
+        return self._append(kind, operator, at, dict(payload) if payload else {})
+
+    def _append(
+        self, kind: EventKind, operator: str, at: float, payload: dict[str, Any]
+    ) -> Event:
         with self._lock:
-            event = Event(
-                seq=next(self._counter),
-                kind=kind,
-                operator=operator,
-                at=at,
-                payload=dict(payload) if payload else {},
-            )
+            event = Event(next(self._counter), kind, operator, at, payload)
             self._events.append(event)
-            self._notify(list(self._subscribers), event, fanout_errors=True)
+            self._notify(self._subscribers, event, fanout_errors=True)
             return event
 
     def extend(self, events: Iterable[Event]) -> list[Event]:
@@ -150,7 +150,7 @@ class EventLog:
 
     def _notify(
         self,
-        subscribers: list[Callable[[Event], None]],
+        subscribers: tuple[Callable[[Event], None], ...],
         event: Event,
         *,
         fanout_errors: bool,
@@ -181,15 +181,17 @@ class EventLog:
     def subscribe(self, callback: Callable[[Event], None]) -> None:
         """Register ``callback`` to receive every future event."""
         with self._lock:
-            self._subscribers.append(callback)
+            self._subscribers += (callback,)
 
     def unsubscribe(self, callback: Callable[[Event], None]) -> bool:
         """Remove a subscriber; returns False when it was not registered."""
         with self._lock:
+            subscribers = list(self._subscribers)
             try:
-                self._subscribers.remove(callback)
+                subscribers.remove(callback)
             except ValueError:
                 return False
+            self._subscribers = tuple(subscribers)
             return True
 
     # -- queries -----------------------------------------------------------

@@ -49,6 +49,7 @@ Correctness notes:
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
@@ -241,7 +242,9 @@ class ResultCache:
         self.evictions = 0
         self.saved_seconds = 0.0
         self._lock = threading.RLock()
-        self._watched: set[int] = set()
+        #: logs already wired; weak, so a collected log's recycled id()
+        #: never passes for a new one.
+        self._watched: weakref.WeakSet[EventLog] = weakref.WeakSet()
 
     # -- the executor-facing protocol ---------------------------------------
 
@@ -349,9 +352,9 @@ class ResultCache:
         new version does not match the bound store's current version is
         ignored as foreign.
         """
-        if id(log) in self._watched:
+        if log in self._watched:
             return
-        self._watched.add(id(log))
+        self._watched.add(log)
 
         def _on_event(event: Any, _store: "PromptStore" = store) -> None:
             kind = event.kind

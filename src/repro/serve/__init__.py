@@ -7,7 +7,7 @@ via typed :class:`ServeRequest` / :class:`ServeResponse` messages.
 
 Isolation is structural.  Each tenant's :class:`TenantSession` owns its
 own virtual clock, simulated model, prompt store, result cache, and a
-private radix/structured-prompt cache partition
+private radix KV cache partition
 (:class:`~repro.llm.partitions.CachePartitions`) — so cross-tenant KV
 sharing is impossible and one tenant's outputs are byte-identical to a
 standalone run of the same pipeline.  Admission control is bounded

@@ -3,7 +3,7 @@
 A :class:`TenantSession` is the unit of isolation in the serving layer.
 It owns everything a tenant's pipelines touch — virtual clock, simulated
 model grounded on the server's corpora, prompt store, operator result
-cache, and a private KV/prompt cache partition — so two tenants can
+cache, and a private KV cache partition — so two tenants can
 never share cache state, observe each other's prompts, or perturb each
 other's clocks.  A session executes one request at a time (session
 affinity: the server's workers serialize on the session lock), which
@@ -94,7 +94,6 @@ class TenantSession:
             config.profile or profile,
             clock=clock,
             kv_cache=partition.kv_cache,
-            prompt_cache=partition.prompt_cache,
             enable_prefix_cache=config.enable_prefix_cache,
         )
         if binder is not None:

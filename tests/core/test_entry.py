@@ -9,6 +9,7 @@ from repro.core.entry import (
     render_template,
     template_placeholders,
 )
+from repro.core.footprint import stable_digest
 from repro.errors import UnknownVersionError
 
 
@@ -128,3 +129,23 @@ class TestPromptEntry:
         assert entry.placeholders() == []
         entry.record(RefAction.UPDATE, "{a} and {b}", function="f")
         assert entry.placeholders() == ["a", "b"]
+
+
+class TestTextDigest:
+    """``text_digest`` is memoised per version, which is sound because a
+    version's text never changes."""
+
+    def test_equals_stable_digest_for_every_version(self):
+        entry = PromptEntry("Classify {tweet}.")
+        entry.record(RefAction.APPEND, "Classify {tweet}.\nBe brief.", function="f")
+        entry.rollback(0)
+        for version in entry.versions:
+            assert version.text_digest == stable_digest(version.text)
+        assert entry.text_digest == stable_digest(entry.text)
+
+    def test_refinement_changes_it(self):
+        entry = PromptEntry("Classify {tweet}.")
+        before = entry.text_digest
+        entry.record(RefAction.APPEND, "Classify {tweet}.\nBe brief.", function="f")
+        assert entry.text_digest != before
+        assert entry.versions[0].text_digest == before

@@ -261,3 +261,146 @@ class TestOfflineReplay:
         assert report.operators == {}
         assert report.generation == {}
         assert report.totals["events"] == 0
+
+
+#: every kind ``ObsCollector.on_event`` turns into metrics.
+_HANDLED_KINDS = {
+    EventKind.OPERATOR_START, EventKind.OPERATOR_END, EventKind.GENERATE,
+    EventKind.CACHE_HIT, EventKind.ERROR, EventKind.FAULT, EventKind.RETRY,
+    EventKind.BREAKER, EventKind.FALLBACK, EventKind.PLAN, EventKind.SHADOW,
+    EventKind.BATCH, EventKind.SCHED, EventKind.SERVE,
+}
+
+
+def _emit_remaining_kinds(log):
+    """What resilience, planning, batch, scheduler and serve runs emit:
+    three rounds over two label values, so instruments are re-used."""
+    for model, tenant in (("m1", "t1"), ("m2", "t2"), ("m1", "t1")):
+        log.emit(EventKind.ERROR, 'GEN["a"]', at=1.0, error="X", message="x")
+        log.record(EventKind.FAULT, "GEN", at=1.0, payload={
+            "model": model, "injected": True, "kind": "timeout"})
+        log.emit(EventKind.RETRY, "GEN", at=1.5, model=model, attempt=2,
+                 delay=0.25)
+        log.emit(EventKind.BREAKER, "GEN", at=2.0, model=model,
+                 state="open", action="tripped")
+        log.emit(EventKind.FALLBACK, "GEN", at=2.0, target=model)
+        log.emit(EventKind.PLAN, "PLAN", at=2.0, chosen=["r1", "r2"],
+                 skipped=["r3"])
+        log.emit(EventKind.SHADOW, "SHADOW", at=2.0, phase="start")
+        log.emit(EventKind.BATCH, "BatchRunner", at=3.0, mode="parallel",
+                 items=4, failures=1, elapsed=2.5, throughput=1.6, workers=2)
+        log.emit(EventKind.SCHED, "scheduler", at=3.0, size=3, tokens=900,
+                 preemptions=1, forced=0, dedup_tokens=64, prefix_groups=2,
+                 waits=[0.1, 0.4], classes=["bulk", "interactive"])
+        log.emit(EventKind.SERVE, "server", at=4.0, tenant=tenant,
+                 status="ok", elapsed=1.2, queue_wait=0.01, queue_depth=1)
+        log.emit(EventKind.SERVE, "server", at=4.0, tenant=tenant,
+                 status="shed")
+
+
+def _registry_state(registry):
+    """Every family, label set and value, comparable with ``==``."""
+    from repro.obs.metrics import Histogram
+
+    rows = []
+    for name, kind, help_text, samples in registry.collect():
+        for labels, instrument in samples:
+            if isinstance(instrument, Histogram):
+                value = (tuple(instrument.bucket_counts), instrument.count,
+                         instrument.sum, instrument.min, instrument.max)
+            else:
+                value = instrument.value
+            rows.append((name, kind, help_text, sorted(labels.items()), value))
+    return rows
+
+
+class _NoMemo(dict):
+    """An instrument cache that forgets: every lookup goes to the registry."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _uncached(registry=None):
+    collector = ObsCollector(registry)
+    collector._instruments = _NoMemo()
+    return collector
+
+
+class TestInstrumentCache:
+    """The per-collector instrument cache never changes what is recorded."""
+
+    @staticmethod
+    def _run(*collectors, late=None):
+        """A cached run through ``collectors``; ``late`` joins halfway."""
+        log = EventLog()
+        for collector in collectors:
+            collector.subscribe_to(log)
+        _cache, state = TestResultCacheMetrics._cached_run(None)
+        half = len(state.events) // 2
+        log.extend(state.events.all()[:half])
+        if late is not None:
+            late.subscribe_to(log)
+        log.extend(state.events.all()[half:])
+        REF(RefAction.APPEND, "Be brief.", key="qa").apply(state)
+        log.extend(state.events.all()[-3:])
+        _emit_remaining_kinds(log)
+        return log, half
+
+    def test_live_registry_equals_replay_and_uncached_oracle(self):
+        live = ObsCollector()
+        log, _half = self._run(live)
+        assert _HANDLED_KINDS <= {event.kind for event in log}
+        replayed = ObsCollector()
+        replayed.replay(log)
+        oracle = _uncached()
+        oracle.replay(log)
+        assert _registry_state(live.registry) == _registry_state(
+            replayed.registry
+        )
+        assert _registry_state(live.registry) == _registry_state(
+            oracle.registry
+        )
+
+    def test_two_collectors_sharing_one_registry(self):
+        first = ObsCollector()
+        second = ObsCollector(first.registry)
+        log, half = self._run(first, late=second)
+        events = log.all()
+
+        oracle_first = _uncached()
+        oracle_second = _uncached(oracle_first.registry)
+        for index, event in enumerate(events):
+            oracle_first.on_event(event)
+            if index >= half:
+                oracle_second.on_event(event)
+        assert _registry_state(first.registry) == _registry_state(
+            oracle_first.registry
+        )
+        assert first.registry.sum_counter("spear_events_total") == (
+            2 * len(events) - half
+        )
+
+
+class TestRecycledObjects:
+    """Wiring is keyed by the object, so a recycled ``id()`` is never
+    mistaken for an already-wired log."""
+
+    def test_fifty_short_lived_logs_all_count(self):
+        collector = ObsCollector()
+        for _ in range(50):
+            log = EventLog()
+            collector.subscribe_to(log)
+            log.emit(EventKind.CHECK, "A")
+            del log
+        assert collector.registry.sum_counter("spear_events_total") == 50
+
+    def test_unsubscribe_then_resubscribe(self):
+        collector = ObsCollector()
+        log = EventLog()
+        collector.subscribe_to(log)
+        collector.unsubscribe_from(log)
+        log.emit(EventKind.CHECK, "A")
+        collector.subscribe_to(log)
+        log.emit(EventKind.CHECK, "B")
+        assert collector.registry.sum_counter("spear_events_total") == 1

@@ -253,3 +253,61 @@ class TestReadSide:
             for row in rows
             for name in row["metrics"]
         )
+
+
+class TestFastPathBytes:
+    """Payloads that skip the tagged encoding still write the same bytes."""
+
+    def test_every_line_equals_the_tagged_encoding(self, tmp_path):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.core.entry import RefAction
+        from repro.llm.latency import LatencyBreakdown
+        from repro.runtime.events import EventLog
+        from repro.runtime.tracing import _encode_value
+
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        scalars = st.one_of(
+            st.none(), st.booleans(), st.integers(), floats, st.text(max_size=12)
+        )
+        leaves = st.one_of(
+            scalars,
+            st.sampled_from(list(RefAction) + list(EventKind)),
+            st.builds(
+                LatencyBreakdown,
+                overhead=floats, prefill=floats, cached_prefill=floats,
+                decode=floats,
+            ),
+        )
+        values = st.recursive(
+            leaves,
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=3),
+                st.lists(inner, max_size=3).map(tuple),
+                st.dictionaries(st.text(max_size=5), inner, max_size=3),
+            ),
+            max_leaves=8,
+        )
+        payloads = st.dictionaries(
+            st.text(min_size=1, max_size=8), values, max_size=4
+        )
+
+        runs = iter(range(10**6))
+
+        @settings(max_examples=60, deadline=None)
+        @given(batch=st.lists(payloads, min_size=1, max_size=5))
+        def lines_match(batch):
+            ledger = RunLedger(tmp_path, f"{next(runs):06d}")
+            ledger.path.mkdir()
+            log = EventLog()
+            ledger.open(log)
+            for payload in batch:
+                log.record(EventKind.CHECK, "CHECK[p]", at=0.5, payload=payload)
+            ledger.finalize()
+            lines = (ledger.path / "events.jsonl").read_text().splitlines()
+            assert lines == [
+                json.dumps(_encode_value(event.to_dict())) for event in log
+            ]
+
+        lines_match()

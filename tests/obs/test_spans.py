@@ -1,9 +1,17 @@
 """Tests for span-tree reconstruction from the event log."""
 
+import copy
+
 import pytest
 
-from repro.obs import build_span_tree, iter_spans, render_span_tree, top_slowest
-from repro.runtime.events import EventKind, EventLog
+from repro.obs import (
+    SpanBuilder,
+    build_span_tree,
+    iter_spans,
+    render_span_tree,
+    top_slowest,
+)
+from repro.runtime.events import Event, EventKind, EventLog
 
 
 def _nested_log():
@@ -97,6 +105,30 @@ class TestHelpers:
         roots = build_span_tree(_nested_log())
         slowest = top_slowest(roots, k=2)
         assert [span.operator for span in slowest] == ["PIPE", 'GEN["a"]']
+
+    def test_builder_slowest_matches_top_slowest_of_finished_copy(self):
+        builder = SpanBuilder()
+        for event in _nested_log():
+            builder.add(event)
+        # Ties, an unbalanced END and spans left open mid-run.
+        log = EventLog()
+        for name, start, end in (("T1", 10.0, 11.0), ("T2", 11.0, 12.0)):
+            log.emit(EventKind.OPERATOR_START, name, at=start)
+            log.emit(EventKind.OPERATOR_END, name, at=end)
+        log.emit(EventKind.OPERATOR_END, "ORPHAN", at=12.5)
+        log.emit(EventKind.OPERATOR_START, "OPEN", at=12.0)
+        log.emit(EventKind.OPERATOR_START, "INNER", at=13.0)
+        log.emit(EventKind.GENERATE, "INNER", at=14.0, prompt_tokens=5)
+        for event in log:
+            builder.add(event)
+        finished = copy.deepcopy(builder).finish()
+        for k in range(8):
+            expected = [span.to_dict() for span in top_slowest(finished, k)]
+            got = [span.to_dict() for span in builder.slowest(k)]
+            assert got == [dict(row, children=[]) for row in expected]
+        # The live stack is untouched: the open spans still close normally.
+        builder.add(Event(99, EventKind.OPERATOR_END, "INNER", 15.0))
+        assert builder.finish()[-1].children[0].complete
 
     def test_render_span_tree_shows_tokens_and_nesting(self):
         text = render_span_tree(build_span_tree(_nested_log()))

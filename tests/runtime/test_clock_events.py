@@ -1,5 +1,8 @@
 """Tests for the virtual clock and structured event log."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.runtime.clock import VirtualClock
@@ -168,3 +171,103 @@ class TestEventLog:
         # not re-notify subscribers (no runaway growth).
         assert len(log) == 4
         assert len(log.of_kind(EventKind.ERROR)) == 2
+
+
+class TestCopyOnWriteSubscribers:
+    """Each dispatch sees the subscribers registered when the event was
+    appended; (un)subscribing mid-dispatch takes effect from the next one."""
+
+    def test_subscriber_unsubscribing_itself_mid_dispatch(self):
+        log = EventLog()
+        seen = {"quitter": [], "after": []}
+
+        def quitter(event):
+            seen["quitter"].append(event.operator)
+            log.unsubscribe(quitter)
+
+        log.subscribe(quitter)
+        log.subscribe(lambda event: seen["after"].append(event.operator))
+        log.emit(EventKind.CHECK, "A")
+        log.emit(EventKind.CHECK, "B")
+        assert seen == {"quitter": ["A"], "after": ["A", "B"]}
+
+    def test_subscriber_unsubscribing_another_mid_dispatch(self):
+        log = EventLog()
+        later = []
+
+        def remover(event):
+            log.unsubscribe(later.append)
+
+        log.subscribe(remover)
+        log.subscribe(later.append)
+        log.emit(EventKind.CHECK, "A")  # already in this dispatch's snapshot
+        log.emit(EventKind.CHECK, "B")
+        assert [event.operator for event in later] == ["A"]
+
+    def test_raising_subscriber_error_fan_out(self):
+        log = EventLog()
+        first, last = [], []
+
+        def bad(event):
+            raise RuntimeError("boom")
+
+        log.subscribe(first.append)
+        log.subscribe(bad)
+        log.subscribe(last.append)
+        log.emit(EventKind.CHECK, "A", at=2.0)
+        # The ERROR reaches every other subscriber at once, then the
+        # original dispatch resumes with the subscribers after ``bad``.
+        assert [event.kind for event in first] == [EventKind.CHECK, EventKind.ERROR]
+        assert [event.kind for event in last] == [EventKind.ERROR, EventKind.CHECK]
+        assert [(event.seq, event.kind) for event in log] == [
+            (0, EventKind.CHECK),
+            (1, EventKind.ERROR),
+        ]
+        error = log.all()[1]
+        assert error.at == 2.0 and error.payload["during_seq"] == 0
+
+    def test_emit_keeps_payload_and_record_copies_it(self):
+        log = EventLog()
+        payload = {"n": 1}
+        event = log.record(EventKind.CHECK, "A", payload=payload)
+        payload["n"] = 2
+        assert event.payload == {"n": 1}
+        assert log.emit(EventKind.CHECK, "B", n=3).payload == {"n": 3}
+
+    def test_concurrent_subscribes_during_emit_lose_nothing(self):
+        log = EventLog()
+        always = []
+        log.subscribe(always.append)
+        joined = [[] for _ in range(8)]
+        per_thread = 200
+        start = threading.Barrier(4 + len(joined), timeout=30)
+
+        def emitter(name):
+            start.wait()
+            for index in range(per_thread):
+                log.emit(EventKind.CHECK, f"{name}{index}")
+
+        def joiner(sink):
+            start.wait()
+            log.subscribe(sink.append)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=emitter, args=(name,)) for name in "abcd"
+            ] + [threading.Thread(target=joiner, args=(sink,)) for sink in joined]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        final = log.emit(EventKind.CHECK, "final")
+
+        assert [event.seq for event in always] == list(range(4 * per_thread + 1))
+        for sink in joined:
+            # A late subscriber sees one unbroken suffix of the stream.
+            seqs = [event.seq for event in sink]
+            assert seqs == list(range(seqs[0], final.seq + 1))

@@ -5,14 +5,18 @@ import json
 import pytest
 
 from repro.core import GEN, REF, Pipeline, RefAction
-from repro.core.footprint import Footprint
+from repro.core.footprint import Footprint, stable_digest
 from repro.core.state import ExecutionState
 from repro.data import make_tweet_corpus
 from repro.llm.model import SimulatedLLM
-from repro.runtime.events import EventKind
+from repro.runtime.events import EventKind, EventLog
 from repro.runtime.executor import Executor
 from repro.runtime.options import RuntimeOptions
-from repro.runtime.result_cache import ReadOnlyResultCache, ResultCache
+from repro.runtime.result_cache import (
+    CachedDelta,
+    ReadOnlyResultCache,
+    ResultCache,
+)
 
 MAP_PROMPT = (
     "Summarize and clean up the tweet in at most 30 words.\nTweet:\n{tweet}"
@@ -262,6 +266,27 @@ class TestSubscriptionGuard:
         # A double subscription would double-count the invalidation.
         assert cache.invalidations == 1
 
+    def test_short_lived_logs_with_recycled_ids_still_subscribe(self):
+        # Each round wires a fresh log that usually reuses the previous
+        # (collected) log's id(); every round's refinement must invalidate.
+        state = _build_state()
+        entry = state.prompts["filter_p"]
+        cache = ResultCache()
+        for round_ in range(50):
+            footprint = Footprint(
+                operator='GEN["x"]',
+                identity=str(round_),
+                model_key=None,
+                prompt_deps=(("filter_p", entry.version, "t", "p"),),
+            )
+            cache.insert(footprint, CachedDelta(footprint, (), 1.0, ()))
+            log = EventLog()
+            cache.subscribe_to(log, state.prompts)
+            entry.record(RefAction.APPEND, f"Hint {round_}.", function="f")
+            log.emit(EventKind.REFINE, "REF", key="filter_p", version=entry.version)
+            del log
+        assert cache.invalidations == 50
+
 
 class TestCacheMechanics:
     def test_lru_eviction_at_capacity(self):
@@ -366,3 +391,46 @@ class TestReadOnlyView:
         # ones for its diverged prompt.
         assert len(cache) == entries_before
         assert cache.invalidations == 0
+
+
+class TestFootprintMemos:
+    """Hashes memoised on immutable inputs equal a fresh computation; the
+    mutable ``params`` dict is re-hashed on every footprint."""
+
+    def test_digest_is_the_fingerprint_of_its_fields(self):
+        footprint = GEN("verdict", prompt="filter_p").footprint(_build_state())
+        assert footprint.digest == stable_digest(
+            {
+                "operator": footprint.operator,
+                "identity": footprint.identity,
+                "model": footprint.model_key,
+                "prompts": footprint.prompt_deps,
+                "reads": footprint.context_reads,
+            }
+        )
+
+    def test_gen_identity_is_its_constructor_arguments(self):
+        state = _build_state()
+        gen = GEN("verdict", prompt="filter_p", extra={"k": 1}, max_tokens=8)
+        expected = stable_digest(
+            {"op": "GEN", "label": "verdict", "prompt": "filter_p",
+             "extra": {"k": 1}, "max_tokens": 8}
+        )
+        assert gen.footprint(state).identity == expected
+        assert gen.footprint(state).identity == expected  # memoised
+        other = GEN("verdict", prompt="filter_p", extra={"k": 2}, max_tokens=8)
+        assert other.footprint(state).identity != expected
+
+    def test_prompt_text_and_params_edits_change_the_footprint(self):
+        state = _build_state()
+        gen = GEN("verdict", prompt="filter_p")
+        entry = state.prompts["filter_p"]
+        before = gen.footprint(state)
+        entry.params["tone"] = "formal"
+        after_params = gen.footprint(state)
+        assert after_params.digest != before.digest
+        entry.record(RefAction.APPEND, entry.text + "\nBe brief.", function="f")
+        after_text = gen.footprint(state)
+        (_key, _version, text_digest, _params), = after_text.prompt_deps
+        assert text_digest == stable_digest(entry.text)
+        assert after_text.digest != after_params.digest
