@@ -1,13 +1,12 @@
 """Path-sensitive abstract interpretation over pipeline dataflow.
 
-The flow-insensitive :class:`~repro.analysis.dataflow._Walker` threads
-one mutable abstract state through every CHECK/SWITCH arm: writes from a
-then-branch leak into the else-branch, and operators inside a
-statically-dead arm still contribute reads, writes, and findings — the
-classic source of SPEAR111/112/121 false positives on branchy pipelines.
-
-:class:`PathSensitiveWalker` fixes both by treating branch arms as
-*paths*:
+Threading one mutable abstract state through every CHECK/SWITCH arm
+would leak a then-branch's writes into the else-branch, and let
+operators inside a statically-dead arm contribute reads, writes, and
+findings — the classic source of SPEAR111/112/121 false positives on
+branchy pipelines.  :class:`PathSensitiveWalker`, the walker
+:func:`~repro.analysis.dataflow.build_dataflow` runs, treats branch arms
+as *paths*:
 
 - each live arm is walked on a **fork** of the pre-branch state (no
   cross-arm leakage), with the branch condition **refined** into the
@@ -27,9 +26,15 @@ evaluator decides the branch — the "run once" idiom (``"x" not in C``
 guarding its own retrieval) is statically true on the first run but
 morally conditional, so arm writes never clobber pre-branch pendings.
 
-The walker subclasses the flow-insensitive one, so every per-operator
-transfer function (GEN template fingerprinting, REF text algebra, view
-preview) is shared; only the branch control flow changes.
+The per-operator transfer functions (GEN template fingerprinting, REF
+text algebra, view preview) live on the :class:`_Walker` base; this
+module adds only the branch control flow.
+
+Forks are cheap because prompt states are immutable: a snapshot is a
+shallow copy of the store's dicts that shares every
+:class:`~repro.analysis.dataflow._PromptState` with the live walk, and
+the join reuses a key's state when every path still holds the same
+object.
 """
 
 from __future__ import annotations
@@ -70,15 +75,19 @@ class AbstractState:
     fusion_mark: int
 
 
-def _copy_prompt(info: _PromptState) -> _PromptState:
-    copied = _PromptState(
-        info.texts,
-        definite=info.definite,
-        initial=info.initial,
-        params=info.params,
-        spill=info.spill,
-    )
-    return copied
+def _join_origins(stores: list[dict[str, str]]) -> dict[str, str]:
+    """Definite after the branch only when definite along every path."""
+    first = stores[0]
+    if all(store == first for store in stores):
+        return first
+    return {
+        name: (
+            "definite"
+            if all(store.get(name) == "definite" for store in stores)
+            else "maybe"
+        )
+        for name in {name for store in stores for name in store}
+    }
 
 
 class PathSensitiveWalker(_Walker):
@@ -87,8 +96,9 @@ class PathSensitiveWalker(_Walker):
     # -- state snapshots -----------------------------------------------------
 
     def _snapshot(self) -> AbstractState:
+        # Prompt states are immutable, so a shallow copy is a full fork.
         return AbstractState(
-            prompts={key: _copy_prompt(info) for key, info in self.prompts.items()},
+            prompts=dict(self.prompts),
             context=dict(self.context),
             metadata=dict(self.metadata),
             pending_writes=dict(self.pending_writes),
@@ -98,9 +108,7 @@ class PathSensitiveWalker(_Walker):
         )
 
     def _restore(self, state: AbstractState, *, rollback: bool = False) -> None:
-        self.prompts = {
-            key: _copy_prompt(info) for key, info in state.prompts.items()
-        }
+        self.prompts = dict(state.prompts)
         self.context = dict(state.context)
         self.metadata = dict(state.metadata)
         self.pending_writes = dict(state.pending_writes)
@@ -116,25 +124,14 @@ class PathSensitiveWalker(_Walker):
         if len(paths) == 1:
             return paths[0]
         first = paths[0]
-        context: dict[str, str] = {}
-        for slot in {slot for path in paths for slot in path.context}:
-            origins = [path.context.get(slot) for path in paths]
-            context[slot] = (
-                "definite"
-                if all(origin == "definite" for origin in origins)
-                else "maybe"
-            )
-        metadata: dict[str, str] = {}
-        for signal in {sig for path in paths for sig in path.metadata}:
-            origins = [path.metadata.get(signal) for path in paths]
-            metadata[signal] = (
-                "definite"
-                if all(origin == "definite" for origin in origins)
-                else "maybe"
-            )
         prompts: dict[str, _PromptState] = {}
         for key in {key for path in paths for key in path.prompts}:
             infos = [path.prompts.get(key) for path in paths]
+            shared = infos[0]
+            if shared is not None and all(info is shared for info in infos):
+                # No path wrote the key since the fork.
+                prompts[key] = shared
+                continue
             present = [info for info in infos if info is not None]
             params = frozenset().union(*(info.params for info in present))
             spill = frozenset().union(*(info.spill for info in present))
@@ -162,15 +159,17 @@ class PathSensitiveWalker(_Walker):
                 params=params,
                 spill=spill,
             )
-        pending = {
-            slot: index
-            for slot, index in first.pending_writes.items()
-            if all(path.pending_writes.get(slot) == index for path in paths)
-        }
+        pending = first.pending_writes
+        if any(path.pending_writes != pending for path in paths):
+            pending = {
+                slot: index
+                for slot, index in pending.items()
+                if all(path.pending_writes.get(slot) == index for path in paths)
+            }
         return AbstractState(
             prompts=prompts,
-            context=context,
-            metadata=metadata,
+            context=_join_origins([path.context for path in paths]),
+            metadata=_join_origins([path.metadata for path in paths]),
             pending_writes=pending,
             havoc=any(path.havoc for path in paths),
             dead_write_mark=len(self.dead_writes),

@@ -362,34 +362,29 @@ def check_unbounded_fanout(
     return findings
 
 
-def _dependent_steps(
-    graph: DataflowGraph, refiner: OpNode
-) -> tuple[list[OpNode], list[OpNode]]:
+def _dependent_steps(steps: list[OpNode], keys: frozenset[str]) -> int:
     """Static mirror of the optimizer's ``dependent_suffix`` taint.
 
-    Returns ``(steps, rerun)``: the pipeline's live non-control steps
-    and the subset invalidated when ``refiner`` rewrites its keys.
+    Returns how many of ``steps`` (the pipeline's live non-control
+    steps) are invalidated when a refiner rewrites the prompt ``keys``.
     Taint runs from the top, exactly like incremental re-execution after
     a refinement: any step touching a tainted prompt key re-runs, and
     re-running steps taint every context slot and prompt key they write.
     """
-    tainted_prompts = set(refiner.prompt_writes)
+    tainted_prompts = set(keys)
     tainted_context: set[str] = set()
-    steps: list[OpNode] = []
-    rerun: list[OpNode] = []
-    for node in graph:
-        if node.unreachable or node.kind in _CONTROL_KINDS:
+    rerun = 0
+    for node in steps:
+        if (
+            tainted_prompts.isdisjoint(node.prompt_reads)
+            and tainted_prompts.isdisjoint(node.prompt_writes)
+            and tainted_context.isdisjoint(node.context_reads)
+        ):
             continue
-        steps.append(node)
-        touched = tainted_prompts & (
-            set(node.prompt_reads) | set(node.prompt_writes)
-        )
-        if not touched and not (tainted_context & set(node.context_reads)):
-            continue
-        rerun.append(node)
+        rerun += 1
         tainted_prompts.update(node.prompt_writes)
         tainted_context.update(node.context_writes)
-    return steps, rerun
+    return rerun
 
 
 def check_cache_defeating_refiner(
@@ -404,6 +399,13 @@ def check_cache_defeating_refiner(
     """
     del env
     findings: list[Diagnostic] = []
+    steps = [
+        node
+        for node in graph
+        if not node.unreachable and node.kind not in _CONTROL_KINDS
+    ]
+    # Refiners of the same keys taint the same suffix.
+    reruns: dict[frozenset[str], int] = {}
     for node in graph:
         if node.unreachable or not (node.conditional or node.repeated):
             continue
@@ -414,24 +416,27 @@ def check_cache_defeating_refiner(
             continue
         if not node.prompt_writes:
             continue
-        steps, rerun = _dependent_steps(graph, node)
-        if len(rerun) < _SUFFIX_MIN_RERUN:
+        keys = frozenset(node.prompt_writes)
+        rerun = reruns.get(keys)
+        if rerun is None:
+            rerun = reruns[keys] = _dependent_steps(steps, keys)
+        if rerun < _SUFFIX_MIN_RERUN:
             continue
-        fraction = len(rerun) / max(len(steps), 1)
+        fraction = rerun / max(len(steps), 1)
         if fraction < _SUFFIX_FRACTION:
             continue
-        keys = ", ".join(sorted(node.prompt_writes))
+        names = ", ".join(sorted(node.prompt_writes))
         findings.append(
             _diag(
                 "SPEAR153",
-                f"refining {keys!r} invalidates {len(rerun)} of "
+                f"refining {names!r} invalidates {rerun} of "
                 f"{len(steps)} pipeline steps ({fraction:.0%}): every "
                 "refinement defeats the prefix cache; refine a narrower "
                 "key or move the refiner later",
                 graph,
                 node,
                 keys=tuple(sorted(node.prompt_writes)),
-                rerun_steps=len(rerun),
+                rerun_steps=rerun,
                 total_steps=len(steps),
                 fraction=round(fraction, 4),
             )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.analysis.diagnostics import SourceSpan
 from repro.core.algebra import FunctionOperator, Operator
@@ -317,33 +317,34 @@ class _StateShim:
         self.context = _SlotView(slots)
 
 
-class _PromptState:
-    """Abstract value of one prompt key during the walk."""
+class _PromptState(NamedTuple):
+    """Abstract value of one prompt key during the walk.
 
-    __slots__ = ("texts", "definite", "initial", "params", "spill")
+    Immutable: branch snapshots share states with the live store, so a
+    write builds a new state instead of assigning fields.
+    """
 
-    def __init__(
-        self,
-        texts: frozenset[str] | None,
-        *,
-        definite: bool = True,
-        initial: bool = False,
-        params: frozenset[str] = frozenset(),
-        spill: frozenset[str] = frozenset(),
-    ) -> None:
-        #: the possible current texts; ``None`` means unknowable.
-        self.texts = texts
-        self.definite = definite
-        self.initial = initial
-        #: template roots bound by the entry's own params.
-        self.params = params
-        #: placeholder roots salvaged from texts the fan limiter dropped:
-        #: exact content is gone, but the read set stays sound — a GEN on
-        #: this key still claims these roots statically.
-        self.spill = spill
+    #: the possible current texts; ``None`` means unknowable.
+    texts: frozenset[str] | None
+    definite: bool = True
+    initial: bool = False
+    #: template roots bound by the entry's own params.
+    params: frozenset[str] = frozenset()
+    #: placeholder roots salvaged from texts the fan limiter dropped:
+    #: exact content is gone, but the read set stays sound — a GEN on
+    #: this key still claims these roots statically.
+    spill: frozenset[str] = frozenset()
 
 
 class _Walker:
+    """The abstract store and the per-operator transfer functions.
+
+    Branch control flow (``_walk_check`` / ``_walk_switch``: forks,
+    joins, dead arms) lives in
+    :class:`~repro.analysis.absint.PathSensitiveWalker`, the one walker
+    :func:`build_dataflow` runs; this base is never walked on its own.
+    """
+
     def __init__(self, env: AnalysisEnv) -> None:
         self.env = env
         self.nodes: list[OpNode] = []
@@ -364,7 +365,7 @@ class _Walker:
         self.pending_writes: dict[str, int] = {}
         self.dead_writes: list[tuple[int, str]] = []
         self.fusion_pairs: list[tuple[int, int, str]] = []
-        #: >0 while walking a statically-dead branch (path-sensitive mode).
+        #: >0 while walking a statically-dead branch.
         self._dead_depth = 0
 
     # -- node plumbing -------------------------------------------------------
@@ -478,20 +479,22 @@ class _Walker:
                 texts, definite=not conditional, params=params, spill=spill
             )
             return
+        kept_spill = info.spill
+        definite = info.definite
         if conditional:
             if info.texts is not None and texts is not None:
                 merged = info.texts | texts
                 if len(merged) <= _TEXT_FAN_LIMIT:
-                    info.texts = merged
+                    texts = merged
                 else:
                     # Losing the exact texts must not lose their reads.
                     spill = spill | self._spill_roots(merged, info.params | params)
-                    info.texts = None
+                    texts = None
             else:
                 known = (info.texts or frozenset()) | (texts or frozenset())
                 if known:
                     spill = spill | self._spill_roots(known, info.params | params)
-                info.texts = None
+                texts = None
         else:
             if texts is None:
                 # Unknowable full write: the old content may survive (e.g.
@@ -500,11 +503,15 @@ class _Walker:
                     spill = spill | self._spill_roots(info.texts, info.params)
             else:
                 # Exact knowledge again: prior spill is superseded.
-                info.spill = frozenset()
-            info.texts = texts
-            info.definite = True
-        info.spill = info.spill | spill
-        info.params = info.params | params
+                kept_spill = frozenset()
+            definite = True
+        self.prompts[key] = _PromptState(
+            texts,
+            definite=definite,
+            initial=info.initial,
+            params=info.params | params,
+            spill=kept_spill | spill,
+        )
 
     def _template_reads(
         self,
@@ -743,27 +750,6 @@ class _Walker:
         self._write_metadata(node, ("refinements",), conditional=conditional)
         return node
 
-    def _walk_check(self, op: CHECK, conditional, repeated, path) -> OpNode:
-        node = self._node(
-            op, "CHECK", conditional=conditional, repeated=repeated, path=path
-        )
-        node.data["condition"] = op.cond.text
-        node.data["static"] = self._static_condition(op.cond.text)
-        node.data["has_then"] = op.then is not None
-        node.data["has_orelse"] = op.orelse is not None
-        self._read_condition(node, op.cond.text)
-        self._write_metadata(node, ("checks",), conditional=conditional)
-        branch_path = path + (op.label,)
-        if op.then is not None:
-            self.walk(
-                op.then, conditional=True, repeated=repeated, path=branch_path
-            )
-        if op.orelse is not None:
-            self.walk(
-                op.orelse, conditional=True, repeated=repeated, path=branch_path
-            )
-        return node
-
     def _walk_merge(self, op: MERGE, conditional, repeated, path) -> OpNode:
         node = self._node(
             op, "MERGE", conditional=conditional, repeated=repeated, path=path
@@ -822,28 +808,6 @@ class _Walker:
         for key in op.keys:
             self._write_prompt(node, key, None, conditional=conditional)
         self._write_metadata(node, ("refinements",), conditional=conditional)
-        return node
-
-    def _walk_switch(self, op: SWITCH, conditional, repeated, path) -> OpNode:
-        node = self._node(
-            op, "SWITCH", conditional=conditional, repeated=repeated, path=path
-        )
-        statics: list[bool | None] = []
-        for cond, __ in op.cases:
-            self._read_condition(node, cond.text)
-            statics.append(self._static_condition(cond.text))
-        node.data["conditions"] = [cond.text for cond, __ in op.cases]
-        node.data["statics"] = statics
-        node.data["has_default"] = op.default is not None
-        branch_path = path + (op.label,)
-        for __, case_op in op.cases:
-            self.walk(
-                case_op, conditional=True, repeated=repeated, path=branch_path
-            )
-        if op.default is not None:
-            self.walk(
-                op.default, conditional=True, repeated=repeated, path=branch_path
-            )
         return node
 
     def _walk_view(self, op: VIEW, conditional, repeated, path) -> OpNode:
@@ -966,7 +930,6 @@ def build_dataflow(
     env: AnalysisEnv | None = None,
     *,
     name: str | None = None,
-    path_sensitive: bool = True,
 ) -> DataflowGraph:
     """Extract the per-operator read/write sets of ``pipeline``.
 
@@ -974,19 +937,14 @@ def build_dataflow(
     is mutated — safe to run immediately before a real execution without
     perturbing it.
 
-    ``path_sensitive`` (the default) analyzes CHECK/SWITCH arms on
-    forked abstract states with joined post-states and skips
-    statically-dead arms (see :mod:`repro.analysis.absint`); pass False
-    for the legacy flow-insensitive walk, which threads one mutable
-    state through every arm.
+    CHECK/SWITCH arms are analyzed on forked abstract states with joined
+    post-states, and statically-dead arms are skipped (see
+    :mod:`repro.analysis.absint`).
     """
-    env = env if env is not None else AnalysisEnv()
-    if path_sensitive:
-        from repro.analysis.absint import PathSensitiveWalker
+    from repro.analysis.absint import PathSensitiveWalker
 
-        walker: _Walker = PathSensitiveWalker(env)
-    else:
-        walker = _Walker(env)
+    env = env if env is not None else AnalysisEnv()
+    walker = PathSensitiveWalker(env)
     walker.walk_sequence(
         pipeline.operators, conditional=False, repeated=False, path=()
     )

@@ -21,12 +21,21 @@ the paper's notation::
 The lexer produces a flat token stream; comments (``# ...``) and
 whitespace are skipped.  Strings support single, double, and triple
 double-quoted forms.
+
+One compiled master regex does the scanning: each match is a run of
+spaces/tabs folded into the token after it, and the named group that
+matched is the token's kind.  Every non-blank character starts some
+alternative (the last one is "any other character"), so the matches
+tile the source up to its trailing blanks and errors come back as groups
+too.  Columns are counted from a ``line_start`` index that moves only at
+newlines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from typing import NamedTuple
 
 from repro.errors import DslSyntaxError
 
@@ -54,8 +63,7 @@ class TokenType(str, Enum):
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with source position (1-based)."""
 
     type: TokenType
@@ -78,13 +86,27 @@ _PUNCT = {
     ">": TokenType.GT,
 }
 
-
-def _is_name_start(char: str) -> bool:
-    return char.isalpha() or char == "_"
-
-
-def _is_name_char(char: str) -> bool:
-    return char.isalnum() or char == "_"
+# Alternatives in precedence order; ``\w`` is exactly ``str.isalnum()``
+# plus ``_``.  A name starts with a letter or ``_``: ``[^\W\d]`` also
+# admits numeric characters that are not decimal digits, such as ``²``
+# and ``Ⅻ``, so non-ASCII starts go through UNAME and are checked with
+# ``str.isalpha()``.  NUMBER takes decimal digits only (what
+# ``int()``/``float()`` accept).
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<NEWLINE>\n)"
+    r"|(?P<COMMENT>#[^\n]*)"
+    r'|(?P<TRIPLE>"""[\s\S]*?""")'
+    r'|(?P<OPEN_TRIPLE>""")'
+    r"""|(?P<STRING>"(?:[^"\\\n]|\\[\s\S])*"|'(?:[^'\\\n]|\\[\s\S])*')"""
+    r"""|(?P<OPEN_STRING>["'])"""
+    r"|(?P<ARROW>->)"
+    r"|(?P<NUMBER>-?\d[\d.]*(?:[eE][+-]?\d+)?)"
+    r"|(?P<NAME>[A-Za-z_]\w*)"
+    r"|(?P<UNAME>[^\W\d]\w*)"
+    r"|(?P<PUNCT>[][{}(),:=<>])"
+    r"|(?P<OTHER>[^ \t\r]))"
+)
 
 
 def tokenize(
@@ -101,121 +123,57 @@ def tokenize(
     ``# spear: ignore[...]`` suppressions reach the checker.
     """
     tokens: list[Token] = []
-    position = 0
+    append = tokens.append
     line = 1
-    column = 1
-    length = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal position, line, column
-        for __ in range(count):
-            if position < length and source[position] == "\n":
-                line += 1
-                column = 1
+    line_start = 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind == "NEWLINE":
+            line += 1
+            line_start = match.end()
+            continue
+        start = match.start(kind)
+        text = match[kind]
+        column = start - line_start + 1
+        if kind == "NAME":
+            append(Token(TokenType.NAME, text, line, column))
+        elif kind == "PUNCT":
+            append(Token(_PUNCT[text], text, line, column))
+        elif kind == "STRING" or kind == "TRIPLE":
+            if kind == "TRIPLE":
+                value = text[3:-3]
             else:
-                column += 1
-            position += 1
-
-    while position < length:
-        char = source[position]
-
-        if char in " \t\r\n":
-            advance(1)
-            continue
-
-        if char == "#":
-            start_line, start_column = line, column
-            start = position
-            while position < length and source[position] != "\n":
-                advance(1)
+                quote = text[0]
+                value = text[1:-1]
+                if "\\" in value:
+                    value = (
+                        value.replace(f"\\{quote}", quote)
+                        .replace("\\n", "\n")
+                        .replace("\\\\", "\\")
+                    )
+            append(Token(TokenType.STRING, value, line, column))
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+        elif kind == "NUMBER":
+            if text.count(".") > 1:
+                raise DslSyntaxError(f"malformed number {text!r}", line, column)
+            append(Token(TokenType.NUMBER, text, line, column))
+        elif kind == "ARROW":
+            append(Token(TokenType.ARROW, text, line, column))
+        elif kind == "COMMENT":
             if comments is not None:
-                comments.append(
-                    (
-                        source[start:position],
-                        start_line,
-                        start_column,
-                        bool(tokens) and tokens[-1].line == start_line,
-                    )
-                )
-            continue
-
-        if source.startswith('"""', position):
-            start_line, start_column = line, column
-            end = source.find('"""', position + 3)
-            if end < 0:
-                raise DslSyntaxError("unterminated triple-quoted string", start_line, start_column)
-            value = source[position + 3 : end]
-            advance(end + 3 - position)
-            tokens.append(Token(TokenType.STRING, value, start_line, start_column))
-            continue
-
-        if char in "\"'":
-            start_line, start_column = line, column
-            quote = char
-            end = position + 1
-            while end < length and source[end] != quote:
-                if source[end] == "\n":
-                    raise DslSyntaxError(
-                        "unterminated string", start_line, start_column
-                    )
-                if source[end] == "\\":
-                    end += 1
-                end += 1
-            if end >= length:
-                raise DslSyntaxError("unterminated string", start_line, start_column)
-            raw = source[position + 1 : end]
-            value = raw.replace(f"\\{quote}", quote).replace("\\n", "\n").replace("\\\\", "\\")
-            advance(end + 1 - position)
-            tokens.append(Token(TokenType.STRING, value, start_line, start_column))
-            continue
-
-        if source.startswith("->", position):
-            tokens.append(Token(TokenType.ARROW, "->", line, column))
-            advance(2)
-            continue
-
-        if char.isdigit() or (
-            char == "-" and position + 1 < length and source[position + 1].isdigit()
-        ):
-            start_line, start_column = line, column
-            end = position + 1
-            while end < length and (source[end].isdigit() or source[end] == "."):
-                end += 1
-            # Scientific notation: 6e-10, 1.5E+3, 2e7.
-            if end < length and source[end] in "eE":
-                exponent = end + 1
-                if exponent < length and source[exponent] in "+-":
-                    exponent += 1
-                if exponent < length and source[exponent].isdigit():
-                    end = exponent
-                    while end < length and source[end].isdigit():
-                        end += 1
-            value = source[position:end]
-            mantissa = value.split("e")[0].split("E")[0]
-            if mantissa.count(".") > 1:
-                raise DslSyntaxError(f"malformed number {value!r}", start_line, start_column)
-            advance(end - position)
-            tokens.append(Token(TokenType.NUMBER, value, start_line, start_column))
-            continue
-
-        if _is_name_start(char):
-            start_line, start_column = line, column
-            end = position + 1
-            while end < length and _is_name_char(source[end]):
-                end += 1
-            value = source[position:end]
-            advance(end - position)
-            tokens.append(Token(TokenType.NAME, value, start_line, start_column))
-            continue
-
-        if char in _PUNCT:
-            tokens.append(Token(_PUNCT[char], char, line, column))
-            advance(1)
-            continue
-
-        raise DslSyntaxError(f"unexpected character {char!r}", line, column)
-
-    tokens.append(Token(TokenType.EOF, "", line, column))
+                trailing = bool(tokens) and tokens[-1].line == line
+                comments.append((text, line, column, trailing))
+        elif kind == "UNAME" and text[0].isalpha():
+            append(Token(TokenType.NAME, text, line, column))
+        elif kind == "OPEN_TRIPLE":
+            raise DslSyntaxError("unterminated triple-quoted string", line, column)
+        elif kind == "OPEN_STRING":
+            raise DslSyntaxError("unterminated string", line, column)
+        else:
+            raise DslSyntaxError(f"unexpected character {text[0]!r}", line, column)
+    append(Token(TokenType.EOF, "", line, len(source) - line_start + 1))
     return tokens
 
 

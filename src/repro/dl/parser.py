@@ -43,12 +43,10 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._index = 0
+        #: the token at ``_index``; the stream always ends with EOF.
+        self.current = tokens[0]
 
     # -- token plumbing ------------------------------------------------------
-
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._index]
 
     def _peek(self, offset: int = 1) -> Token:
         index = min(self._index + offset, len(self._tokens) - 1)
@@ -62,12 +60,14 @@ class _Parser:
         token = self.current
         if token.type is not TokenType.EOF:
             self._index += 1
+            self.current = self._tokens[self._index]
         return token
 
     def _expect(self, token_type: TokenType, what: str | None = None) -> Token:
-        if self.current.type is not token_type:
+        token = self.current
+        if token.type is not token_type:
             raise self._error(
-                f"expected {what or token_type.value}, got {self.current.value!r}"
+                f"expected {what or token_type.value}, got {token.value!r}"
             )
         return self._advance()
 

@@ -1,28 +1,34 @@
 """Path-sensitive abstract interpretation: dead arms, forked states, joins.
 
-The v2 walker (:mod:`repro.analysis.absint`) forks the abstract state
-per CHECK/SWITCH arm, refines it with the arm's condition, skips
-statically-dead arms, and joins the per-arm post-states.  Relative to
-the legacy flow-insensitive walk this both *kills false positives*
-(findings inside arms that cannot run) and *gains precision* (one arm's
-writes no longer leak into a sibling arm's state).
+The walker (:mod:`repro.analysis.absint`) forks the abstract state per
+CHECK/SWITCH arm, refines it with the arm's condition, skips
+statically-dead arms, and joins the per-arm post-states.  Compared with
+threading one state through every arm, this both *kills false
+positives* (findings inside arms that cannot run) and *gains precision*
+(one arm's writes never leak into a sibling arm's state).  Forks share
+the immutable per-key prompt states, so the copy-on-write tests at the
+end pin that a fork never sees a later write and that keys no arm
+writes are never rebuilt.
 """
 
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
     AnalysisEnv,
-    CheckResult,
+    PathSensitiveWalker,
     build_dataflow,
     check_pipeline,
     check_program,
 )
-from repro.analysis.checkers import run_analyzers
+from repro.analysis import absint, dataflow
+from repro.analysis.dataflow import _PromptState
 from repro.core import (
     CHECK,
+    DELEGATE,
     GEN,
     REF,
     RET,
@@ -34,15 +40,9 @@ from repro.core import (
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "dl"
 
-#: codes where the flow-insensitive walk is prone to branch-related
-#: false positives; path sensitivity may only ever *remove* these.
+#: codes prone to branch-related false positives: deciding a branch
+#: statically may only ever *remove* these.
 FP_PRONE = {"SPEAR112", "SPEAR121"}
-
-
-def flow_insensitive(pipeline: Pipeline, env: AnalysisEnv | None = None):
-    env = env or AnalysisEnv()
-    graph = build_dataflow(pipeline, env, path_sensitive=False)
-    return CheckResult(run_analyzers(graph, env)).sort()
 
 
 def keyed(result) -> set[tuple[str, str | None]]:
@@ -77,10 +77,15 @@ class TestDeadArms:
         # ... but the unused-prompt FP on the arm's body is gone.
         assert not result.with_code("SPEAR121")
 
-    def test_flow_insensitive_walk_keeps_the_fp(self):
-        result = flow_insensitive(dead_arm_pipeline())
-        (fp,) = result.with_code("SPEAR121")
-        assert "debug_scratch" in fp.message
+    def test_dead_arm_node_keeps_its_write_set(self):
+        # The node is materialized with its writes (SPEAR148 anchors on
+        # the arm), but the write never reaches the live state: no
+        # reachable writer, so no unused-prompt finding.
+        graph = build_dataflow(dead_arm_pipeline(), AnalysisEnv())
+        (writer,) = graph.prompt_writers["debug_scratch"]
+        assert writer.unreachable
+        assert writer.prompt_writes == ("debug_scratch",)
+        assert not check_pipeline(dead_arm_pipeline()).with_code("SPEAR121")
 
     def test_switch_arms_after_first_static_match_are_dead(self):
         # The first case is statically true (missing metadata reads as
@@ -137,8 +142,8 @@ class TestCrossArmIsolation:
         )
         (finding,) = check_pipeline(pipeline).with_code("SPEAR101")
         assert finding.operator == 'GEN["b"]'
-        # The single-threaded walk leaks arm 1's create into arm 2.
-        assert not flow_insensitive(pipeline).with_code("SPEAR101")
+        graph = build_dataflow(pipeline, AnalysisEnv())
+        assert graph.node('GEN["b"]').missing_prompts == ("detail",)
 
     def test_write_on_all_paths_is_definite_after_join(self):
         result = check_pipeline(
@@ -160,64 +165,39 @@ class TestCrossArmIsolation:
 
 
 class TestBranchyFixture:
-    """The demonstrated FP kill on the shipped branchy DL fixture."""
+    """The demonstrated FP kill on the shipped DL fixtures, pinned."""
 
     def setup_method(self):
         self.source = (FIXTURES / "branchy_pipeline.spear").read_text()
 
-    def _flow_insensitive(self) -> CheckResult:
-        from repro.dl.compiler import compile_program
-        from repro.dl.parser import parse
-
-        compiled = compile_program(parse(self.source))
-        out = CheckResult()
-        for name, pipeline in sorted(compiled.pipelines.items()):
-            env = AnalysisEnv(views=compiled.views)
-            graph = build_dataflow(
-                pipeline, env, name=name, path_sensitive=False
-            )
-            out.extend(run_analyzers(graph, env))
-        return out.sort()
-
     def test_path_sensitive_kills_dead_arm_unused_prompt(self):
         sensitive = check_program(self.source)
-        insensitive = self._flow_insensitive()
-        # The flow-insensitive walk flags the dead arm's
-        # "debug_scratch" key as unused — a false positive ...
-        (fp,) = insensitive.with_code("SPEAR121")
-        assert "debug_scratch" in fp.message
-        # ... which path sensitivity kills, keeping the dead-branch
-        # report itself.
+        # The dead arm's "debug_scratch" key is never read, but the arm
+        # cannot run: no SPEAR121, only the dead-branch report itself.
         assert not sensitive.with_code("SPEAR121")
         assert sensitive.with_code("SPEAR148")
+        assert sensitive.codes() == ["SPEAR148", "SPEAR153"]
 
     def test_fp_prone_findings_are_a_subset(self):
+        # A walk threading one state through both arms also reported
+        # ("SPEAR121", 'REF[CREATE, f_literal]') here; none survive.
         sensitive = keyed(check_program(self.source))
-        insensitive = keyed(self._flow_insensitive())
-        assert {k for k in sensitive if k[0] in FP_PRONE} <= insensitive
+        assert {k for k in sensitive if k[0] in FP_PRONE} == set()
 
     def test_buggy_fixture_fp_prone_subset(self):
         source = (FIXTURES / "buggy_pipeline.spear").read_text()
-        from repro.dl.compiler import compile_program
-        from repro.dl.parser import parse
-
-        compiled = compile_program(parse(source))
-        insensitive = CheckResult()
-        for name, pipeline in sorted(compiled.pipelines.items()):
-            env = AnalysisEnv(views=compiled.views)
-            graph = build_dataflow(
-                pipeline, env, name=name, path_sensitive=False
-            )
-            insensitive.extend(run_analyzers(graph, env))
         sensitive = keyed(check_program(source))
-        assert {k for k in sensitive if k[0] in FP_PRONE} <= keyed(
-            insensitive
-        )
+        # Both are true positives outside any branch.
+        assert {k for k in sensitive if k[0] in FP_PRONE} == {
+            ("SPEAR112", 'RET["notes"]'),
+            ("SPEAR121", "REF[CREATE, f_literal]"),
+        }
 
 
 # ---------------------------------------------------------------------------
-# Property: on random branchy pipelines, path sensitivity never *adds*
-# an FP-prone finding the flow-insensitive walk would not also report.
+# Property: on random branchy pipelines, deciding a branch statically only
+# ever *removes* FP-prone findings.  The baseline swaps every condition for
+# one the walker cannot decide, so every arm stays live.
 
 SLOTS = ("alpha", "beta")
 
@@ -242,6 +222,10 @@ conditions = st.sampled_from(
     )
 )
 
+#: ``confidence`` is definitely written by the leading GEN, so the
+#: walker can never decide this condition.
+UNDECIDED = ("below", "confidence", 0.7)
+
 
 def _condition(spec) -> Condition:
     kind, name, threshold = spec
@@ -259,9 +243,7 @@ branches = st.lists(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(branches=branches, tail_gen=st.booleans())
-def test_path_sensitivity_only_removes_fp_prone_findings(branches, tail_gen):
+def _branchy(branches, tail_gen: bool, *, decide: bool) -> Pipeline:
     ops = [
         REF(RefAction.CREATE, "Answer briefly. ", key="qa"),
         GEN("draft", prompt="qa"),
@@ -269,14 +251,111 @@ def test_path_sensitivity_only_removes_fp_prone_findings(branches, tail_gen):
     for condition, then_spec, else_spec in branches:
         ops.append(
             CHECK(
-                _condition(condition),
+                _condition(condition if decide else UNDECIDED),
                 then=_arm(*then_spec),
                 orelse=_arm(*else_spec) if else_spec else None,
             )
         )
     if tail_gen:
         ops.append(GEN("answer", prompt="qa"))
-    pipeline = Pipeline(ops)
-    sensitive = keyed(check_pipeline(pipeline))
-    insensitive = keyed(flow_insensitive(pipeline))
-    assert {k for k in sensitive if k[0] in FP_PRONE} <= insensitive
+    return Pipeline(ops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(branches=branches, tail_gen=st.booleans())
+def test_path_sensitivity_only_removes_fp_prone_findings(branches, tail_gen):
+    baseline = _branchy(branches, tail_gen, decide=False)
+    assert not any(
+        node.unreachable for node in build_dataflow(baseline, AnalysisEnv())
+    )
+    decided = keyed(check_pipeline(_branchy(branches, tail_gen, decide=True)))
+    undecided = keyed(check_pipeline(baseline))
+    assert {k for k in decided if k[0] in FP_PRONE} <= undecided
+
+
+# ---------------------------------------------------------------------------
+# Copy-on-write abstract state.
+
+
+def _walk(walker: PathSensitiveWalker, operator) -> None:
+    walker.walk(operator, conditional=False, repeated=False, path=())
+
+
+class TestCopyOnWrite:
+    def test_prompt_state_is_immutable(self):
+        state = _PromptState(frozenset({"text"}))
+        with pytest.raises(AttributeError):
+            state.texts = None
+        with pytest.raises(AttributeError):
+            state.definite = False
+
+    def test_then_arm_writes_join_to_maybe_and_leave_the_snapshot_alone(self):
+        walker = PathSensitiveWalker(AnalysisEnv())
+        _walk(walker, REF(RefAction.CREATE, "base", key="qa"))
+        _walk(walker, GEN("draft", prompt="qa"))
+        before = walker._snapshot()
+        saved = {key: tuple(info) for key, info in before.prompts.items()}
+        saved_context = dict(before.context)
+        saved_metadata = dict(before.metadata)
+
+        then = Pipeline(
+            [
+                RET("notes", into="slot"),  # a context slot
+                DELEGATE("reviewer", "slot", into="review"),  # a signal
+                REF(RefAction.APPEND, "more", key="qa"),  # an existing key
+                REF(RefAction.CREATE, "aside", key="aside"),  # a new key
+            ]
+        )
+        # `confidence` is definite after GEN: the condition is undecided.
+        _walk(walker, CHECK(Condition.metadata_below("confidence", 0.7), then=then))
+
+        assert walker.context["slot"] == "maybe"
+        assert walker.metadata["delegations"] == "maybe"
+        assert walker.prompts["aside"].definite is False
+        assert walker.prompts["qa"].texts == frozenset({"base", "base\nmore"})
+        # The pre-branch snapshot still holds exactly what it held.
+        assert {k: tuple(v) for k, v in before.prompts.items()} == saved
+        assert before.prompts["qa"].texts == frozenset({"base"})
+        assert before.context == saved_context
+        assert before.metadata == saved_metadata
+
+    def test_untouched_keys_are_shared_across_the_join(self):
+        walker = PathSensitiveWalker(AnalysisEnv(prompts={"a": "A", "b": "B"}))
+        _walk(walker, GEN("draft", prompt="a"))
+        shared = walker.prompts["b"]
+        _walk(
+            walker,
+            CHECK(
+                Condition.metadata_below("confidence", 0.7),
+                then=REF(RefAction.APPEND, "more", key="a"),
+            ),
+        )
+        assert walker.prompts["b"] is shared
+
+    def test_state_constructions_grow_with_writes_not_checks_times_keys(
+        self, monkeypatch
+    ):
+        keys, checks = 50, 200
+        constructed = 0
+        real = dataflow._PromptState
+
+        def counting(*args, **kwargs):
+            nonlocal constructed
+            constructed += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dataflow, "_PromptState", counting)
+        monkeypatch.setattr(absint, "_PromptState", counting)
+        prompts = {f"k{index}": f"text {index}" for index in range(keys)}
+        ops = [GEN("draft", prompt="k0")]
+        for index in range(checks):
+            ops.append(
+                CHECK(
+                    Condition.metadata_below("confidence", 0.7),
+                    then=REF(RefAction.APPEND, "more", key=f"k{index % keys}"),
+                )
+            )
+        build_dataflow(Pipeline(ops), AnalysisEnv(prompts=prompts))
+        # One state per initial key, then one per write and one per join
+        # of the written key; the other 49 keys are shared, never rebuilt.
+        assert constructed <= keys + 2 * checks

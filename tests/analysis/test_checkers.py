@@ -401,6 +401,14 @@ class TestFixtures:
         assert finding.span is not None
         assert finding.span.file == "broken.spear"
 
+    def test_superscript_digit_becomes_spear001(self):
+        # `²` passes str.isdigit() but int() rejects it; it must come back
+        # as a syntax diagnostic, never as a ValueError.
+        result = check_program('pipeline p { GEN["a", prompt="x", max_tokens=²] }')
+        (finding,) = result.with_code("SPEAR001")
+        assert "unexpected character '²'" in finding.message
+        assert (finding.span.line, finding.span.column) == (1, 46)
+
     def test_compile_error_becomes_spear002(self):
         result = check_program('pipeline p { TELEPORT["x"] }')
         (finding,) = result.with_code("SPEAR002")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dl import Token
 from repro.dl.lexer import TokenType, tokenize
 from repro.errors import DslSyntaxError
 
@@ -55,6 +56,24 @@ class TestTokens:
         assert (tokens[0].line, tokens[0].column) == (1, 1)
         assert (tokens[1].line, tokens[1].column) == (2, 3)
 
+    def test_positions_after_multiline_strings(self):
+        tokens = tokenize('x """one\ntwo""" y\n\t"a\\\nb" z')
+        positions = [(t.value, t.line, t.column) for t in tokens]
+        assert positions == [
+            ("x", 1, 1),
+            ("one\ntwo", 1, 3),
+            ("y", 2, 8),
+            ("a\\\nb", 3, 2),
+            ("z", 4, 4),
+            ("", 4, 5),
+        ]
+
+    def test_tokens_are_immutable(self):
+        token = tokenize("GEN")[0]
+        assert token == Token(TokenType.NAME, "GEN", 1, 1)
+        with pytest.raises(AttributeError):
+            token.value = "RET"
+
 
 class TestErrors:
     def test_unterminated_string(self):
@@ -73,6 +92,25 @@ class TestErrors:
         with pytest.raises(DslSyntaxError) as excinfo:
             tokenize("GEN[`]")
         assert excinfo.value.line == 1
+
+    def test_non_decimal_digits_are_not_numbers(self):
+        # Only decimal digits (what int() accepts) make a NUMBER.
+        for source in ("²", "max_tokens=²", "-²", "Ⅻ"):
+            with pytest.raises(DslSyntaxError, match="unexpected character"):
+                tokenize(source)
+        tokens = tokenize("٣")  # ARABIC-INDIC DIGIT THREE is decimal
+        assert (tokens[0].type, tokens[0].value) == (TokenType.NUMBER, "٣")
+        with pytest.raises(DslSyntaxError) as excinfo:
+            tokenize("1²")
+        assert excinfo.value.column == 2
+
+    def test_names_may_continue_with_numeric_characters(self):
+        tokens = tokenize("x² İ _Ⅻ")
+        assert [(t.type, t.value) for t in tokens[:3]] == [
+            (TokenType.NAME, "x²"),
+            (TokenType.NAME, "İ"),
+            (TokenType.NAME, "_Ⅻ"),
+        ]
 
     def test_malformed_number(self):
         with pytest.raises(DslSyntaxError):
