@@ -4,15 +4,9 @@ Stands in for the paper's vLLM + {Qwen2.5-7B, Mistral-7B, GPT-4o-mini}
 stack; see DESIGN.md §2 for the substitution rationale.
 """
 
-from repro.llm.batcher import GenMicroBatcher, LaneModel
 from repro.llm.features import PromptFeatures, extract_features
 from repro.llm.kv_cache import BlockPrefixCache, CacheStats
-from repro.llm.latency import (
-    BatchLatency,
-    LatencyBreakdown,
-    estimate_batch_latency,
-    estimate_latency,
-)
+from repro.llm.latency import LatencyBreakdown, estimate_latency
 from repro.llm.model import GenerationResult, SimulatedLLM
 from repro.llm.packing import Fragment, PackResult, pack_fragments
 from repro.llm.partitions import CachePartition, CachePartitions
@@ -32,12 +26,8 @@ __all__ = [
     "CachePartitions",
     "RadixPrefixCache",
     "shared_prefix_tokens",
-    "BatchLatency",
     "LatencyBreakdown",
     "estimate_latency",
-    "estimate_batch_latency",
-    "GenMicroBatcher",
-    "LaneModel",
     "GenerationResult",
     "Fragment",
     "PackResult",

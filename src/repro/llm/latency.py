@@ -11,28 +11,11 @@ model of transformer serving cost (prefill is compute-bound per prompt
 token, decode is memory-bound per output token, KV-cached prefix tokens are
 ~10–20× cheaper), and it is all the paper's experiments depend on.
 
-Batched serving (:func:`estimate_batch_latency`): a vLLM-style engine runs
-many requests per engine step, so a *micro-batch* of B concurrent calls
-does not cost the sum of B call latencies.  First-order model of one
-batched step:
-
-- the per-call overhead (scheduling / API round trip) is paid **once**;
-- prefill is compute-bound, so uncached prompt tokens still **sum**
-  across the batch (cached prefix tokens stay at the cheap cached rate —
-  this is where shared structured prefixes across items pay off);
-- decode is memory-bound and all sequences step together, so the batch
-  decodes for **max** output tokens, not the sum — the throughput win of
-  continuous batching.
-
-The batch's wall time charges every participating lane's virtual clock;
-each request additionally keeps its own attributed breakdown (its share
-of overhead, its own prefill, its own decode) for accounting.
-
-Continuous batching (:func:`estimate_continuous_step`): the barrier model
-above still synchronizes every participant to the batched step's end —
-the whole batch decodes for ``max(output)`` and everyone leaves together.
-A continuous engine (the :class:`~repro.runtime.scheduler.GenScheduler`)
-instead prices one admission watermark as two decoupled resources:
+Continuous batching (:func:`estimate_continuous_step`): a vLLM-style
+engine runs many requests per engine step, so B concurrent calls do not
+cost the sum of B call latencies.  The continuous engine (the
+:class:`~repro.runtime.scheduler.GenScheduler`) prices one admission
+watermark as two decoupled resources:
 
 - **prefill is a serial pipe** — it is compute-bound, so the engine's
   prefill unit processes admitted requests one after another, in policy
@@ -46,8 +29,8 @@ Each request therefore completes at::
 
     max(arrival, prefill_free_at) + overhead/B + prefill_own + decode_own
 
-which removes both barrier penalties (waiting for the slowest arrival,
-and decoding for the longest output).  A step of one request with a free
+so nobody waits for the slowest arrival or decodes for the longest
+output in the step.  A step of one request with a free
 pipe degenerates exactly to :func:`estimate_latency` — the byte-identity
 oracle for scheduler runs.
 
@@ -69,10 +52,8 @@ from repro.llm.profiles import ModelProfile
 
 __all__ = [
     "LatencyBreakdown",
-    "BatchLatency",
     "StepLatency",
     "estimate_latency",
-    "estimate_batch_latency",
     "estimate_continuous_step",
 ]
 
@@ -128,76 +109,6 @@ def estimate_latency(
         cached_prefill=profile.cached_prefill_s_per_token * cached_tokens,
         decode=profile.decode_s_per_token * output_tokens,
     )
-
-
-@dataclass(frozen=True)
-class BatchLatency:
-    """Latency of one micro-batch of concurrent generation calls."""
-
-    #: attributed per-request breakdowns, in submission order.  Their
-    #: totals sum to *more* than ``wall`` whenever decode overlaps.
-    per_request: tuple[LatencyBreakdown, ...]
-    #: simulated wall time of the whole batched step — what every
-    #: participating lane's clock advances by.
-    wall: float
-
-    @property
-    def size(self) -> int:
-        """Number of requests in the micro-batch."""
-        return len(self.per_request)
-
-    @property
-    def serialized(self) -> float:
-        """Sum of attributed request totals plus the amortized overhead
-        savings — roughly what running the batch one-by-one would cost."""
-        return sum(request.total for request in self.per_request)
-
-
-def estimate_batch_latency(
-    profile: ModelProfile,
-    requests: Sequence[tuple[int, int, int]],
-) -> BatchLatency:
-    """Latency of one micro-batch under ``profile``.
-
-    ``requests`` is a sequence of ``(prompt_tokens, cached_tokens,
-    output_tokens)`` triples.  The batch wall time is::
-
-        overhead + prefill · Σ uncached + cached_prefill · Σ cached
-                 + decode · max(output)
-
-    while each request's attributed :class:`LatencyBreakdown` carries its
-    share of the overhead (``overhead / B``), its own prefill cost, and
-    its own full decode cost.  A batch of one degenerates exactly to
-    :func:`estimate_latency`.
-    """
-    if not requests:
-        raise ValueError("a micro-batch needs at least one request")
-    size = len(requests)
-    per_request: list[LatencyBreakdown] = []
-    total_uncached = 0
-    total_cached = 0
-    max_output = 0
-    for prompt_tokens, cached_tokens, output_tokens in requests:
-        _validate_tokens(prompt_tokens, cached_tokens, output_tokens)
-        uncached = prompt_tokens - cached_tokens
-        total_uncached += uncached
-        total_cached += cached_tokens
-        max_output = max(max_output, output_tokens)
-        per_request.append(
-            LatencyBreakdown(
-                overhead=profile.overhead_s / size,
-                prefill=profile.prefill_s_per_token * uncached,
-                cached_prefill=profile.cached_prefill_s_per_token * cached_tokens,
-                decode=profile.decode_s_per_token * output_tokens,
-            )
-        )
-    wall = (
-        profile.overhead_s
-        + profile.prefill_s_per_token * total_uncached
-        + profile.cached_prefill_s_per_token * total_cached
-        + profile.decode_s_per_token * max_output
-    )
-    return BatchLatency(per_request=tuple(per_request), wall=wall)
 
 
 @dataclass(frozen=True)

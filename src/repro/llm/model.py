@@ -81,7 +81,7 @@ class SimulatedLLM:
         self.enable_prefix_cache = enable_prefix_cache
         self.engine = TaskEngine(self.profile)
         # aggregate accounting across all calls; guarded by ``_lock`` so
-        # concurrent lanes (parallel batch runner / micro-batcher) never
+        # concurrent lanes (parallel batch runner / GEN scheduler) never
         # lose an increment or drop a listener notification.
         self._lock = threading.RLock()
         self.calls = 0
@@ -144,8 +144,8 @@ class SimulatedLLM:
 
     # -- generation -----------------------------------------------------------
     #
-    # ``generate`` composes three backend steps that the GEN micro-batcher
-    # (:mod:`repro.llm.batcher`) also drives individually: ``prepare``
+    # ``generate`` composes three backend steps that the GEN scheduler
+    # (:mod:`repro.runtime.scheduler`) also drives individually: ``prepare``
     # (tokenize + validate), ``execute_task`` (deterministic task output),
     # and ``record_result`` (counters + listeners).  Keeping them public
     # means batched and unbatched calls share one code path for
@@ -219,7 +219,7 @@ class SimulatedLLM:
     ) -> None:
         """Charge the fault's modelled cost to ``clock`` and raise it.
 
-        Shared by :meth:`generate` and the micro-batcher so faulted
+        Shared by :meth:`generate` and the GEN scheduler so faulted
         calls cost the same simulated time on either path:
 
         - ``transient`` / ``rate_limit`` fail fast — only the per-call

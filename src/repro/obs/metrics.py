@@ -16,7 +16,7 @@ dashboard expect:
 Everything is plain Python on the virtual-clock timeline: deterministic,
 dependency-free, and cheap enough for the hot path.  Instruments and the
 registry are thread-safe: concurrent worker lanes (the parallel batch
-runner and GEN micro-batcher) update them without losing increments or
+runner and GEN scheduler) update them without losing increments or
 observations.
 """
 

@@ -24,10 +24,49 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.store import PromptStore
     from repro.core.views import ViewRegistry
     from repro.obs.collector import ObsCollector
+    from repro.obs.metrics import MetricsRegistry
     from repro.runtime.options import RuntimeOptions
     from repro.runtime.result_cache import ResultCache
 
 __all__ = ["RunResult", "Executor"]
+
+
+def strict_check(
+    pipeline: "Pipeline",
+    state: "ExecutionState",
+    *,
+    open_context: bool,
+    runtime: Mapping[str, Any],
+    metrics: "MetricsRegistry | None",
+) -> None:
+    """Strict-mode gate: static-check, count findings, abort on errors.
+
+    Shared by every runner's ``RuntimeOptions(strict=True)`` path.
+    ``open_context=True`` when a per-item ``bind`` fills context at
+    runtime, so missing-context findings are unknowable here and
+    suppressed.  Re-checks go through the incremental cache: an
+    unchanged (pipeline, state, runtime) triple costs one content hash.
+    """
+    from repro.analysis import cached_check_state
+    from repro.errors import SpearValidationError
+
+    result = cached_check_state(
+        pipeline,
+        state,
+        open_context=open_context,
+        runtime=runtime,
+        metrics=metrics,
+    )
+    if len(result) and metrics is not None:
+        for diagnostic in result:
+            metrics.counter(
+                "spear_check_diagnostics_total",
+                "Diagnostics emitted by strict-mode static checks.",
+                code=diagnostic.code,
+                severity=diagnostic.severity.value,
+            ).inc()
+    if result.has_errors:
+        raise SpearValidationError(result.errors)
 
 
 @dataclass
@@ -259,6 +298,9 @@ class Executor:
             # given) is the shared base carrying prompts/model, forked
             # per item like any batch runner.
             base = state if state is not None else self.new_state(context=context)
+            if self.options.strict:
+                # Once, before the fan-out: bind fills per-item context.
+                self._validate(pipeline, base, open_context=True)
             return BatchRunner(base, on_error="collect").run(
                 pipeline, items=items
             )
@@ -328,7 +370,8 @@ class Executor:
         """A single-lane continuous engine when the scheduler is opted in.
 
         The sequential Executor stays on the direct model path by
-        default (``scheduler=None``); only an explicit ``True`` /
+        default (``scheduler=None``) and with ``scheduler=False``; only
+        an explicit ``True`` /
         :class:`~repro.runtime.scheduler.SchedulerConfig` wraps the
         run's model in a one-lane :class:`GenScheduler` — useful when a
         sequential run must share the scheduler's policy semantics
@@ -336,15 +379,13 @@ class Executor:
         peers.
         """
         selection = self.options.scheduler
-        if selection is None or selection is False or state.model is None:
+        if selection is None or state.model is None:
             return None
-        from repro.runtime.scheduler import GenScheduler, SchedulerConfig
+        from repro.runtime.scheduler import GenScheduler, resolve_scheduler_config
 
-        config = (
-            selection
-            if isinstance(selection, SchedulerConfig)
-            else SchedulerConfig()
-        )
+        config = resolve_scheduler_config(selection)
+        if config is None:
+            return None
         registry = self.options.metrics
         if registry is None and self.collector is not None:
             registry = self.collector.registry
@@ -376,18 +417,18 @@ class Executor:
             collector=self.collector,
         )
 
-    def _validate(self, pipeline: "Pipeline", state: "ExecutionState") -> None:
-        """Strict-mode gate: static-check, count findings, abort on errors.
-
-        Re-checks go through the incremental cache: an unchanged
-        (pipeline, state, options) triple costs one content hash.
-        """
-        from repro.analysis import cached_check_state
-        from repro.errors import SpearValidationError
-
-        result = cached_check_state(
+    def _validate(
+        self,
+        pipeline: "Pipeline",
+        state: "ExecutionState",
+        *,
+        open_context: bool = False,
+    ) -> None:
+        """Strict-mode gate for this executor's options (see :func:`strict_check`)."""
+        strict_check(
             pipeline,
             state,
+            open_context=open_context,
             runtime={
                 "scheduler": self.options.scheduler,
                 "priority": self.options.priority,
@@ -395,16 +436,6 @@ class Executor:
             },
             metrics=self.options.metrics,
         )
-        if len(result) and self.options.metrics is not None:
-            for diagnostic in result:
-                self.options.metrics.counter(
-                    "spear_check_diagnostics_total",
-                    "Diagnostics emitted by strict-mode static checks.",
-                    code=diagnostic.code,
-                    severity=diagnostic.severity.value,
-                ).inc()
-        if result.has_errors:
-            raise SpearValidationError(result.errors)
 
     # -- convenience -------------------------------------------------------
 

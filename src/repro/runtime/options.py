@@ -70,9 +70,11 @@ class RuntimeOptions:
     #: generation-engine selection.  ``None`` lets each runner pick its
     #: default (the parallel runner uses the continuous scheduler, the
     #: sequential Executor stays direct); ``True`` /
-    #: :class:`~repro.runtime.scheduler.SchedulerConfig` forces the
-    #: continuous engine on; ``False`` forces the legacy full-barrier
-    #: micro-batcher.  The config's ``prefix_group_blocks`` /
+    #: :class:`~repro.runtime.scheduler.SchedulerConfig` turns the
+    #: continuous engine on; ``False`` keeps the Executor on the direct
+    #: model path and is rejected by the parallel runner, which has no
+    #: direct path (``SchedulerConfig(max_batch=1)`` is its
+    #: no-coalescing setting).  The config's ``prefix_group_blocks`` /
     #: ``prefix_dedup`` knobs control prefix-aware admission: grouping
     #: shared-trunk requests into the same step and charging each step's
     #: shared trunk prefill once instead of once per request.

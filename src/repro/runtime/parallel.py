@@ -12,14 +12,14 @@ engine for the reproduction:
   from a :class:`~repro.runtime.clock.LaneClockGroup`) and its own
   private event log, so span brackets never interleave across threads;
 - generation calls route through the event-driven
-  :class:`~repro.runtime.scheduler.GenScheduler` by default: batches
+  :class:`~repro.runtime.scheduler.GenScheduler`: batches
   form on token-budget and virtual-clock timeout watermarks, a
   priority-class + deadline policy orders admission
   (``RuntimeOptions(scheduler=…, priority=…, deadline_s=…)``), and each
   lane's clock advances to its *own* completion instead of the
-  slowest peer's — continuous flow, not a barrier.
-  ``RuntimeOptions(scheduler=False)`` selects the legacy full-barrier
-  :class:`~repro.llm.batcher.GenMicroBatcher`.
+  slowest peer's — continuous flow, not a barrier.  The engine is
+  configured in one place, ``RuntimeOptions(scheduler=SchedulerConfig(...))``;
+  ``SchedulerConfig(max_batch=1)`` gives every call its own engine step.
 - admission is **prefix-aware**: requests whose tokenized prompts share
   a structured-prompt trunk (``SchedulerConfig.prefix_group_blocks``
   leading cache blocks) are grouped into the same engine step, their
@@ -43,7 +43,6 @@ clock is advanced to the merged lane time.
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.runtime.batch import (
@@ -54,6 +53,12 @@ from repro.runtime.batch import (
 )
 from repro.runtime.clock import LaneClockGroup
 from repro.runtime.events import EventKind, EventLog
+from repro.runtime.executor import strict_check
+from repro.runtime.scheduler import (
+    GenScheduler,
+    fold_sched_events,
+    resolve_scheduler_config,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import Pipeline
@@ -78,18 +83,15 @@ class ParallelBatchRunner:
     Args:
         workers: number of worker lanes (threads).  The effective lane
             count is ``min(workers, len(items))``.
-        microbatch: coalesce concurrent generation calls into shared
-            engine steps (the default).  ``False`` still runs lanes
-            concurrently but gives every call its own engine step —
-            lane-parallelism without batched prefill/decode sharing.
-        max_batch: cap on requests per engine step; an oversized
-            admission set is split into consecutive steps.
         options: shared :class:`~repro.runtime.options.RuntimeOptions`;
-            its ``scheduler`` selects the generation engine (default:
-            the continuous :class:`~repro.runtime.scheduler.GenScheduler`;
-            ``False`` selects the legacy barrier batcher; a
-            :class:`~repro.runtime.scheduler.SchedulerConfig` tunes the
-            watermark/token-budget policy), its ``priority`` /
+            its ``scheduler`` configures the
+            :class:`~repro.runtime.scheduler.GenScheduler` (``None`` /
+            ``True`` for the defaults, or a
+            :class:`~repro.runtime.scheduler.SchedulerConfig` tuning the
+            watermark/token-budget/batch-size policy; ``False`` raises
+            :class:`ValueError` — there is no direct model path here,
+            and ``SchedulerConfig(max_batch=1)`` is the no-coalescing
+            arm), its ``priority`` /
             ``deadline_s`` set per-item scheduling attributes (constants
             or callables ``item -> value``), its ``metrics`` instruments
             lanes/queues/engine steps, its ``result_cache`` and
@@ -110,8 +112,6 @@ class ParallelBatchRunner:
         bind: "Callable[[ExecutionState, Any], None] | None" = None,
         on_error: str = "raise",
         workers: int = 4,
-        microbatch: bool = True,
-        max_batch: int = 64,
         options: "RuntimeOptions | None" = None,
         metrics: "MetricsRegistry | None" = None,
         isolate_prompts: bool = False,
@@ -125,6 +125,16 @@ class ParallelBatchRunner:
         options = resolve_legacy_kwargs(
             "ParallelBatchRunner", options, {"metrics": metrics}
         )
+        config = resolve_scheduler_config(options.scheduler)
+        if config is None:
+            raise ValueError(
+                "ParallelBatchRunner always runs the GenScheduler; "
+                "scheduler=False is not supported — pass "
+                "RuntimeOptions(scheduler=SchedulerConfig(max_batch=1)) "
+                "to give every call its own engine step"
+            )
+        #: the engine configuration every run of this runner uses.
+        self._scheduler_config = config
         self.options = options
         self.base_state = base_state
         if bind is None:
@@ -139,56 +149,14 @@ class ParallelBatchRunner:
         self.bind = bind
         self.on_error = on_error
         self.workers = workers
-        self.microbatch = microbatch
-        self.max_batch = max_batch
         self.metrics = options.metrics
         self.isolate_prompts = isolate_prompts
-        #: the generation engine of the most recent run — a
-        #: :class:`~repro.runtime.scheduler.GenScheduler` or legacy
-        #: :class:`~repro.llm.batcher.GenMicroBatcher` (introspection/tests).
-        self.last_batcher: Any | None = None
+        #: the :class:`~repro.runtime.scheduler.GenScheduler` of the most
+        #: recent run (introspection/tests); None when the base state
+        #: has no model.
+        self.last_batcher: GenScheduler | None = None
 
     # -- the run --------------------------------------------------------------
-
-    def _validate(self, pipeline: "Pipeline") -> None:
-        """Strict-mode gate against the base state, before any lane starts.
-
-        ``open_context=True``: the ``bind`` callback populates per-item
-        context at runtime, so missing-context findings are unknowable
-        here and suppressed.  The runtime mapping carries the runner's
-        concurrency shape (``lanes``/``shared_prompts``) so the
-        interference analyzers (SPEAR161/163) see the batch the way it
-        will actually run; re-checks go through the incremental cache.
-        """
-        from repro.analysis import cached_check_state
-        from repro.errors import SpearValidationError
-
-        # The parallel runner's effective engine is the continuous
-        # scheduler unless explicitly disabled, so the runtime mapping
-        # reports the *effective* selection, not the raw option.
-        result = cached_check_state(
-            pipeline,
-            self.base_state,
-            open_context=True,
-            runtime={
-                "scheduler": self.options.scheduler is not False,
-                "priority": self.options.priority,
-                "deadline_s": self.options.deadline_s,
-                "lanes": self.workers,
-                "shared_prompts": not self.isolate_prompts,
-            },
-            metrics=self.metrics,
-        )
-        if len(result) and self.metrics is not None:
-            for diagnostic in result:
-                self.metrics.counter(
-                    "spear_check_diagnostics_total",
-                    "Diagnostics emitted by strict-mode static checks.",
-                    code=diagnostic.code,
-                    severity=diagnostic.severity.value,
-                ).inc()
-        if result.has_errors:
-            raise SpearValidationError(result.errors)
 
     def run(
         self,
@@ -200,8 +168,8 @@ class ParallelBatchRunner:
         """Execute ``pipeline`` once per item across the worker lanes.
 
         The unified runner signature: pass the dataset as ``items=`` (the
-        legacy positional second argument still works behind a
-        DeprecationWarning), and optionally a per-call ``options=``
+        positional form ``run(pipeline, items)`` raises
+        :class:`TypeError`), and optionally a per-call ``options=``
         override (a sibling runner with the same lanes/binding runs the
         batch; this runner is not mutated).
 
@@ -210,23 +178,10 @@ class ParallelBatchRunner:
         are folded back at completion.
         """
         if args:
-            if len(args) > 1:
-                raise TypeError(
-                    "ParallelBatchRunner.run takes at most one positional "
-                    f"items argument, got {len(args)}"
-                )
-            if items is not None:
-                raise TypeError(
-                    "ParallelBatchRunner.run: items passed both "
-                    "positionally and as items="
-                )
-            warnings.warn(
-                "ParallelBatchRunner.run(pipeline, items) is deprecated; "
-                "pass run(pipeline, items=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
+            raise TypeError(
+                "ParallelBatchRunner.run(pipeline, items) was removed; "
+                "pass run(pipeline, items=...) instead"
             )
-            items = args[0]
         if items is None:
             items = []
         if options is not None:
@@ -235,8 +190,6 @@ class ParallelBatchRunner:
                 bind=self.bind,
                 on_error=self.on_error,
                 workers=self.workers,
-                microbatch=self.microbatch,
-                max_batch=self.max_batch,
                 options=options,
                 isolate_prompts=self.isolate_prompts,
             )
@@ -252,7 +205,6 @@ class ParallelBatchRunner:
                 "runner": "ParallelBatchRunner",
                 "pipeline": describe_pipeline(pipeline),
                 "workers": self.workers,
-                "microbatch": self.microbatch,
                 "options": describe_options(self.options),
             },
             registry=self.metrics,
@@ -264,7 +216,23 @@ class ParallelBatchRunner:
         self, pipeline: "Pipeline", items: "Iterable[Any] | Sequence[Any]"
     ) -> BatchResult:
         if self.options.strict:
-            self._validate(pipeline)
+            # Against the base state, before any lane starts: ``bind``
+            # fills per-item context (open_context), and the runtime
+            # mapping carries the concurrency shape so the interference
+            # analyzers (SPEAR161/163) see the batch as it will run.
+            strict_check(
+                pipeline,
+                self.base_state,
+                open_context=True,
+                runtime={
+                    "scheduler": True,
+                    "priority": self.options.priority,
+                    "deadline_s": self.options.deadline_s,
+                    "lanes": self.workers,
+                    "shared_prompts": not self.isolate_prompts,
+                },
+                metrics=self.metrics,
+            )
         items = list(items)
         if not items:
             batch = BatchResult(workers=0)
@@ -304,8 +272,6 @@ class ParallelBatchRunner:
         errors_lock = threading.Lock()
         stop = threading.Event()
 
-        configurable = batcher is not None and hasattr(batcher, "configure_lane")
-
         def lane_worker(lane_id: int) -> None:
             # Everything — including this setup — runs under the finally
             # that closes the lane: a lane that dies between open_lane
@@ -319,7 +285,7 @@ class ParallelBatchRunner:
                     if stop.is_set():
                         break
                     item = items[index]
-                    if configurable:
+                    if batcher is not None:
                         batcher.configure_lane(
                             lane_id,
                             priority=_per_item(self.options.priority, item),
@@ -381,9 +347,7 @@ class ParallelBatchRunner:
         )
 
         self._fold_lane_events(lane_logs, lane_clocks, clock_group)
-        if batcher is not None and hasattr(batcher, "steps"):
-            from repro.runtime.scheduler import fold_sched_events
-
+        if batcher is not None:
             fold_sched_events(self.base_state.events, batcher)
         # Later sequential work continues after the batch completed.
         base.clock.advance_to(clock_group.now)
@@ -414,14 +378,11 @@ class ParallelBatchRunner:
                 batched_calls=int(stats["batched_calls"]),
                 largest_batch=int(stats["largest_batch"]),
                 mean_batch_size=stats["mean_batch_size"],
+                sched_steps=int(stats["steps"]),
+                sched_preemptions=int(stats["preemptions"]),
+                sched_forced=int(stats["forced"]),
+                sched_mean_wait=stats["mean_wait"],
             )
-            if "preemptions" in stats:
-                extra.update(
-                    sched_steps=int(stats["steps"]),
-                    sched_preemptions=int(stats["preemptions"]),
-                    sched_forced=int(stats["forced"]),
-                    sched_mean_wait=stats["mean_wait"],
-                )
         emit_batch_event(
             base, batch, mode="parallel", runner="ParallelBatchRunner",
             extra=extra,
@@ -430,49 +391,14 @@ class ParallelBatchRunner:
 
     # -- helpers --------------------------------------------------------------
 
-    def _make_batcher(self) -> "Any | None":
-        """A fresh generation engine per run (lane registration is per-run).
-
-        ``options.scheduler`` picks the engine: the continuous
-        :class:`~repro.runtime.scheduler.GenScheduler` by default (or
-        with an explicit :class:`SchedulerConfig`), the legacy
-        full-barrier :class:`~repro.llm.batcher.GenMicroBatcher` when
-        ``scheduler=False``.
-        """
-        if self.base_state.model is None:
-            self.last_batcher = None
-            return None
-        selection = self.options.scheduler
-        if selection is False:
-            from repro.llm.batcher import GenMicroBatcher
-
-            engine: Any = GenMicroBatcher(
-                self.base_state.model,
-                # max_batch=1 gives every call its own engine step: lanes
-                # still overlap, but nothing is coalesced.
-                max_batch=self.max_batch if self.microbatch else 1,
-                metrics=self.metrics,
-            )
-        else:
-            from repro.runtime.scheduler import GenScheduler, SchedulerConfig
-
-            if isinstance(selection, SchedulerConfig):
-                config = selection
-            elif selection is None or selection is True:
-                config = SchedulerConfig(max_batch=self.max_batch)
-            else:
-                raise TypeError(
-                    "options.scheduler must be a SchedulerConfig, bool, "
-                    f"or None: {selection!r}"
-                )
-            if not self.microbatch:
-                config = SchedulerConfig(
-                    max_batch_tokens=config.max_batch_tokens,
-                    watermark_s=config.watermark_s,
-                    max_batch=1,
-                )
+    def _make_batcher(self) -> GenScheduler | None:
+        """A fresh engine per run (lane registration is per-run)."""
+        engine = None
+        if self.base_state.model is not None:
             engine = GenScheduler(
-                self.base_state.model, config=config, metrics=self.metrics
+                self.base_state.model,
+                config=self._scheduler_config,
+                metrics=self.metrics,
             )
         self.last_batcher = engine
         return engine

@@ -42,6 +42,31 @@ class TestExecutorStrict:
         assert "SPEAR101" in excinfo.value.codes
         assert excinfo.value.diagnostics
 
+    def test_items_fan_out_is_gated(self):
+        model = SimulatedLLM("qwen2.5-7b-instruct")
+        executor = Executor(
+            options=RuntimeOptions(model=model, strict=True)
+        )
+        with pytest.raises(SpearValidationError) as excinfo:
+            executor.run(invalid_pipeline(), items=[{"x": 1}])
+        assert model.calls == 0
+        assert "SPEAR101" in excinfo.value.codes
+
+    def test_items_open_context_suppresses_bind_time_slots(self):
+        model = SimulatedLLM("qwen2.5-7b-instruct")
+        executor = Executor(
+            options=RuntimeOptions(model=model, strict=True)
+        )
+        pipeline = Pipeline(
+            [
+                REF(RefAction.CREATE, "Describe: {item}", key="qa"),
+                GEN("answer", prompt="qa"),
+            ]
+        )
+        batch = executor.run(pipeline, items=["alpha", "beta"])
+        assert len(batch.items) == 2
+        assert not batch.failures()
+
     def test_non_strict_default_does_not_gate(self):
         model = SimulatedLLM("qwen2.5-7b-instruct")
         executor = Executor(options=RuntimeOptions(model=model))

@@ -13,6 +13,7 @@ from repro.runtime.batch import BatchRunner
 from repro.runtime.events import EventKind
 from repro.runtime.options import RuntimeOptions
 from repro.runtime.parallel import ParallelBatchRunner
+from repro.runtime.scheduler import SchedulerConfig
 
 PROMPT = (
     "Select the tweet only if its sentiment is negative. "
@@ -99,7 +100,10 @@ class TestParallelBatchRunner:
 
         state, items_par = _build_state(n_items=16)
         runner = ParallelBatchRunner(
-            state, bind=_bind_tweet, workers=8, microbatch=False
+            state,
+            bind=_bind_tweet,
+            workers=8,
+            options=RuntimeOptions(scheduler=SchedulerConfig(max_batch=1)),
         )
         batch = runner.run(_pipeline(), items=items_par)
         assert _texts(batch) == _texts(sequential)
@@ -195,6 +199,15 @@ class TestParallelBatchRunner:
             ParallelBatchRunner(state, bind=_bind_tweet, on_error="ignore")
         with pytest.raises(ValueError):
             ParallelBatchRunner(state, bind=_bind_tweet, workers=0)
+
+    def test_scheduler_false_rejected(self):
+        state, _ = _build_state(n_items=1)
+        with pytest.raises(ValueError, match=r"SchedulerConfig\(max_batch=1\)"):
+            ParallelBatchRunner(
+                state,
+                bind=_bind_tweet,
+                options=RuntimeOptions(scheduler=False),
+            )
 
     def test_empty_items(self):
         state, _ = _build_state(n_items=1)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core import GEN, Pipeline
 from repro.core.state import ExecutionState
 from repro.data import make_tweet_corpus
-from repro.llm.batcher import GenMicroBatcher
+from repro.errors import ModelError
 from repro.llm.model import SimulatedLLM
 from repro.obs import ObsCollector
 from repro.runtime.batch import BatchRunner
@@ -155,33 +155,99 @@ class TestEngineUnit:
         )
         assert scheduled.clock.now == pytest.approx(direct.clock.now)
 
+    def test_single_lane_passthrough_matches_direct_generate(self):
+        """A lane on its own clock reports the direct call's text, token
+        count and latency, and its clock lands where the model's would."""
+        prompt = (
+            "Select the tweet only if its sentiment is negative. "
+            "Respond with yes or no.\nTweet:\nthis day was awful and I hate it"
+        )
+        direct = self._model(n=10, seed=3)
+        expected = direct.generate(prompt)
+
+        engine = GenScheduler(self._model(n=10, seed=3))
+        clock = VirtualClock()
+        result = engine.open_lane(0, clock).generate(prompt)
+        engine.close_lane(0)
+
+        assert result.text == expected.text
+        assert result.prompt_tokens == expected.prompt_tokens
+        assert result.latency.total == pytest.approx(expected.latency.total)
+        assert clock.now == pytest.approx(direct.clock.now)
+
+    def test_lane_must_be_open(self):
+        engine = GenScheduler(self._model())
+        with pytest.raises(RuntimeError):
+            engine.submit(0, "hello")
+
+    def test_duplicate_lane_rejected(self):
+        engine = GenScheduler(self._model())
+        engine.open_lane(0, VirtualClock())
+        with pytest.raises(ValueError):
+            engine.open_lane(0, VirtualClock())
+
     def test_closing_idle_lane_releases_pending_peer(self):
         """Starvation regression: a lane that dies between open_lane and
         its first submit must not leave peers waiting forever."""
-        for make_engine in (
-            lambda model: GenScheduler(model),
-            lambda model: GenMicroBatcher(model),
-        ):
-            model = self._model()
-            engine = make_engine(model)
-            proxy = engine.open_lane(0, VirtualClock())
-            engine.open_lane(1, VirtualClock())
+        engine = GenScheduler(self._model())
+        proxy = engine.open_lane(0, VirtualClock())
+        engine.open_lane(1, VirtualClock())
 
-            outcome = {}
+        outcome = {}
 
-            def worker(proxy=proxy, outcome=outcome):
-                outcome["result"] = proxy.generate(
-                    "Summarize the tweet.\nTweet:\nso tired of delays"
-                )
+        def worker():
+            outcome["result"] = proxy.generate(
+                "Summarize the tweet.\nTweet:\nso tired of delays"
+            )
 
-            thread = threading.Thread(target=worker, daemon=True)
+        thread = threading.Thread(target=worker, daemon=True)
+        thread.start()
+        # Lane 1 "raises before its first submit": all it can do is
+        # close.  That must release lane 0 as a step of one.
+        engine.close_lane(1)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert outcome["result"].text
+
+    def test_prepare_error_delivered_to_caller_only(self):
+        """An invalid prompt fails only the lane that submitted it; the
+        queue drains and a peer lane in the same quiescence completes."""
+        engine = GenScheduler(self._model())
+        lanes = [engine.open_lane(i, VirtualClock()) for i in range(2)]
+        outcome = {}
+
+        def worker(lane_id, prompt):
+            try:
+                outcome[lane_id] = lanes[lane_id].generate(prompt)
+            except ModelError as error:
+                outcome[lane_id] = error
+            finally:
+                engine.close_lane(lane_id)
+
+        threads = [
+            threading.Thread(target=worker, args=(0, ""), daemon=True),
+            threading.Thread(
+                target=worker,
+                args=(1, "Summarize the tweet.\nTweet:\nso tired of delays"),
+                daemon=True,
+            ),
+        ]
+        for thread in threads:
             thread.start()
-            # Lane 1 "raises before its first submit": all it can do is
-            # close.  That must release lane 0 as a step of one.
-            engine.close_lane(1)
+        for thread in threads:
             thread.join(timeout=10)
-            assert not thread.is_alive(), type(engine).__name__
-            assert outcome["result"].text
+            assert not thread.is_alive()
+        assert isinstance(outcome[0], ModelError)
+        assert outcome[1].text
+        assert engine.snapshot()["pending"] == 0
+        assert engine.batched_calls == 1
+
+    def test_lane_model_delegates_attributes(self):
+        model = self._model()
+        lane = GenScheduler(model).open_lane(0, VirtualClock())
+        assert lane.profile is model.profile
+        assert lane.kv_cache is model.kv_cache
+        assert lane.tokenizer is model.tokenizer
 
     def test_token_budget_splits_steps(self):
         state, items = _build_state(n_items=12)
@@ -269,22 +335,6 @@ class TestRunnerIntegration:
             traces.append(_step_trace(runner.last_batcher))
         assert traces[0] == traces[1]
         assert traces[0]  # a real trace, not two empty lists
-
-    def test_legacy_barrier_engine_still_selectable(self):
-        state_seq, items = _build_state(n_items=12)
-        sequential = BatchRunner(state_seq, bind=_bind_tweet).run(
-            _pipeline(), items=items
-        )
-        state, items_par = _build_state(n_items=12)
-        runner = ParallelBatchRunner(
-            state,
-            bind=_bind_tweet,
-            workers=4,
-            options=RuntimeOptions(scheduler=False),
-        )
-        batch = runner.run(_pipeline(), items=items_par)
-        assert isinstance(runner.last_batcher, GenMicroBatcher)
-        assert _texts(batch) == _texts(sequential)
 
     def test_interactive_waits_less_than_bulk(self):
         """Mixed workload: interactive items admit ahead of bulk, so their
@@ -741,32 +791,6 @@ class TestStarvationRegression:
         assert len(batch.items) == 8
         assert len(batch.failures()) == 4
         assert all(r.ok for r in batch.items if r not in batch.failures())
-
-    def test_legacy_barrier_engine_same_regression(self):
-        state, items = _build_state(n_items=8)
-
-        def bind_or_boom(item_state, tweet):
-            if int(tweet.uid[-1]) % 2 == 1:
-                raise ValueError(f"bad item {tweet.uid}")
-            _bind_tweet(item_state, tweet)
-
-        runner = ParallelBatchRunner(
-            state,
-            bind=bind_or_boom,
-            workers=8,
-            on_error="collect",
-            options=RuntimeOptions(scheduler=False),
-        )
-        outcome = {}
-
-        def run():
-            outcome["batch"] = runner.run(_pipeline(), items=items)
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive(), "parallel run deadlocked"
-        assert len(outcome["batch"].failures()) == 4
 
 
 class TestExecutorIntegration:

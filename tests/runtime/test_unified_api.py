@@ -182,9 +182,9 @@ class TestRefinementLoopUnifiedRun:
         llm, corpus = _llm()
         loop = self._loop(llm)
         state = self._state(llm, corpus)
-        with pytest.warns(DeprecationWarning, match="run\\(state=...\\)"):
-            report = loop.run(state)
-        assert report.final is not None
+        with pytest.raises(TypeError, match="run\\(state=\\.\\.\\.\\)"):
+            loop.run(state)
+        assert llm.calls == 0
 
     def test_state_keyword_does_not_warn(self):
         llm, corpus = _llm()
@@ -222,9 +222,9 @@ class TestParallelRunnerDeprecations:
     def test_positional_items_warn(self):
         llm, corpus = _llm()
         runner = ParallelBatchRunner(_state(llm), workers=2)
-        with pytest.warns(DeprecationWarning, match="items="):
-            batch = runner.run(_pipeline(), _items(corpus))
-        assert len(batch.items) == len(corpus)
+        with pytest.raises(TypeError, match="items=\\.\\.\\."):
+            runner.run(_pipeline(), _items(corpus))
+        assert llm.calls == 0
 
     def test_default_binder_used_when_bind_omitted(self):
         llm, corpus = _llm()
