@@ -214,49 +214,66 @@ class RadixPrefixCache:
         LRU recency on the matched path.
         """
         with self._lock:
-            matched = 0
-            complete = (len(tokens) // self.block_size) if tokens else 0
             path = self._walk(tokens)
             for node in path:
                 self._touch(node)
+            return self._count_lookup(tokens, len(path))
+
+    def _count_lookup(self, tokens: Sequence[int], matched: int) -> int:
+        """Record one lookup that matched ``matched`` blocks; returns tokens."""
+        self.stats.block_hits += matched
+        if matched < len(tokens) // self.block_size:
+            self.stats.block_misses += 1
+        cached = matched * self.block_size
+        self.stats.lookups += 1
+        self.stats.prompt_tokens += len(tokens)
+        self.stats.cached_tokens += cached
+        return cached
+
+    def _insert_locked(self, tokens: Sequence[int]) -> tuple[int, int]:
+        """Cache every complete block of ``tokens`` in one descent.
+
+        Returns ``(matched, added)``: the blocks already resident on the
+        path (a prefix of it — past the first miss every node is new)
+        and the blocks created.  Each path node is touched once, so
+        stamps rise along the path above every earlier stamp.
+        """
+        matched = added = 0
+        node = self._root
+        for block in self._blocks(tokens):
+            child = node.children.get(block)
+            if child is None:
+                child = _RadixNode(block, node)
+                node.children[block] = child
+                if node is not self._root:
+                    self._leaves.discard(node)
+                self._leaves.add(child)
+                self._size += 1
+                added += 1
+            else:
                 matched += 1
-                self.stats.block_hits += 1
-            if matched < complete:
-                self.stats.block_misses += 1
-            cached = matched * self.block_size
-            self.stats.lookups += 1
-            self.stats.prompt_tokens += len(tokens)
-            self.stats.cached_tokens += cached
-            return cached
+            self._touch(child)
+            node = child
+        if added:  # the path ends in a node made just now: a new leaf
+            self._queue(node)
+        self._evict_locked()
+        return matched, added
 
     def insert(self, tokens: Sequence[int]) -> int:
         """Cache every complete block of ``tokens``; returns blocks added."""
         with self._lock:
-            added = 0
-            node = self._root
-            for block in self._blocks(tokens):
-                child = node.children.get(block)
-                if child is None:
-                    child = _RadixNode(block, node)
-                    node.children[block] = child
-                    if node is not self._root:
-                        self._leaves.discard(node)
-                    self._leaves.add(child)
-                    self._size += 1
-                    added += 1
-                self._touch(child)
-                node = child
-            if added:  # the path ends in a node made just now: a new leaf
-                self._queue(node)
-            self._evict_locked()
-            return added
+            return self._insert_locked(tokens)[1]
 
     def lookup_and_insert(self, tokens: Sequence[int]) -> int:
-        """The per-request path: match the prefix, then cache the prompt."""
+        """The per-request path: match the prefix, then cache the prompt.
+
+        One descent does both, with the statistics of :meth:`match_prefix`
+        followed by :meth:`insert` and the same LRU order (stamps only
+        ever compare with each other, and the relative order of every
+        stamp is the one the two walks would leave).
+        """
         with self._lock:
-            cached = self.match_prefix(tokens)
-            self.insert(tokens)
-            return cached
+            return self._count_lookup(tokens, self._insert_locked(tokens)[0])
 
     # -- pinning -------------------------------------------------------------
 

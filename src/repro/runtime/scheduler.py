@@ -4,8 +4,9 @@
 submit generation work to a queue, and batches form on **token-budget
 and virtual-clock timeout watermarks**.  Lanes are lightweight
 registrations multiplexed over the caller's worker pool — a lane costs a
-dict entry, not a dedicated engine thread; whichever worker completes an
-admission watermark runs the engine step inline.
+dict entry and a condition, not a dedicated engine thread; whichever
+worker completes an admission watermark runs the engine step inline, and
+each finished call wakes only the lane that submitted it.
 
 Scheduling model
 ----------------
@@ -69,7 +70,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any
 
 from repro.llm.latency import estimate_continuous_step
-from repro.llm.radix_cache import shared_prefix_tokens
 from repro.runtime.clock import VirtualClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -234,7 +234,7 @@ class _Request:
 
     __slots__ = (
         "lane_id", "prompt", "max_tokens", "use_cache", "clock",
-        "result", "error", "done",
+        "result", "error", "done", "wake",
         "arrival", "priority_rank", "priority_name", "deadline",
         "tokens", "features", "decision", "prepared",
     )
@@ -246,6 +246,7 @@ class _Request:
         max_tokens: int | None,
         use_cache: bool | None,
         clock: VirtualClock,
+        wake: threading.Condition,
     ) -> None:
         self.lane_id = lane_id
         self.prompt = prompt
@@ -255,6 +256,8 @@ class _Request:
         self.result: "GenerationResult | None" = None
         self.error: BaseException | None = None
         self.done = False
+        #: the submitting lane's condition, notified once ``done`` is set.
+        self.wake = wake
         self.arrival = 0.0
         self.priority_rank = 1
         self.priority_name = "normal"
@@ -304,14 +307,20 @@ def prepare_request(model: "SimulatedLLM", request: _Request) -> bool:
 
 def execute_requests(
     model: "SimulatedLLM", requests: "list[_Request]"
-) -> tuple[list[tuple[int, int, int]], list[tuple[str, int, Any]]]:
+) -> tuple[
+    list[_Request], list[tuple[int, int, int]], list[tuple[str, int, Any]]
+]:
     """Run the deterministic task engine over prepared requests, in order.
 
     Performs the per-request prefix-cache lookup and task execution —
-    the back half of an engine step.  Returns the ``(prompt_tokens,
-    cached_tokens, output_tokens)`` triples and the ``(text,
-    output_tokens, output)`` results, index-aligned with ``requests``.
+    the back half of an engine step.  Returns the requests that ran, their
+    ``(prompt_tokens, cached_tokens, output_tokens)`` triples and their
+    ``(text, output_tokens, output)`` results, index-aligned.  A request
+    whose lookup or task raises is completed in place with that error
+    (the exception a direct call would raise) and left out; its peers
+    still run.
     """
+    ran: list[_Request] = []
     triples: list[tuple[int, int, int]] = []
     outputs: list[tuple[str, int, Any]] = []
     for request in requests:
@@ -321,13 +330,21 @@ def execute_requests(
             if request.use_cache is None
             else request.use_cache
         )
-        cached = model.kv_cache.lookup_and_insert(request.tokens) if caching else 0
-        text, output_tokens, output = model.execute_task(
-            request.prompt, request.features, max_tokens=request.max_tokens
-        )
+        try:
+            cached = (
+                model.kv_cache.lookup_and_insert(request.tokens) if caching else 0
+            )
+            text, output_tokens, output = model.execute_task(
+                request.prompt, request.features, max_tokens=request.max_tokens
+            )
+        except Exception as error:  # noqa: BLE001 - delivered to the lane
+            request.error = error
+            request.done = True
+            continue
+        ran.append(request)
         triples.append((len(request.tokens), cached, output_tokens))
         outputs.append((text, output_tokens, output))
-    return triples, outputs
+    return ran, triples, outputs
 
 
 class LaneModel:
@@ -385,7 +402,11 @@ class GenScheduler:
         self.model = model
         self.config = config if config is not None else SchedulerConfig()
         self.metrics = metrics
-        self._cond = threading.Condition()
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
+        #: one condition per open lane over the engine lock: a finished
+        #: call wakes its own lane, never every waiting peer.
+        self._lane_conds: dict[int, threading.Condition] = {}
         self._open_lanes: set[int] = set()
         self._lane_clocks: dict[int, VirtualClock] = {}
         self._lane_priority: dict[int, PriorityClass] = {}
@@ -426,6 +447,7 @@ class GenScheduler:
             if lane_id in self._open_lanes:
                 raise ValueError(f"lane {lane_id} is already open")
             self._open_lanes.add(lane_id)
+            self._lane_conds[lane_id] = threading.Condition(self._lock)
             self._lane_clocks[lane_id] = clock
             self._lane_priority[lane_id] = resolve_priority_class(priority)
             self._lane_deadline[lane_id] = deadline_s
@@ -453,11 +475,11 @@ class GenScheduler:
         """Remove a lane (it will submit no more calls); may trigger steps."""
         with self._cond:
             self._open_lanes.discard(lane_id)
+            self._lane_conds.pop(lane_id, None)
             self._lane_clocks.pop(lane_id, None)
             self._lane_priority.pop(lane_id, None)
             self._lane_deadline.pop(lane_id, None)
             self._maybe_flush_locked()
-            self._cond.notify_all()
 
     # -- the submit / flush path ---------------------------------------------
 
@@ -476,7 +498,10 @@ class GenScheduler:
             if lane_id in self._pending:
                 raise RuntimeError(f"lane {lane_id} already has a pending call")
             clock = self._lane_clocks.get(lane_id, self.model.clock)
-            request = _Request(lane_id, prompt, max_tokens, use_cache, clock)
+            request = _Request(
+                lane_id, prompt, max_tokens, use_cache, clock,
+                self._lane_conds[lane_id],
+            )
             request.arrival = clock.now
             priority = self._lane_priority.get(lane_id, PriorityClass.NORMAL)
             request.priority_rank = priority.rank
@@ -488,9 +513,8 @@ class GenScheduler:
             self._pending[lane_id] = request
             self._observe_queue_depth_locked()
             self._maybe_flush_locked()
-            self._cond.notify_all()
             while not request.done:
-                self._cond.wait()
+                request.wake.wait()
         if request.error is not None:
             raise request.error
         assert request.result is not None
@@ -508,7 +532,12 @@ class GenScheduler:
         """
         while self._quiescent_locked():
             self._run_step_locked()
-            self._cond.notify_all()
+
+    def _complete_locked(self, request: _Request) -> None:
+        """Take a finished request off the queue and wake its lane only."""
+        request.done = True
+        del self._pending[request.lane_id]
+        request.wake.notify()
 
     def _policy_key(self, request: _Request) -> tuple:
         deadline = request.deadline if request.deadline is not None else float("inf")
@@ -563,21 +592,30 @@ class GenScheduler:
         cached-token count (only a cached trunk can be deduplicated —
         under extreme eviction pressure the trunk may not have survived
         to ``i``'s lookup, and then it must be paid for again).
+
+        One pass over a trie of the earlier members' blocks: ``i``'s
+        match depth in it is that largest shared prefix, so a step costs
+        O(total blocks) rather than a comparison per pair of members.
         """
         if not self.config.prefix_dedup or len(admitted) < 2:
             return [0] * len(admitted)
         block_size = self._block_size()
+        trie: dict = {}
         dedup: list[int] = []
         for index, request in enumerate(admitted):
-            best = 0
-            for earlier in admitted[:index]:
-                best = max(
-                    best,
-                    shared_prefix_tokens(
-                        request.tokens or [], earlier.tokens or [], block_size
-                    ),
-                )
-            dedup.append(min(best, triples[index][1]))
+            tokens = request.tokens or []
+            node = trie
+            depth = 0
+            for start in range(0, len(tokens) - block_size + 1, block_size):
+                block = tuple(tokens[start : start + block_size])
+                child = node.get(block)
+                if child is None:
+                    # Past the first miss every child is new: depth is final.
+                    child = node[block] = {}
+                else:
+                    depth += 1
+                node = child
+            dedup.append(min(depth * block_size, triples[index][1]))
         return dedup
 
     def _run_step_locked(self) -> None:
@@ -593,7 +631,7 @@ class GenScheduler:
             if request.prepared:
                 continue
             if not prepare_request(self.model, request):
-                del self._pending[lane_id]
+                self._complete_locked(request)
                 removed = True
         if removed:
             self._observe_queue_depth_locked()
@@ -664,11 +702,18 @@ class GenScheduler:
         if hasattr(kv, "pin"):
             pins = [kv.pin(request.tokens or []) for request in admitted]
         try:
-            triples, outputs = execute_requests(model, admitted)
+            ran, triples, outputs = execute_requests(model, admitted)
         finally:
             if pins is not None:
                 for handle in pins:
                     kv.unpin(handle)
+        for request in admitted:
+            if request.done:  # its lookup or task raised: the error is its result
+                self._complete_locked(request)
+        if not ran:
+            self._observe_queue_depth_locked()
+            return
+        admitted = ran
         dedup = self._dedup_tokens(admitted, triples)
         step = estimate_continuous_step(
             model.profile,
@@ -727,8 +772,7 @@ class GenScheduler:
                 )
             model.record_result(result)
             request.result = result
-            request.done = True
-            del self._pending[request.lane_id]
+            self._complete_locked(request)
             members.append(
                 StepMember(
                     lane_id=request.lane_id,

@@ -336,6 +336,67 @@ class TestHeapEviction:
         assert heap.match_prefix([1, 2]) == scan.match_prefix([1, 2])
 
 
+def _resident_paths(cache):
+    """Every resident node as its root-to-node block path."""
+    paths = set()
+
+    def walk(node, path):
+        for block, child in node.children.items():
+            paths.add(path + (block,))
+            walk(child, path + (block,))
+
+    walk(cache._root, ())
+    return paths
+
+
+class TestOneWalkLookup:
+    """``lookup_and_insert`` is one descent; it must equal the two calls."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.integers(min_value=1, max_value=24),
+        cache_ops,
+    )
+    def test_equals_match_then_insert(self, block_size, capacity, ops):
+        one = _Recording(block_size=block_size, capacity_blocks=capacity)
+        two = _Recording(block_size=block_size, capacity_blocks=capacity)
+        handles = {id(one): [], id(two): []}
+        for op, tokens, index in ops:
+            if op == "lookup":
+                served = one.lookup_and_insert(tokens)
+                assert served == two.match_prefix(tokens)
+                two.insert(tokens)
+            for cache in (one, two):
+                # Every other operation runs alike on both, so pins held
+                # across lookups and later stamps see the same tree.
+                held = handles[id(cache)]
+                if op == "insert":
+                    cache.insert(tokens)
+                elif op == "match":
+                    cache.match_prefix(tokens)
+                elif op == "pin":
+                    held.append(cache.pin(tokens))
+                elif op == "unpin" and held:
+                    cache.unpin(held.pop(index % len(held)))
+            assert one.victims == two.victims
+            assert one.snapshot() == two.snapshot()
+            assert one.stats == two.stats
+            assert _resident_paths(one) == _resident_paths(two)
+
+    def test_lookups_under_pressure_evict_the_same_victims(self):
+        one = _Recording(block_size=2, capacity_blocks=5)
+        two = _Recording(block_size=2, capacity_blocks=5)
+        prompts = [[1, 2, 3, 4, base, base + 1] for base in range(10, 40, 2)]
+        prompts += [[1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 9, 9]] * 3
+        for tokens in prompts:
+            served = one.lookup_and_insert(tokens)
+            assert served == two.match_prefix(tokens)
+            two.insert(tokens)
+        assert one.victims and one.victims == two.victims
+        assert one.snapshot() == two.snapshot()
+
+
 class TestRadixProperties:
     @settings(max_examples=60)
     @given(tokens_strategy)

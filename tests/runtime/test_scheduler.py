@@ -4,22 +4,28 @@ Covers the engine in isolation (policy, watermark, token budget, lane
 lifecycle), the runner integration (byte-identity to sequential,
 deterministic step composition, priority/deadline policy), the hypothesis
 property suite over randomized pipelines, the mixed-priority stress run,
-and the starvation regression for lanes that die before their first
-submit.
+the starvation regression for lanes that die before their first submit,
+the step-error regression (a lookup or task that raises inside a step
+fails only its own request), and the targeted lane hand-off (a lane is
+woken only when its own call has finished).
 """
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GEN, Pipeline
+from repro.core import GEN, RETRY, Condition, Pipeline
 from repro.core.state import ExecutionState
 from repro.data import make_tweet_corpus
-from repro.errors import ModelError
+from repro.errors import ModelError, TransientModelError
 from repro.llm.model import SimulatedLLM
+from repro.llm.radix_cache import shared_prefix_tokens
 from repro.obs import ObsCollector
+from repro.resilience import RetryPolicy
+from repro.runtime import scheduler as scheduler_module
 from repro.runtime.batch import BatchRunner
 from repro.runtime.clock import VirtualClock
 from repro.runtime.events import EventKind
@@ -67,6 +73,35 @@ def _texts(batch):
         (r.context.get("summary"), r.context.get("verdict"))
         for r in batch.items
     ]
+
+
+def _fail_task_on(llm, marker):
+    """Make ``llm.execute_task`` raise for every prompt containing ``marker``."""
+    original = llm.execute_task
+
+    def execute_task(prompt, features, **kwargs):
+        if marker in prompt:
+            raise ValueError(f"task failed on {marker!r}")
+        return original(prompt, features, **kwargs)
+
+    llm.execute_task = execute_task
+
+
+def _run_bounded(fn, timeout=60):
+    """Run ``fn`` on a watchdog thread; a deadlock fails instead of hanging."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except Exception as error:  # noqa: BLE001 - inspected by the test
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "run deadlocked"
+    return outcome
 
 
 def _step_trace(engine):
@@ -591,6 +626,56 @@ class TestPrefixAware:
         triples = [(len(trunk) + 1, 0, 10), (len(trunk) + 1, 3 * block, 10)]
         assert engine._dedup_tokens(admitted, triples) == [0, 3 * block]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 4, 16]),
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=3), max_size=24),
+            min_size=1,
+            max_size=3,
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),  # trunk
+                st.integers(min_value=0, max_value=24),  # trunk cut
+                st.lists(st.integers(min_value=0, max_value=3), max_size=8),
+                st.integers(min_value=0, max_value=40),  # cached tokens
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_dedup_equals_pairwise_oracle(self, block_size, trunks, members):
+        """The one-pass trie dedup is the pairwise shared-prefix maximum
+        with any earlier member, capped at the member's cached tokens."""
+        model = SimpleNamespace(kv_cache=SimpleNamespace(block_size=block_size))
+        engine = GenScheduler(model)
+        admitted, triples = [], []
+        for lane, (trunk, cut, suffix, cached) in enumerate(members):
+            # Shared and diverging trunks, repeats of one prompt, and
+            # prompts shorter than a block all come out of this shape.
+            tokens = trunks[trunk % len(trunks)][:cut] + suffix
+            admitted.append(
+                SimpleNamespace(tokens=tokens, lane_id=lane, priority_rank=1)
+            )
+            triples.append((len(tokens), min(cached, len(tokens)), 1))
+        expected = [
+            min(
+                max(
+                    (
+                        shared_prefix_tokens(
+                            request.tokens, earlier.tokens, block_size
+                        )
+                        for earlier in admitted[:index]
+                    ),
+                    default=0,
+                ),
+                triples[index][1],
+            )
+            for index, request in enumerate(admitted)
+        ]
+        assert engine._dedup_tokens(admitted, triples) == expected
+
     def test_sched_events_carry_prefix_payload(self):
         state, runner, _ = self._run(n_items=8, workers=4)
         sched_events = state.events.of_kind(EventKind.SCHED)
@@ -793,6 +878,121 @@ class TestStarvationRegression:
         assert all(r.ok for r in batch.items if r not in batch.failures())
 
 
+class TestStepErrorRegression:
+    """A lookup or task that raises inside an engine step fails its own
+    request only: the error reaches that lane, every peer in the step
+    completes, and the queue drains.  Each run sits under a watchdog so
+    a regression fails instead of hanging the suite."""
+
+    def test_collect_mode_finishes_with_the_one_error(self):
+        state_seq, items = _build_state(n_items=8)
+        marker = items[5].text
+        assert [marker in item.text for item in items].count(True) == 1
+        _fail_task_on(state_seq.model, marker)
+        sequential = BatchRunner(
+            state_seq, bind=_bind_tweet, on_error="collect"
+        ).run(_pipeline(), items=items)
+
+        state_par, items_par = _build_state(n_items=8)
+        _fail_task_on(state_par.model, marker)
+        runner = ParallelBatchRunner(
+            state_par, bind=_bind_tweet, workers=4, on_error="collect"
+        )
+        outcome = _run_bounded(lambda: runner.run(_pipeline(), items=items_par))
+        batch = outcome["value"]
+        assert [i for i, r in enumerate(batch.items) if not r.ok] == [5]
+        assert isinstance(batch.items[5].error, ValueError)
+        assert _texts(batch) == _texts(sequential)
+        assert runner.last_batcher.snapshot()["pending"] == 0
+
+    def test_raise_mode_finishes_and_raises_the_task_error(self):
+        state, items = _build_state(n_items=8)
+        _fail_task_on(state.model, items[5].text)
+        runner = ParallelBatchRunner(
+            state, bind=_bind_tweet, workers=4, on_error="raise"
+        )
+        outcome = _run_bounded(lambda: runner.run(_pipeline(), items=items))
+        assert isinstance(outcome.get("error"), ValueError)
+        assert "task failed" in str(outcome["error"])
+        assert runner.last_batcher.snapshot()["pending"] == 0
+
+    def test_lookup_error_delivered_to_its_lane_only(self):
+        llm = SimulatedLLM("qwen2.5-7b-instruct")
+        llm.bind_tweets(make_tweet_corpus(8, seed=7))
+        prompts = [
+            "Summarize the tweet.\nTweet:\nso tired of delays",
+            "Summarize the tweet.\nTweet:\nthe trains are late again",
+        ]
+        poisoned = llm.prepare(prompts[1])[0]
+        lookup = llm.kv_cache.lookup_and_insert
+
+        def lookup_or_boom(tokens):
+            if list(tokens) == poisoned:
+                raise RuntimeError("kv lookup failed")
+            return lookup(tokens)
+
+        llm.kv_cache.lookup_and_insert = lookup_or_boom
+        engine = GenScheduler(llm)
+        lanes = [engine.open_lane(i, VirtualClock()) for i in range(2)]
+        outcome = {}
+
+        def worker(lane_id):
+            try:
+                outcome[lane_id] = lanes[lane_id].generate(prompts[lane_id])
+            except RuntimeError as error:
+                outcome[lane_id] = error
+            finally:
+                engine.close_lane(lane_id)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,), daemon=True)
+            for i in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive(), "engine step error deadlocked"
+        assert outcome[0].text
+        assert str(outcome[1]) == "kv lookup failed"
+        assert engine.snapshot()["pending"] == 0
+        [step] = engine.steps
+        assert [member.lane_id for member in step.members] == [0]
+
+
+class TestTargetedWakeups:
+    def test_no_lane_wakes_while_its_call_is_pending(self, monkeypatch):
+        """A lane's wait returns only once its own request is done: a
+        finished call wakes its own lane, never every waiting peer."""
+        current: dict[int, object] = {}
+        futile: list[int] = []
+
+        class RecordingRequest(scheduler_module._Request):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                current[threading.get_ident()] = self
+
+        class CountingCondition(threading.Condition):
+            def wait(self, timeout=None):
+                woken = super().wait(timeout)
+                request = current.get(threading.get_ident())
+                if request is not None and not request.done:
+                    futile.append(request.lane_id)
+                return woken
+
+        patched = SimpleNamespace(**vars(threading))
+        patched.Condition = CountingCondition
+        monkeypatch.setattr(scheduler_module, "threading", patched)
+        monkeypatch.setattr(scheduler_module, "_Request", RecordingRequest)
+
+        state, items = _build_state(n_items=64)
+        runner = ParallelBatchRunner(state, bind=_bind_tweet, workers=16)
+        batch = runner.run(_pipeline(), items=items)
+        assert len(batch.items) == 64 and not batch.failures()
+        assert len(current) == 16  # every lane submitted through the probe
+        assert futile == []
+
+
 class TestExecutorIntegration:
     def test_single_lane_executor_byte_identical(self):
         from repro.runtime.executor import Executor
@@ -817,6 +1017,44 @@ class TestExecutorIntegration:
         kinds = [e.kind for e in sched.events]
         assert EventKind.SCHED in kinds
         assert EventKind.SCHED not in [e.kind for e in plain.events]
+
+    def test_single_lane_retry_after_step_error(self):
+        """A caught step error leaves no stale pending call behind: the
+        lane's next GEN (here, the retry) runs normally."""
+        from repro.runtime.executor import Executor
+
+        def run(scheduler, flaky):
+            llm = SimulatedLLM("qwen2.5-7b-instruct")
+            llm.bind_tweets(make_tweet_corpus(4, seed=3))
+            if flaky:
+                execute_task = llm.execute_task
+                calls = []
+
+                def first_call_fails(prompt, features, **kwargs):
+                    calls.append(prompt)
+                    if len(calls) == 1:
+                        raise TransientModelError("engine hiccup")
+                    return execute_task(prompt, features, **kwargs)
+
+                llm.execute_task = first_call_fails
+            executor = Executor(
+                options=RuntimeOptions(model=llm, scheduler=scheduler)
+            )
+            state = executor.new_state(
+                context={"tweet": "the trains are late again, awful"}
+            )
+            state.prompts.create("map", MAP_PROMPT)
+            retry = RETRY(
+                GEN("summary", prompt="map"),
+                Condition.of(lambda state: False, "never"),
+                policy=RetryPolicy(max_attempts=2, jitter=0.0),
+            )
+            return executor.run(Pipeline([retry]), state=state)
+
+        plain = run(False, flaky=False)
+        sched = _run_bounded(lambda: run(True, flaky=True))
+        assert "error" not in sched, sched.get("error")
+        assert sched["value"].output("summary") == plain.output("summary")
 
     def test_refinement_loop_marks_iterations_bulk(self):
         from repro.core import REF, RefAction
