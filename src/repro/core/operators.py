@@ -50,11 +50,6 @@ def _context_reads_for_template(
     return tuple(reads.items())
 
 
-def _model_cache_key(model: Any) -> str:
-    """Identity of the model backend for result-cache fingerprints."""
-    key = getattr(model, "result_cache_key", None)
-    return key if key is not None else f"id:{id(model):x}"
-
 __all__ = ["RET", "GEN", "REF", "CHECK", "MERGE", "DELEGATE"]
 
 #: A refinement function: (state, current_text) → new_text.  Plain strings
@@ -191,7 +186,8 @@ class GEN(Operator):
         then latency/cached-token signals depend on kv-cache state that is
         not part of the declared inputs, and replay could diverge from a
         live re-execution.  Disable ``enable_prefix_cache`` to combine the
-        tiers deterministically in simulation.
+        tiers deterministically in simulation.  Also opts out for a model
+        without a ``result_cache_key``, which names the backend by content.
         """
         model = state.model
         if model is None or self.prompt_key not in state.prompts:
@@ -202,11 +198,16 @@ class GEN(Operator):
             # Fault decisions are attempt-indexed: re-running the same call
             # can fail differently, so GEN under injection is not pure.
             return None
+        # A backend that cannot name itself by content is not cached: an
+        # ``id()`` is reused once its object is freed.
+        model_key = getattr(model, "result_cache_key", None)
+        if model_key is None:
+            return None
         entry = state.prompts[self.prompt_key]
         return Footprint(
             operator=self.label,
             identity=self._identity,
-            model_key=_model_cache_key(model),
+            model_key=model_key,
             prompt_deps=(
                 (
                     self.prompt_key,

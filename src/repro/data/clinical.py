@@ -18,8 +18,10 @@ that pipeline exercises:
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "ClinicalNote",
@@ -120,6 +122,12 @@ class ClinicalCorpus:
             for patient in self.patients
             for note in patient.notes
         }
+
+    @cached_property
+    def content_digest(self) -> str:
+        """Digest of every patient chart (see ``TweetCorpus.content_digest``)."""
+        payload = "\n".join(map(repr, self.patients)).encode("utf-8")
+        return hashlib.sha256(payload).hexdigest()[:16]
 
     def __len__(self) -> int:
         return len(self.patients)

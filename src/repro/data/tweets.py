@@ -19,8 +19,10 @@ latency the paper observes.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["Tweet", "TweetCorpus", "make_tweet_corpus"]
 
@@ -57,6 +59,18 @@ class TweetCorpus:
         self.by_clean_text: dict[str, Tweet] = {
             tweet.clean_text: tweet for tweet in tweets
         }
+
+    @cached_property
+    def content_digest(self) -> str:
+        """Digest of every tweet, equal for equal corpora in any process.
+
+        Result-cache keys name a bound corpus by this, never by ``id()``:
+        a freed corpus's address can come back for one with other tweets.
+        Computed once: a corpus is not mutated after construction (its
+        lookup indexes are built once too).
+        """
+        payload = "\n".join(map(repr, self.tweets)).encode("utf-8")
+        return hashlib.sha256(payload).hexdigest()[:16]
 
     def __len__(self) -> int:
         return len(self.tweets)

@@ -7,6 +7,13 @@ that premise operational: a prompt string is parsed into a
 :class:`PromptFeatures` record, and :mod:`repro.llm.quality` maps features
 to a per-item error probability.  Refinements therefore matter exactly the
 way the paper assumes, in a fully deterministic and inspectable way.
+
+:func:`extract_features` answers ASCII text by substring tests on one
+lowered copy, running a regex only where a literal it needs is present.
+There ``re.IGNORECASE`` and ``str.lower()`` fold alike; elsewhere they do
+not (``ſ`` matches ``s`` case-insensitively but does not lower to it), so
+any other text takes :func:`_regex_features`, the regex definition and the
+oracle the fast path is tested against (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -58,6 +65,15 @@ _WORD_LIMIT_RE = re.compile(
     r"(at most|no more than|under|within|fewer than|limit[^.]{0,20})\s+\d+\s+words?",
     re.IGNORECASE,
 )
+#: Literals one of which any ``_WORD_LIMIT_RE`` match contains (besides "word").
+_WORD_LIMIT_HEADS = (
+    "at most",
+    "no more than",
+    "under",
+    "within",
+    "fewer than",
+    "limit",
+)
 
 _EXAMPLE_MARKERS = ("example:", "for example", "e.g.", "examples:")
 
@@ -66,6 +82,14 @@ _CRITERIA_MARKER_RE = re.compile(r"criteria", re.IGNORECASE)
 _GUIDANCE_MARKER_RE = re.compile(r"general guidance", re.IGNORECASE)
 
 _HINT_RE = re.compile(r"focus on|pay attention to|be specific about|emphasi[sz]e", re.IGNORECASE)
+#: ``_HINT_RE``'s alternatives spelled out, for substring tests.
+_HINT_MARKERS = (
+    "focus on",
+    "pay attention to",
+    "be specific about",
+    "emphasise",
+    "emphasize",
+)
 
 _ADAPTIVE_RE = re.compile(r"\bhint:", re.IGNORECASE)
 
@@ -149,6 +173,55 @@ _STAGE_GROUPS = (
 
 def extract_features(text: str) -> PromptFeatures:
     """Parse ``text`` into a :class:`PromptFeatures` record."""
+    if not text.isascii():
+        return _regex_features(text)
+    # ASCII: ``IGNORECASE`` folds exactly as ``lower()`` does, so a literal
+    # marker is a substring test on ``lowered`` at the same offsets.
+    lowered = text.lower()
+
+    found_verbs = {verb for verb in _INSTRUCTION_VERBS if verb in lowered}
+    task_count = sum(1 for group in _STAGE_GROUPS if group & found_verbs)
+
+    hint_terms = tuple(sorted(term for term in TOPIC_TERMS if term in lowered))
+
+    criteria_at = lowered.find("criteria")
+    if criteria_at < 0:
+        criteria_count = 0
+    else:
+        criteria_count = min(len(_BULLET_LINE_RE.findall(text[criteria_at + 8 :])), 6)
+
+    # The regexes run only where a literal every match contains is present.
+    hint_at = lowered.find("hint:")
+    return PromptFeatures(
+        has_instruction=bool(found_verbs),
+        has_sentiment_terms=(
+            "negative" in lowered or "positive" in lowered or "sentiment" in lowered
+        ),
+        has_focus_hint=any(marker in lowered for marker in _HINT_MARKERS),
+        has_adaptive_hint=hint_at >= 0 and bool(_ADAPTIVE_RE.search(text, hint_at)),
+        has_examples=any(marker in lowered for marker in _EXAMPLE_MARKERS),
+        has_output_format=any(marker in lowered for marker in _FORMAT_MARKERS),
+        has_word_limit=(
+            "word" in lowered
+            and any(head in lowered for head in _WORD_LIMIT_HEADS)
+            and bool(_WORD_LIMIT_RE.search(text))
+        ),
+        has_reasoning=any(marker in lowered for marker in _REASONING_MARKERS),
+        has_guidance="general guidance" in lowered,
+        criteria_count=criteria_count,
+        has_view_structure=("### task" in lowered or "## task" in lowered),
+        task_count=task_count,
+        hint_terms=hint_terms,
+        word_count=len(text.split()),
+    )
+
+
+def _regex_features(text: str) -> PromptFeatures:
+    """The definition: every pattern searched case-insensitively over ``text``.
+
+    :func:`extract_features` answers ASCII text without it; this is the
+    path for any other text and the oracle the fast path is tested against.
+    """
     lowered = text.lower()
 
     found_verbs = {verb for verb in _INSTRUCTION_VERBS if verb in lowered}

@@ -110,18 +110,18 @@ class SimulatedLLM:
         """Backend identity for operator-result-cache fingerprints.
 
         Generation is deterministic given (profile, bound corpora,
-        prompt), so the key is the profile plus the identities of the
-        bound corpora: two models grounded against the same corpus
-        objects produce identical outputs and may share cache entries
-        (e.g. a fresh executor per refinement iteration); models bound to
-        different corpora never alias.
+        prompt), so the key is the profile plus the content digests of the
+        bound corpora: two models grounded against equal corpora produce
+        identical outputs and may share cache entries (e.g. a fresh
+        executor per refinement iteration, or a rebuilt corpus); models
+        bound to different corpora never alias, whatever their addresses.
         """
         engine = self.engine
         parts = [self.profile.name]
         for attr in ("_tweets", "_clinical"):
             corpus = getattr(engine, attr, None)
             if corpus is not None:
-                parts.append(f"{attr.lstrip('_')}:{id(corpus):x}")
+                parts.append(f"{attr.lstrip('_')}:{corpus.content_digest}")
         return "/".join(parts)
 
     # -- observability hooks ----------------------------------------------

@@ -1,5 +1,11 @@
 """Tests for prompt feature extraction."""
 
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.llm import features as features_module
 from repro.llm.features import PromptFeatures, extract_features
 
 
@@ -92,3 +98,110 @@ class TestFingerprint:
         features_1 = PromptFeatures(has_instruction=True, word_count=5)
         features_2 = PromptFeatures(has_instruction=True, word_count=5)
         assert features_1.fingerprint() == features_2.fingerprint()
+
+
+# -- the ASCII fast path against the regex definition -------------------------
+
+oracle = features_module._regex_features
+
+#: Every literal and regex alternative the extractor looks for.
+WHOLE_MARKERS = (
+    *features_module._INSTRUCTION_VERBS,
+    *features_module._REASONING_MARKERS,
+    *features_module._FORMAT_MARKERS,
+    *features_module._EXAMPLE_MARKERS,
+    *features_module.TOPIC_TERMS,
+    *("negative", "positive", "sentiment", "### task", "## task"),
+    # the regexes' literals, spelled out here rather than taken from the
+    # fast path's tables so that a slip in those is caught
+    *("focus on", "pay attention to", "be specific about"),
+    *("emphasise", "emphasize", "emphasi"),
+    *("at most", "no more than", "under", "within", "fewer than", "limit"),
+    *("criteria", "general guidance", "hint:", "words", "word"),
+)
+
+
+def _cut_at_every_offset(marker: str) -> list[str]:
+    return [marker[:i] for i in range(1, len(marker))] + [
+        marker[i:] for i in range(1, len(marker))
+    ]
+
+
+ASCII_PIECES = sorted(
+    {
+        piece
+        for marker in WHOLE_MARKERS
+        for piece in (
+            marker,
+            marker.upper(),
+            marker.title(),
+            *_cut_at_every_offset(marker),
+        )
+    }
+    | {
+        # bullets after "criteria", including ones that do not count
+        *("\n- a", "\n* b", "\n1. c", "\n2) d", "\n  - e", "\n-", "\n-x"),
+        # digit and whitespace runs around "words"
+        *(" ", "  ", "\t", "\n", "\n\n", "\x0b", "\x1f", " " * 15),
+        *("7", "42", "0" * 12),
+        *(" 30 words", " 5 word", "12\t\nwords"),
+        *("limit" + "y" * 20, "limit." + "x" * 5),
+        # ``\bhint:`` at a word start and mid-word
+        *("Hint:", "xhint:", "_hint:", "9hint:", "-hint:"),
+        *(".", ":", "-", "_", "#", "'", "a", "Zq"),
+    }
+)
+
+#: Non-ASCII text, some of which ``re.IGNORECASE`` folds onto ASCII letters.
+FOLDS = (
+    *("\u017f", "\u212a", "\u0130", "\u00df"),
+    *("focu\u017f on", "thin\u212a carefully", "cr\u0130ter\u0130a"),
+    *("emphasi\u017fe", "\u0130nt: ", "general guidance\u00df"),
+)
+
+
+def _spied():
+    return mock.patch.object(features_module, "_regex_features", wraps=oracle)
+
+
+class TestLiteralFastPath:
+    def test_every_marker_cut_at_every_offset(self):
+        for piece in ASCII_PIECES:
+            for text in (
+                piece,
+                f"x{piece}y",
+                f"hint: {piece}\n- z",
+                f"criteria {piece} 3 words",
+                f"{piece} 1 word",
+            ):
+                assert extract_features(text) == oracle(text), text
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(st.sampled_from(ASCII_PIECES), max_size=16).map("".join))
+    def test_ascii_text_takes_the_fast_path_and_equals_the_definition(self, text):
+        with _spied() as spy:
+            got = extract_features(text)
+        assert not spy.called
+        assert got == oracle(text)
+        assert got.fingerprint() == oracle(text).fingerprint()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(ASCII_PIECES), max_size=8).map("".join),
+        st.sampled_from(FOLDS),
+        st.lists(st.sampled_from(ASCII_PIECES), max_size=8).map("".join),
+    )
+    def test_non_ascii_text_takes_the_definition(self, before, fold, after):
+        text = before + fold + after
+        with _spied() as spy:
+            got = extract_features(text)
+        spy.assert_called_once_with(text)
+        assert got == oracle(text)
+
+    def test_folds_are_why_only_ascii_takes_the_fast_path(self):
+        # The definition sees these markers; a ``lower()`` copy would not.
+        for text in ("focu\u017f on", "cr\u0130ter\u0130a:\n- a"):
+            assert "focus on" not in text.lower()
+            assert "criteria" not in text.lower()
+        assert extract_features("focu\u017f on").has_focus_hint
+        assert extract_features("cr\u0130ter\u0130a:\n- a").criteria_count == 1

@@ -141,13 +141,23 @@ class TestResultCacheKey:
         # Same profile + same corpus object => interchangeable backends.
         assert first.result_cache_key == second.result_cache_key
 
-    def test_different_corpus_objects_never_alias(self, tweet_corpus):
+    def test_equal_corpus_contents_alias(self, tweet_corpus):
         from repro.data import make_tweet_corpus
 
         first = SimulatedLLM("qwen2.5-7b-instruct")
         second = SimulatedLLM("qwen2.5-7b-instruct")
         first.bind_tweets(tweet_corpus)
+        # A rebuilt corpus is another object with the same tweets.
         second.bind_tweets(make_tweet_corpus(60, seed=7))
+        assert first.result_cache_key == second.result_cache_key
+
+    def test_different_corpus_contents_never_alias(self, tweet_corpus):
+        from repro.data import make_tweet_corpus
+
+        first = SimulatedLLM("qwen2.5-7b-instruct")
+        second = SimulatedLLM("qwen2.5-7b-instruct")
+        first.bind_tweets(tweet_corpus)
+        second.bind_tweets(make_tweet_corpus(60, seed=11))
         assert first.result_cache_key != second.result_cache_key
 
     def test_different_profiles_never_alias(self, tweet_corpus):

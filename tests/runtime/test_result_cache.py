@@ -1,5 +1,6 @@
 """Tests for the operator-level result cache (version-precise invalidation)."""
 
+import gc
 import json
 
 import pytest
@@ -434,3 +435,53 @@ class TestFootprintMemos:
         (_key, _version, text_digest, _params), = after_text.prompt_deps
         assert text_digest == stable_digest(entry.text)
         assert after_text.digest != after_params.digest
+
+
+class TestBackendIdentity:
+    """Cache keys name the model's corpora by content, never by address."""
+
+    @staticmethod
+    def _one_gen_run(seed, tweet, cache):
+        llm = SimulatedLLM("qwen2.5-7b-instruct", enable_prefix_cache=False)
+        corpus = make_tweet_corpus(64, seed=seed)
+        llm.bind_tweets(corpus)
+        state = ExecutionState(model=llm, clock=llm.clock)
+        state.prompts.create("map_p", MAP_PROMPT)
+        state.context.put("tweet", tweet, producer="test")
+        result = _executor(state, cache).run(
+            Pipeline([GEN("summary", prompt="map_p")]), state=state
+        )
+        return repr(result.state.context["summary"]), id(corpus)
+
+    def test_a_reused_corpus_address_never_serves_another_corpus(self):
+        # One prompt for both seeds: grounded against the seed-7 corpus,
+        # unknown to the seed-11 one, so the two backends answer differently.
+        tweet = make_tweet_corpus(64, seed=7)[0].text
+        fresh = {
+            seed: self._one_gen_run(seed, tweet, ResultCache())[0]
+            for seed in (7, 11)
+        }
+        assert fresh[7] != fresh[11]
+
+        shared = ResultCache()
+        seen: dict[int, int] = {}  # corpus address -> seed last freed there
+        outputs = []
+        reused = False
+        for round_ in range(200):
+            seed = (7, 11)[round_ % 2]
+            output, address = self._one_gen_run(seed, tweet, shared)
+            gc.collect()  # the corpus is dropped with its run
+            outputs.append((seed, output))
+            reused |= seen.get(address, seed) != seed
+            seen[address] = seed
+            if reused:
+                break
+        assert reused, "no corpus address was reused across seeds"
+        assert all(output == fresh[seed] for seed, output in outputs)
+
+    def test_a_backend_without_a_content_key_is_not_cached(self):
+        state = _build_state()
+        gen = GEN("summary", prompt="map_p")
+        assert gen.footprint(state) is not None
+        state.model = object()  # no ``result_cache_key``
+        assert gen.footprint(state) is None
