@@ -6,14 +6,16 @@ every :class:`Operator` implements ``apply(state) → state``; ``a >> b``
 builds a :class:`~repro.core.pipeline.Pipeline`, which is itself an
 operator — closure under composition.
 
-``apply`` wraps the subclass hook ``_run`` with structured event emission
+``steps`` wraps the subclass body with structured event emission
 (operator_start / operator_end / error), so every pipeline execution is
-fully traceable through the event log (paper §6).
+fully traceable through the event log (paper §6).  It is a generator
+that yields each model call as a :class:`GenCall`; ``apply`` drives it
+to completion on the spot (the operator contract is in DESIGN.md §6).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Generator, NamedTuple
 
 from repro.core.state import ExecutionState
 from repro.errors import SpearError
@@ -23,7 +25,43 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.footprint import Footprint
     from repro.core.pipeline import Pipeline
 
-__all__ = ["Operator", "Condition", "FunctionOperator"]
+__all__ = ["Operator", "Condition", "FunctionOperator", "GenCall", "drive"]
+
+#: a step generator: yields model calls, is sent their results, returns a state.
+Steps = Generator["GenCall", Any, Any]
+
+
+class GenCall(NamedTuple):
+    """One model call: ``result = yield GenCall(...)`` in a step generator.
+
+    A driver sends the result back or throws the call's error in at the
+    yield, so a loop around the yield catches it like a direct call's.
+    """
+
+    model: Any
+    prompt: str
+    max_tokens: int | None = None
+    use_cache: bool | None = None
+
+    def answer(self) -> Any:
+        """Make the call directly on this thread."""
+        extra = {} if self.use_cache is None else {"use_cache": self.use_cache}
+        return self.model.generate(self.prompt, max_tokens=self.max_tokens, **extra)
+
+
+def drive(steps: Steps) -> Any:
+    """Run a step generator to completion, answering every call directly."""
+    try:
+        call = next(steps)
+        while True:
+            try:
+                result = call.answer()
+            except Exception as error:  # noqa: BLE001 - raised at the yield
+                call = steps.throw(error)
+            else:
+                call = steps.send(result)
+    except StopIteration as stop:
+        return stop.value
 
 
 class Operator:
@@ -34,6 +72,11 @@ class Operator:
 
     def _run(self, state: ExecutionState) -> ExecutionState:
         raise NotImplementedError
+
+    def _steps(self, state: ExecutionState) -> Steps:
+        """The resumable body; by default the plain :meth:`_run`."""
+        return self._run(state)
+        yield  # unreachable: makes this a generator
 
     def footprint(self, state: ExecutionState) -> "Footprint | None":
         """The declared input set of this application, or None.
@@ -46,7 +89,11 @@ class Operator:
         return None
 
     def apply(self, state: ExecutionState) -> ExecutionState:
-        """Apply this operator to ``state``, with event tracing.
+        """Apply this operator to ``state``, answering every model call here."""
+        return drive(self.steps(state))
+
+    def steps(self, state: ExecutionState) -> Steps:
+        """This application as a step generator, with event tracing.
 
         When the state carries a result cache and this application
         declares a footprint, a cache hit replays the memoized ``(C, M)``
@@ -83,7 +130,7 @@ class Operator:
         recording = cache.recorder(state) if footprint is not None else None
         started = state.clock.now
         try:
-            result = self._run(state)
+            result = yield from self._steps(state)
         except SpearError as error:
             state.events.emit(
                 EventKind.ERROR,

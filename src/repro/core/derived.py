@@ -18,7 +18,7 @@ import difflib
 import hashlib
 from typing import Any, Callable, Mapping
 
-from repro.core.algebra import Condition, Operator, as_condition
+from repro.core.algebra import Condition, Operator, Steps, as_condition
 from repro.core.entry import RefAction, RefinementMode
 from repro.core.operators import REF
 from repro.core.state import ExecutionState
@@ -84,20 +84,16 @@ class RETRY(Operator):  # noqa: N801 - paper operator name
         self.policy = policy
         self.label = f"RETRY[{op.label}, {self.condition.text}]"
 
-    def _apply_once(
-        self, state: ExecutionState, attempt: int
-    ) -> ExecutionState | None:
+    def _apply_once(self, state: ExecutionState, attempt: int) -> Steps:
         """Apply ``op``; under a policy, absorb one retryable error.
 
         Returns the new state, or raises when the error is terminal (not
         retryable, or the budget after ``attempt`` is spent).
         """
-        if self.policy is None:
-            return self.op.apply(state)
         try:
-            return self.op.apply(state)
+            return (yield from self.op.steps(state))
         except SpearError as error:
-            if not (
+            if self.policy is None or not (
                 self.policy.retryable(error) and attempt < self.max_retries
             ):
                 raise
@@ -120,24 +116,24 @@ class RETRY(Operator):  # noqa: N801 - paper operator name
             state.clock.advance(delay)
             return None  # signal: retry the attempt
 
-    def _run(self, state: ExecutionState) -> ExecutionState:
+    def _steps(self, state: ExecutionState) -> Steps:
         attempts = 0
-        result = self._apply_once(state, attempts)
+        result = yield from self._apply_once(state, attempts)
         while result is None:  # error-retry path (policy only)
             attempts += 1
             state.metadata.increment("retries")
-            result = self._apply_once(state, attempts)
+            result = yield from self._apply_once(state, attempts)
         state = result
         while attempts < self.max_retries and self.condition(state):
             attempts += 1
             state.metadata.increment("retries")
             if self.refine is not None:
-                state = self.refine.apply(state)
-            result = self._apply_once(state, attempts)
+                state = yield from self.refine.steps(state)
+            result = yield from self._apply_once(state, attempts)
             while result is None:
                 attempts += 1
                 state.metadata.increment("retries")
-                result = self._apply_once(state, attempts)
+                result = yield from self._apply_once(state, attempts)
             state = result
         return state
 
@@ -164,7 +160,7 @@ class MAP(Operator):  # noqa: N801 - paper operator name
         self.function_name = getattr(f, "__name__", "f_map")
         self.label = f"MAP[{self.keys}, {self.function_name}]"
 
-    def _run(self, state: ExecutionState) -> ExecutionState:
+    def _steps(self, state: ExecutionState) -> Steps:
         for key in self.keys:
             ref = REF(
                 self.action,
@@ -173,7 +169,7 @@ class MAP(Operator):  # noqa: N801 - paper operator name
                 mode=self.mode,
                 function_name=self.function_name,
             )
-            state = ref.apply(state)
+            state = yield from ref.steps(state)
         return state
 
 
@@ -195,7 +191,7 @@ class SWITCH(Operator):  # noqa: N801 - paper operator name
         labels = ", ".join(cond.text for cond, __ in self.cases)
         self.label = f"SWITCH[{labels}]"
 
-    def _run(self, state: ExecutionState) -> ExecutionState:
+    def _steps(self, state: ExecutionState) -> Steps:
         for cond, op in self.cases:
             if cond(state):
                 state.events.emit(
@@ -205,9 +201,9 @@ class SWITCH(Operator):  # noqa: N801 - paper operator name
                     condition=cond.text,
                     outcome=True,
                 )
-                return op.apply(state)
+                return (yield from op.steps(state))
         if self.default is not None:
-            return self.default.apply(state)
+            return (yield from self.default.steps(state))
         return state
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Any, Callable, Collection, Iterable
 
-from repro.core.algebra import Condition, Operator, as_condition
+from repro.core.algebra import Condition, GenCall, Operator, Steps, as_condition
 from repro.core.entry import PromptEntry, RefAction, RefinementMode
 from repro.core.footprint import ABSENT, Footprint, stable_digest
 from repro.core.state import ExecutionState
@@ -222,16 +222,16 @@ class GEN(Operator):
             context_writes=(self.label_key, f"{self.label_key}__result"),
         )
 
-    def _run(self, state: ExecutionState) -> ExecutionState:
+    def _steps(self, state: ExecutionState) -> Steps:
         if state.model is None:
             raise OperatorError("GEN requires a model on the execution state")
         rendered = state.render_prompt(self.prompt_key, extra=self.extra)
         if state.resilience is not None:
-            result = state.resilience.generate(
+            result = yield from state.resilience.steps(
                 state, rendered, max_tokens=self.max_tokens
             )
         else:
-            result = state.model.generate(rendered, max_tokens=self.max_tokens)
+            result = yield GenCall(state.model, rendered, self.max_tokens)
 
         state.context.put(self.label_key, result.text, producer=self.label)
         state.context.put(
@@ -393,7 +393,7 @@ class CHECK(Operator):
         if isinstance(then, REF) and then.condition is None:
             then.condition = self.cond.text
 
-    def _run(self, state: ExecutionState) -> ExecutionState:
+    def _steps(self, state: ExecutionState) -> Steps:
         outcome = self.cond(state)
         state.events.emit(
             EventKind.CHECK,
@@ -404,9 +404,9 @@ class CHECK(Operator):
         )
         state.metadata.increment("checks")
         if outcome and self.then is not None:
-            return self.then.apply(state)
+            return (yield from self.then.steps(state))
         if not outcome and self.orelse is not None:
-            return self.orelse.apply(state)
+            return (yield from self.orelse.steps(state))
         return state
 
 

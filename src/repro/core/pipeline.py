@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.core.algebra import Operator
+from repro.core.algebra import Operator, Steps
 from repro.core.state import ExecutionState
 
 __all__ = ["Pipeline"]
@@ -27,9 +27,9 @@ class Pipeline(Operator):
         inner = " -> ".join(op.label for op in self.operators) or "empty"
         return f"PIPELINE[{inner}]"
 
-    def _run(self, state: ExecutionState) -> ExecutionState:
+    def _steps(self, state: ExecutionState) -> Steps:
         for operator in self.operators:
-            state = operator.apply(state)
+            state = yield from operator.steps(state)
         return state
 
     def run(self, state: ExecutionState) -> ExecutionState:

@@ -54,7 +54,7 @@ def _chain_hash(prev: int, block: tuple[int, ...]) -> int:
 class BlockPrefixCache:
     """Hash-chained block prefix cache with LRU eviction.
 
-    Thread-safe: concurrent lookups/inserts from parallel worker lanes
+    Thread-safe: concurrent lookups/inserts from worker threads
     are serialized by one reentrant lock, so LRU order, stats, and the
     combined :meth:`lookup_and_insert` are atomic (no lost hits or
     double-counted evictions under contention) and :meth:`snapshot`

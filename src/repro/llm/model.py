@@ -81,7 +81,7 @@ class SimulatedLLM:
         self.enable_prefix_cache = enable_prefix_cache
         self.engine = TaskEngine(self.profile)
         # aggregate accounting across all calls; guarded by ``_lock`` so
-        # concurrent lanes (parallel batch runner / GEN scheduler) never
+        # concurrent worker threads (the serving layer's pool) never
         # lose an increment or drop a listener notification.
         self._lock = threading.RLock()
         self.calls = 0

@@ -45,7 +45,7 @@ class StructuredPromptCache:
     """LRU cache of rendered prompt texts keyed by view/params/version.
 
     Thread-safe: lookups, inserts, and invalidation from concurrent
-    worker lanes are serialized by one reentrant lock, so hit/miss
+    worker threads are serialized by one reentrant lock, so hit/miss
     accounting never races.
     """
 

@@ -99,8 +99,8 @@ class RadixPrefixCache:
     ``lookup_and_insert`` / ``snapshot`` / ``clear`` contract and stats
     semantics, plus :meth:`pin` / :meth:`unpin` for scheduler trunk
     protection.  Thread-safe under one reentrant lock, like the chain
-    cache: lookups, inserts, pins, and snapshots from parallel worker
-    lanes are atomic.
+    cache: lookups, inserts, pins, and snapshots from concurrent worker
+    threads are atomic.
     """
 
     def __init__(

@@ -15,8 +15,8 @@ dashboard expect:
 
 Everything is plain Python on the virtual-clock timeline: deterministic,
 dependency-free, and cheap enough for the hot path.  Instruments and the
-registry are thread-safe: concurrent worker lanes (the parallel batch
-runner and GEN scheduler) update them without losing increments or
+registry are thread-safe: concurrent worker threads (the serving
+layer's pool) update them without losing increments or
 observations.
 """
 

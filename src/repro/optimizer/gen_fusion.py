@@ -21,7 +21,7 @@ Two pieces implement that here:
 
 from __future__ import annotations
 
-from repro.core.algebra import Operator
+from repro.core.algebra import GenCall, Operator, Steps
 from repro.core.operators import GEN
 from repro.core.pipeline import Pipeline
 from repro.core.state import ExecutionState
@@ -66,7 +66,7 @@ class FusedGen(Operator):
         labels = ", ".join(label for label, __ in specs)
         self.label = f"FUSED_GEN[{labels}]"
 
-    def _run(self, state: ExecutionState) -> ExecutionState:
+    def _steps(self, state: ExecutionState) -> Steps:
         if state.model is None:
             raise OperatorError("FUSED_GEN requires a model on the execution state")
         rendered = [
@@ -79,7 +79,7 @@ class FusedGen(Operator):
             sections.append(f"{SECTION_MARKER} {index + 1}:\n{remainder}")
         combined = "\n".join(([prefix] if prefix else []) + sections)
 
-        result = state.model.generate(combined, max_tokens=self.max_tokens)
+        result = yield GenCall(state.model, combined, self.max_tokens)
         parts = result.extras.get("sections")
         if parts is None or len(parts) != len(self.specs):
             raise FusionError(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.algebra import Operator
+from repro.core.algebra import Operator, Steps
 from repro.core.state import ExecutionState
 from repro.llm.features import extract_features
 from repro.llm.profiles import ModelProfile
@@ -92,7 +92,7 @@ class PredictiveRefine(Operator):
         self.threshold = threshold
         self.label = f'PREDICT["{prompt_key}", risk>{threshold}]'
 
-    def _run(self, state: ExecutionState) -> ExecutionState:
+    def _steps(self, state: ExecutionState) -> Steps:
         risk = self.risk_model.predict(state, self.prompt_key)
         state.metadata.set("predicted_risk", risk)
         state.events.emit(
@@ -109,6 +109,6 @@ class PredictiveRefine(Operator):
                 if not isinstance(self._refinement, Operator)
                 else self._refinement
             )
-            state = refinement.apply(state)
+            state = yield from refinement.steps(state)
             state.metadata.increment("predictive_refinements")
         return state

@@ -19,7 +19,7 @@ on the state's log, feeding the obs metric families and the
 ``resilience`` section of :class:`~repro.obs.report.RunReport`.
 
 Byte-identity guarantee: when no fault fires, a call takes the exact
-code path a resilience-free run takes — one ``model.generate`` — with
+code path a resilience-free run takes — one model call — with
 no extra events, metadata writes, or clock charges.  Attaching a
 runtime while injection is disabled therefore leaves outputs
 byte-identical to the vanilla baseline (the fault-tolerance benchmark
@@ -32,6 +32,7 @@ import hashlib
 import threading
 from typing import TYPE_CHECKING, Any
 
+from repro.core.algebra import GenCall, drive
 from repro.errors import CircuitOpenError, SpearError
 from repro.errors import TimeoutError as SpearTimeoutError
 from repro.resilience.faults import unit_draw
@@ -45,6 +46,7 @@ from repro.resilience.policies import (
 from repro.runtime.events import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.algebra import Steps
     from repro.core.state import ExecutionState
     from repro.llm.model import GenerationResult
 
@@ -131,13 +133,15 @@ class ResilienceRuntime:
     # -- the generate path ----------------------------------------------------
 
     def generate(
-        self,
-        state: "ExecutionState",
-        prompt: str,
-        *,
-        max_tokens: int | None = None,
+        self, state: "ExecutionState", prompt: str, *, max_tokens: int | None = None
     ) -> "GenerationResult":
-        """Run one generation call under the configured policies.
+        """Run one generation call under the policies; see :meth:`steps`."""
+        return drive(self.steps(state, prompt, max_tokens=max_tokens))
+
+    def steps(
+        self, state: "ExecutionState", prompt: str, *, max_tokens: int | None = None
+    ) -> "Steps":
+        """One generation call under the policies, as a step generator.
 
         Tries the primary model (``state.model``) with retries and its
         breaker, then each fallback target in order.  Raises the last
@@ -147,7 +151,7 @@ class ResilienceRuntime:
         digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:24]
         last_error: BaseException | None = None
 
-        result = self._run_model_tier(
+        result = yield from self._run_model_tier(
             state, primary, _model_label(primary), prompt, digest,
             max_tokens=max_tokens, foreign_clock=False,
         )
@@ -162,7 +166,7 @@ class ResilienceRuntime:
                     state, target, prompt, failed=last_error
                 )
             model = self._fallback_model(target.profile, primary)
-            outcome = self._run_model_tier(
+            outcome = yield from self._run_model_tier(
                 state, model, target.profile, prompt, digest,
                 max_tokens=max_tokens, foreign_clock=True,
             )
@@ -187,7 +191,7 @@ class ResilienceRuntime:
         *,
         max_tokens: int | None,
         foreign_clock: bool,
-    ) -> "GenerationResult | BaseException":
+    ) -> "Steps":
         """One tier's attempt loop; returns a result or the last error.
 
         ``foreign_clock=True`` marks a fallback backend with its own
@@ -225,7 +229,7 @@ class ResilienceRuntime:
 
             started = state.clock.now
             try:
-                result = model.generate(prompt, max_tokens=max_tokens)
+                result = yield GenCall(model, prompt, max_tokens)
             except SpearError as error:
                 last_error = error
                 self._note_failure(

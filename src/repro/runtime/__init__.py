@@ -1,6 +1,6 @@
 """SPEAR runtime: executor, events, shadow execution, replay, KV backends."""
 
-from repro.runtime.clock import LaneClockGroup, VirtualClock
+from repro.runtime.clock import VirtualClock
 from repro.runtime.events import Event, EventKind, EventLog
 from repro.runtime.executor import Executor, RunResult
 from repro.runtime.kvstore import (
@@ -28,7 +28,6 @@ from repro.runtime.shadow import ShadowReport, compare_states, shadow_run
 
 __all__ = [
     "VirtualClock",
-    "LaneClockGroup",
     "Event",
     "EventKind",
     "EventLog",

@@ -8,25 +8,23 @@ benchmarks (pytest-benchmark) additionally time the harness itself.
 
 Concurrency-aware time: a sequential run owns one :class:`VirtualClock`,
 so elapsed time is the *sum* of charges.  A parallel run instead gives
-each worker lane its own clock via a :class:`LaneClockGroup`; lanes charge
-independently and the group's ``now`` is the *max* over lanes — simulated
-elapsed reflects overlap, not serialization.  All clocks are thread-safe.
+each lane its own clock; lanes charge independently and the batch ends
+at the *max* over lanes — simulated elapsed reflects overlap, not
+serialization.
 """
 
 from __future__ import annotations
 
 import threading
 
-__all__ = ["VirtualClock", "LaneClockGroup"]
+__all__ = ["VirtualClock"]
 
 
 class VirtualClock:
     """Monotonic simulated clock, advanced explicitly by cost charges.
 
     Thread-safe: concurrent ``advance`` calls never lose a charge (the
-    parallel batch runner advances lane clocks from worker threads, and a
-    micro-batch flush advances several lanes from whichever thread runs
-    the flush).
+    serving layer's worker threads may charge one clock).
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -68,58 +66,3 @@ class VirtualClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self._now:.6f})"
-
-
-class LaneClockGroup:
-    """Per-lane virtual clocks merged by max.
-
-    Each worker lane of a parallel batch run charges latency to its own
-    :class:`VirtualClock`, all starting at the group's ``start``.  The
-    group's ``now`` is the maximum over its lanes — the simulated time at
-    which the last lane finishes — so a batch's elapsed time models true
-    overlap: N items on W lanes cost ~N/W item-times, not N.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        self.start = float(start)
-        self._lanes: list[VirtualClock] = []
-        self._lock = threading.Lock()
-
-    def spawn(self) -> VirtualClock:
-        """Create (and track) one lane clock starting at ``start``."""
-        lane = VirtualClock(self.start)
-        with self._lock:
-            self._lanes.append(lane)
-        return lane
-
-    @property
-    def lanes(self) -> list[VirtualClock]:
-        """The lane clocks, in spawn order."""
-        with self._lock:
-            return list(self._lanes)
-
-    @property
-    def now(self) -> float:
-        """Merged time: the max over lane clocks (``start`` when empty)."""
-        with self._lock:
-            if not self._lanes:
-                return self.start
-            return max(lane.now for lane in self._lanes)
-
-    @property
-    def elapsed(self) -> float:
-        """Simulated seconds since the group started."""
-        return self.now - self.start
-
-    @property
-    def serialized_elapsed(self) -> float:
-        """Sum of per-lane elapsed times — what a sequential run would pay."""
-        with self._lock:
-            return sum(lane.now - self.start for lane in self._lanes)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._lanes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LaneClockGroup(lanes={len(self)}, now={self.now:.6f})"

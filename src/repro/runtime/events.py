@@ -68,7 +68,7 @@ class EventLog:
     """Append-only event sink with query helpers.
 
     Thread-safe: ``record``/``emit``, ``subscribe``/``unsubscribe``, and
-    the query helpers may be called from concurrent worker lanes.  One
+    the query helpers may be called from concurrent worker threads.  One
     reentrant lock serializes appends, so sequence numbers are unique and
     subscribers see a totally ordered stream (a subscriber that records
     back into the same log from its callback re-enters safely).
@@ -133,20 +133,21 @@ class EventLog:
         The parallel batch runner records per-lane events into private
         lane logs (so concurrent lanes never interleave span brackets),
         then folds each lane's stream into the base log when the run
-        completes.  Kind, operator, timestamp and payload are preserved;
-        subscribers are notified exactly as for live records.  Returns
-        the renumbered events.
+        completes.  Kind, operator, timestamp and payload (copied) are
+        preserved; subscribers are notified exactly as for live records.
+        Returns the renumbered events.
         """
         with self._lock:
-            return [
-                self.record(
-                    event.kind,
-                    event.operator,
-                    at=event.at,
-                    payload=event.payload,
+            counter, appended = self._counter, []
+            for event in events:
+                new = Event(
+                    next(counter), event.kind, event.operator, event.at,
+                    dict(event.payload) if event.payload else {},
                 )
-                for event in events
-            ]
+                self._events.append(new)
+                self._notify(self._subscribers, new, fanout_errors=True)
+                appended.append(new)
+            return appended
 
     def _notify(
         self,

@@ -7,32 +7,28 @@ engine for the reproduction:
 
 - items are assigned **round-robin** to ``workers`` lanes (lane ``i``
   runs items ``i, i+W, i+2W, …``), so the item→lane mapping is a pure
-  function of the workload, independent of thread timing;
-- each lane is a real thread with its **own virtual clock** (spawned
-  from a :class:`~repro.runtime.clock.LaneClockGroup`) and its own
-  private event log, so span brackets never interleave across threads;
-- generation calls route through the event-driven
-  :class:`~repro.runtime.scheduler.GenScheduler`: batches
-  form on token-budget and virtual-clock timeout watermarks, a
-  priority-class + deadline policy orders admission
-  (``RuntimeOptions(scheduler=…, priority=…, deadline_s=…)``), and each
-  lane's clock advances to its *own* completion instead of the
-  slowest peer's — continuous flow, not a barrier.  The engine is
-  configured in one place, ``RuntimeOptions(scheduler=SchedulerConfig(...))``;
-  ``SchedulerConfig(max_batch=1)`` gives every call its own engine step.
-- admission is **prefix-aware**: requests whose tokenized prompts share
-  a structured-prompt trunk (``SchedulerConfig.prefix_group_blocks``
-  leading cache blocks) are grouped into the same engine step, their
-  trunks are pinned in the radix prefix cache for the step's duration,
-  and the shared trunk's prefill is charged once per step rather than
-  once per request (``SchedulerConfig.prefix_dedup``).
+  function of the workload;
+- each lane is a resumable computation on the calling thread — a
+  generator over its items' :meth:`~repro.core.algebra.Operator.steps`
+  — with its **own virtual clock** and its own private event log, so
+  span brackets never interleave across lanes;
+- a lane runs until it yields a model call on its lane model, which
+  parks it on the :class:`~repro.runtime.scheduler.GenScheduler`.  Once
+  every open lane is parked the engine steps, and the lanes whose calls
+  finished resume in lane order.  A call to any other model (a
+  resilience fallback backend) is answered on the spot.  The engine's
+  admission policy, prefix grouping and step pricing are described in
+  :mod:`repro.runtime.scheduler` and configured in one place,
+  ``RuntimeOptions(scheduler=SchedulerConfig(...), priority=…,
+  deadline_s=…)``.
 
 Determinism: item outputs are produced by the model's deterministic task
 engine from the prompt alone, engine-step composition is a pure function
 of the workload's virtual-clock state (quiescence admission, see
-:mod:`repro.runtime.scheduler`), and item→lane assignment is static — so
-per-item outputs are identical to the sequential
-:class:`~repro.runtime.batch.BatchRunner`'s, run after run.
+:mod:`repro.runtime.scheduler`), item→lane assignment is static and the
+lanes run in a fixed order — so per-item outputs are identical to the
+sequential :class:`~repro.runtime.batch.BatchRunner`'s, and the step
+trace repeats exactly, run after run.
 
 After the run, each lane's event stream is folded into the base state's
 log bracketed by ``LANE[i]`` spans, the engine's step trace is folded as
@@ -42,7 +38,8 @@ clock is advanced to the merged lane time.
 
 from __future__ import annotations
 
-import threading
+from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.runtime.batch import (
@@ -51,7 +48,7 @@ from repro.runtime.batch import (
     collect_item_result,
     emit_batch_event,
 )
-from repro.runtime.clock import LaneClockGroup
+from repro.runtime.clock import VirtualClock
 from repro.runtime.events import EventKind, EventLog
 from repro.runtime.executor import strict_check
 from repro.runtime.scheduler import (
@@ -81,8 +78,8 @@ class ParallelBatchRunner:
     ``bind`` / ``on_error`` contract plus:
 
     Args:
-        workers: number of worker lanes (threads).  The effective lane
-            count is ``min(workers, len(items))``.
+        workers: number of lanes.  The effective lane count is
+            ``min(workers, len(items))``.
         options: shared :class:`~repro.runtime.options.RuntimeOptions`;
             its ``scheduler`` configures the
             :class:`~repro.runtime.scheduler.GenScheduler` (``None`` /
@@ -244,8 +241,8 @@ class ParallelBatchRunner:
 
         lanes = min(self.workers, len(items))
         base = self.base_state
-        clock_group = LaneClockGroup(base.clock.now)
-        lane_clocks = [clock_group.spawn() for _ in range(lanes)]
+        start = base.clock.now
+        lane_clocks = [VirtualClock(start) for _ in range(lanes)]
         lane_logs = [EventLog() for _ in range(lanes)]
 
         cache = base.result_cache
@@ -269,20 +266,20 @@ class ParallelBatchRunner:
 
         results: list[Any] = [None] * len(items)
         errors: list[tuple[int, Exception]] = []
-        errors_lock = threading.Lock()
-        stop = threading.Event()
+        stopped = False
 
-        def lane_worker(lane_id: int) -> None:
+        def lane_steps(lane_id: int) -> Any:
             # Everything — including this setup — runs under the finally
             # that closes the lane: a lane that dies between open_lane
             # and its first submit must still shrink the admission set,
-            # or peers would wait forever on its pending call.
+            # or its peers would never reach quiescence.
+            nonlocal stopped
             try:
                 lane_clock = lane_clocks[lane_id]
                 lane_log = lane_logs[lane_id]
                 lane_model = lane_models[lane_id]
                 for index in range(lane_id, len(items), lanes):
-                    if stop.is_set():
+                    if stopped:
                         break
                     item = items[index]
                     if batcher is not None:
@@ -303,58 +300,50 @@ class ParallelBatchRunner:
                         # bind runs inside the error policy, matching the
                         # sequential runner.
                         self.bind(item_state, item)
-                        item_state = pipeline.apply(item_state)
+                        item_state = yield from pipeline.steps(item_state)
                     except Exception as exc:  # noqa: BLE001 - routed by policy
                         error = exc
                         if self.on_error == "raise":
-                            with errors_lock:
-                                errors.append((index, exc))
-                            stop.set()
+                            errors.append((index, exc))
+                            stopped = True
                             break
                     results[index] = collect_item_result(
                         item, item_state, lane_clock.now - item_start, error
                     )
             except Exception as exc:  # noqa: BLE001 - lane infrastructure failure
-                with errors_lock:
-                    errors.append((-1, exc))
-                stop.set()
+                errors.append((-1, exc))
+                stopped = True
             finally:
-                # Always shrink the admission set, or peers would wait
-                # forever on this lane's next call.
                 if batcher is not None:
                     batcher.close_lane(lane_id)
 
-        threads = [
-            threading.Thread(
-                target=lane_worker, args=(lane_id,),
-                name=f"spear-lane-{lane_id}", daemon=True,
-            )
-            for lane_id in range(lanes)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        self._run_lanes(
+            [lane_steps(lane_id) for lane_id in range(lanes)],
+            lane_models,
+            batcher,
+        )
 
         if errors and self.on_error == "raise":
             errors.sort(key=lambda pair: pair[0])
             raise errors[0][1]
 
+        end = max(clock.now for clock in lane_clocks)
         batch = BatchResult(
             items=[result for result in results if result is not None],
-            elapsed=clock_group.elapsed,
+            elapsed=end - start,
             workers=lanes,
         )
 
-        self._fold_lane_events(lane_logs, lane_clocks, clock_group)
+        self._fold_lane_events(lane_logs, lane_clocks, start)
         if batcher is not None:
             fold_sched_events(self.base_state.events, batcher)
         # Later sequential work continues after the batch completed.
-        base.clock.advance_to(clock_group.now)
-        self._observe(batch, clock_group)
+        base.clock.advance_to(end)
+        self._observe(batch, lane_clocks, start)
 
         extra: dict[str, Any] = {
-            "serialized_elapsed": clock_group.serialized_elapsed,
+            # what a sequential run would pay: the sum of lane times.
+            "serialized_elapsed": sum(clock.now - start for clock in lane_clocks),
         }
         if cache is not None and cache_before is not None:
             after = cache.snapshot()
@@ -391,6 +380,49 @@ class ParallelBatchRunner:
 
     # -- helpers --------------------------------------------------------------
 
+    @staticmethod
+    def _run_lanes(
+        lanes: list[Any], lane_models: list[Any], engine: GenScheduler | None
+    ) -> None:
+        """Drive every lane generator to completion on this thread.
+
+        A lane runs until it yields a call on its own lane model, which
+        parks it on the engine, or until it ends.  Once no lane is ready,
+        every open lane is parked and the engine has stepped; the lanes
+        whose calls are done resume in lane order.  Each resumes with
+        its ``answer``: the call's result is sent in, or its error thrown
+        in at the yield.
+        """
+        ready = deque((lane_id, lambda: None) for lane_id in range(len(lanes)))
+        parked: dict[int, Any] = {}
+        while ready:
+            lane_id, answer = ready.popleft()
+            lane, lane_model = lanes[lane_id], lane_models[lane_id]
+            while True:
+                try:
+                    try:
+                        reply = answer()
+                    except Exception as error:  # noqa: BLE001 - raised at the yield
+                        call = lane.throw(error)
+                    else:
+                        call = lane.send(reply)
+                except StopIteration:
+                    break
+                if engine is not None and call.model is lane_model:
+                    parked[lane_id] = engine.submit(
+                        lane_id, call.prompt, max_tokens=call.max_tokens,
+                        use_cache=call.use_cache,
+                    )
+                    break
+                answer = call.answer
+            if not ready:
+                for lane_id in sorted(parked):
+                    if parked[lane_id].done:
+                        request = parked.pop(lane_id)
+                        ready.append((lane_id, partial(engine.finish, request)))
+                if parked and not ready:
+                    raise RuntimeError(f"lanes {sorted(parked)} parked, no step due")
+
     def _make_batcher(self) -> GenScheduler | None:
         """A fresh engine per run (lane registration is per-run)."""
         engine = None
@@ -406,8 +438,8 @@ class ParallelBatchRunner:
     def _fold_lane_events(
         self,
         lane_logs: list[EventLog],
-        lane_clocks: list[Any],
-        clock_group: LaneClockGroup,
+        lane_clocks: list[VirtualClock],
+        start: float,
     ) -> None:
         """Replay each lane's private log into the base log as a LANE span.
 
@@ -420,7 +452,7 @@ class ParallelBatchRunner:
             events.record(
                 EventKind.OPERATOR_START,
                 f"LANE[{lane_id}]",
-                at=clock_group.start,
+                at=start,
             )
             events.extend(lane_log.all())
             events.record(
@@ -429,7 +461,9 @@ class ParallelBatchRunner:
                 at=lane_clocks[lane_id].now,
             )
 
-    def _observe(self, batch: BatchResult, clock_group: LaneClockGroup) -> None:
+    def _observe(
+        self, batch: BatchResult, lane_clocks: list[VirtualClock], start: float
+    ) -> None:
         if self.metrics is None:
             return
         self.metrics.gauge(
@@ -440,5 +474,5 @@ class ParallelBatchRunner:
             "spear_lane_elapsed_seconds",
             "Per-lane simulated elapsed time of a parallel batch run.",
         )
-        for lane in clock_group.lanes:
-            lane_hist.observe(lane.now - clock_group.start)
+        for clock in lane_clocks:
+            lane_hist.observe(clock.now - start)

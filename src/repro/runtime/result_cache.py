@@ -37,8 +37,8 @@ Correctness notes:
   missed (manual ``entry.record`` calls, lane logs folded late): the
   version/text digest in the fingerprint already misses.  Event-driven
   invalidation exists to reclaim memory and to account precisely.
-- Thread-safe: parallel worker lanes share one cache under a reentrant
-  lock.  Two lanes may race to execute the same miss; both compute the
+- Thread-safe: worker threads share one cache under a reentrant lock.
+  Two lanes or threads may race to execute the same miss; both compute the
   identical delta (execution is deterministic), so duplicate inserts are
   harmless.
 - Shadow runs (:func:`repro.runtime.shadow.shadow_run`) share the cache

@@ -2,23 +2,21 @@
 
 :class:`GenScheduler` is the repository's one GEN engine: operators
 submit generation work to a queue, and batches form on **token-budget
-and virtual-clock timeout watermarks**.  Lanes are lightweight
-registrations multiplexed over the caller's worker pool — a lane costs a
-dict entry and a condition, not a dedicated engine thread; whichever
-worker completes an admission watermark runs the engine step inline, and
-each finished call wakes only the lane that submitted it.
+and virtual-clock timeout watermarks**.  It runs on one thread, and a
+lane costs a few dict entries.
 
 Scheduling model
 ----------------
 
-Lanes register with :meth:`open_lane` and submit calls through the
-returned :class:`LaneModel` proxy (a drop-in for
-:class:`~repro.llm.model.SimulatedLLM` on an execution state).
-Admission decisions happen only at **quiescence** — the instant every
-open lane is either blocked on a pending call or closed.  The engine
-never consults host timing, so which requests are considered together
-is a pure function of each lane's submit/close sequence, i.e. of the
-workload.  Within a quiescence the engine forms *one* policy step:
+Lanes register with :meth:`open_lane`.  :meth:`GenScheduler.submit`
+parks a call without waiting.  Admission decisions happen only at
+**quiescence** — the instant every open lane is either parked on a
+pending call or closed — and the submit or close that reaches it runs
+the step.  (Code that calls the :class:`LaneModel` proxy synchronously
+forces steps until its own call completes.)  The engine never consults
+host timing, so which requests are considered together is a pure
+function of each lane's submit/close sequence, i.e. of the workload.
+Within a quiescence the engine forms *one* policy step:
 
 1. requests older than the **timeout watermark** (virtual-clock age
    ``t_now - arrival >= watermark_s``, where ``t_now`` is the latest
@@ -57,14 +55,13 @@ Determinism: task outputs come from the model's deterministic
 ``execute_task`` path, fault injection reuses the seeded per-prompt
 decisions a sequential run makes (via :func:`prepare_request`), and
 step composition depends only on pending-set state and virtual-clock
-instants — never on OS thread timing.  Per-item outputs are
+instants — never on host timing.  Per-item outputs are
 byte-identical to a sequential run; two same-seed runs produce
 identical step traces.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any
@@ -234,7 +231,7 @@ class _Request:
 
     __slots__ = (
         "lane_id", "prompt", "max_tokens", "use_cache", "clock",
-        "result", "error", "done", "wake",
+        "result", "error", "done",
         "arrival", "priority_rank", "priority_name", "deadline",
         "tokens", "features", "decision", "prepared",
     )
@@ -246,7 +243,6 @@ class _Request:
         max_tokens: int | None,
         use_cache: bool | None,
         clock: VirtualClock,
-        wake: threading.Condition,
     ) -> None:
         self.lane_id = lane_id
         self.prompt = prompt
@@ -256,8 +252,6 @@ class _Request:
         self.result: "GenerationResult | None" = None
         self.error: BaseException | None = None
         self.done = False
-        #: the submitting lane's condition, notified once ``done`` is set.
-        self.wake = wake
         self.arrival = 0.0
         self.priority_rank = 1
         self.priority_name = "normal"
@@ -371,9 +365,11 @@ class LaneModel:
         max_tokens: int | None = None,
         use_cache: bool | None = None,
     ) -> "GenerationResult":
-        """Submit one call to the engine; blocks until its step runs."""
-        return self._engine.submit(
-            self.lane_id, prompt, max_tokens=max_tokens, use_cache=use_cache
+        """Submit one call and force engine steps until it completes."""
+        return self._engine.finish(
+            self._engine.submit(
+                self.lane_id, prompt, max_tokens=max_tokens, use_cache=use_cache
+            )
         )
 
     def __getattr__(self, name: str) -> Any:
@@ -387,7 +383,7 @@ class GenScheduler:
     """Continuous-batching GEN engine with priority + deadline policy.
 
     Runners drive it through ``open_lane`` / ``configure_lane`` /
-    ``close_lane``; lanes submit through their :class:`LaneModel`.
+    ``submit`` / ``finish`` / ``close_lane`` on one thread.
     ``snapshot()`` reports aggregate engine statistics and :attr:`steps`
     keeps the step trace for observability and determinism checks.
     """
@@ -402,21 +398,14 @@ class GenScheduler:
         self.model = model
         self.config = config if config is not None else SchedulerConfig()
         self.metrics = metrics
-        self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
-        #: one condition per open lane over the engine lock: a finished
-        #: call wakes its own lane, never every waiting peer.
-        self._lane_conds: dict[int, threading.Condition] = {}
-        self._open_lanes: set[int] = set()
-        self._lane_clocks: dict[int, VirtualClock] = {}
-        self._lane_priority: dict[int, PriorityClass] = {}
-        self._lane_deadline: dict[int, float | None] = {}
+        #: open lanes: lane id -> (clock, priority class, deadline_s).
+        self._lanes: dict[int, tuple[VirtualClock, PriorityClass, float | None]] = {}
         self._pending: dict[int, _Request] = {}
         #: the engine's serial prefill pipe: instant it is next free.
         self._prefill_free_at = 0.0
         #: deterministic step trace, in execution order.
         self.steps: list[StepRecord] = []
-        # aggregate accounting (guarded by the condition's lock)
+        # aggregate accounting
         self.flushes = 0
         self.batched_calls = 0
         self.largest_batch = 0
@@ -443,15 +432,10 @@ class GenScheduler:
         makes admission decisions only when every open lane has a
         pending call (or has closed).
         """
-        with self._cond:
-            if lane_id in self._open_lanes:
-                raise ValueError(f"lane {lane_id} is already open")
-            self._open_lanes.add(lane_id)
-            self._lane_conds[lane_id] = threading.Condition(self._lock)
-            self._lane_clocks[lane_id] = clock
-            self._lane_priority[lane_id] = resolve_priority_class(priority)
-            self._lane_deadline[lane_id] = deadline_s
-            return LaneModel(self, lane_id, clock)
+        if lane_id in self._lanes:
+            raise ValueError(f"lane {lane_id} is already open")
+        self._lanes[lane_id] = (clock, resolve_priority_class(priority), deadline_s)
+        return LaneModel(self, lane_id, clock)
 
     def configure_lane(
         self,
@@ -460,26 +444,16 @@ class GenScheduler:
         priority: Any = None,
         deadline_s: float | None = None,
     ) -> None:
-        """Set the lane's priority class / deadline for subsequent submits.
-
-        Called by the lane's own worker between items, so per-item
-        scheduling attributes never race with that lane's submits.
-        """
-        with self._cond:
-            if lane_id not in self._open_lanes:
-                raise RuntimeError(f"lane {lane_id} is not open")
-            self._lane_priority[lane_id] = resolve_priority_class(priority)
-            self._lane_deadline[lane_id] = deadline_s
+        """Set the lane's priority class / deadline for subsequent submits."""
+        if lane_id not in self._lanes:
+            raise RuntimeError(f"lane {lane_id} is not open")
+        clock = self._lanes[lane_id][0]
+        self._lanes[lane_id] = (clock, resolve_priority_class(priority), deadline_s)
 
     def close_lane(self, lane_id: int) -> None:
         """Remove a lane (it will submit no more calls); may trigger steps."""
-        with self._cond:
-            self._open_lanes.discard(lane_id)
-            self._lane_conds.pop(lane_id, None)
-            self._lane_clocks.pop(lane_id, None)
-            self._lane_priority.pop(lane_id, None)
-            self._lane_deadline.pop(lane_id, None)
-            self._maybe_flush_locked()
+        self._lanes.pop(lane_id, None)
+        self._maybe_flush()
 
     # -- the submit / flush path ---------------------------------------------
 
@@ -490,54 +464,56 @@ class GenScheduler:
         *,
         max_tokens: int | None = None,
         use_cache: bool | None = None,
-    ) -> "GenerationResult":
-        """Enqueue one call and block until an engine step completes it."""
-        with self._cond:
-            if lane_id not in self._open_lanes:
-                raise RuntimeError(f"lane {lane_id} is not open")
-            if lane_id in self._pending:
-                raise RuntimeError(f"lane {lane_id} already has a pending call")
-            clock = self._lane_clocks.get(lane_id, self.model.clock)
-            request = _Request(
-                lane_id, prompt, max_tokens, use_cache, clock,
-                self._lane_conds[lane_id],
-            )
-            request.arrival = clock.now
-            priority = self._lane_priority.get(lane_id, PriorityClass.NORMAL)
-            request.priority_rank = priority.rank
-            request.priority_name = priority.value
-            deadline_s = self._lane_deadline.get(lane_id)
-            request.deadline = (
-                request.arrival + deadline_s if deadline_s is not None else None
-            )
-            self._pending[lane_id] = request
-            self._observe_queue_depth_locked()
-            self._maybe_flush_locked()
-            while not request.done:
-                request.wake.wait()
+    ) -> _Request:
+        """Enqueue one call; returns its request, ``done`` once a step ran it.
+
+        Never waits: when this call makes the engine quiescent, the step
+        runs here, before returning.
+        """
+        if lane_id not in self._lanes:
+            raise RuntimeError(f"lane {lane_id} is not open")
+        if lane_id in self._pending:
+            raise RuntimeError(f"lane {lane_id} already has a pending call")
+        clock, priority, deadline_s = self._lanes[lane_id]
+        request = _Request(lane_id, prompt, max_tokens, use_cache, clock)
+        request.arrival = clock.now
+        request.priority_rank = priority.rank
+        request.priority_name = priority.value
+        request.deadline = (
+            request.arrival + deadline_s if deadline_s is not None else None
+        )
+        self._pending[lane_id] = request
+        self._observe_queue_depth()
+        self._maybe_flush()
+        return request
+
+    def finish(self, request: _Request) -> "GenerationResult":
+        """A submitted request's result (or error), forcing steps until done.
+
+        Forcing is the path of an opaque ``LaneModel.generate`` whose
+        peers are not all parked.
+        """
+        while not request.done:
+            self._run_step()
         if request.error is not None:
             raise request.error
         assert request.result is not None
         return request.result
 
-    def _quiescent_locked(self) -> bool:
-        return bool(self._pending) and len(self._pending) >= len(self._open_lanes)
-
-    def _maybe_flush_locked(self) -> None:
+    def _maybe_flush(self) -> None:
         """Run engine steps while the quiescence condition holds.
 
         A step that leaves requests queued usually breaks quiescence (the
         admitted lanes are released with nothing pending), so the loop
         exits and the leftovers mix with the next quiescence's arrivals.
         """
-        while self._quiescent_locked():
-            self._run_step_locked()
+        while self._pending and len(self._pending) >= len(self._lanes):
+            self._run_step()
 
-    def _complete_locked(self, request: _Request) -> None:
-        """Take a finished request off the queue and wake its lane only."""
+    def _complete(self, request: _Request) -> None:
+        """Take a finished request off the queue."""
         request.done = True
         del self._pending[request.lane_id]
-        request.wake.notify()
 
     def _policy_key(self, request: _Request) -> tuple:
         deadline = request.deadline if request.deadline is not None else float("inf")
@@ -618,7 +594,7 @@ class GenScheduler:
             dedup.append(min(depth * block_size, triples[index][1]))
         return dedup
 
-    def _run_step_locked(self) -> None:
+    def _run_step(self) -> None:
         """Form and execute one policy step from the pending queue."""
         # Prepare phase (tokenize + seeded fault injection), in lane
         # order for determinism.  Faulted / invalid requests complete
@@ -631,10 +607,10 @@ class GenScheduler:
             if request.prepared:
                 continue
             if not prepare_request(self.model, request):
-                self._complete_locked(request)
+                self._complete(request)
                 removed = True
         if removed:
-            self._observe_queue_depth_locked()
+            self._observe_queue_depth()
             return
         if not self._pending:
             return
@@ -676,7 +652,7 @@ class GenScheduler:
             and other.priority_rank > request.priority_rank
         )
 
-        self._execute_step_locked(
+        self._execute_step(
             admitted,
             t_now=t_now,
             forced=len([request for request in forced if request in admitted]),
@@ -684,7 +660,7 @@ class GenScheduler:
             tokens=tokens_admitted,
         )
 
-    def _execute_step_locked(
+    def _execute_step(
         self,
         admitted: "list[_Request]",
         *,
@@ -709,9 +685,9 @@ class GenScheduler:
                     kv.unpin(handle)
         for request in admitted:
             if request.done:  # its lookup or task raised: the error is its result
-                self._complete_locked(request)
+                self._complete(request)
         if not ran:
-            self._observe_queue_depth_locked()
+            self._observe_queue_depth()
             return
         admitted = ran
         dedup = self._dedup_tokens(admitted, triples)
@@ -772,7 +748,7 @@ class GenScheduler:
                 )
             model.record_result(result)
             request.result = result
-            self._complete_locked(request)
+            self._complete(request)
             members.append(
                 StepMember(
                     lane_id=request.lane_id,
@@ -813,12 +789,12 @@ class GenScheduler:
         self.dedup_tokens_total += record.dedup_tokens
         self._size_sum += len(admitted)
         self._wait_sum += sum(member.wait for member in members)
-        self._observe_step_locked(record)
-        self._observe_queue_depth_locked()
+        self._observe_step(record)
+        self._observe_queue_depth()
 
     # -- observability -------------------------------------------------------
 
-    def _observe_queue_depth_locked(self) -> None:
+    def _observe_queue_depth(self) -> None:
         # Gauges only (idempotent sets): the counter/histogram side of
         # the spear_sched_* family is derived by the ObsCollector from
         # the folded SCHED events, so wiring an engine registry and a
@@ -838,7 +814,7 @@ class GenScheduler:
             model=name,
         ).set(depth)
 
-    def _observe_step_locked(self, record: StepRecord) -> None:
+    def _observe_step(self, record: StepRecord) -> None:
         if self.metrics is None:
             return
         name = self.model.profile.name
@@ -863,9 +839,7 @@ class GenScheduler:
     def wait_stats(self) -> dict[str, dict[str, float]]:
         """Per-priority-class queue-wait summary over the step trace."""
         waits: dict[str, list[float]] = {}
-        with self._cond:
-            records = list(self.steps)
-        for record in records:
+        for record in self.steps:
             for member in record.members:
                 waits.setdefault(member.priority, []).append(member.wait)
         summary: dict[str, dict[str, float]] = {}
@@ -882,36 +856,35 @@ class GenScheduler:
 
     def snapshot(self) -> dict[str, float]:
         """Point-in-time engine statistics for gauges, reports and BATCH."""
-        with self._cond:
-            return {
-                "flushes": self.flushes,
-                "batched_calls": self.batched_calls,
-                "largest_batch": self.largest_batch,
-                "mean_batch_size": (
-                    self._size_sum / self.flushes if self.flushes else 0.0
-                ),
-                "total_batch_wall": self.total_batch_wall,
-                "open_lanes": len(self._open_lanes),
-                "pending": len(self._pending),
-                "steps": self.flushes,
-                "preemptions": self.preemptions,
-                "forced": self.forced,
-                "dedup_tokens": self.dedup_tokens_total,
-                "mean_step_dedup_tokens": (
-                    self.dedup_tokens_total / self.flushes
-                    if self.flushes
-                    else 0.0
-                ),
-                "mean_wait": (
-                    self._wait_sum / self.batched_calls
-                    if self.batched_calls
-                    else 0.0
-                ),
-            }
+        return {
+            "flushes": self.flushes,
+            "batched_calls": self.batched_calls,
+            "largest_batch": self.largest_batch,
+            "mean_batch_size": (
+                self._size_sum / self.flushes if self.flushes else 0.0
+            ),
+            "total_batch_wall": self.total_batch_wall,
+            "open_lanes": len(self._lanes),
+            "pending": len(self._pending),
+            "steps": self.flushes,
+            "preemptions": self.preemptions,
+            "forced": self.forced,
+            "dedup_tokens": self.dedup_tokens_total,
+            "mean_step_dedup_tokens": (
+                self.dedup_tokens_total / self.flushes
+                if self.flushes
+                else 0.0
+            ),
+            "mean_wait": (
+                self._wait_sum / self.batched_calls
+                if self.batched_calls
+                else 0.0
+            ),
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"GenScheduler(lanes={len(self._open_lanes)}, "
+            f"GenScheduler(lanes={len(self._lanes)}, "
             f"steps={self.flushes}, largest={self.largest_batch}, "
             f"preemptions={self.preemptions})"
         )

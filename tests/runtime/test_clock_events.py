@@ -271,3 +271,71 @@ class TestCopyOnWriteSubscribers:
             # A late subscriber sees one unbroken suffix of the stream.
             seqs = [event.seq for event in sink]
             assert seqs == list(range(seqs[0], final.seq + 1))
+
+
+class TestBulkExtend:
+    """``extend`` renumbers a folded stream in one pass: the same events
+    and the same delivered stream as recording them one by one."""
+
+    @staticmethod
+    def _foreign():
+        lane = EventLog()
+        lane.emit(EventKind.OPERATOR_START, "LANE", at=0.5)
+        lane.record(EventKind.FAULT, "MODEL", at=1.0, payload={"kind": "x"})
+        lane.emit(EventKind.CHECK, "C", at=1.5, outcome=True)
+        lane.emit(EventKind.OPERATOR_END, "LANE", at=2.0)
+        return lane.all()
+
+    @staticmethod
+    def _fold(fold, subscribers):
+        log = EventLog()
+        log.emit(EventKind.BATCH, "BASE", at=0.25)  # seq 0 is taken
+        delivered = []
+
+        def bad(event):
+            raise RuntimeError(f"boom {event.seq}")
+
+        for index, kind in enumerate(subscribers):
+            if kind == "bad":
+                log.subscribe(bad)
+            else:
+                log.subscribe(
+                    lambda event, index=index: delivered.append(
+                        (index, event.to_dict())
+                    )
+                )
+        returned = fold(log, TestBulkExtend._foreign())
+        return (
+            log.to_dicts(),
+            delivered,
+            [event.to_dict() for event in returned],
+        )
+
+    @staticmethod
+    def _per_event(log, events):
+        return [
+            log.record(event.kind, event.operator, at=event.at, payload=event.payload)
+            for event in events
+        ]
+
+    @pytest.mark.parametrize(
+        "subscribers",
+        [(), ("ok",), ("ok", "bad", "ok")],
+        ids=["none", "one", "raising"],
+    )
+    def test_same_events_and_delivery_as_per_event_records(self, subscribers):
+        bulk = self._fold(lambda log, events: log.extend(events), subscribers)
+        assert bulk == self._fold(self._per_event, subscribers)
+        logged, _, returned = bulk
+        assert [event["seq"] for event in logged] == list(range(len(logged)))
+        if "bad" in subscribers:
+            assert len(logged) == 1 + 2 * 4  # one subscriber ERROR per event
+        else:
+            assert returned == logged[1:]
+
+    def test_payload_is_copied(self):
+        foreign = self._foreign()
+        log = EventLog()
+        [_, fault, *_] = log.extend(foreign)
+        assert fault.payload == foreign[1].payload
+        assert fault.payload is not foreign[1].payload

@@ -5,9 +5,10 @@ lifecycle), the runner integration (byte-identity to sequential,
 deterministic step composition, priority/deadline policy), the hypothesis
 property suite over randomized pipelines, the mixed-priority stress run,
 the starvation regression for lanes that die before their first submit,
-the step-error regression (a lookup or task that raises inside a step
-fails only its own request), and the targeted lane hand-off (a lane is
-woken only when its own call has finished).
+and the step-error regression (a lookup or task that raises inside a step
+fails only its own request).  The engine runs on one thread: ``submit``
+never waits, ``finish`` forces steps, and every case here drives it
+directly or through the runner's lane generators.
 """
 
 import threading
@@ -25,7 +26,6 @@ from repro.llm.model import SimulatedLLM
 from repro.llm.radix_cache import shared_prefix_tokens
 from repro.obs import ObsCollector
 from repro.resilience import RetryPolicy
-from repro.runtime import scheduler as scheduler_module
 from repro.runtime.batch import BatchRunner
 from repro.runtime.clock import VirtualClock
 from repro.runtime.events import EventKind
@@ -85,23 +85,6 @@ def _fail_task_on(llm, marker):
         return original(prompt, features, **kwargs)
 
     llm.execute_task = execute_task
-
-
-def _run_bounded(fn, timeout=60):
-    """Run ``fn`` on a watchdog thread; a deadlock fails instead of hanging."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["value"] = fn()
-        except Exception as error:  # noqa: BLE001 - inspected by the test
-            outcome["error"] = error
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    assert not thread.is_alive(), "run deadlocked"
-    return outcome
 
 
 def _step_trace(engine):
@@ -221,59 +204,50 @@ class TestEngineUnit:
         with pytest.raises(ValueError):
             engine.open_lane(0, VirtualClock())
 
+    def test_submit_never_waits_and_finish_forces_steps(self):
+        """``submit`` parks a call while a peer lane is still running;
+        ``finish`` (the opaque, synchronous path) forces a step of one."""
+        engine = GenScheduler(self._model())
+        engine.open_lane(0, VirtualClock())
+        engine.open_lane(1, VirtualClock())
+        request = engine.submit(0, "Summarize the tweet.\nTweet:\nso tired")
+        assert not request.done and engine.flushes == 0
+        assert engine.finish(request).text
+        assert request.done and engine.flushes == 1
+        assert engine.snapshot()["pending"] == 0
+
     def test_closing_idle_lane_releases_pending_peer(self):
         """Starvation regression: a lane that dies between open_lane and
-        its first submit must not leave peers waiting forever."""
+        its first submit must not leave peers parked forever."""
         engine = GenScheduler(self._model())
-        proxy = engine.open_lane(0, VirtualClock())
+        engine.open_lane(0, VirtualClock())
         engine.open_lane(1, VirtualClock())
-
-        outcome = {}
-
-        def worker():
-            outcome["result"] = proxy.generate(
-                "Summarize the tweet.\nTweet:\nso tired of delays"
-            )
-
-        thread = threading.Thread(target=worker, daemon=True)
-        thread.start()
+        request = engine.submit(
+            0, "Summarize the tweet.\nTweet:\nso tired of delays"
+        )
+        assert not request.done
         # Lane 1 "raises before its first submit": all it can do is
         # close.  That must release lane 0 as a step of one.
         engine.close_lane(1)
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert outcome["result"].text
+        assert request.done
+        assert engine.finish(request).text
 
     def test_prepare_error_delivered_to_caller_only(self):
         """An invalid prompt fails only the lane that submitted it; the
         queue drains and a peer lane in the same quiescence completes."""
         engine = GenScheduler(self._model())
-        lanes = [engine.open_lane(i, VirtualClock()) for i in range(2)]
-        outcome = {}
-
-        def worker(lane_id, prompt):
-            try:
-                outcome[lane_id] = lanes[lane_id].generate(prompt)
-            except ModelError as error:
-                outcome[lane_id] = error
-            finally:
-                engine.close_lane(lane_id)
-
-        threads = [
-            threading.Thread(target=worker, args=(0, ""), daemon=True),
-            threading.Thread(
-                target=worker,
-                args=(1, "Summarize the tweet.\nTweet:\nso tired of delays"),
-                daemon=True,
-            ),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        assert isinstance(outcome[0], ModelError)
-        assert outcome[1].text
+        for lane_id in range(2):
+            engine.open_lane(lane_id, VirtualClock())
+        bad = engine.submit(0, "")
+        good = engine.submit(1, "Summarize the tweet.\nTweet:\nso tired of delays")
+        # The quiescent prepare phase failed lane 0's call in place; lane
+        # 1 stays queued until lane 0 is parked again or closes.
+        assert bad.done and not good.done
+        with pytest.raises(ModelError):
+            engine.finish(bad)
+        engine.close_lane(0)
+        assert good.done and engine.finish(good).text
+        engine.close_lane(1)
         assert engine.snapshot()["pending"] == 0
         assert engine.batched_calls == 1
 
@@ -773,9 +747,9 @@ class TestSchedulerProperties:
 
 class TestSchedulerStress:
     def test_stress_mixed_priorities(self):
-        """200 items, mixed priority classes, 8 workers: no lost events,
+        """200 items, mixed priority classes, 8 lanes: no lost events,
         no dropped listeners, no deadline inversions among admitted
-        items, outputs byte-identical to sequential."""
+        items, outputs byte-identical to sequential, no thread started."""
         n = 200
         state_seq, items = _build_state(n_items=n, seed=11)
         sequential = BatchRunner(state_seq, bind=_bind_tweet).run(
@@ -784,7 +758,9 @@ class TestSchedulerStress:
 
         state_par, items_par = _build_state(n_items=n, seed=11)
         seen = []
-        state_par.model.add_listener(lambda result: seen.append(result))
+        state_par.model.add_listener(
+            lambda result: seen.append((result, threading.current_thread()))
+        )
         rank = {"interactive": 0, "normal": 1, "bulk": 2}
 
         def priority_of(item):
@@ -820,6 +796,9 @@ class TestSchedulerStress:
         assert len(seen) == par_model["calls"]
         assert state_par.model.listener_errors == []
 
+        # Every lane ran on the driver thread: one thread saw every call.
+        assert {thread for _, thread in seen} == {threading.current_thread()}
+
         # No lost events in the folded log.
         seq_gen = state_seq.events.of_kind(EventKind.GENERATE)
         par_gen = state_par.events.of_kind(EventKind.GENERATE)
@@ -850,9 +829,8 @@ class TestSchedulerStress:
 class TestStarvationRegression:
     def test_lane_raising_before_first_submit_releases_peers(self):
         """Runner-level regression: an item whose bind raises on a lane's
-        first item must not starve peers waiting in the admission set.
-        A watchdog bounds the run so a regression fails fast instead of
-        hanging the suite."""
+        first item must not starve peers parked in the admission set (a
+        regression raises the runner's stall error instead of hanging)."""
         state, items = _build_state(n_items=8)
 
         def bind_or_boom(item_state, tweet):
@@ -863,16 +841,7 @@ class TestStarvationRegression:
         runner = ParallelBatchRunner(
             state, bind=bind_or_boom, workers=8, on_error="collect"
         )
-        outcome = {}
-
-        def run():
-            outcome["batch"] = runner.run(_pipeline(), items=items)
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive(), "parallel run deadlocked"
-        batch = outcome["batch"]
+        batch = runner.run(_pipeline(), items=items)
         assert len(batch.items) == 8
         assert len(batch.failures()) == 4
         assert all(r.ok for r in batch.items if r not in batch.failures())
@@ -881,8 +850,7 @@ class TestStarvationRegression:
 class TestStepErrorRegression:
     """A lookup or task that raises inside an engine step fails its own
     request only: the error reaches that lane, every peer in the step
-    completes, and the queue drains.  Each run sits under a watchdog so
-    a regression fails instead of hanging the suite."""
+    completes, the queue drains, and the batch never hangs."""
 
     def test_collect_mode_finishes_with_the_one_error(self):
         state_seq, items = _build_state(n_items=8)
@@ -898,8 +866,7 @@ class TestStepErrorRegression:
         runner = ParallelBatchRunner(
             state_par, bind=_bind_tweet, workers=4, on_error="collect"
         )
-        outcome = _run_bounded(lambda: runner.run(_pipeline(), items=items_par))
-        batch = outcome["value"]
+        batch = runner.run(_pipeline(), items=items_par)
         assert [i for i, r in enumerate(batch.items) if not r.ok] == [5]
         assert isinstance(batch.items[5].error, ValueError)
         assert _texts(batch) == _texts(sequential)
@@ -911,9 +878,8 @@ class TestStepErrorRegression:
         runner = ParallelBatchRunner(
             state, bind=_bind_tweet, workers=4, on_error="raise"
         )
-        outcome = _run_bounded(lambda: runner.run(_pipeline(), items=items))
-        assert isinstance(outcome.get("error"), ValueError)
-        assert "task failed" in str(outcome["error"])
+        with pytest.raises(ValueError, match="task failed"):
+            runner.run(_pipeline(), items=items)
         assert runner.last_batcher.snapshot()["pending"] == 0
 
     def test_lookup_error_delivered_to_its_lane_only(self):
@@ -933,64 +899,17 @@ class TestStepErrorRegression:
 
         llm.kv_cache.lookup_and_insert = lookup_or_boom
         engine = GenScheduler(llm)
-        lanes = [engine.open_lane(i, VirtualClock()) for i in range(2)]
-        outcome = {}
-
-        def worker(lane_id):
-            try:
-                outcome[lane_id] = lanes[lane_id].generate(prompts[lane_id])
-            except RuntimeError as error:
-                outcome[lane_id] = error
-            finally:
-                engine.close_lane(lane_id)
-
-        threads = [
-            threading.Thread(target=worker, args=(i,), daemon=True)
-            for i in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive(), "engine step error deadlocked"
-        assert outcome[0].text
-        assert str(outcome[1]) == "kv lookup failed"
+        for lane_id in range(2):
+            engine.open_lane(lane_id, VirtualClock())
+        requests = [engine.submit(i, prompts[i]) for i in range(2)]
+        assert engine.finish(requests[0]).text
+        with pytest.raises(RuntimeError, match="kv lookup failed"):
+            engine.finish(requests[1])
+        for lane_id in range(2):
+            engine.close_lane(lane_id)
         assert engine.snapshot()["pending"] == 0
         [step] = engine.steps
         assert [member.lane_id for member in step.members] == [0]
-
-
-class TestTargetedWakeups:
-    def test_no_lane_wakes_while_its_call_is_pending(self, monkeypatch):
-        """A lane's wait returns only once its own request is done: a
-        finished call wakes its own lane, never every waiting peer."""
-        current: dict[int, object] = {}
-        futile: list[int] = []
-
-        class RecordingRequest(scheduler_module._Request):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                current[threading.get_ident()] = self
-
-        class CountingCondition(threading.Condition):
-            def wait(self, timeout=None):
-                woken = super().wait(timeout)
-                request = current.get(threading.get_ident())
-                if request is not None and not request.done:
-                    futile.append(request.lane_id)
-                return woken
-
-        patched = SimpleNamespace(**vars(threading))
-        patched.Condition = CountingCondition
-        monkeypatch.setattr(scheduler_module, "threading", patched)
-        monkeypatch.setattr(scheduler_module, "_Request", RecordingRequest)
-
-        state, items = _build_state(n_items=64)
-        runner = ParallelBatchRunner(state, bind=_bind_tweet, workers=16)
-        batch = runner.run(_pipeline(), items=items)
-        assert len(batch.items) == 64 and not batch.failures()
-        assert len(current) == 16  # every lane submitted through the probe
-        assert futile == []
 
 
 class TestExecutorIntegration:
@@ -1052,9 +971,8 @@ class TestExecutorIntegration:
             return executor.run(Pipeline([retry]), state=state)
 
         plain = run(False, flaky=False)
-        sched = _run_bounded(lambda: run(True, flaky=True))
-        assert "error" not in sched, sched.get("error")
-        assert sched["value"].output("summary") == plain.output("summary")
+        sched = run(True, flaky=True)
+        assert sched.output("summary") == plain.output("summary")
 
     def test_refinement_loop_marks_iterations_bulk(self):
         from repro.core import REF, RefAction
