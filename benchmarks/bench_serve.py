@@ -113,7 +113,6 @@ def identity_arm(corpus_size: int, seed: int) -> dict:
                 model=llm,
                 clock=clock,
                 result_cache=ResultCache(),
-                scheduler=True,
                 ledger_dir=str(root / "solo"),
             )
         )

@@ -498,18 +498,19 @@ def check_fusion_safety(
 def check_deadline_without_scheduler(
     graph: DataflowGraph, env: AnalysisEnv
 ) -> list[Diagnostic]:
-    """SPEAR145 — deadline/priority configured but no scheduler to act on it.
+    """SPEAR145 — deadline/priority set on a runner with no GEN engine.
 
-    ``deadline_s`` (and a non-default ``priority``) only influence
-    admission ordering inside the continuous
-    :class:`~repro.runtime.scheduler.GenScheduler`; with the scheduler
-    disabled they silently no-op — the classic misconfiguration this
-    check surfaces.  Runs only when the environment describes the
-    runtime (``env.runtime``); unknown runtime skips it.
+    ``deadline_s`` and ``priority`` only order calls inside the
+    continuous :class:`~repro.runtime.scheduler.GenScheduler`, which
+    only :class:`~repro.runtime.parallel.ParallelBatchRunner` runs; the
+    sequential :class:`~repro.runtime.executor.Executor` calls the model
+    directly, so there they silently no-op.  Runs only when the
+    environment describes the runtime (``env.runtime``); unknown runtime
+    skips it, and a serving pool (``serve`` truthy) uses them to order
+    admission.
     """
     runtime = env.runtime
     if runtime is None or runtime.get("serve"):
-        # Serving pools get the sharper SPEAR147 finding instead.
         return []
     scheduler = runtime.get("scheduler")
     enabled = scheduler is not None and scheduler is not False
@@ -526,51 +527,9 @@ def check_deadline_without_scheduler(
     return [
         _diag(
             "SPEAR145",
-            f"{' and '.join(configured)} configured but no scheduler is "
-            "enabled; the deadline/priority policy will silently no-op — "
-            "enable RuntimeOptions(scheduler=...) or drop the setting",
-            graph,
-            gen,
-            configured=tuple(configured),
-        )
-    ]
-
-
-def check_serve_policy_without_scheduler(
-    graph: DataflowGraph, env: AnalysisEnv
-) -> list[Diagnostic]:
-    """SPEAR147 — serving policy configured but the pool runs unscheduled.
-
-    Extends SPEAR145 to the serving layer: when ``env.runtime`` describes
-    a :class:`~repro.serve.server.SpearServer` pool (``serve`` truthy)
-    whose ``scheduler`` is disabled, per-request/per-tenant ``priority``
-    and ``deadline_s`` still order *admission* but never reach the
-    per-run GEN scheduler — the serving policy silently degrades to
-    queue ordering.  Callers describe the pool with keys like
-    ``{"serve": True, "scheduler": False, "deadline_s": 5.0}``.
-    """
-    runtime = env.runtime
-    if runtime is None or not runtime.get("serve"):
-        return []
-    scheduler = runtime.get("scheduler")
-    enabled = scheduler is not None and scheduler is not False
-    if enabled:
-        return []
-    configured = [
-        name
-        for name in ("deadline_s", "priority")
-        if runtime.get(name) is not None
-    ]
-    if not configured:
-        return []
-    gen = next((node for node in graph if node.kind == "GEN"), None)
-    return [
-        _diag(
-            "SPEAR147",
-            f"serving {' and '.join(configured)} configured but the pool's "
-            "scheduler is disabled; requests are admission-ordered only and "
-            "the per-run deadline/priority policy silently no-ops — build "
-            "SpearServer(scheduler=True) or a SchedulerConfig",
+            f"{' and '.join(configured)} configured on a runner with no GEN "
+            "engine; the deadline/priority policy will silently no-op — "
+            "run the batch through ParallelBatchRunner or drop the setting",
             graph,
             gen,
             configured=tuple(configured),
@@ -670,7 +629,6 @@ ANALYZERS: tuple[Callable[[DataflowGraph, AnalysisEnv], list[Diagnostic]], ...] 
     check_dead_branches,
     check_fusion_safety,
     check_deadline_without_scheduler,
-    check_serve_policy_without_scheduler,
     check_item_first_template,
     # cost bounds (repro.analysis.costs)
     check_deadline_feasible,

@@ -467,12 +467,12 @@ class _Walker:
         *,
         conditional: bool,
         params: frozenset[str] = frozenset(),
+        spill: frozenset[str] = frozenset(),
     ) -> None:
         node.prompt_writes += (key,)
         info = self.prompts.get(key)
-        spill: frozenset[str] = frozenset()
         if texts is not None and len(texts) > _TEXT_FAN_LIMIT:
-            spill = self._spill_roots(texts, params)
+            spill = spill | self._spill_roots(texts, params)
             texts = None
         if info is None:
             self.prompts[key] = _PromptState(
@@ -724,6 +724,7 @@ class _Walker:
         node.data["literal"] = isinstance(op.f, str)
         info = self.prompts.get(op.key)
         texts: frozenset[str] | None = None
+        spill: frozenset[str] = frozenset()
         if isinstance(op.f, str):
             literal = op.f
             if op.action in (RefAction.CREATE, RefAction.UPDATE, RefAction.REPLACE):
@@ -745,7 +746,10 @@ class _Walker:
                     if not info.definite:
                         combined.add(literal)
                     texts = frozenset(combined)
-        self._write_prompt(node, op.key, texts, conditional=conditional)
+                else:
+                    # Unknowable old text: the literal's reads still count.
+                    spill = self._spill_roots(frozenset({literal}), info.params)
+        self._write_prompt(node, op.key, texts, conditional=conditional, spill=spill)
         node.metadata_reads += ("confidence", "latency")
         self._write_metadata(node, ("refinements",), conditional=conditional)
         return node

@@ -55,6 +55,9 @@ class Severity(str, Enum):
 #: - ``SPEAR151`` check-never-fires   → ``SPEAR148``
 #: - ``SPEAR161`` fusable-refs        → ``SPEAR171``
 #: - ``SPEAR162`` unsafe-fusion       → ``SPEAR172``
+#:
+#: ``SPEAR147`` (serve-policy-without-scheduler) is retired without a
+#: successor: its entry stays so suppressions naming it still parse.
 CODE_CATALOG: dict[str, tuple[Severity, str, str]] = {
     "SPEAR001": (
         Severity.ERROR,
@@ -139,8 +142,8 @@ CODE_CATALOG: dict[str, tuple[Severity, str, str]] = {
     "SPEAR145": (
         Severity.WARNING,
         "deadline-without-scheduler",
-        "deadline_s (or a non-default priority) is configured but no "
-        "scheduler is enabled: the deadline policy silently no-ops.",
+        "deadline_s (or a non-default priority) is set on a runner with "
+        "no GEN engine: the deadline policy silently no-ops.",
     ),
     "SPEAR146": (
         Severity.WARNING,
@@ -152,9 +155,8 @@ CODE_CATALOG: dict[str, tuple[Severity, str, str]] = {
     "SPEAR147": (
         Severity.WARNING,
         "serve-policy-without-scheduler",
-        "A serving pool carries per-request deadline_s/priority but its "
-        "scheduler is disabled: requests are admission-ordered only and "
-        "the per-run serving policy silently no-ops.",
+        "Retired: serving pools have no per-run GEN engine, so request "
+        "deadline_s/priority only ever order admission.  Never emitted.",
     ),
     "SPEAR148": (
         Severity.WARNING,

@@ -243,12 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered demo pipeline to drive (default: summarize_filter)",
     )
     serve.add_argument(
-        "--no-scheduler",
-        action="store_true",
-        help="disable the per-run GEN scheduler (serving policy then only "
-        "orders admission; see SPEAR147)",
-    )
-    serve.add_argument(
         "--ledger-dir",
         type=Path,
         default=None,
@@ -1161,7 +1155,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         corpus_size=args.corpus,
         seed=args.seed,
-        scheduler=not args.no_scheduler,
     )
     server = build_demo_server(
         config,

@@ -209,6 +209,12 @@ class EventLog:
         with self._lock:
             return list(self._events)
 
+    def since(self, index: int) -> list[Event]:
+        """Events from position ``index`` on: ``all()[index:]`` without
+        copying the older part of the log."""
+        with self._lock:
+            return self._events[index:]
+
     def of_kind(self, kind: EventKind) -> list[Event]:
         """Events of one kind, oldest first."""
         return [event for event in self.all() if event.kind is kind]

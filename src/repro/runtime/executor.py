@@ -126,7 +126,9 @@ class Executor:
     surface).  The individual service keywords (``model=``, ``views=``,
     ``clock=``, ``collector=``, ``result_cache=``) completed their
     deprecation cycle: passing one raises :class:`TypeError` naming the
-    exact ``options=`` replacement.
+    exact ``options=`` replacement.  The executor has no GEN engine, so
+    an enabled ``RuntimeOptions.scheduler`` raises :class:`TypeError`
+    too; batch through :class:`~repro.runtime.parallel.ParallelBatchRunner`.
     """
 
     def __init__(
@@ -152,6 +154,13 @@ class Executor:
                 "result_cache": result_cache,
             },
         )
+        if options.scheduler is not None and options.scheduler is not False:
+            raise TypeError(
+                "Executor(options=RuntimeOptions(scheduler=...)) was removed: "
+                "a sequential run calls the model directly; use "
+                "ParallelBatchRunner to batch GEN calls in the continuous "
+                "engine"
+            )
         self.options = options
         self.model = options.model
         from repro.core.views import ViewRegistry
@@ -239,8 +248,6 @@ class Executor:
         options: "RuntimeOptions | None" = None,
         state: "ExecutionState | None" = None,
         context: Mapping[str, Any] | None = None,
-        priority: Any = None,
-        deadline_s: float | None = None,
     ) -> Any:
         """Execute ``pipeline``; returns the final state plus run artefacts.
 
@@ -262,15 +269,9 @@ class Executor:
           call (a derived executor with the same sources and agents runs
           it; this executor is not mutated).
 
-        With ``RuntimeOptions(scheduler=True)`` (or a
-        :class:`~repro.runtime.scheduler.SchedulerConfig`) the run's
-        generation calls route through a single-lane continuous engine;
-        ``priority`` / ``deadline_s`` override the options' defaults for
-        this run — a :class:`~repro.runtime.incremental.RefinementLoop`
-        marks its iterations ``bulk`` so interactive runs sharing the
-        engine policy sort ahead of them.  A single lane degenerates to
-        per-call engine steps, so outputs stay byte-identical to the
-        direct path.
+        Generation calls go straight to the model: a sequential run has no
+        peers to batch with, so it has no GEN engine (that is
+        :class:`~repro.runtime.parallel.ParallelBatchRunner`'s job).
         """
         if options is not None:
             return self._derive(options).run(
@@ -278,8 +279,6 @@ class Executor:
                 items=items,
                 state=state,
                 context=context,
-                priority=priority,
-                deadline_s=deadline_s,
             )
         if state is not None:
             if self.collector is not None:
@@ -313,33 +312,7 @@ class Executor:
             cache_before = cache.snapshot() if cache is not None else None
             started_at = self.clock.now
             event_start = len(state.events)
-            engine = self._make_engine(state)
-            original_model = state.model
-            if engine is not None:
-                state.model = engine.open_lane(
-                    0,
-                    state.clock,
-                    priority=(
-                        priority if priority is not None else self.options.priority
-                    ),
-                    deadline_s=(
-                        deadline_s
-                        if deadline_s is not None
-                        else self.options.deadline_s
-                    ),
-                )
-            try:
-                final = pipeline.apply(state)
-            finally:
-                if engine is not None:
-                    state.model = original_model
-                    engine.close_lane(0)
-            if engine is not None:
-                if final is not state:
-                    final.model = original_model
-                from repro.runtime.scheduler import fold_sched_events
-
-                fold_sched_events(final.events, engine)
+            final = pipeline.apply(state)
             cache_delta: dict[str, float] = {}
             if cache is not None and cache_before is not None:
                 after = cache.snapshot()
@@ -350,7 +323,7 @@ class Executor:
             return RunResult(
                 state=final,
                 elapsed=self.clock.now - started_at,
-                events=final.events.all()[event_start:],
+                events=final.events.since(event_start),
                 cache=cache_delta,
             )
 
@@ -365,31 +338,6 @@ class Executor:
         derived._sources = dict(self._sources)
         derived._agents = dict(self._agents)
         return derived
-
-    def _make_engine(self, state: "ExecutionState") -> Any:
-        """A single-lane continuous engine when the scheduler is opted in.
-
-        The sequential Executor stays on the direct model path by
-        default (``scheduler=None``) and with ``scheduler=False``; only
-        an explicit ``True`` /
-        :class:`~repro.runtime.scheduler.SchedulerConfig` wraps the
-        run's model in a one-lane :class:`GenScheduler` — useful when a
-        sequential run must share the scheduler's policy semantics
-        (priority / deadline accounting, SCHED trace) with parallel
-        peers.
-        """
-        selection = self.options.scheduler
-        if selection is None or state.model is None:
-            return None
-        from repro.runtime.scheduler import GenScheduler, resolve_scheduler_config
-
-        config = resolve_scheduler_config(selection)
-        if config is None:
-            return None
-        registry = self.options.metrics
-        if registry is None and self.collector is not None:
-            registry = self.collector.registry
-        return GenScheduler(state.model, config=config, metrics=registry)
 
     def _ledger_scope(self, state: "ExecutionState", *, pipeline: "Pipeline"):
         """Ledger context for one run; a no-op without ``ledger_dir``.
@@ -424,13 +372,17 @@ class Executor:
         *,
         open_context: bool = False,
     ) -> None:
-        """Strict-mode gate for this executor's options (see :func:`strict_check`)."""
+        """Strict-mode gate for this executor's options (see :func:`strict_check`).
+
+        The runtime is described as engine-less, so a configured
+        ``priority`` / ``deadline_s`` is reported as SPEAR145.
+        """
         strict_check(
             pipeline,
             state,
             open_context=open_context,
             runtime={
-                "scheduler": self.options.scheduler,
+                "scheduler": False,
                 "priority": self.options.priority,
                 "deadline_s": self.options.deadline_s,
             },

@@ -274,16 +274,7 @@ class RefinementLoop:
     def _run_loop(self, state: "ExecutionState") -> LoopReport:
         report = LoopReport()
         for iteration in range(self.max_iterations):
-            # Refinement iterations are bulk work: when the executor's
-            # continuous scheduler is enabled (and no explicit priority
-            # was configured), interactive runs sharing the engine
-            # policy sort ahead of them.
-            priority = self.executor.options.priority
-            result = self.executor.run(
-                self.pipeline,
-                state=state,
-                priority=priority if priority is not None else "bulk",
-            )
+            result = self.executor.run(self.pipeline, state=state)
             state = result.state
             refiner = None
             if self.stop is None or not self.stop(state):

@@ -67,28 +67,27 @@ class RuntimeOptions:
     #: simulated seconds between time-series watermark samples written
     #: to the ledger's ``series.jsonl``.
     series_interval: float = 1.0
-    #: generation-engine selection.  ``None`` lets each runner pick its
-    #: default (the parallel runner uses the continuous scheduler, the
-    #: sequential Executor stays direct); ``True`` /
-    #: :class:`~repro.runtime.scheduler.SchedulerConfig` turns the
-    #: continuous engine on; ``False`` keeps the Executor on the direct
-    #: model path and is rejected by the parallel runner, which has no
-    #: direct path (``SchedulerConfig(max_batch=1)`` is its
-    #: no-coalescing setting).  The config's ``prefix_group_blocks`` /
+    #: the parallel runner's continuous GEN engine.  ``None`` or ``True``
+    #: runs it with the default
+    #: :class:`~repro.runtime.scheduler.SchedulerConfig`, a config tunes
+    #: it, and ``False`` is rejected: the runner has no direct path
+    #: (``SchedulerConfig(max_batch=1)`` is its no-coalescing setting).
+    #: The sequential Executor has no engine — it calls the model
+    #: directly — and raises :class:`TypeError` for ``True`` or a
+    #: config.  The config's ``prefix_group_blocks`` /
     #: ``prefix_dedup`` knobs control prefix-aware admission: grouping
     #: shared-trunk requests into the same step and charging each step's
     #: shared trunk prefill once instead of once per request.
     scheduler: Any = None
-    #: default priority class for scheduled generation calls — a
-    #: :class:`~repro.runtime.scheduler.PriorityClass`, its string name,
-    #: or (for the parallel runner) a callable ``item -> priority``
-    #: resolved per item.
+    #: default priority class for the parallel runner's generation calls
+    #: — a :class:`~repro.runtime.scheduler.PriorityClass`, its string
+    #: name, or a callable ``item -> priority`` resolved per item.
     priority: Any = None
     #: admission deadline in virtual seconds from each call's arrival;
-    #: the scheduler orders equal-priority work by earliest deadline.
-    #: For the parallel runner this may also be a callable ``item ->
-    #: float | None``.  Setting it without a scheduler enabled no-ops
-    #: (``spear check`` flags this as SPEAR145).
+    #: the parallel runner's engine orders equal-priority work by
+    #: earliest deadline.  It may also be a callable ``item -> float |
+    #: None``.  ``priority`` and ``deadline_s`` no-op on the Executor,
+    #: which has no engine (``spear check`` flags this as SPEAR145).
     deadline_s: Any = None
 
     def replace(self, **overrides: Any) -> "RuntimeOptions":

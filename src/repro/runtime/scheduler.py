@@ -159,10 +159,8 @@ def resolve_scheduler_config(value: Any) -> "SchedulerConfig | None":
 
     The one place a ``scheduler`` option value becomes an engine config.
     ``None``/``True`` mean "enabled with defaults"; ``False`` disables
-    the engine (a runner that has no direct model path rejects that); a
-    :class:`SchedulerConfig` passes through.  A runner whose default is
-    the direct path (the sequential Executor) maps ``None`` to off
-    before calling this.
+    the engine (the parallel runner, which has no direct model path,
+    rejects that); a :class:`SchedulerConfig` passes through.
     """
     if value is False:
         return None

@@ -15,7 +15,8 @@ per-tenant queues with breaker-style load shedding
 (:class:`~repro.resilience.ShedPolicy` →
 :class:`~repro.errors.RateLimitError`); under overload the server sheds
 instead of queueing unboundedly.  Request priority and deadlines order
-the global admission queue and feed the per-run GEN scheduler.
+the global admission queue; a session runs each request's GEN calls on
+the direct model path, exactly as a standalone executor does.
 """
 
 from repro.serve.server import ServeRequest, ServeResponse, SpearServer

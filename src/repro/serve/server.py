@@ -5,8 +5,9 @@ pool and a thread pool of workers.  Submission is admission-controlled
 per tenant (bounded queues + breaker-style shedding via
 :class:`~repro.resilience.ShedPolicy`); admitted requests enter one
 global queue ordered by (priority class, deadline, arrival) and drain
-into sessions under session affinity.  Every outcome — served or shed —
-is a ``SERVE`` event on the server's own event log, which an attached
+into sessions, one request per tenant at a time and in queue order.
+Every outcome — served or shed — is a ``SERVE`` event on the server's
+own event log, which an attached
 :class:`~repro.obs.collector.ObsCollector` rolls into the
 ``spear_serve_*`` metric family.  Tenant session logs never see SERVE
 events, so per-tenant ledger runs stay byte-identical to standalone
@@ -163,7 +164,6 @@ class SpearServer:
         profile: str = DEFAULT_PROFILE,
         binder: Any = None,
         workers: int = 4,
-        scheduler: Any = True,
         shed: ShedPolicy | None = None,
         ledger_dir: Any = None,
         collector: Any = None,
@@ -175,7 +175,6 @@ class SpearServer:
         self.profile = profile
         self.binder = binder
         self.workers = workers
-        self.scheduler = scheduler
         self.shed = shed if shed is not None else ShedPolicy()
         self.ledger_dir = ledger_dir
         self.collector = collector
@@ -201,7 +200,6 @@ class SpearServer:
         self._counter = itertools.count()
         self._threads: list[threading.Thread] = []
         self._running = False
-        self._warned_policy_noop = False
 
     # -- registration -------------------------------------------------------
 
@@ -236,11 +234,7 @@ class SpearServer:
                 prompts=dict(prompts or {}),
                 open_context=True,
                 name=name,
-                runtime={
-                    "serve": True,
-                    "scheduler": self.scheduler is not False,
-                    "lanes": self.workers,
-                },
+                runtime={"serve": True, "lanes": self.workers},
             )
             if result.has_errors:
                 raise SpearValidationError(result.errors)
@@ -297,7 +291,6 @@ class SpearServer:
                 profile=self.profile,
                 binder=self.binder,
                 partitions=self.partitions,
-                scheduler=self.scheduler,
                 shed=self.shed,
                 ledger_root=self.ledger_dir,
             )
@@ -339,6 +332,9 @@ class SpearServer:
         self._threads.clear()
         with self._cv:
             drained, self._queue = self._queue, []
+            for session in list(self._sessions.values()):
+                drained += session.waiting
+                session.waiting = []
         for entry in drained:
             self._finish_aborted(entry)
 
@@ -367,26 +363,6 @@ class SpearServer:
         deadline_key = deadline if deadline is not None else float("inf")
         return (rank, deadline_key, next(self._counter))
 
-    def _maybe_warn_policy_noop(self, request: ServeRequest, session) -> None:
-        if self._warned_policy_noop or self.scheduler is not False:
-            return
-        has_policy = (
-            request.priority is not None
-            or request.deadline_s is not None
-            or session.config.priority is not None
-            or session.config.deadline_s is not None
-        )
-        if has_policy:
-            self._warned_policy_noop = True
-            warnings.warn(
-                "serving policy (priority/deadline) with the pool's "
-                "scheduler disabled only orders admission — per-GEN "
-                "scheduling silently no-ops (SPEAR147); build the server "
-                "with scheduler=True or a SchedulerConfig",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
     def submit(self, request: ServeRequest) -> "Future[ServeResponse]":
         """Admit one request; returns a future resolving to its response.
 
@@ -402,7 +378,6 @@ class SpearServer:
         if request.pipeline not in self._pipelines:
             raise SpearError(f"unknown pipeline: {request.pipeline!r}")
         session = self._session(request.tenant)
-        self._maybe_warn_policy_noop(request, session)
         request_id = request.request_id or (
             f"{request.tenant}-{next(self._counter)}"
         )
@@ -476,14 +451,47 @@ class SpearServer:
     # -- workers ------------------------------------------------------------
 
     def _worker_loop(self) -> None:
+        finished: TenantSession | None = None
         while True:
             with _briefly(self._cv):
-                while self._running and not self._queue:
+                if finished is not None:
+                    self._release(finished)
+                while True:
+                    if not self._running:
+                        return
+                    entry = self._take()
+                    if entry is not None:
+                        break
                     self._cv.wait()
-                if not self._running:
-                    return
-                entry = heapq.heappop(self._queue)
+                if self._queue:
+                    # A requeued entry may belong to a tenant that a
+                    # waiting worker, having set it aside, can now take.
+                    self._cv.notify()
             self._execute_entry(entry)
+            finished = entry.session
+
+    def _take(self) -> _Admitted | None:
+        """Pop the first queued entry whose tenant is idle (under ``_cv``).
+
+        A tenant's requests run one at a time and in queue order: an
+        entry whose tenant is running waits on that session's own heap
+        until :meth:`_release`, and the worker takes the next tenant's.
+        """
+        while self._queue:
+            entry = heapq.heappop(self._queue)
+            session = entry.session
+            if session.running:
+                heapq.heappush(session.waiting, entry)
+                continue
+            session.running = True
+            return entry
+        return None
+
+    def _release(self, session: TenantSession) -> None:
+        """Mark ``session`` idle and requeue its next entry (under ``_cv``)."""
+        session.running = False
+        if session.waiting:
+            heapq.heappush(self._queue, heapq.heappop(session.waiting))
 
     def _execute_entry(self, entry: _Admitted) -> None:
         request = entry.request
@@ -559,7 +567,9 @@ class SpearServer:
         with self._admission:
             sessions = dict(self._sessions)
         with self._cv:
-            queued = len(self._queue)
+            queued = len(self._queue) + sum(
+                len(session.waiting) for session in sessions.values()
+            )
         return {
             "tenants": len(sessions),
             "queued": queued,

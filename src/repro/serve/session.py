@@ -5,10 +5,11 @@ It owns everything a tenant's pipelines touch — virtual clock, simulated
 model grounded on the server's corpora, prompt store, operator result
 cache, and a private KV cache partition — so two tenants can
 never share cache state, observe each other's prompts, or perturb each
-other's clocks.  A session executes one request at a time (session
-affinity: the server's workers serialize on the session lock), which
-also keeps every tenant's event stream totally ordered and its outputs
-byte-identical to a standalone run of the same pipeline.
+other's clocks.  A session executes one request at a time and in queue
+order (the server hands a tenant's next request to a worker only after
+its previous one finished), which keeps every tenant's event stream
+totally ordered and its outputs byte-identical to a standalone run of
+the same pipeline.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ class TenantSession:
         profile: str,
         binder: "Callable[[Any], None] | None",
         partitions: "CachePartitions",
-        scheduler: Any,
         shed: ShedPolicy,
         ledger_root: "str | Path | None" = None,
     ) -> None:
@@ -108,7 +108,6 @@ class TenantSession:
                 model=self.model,
                 clock=clock,
                 result_cache=ResultCache() if config.result_cache else None,
-                scheduler=scheduler,
                 ledger_dir=ledger_dir,
             )
         )
@@ -116,8 +115,14 @@ class TenantSession:
         #: request runs on a fork so request context never accumulates.
         self.state = self.executor.new_state()
         self.clock = clock
-        #: session affinity: the server's workers serialize requests here.
+        #: serializes direct :meth:`execute` callers; served requests are
+        #: already one at a time.
         self.lock = threading.Lock()
+        #: dispatch bookkeeping, guarded by the server's queue condition:
+        #: whether a worker is running this tenant's request, and the
+        #: tenant's queued entries held back until it finishes.
+        self.running = False
+        self.waiting: list[Any] = []
         #: admission bookkeeping, guarded by the server's admission lock.
         self.pending = 0
         self.completed = 0
@@ -175,16 +180,6 @@ class TenantSession:
             if request.context:
                 for key, value in request.context.items():
                     state.context.put(str(key), value, producer="serve")
-            priority = (
-                request.priority
-                if request.priority is not None
-                else self.config.priority
-            )
-            deadline_s = (
-                request.deadline_s
-                if request.deadline_s is not None
-                else self.config.deadline_s
-            )
             manifest = {
                 "runner": "SpearServer",
                 "tenant": self.config.name,
@@ -194,13 +189,7 @@ class TenantSession:
             with ledger_scope(
                 self.executor.options, state, manifest=manifest
             ):
-                result = self.executor.run(
-                    pipeline,
-                    items=request.items,
-                    state=state,
-                    priority=priority,
-                    deadline_s=deadline_s,
-                )
+                result = self.executor.run(pipeline, items=request.items, state=state)
             self.completed += 1
             return result
 

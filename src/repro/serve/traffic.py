@@ -62,7 +62,6 @@ class TrafficConfig:
     profile: str = PROFILE
     #: every 4th tenant interactive with a deadline, the rest bulk.
     mixed_priority: bool = True
-    scheduler: Any = True
 
     @property
     def burst(self) -> int:
@@ -95,7 +94,6 @@ def build_demo_server(
         profile=config.profile,
         binder=lambda llm: llm.bind_tweets(corpus),
         workers=config.workers,
-        scheduler=config.scheduler,
         shed=ShedPolicy(queue_limit=config.queue_limit),
         **server_kwargs,
     )

@@ -246,34 +246,18 @@ pipeline p {
         )
         assert not result.with_code("SPEAR145")
 
-    def test_spear147_serve_policy_without_scheduler(self):
+    def test_spear147_retired_serving_policy_is_silent(self):
+        # Serving pools order admission by deadline/priority and have no
+        # per-run engine to miss: neither code fires, and the retired
+        # code keeps its catalog entry so suppressions still parse.
         result = check_pipeline(
             Pipeline([GEN("answer", prompt="qa")]),
             prompts={"qa": "x"},
-            runtime={"serve": True, "scheduler": False, "deadline_s": 5.0},
+            runtime={"serve": True, "deadline_s": 5.0, "priority": "bulk"},
         )
-        (finding,) = result.with_code("SPEAR147")
-        assert finding.severity is Severity.WARNING
-        assert "admission" in finding.message
-        # the serving variant supersedes the standalone finding
         assert not result.with_code("SPEAR145")
-
-    def test_spear147_serve_priority_without_scheduler(self):
-        result = check_pipeline(
-            Pipeline([GEN("answer", prompt="qa")]),
-            prompts={"qa": "x"},
-            runtime={"serve": True, "scheduler": None, "priority": "bulk"},
-        )
-        (finding,) = result.with_code("SPEAR147")
-        assert finding.data["configured"] == ("priority",)
-
-    def test_spear147_silent_when_pool_scheduled(self):
-        result = check_pipeline(
-            Pipeline([GEN("answer", prompt="qa")]),
-            prompts={"qa": "x"},
-            runtime={"serve": True, "scheduler": True, "deadline_s": 5.0},
-        )
         assert not result.with_code("SPEAR147")
+        assert CODE_CATALOG["SPEAR147"][2].startswith("Retired")
 
     def test_spear147_silent_without_serving_policy(self):
         result = check_pipeline(

@@ -11,7 +11,7 @@ of cacheability (returns None) while kv-cache state can leak into its
 signals.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import AnalysisEnv, build_dataflow
@@ -77,6 +77,20 @@ def build_pipeline(seed_placeholders: list[str], tail) -> Pipeline:
 
 @settings(max_examples=40, deadline=None)
 @given(seed_placeholders=placeholders, tail=steps)
+# Five CHECK arms fan the key past the text limit; the APPEND after them
+# must still claim its own placeholder.
+@example(
+    seed_placeholders=[],
+    tail=[
+        ("check", []),
+        ("check", []),
+        ("check", []),
+        ("check", []),
+        ("check", ["alpha"]),
+        ("append", ["beta"]),
+        ("gen", "draft"),
+    ],
+)
 def test_static_reads_superset_runtime_reads(seed_placeholders, tail):
     pipeline = build_pipeline(seed_placeholders, tail)
     graph = build_dataflow(pipeline, AnalysisEnv())

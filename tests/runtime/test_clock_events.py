@@ -339,3 +339,34 @@ class TestBulkExtend:
         [_, fault, *_] = log.extend(foreign)
         assert fault.payload == foreign[1].payload
         assert fault.payload is not foreign[1].payload
+
+
+class TestSince:
+    def test_since_equals_slice_of_all(self):
+        log = EventLog()
+        for index in range(5):
+            log.record(EventKind.GENERATE, f"GEN[{index}]", at=float(index))
+        for start in range(7):
+            assert log.since(start) == log.all()[start:]
+
+    def test_executor_run_never_copies_the_whole_log(self, monkeypatch):
+        # Forks share their base's log, so a long-lived base (a tenant
+        # session) would otherwise copy its whole history on every run.
+        from repro.core import GEN, Pipeline
+        from repro.llm.model import SimulatedLLM
+        from repro.runtime.executor import Executor
+        from repro.runtime.options import RuntimeOptions
+
+        executor = Executor(options=RuntimeOptions(model=SimulatedLLM()))
+        base = executor.new_state(context={"topic": "rain"})
+        base.prompts.create("p", "Write about {topic}.")
+        pipeline = Pipeline([GEN("answer", prompt="p")])
+        first = executor.run(pipeline, state=base.fork())
+
+        def refuse(self):
+            raise AssertionError("Executor.run copied the whole log")
+
+        monkeypatch.setattr(EventLog, "all", refuse)
+        second = executor.run(pipeline, state=base.fork())
+        assert [e.kind for e in second.events] == [e.kind for e in first.events]
+        assert second.events[0].seq == first.events[-1].seq + 1

@@ -913,95 +913,85 @@ class TestStepErrorRegression:
 
 
 class TestExecutorIntegration:
-    def test_single_lane_executor_byte_identical(self):
+    """The sequential Executor has no GEN engine: scheduling knobs are
+    rejected (``scheduler``) or no-ops (``priority`` / ``deadline_s``)."""
+
+    @staticmethod
+    def _run(options, pipeline=None, llm=None):
         from repro.runtime.executor import Executor
 
-        def run(options):
+        if llm is None:
             llm = SimulatedLLM("qwen2.5-7b-instruct")
             llm.bind_tweets(make_tweet_corpus(4, seed=3))
-            executor = Executor(options=options.replace(model=llm))
-            state = executor.new_state(
-                context={"tweet": "the trains are late again, awful"}
-            )
-            state.prompts.create("map", MAP_PROMPT)
-            result = executor.run(
-                Pipeline([GEN("summary", prompt="map")]), state=state
-            )
-            return result
-
-        plain = run(RuntimeOptions())
-        sched = run(RuntimeOptions(scheduler=True, deadline_s=5.0))
-        assert sched.output("summary") == plain.output("summary")
-        assert sched.elapsed == pytest.approx(plain.elapsed)
-        kinds = [e.kind for e in sched.events]
-        assert EventKind.SCHED in kinds
-        assert EventKind.SCHED not in [e.kind for e in plain.events]
-
-    def test_single_lane_retry_after_step_error(self):
-        """A caught step error leaves no stale pending call behind: the
-        lane's next GEN (here, the retry) runs normally."""
-        from repro.runtime.executor import Executor
-
-        def run(scheduler, flaky):
-            llm = SimulatedLLM("qwen2.5-7b-instruct")
-            llm.bind_tweets(make_tweet_corpus(4, seed=3))
-            if flaky:
-                execute_task = llm.execute_task
-                calls = []
-
-                def first_call_fails(prompt, features, **kwargs):
-                    calls.append(prompt)
-                    if len(calls) == 1:
-                        raise TransientModelError("engine hiccup")
-                    return execute_task(prompt, features, **kwargs)
-
-                llm.execute_task = first_call_fails
-            executor = Executor(
-                options=RuntimeOptions(model=llm, scheduler=scheduler)
-            )
-            state = executor.new_state(
-                context={"tweet": "the trains are late again, awful"}
-            )
-            state.prompts.create("map", MAP_PROMPT)
-            retry = RETRY(
-                GEN("summary", prompt="map"),
-                Condition.of(lambda state: False, "never"),
-                policy=RetryPolicy(max_attempts=2, jitter=0.0),
-            )
-            return executor.run(Pipeline([retry]), state=state)
-
-        plain = run(False, flaky=False)
-        sched = run(True, flaky=True)
-        assert sched.output("summary") == plain.output("summary")
-
-    def test_refinement_loop_marks_iterations_bulk(self):
-        from repro.core import REF, RefAction
-        from repro.runtime.executor import Executor
-        from repro.runtime.incremental import RefinementLoop
-
-        llm = SimulatedLLM("qwen2.5-7b-instruct")
-        llm.bind_tweets(make_tweet_corpus(4, seed=3))
-        executor = Executor(
-            options=RuntimeOptions(model=llm, scheduler=True)
-        )
+        executor = Executor(options=options.replace(model=llm))
         state = executor.new_state(
             context={"tweet": "the trains are late again, awful"}
         )
         state.prompts.create("map", MAP_PROMPT)
-        loop = RefinementLoop(
-            executor,
-            Pipeline([GEN("summary", prompt="map")]),
-            refiners=[REF(RefAction.APPEND, "Be concise.", key="map")],
-            max_iterations=2,
+        if pipeline is None:
+            pipeline = Pipeline([GEN("summary", prompt="map")])
+        return executor.run(pipeline, state=state)
+
+    def test_single_lane_executor_byte_identical(self):
+        plain = self._run(RuntimeOptions())
+        policy = self._run(RuntimeOptions(priority="interactive", deadline_s=5.0))
+        assert policy.output("summary") == plain.output("summary")
+        assert policy.elapsed == plain.elapsed
+        assert [e.kind for e in policy.events] == [e.kind for e in plain.events]
+        assert EventKind.SCHED not in [e.kind for e in policy.events]
+
+    def test_policy_knobs_reported_as_spear145_under_strict(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        result = self._run(RuntimeOptions(strict=True, deadline_s=5.0, metrics=metrics))
+        assert result.output("summary")
+        counter = metrics.counter(
+            "spear_check_diagnostics_total",
+            "Diagnostics emitted by strict-mode static checks.",
+            code="SPEAR145",
+            severity="warning",
         )
-        loop.run(state=state)
-        sched_events = [
-            e for e in state.events.all() if e.kind is EventKind.SCHED
-        ]
-        assert sched_events
-        classes = {
-            priority
-            for event in sched_events
-            for priority in event.payload["classes"]
-        }
-        assert classes == {"bulk"}
+        assert counter.value == 1
+
+    @pytest.mark.parametrize(
+        "scheduler", [True, SchedulerConfig(max_batch=4)], ids=["true", "config"]
+    )
+    def test_scheduler_option_rejected(self, scheduler):
+        from repro.runtime.executor import Executor
+
+        with pytest.raises(TypeError, match="ParallelBatchRunner"):
+            Executor(options=RuntimeOptions(scheduler=scheduler))
+        executor = Executor(options=RuntimeOptions(scheduler=False))
+        with pytest.raises(TypeError, match="ParallelBatchRunner"):
+            executor.run(
+                Pipeline([GEN("summary", prompt="map")]),
+                options=RuntimeOptions(scheduler=scheduler),
+            )
+        with pytest.raises(TypeError, match="priority"):
+            executor.run(Pipeline([]), priority="bulk")
+
+    def test_single_lane_retry_after_step_error(self):
+        """A caught model error leaves nothing stale behind: the retry
+        runs normally and answers as a clean run does."""
+        llm = SimulatedLLM("qwen2.5-7b-instruct")
+        llm.bind_tweets(make_tweet_corpus(4, seed=3))
+        execute_task = llm.execute_task
+        calls = []
+
+        def first_call_fails(prompt, features, **kwargs):
+            calls.append(prompt)
+            if len(calls) == 1:
+                raise TransientModelError("engine hiccup")
+            return execute_task(prompt, features, **kwargs)
+
+        llm.execute_task = first_call_fails
+        retry = RETRY(
+            GEN("summary", prompt="map"),
+            Condition.of(lambda state: False, "never"),
+            policy=RetryPolicy(max_attempts=2, jitter=0.0),
+        )
+        flaky = self._run(RuntimeOptions(), Pipeline([retry]), llm=llm)
+        plain = self._run(RuntimeOptions())
+        assert len(calls) == 2
+        assert flaky.output("summary") == plain.output("summary")

@@ -73,7 +73,6 @@ def standalone_run(tweet_text: str, *, ledger_dir=None, repeat: int = 1):
             model=llm,
             clock=clock,
             result_cache=ResultCache(),
-            scheduler=True,
             ledger_dir=str(ledger_dir) if ledger_dir else None,
         )
     )
@@ -172,6 +171,30 @@ class TestByteIdentity:
         for response, reference in zip(responses, references):
             assert response.output("summary") == reference.output("summary")
             assert response.output("neg") == reference.output("neg")
+
+    def test_repeat_requests_bit_identical_to_standalone(self, tmp_path):
+        # Sessions run GEN on the direct path a default executor uses:
+        # outputs, per-request elapsed and the ledger are bit-identical.
+        server = make_server(ledger_dir=str(tmp_path / "serve"))
+        server.add_tenant("solo")
+        with server:
+            responses = [
+                server.submit(request_for(server, "solo")).result()
+                for _ in range(3)
+            ]
+        references = standalone_run(
+            server.corpus[0].text, ledger_dir=tmp_path / "solo", repeat=3
+        )
+        for response, reference in zip(responses, references):
+            assert response.output("summary") == reference.output("summary")
+            assert response.output("neg") == reference.output("neg")
+            assert repr(response.report["elapsed"]) == repr(reference.elapsed)
+            assert response.report == reference.report
+        serve_runs = sorted((tmp_path / "serve" / "solo").iterdir())
+        solo_runs = sorted(p for p in (tmp_path / "solo").iterdir() if p.is_dir())
+        assert len(serve_runs) == len(solo_runs) == 3
+        for serve_run, solo_run in zip(serve_runs, solo_runs):
+            assert spear_main(["diff", str(serve_run), str(solo_run), "--gate"]) == 0
 
     def test_ledger_diff_gate_passes_vs_standalone(self, tmp_path):
         server = make_server(ledger_dir=str(tmp_path / "serve"))

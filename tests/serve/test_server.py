@@ -3,11 +3,12 @@
 Tenant-isolation guarantees live in ``test_isolation.py``; this module
 covers the server mechanics — registration, submission, typed
 responses, deterministic load shedding, the breaker path, SERVE
-observability, and the SPEAR147-style submit-time warning.
+observability, and per-tenant request order.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from concurrent.futures import TimeoutError as FutureTimeout
 
@@ -70,10 +71,9 @@ class TestServeBasics:
         assert response.elapsed > 0.0
 
     def test_elapsed_excludes_a_same_tenant_neighbours_time(self):
-        # Two workers pop one tenant's consecutive requests; the second
-        # waits for the session lock while the first runs.  ``elapsed``
-        # must not absorb that wait (it used to read the tenant clock
-        # before taking the lock).
+        # Two workers serve one tenant's consecutive requests, one after
+        # the other.  ``elapsed`` must not absorb the neighbour's run (it
+        # used to read the tenant clock before the request started).
         server = make_server(workers=2, shed=ShedPolicy(queue_limit=40))
         server.add_tenant("acme")
         futures = [
@@ -299,33 +299,9 @@ class TestServeObservability:
 
 
 class TestServePolicyWarning:
-    def test_policy_with_scheduler_disabled_warns_once(self):
-        server = make_server(scheduler=False)
-        server.add_tenant("acme")
-        with server:
-            with pytest.warns(RuntimeWarning, match="SPEAR147"):
-                first = server.submit(
-                    ServeRequest(
-                        tenant="acme",
-                        pipeline="summarize",
-                        context={"tweet": server.corpus[0].text},
-                        deadline_s=5.0,
-                    )
-                )
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                second = server.submit(
-                    ServeRequest(
-                        tenant="acme",
-                        pipeline="summarize",
-                        context={"tweet": server.corpus[1].text},
-                        priority="interactive",
-                    )
-                )
-            assert first.result().ok and second.result().ok
-
     def test_no_warning_when_scheduler_enabled(self):
-        server = make_server(scheduler=True)
+        # Request priority/deadline order admission; nothing warns.
+        server = make_server()
         server.add_tenant("acme")
         with server, warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -339,6 +315,47 @@ class TestServePolicyWarning:
                 )
             ).result()
         assert response.ok
+        assert EventKind.SCHED not in [e.kind for e in response.result.events]
+
+    def test_scheduler_keyword_rejected(self):
+        with pytest.raises(TypeError, match="scheduler"):
+            make_server(scheduler=True)
+        with pytest.raises(TypeError, match="scheduler"):
+            TrafficConfig(scheduler=False)
+
+
+class TestTenantOrder:
+    @pytest.mark.parametrize("workers, tenants, drains", [(2, 1, 200), (4, 3, 40)])
+    def test_same_tenant_requests_complete_in_submission_order(
+        self, workers, tenants, drains
+    ):
+        # Two workers must never race for one tenant's consecutive
+        # requests: a worker skips a running tenant's next entry, so a
+        # tenant's requests finish in the order they were queued.
+        names = [f"t{index}" for index in range(tenants)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for drain in range(drains):
+                server = make_server(workers=workers)
+                completed: dict[str, list[int]] = {name: [] for name in names}
+                futures = []
+                for name in names:
+                    server.add_tenant(name)
+                for index in range(4):
+                    for name in names:
+                        future = server.submit(request_for(server, name, index))
+                        order = completed[name]
+                        future.add_done_callback(
+                            lambda _, order=order, index=index: order.append(index)
+                        )
+                        futures.append(future)
+                with server:
+                    for future in futures:
+                        assert future.result(timeout=60).ok
+                assert completed == {name: [0, 1, 2, 3] for name in names}, drain
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestTrafficDriver:

@@ -728,6 +728,12 @@ class TestServeCommand:
         assert "shed 0 (0.0%)" in out
         assert "tenant-0" in out and "tenant-1" in out
 
+    def test_serve_no_scheduler_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--no-scheduler"])
+        assert exit_info.value.code == 2
+        assert "--no-scheduler" in capsys.readouterr().err
+
     def test_serve_overload_json(self, capsys):
         code = main(
             [
