@@ -28,9 +28,10 @@ move between releases.  The facade is the compatibility contract:
   :class:`Severity` (and the strict-mode :class:`SpearValidationError`).
 
 Importing this module (and touching every ``__all__`` name) emits no
-DeprecationWarning: the facade never routes through deprecated keywords,
-and CI imports it under ``-W error::DeprecationWarning`` to keep it that
-way.
+DeprecationWarning, and CI imports it under ``-W
+error::DeprecationWarning`` to keep it that way.  Each runner is
+configured once, with ``options=RuntimeOptions(...)``, and has one
+keyword-only ``run`` form.
 
 Quickstart::
 

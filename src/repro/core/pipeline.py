@@ -21,9 +21,9 @@ class Pipeline(Operator):
     def __init__(self, operators: Iterable[Operator] = (), *, name: str | None = None) -> None:
         self.operators: list[Operator] = list(operators)
         self.name = name
-        self.label = name or self._derive_label()
+        self.label = name or self._default_label()
 
-    def _derive_label(self) -> str:
+    def _default_label(self) -> str:
         inner = " -> ".join(op.label for op in self.operators) or "empty"
         return f"PIPELINE[{inner}]"
 

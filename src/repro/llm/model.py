@@ -144,12 +144,13 @@ class SimulatedLLM:
 
     # -- generation -----------------------------------------------------------
     #
-    # ``generate`` composes three backend steps that the GEN scheduler
+    # ``generate`` composes four backend steps that the GEN scheduler
     # (:mod:`repro.runtime.scheduler`) also drives individually: ``prepare``
     # (tokenize + validate), ``execute_task`` (deterministic task output),
-    # and ``record_result`` (counters + listeners).  Keeping them public
-    # means batched and unbatched calls share one code path for
-    # everything except latency accounting.
+    # ``make_result`` (spike-scaled result) and ``record_result``
+    # (counters + listeners).  Keeping them public means batched and
+    # unbatched calls share one code path for everything except latency
+    # pricing and clock charging.
 
     def prepare(self, prompt: str) -> tuple[list[int], PromptFeatures]:
         """Tokenize and validate a prompt; returns (tokens, features).
@@ -188,6 +189,44 @@ class SimulatedLLM:
             text = " ".join(pieces)
             output_tokens = max_tokens
         return text, output_tokens, output
+
+    def make_result(
+        self,
+        text: str,
+        output: TaskOutput,
+        *,
+        prompt_tokens: int,
+        cached_tokens: int,
+        output_tokens: int,
+        latency: LatencyBreakdown,
+        decision: Any,
+        extras: dict[str, Any],
+    ) -> GenerationResult:
+        """One call's result, its ``latency`` stretched by a fault spike.
+
+        A ``decision`` with a ``spike_factor`` other than 1 scales every
+        latency component and adds ``latency_spike`` to ``extras`` (after
+        the caller's keys).  Charging a clock stays with the caller.
+        """
+        if decision is not None and decision.spike_factor != 1.0:
+            factor = decision.spike_factor
+            latency = LatencyBreakdown(
+                overhead=latency.overhead * factor,
+                prefill=latency.prefill * factor,
+                cached_prefill=latency.cached_prefill * factor,
+                decode=latency.decode * factor,
+            )
+            extras["latency_spike"] = factor
+        return GenerationResult(
+            text=text,
+            task=output.task,
+            prompt_tokens=prompt_tokens,
+            cached_tokens=cached_tokens,
+            output_tokens=output_tokens,
+            latency=latency,
+            confidence=output.confidence,
+            extras=extras,
+        )
 
     def record_result(self, result: GenerationResult) -> None:
         """Fold one result into the aggregate counters and notify listeners."""
@@ -332,34 +371,22 @@ class SimulatedLLM:
             prompt, features, max_tokens=max_tokens
         )
 
-        latency = estimate_latency(
-            self.profile,
+        result = self.make_result(
+            text,
+            output,
             prompt_tokens=len(tokens),
             cached_tokens=cached,
             output_tokens=output_tokens,
+            latency=estimate_latency(
+                self.profile,
+                prompt_tokens=len(tokens),
+                cached_tokens=cached,
+                output_tokens=output_tokens,
+            ),
+            decision=decision,
+            extras=dict(output.extras),
         )
-        extras = dict(output.extras)
-        if decision is not None and decision.spike_factor != 1.0:
-            factor = decision.spike_factor
-            latency = LatencyBreakdown(
-                overhead=latency.overhead * factor,
-                prefill=latency.prefill * factor,
-                cached_prefill=latency.cached_prefill * factor,
-                decode=latency.decode * factor,
-            )
-            extras["latency_spike"] = factor
-        self.clock.advance(latency.total)
-
-        result = GenerationResult(
-            text=text,
-            task=output.task,
-            prompt_tokens=len(tokens),
-            cached_tokens=cached,
-            output_tokens=output_tokens,
-            latency=latency,
-            confidence=output.confidence,
-            extras=extras,
-        )
+        self.clock.advance(result.latency.total)
         self.record_result(result)
         return result
 

@@ -410,15 +410,13 @@ def describe_options(options: Any) -> dict[str, Any]:
     model = getattr(options, "model", None)
     profile = getattr(model, "profile", None)
     scheduler = getattr(options, "scheduler", None)
-    if scheduler is None or isinstance(scheduler, bool):
-        scheduler_desc: Any = scheduler
-    else:
-        # A SchedulerConfig (or compatible object): record the policy
-        # knobs so two ledgered runs are comparable on batch formation.
-        scheduler_desc = {
-            "max_batch_tokens": getattr(scheduler, "max_batch_tokens", None),
-            "watermark_s": getattr(scheduler, "watermark_s", None),
-            "max_batch": getattr(scheduler, "max_batch", None),
+    if scheduler is not None:
+        # A SchedulerConfig: record the policy knobs so two ledgered runs
+        # are comparable on batch formation.
+        scheduler = {
+            "max_batch_tokens": scheduler.max_batch_tokens,
+            "watermark_s": scheduler.watermark_s,
+            "max_batch": scheduler.max_batch,
         }
     priority = getattr(options, "priority", None)
     deadline = getattr(options, "deadline_s", None)
@@ -429,7 +427,7 @@ def describe_options(options: Any) -> dict[str, Any]:
         "resilience": getattr(options, "resilience", None) is not None,
         "collector": getattr(options, "collector", None) is not None,
         "series_interval": float(getattr(options, "series_interval", 1.0)),
-        "scheduler": scheduler_desc,
+        "scheduler": scheduler,
         # Callables (per-item attributes) are summarized, not serialized.
         "priority": (
             "<callable>"

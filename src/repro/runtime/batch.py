@@ -33,9 +33,25 @@ __all__ = [
     "BatchResult",
     "BatchRunner",
     "bind_item",
+    "cache_delta",
     "collect_item_result",
     "emit_batch_event",
 ]
+
+
+def cache_delta(cache: Any, before: "Mapping[str, float] | None") -> dict[str, float]:
+    """Result-cache activity since ``before`` (a ``cache.snapshot()``).
+
+    The ``.cache`` of every runner's result: hits / misses /
+    invalidations / saved_seconds deltas, or ``{}`` without a cache.
+    """
+    if cache is None or before is None:
+        return {}
+    after = cache.snapshot()
+    return {
+        key: after[key] - before[key]
+        for key in ("hits", "misses", "invalidations", "saved_seconds")
+    }
 
 
 def bind_item(state: "ExecutionState", item: Any) -> None:
@@ -247,12 +263,7 @@ class BatchRunner:
                 )
             )
         batch.elapsed = clock.now - batch_start
-        if cache is not None and cache_before is not None:
-            after = cache.snapshot()
-            batch.cache = {
-                key: after[key] - cache_before[key]
-                for key in ("hits", "misses", "invalidations", "saved_seconds")
-            }
+        batch.cache = cache_delta(cache, cache_before)
         emit_batch_event(
             self.base_state, batch, mode="sequential", runner="BatchRunner"
         )

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+from repro.runtime.batch import cache_delta
 from repro.runtime.clock import VirtualClock
 from repro.runtime.events import Event
+from repro.runtime.options import RuntimeOptions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily at call time: repro.core.state imports
@@ -22,11 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import Pipeline
     from repro.core.state import ExecutionState
     from repro.core.store import PromptStore
-    from repro.core.views import ViewRegistry
-    from repro.obs.collector import ObsCollector
     from repro.obs.metrics import MetricsRegistry
-    from repro.runtime.options import RuntimeOptions
-    from repro.runtime.result_cache import ResultCache
 
 __all__ = ["RunResult", "Executor"]
 
@@ -122,44 +120,20 @@ class RunResult:
 class Executor:
     """Builds execution states and runs pipelines against them.
 
-    Configure it with ``options=RuntimeOptions(...)`` (the supported
-    surface).  The individual service keywords (``model=``, ``views=``,
-    ``clock=``, ``collector=``, ``result_cache=``) completed their
-    deprecation cycle: passing one raises :class:`TypeError` naming the
-    exact ``options=`` replacement.  The executor has no GEN engine, so
-    an enabled ``RuntimeOptions.scheduler`` raises :class:`TypeError`
-    too; batch through :class:`~repro.runtime.parallel.ParallelBatchRunner`.
+    Configured once, with ``options=RuntimeOptions(...)``.  The executor
+    has no GEN engine, so ``RuntimeOptions.scheduler`` must be ``None``;
+    batch through :class:`~repro.runtime.parallel.ParallelBatchRunner`.
     """
 
-    def __init__(
-        self,
-        *,
-        options: "RuntimeOptions | None" = None,
-        model: Any = None,
-        views: "ViewRegistry | None" = None,
-        clock: VirtualClock | None = None,
-        collector: "ObsCollector | None" = None,
-        result_cache: "ResultCache | None" = None,
-    ) -> None:
-        from repro.runtime.options import resolve_legacy_kwargs
-
-        options = resolve_legacy_kwargs(
-            "Executor",
-            options,
-            {
-                "model": model,
-                "views": views,
-                "clock": clock,
-                "collector": collector,
-                "result_cache": result_cache,
-            },
-        )
-        if options.scheduler is not None and options.scheduler is not False:
+    def __init__(self, *, options: "RuntimeOptions | None" = None) -> None:
+        if options is None:
+            options = RuntimeOptions()
+        if options.scheduler is not None:
             raise TypeError(
-                "Executor(options=RuntimeOptions(scheduler=...)) was removed: "
-                "a sequential run calls the model directly; use "
-                "ParallelBatchRunner to batch GEN calls in the continuous "
-                "engine"
+                "Executor takes no RuntimeOptions.scheduler (got "
+                f"{options.scheduler!r}): a sequential run calls the model "
+                "directly; use ParallelBatchRunner to batch GEN calls in the "
+                "continuous engine"
             )
         self.options = options
         self.model = options.model
@@ -245,41 +219,25 @@ class Executor:
         pipeline: "Pipeline",
         *,
         items: Any = None,
-        options: "RuntimeOptions | None" = None,
         state: "ExecutionState | None" = None,
         context: Mapping[str, Any] | None = None,
     ) -> Any:
         """Execute ``pipeline``; returns the final state plus run artefacts.
 
-        The unified runner signature ``run(pipeline, *, items=None,
-        options=None)`` is shared with
-        :class:`~repro.runtime.parallel.ParallelBatchRunner` and
-        :class:`~repro.runtime.incremental.RefinementLoop` so a serving
-        pool can dispatch to any runner the same way:
-
-        - ``items=`` maps the pipeline over a dataset sequentially (one
-          forked state per item, bound by
-          :func:`~repro.runtime.batch.bind_item`) and returns a
-          :class:`~repro.runtime.batch.BatchResult`; without it a single
-          run returns a :class:`RunResult` — both expose the shared
-          ``.output()`` / ``.report`` / ``.cache`` protocol.  Combined
-          with ``state=``, that state is the shared base (prompts, model,
-          caches) the per-item forks branch from.
-        - ``options=`` overrides this executor's configuration for one
-          call (a derived executor with the same sources and agents runs
-          it; this executor is not mutated).
+        ``items=`` maps the pipeline over a dataset sequentially (one
+        forked state per item, bound by
+        :func:`~repro.runtime.batch.bind_item`) and returns a
+        :class:`~repro.runtime.batch.BatchResult`; without it a single run
+        returns a :class:`RunResult` — both expose the shared
+        ``.output()`` / ``.report`` / ``.cache`` protocol.  Combined with
+        ``state=``, that state is the shared base (prompts, model, caches)
+        the per-item forks branch from.  Either form is one ledger run
+        under ``RuntimeOptions(ledger_dir=...)``.
 
         Generation calls go straight to the model: a sequential run has no
         peers to batch with, so it has no GEN engine (that is
         :class:`~repro.runtime.parallel.ParallelBatchRunner`'s job).
         """
-        if options is not None:
-            return self._derive(options).run(
-                pipeline,
-                items=items,
-                state=state,
-                context=context,
-            )
         if state is not None:
             if self.collector is not None:
                 # Externally built states still get observed (idempotent).
@@ -300,9 +258,10 @@ class Executor:
             if self.options.strict:
                 # Once, before the fan-out: bind fills per-item context.
                 self._validate(pipeline, base, open_context=True)
-            return BatchRunner(base, on_error="collect").run(
-                pipeline, items=items
-            )
+            with self._ledger_scope(base, pipeline=pipeline):
+                return BatchRunner(base, on_error="collect").run(
+                    pipeline, items=items
+                )
         if state is None:
             state = self.new_state(context=context)
         if self.options.strict:
@@ -313,38 +272,27 @@ class Executor:
             started_at = self.clock.now
             event_start = len(state.events)
             final = pipeline.apply(state)
-            cache_delta: dict[str, float] = {}
-            if cache is not None and cache_before is not None:
-                after = cache.snapshot()
-                cache_delta = {
-                    key: after[key] - cache_before[key]
-                    for key in ("hits", "misses", "invalidations", "saved_seconds")
-                }
             return RunResult(
                 state=final,
                 elapsed=self.clock.now - started_at,
                 events=final.events.since(event_start),
-                cache=cache_delta,
+                cache=cache_delta(cache, cache_before),
             )
 
-    def _derive(self, options: "RuntimeOptions") -> "Executor":
-        """A sibling executor with ``options`` but this one's wiring.
-
-        Registered sources and agents carry over so a per-call
-        ``options=`` override behaves like the same executor, differently
-        configured — the serving layer uses this for per-request policy.
-        """
-        derived = Executor(options=options)
-        derived._sources = dict(self._sources)
-        derived._agents = dict(self._agents)
-        return derived
-
-    def _ledger_scope(self, state: "ExecutionState", *, pipeline: "Pipeline"):
+    def _ledger_scope(
+        self,
+        state: "ExecutionState",
+        *,
+        pipeline: "Pipeline",
+        runner: str = "Executor",
+        **manifest: Any,
+    ):
         """Ledger context for one run; a no-op without ``ledger_dir``.
 
         Reentrant per state: a RefinementLoop (or any outer runner) that
         already opened a ledger run around this state keeps owning it —
         every iteration's events land in the same ``runs/<run_id>/``.
+        ``runner`` and ``manifest`` name the runner that owns the run.
         """
         from repro.obs.ledger import describe_options, describe_pipeline, ledger_scope
 
@@ -357,8 +305,9 @@ class Executor:
             self.options,
             state,
             manifest={
-                "runner": "Executor",
+                "runner": runner,
                 "pipeline": describe_pipeline(pipeline),
+                **manifest,
                 "options": describe_options(self.options),
             },
             registry=registry,

@@ -187,26 +187,11 @@ class RefinementLoop:
             return self.refiners[iteration]
         return None
 
-    def run(
-        self,
-        pipeline: "Pipeline | None" = None,
-        *,
-        items: Any = None,
-        options: "RuntimeOptions | None" = None,
-        state: "ExecutionState | None" = None,
-    ) -> LoopReport:
-        """Drive the loop to completion; returns the per-iteration report.
+    def run(self, *, state: "ExecutionState") -> LoopReport:
+        """Drive the loop to completion on ``state``; returns the report.
 
-        Unified runner signature: ``run(pipeline, *, state=...)`` matches
-        ``Executor.run`` / ``ParallelBatchRunner.run``.  ``pipeline``
-        overrides the loop's constructor pipeline for this run (usually
-        omitted); ``state`` is the execution state to iterate on and is
-        required (a refinement loop edits one state's prompts in place,
-        so there is no item fan-out — pass ``items=`` to the batch
-        runners instead).  ``options=`` re-runs on a derived executor
-        carrying the given :class:`RuntimeOptions`.
-
-        The positional form ``run(state)`` raises :class:`TypeError`.
+        A refinement loop edits one state's prompts in place, so there is
+        no item fan-out — pass ``items=`` to the batch runners instead.
 
         With ``RuntimeOptions(ledger_dir=...)`` on the executor, the
         *whole* loop is one ledger run: every iteration's events — and
@@ -214,60 +199,11 @@ class RefinementLoop:
         ``runs/<run_id>/`` directory (the per-run scope inside
         ``Executor.run`` is reentrant and defers to this one).
         """
-        from repro.core.state import ExecutionState as _ExecutionState
-        from repro.obs.ledger import describe_options, describe_pipeline, ledger_scope
-
-        if isinstance(pipeline, _ExecutionState):
-            raise TypeError(
-                "RefinementLoop.run(state) was removed; pass "
-                "run(state=...) instead"
-            )
-        if items is not None:
-            raise TypeError(
-                "RefinementLoop.run: items= is not supported — the loop "
-                "refines one state in place; use BatchRunner/"
-                "ParallelBatchRunner for item fan-out"
-            )
-        if state is None:
-            raise TypeError("RefinementLoop.run requires state=")
-        if options is not None:
-            from repro.runtime.executor import Executor
-
-            sibling = RefinementLoop(
-                Executor(options=options),
-                pipeline if pipeline is not None else self.pipeline,
-                refiners=self.refiners,
-                stop=self.stop,
-                max_iterations=self.max_iterations,
-            )
-            return sibling.run(state=state)
-        if pipeline is not None and pipeline is not self.pipeline:
-            sibling = RefinementLoop(
-                self.executor,
-                pipeline,
-                refiners=self.refiners,
-                stop=self.stop,
-                max_iterations=self.max_iterations,
-            )
-            return sibling.run(state=state)
-
-        executor = self.executor
-        registry = None
-        if executor.collector is not None:
-            registry = executor.collector.registry
-        elif executor.options.metrics is not None:
-            registry = executor.options.metrics
-        with ledger_scope(
-            executor.options,
+        with self.executor._ledger_scope(
             state,
-            manifest={
-                "runner": "RefinementLoop",
-                "pipeline": describe_pipeline(self.pipeline),
-                "max_iterations": self.max_iterations,
-                "options": describe_options(executor.options),
-            },
-            registry=registry,
-            collector=executor.collector,
+            pipeline=self.pipeline,
+            runner="RefinementLoop",
+            max_iterations=self.max_iterations,
         ):
             return self._run_loop(state)
 

@@ -1,17 +1,13 @@
 """Unified runner configuration: one options object for all runners.
 
-:class:`RuntimeOptions` consolidates the service knobs that used to be
-scattered (with varying names) across the :class:`~repro.runtime.executor.Executor`,
-:class:`~repro.runtime.parallel.ParallelBatchRunner`, and
-:class:`~repro.runtime.incremental.RefinementLoop` constructors — the
-model backend, view registry, virtual clock, observability collector,
-metrics registry, operator-level result cache, and the resilience
-runtime.  All three runners accept ``options=``; their legacy per-knob
-keyword arguments — deprecated since the options object landed — now
-raise a clean :class:`TypeError` naming the ``options=`` replacement.
-
-Passing both ``options=`` and a legacy keyword for the same knob is an
-error (there is no sensible precedence between them).
+:class:`RuntimeOptions` holds the service knobs of the
+:class:`~repro.runtime.executor.Executor`,
+:class:`~repro.runtime.parallel.ParallelBatchRunner` and
+:class:`~repro.runtime.incremental.RefinementLoop` — the model backend,
+view registry, virtual clock, observability collector, metrics registry,
+operator-level result cache, and the resilience runtime.  Each runner
+takes it once, as ``options=`` at construction; there are no per-knob
+keywords and no per-call overrides.
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.runtime import ResilienceRuntime
     from repro.runtime.clock import VirtualClock
     from repro.runtime.result_cache import ResultCache
+    from repro.runtime.scheduler import SchedulerConfig
 
 __all__ = ["RuntimeOptions"]
 
@@ -67,18 +64,17 @@ class RuntimeOptions:
     #: simulated seconds between time-series watermark samples written
     #: to the ledger's ``series.jsonl``.
     series_interval: float = 1.0
-    #: the parallel runner's continuous GEN engine.  ``None`` or ``True``
-    #: runs it with the default
-    #: :class:`~repro.runtime.scheduler.SchedulerConfig`, a config tunes
-    #: it, and ``False`` is rejected: the runner has no direct path
-    #: (``SchedulerConfig(max_batch=1)`` is its no-coalescing setting).
-    #: The sequential Executor has no engine — it calls the model
-    #: directly — and raises :class:`TypeError` for ``True`` or a
-    #: config.  The config's ``prefix_group_blocks`` /
-    #: ``prefix_dedup`` knobs control prefix-aware admission: grouping
-    #: shared-trunk requests into the same step and charging each step's
-    #: shared trunk prefill once instead of once per request.
-    scheduler: Any = None
+    #: the parallel runner's continuous GEN engine: ``None`` runs it
+    #: with the default :class:`~repro.runtime.scheduler.SchedulerConfig`
+    #: and a config tunes it (``SchedulerConfig(max_batch=1)`` gives
+    #: every call its own step).  The sequential Executor has no engine —
+    #: it calls the model directly — and accepts only ``None``.  Any
+    #: other value raises :class:`TypeError`.  The config's
+    #: ``prefix_group_blocks`` / ``prefix_dedup`` knobs control
+    #: prefix-aware admission: grouping shared-trunk requests into the
+    #: same step and charging each step's shared trunk prefill once
+    #: instead of once per request.
+    scheduler: "SchedulerConfig | None" = None
     #: default priority class for the parallel runner's generation calls
     #: — a :class:`~repro.runtime.scheduler.PriorityClass`, its string
     #: name, or a callable ``item -> priority`` resolved per item.
@@ -98,34 +94,3 @@ class RuntimeOptions:
             raise TypeError(f"unknown RuntimeOptions fields: {sorted(unknown)}")
         values.update(overrides)
         return RuntimeOptions(**values)
-
-
-def resolve_legacy_kwargs(
-    owner: str,
-    options: RuntimeOptions | None,
-    legacy: dict[str, Any],
-) -> RuntimeOptions:
-    """Reject the removed per-knob kwargs in favour of :class:`RuntimeOptions`.
-
-    ``legacy`` maps field name → value-as-passed (None meaning "not
-    passed").  The per-knob keywords were deprecated when the options
-    object landed and have now completed their migration: any non-None
-    legacy value raises a :class:`TypeError` that names the exact
-    ``options=RuntimeOptions(...)`` replacement.
-    """
-    used = {name: value for name, value in legacy.items() if value is not None}
-    if options is not None:
-        if used:
-            raise TypeError(
-                f"{owner}: pass either options= or the legacy keyword(s) "
-                f"{sorted(used)}, not both"
-            )
-        return options
-    if used:
-        names = ", ".join(f"{name}=" for name in sorted(used))
-        replacement = ", ".join(f"{name}=..." for name in sorted(used))
-        raise TypeError(
-            f"{owner}({names}) was removed; pass "
-            f"options=RuntimeOptions({replacement}) instead"
-        )
-    return RuntimeOptions()

@@ -45,23 +45,19 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 from repro.runtime.batch import (
     BatchResult,
     bind_item,
+    cache_delta,
     collect_item_result,
     emit_batch_event,
 )
 from repro.runtime.clock import VirtualClock
 from repro.runtime.events import EventKind, EventLog
 from repro.runtime.executor import strict_check
-from repro.runtime.scheduler import (
-    GenScheduler,
-    fold_sched_events,
-    resolve_scheduler_config,
-)
+from repro.runtime.options import RuntimeOptions
+from repro.runtime.scheduler import GenScheduler, SchedulerConfig, fold_sched_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import Pipeline
     from repro.core.state import ExecutionState
-    from repro.obs.metrics import MetricsRegistry
-    from repro.runtime.options import RuntimeOptions
 
 __all__ = ["ParallelBatchRunner"]
 
@@ -82,21 +78,17 @@ class ParallelBatchRunner:
             ``min(workers, len(items))``.
         options: shared :class:`~repro.runtime.options.RuntimeOptions`;
             its ``scheduler`` configures the
-            :class:`~repro.runtime.scheduler.GenScheduler` (``None`` /
-            ``True`` for the defaults, or a
+            :class:`~repro.runtime.scheduler.GenScheduler` (``None`` for
+            the defaults, or a
             :class:`~repro.runtime.scheduler.SchedulerConfig` tuning the
-            watermark/token-budget/batch-size policy; ``False`` raises
-            :class:`ValueError` — there is no direct model path here,
-            and ``SchedulerConfig(max_batch=1)`` is the no-coalescing
-            arm), its ``priority`` /
-            ``deadline_s`` set per-item scheduling attributes (constants
-            or callables ``item -> value``), its ``metrics`` instruments
-            lanes/queues/engine steps, its ``result_cache`` and
-            ``resilience`` are attached to the base state when that
-            state has none (per-lane breaker state is shared safely:
-            forked item states carry the same runtime).
-        metrics: removed — passing it raises TypeError; use
-            ``options=RuntimeOptions(metrics=...)``.
+            watermark/token-budget/batch-size policy;
+            ``SchedulerConfig(max_batch=1)`` is the no-coalescing arm),
+            its ``priority`` / ``deadline_s`` set per-item scheduling
+            attributes (constants or callables ``item -> value``), its
+            ``metrics`` instruments lanes/queues/engine steps, its
+            ``result_cache`` and ``resilience`` are attached to the base
+            state when that state has none (per-lane breaker state is
+            shared safely: forked item states carry the same runtime).
         isolate_prompts: fork items with private prompt stores (see
             :meth:`ExecutionState.fork`); use when the pipeline refines
             prompts per item and lanes must not observe each other.
@@ -110,25 +102,21 @@ class ParallelBatchRunner:
         on_error: str = "raise",
         workers: int = 4,
         options: "RuntimeOptions | None" = None,
-        metrics: "MetricsRegistry | None" = None,
         isolate_prompts: bool = False,
     ) -> None:
         if on_error not in ("raise", "collect"):
             raise ValueError(f"on_error must be 'raise' or 'collect': {on_error!r}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        from repro.runtime.options import resolve_legacy_kwargs
-
-        options = resolve_legacy_kwargs(
-            "ParallelBatchRunner", options, {"metrics": metrics}
-        )
-        config = resolve_scheduler_config(options.scheduler)
+        if options is None:
+            options = RuntimeOptions()
+        config = options.scheduler
         if config is None:
-            raise ValueError(
-                "ParallelBatchRunner always runs the GenScheduler; "
-                "scheduler=False is not supported — pass "
-                "RuntimeOptions(scheduler=SchedulerConfig(max_batch=1)) "
-                "to give every call its own engine step"
+            config = SchedulerConfig()
+        elif not isinstance(config, SchedulerConfig):
+            raise TypeError(
+                "RuntimeOptions.scheduler must be a SchedulerConfig or None, "
+                f"got {config!r}"
             )
         #: the engine configuration every run of this runner uses.
         self._scheduler_config = config
@@ -158,41 +146,17 @@ class ParallelBatchRunner:
     def run(
         self,
         pipeline: "Pipeline",
-        *args: Any,
+        *,
         items: "Iterable[Any] | Sequence[Any] | None" = None,
-        options: "RuntimeOptions | None" = None,
     ) -> BatchResult:
         """Execute ``pipeline`` once per item across the worker lanes.
-
-        The unified runner signature: pass the dataset as ``items=`` (the
-        positional form ``run(pipeline, items)`` raises
-        :class:`TypeError`), and optionally a per-call ``options=``
-        override (a sibling runner with the same lanes/binding runs the
-        batch; this runner is not mutated).
 
         With ``RuntimeOptions(ledger_dir=...)`` the whole batch is one
         ledger run on the base state; lane events land in it when they
         are folded back at completion.
         """
-        if args:
-            raise TypeError(
-                "ParallelBatchRunner.run(pipeline, items) was removed; "
-                "pass run(pipeline, items=...) instead"
-            )
         if items is None:
             items = []
-        if options is not None:
-            sibling = ParallelBatchRunner(
-                self.base_state,
-                bind=self.bind,
-                on_error=self.on_error,
-                workers=self.workers,
-                options=options,
-                isolate_prompts=self.isolate_prompts,
-            )
-            batch = sibling.run(pipeline, items=items)
-            self.last_batcher = sibling.last_batcher
-            return batch
         from repro.obs.ledger import describe_options, describe_pipeline, ledger_scope
 
         with ledger_scope(
@@ -345,20 +309,12 @@ class ParallelBatchRunner:
             # what a sequential run would pay: the sum of lane times.
             "serialized_elapsed": sum(clock.now - start for clock in lane_clocks),
         }
-        if cache is not None and cache_before is not None:
-            after = cache.snapshot()
-            batch.cache = {
-                key: after[key] - cache_before[key]
-                for key in ("hits", "misses", "invalidations", "saved_seconds")
-            }
+        batch.cache = cache_delta(cache, cache_before)
+        if batch.cache:
             extra.update(
-                result_cache_hits=int(after["hits"] - cache_before["hits"]),
-                result_cache_misses=int(
-                    after["misses"] - cache_before["misses"]
-                ),
-                result_cache_saved_seconds=(
-                    after["saved_seconds"] - cache_before["saved_seconds"]
-                ),
+                result_cache_hits=int(batch.cache["hits"]),
+                result_cache_misses=int(batch.cache["misses"]),
+                result_cache_saved_seconds=batch.cache["saved_seconds"],
             )
         if batcher is not None:
             stats = batcher.snapshot()

@@ -53,7 +53,7 @@ desynchronize and nobody waits for the slowest peer's decode.
 
 Determinism: task outputs come from the model's deterministic
 ``execute_task`` path, fault injection reuses the seeded per-prompt
-decisions a sequential run makes (via :func:`prepare_request`), and
+decisions a sequential run makes (see :meth:`GenScheduler._prepare`), and
 step composition depends only on pending-set state and virtual-clock
 instants — never on host timing.  Per-item outputs are
 byte-identical to a sequential run; two same-seed runs produce
@@ -80,9 +80,6 @@ __all__ = [
     "GenScheduler",
     "LaneModel",
     "MICROBATCH_SIZE_BUCKETS",
-    "prepare_request",
-    "execute_requests",
-    "resolve_scheduler_config",
     "resolve_priority_class",
     "fold_sched_events",
 ]
@@ -152,25 +149,6 @@ class SchedulerConfig:
             raise ValueError(
                 f"prefix_group_blocks must be >= 0, got {self.prefix_group_blocks}"
             )
-
-
-def resolve_scheduler_config(value: Any) -> "SchedulerConfig | None":
-    """Normalize ``RuntimeOptions.scheduler`` to a config (or None = off).
-
-    The one place a ``scheduler`` option value becomes an engine config.
-    ``None``/``True`` mean "enabled with defaults"; ``False`` disables
-    the engine (the parallel runner, which has no direct model path,
-    rejects that); a :class:`SchedulerConfig` passes through.
-    """
-    if value is False:
-        return None
-    if value is None or value is True:
-        return SchedulerConfig()
-    if isinstance(value, SchedulerConfig):
-        return value
-    raise TypeError(
-        f"scheduler must be a SchedulerConfig, bool, or None: {value!r}"
-    )
 
 
 @dataclass(frozen=True)
@@ -260,85 +238,6 @@ class _Request:
         self.prepared = False
 
 
-def prepare_request(model: "SimulatedLLM", request: _Request) -> bool:
-    """Tokenize one request and apply its seeded fault decision.
-
-    The front half of an engine step: every request goes through it, so
-    batched runs inject exactly the faults a sequential run would
-    (``fault_plan.decide`` is keyed by prompt, not by arrival order).
-    Returns True when the request survives to execution; on a prepare
-    error or an injected fault the request is completed in place (error
-    or fault charge delivered to its own lane clock) and False is
-    returned.
-    """
-    try:
-        request.tokens, request.features = model.prepare(request.prompt)
-    except Exception as error:  # noqa: BLE001 - delivered to the lane
-        request.error = error
-        request.done = True
-        return False
-    request.decision = (
-        model.fault_plan.decide(model.profile.name, request.prompt)
-        if model.fault_plan is not None
-        else None
-    )
-    if request.decision is not None and request.decision.kind is not None:
-        try:
-            model.inject_fault(
-                request.decision, request.prompt, request.tokens,
-                request.features, max_tokens=request.max_tokens,
-                clock=request.clock,
-            )
-        except Exception as error:  # noqa: BLE001 - delivered to the lane
-            request.error = error
-        request.done = True
-        return False
-    request.prepared = True
-    return True
-
-
-def execute_requests(
-    model: "SimulatedLLM", requests: "list[_Request]"
-) -> tuple[
-    list[_Request], list[tuple[int, int, int]], list[tuple[str, int, Any]]
-]:
-    """Run the deterministic task engine over prepared requests, in order.
-
-    Performs the per-request prefix-cache lookup and task execution —
-    the back half of an engine step.  Returns the requests that ran, their
-    ``(prompt_tokens, cached_tokens, output_tokens)`` triples and their
-    ``(text, output_tokens, output)`` results, index-aligned.  A request
-    whose lookup or task raises is completed in place with that error
-    (the exception a direct call would raise) and left out; its peers
-    still run.
-    """
-    ran: list[_Request] = []
-    triples: list[tuple[int, int, int]] = []
-    outputs: list[tuple[str, int, Any]] = []
-    for request in requests:
-        assert request.tokens is not None
-        caching = (
-            model.enable_prefix_cache
-            if request.use_cache is None
-            else request.use_cache
-        )
-        try:
-            cached = (
-                model.kv_cache.lookup_and_insert(request.tokens) if caching else 0
-            )
-            text, output_tokens, output = model.execute_task(
-                request.prompt, request.features, max_tokens=request.max_tokens
-            )
-        except Exception as error:  # noqa: BLE001 - delivered to the lane
-            request.error = error
-            request.done = True
-            continue
-        ran.append(request)
-        triples.append((len(request.tokens), cached, output_tokens))
-        outputs.append((text, output_tokens, output))
-    return ran, triples, outputs
-
-
 class LaneModel:
     """Per-lane view of the shared model.
 
@@ -416,23 +315,17 @@ class GenScheduler:
 
     # -- lane lifecycle ------------------------------------------------------
 
-    def open_lane(
-        self,
-        lane_id: int,
-        clock: VirtualClock,
-        *,
-        priority: Any = None,
-        deadline_s: float | None = None,
-    ) -> LaneModel:
-        """Register a lane; returns its model proxy.
+    def open_lane(self, lane_id: int, clock: VirtualClock) -> LaneModel:
+        """Register a lane at normal priority; returns its model proxy.
 
         An open lane is part of the quiescence condition: the engine
         makes admission decisions only when every open lane has a
-        pending call (or has closed).
+        pending call (or has closed).  :meth:`configure_lane` sets its
+        priority class and deadline.
         """
         if lane_id in self._lanes:
             raise ValueError(f"lane {lane_id} is already open")
-        self._lanes[lane_id] = (clock, resolve_priority_class(priority), deadline_s)
+        self._lanes[lane_id] = (clock, PriorityClass.NORMAL, None)
         return LaneModel(self, lane_id, clock)
 
     def configure_lane(
@@ -512,6 +405,87 @@ class GenScheduler:
         """Take a finished request off the queue."""
         request.done = True
         del self._pending[request.lane_id]
+
+    def _prepare(self, request: _Request) -> bool:
+        """Tokenize one request and apply its seeded fault decision.
+
+        The front half of an engine step: every request goes through it, so
+        batched runs inject exactly the faults a sequential run would
+        (``fault_plan.decide`` is keyed by prompt, not by arrival order).
+        Returns True when the request survives to execution; on a prepare
+        error or an injected fault the request is completed in place (error
+        or fault charge delivered to its own lane clock) and False is
+        returned.
+        """
+        model = self.model
+        try:
+            request.tokens, request.features = model.prepare(request.prompt)
+        except Exception as error:  # noqa: BLE001 - delivered to the lane
+            request.error = error
+            request.done = True
+            return False
+        request.decision = (
+            model.fault_plan.decide(model.profile.name, request.prompt)
+            if model.fault_plan is not None
+            else None
+        )
+        if request.decision is not None and request.decision.kind is not None:
+            try:
+                model.inject_fault(
+                    request.decision, request.prompt, request.tokens,
+                    request.features, max_tokens=request.max_tokens,
+                    clock=request.clock,
+                )
+            except Exception as error:  # noqa: BLE001 - delivered to the lane
+                request.error = error
+            request.done = True
+            return False
+        request.prepared = True
+        return True
+
+    def _execute(
+        self, requests: "list[_Request]"
+    ) -> tuple[
+        list[_Request], list[tuple[int, int, int]], list[tuple[str, int, Any]]
+    ]:
+        """Run the deterministic task engine over prepared requests, in order.
+
+        Performs the per-request prefix-cache lookup and task execution —
+        the back half of an engine step.  Returns the requests that ran,
+        their ``(prompt_tokens, cached_tokens, output_tokens)`` triples and
+        their ``(text, output_tokens, output)`` results, index-aligned.  A
+        request whose lookup or task raises is completed in place with that
+        error (the exception a direct call would raise) and left out; its
+        peers still run.
+        """
+        model = self.model
+        ran: list[_Request] = []
+        triples: list[tuple[int, int, int]] = []
+        outputs: list[tuple[str, int, Any]] = []
+        for request in requests:
+            assert request.tokens is not None
+            caching = (
+                model.enable_prefix_cache
+                if request.use_cache is None
+                else request.use_cache
+            )
+            try:
+                cached = (
+                    model.kv_cache.lookup_and_insert(request.tokens)
+                    if caching
+                    else 0
+                )
+                text, output_tokens, output = model.execute_task(
+                    request.prompt, request.features, max_tokens=request.max_tokens
+                )
+            except Exception as error:  # noqa: BLE001 - delivered to the lane
+                request.error = error
+                request.done = True
+                continue
+            ran.append(request)
+            triples.append((len(request.tokens), cached, output_tokens))
+            outputs.append((text, output_tokens, output))
+        return ran, triples, outputs
 
     def _policy_key(self, request: _Request) -> tuple:
         deadline = request.deadline if request.deadline is not None else float("inf")
@@ -604,7 +578,7 @@ class GenScheduler:
             request = self._pending[lane_id]
             if request.prepared:
                 continue
-            if not prepare_request(self.model, request):
+            if not self._prepare(request):
                 self._complete(request)
                 removed = True
         if removed:
@@ -676,7 +650,7 @@ class GenScheduler:
         if hasattr(kv, "pin"):
             pins = [kv.pin(request.tokens or []) for request in admitted]
         try:
-            ran, triples, outputs = execute_requests(model, admitted)
+            ran, triples, outputs = self._execute(admitted)
         finally:
             if pins is not None:
                 for handle in pins:
@@ -698,14 +672,10 @@ class GenScheduler:
         )
         self._prefill_free_at = step.prefill_free_at
 
-        from repro.llm.latency import LatencyBreakdown
-        from repro.llm.model import GenerationResult
-
         members: list[StepMember] = []
         for index, request in enumerate(admitted):
             text, output_tokens, output = outputs[index]
             prompt_tokens, cached, _ = triples[index]
-            latency = step.per_request[index]
             completion = step.completions[index]
             extras = {
                 **output.extras,
@@ -716,30 +686,20 @@ class GenScheduler:
             if dedup[index]:
                 extras["sched_dedup_tokens"] = dedup[index]
             decision = request.decision
-            spiked = decision is not None and decision.spike_factor != 1.0
-            if spiked:
-                factor = decision.spike_factor
-                latency = LatencyBreakdown(
-                    overhead=latency.overhead * factor,
-                    prefill=latency.prefill * factor,
-                    cached_prefill=latency.cached_prefill * factor,
-                    decode=latency.decode * factor,
-                )
-                extras["latency_spike"] = factor
-            result = GenerationResult(
-                text=text,
-                task=output.task,
+            result = model.make_result(
+                text,
+                output,
                 prompt_tokens=prompt_tokens,
                 cached_tokens=cached,
                 output_tokens=output_tokens,
-                latency=latency,
-                confidence=output.confidence,
+                latency=step.per_request[index],
+                decision=decision,
                 extras=extras,
             )
             # Each lane advances to its OWN completion — the continuous
             # engine never synchronizes peers to the slowest decode.
             request.clock.advance_to(completion)
-            if spiked:
+            if decision is not None and decision.spike_factor != 1.0:
                 # The spiked request alone pays the stretched remainder.
                 request.clock.advance(
                     step.per_request[index].total * (decision.spike_factor - 1.0)

@@ -95,6 +95,23 @@ class TestWriteSide:
             executor.run(make_pipeline(state), state=state)
         assert Ledger(root).list() == ["000001", "000002"]
 
+    def test_items_run_is_one_run(self, tmp_path):
+        root = tmp_path / "runs"
+        executor = make_executor(root)
+        state = executor.new_state()
+        pipeline = make_pipeline(state)
+        batch = executor.run(pipeline, items=[{"n": 1}, {"n": 2}], state=state)
+        assert not batch.failures()
+        ledger = Ledger(root)
+        assert ledger.list() == ["000001"]
+        run = ledger.latest()
+        assert run.status == "completed"
+        assert run.manifest["runner"] == "Executor"
+        assert run.manifest["event_count"] == len(state.events)
+        kinds = [event.kind for event in run.events().all()]
+        assert kinds.count(EventKind.GENERATE) == 4
+        assert kinds[-1] is EventKind.BATCH
+
     def test_refinement_loop_is_one_run(self, tmp_path):
         from repro.runtime.incremental import RefinementLoop
 

@@ -202,7 +202,7 @@ class TestParallelBatchRunner:
 
     def test_scheduler_false_rejected(self):
         state, _ = _build_state(n_items=1)
-        with pytest.raises(ValueError, match=r"SchedulerConfig\(max_batch=1\)"):
+        with pytest.raises(TypeError, match="SchedulerConfig or None"):
             ParallelBatchRunner(
                 state,
                 bind=_bind_tweet,

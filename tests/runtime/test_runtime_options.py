@@ -1,4 +1,4 @@
-"""RuntimeOptions: one config object for all runners, legacy kwargs removed."""
+"""RuntimeOptions: one config object for all runners, no per-knob keywords."""
 
 import warnings
 
@@ -61,14 +61,9 @@ class TestExecutorOptions:
         state = executor.new_state()
         assert state.resilience is resilience
 
-    def test_legacy_kwargs_raise_typeerror_naming_replacement(self):
-        llm, _ = _llm()
-        with pytest.raises(TypeError, match=r"options=RuntimeOptions\(model=\.\.\.\)"):
-            Executor(model=llm)
-
     def test_options_and_legacy_kwargs_conflict(self):
         llm, _ = _llm()
-        with pytest.raises(TypeError, match="both"):
+        with pytest.raises(TypeError, match="model"):
             Executor(options=RuntimeOptions(model=llm), model=llm)
 
 
@@ -95,15 +90,13 @@ class TestParallelRunnerOptions:
     def test_legacy_metrics_kwarg_raises_typeerror(self):
         llm, _ = _llm()
         state = ExecutionState(model=llm, clock=llm.clock)
-        with pytest.raises(
-            TypeError, match=r"options=RuntimeOptions\(metrics=\.\.\.\)"
-        ):
+        with pytest.raises(TypeError, match="metrics"):
             ParallelBatchRunner(state, bind=_bind, metrics=MetricsRegistry())
 
     def test_options_and_legacy_conflict(self):
         llm, _ = _llm()
         state = ExecutionState(model=llm, clock=llm.clock)
-        with pytest.raises(TypeError, match="both"):
+        with pytest.raises(TypeError, match="metrics"):
             ParallelBatchRunner(
                 state,
                 bind=_bind,

@@ -36,7 +36,6 @@ from repro.runtime.scheduler import (
     PriorityClass,
     SchedulerConfig,
     resolve_priority_class,
-    resolve_scheduler_config,
 )
 
 FILTER_PROMPT = (
@@ -111,15 +110,6 @@ class TestConfig:
             SchedulerConfig(max_batch_tokens=0)
         with pytest.raises(ValueError):
             SchedulerConfig(watermark_s=-1.0)
-
-    def test_resolve_scheduler_config(self):
-        assert resolve_scheduler_config(False) is None
-        assert resolve_scheduler_config(None) == SchedulerConfig()
-        assert resolve_scheduler_config(True) == SchedulerConfig()
-        config = SchedulerConfig(max_batch_tokens=512)
-        assert resolve_scheduler_config(config) is config
-        with pytest.raises(TypeError):
-            resolve_scheduler_config(42)
 
     def test_resolve_priority_class(self):
         assert resolve_priority_class(None) is PriorityClass.NORMAL
@@ -962,14 +952,8 @@ class TestExecutorIntegration:
 
         with pytest.raises(TypeError, match="ParallelBatchRunner"):
             Executor(options=RuntimeOptions(scheduler=scheduler))
-        executor = Executor(options=RuntimeOptions(scheduler=False))
-        with pytest.raises(TypeError, match="ParallelBatchRunner"):
-            executor.run(
-                Pipeline([GEN("summary", prompt="map")]),
-                options=RuntimeOptions(scheduler=scheduler),
-            )
         with pytest.raises(TypeError, match="priority"):
-            executor.run(Pipeline([]), priority="bulk")
+            Executor().run(Pipeline([]), priority="bulk")
 
     def test_single_lane_retry_after_step_error(self):
         """A caught model error leaves nothing stale behind: the retry

@@ -1,8 +1,10 @@
-"""Unified runner API: run(pipeline, *, items=, options=) + result protocol.
+"""Unified runner API: one constructor and one ``run`` form per runner.
 
-Every runner — Executor, BatchRunner, ParallelBatchRunner,
-RefinementLoop — accepts the same ``run`` shape, and every result obeys
-the shared protocol: ``.output(label)``, ``.report``, ``.cache``.  The
+Every runner is configured once, through ``options=RuntimeOptions(...)``,
+and runs with keyword arguments only: ``Executor.run(pipeline, *,
+items=, state=, context=)``, ``ParallelBatchRunner.run(pipeline, *,
+items=)`` and ``RefinementLoop.run(*, state=)``.  Every result obeys the
+shared protocol: ``.output(label)``, ``.report``, ``.cache``.  The
 serving layer dispatches to any of them without caring which.
 """
 
@@ -14,6 +16,7 @@ from repro.core import GEN, REF, Pipeline, RefAction
 from repro.core.state import ExecutionState
 from repro.data import make_tweet_corpus
 from repro.llm.model import SimulatedLLM
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.batch import BatchRunner, bind_item
 from repro.runtime.executor import Executor
 from repro.runtime.incremental import RefinementLoop
@@ -87,23 +90,6 @@ class TestExecutorUnifiedRun:
         # Items forked from the base: its own context stays untouched.
         assert "summary" not in list(base.context.keys())
         assert not batch.failures()
-
-    def test_per_call_options_override(self):
-        llm, corpus = _llm(prefix_cache=False)
-        executor = Executor(options=RuntimeOptions(model=llm, clock=llm.clock))
-        cache = ResultCache()
-        options = RuntimeOptions(
-            model=llm, clock=llm.clock, result_cache=cache
-        )
-        state = _state(llm)
-        state.context.put("tweet", corpus[0].text, producer="test")
-        pipeline = _pipeline()
-        executor.run(pipeline, options=options, state=state)
-        executor.run(pipeline, options=options, state=state)
-        assert cache.snapshot()["hits"] >= 1
-        # The original executor is untouched by the per-call override.
-        assert executor.result_cache is None
-
 
 class TestSharedResultProtocol:
     def test_run_result_protocol(self):
@@ -182,7 +168,7 @@ class TestRefinementLoopUnifiedRun:
         llm, corpus = _llm()
         loop = self._loop(llm)
         state = self._state(llm, corpus)
-        with pytest.raises(TypeError, match="run\\(state=\\.\\.\\.\\)"):
+        with pytest.raises(TypeError, match="positional"):
             loop.run(state)
         assert llm.calls == 0
 
@@ -199,30 +185,21 @@ class TestRefinementLoopUnifiedRun:
         llm, corpus = _llm()
         loop = self._loop(llm)
         state = self._state(llm, corpus)
-        with pytest.raises(TypeError, match="items="):
+        with pytest.raises(TypeError, match="items"):
             loop.run(items=_items(corpus), state=state)
+        assert llm.calls == 0
 
     def test_state_required(self):
         llm, _ = _llm()
-        with pytest.raises(TypeError, match="state="):
+        with pytest.raises(TypeError, match="state"):
             self._loop(llm).run()
-
-    def test_pipeline_override_runs_given_pipeline(self):
-        llm, corpus = _llm()
-        loop = self._loop(llm)
-        state = self._state(llm, corpus)
-        override = Pipeline([GEN("alt", prompt="map")])
-        report = loop.run(override, state=state)
-        assert report.output("alt")
-        # The loop itself is unchanged for later runs.
-        assert loop.pipeline is not override
 
 
 class TestParallelRunnerDeprecations:
     def test_positional_items_warn(self):
         llm, corpus = _llm()
         runner = ParallelBatchRunner(_state(llm), workers=2)
-        with pytest.raises(TypeError, match="items=\\.\\.\\."):
+        with pytest.raises(TypeError, match="positional"):
             runner.run(_pipeline(), _items(corpus))
         assert llm.calls == 0
 
@@ -233,16 +210,109 @@ class TestParallelRunnerDeprecations:
         )
         assert all(batch.output("summary"))
 
-    def test_per_call_options_build_sibling(self):
-        from repro.obs.metrics import MetricsRegistry
 
-        llm, corpus = _llm()
-        runner = ParallelBatchRunner(_state(llm), workers=2)
-        metrics = MetricsRegistry()
-        batch = runner.run(
+def _executor(llm, **options):
+    return Executor(options=RuntimeOptions(model=llm, clock=llm.clock, **options))
+
+
+def _loop(llm):
+    return RefinementLoop(
+        pipeline=_pipeline(), refiners=[], options=RuntimeOptions(model=llm)
+    )
+
+
+def _tweet_state(llm, corpus):
+    state = _state(llm)
+    state.context.put("tweet", corpus[0].text, producer="test")
+    return state
+
+
+def _form(name, call):
+    return pytest.param(call, id=name)
+
+
+REMOVED_CALL_FORMS = [
+    _form("executor-model-kwarg", lambda llm, corpus: Executor(model=llm)),
+    _form(
+        "parallel-metrics-kwarg",
+        lambda llm, corpus: ParallelBatchRunner(
+            _state(llm), metrics=MetricsRegistry()
+        ),
+    ),
+    _form(
+        "executor-positional-items",
+        lambda llm, corpus: _executor(llm).run(_pipeline(), _items(corpus)),
+    ),
+    _form(
+        "parallel-positional-items",
+        lambda llm, corpus: ParallelBatchRunner(_state(llm)).run(
+            _pipeline(), _items(corpus)
+        ),
+    ),
+    _form(
+        "executor-run-options",
+        lambda llm, corpus: _executor(llm).run(
             _pipeline(),
-            items=_items(corpus),
-            options=RuntimeOptions(metrics=metrics),
+            state=_tweet_state(llm, corpus),
+            options=RuntimeOptions(model=llm),
+        ),
+    ),
+    _form(
+        "parallel-run-options",
+        lambda llm, corpus: ParallelBatchRunner(_state(llm)).run(
+            _pipeline(), items=_items(corpus), options=RuntimeOptions()
+        ),
+    ),
+    _form(
+        "loop-run-options",
+        lambda llm, corpus: _loop(llm).run(
+            state=_tweet_state(llm, corpus), options=RuntimeOptions(model=llm)
+        ),
+    ),
+    _form(
+        "loop-positional-state",
+        lambda llm, corpus: _loop(llm).run(_tweet_state(llm, corpus)),
+    ),
+    _form(
+        "loop-items",
+        lambda llm, corpus: _loop(llm).run(
+            items=_items(corpus), state=_tweet_state(llm, corpus)
+        ),
+    ),
+    _form(
+        "loop-pipeline-override",
+        lambda llm, corpus: _loop(llm).run(
+            Pipeline([GEN("alt", prompt="map")]),
+            state=_tweet_state(llm, corpus),
+        ),
+    ),
+    *(
+        _form(
+            f"executor-scheduler-{value}",
+            lambda llm, corpus, value=value: _executor(llm, scheduler=value),
         )
-        assert not batch.failures()
-        assert runner.last_batcher is not None
+        for value in (True, False, 42)
+    ),
+    *(
+        _form(
+            f"parallel-scheduler-{value}",
+            lambda llm, corpus, value=value: ParallelBatchRunner(
+                _state(llm), options=RuntimeOptions(scheduler=value)
+            ).run(_pipeline(), items=_items(corpus)),
+        )
+        for value in (True, False, 42)
+    ),
+]
+
+
+class TestRemovedCallForms:
+    """Each runner has one constructor and one ``run`` form: every other
+    form, and any ``scheduler`` that is not a config or None, fails with a
+    TypeError before any model call."""
+
+    @pytest.mark.parametrize("call", REMOVED_CALL_FORMS)
+    def test_rejected(self, call):
+        llm, corpus = _llm()
+        with pytest.raises(TypeError):
+            call(llm, corpus)
+        assert llm.calls == 0

@@ -1,10 +1,13 @@
 """Smoke tests: every shipped example runs end to end.
 
 Examples are user-facing documentation; a broken one is a bug.  Each main()
-is executed in-process with stdout captured.
+is executed in-process with stdout captured, and every ``examples/*.py``
+script also runs as a user would start it, in a fresh interpreter.
 """
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -83,3 +86,26 @@ class TestSentimentFusion:
         out = _run("sentiment_fusion", capsys)
         assert "map_filter: planner says fuse=True" in out
         assert "filter_map: planner says fuse=False" in out
+
+
+@pytest.mark.parametrize(
+    "script", sorted(EXAMPLES_DIR.glob("*.py")), ids=lambda path: path.stem
+)
+def test_script_runs_as_main(script, tmp_path):
+    """``python examples/<name>.py`` exits 0, in a temp working directory."""
+    src = str(EXAMPLES_DIR.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    completed = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout
+    assert list(tmp_path.iterdir()) == []
