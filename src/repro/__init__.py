@@ -57,7 +57,6 @@ from repro.llm import (
     ModelProfile,
     RadixPrefixCache,
     SimulatedLLM,
-    StructuredPromptCache,
     Tokenizer,
     get_profile,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "GenerationResult",
     "ModelProfile",
     "SimulatedLLM",
-    "StructuredPromptCache",
     "Tokenizer",
     "get_profile",
     "SpearError",

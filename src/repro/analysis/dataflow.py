@@ -588,10 +588,10 @@ class _Walker:
             return not present if match.group("negated") else present
         return None
 
-    def _preview_view(
+    def _expand_view(
         self, name: str, params: Mapping[str, Any]
     ) -> tuple[str | None, str | None]:
-        """Expand a view without touching its memo cache.
+        """Expand a view.
 
         Returns ``(text, error)``; exactly one side is set.  A missing
         registry means the text is unknowable, not an error.
@@ -599,7 +599,7 @@ class _Walker:
         if self.env.views is None:
             return None, None
         try:
-            return self.env.views.preview(name, params), None
+            return self.env.views.expand(name, params), None
         except ViewError as error:
             return None, str(error)
 
@@ -819,7 +819,7 @@ class _Walker:
             op, "VIEW", conditional=conditional, repeated=repeated, path=path
         )
         node.data["view"] = op.view_name
-        text, error = self._preview_view(op.view_name, op.params)
+        text, error = self._expand_view(op.view_name, op.params)
         if error is not None:
             node.data["view_error"] = error
         self._write_prompt(
@@ -853,7 +853,7 @@ class _Walker:
         node.data["views"] = list(op.candidates)
         errors: dict[str, str] = {}
         for candidate in op.candidates:
-            __, error = self._preview_view(candidate, op.params)
+            __, error = self._expand_view(candidate, op.params)
             if error is not None:
                 errors[candidate] = error
         if errors:

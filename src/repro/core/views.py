@@ -8,10 +8,9 @@ Views here support:
 - **composition**: a view may extend a base view (its expanded text is
   available as the ``{base}`` placeholder, or is prepended by default);
 - **dispatch**: pick a view at runtime from predicates over the state
-  (e.g. discharge vs radiology vs nursing notes);
-- **caching**: expansions are memoized in a
-  :class:`~repro.llm.prompt_cache.StructuredPromptCache`, keyed by
-  (view, parameter hash, definition version).
+  (e.g. discharge vs radiology vs nursing notes).
+
+Expansion renders the current base chain on every call.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from typing import Any, Callable, Mapping
 
 from repro.core.entry import PromptEntry, render_template, template_placeholders
 from repro.errors import UnknownViewError, ViewError, ViewParameterError
-from repro.llm.prompt_cache import StructuredPromptCache
 
 __all__ = ["View", "ViewRegistry"]
 
@@ -50,9 +48,8 @@ class View:
 class ViewRegistry:
     """Holds view definitions and expands them into prompt text/entries."""
 
-    def __init__(self, cache: StructuredPromptCache | None = None) -> None:
+    def __init__(self) -> None:
         self._views: dict[str, View] = {}
-        self.cache = cache if cache is not None else StructuredPromptCache()
 
     # -- definition ----------------------------------------------------------
 
@@ -69,9 +66,8 @@ class ViewRegistry:
     ) -> View:
         """Register (or redefine) a view.
 
-        Redefinition bumps the version, which invalidates cached
-        expansions of the old definition (their cache keys embed the
-        version).
+        Redefinition bumps the version; expansions after it render the
+        new definition.
         """
         if base is not None and base not in self._views:
             raise UnknownViewError(base)
@@ -140,10 +136,18 @@ class ViewRegistry:
             )
         return chain
 
-    @staticmethod
-    def _render_chain(chain: list[View], bound: Mapping[str, Any]) -> str:
+    def expand(self, name: str, params: Mapping[str, Any] | None = None) -> str:
+        """Expand a view to prompt text, resolving the base chain.
+
+        Parameters flow to every view in the chain.  A derived view's
+        template may place its base explicitly with ``{base}``; otherwise
+        the base text is prepended.  Missing required parameters raise
+        :class:`ViewParameterError`.  Pure: the static checker expands
+        views through this too.
+        """
+        bound = dict(params or {})
         text = ""
-        for view in chain:
+        for view in self._resolve(name, bound):
             values = dict(view.defaults)
             values.update(bound)
             values["base"] = text
@@ -152,38 +156,6 @@ class ViewRegistry:
                 rendered = f"{text}\n{rendered}"
             text = rendered
         return text
-
-    def expand(self, name: str, params: Mapping[str, Any] | None = None) -> str:
-        """Expand a view to prompt text, resolving the base chain.
-
-        Parameters flow to every view in the chain.  A derived view's
-        template may place its base explicitly with ``{base}``; otherwise
-        the base text is prepended.  Missing required parameters raise
-        :class:`ViewParameterError`.
-        """
-        bound = dict(params or {})
-        chain = self._resolve(name, bound)
-
-        cache_key = self.cache.key(
-            name, bound, version=sum(view.version for view in chain)
-        )
-        cached = self.cache.get(cache_key)
-        if cached is not None:
-            return cached
-
-        text = self._render_chain(chain, bound)
-        self.cache.put(cache_key, text)
-        return text
-
-    def preview(self, name: str, params: Mapping[str, Any] | None = None) -> str:
-        """Expand a view *without* touching the memo cache.
-
-        Same text and same validation errors as :meth:`expand`, but pure:
-        the static checker uses this so analyzing a pipeline never warms
-        (or pollutes) the cache an execution would then hit.
-        """
-        bound = dict(params or {})
-        return self._render_chain(self._resolve(name, bound), bound)
 
     def instantiate(
         self,

@@ -11,7 +11,6 @@ from repro.llm.model import GenerationResult, SimulatedLLM
 from repro.llm.packing import Fragment, PackResult, pack_fragments
 from repro.llm.partitions import CachePartition, CachePartitions
 from repro.llm.profiles import DEFAULT_PROFILE, PROFILES, ModelProfile, get_profile
-from repro.llm.prompt_cache import PromptCacheKey, StructuredPromptCache, param_hash
 from repro.llm.quality import error_rate, noisy_bool
 from repro.llm.radix_cache import RadixPrefixCache, shared_prefix_tokens
 from repro.llm.tasks import TaskEngine, TaskOutput, route_task
@@ -37,9 +36,6 @@ __all__ = [
     "PROFILES",
     "ModelProfile",
     "get_profile",
-    "PromptCacheKey",
-    "StructuredPromptCache",
-    "param_hash",
     "error_rate",
     "noisy_bool",
     "TaskEngine",

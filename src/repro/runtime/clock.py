@@ -3,8 +3,8 @@
 The paper reports wall-clock seconds measured on an RTX 3090 + vLLM stack.
 We have no GPU, so GEN calls charge their modelled latency (prefill /
 decode token costs, see :mod:`repro.llm.latency`) to a virtual clock
-instead of sleeping.  Experiments read elapsed virtual seconds; real
-benchmarks (pytest-benchmark) additionally time the harness itself.
+instead of sleeping.  Experiments read elapsed virtual seconds; the
+benchmark (``python -m bench``) additionally times the harness itself.
 
 Concurrency-aware time: a sequential run owns one :class:`VirtualClock`,
 so elapsed time is the *sum* of charges.  A parallel run instead gives

@@ -10,8 +10,8 @@ host thread timing.  Latency percentiles are computed over the tenants'
 simulated clocks (deterministic); throughput and queue-wait use wall
 time (reported, not gated).
 
-Used by ``spear serve``, the CI serve-smoke job, and
-``benchmarks/bench_serve.py``.
+Used by ``spear serve``, the CI serve-smoke job, the ``serve_mixed``
+benchmark workload, and ``tests/serve/test_server.py``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """The incremental re-check cache: hits, invalidation, metrics, identity."""
 
+import time
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,9 +11,22 @@ from repro.analysis import (
     check_pipeline,
     fingerprint_check,
 )
-from repro.core import CHECK, GEN, REF, Condition, Pipeline, RefAction
+from repro.core import (
+    CHECK,
+    GEN,
+    REF,
+    RET,
+    VIEW,
+    Condition,
+    Pipeline,
+    RefAction,
+    ViewRegistry,
+)
 from repro.core.state import ExecutionState
+from repro.llm.model import SimulatedLLM
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime.executor import Executor
+from repro.runtime.options import RuntimeOptions
 
 
 def pipeline(text: str = "Answer briefly. ") -> Pipeline:
@@ -121,6 +136,45 @@ class TestCheckCache:
         assert warm.render() == cold.render()
         assert warm.to_json() == cold.to_json()
 
+    def test_warm_recheck_ten_times_faster_than_cold(self):
+        """Best-of-N host time on a branchy 4-stage pipeline: the minima
+        hold still under scheduler jitter where means drift."""
+        ops = [
+            RET("notes", into="material"),
+            REF(RefAction.CREATE, "Answer from: {material}. ", key="qa"),
+        ]
+        for stage in range(4):
+            ops.append(GEN(f"answer_{stage}", prompt="qa"))
+            ops.append(
+                CHECK(
+                    Condition.metadata_below("confidence", 0.7),
+                    then=REF(
+                        RefAction.APPEND,
+                        f"Refine pass {stage}: cite evidence.",
+                        key=f"refine_{stage}",
+                    ),
+                )
+            )
+        ops.append(GEN("final", prompt="qa"))
+        branchy = Pipeline(ops, name="branchy")
+        env = {"runtime": {"scheduler": True, "deadline_s": 300.0}}
+        cold_times = []
+        for __ in range(5):
+            start = time.perf_counter()
+            cold = check_pipeline(branchy, **env)
+            cold_times.append(time.perf_counter() - start)
+        cache = CheckCache()
+        warm = cache.check(branchy, **env)
+        warm_times = []
+        for __ in range(10):
+            start = time.perf_counter()
+            for __ in range(20):
+                warm = cache.check(branchy, **env)
+            warm_times.append((time.perf_counter() - start) / 20)
+        assert [d.render() for d in warm] == [d.render() for d in cold]
+        assert (cache.hits, cache.misses) == (200, 1)
+        assert min(cold_times) / min(warm_times) >= 10.0
+
 
 class TestCachedCheckState:
     def test_sees_prompt_store_changes(self):
@@ -134,6 +188,26 @@ class TestCachedCheckState:
         missing = cached_check_state(target, ExecutionState(), cache=cache)
         assert missing.with_code("SPEAR101")
         assert cache.misses == 2
+
+    def test_view_pipeline_still_hits_after_a_run(self):
+        """Running a VIEW pipeline leaves the state's view registry, and
+        so its check fingerprint, as it was."""
+        views = ViewRegistry()
+        views.define("base", "Summarize the material.")
+        executor = Executor(
+            options=RuntimeOptions(
+                model=SimulatedLLM("qwen2.5-7b-instruct"), views=views
+            )
+        )
+        state = executor.new_state()
+        target = Pipeline([VIEW("base", key="qa"), GEN("answer", prompt="qa")])
+        cache = CheckCache()
+        cached_check_state(target, state, cache=cache)
+        cached_check_state(target, state, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 1)
+        executor.run(target)
+        cached_check_state(target, state, cache=cache)
+        assert (cache.hits, cache.misses) == (2, 1)
 
 
 # ---------------------------------------------------------------------------

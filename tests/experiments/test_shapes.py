@@ -1,20 +1,40 @@
 """Shape assertions for the paper's Table 3, Table 4, and Figure 1.
 
-Run at reduced corpus size for speed; the shape claims (who wins, signs,
-crossovers) are scale-independent by construction and asserted here.  The
-full-size reproductions live in benchmarks/.
+Run at reduced corpus sizes for speed; the shape claims (who wins, signs,
+crossovers) are scale-independent by construction and asserted here, each
+at the sizes it is claimed for.  ``python -m repro.experiments.<module>``
+regenerates the full-size tables; ``test_expected.py`` pins their cells.
 """
+
+import json
 
 import pytest
 
-from repro.experiments.fusion_models import run_point
-from repro.experiments.fusion_selectivity import run_cell
-from repro.experiments.refinement_strategies import run_table3
+from repro.data.tweets import make_tweet_corpus
+from repro.experiments.fusion_models import MODELS, run_point
+from repro.experiments.fusion_selectivity import SELECTIVITIES, run_cell
+from repro.experiments.refinement_strategies import (
+    PAPER_TABLE3,
+    STRATEGIES,
+    run_strategy,
+    run_table3,
+)
+from repro.obs import ObsCollector, build_report
+from repro.obs.exporters import write_json_report
 
 
 @pytest.fixture(scope="module")
 def table3():
     return run_table3(n=250, seed=7)
+
+
+@pytest.fixture(scope="module")
+def figure1_at_400():
+    return {
+        (model, order): run_point(model, order, n=400)
+        for model in MODELS
+        for order in ("map_filter", "filter_map")
+    }
 
 
 class TestTable3Shape:
@@ -59,6 +79,49 @@ class TestTable3Shape:
         for strategy, result in table3.results.items():
             assert 0.55 < result.f1 < 0.95, strategy
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_strategy_cache_reuse_and_f1_band_at_200(self, strategy):
+        result = run_strategy(strategy, make_tweet_corpus(200, seed=7))
+        # Refinement modes reuse the filter prefix, the others do not.
+        if PAPER_TABLE3[strategy]["cache_hit"] > 50:
+            assert result.filter_cache_hit > 0.75
+        else:
+            assert result.filter_cache_hit < 0.05
+        assert 0.5 < result.f1 < 0.95
+
+    @pytest.mark.parametrize("n", [200, 60])
+    def test_headline_speedups_and_auto_f1(self, n):
+        table = run_table3(n=n, seed=7)
+        for strategy in ("manual", "assisted", "auto"):
+            assert table.speedup(strategy) > 1.15, strategy
+        assert 1.0 < table.speedup("agentic") < 1.25
+        assert table.results["auto"].f1 >= table.results["static"].f1
+
+    def test_run_report_matches_registry_at_200(self, tmp_path):
+        """The observed run's JSON report equals its in-process registry."""
+        collector = ObsCollector()
+        table = run_table3(n=200, seed=7, collector=collector)
+        assert table.results["auto"].f1 >= table.results["manual"].f1
+        path = write_json_report(
+            build_report(collector), tmp_path / "table3_run_report.json"
+        )
+        loaded = json.loads(path.read_text())
+        registry = collector.registry
+        assert loaded["totals"]["model_gen_calls"] == int(
+            registry.sum_counter("spear_model_gen_calls_total")
+        )
+        for strategy in STRATEGIES:
+            label = f"qwen2.5-7b-instruct/{strategy}"
+            section = loaded["model"][label]
+            # Map + Filter per item, plus any strategy-specific rewrites.
+            assert section["calls"] >= 2 * 200
+            assert section["calls"] == int(
+                registry.get("spear_model_gen_calls_total", model=label).value
+            )
+            assert section["prompt_tokens"] == int(
+                registry.get("spear_model_prompt_tokens_total", model=label).value
+            )
+
 
 class TestTable4Shape:
     def test_map_filter_gain_positive_at_all_selectivities(self):
@@ -78,6 +141,22 @@ class TestTable4Shape:
         gains = [
             run_cell("filter_map", s, n=120).gain_pct for s in (0.1, 0.5, 1.0)
         ]
+        assert gains == sorted(gains)
+
+    @pytest.mark.parametrize("selectivity", SELECTIVITIES)
+    def test_map_filter_gain_above_ten_pct_at_150(self, selectivity):
+        assert run_cell("map_filter", selectivity, n=150).gain_pct > 10.0
+
+    @pytest.mark.parametrize("selectivity", [0.1, 0.8, 1.0])
+    def test_filter_map_gain_sign_at_150(self, selectivity):
+        gain = run_cell("filter_map", selectivity, n=150).gain_pct
+        if selectivity <= 0.1:
+            assert gain < 0.0
+        else:
+            assert gain > 5.0
+
+    def test_filter_map_gain_monotone_over_every_selectivity(self):
+        gains = [run_cell("filter_map", s, n=100).gain_pct for s in SELECTIVITIES]
         assert gains == sorted(gains)
 
 
@@ -104,3 +183,17 @@ class TestFigure1Shape:
         for model in ("qwen2.5-7b-instruct", "gpt-4o-mini"):
             point = run_point(model, "filter_map", n=150)
             assert point.accuracy_drop_pct < 8.0
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_map_filter_point_in_paper_band_at_400(self, model, figure1_at_400):
+        """Paper: every model speeds up (up to ~1.33x) at a 4-8pp cost."""
+        point = figure1_at_400[model, "map_filter"]
+        assert point.speedup > 1.15
+        assert 0.0 < point.accuracy_drop_pct < 12.0
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_filter_map_point_below_map_filter_at_400(self, model, figure1_at_400):
+        """Paper: smaller or negative speedups, accuracy drops 0.3-6pp."""
+        point = figure1_at_400[model, "filter_map"]
+        assert point.speedup < figure1_at_400[model, "map_filter"].speedup
+        assert point.accuracy_drop_pct < 9.0

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.llm.kv_cache import BlockPrefixCache
+from repro.llm.model import SimulatedLLM
 from repro.llm.radix_cache import RadixPrefixCache, shared_prefix_tokens
+from tests.runtime import table3_workload as table3
 
 tokens_strategy = st.lists(
     st.integers(min_value=0, max_value=2**32 - 1), max_size=120
@@ -479,3 +481,46 @@ class TestRadixProperties:
 
         walk(cache._root, [])
         assert len(reachable) == len(cache)
+
+
+class TestTable3Workload:
+    """Both tiers replaying the scaffolded Table-3 workload (48 items)."""
+
+    @staticmethod
+    def _sequential(kv_cache=None, **llm_kwargs):
+        state, batch = table3.sequential(48, kv_cache=kv_cache, **llm_kwargs)
+        return state.model.kv_cache.snapshot(), batch
+
+    def test_radix_matches_chain_accounting_at_ample_capacity(self):
+        radix, radix_batch = self._sequential(RadixPrefixCache())
+        chain, chain_batch = self._sequential(BlockPrefixCache())
+        _, cold_batch = table3.sequential(48, enable_prefix_cache=False)
+        assert table3.outputs(radix_batch) == table3.outputs(chain_batch)
+        assert table3.outputs(radix_batch) == table3.outputs(cold_batch)
+        for key in ("hit_rate", "cached_tokens", "block_hits", "blocks"):
+            assert radix[key] == chain[key], key
+        assert radix["hit_rate"] >= 0.5
+
+    @pytest.mark.parametrize("capacity, min_gain", [("eighth", 0.0), ("trunk", 0.25)])
+    def test_leaf_first_eviction_beats_chain(self, capacity, min_gain):
+        """At 1/8 of the blocks the run needs, the chain tier strands
+        orphaned blocks; one block short of the scaffold trunk, its LRU
+        cycles the trunk out and its hit rate collapses."""
+        if capacity == "eighth":
+            full, _ = self._sequential()
+            blocks = max(1, full["blocks"] // 8)
+        else:
+            blocks = max(1, _trunk_blocks() - 1)
+        radix, _ = self._sequential(RadixPrefixCache(capacity_blocks=blocks))
+        chain, _ = self._sequential(BlockPrefixCache(capacity_blocks=blocks))
+        assert radix["hit_rate"] - chain["hit_rate"] > min_gain
+
+
+def _trunk_blocks() -> int:
+    """Complete cache blocks of the Table-3 map prompt's shared trunk."""
+    llm = SimulatedLLM(table3.PROFILE)
+    base = table3.MAP_PROMPT.replace("{tweet}", "")
+    a = llm.tokenizer.encode(base + "one tweet text here")
+    b = llm.tokenizer.encode(base + "another different tweet")
+    block = llm.kv_cache.block_size
+    return shared_prefix_tokens(a, b, block) // block

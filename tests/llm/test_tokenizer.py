@@ -22,6 +22,13 @@ class TestTokenizer:
         text = "Summarize the tweet, please!"
         assert tokenizer.count(text) == len(tokenizer.encode(text))
 
+    def test_long_prompt_encodes_past_a_thousand_tokens(self):
+        text = (
+            "Summarize the patient's medication history and highlight any "
+            "use of Enoxaparin, including dosage, timing, and indication. "
+        ) * 80
+        assert len(Tokenizer().encode(text)) > 1000
+
     def test_encoding_is_deterministic_across_instances(self):
         assert Tokenizer().encode("same text") == Tokenizer().encode("same text")
 

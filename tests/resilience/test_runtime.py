@@ -4,12 +4,19 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core import GEN, Pipeline
 from repro.core.state import ExecutionState
+from repro.data import make_tweet_corpus
 from repro.errors import (
     CircuitOpenError,
     RateLimitError,
     SpearError,
     TransientModelError,
+)
+from repro.experiments.common import (
+    FILTER_NEG_INSTRUCTION,
+    MAP_INSTRUCTION,
+    SCAFFOLD,
 )
 from repro.llm.model import SimulatedLLM
 from repro.resilience import (
@@ -22,6 +29,7 @@ from repro.resilience import (
     RetryPolicy,
     StaticFallback,
 )
+from repro.runtime.batch import BatchRunner
 from repro.runtime.clock import VirtualClock
 from repro.runtime.events import EventKind
 
@@ -213,3 +221,84 @@ class TestFallback:
         runtime = ResilienceRuntime(retry=RetryPolicy(max_attempts=2, jitter=0.0))
         with pytest.raises(TransientModelError):
             runtime.generate(state, "hello")
+
+
+#: 10% combined per-attempt failure rate over the channels real serving
+#: shows (timeouts would conflate per-attempt deadlines with the rate).
+TABLE3_FAULTS = FaultSpec(
+    transient_rate=0.06,
+    rate_limit_rate=0.02,
+    malformed_rate=0.02,
+    spike_rate=0.05,
+)
+
+
+def _faulted_batch(*, faults: bool, resilient: bool, n_items=24, seed=11):
+    """Map + Filter over ``n_items`` tweets, failures collected per item."""
+    llm = SimulatedLLM(
+        "qwen2.5-7b-instruct",
+        enable_prefix_cache=False,
+        fault_plan=FaultPlan(seed, default=TABLE3_FAULTS) if faults else None,
+    )
+    corpus = make_tweet_corpus(n_items, seed=seed)
+    llm.bind_tweets(corpus)
+    state = ExecutionState(model=llm, clock=llm.clock)
+    if resilient:
+        state.resilience = ResilienceRuntime(
+            retry=RetryPolicy(
+                max_attempts=4, base_delay_s=0.2, multiplier=2.0, jitter=0.1
+            ),
+            breaker=BreakerPolicy(failure_threshold=8, cooldown_s=5.0),
+            fallback=FallbackChain((ModelFallback("gpt-4o-mini"),)),
+            seed=seed,
+        )
+    state.prompts.create(
+        "map_p", SCAFFOLD + "\n" + MAP_INSTRUCTION + "\nTweet:\n{tweet}"
+    )
+    state.prompts.create("filter_p", FILTER_NEG_INSTRUCTION + "\nTweet:\n{tweet}")
+    pipeline = Pipeline(
+        [
+            GEN("summary", prompt="map_p"),
+            GEN("verdict", prompt="filter_p", max_tokens=8),
+        ]
+    )
+
+    def bind(item_state, tweet):
+        item_state.context.put("tweet", tweet.text, producer="bind")
+
+    return BatchRunner(state, bind=bind, on_error="collect").run(
+        pipeline, items=list(corpus)
+    )
+
+
+def _frozen(batch) -> list:
+    return [
+        (
+            sorted((key, repr(value)) for key, value in result.context.items()),
+            sorted((key, repr(value)) for key, value in result.metadata.items()),
+            type(result.error).__name__ if result.error else None,
+        )
+        for result in batch.items
+    ]
+
+
+def _success_rate(batch) -> float:
+    return 1.0 - len(batch.failures()) / len(batch.items)
+
+
+class TestInjectedFaults:
+    def test_resilience_recovers_ten_percent_faults(self):
+        """At a 10% injected fault rate, retries + breaker + fallback
+        keep >= 99% of items; with no mitigation measurably fewer."""
+        resilient = _faulted_batch(faults=True, resilient=True)
+        unmitigated = _faulted_batch(faults=True, resilient=False)
+        assert _success_rate(resilient) >= 0.99
+        assert _success_rate(unmitigated) < _success_rate(resilient)
+        # Same seed, same faults, same recovery.
+        repeat = _faulted_batch(faults=True, resilient=True)
+        assert _frozen(repeat) == _frozen(resilient)
+
+    def test_clean_path_byte_identical_to_no_resilience(self):
+        clean = _faulted_batch(faults=False, resilient=True)
+        baseline = _faulted_batch(faults=False, resilient=False)
+        assert _frozen(clean) == _frozen(baseline)

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.core import GEN, REF, Condition, Pipeline, RefAction
+from repro.core import GEN, REF, Condition, FunctionOperator, Pipeline, RefAction
 from repro.core.state import ExecutionState
 from repro.data import make_tweet_corpus
+from repro.experiments.common import (
+    FILTER_NEG_INSTRUCTION,
+    MAP_INSTRUCTION,
+    SCAFFOLD,
+)
 from repro.llm.model import SimulatedLLM
 from repro.runtime.executor import Executor
 from repro.runtime.incremental import RefinementLoop
@@ -131,3 +136,82 @@ class TestRefinementLoop:
         assert payload["total_elapsed"] == pytest.approx(report.total_elapsed)
         assert payload["cache_hits"] == report.cache_hits
         assert payload["iterations"][0]["refined_key"] == "filter_p"
+
+
+ENRICH_INSTRUCTION = (
+    "List the key topics and entities the tweet mentions, one per line."
+)
+DIGEST_INSTRUCTION = (
+    "Condense the summary above into a single factual takeaway sentence."
+)
+#: The focus hints appended to the filter prompt between iterations: the
+#: Table-3 "manual refinement" move, repeated.
+REFINEMENT_HINTS = (
+    "Focus on school-related content such as classes and exams.",
+    "Also count complaints about teachers and homework as school-related.",
+    "Ignore sarcasm-free positive mentions of school events.",
+    "Treat exam-stress venting as negative school content.",
+)
+
+
+def _refine_loop_report(cached: bool, n_items: int = 12, seed: int = 7):
+    """Map -> Enrich -> Digest -> Filter per item, five iterations, each
+    boundary refining only the filter prompt (prefix cache off)."""
+    llm = SimulatedLLM("qwen2.5-7b-instruct", enable_prefix_cache=False)
+    corpus = make_tweet_corpus(n_items, seed=seed)
+    llm.bind_tweets(corpus)
+    state = ExecutionState(model=llm, clock=llm.clock)
+    for key, text in (
+        ("map_p", SCAFFOLD + "\n" + MAP_INSTRUCTION + "\nTweet:\n{tweet}"),
+        ("enrich_p", SCAFFOLD + "\n" + ENRICH_INSTRUCTION + "\nTweet:\n{tweet}"),
+        ("digest_p", SCAFFOLD + "\nSummary:\n{summary}\n" + DIGEST_INSTRUCTION),
+        ("filter_p", FILTER_NEG_INSTRUCTION + "\nTweet:\n{tweet}"),
+    ):
+        state.prompts.create(key, text)
+    operators = []
+    for index, tweet in enumerate(corpus):
+
+        def bind(item_state, _text=tweet.text):
+            item_state.context.put("tweet", _text, producer="bind")
+            return item_state
+
+        operators += [
+            FunctionOperator(bind, label=f"BIND[{index}]"),
+            GEN("summary", prompt="map_p"),
+            GEN("keywords", prompt="enrich_p"),
+            GEN("takeaway", prompt="digest_p"),
+            GEN("verdict", prompt="filter_p", max_tokens=8),
+        ]
+    executor = Executor(
+        options=RuntimeOptions(
+            model=llm,
+            clock=llm.clock,
+            result_cache=ResultCache(capacity=16384) if cached else None,
+        )
+    )
+    refiners = [
+        REF("APPEND", hint, key="filter_p", function_name=f"f_focus_{index}")
+        for index, hint in enumerate(REFINEMENT_HINTS)
+    ]
+    loop = RefinementLoop(
+        executor, Pipeline(operators), refiners=refiners, max_iterations=5
+    )
+    return loop.run(state=state)
+
+
+def _final_outputs(report) -> tuple:
+    state = report.final.state
+    return (
+        {key: repr(state.context[key]) for key in state.context.keys()},
+        {key: repr(state.metadata[key]) for key in state.metadata.keys()},
+    )
+
+
+class TestIncrementalSpeedup:
+    def test_cache_halves_simulated_time_with_identical_outputs(self):
+        """Only the refined filter stage re-runs after each refinement;
+        the upstream stages splice their memoized deltas."""
+        uncached = _refine_loop_report(cached=False)
+        cached = _refine_loop_report(cached=True)
+        assert _final_outputs(cached) == _final_outputs(uncached)
+        assert uncached.total_elapsed / cached.total_elapsed >= 2.0

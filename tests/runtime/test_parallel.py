@@ -14,6 +14,7 @@ from repro.runtime.events import EventKind
 from repro.runtime.options import RuntimeOptions
 from repro.runtime.parallel import ParallelBatchRunner
 from repro.runtime.scheduler import SchedulerConfig
+from tests.runtime import table3_workload as table3
 
 PROMPT = (
     "Select the tweet only if its sentiment is negative. "
@@ -75,6 +76,21 @@ class TestParallelBatchRunner:
         assert _texts(parallel) == _texts(sequential)
         assert sequential.elapsed / parallel.elapsed >= 4.0
         assert parallel.throughput > sequential.throughput
+
+    @pytest.mark.parametrize("n_items, min_speedup", [(24, 3.0), (48, 4.0)])
+    def test_table3_scaffold_speedup_at_16_workers(self, n_items, min_speedup):
+        """The scaffolded Table-3 workload: outputs equal sequential at 1, 4
+        and 16 workers, and prefix-aware admission at 16 beats the bound
+        on a warm prefix cache."""
+        sequential_state, sequential = table3.sequential(n_items)
+        assert sequential_state.model.kv_cache.snapshot()["hit_rate"] >= 0.5
+        for workers in (1, 4, 16):
+            state, items = table3.build_state(n_items)
+            parallel = ParallelBatchRunner(
+                state, bind=table3.bind, workers=workers
+            ).run(table3.pipeline(), items=items)
+            assert table3.outputs(parallel) == table3.outputs(sequential)
+        assert sequential.elapsed / parallel.elapsed > min_speedup
 
     def test_workers_capped_by_item_count(self):
         state, items = _build_state(n_items=3)

@@ -11,6 +11,8 @@ never waits, ``finish`` forces steps, and every case here drives it
 directly or through the runner's lane generators.
 """
 
+import contextlib
+import io
 import threading
 from types import SimpleNamespace
 
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main as spear_main
 from repro.core import GEN, RETRY, Condition, Pipeline
 from repro.core.state import ExecutionState
 from repro.data import make_tweet_corpus
@@ -25,6 +28,7 @@ from repro.errors import ModelError, TransientModelError
 from repro.llm.model import SimulatedLLM
 from repro.llm.radix_cache import shared_prefix_tokens
 from repro.obs import ObsCollector
+from repro.obs.ledger import Ledger
 from repro.resilience import RetryPolicy
 from repro.runtime.batch import BatchRunner
 from repro.runtime.clock import VirtualClock
@@ -37,6 +41,7 @@ from repro.runtime.scheduler import (
     SchedulerConfig,
     resolve_priority_class,
 )
+from tests.runtime import table3_workload as table3
 
 FILTER_PROMPT = (
     "Select the tweet only if its sentiment is negative. "
@@ -84,6 +89,25 @@ def _fail_task_on(llm, marker):
         return original(prompt, features, **kwargs)
 
     llm.execute_task = execute_task
+
+
+def _run_mixed_priority(state, items, bind, pipeline):
+    """Every 4th item interactive with a 2 s deadline, the rest bulk."""
+    runner = ParallelBatchRunner(
+        state,
+        bind=bind,
+        workers=8,
+        options=RuntimeOptions(
+            scheduler=SchedulerConfig(max_batch=4, watermark_s=1e9),
+            priority=lambda item: "interactive"
+            if int(item.uid[-1]) % 4 == 0
+            else "bulk",
+            deadline_s=lambda item: 2.0
+            if int(item.uid[-1]) % 4 == 0
+            else None,
+        ),
+    )
+    return runner, runner.run(pipeline, items=items)
 
 
 def _step_trace(engine):
@@ -339,21 +363,7 @@ class TestRunnerIntegration:
         """Mixed workload: interactive items admit ahead of bulk, so their
         queue waits are strictly better in aggregate."""
         state, items = _build_state(n_items=32, seed=9)
-        runner = ParallelBatchRunner(
-            state,
-            bind=_bind_tweet,
-            workers=8,
-            options=RuntimeOptions(
-                scheduler=SchedulerConfig(max_batch=4, watermark_s=1e9),
-                priority=lambda item: "interactive"
-                if int(item.uid[-1]) % 4 == 0
-                else "bulk",
-                deadline_s=lambda item: 2.0
-                if int(item.uid[-1]) % 4 == 0
-                else None,
-            ),
-        )
-        runner.run(_pipeline(), items=items)
+        runner, _ = _run_mixed_priority(state, items, _bind_tweet, _pipeline())
         engine = runner.last_batcher
         stats = engine.wait_stats()
         assert set(stats) == {"interactive", "bulk"}
@@ -361,6 +371,53 @@ class TestRunnerIntegration:
         assert stats["interactive"]["mean"] < stats["bulk"]["mean"]
         # The policy actually reordered work at least once.
         assert engine.preemptions > 0
+
+    def test_interactive_waits_less_than_bulk_on_table3(self):
+        _, sequential = table3.sequential(48)
+        state, items = table3.build_state(48)
+        runner, batch = _run_mixed_priority(
+            state, items, table3.bind, table3.pipeline()
+        )
+        assert table3.outputs(batch) == table3.outputs(sequential)
+        stats = runner.last_batcher.wait_stats()
+        assert stats["interactive"]["p50"] <= stats["bulk"]["p50"]
+
+    @pytest.mark.parametrize("budget", [1024, 320])
+    def test_token_budget_caps_table3_steps(self, budget):
+        """At 16 workers no step of more than one member exceeds the
+        token budget, and outputs stay those of the sequential run."""
+        _, sequential = table3.sequential(48)
+        state, items = table3.build_state(48)
+        runner = ParallelBatchRunner(
+            state,
+            bind=table3.bind,
+            workers=16,
+            options=RuntimeOptions(scheduler=SchedulerConfig(max_batch_tokens=budget)),
+        )
+        batch = runner.run(table3.pipeline(), items=items)
+        assert table3.outputs(batch) == table3.outputs(sequential)
+        assert not [
+            record
+            for record in runner.last_batcher.steps
+            if record.tokens > budget and record.size > 1
+        ]
+
+    def test_same_seed_ledgers_diff_to_zero(self, tmp_path):
+        """Two same-seed ledgered 16-worker runs pass ``spear diff --gate``."""
+        run_dirs = []
+        for rep in range(2):
+            root = tmp_path / f"runs_{rep}"
+            state, items = table3.build_state(48)
+            ParallelBatchRunner(
+                state,
+                bind=table3.bind,
+                workers=16,
+                options=RuntimeOptions(ledger_dir=root),
+            ).run(table3.pipeline(), items=items)
+            run_dirs.append(Ledger(root).latest().path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = spear_main(["diff", str(run_dirs[0]), str(run_dirs[1]), "--gate"])
+        assert code == 0
 
     def test_no_deadline_inversions_among_admitted(self):
         """Within each step's policy-ordered (non-forced) suffix, the

@@ -8,13 +8,14 @@ observability, and per-tenant request order.
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from concurrent.futures import TimeoutError as FutureTimeout
 
 import pytest
 
-from repro.core import GEN, Pipeline
+from repro.core import GEN, REF, Pipeline, RefAction
 from repro.data import make_tweet_corpus
 from repro.errors import RateLimitError, SpearError
 from repro.obs.collector import ObsCollector
@@ -317,6 +318,20 @@ class TestServePolicyWarning:
         assert response.ok
         assert EventKind.SCHED not in [e.kind for e in response.result.events]
 
+    def test_clean_pipeline_registers_strict_without_warnings(self):
+        server = SpearServer(workers=2)
+        clean = Pipeline(
+            [
+                REF(RefAction.CREATE, "Summarize the ticket.", key="qa"),
+                GEN("answer", prompt="qa"),
+            ],
+            name="serve_clean",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            server.register_pipeline("clean", clean, prompts={})
+        assert [str(warning.message) for warning in caught] == []
+
     def test_scheduler_keyword_rejected(self):
         with pytest.raises(TypeError, match="scheduler"):
             make_server(scheduler=True)
@@ -384,6 +399,21 @@ class TestTrafficDriver:
         # exactly (overload - 1) * limit sheds per tenant, no deadlock
         assert metrics["shed"] == 18
         assert metrics["shed_rate"] == 0.75
+
+    def test_six_tenant_pool_sheds_exactly_the_overload_excess(self):
+        """6 tenants, queue limit 3, 4 workers: nominal traffic sheds
+        nothing; 4x overload sheds (4 - 1) x 3 per tenant, serving the
+        admitted 3 each."""
+        base = dict(tenants=6, queue_limit=3, workers=4, corpus_size=16)
+        nominal_config = TrafficConfig(**base)
+        nominal = run_traffic(build_demo_server(nominal_config), nominal_config)
+        assert (nominal["shed"], nominal["errors"]) == (0, 0)
+        assert math.isfinite(nominal["latency_p99_s"])
+        assert nominal["latency_p99_s"] > 0.0
+        overload_config = TrafficConfig(**base, overload=4)
+        overload = run_traffic(build_demo_server(overload_config), overload_config)
+        assert overload["shed"] == 6 * 3 * 3
+        assert overload["served"] == 6 * 3
 
     def test_traffic_metrics_are_deterministic_in_sim_time(self):
         config = TrafficConfig(

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Observability-overhead benchmark: the ledger must meter itself.
 
-Runs the Table-3-style refinement-loop workload (the same Map → Enrich →
-Digest → Filter pipeline as ``bench_result_cache.py``) twice per
-repetition: once with the in-memory collector only (ledger off), once
+Runs a Table-3-style refinement loop — a per-item Map (summarize),
+Enrich (keywords), Digest (takeaway) prefix feeding a short Filter
+(negative sentiment) stage, five iterations, each boundary refining only
+the filter prompt, prefix cache off — twice per repetition: once with the in-memory collector only (ledger off), once
 with the persistent run ledger + time-series recorder enabled on top
 (``RuntimeOptions(ledger_dir=...)``), so the measured delta is exactly
 the ledger + series persistence.
@@ -12,7 +13,7 @@ Two overhead numbers are reported, in the two clocks this repo runs on:
 
 - ``overhead_pct`` — **wall-time overhead on the virtual clock**, the
   currency every SPEAR report, span, and benchmark gate is denominated
-  in (``bench_result_cache`` gates its speedup on simulated time too).
+  in (the result cache's speedup gate is on simulated time too).
   The ledger must never touch the virtual clock or perturb scheduling,
   so the acceptance gate is strict: < ``--max-overhead-pct`` (default
   5%; in practice the delta is exactly 0.0).
@@ -36,8 +37,9 @@ Writes ``BENCH_obs_overhead.json`` at the repo root (or ``--output``).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py --tiny
+    PYTHONPATH=src python tools/bench_obs_overhead.py
+    PYTHONPATH=src python tools/bench_obs_overhead.py --tiny --reps 2 \
+        --keep-runs obs-runs
 """
 
 from __future__ import annotations
@@ -52,22 +54,95 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
-for entry in (str(SRC), str(REPO_ROOT)):
-    if entry not in sys.path:
-        sys.path.insert(0, entry)
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
 
-from benchmarks.bench_result_cache import (  # noqa: E402
-    ITERATIONS,
-    PROFILE,
-    build_pipeline,
-    build_refiners,
-    build_state,
-    freeze_outputs,
+from repro.core import GEN, REF, FunctionOperator, Pipeline  # noqa: E402
+from repro.core.state import ExecutionState  # noqa: E402
+from repro.data import make_tweet_corpus  # noqa: E402
+from repro.experiments.common import (  # noqa: E402
+    FILTER_NEG_INSTRUCTION,
+    MAP_INSTRUCTION,
+    SCAFFOLD,
 )
+from repro.llm.model import SimulatedLLM  # noqa: E402
 from repro.obs import UNATTRIBUTED, Ledger, ObsCollector  # noqa: E402
 from repro.runtime.executor import Executor  # noqa: E402
 from repro.runtime.incremental import RefinementLoop  # noqa: E402
 from repro.runtime.options import RuntimeOptions  # noqa: E402
+
+PROFILE = "qwen2.5-7b-instruct"
+ITERATIONS = 5
+
+ENRICH_INSTRUCTION = (
+    "List the key topics and entities the tweet mentions, one per line."
+)
+DIGEST_INSTRUCTION = (
+    "Condense the summary above into a single factual takeaway sentence."
+)
+
+#: The per-iteration focus hints the refiner appends to the filter
+#: prompt — the Table-3 "manual refinement" move, repeated.
+REFINEMENT_HINTS = (
+    "Focus on school-related content such as classes and exams.",
+    "Also count complaints about teachers and homework as school-related.",
+    "Ignore sarcasm-free positive mentions of school events.",
+    "Treat exam-stress venting as negative school content.",
+)
+
+
+def build_state(n_items: int, seed: int) -> tuple[ExecutionState, list]:
+    """Fresh model + corpus + prompts (cold everything) for one arm."""
+    llm = SimulatedLLM(PROFILE, enable_prefix_cache=False)
+    corpus = make_tweet_corpus(n_items, seed=seed)
+    llm.bind_tweets(corpus)
+    state = ExecutionState(model=llm, clock=llm.clock)
+    state.prompts.create(
+        "map_p", SCAFFOLD + "\n" + MAP_INSTRUCTION + "\nTweet:\n{tweet}"
+    )
+    state.prompts.create(
+        "enrich_p", SCAFFOLD + "\n" + ENRICH_INSTRUCTION + "\nTweet:\n{tweet}"
+    )
+    state.prompts.create(
+        "digest_p",
+        SCAFFOLD + "\nSummary:\n{summary}\n" + DIGEST_INSTRUCTION,
+    )
+    state.prompts.create(
+        "filter_p", FILTER_NEG_INSTRUCTION + "\nTweet:\n{tweet}"
+    )
+    return state, list(corpus)
+
+
+def build_pipeline(items: list) -> Pipeline:
+    """One long pipeline: bind → Map → Enrich → Digest → Filter per item."""
+    operators = []
+    for index, tweet in enumerate(items):
+        text = tweet.text
+
+        def bind(state: ExecutionState, _text: str = text) -> ExecutionState:
+            state.context.put("tweet", _text, producer="bind")
+            return state
+
+        operators.append(FunctionOperator(bind, label=f"BIND[{index}]"))
+        operators.append(GEN("summary", prompt="map_p"))
+        operators.append(GEN("keywords", prompt="enrich_p"))
+        operators.append(GEN("takeaway", prompt="digest_p"))
+        operators.append(GEN("verdict", prompt="filter_p", max_tokens=8))
+    return Pipeline(operators, name="bench_result_cache")
+
+
+def build_refiners() -> list:
+    return [
+        REF("APPEND", hint, key="filter_p", function_name=f"f_focus_{index}")
+        for index, hint in enumerate(REFINEMENT_HINTS[: ITERATIONS - 1])
+    ]
+
+
+def freeze_outputs(state: ExecutionState) -> str:
+    """A byte-exact serialization of the final (C, M) pair."""
+    context = {key: repr(state.context[key]) for key in state.context.keys()}
+    metadata = {key: repr(state.metadata[key]) for key in state.metadata.keys()}
+    return json.dumps({"context": context, "metadata": metadata}, sort_keys=True)
 
 
 def run_arm(n_items: int, seed: int, *, ledger_dir: Path | None) -> dict:

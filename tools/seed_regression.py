@@ -9,7 +9,7 @@ fails is indistinguishable from one that never runs.
 
 Usage::
 
-    python benchmarks/seed_regression.py RUNS/runs_0/000001 regressed/
+    python tools/seed_regression.py RUNS/runs_0/000001 regressed/
     spear diff RUNS/runs_0/000001 regressed/ --gate   # must exit 2
 """
 
