@@ -12,9 +12,10 @@ The fingerprint covers everything analysis can observe: operator
 structure (types, keys, texts, conditions, nested pipelines), initial
 prompt texts and params, bound context slots, registered sources and
 agents, the view registry, ``open_context``, and the runtime mapping.
-Unhashable leaves (callables, custom objects) fall back to identity —
-two *distinct but equal* lambdas miss the cache, which only costs a
-re-analysis, never a stale verdict.
+Callables are described by module, qualname, code, defaults and
+closure cells, never by address, so a new object at a freed one's
+address cannot inherit its entry; only a non-callable object without a
+``__dict__`` falls back to identity.
 
 Hits and misses are observable as ``spear_check_cache_hits_total`` /
 ``spear_check_cache_misses_total`` when a metrics registry is passed.
@@ -25,6 +26,8 @@ from __future__ import annotations
 import hashlib
 import weakref
 from collections import OrderedDict
+from operator import is_
+from types import CodeType
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.analysis.check import check_pipeline
@@ -47,24 +50,43 @@ __all__ = [
 _PRIMITIVES = (str, int, float, bool, bytes)
 
 
-def _describe(obj: Any, depth: int = 0) -> Any:
-    """A stable, structural description of ``obj`` for hashing."""
+def _describe(obj: Any, depth: int = 0, path: dict[int, int] | None = None) -> Any:
+    """A stable, structural description of ``obj`` for hashing.
+
+    ``path`` maps the ids of the objects being described around ``obj``
+    to their depths; an object met again inside itself (a closure that
+    refers to itself, an object graph with back-links) is described by a
+    back-reference to that depth, so every walk is finite.
+    """
     if depth > 32:
         return "<deep>"
     if obj is None or isinstance(obj, _PRIMITIVES):
         return obj
+    if path is None:
+        path = {}
+    key = id(obj)
+    if key in path:
+        return ("<cycle>", depth - path[key])
+    path[key] = depth
+    try:
+        return _describe_node(obj, depth, path)
+    finally:
+        del path[key]
+
+
+def _describe_node(obj: Any, depth: int, path: dict[int, int]) -> Any:
     if isinstance(obj, Pipeline):
         return (
             "Pipeline",
-            tuple(_describe(op, depth + 1) for op in obj.operators),
+            tuple(_describe(op, depth + 1, path) for op in obj.operators),
         )
     if isinstance(obj, (list, tuple)):
-        return tuple(_describe(item, depth + 1) for item in obj)
+        return tuple(_describe(item, depth + 1, path) for item in obj)
     if isinstance(obj, (set, frozenset)):
-        return tuple(sorted(repr(_describe(item, depth + 1)) for item in obj))
+        return tuple(sorted(repr(_describe(item, depth + 1, path)) for item in obj))
     if isinstance(obj, Mapping):
         return tuple(
-            (str(key), _describe(value, depth + 1))
+            (str(key), _describe(value, depth + 1, path))
             for key, value in sorted(obj.items(), key=lambda kv: str(kv[0]))
         )
     text = getattr(obj, "text", None)
@@ -77,21 +99,66 @@ def _describe(obj: Any, depth: int = 0) -> Any:
         return (
             type(obj).__name__,
             tuple(
-                (name, _describe(value, depth + 1))
+                (name, _describe(value, depth + 1, path))
                 for name, value in sorted(attrs.items())
             ),
         )
-    # Callables and __slots__ exotica: identity is the only safe key.
-    return f"{type(obj).__name__}:{getattr(obj, '__qualname__', '')}@{id(obj)}"
+    if callable(obj):
+        # By what it runs, never by its address (which a new object can
+        # reuse).  Analysis treats a body as opaque, so two callables
+        # alike in these fields share an entry at no cost to a verdict.
+        code = getattr(obj, "__code__", None)
+        return (
+            type(obj).__name__,
+            getattr(obj, "__module__", None),
+            getattr(obj, "__qualname__", None),
+            _describe_code(code) if isinstance(code, CodeType) else None,
+            _describe(getattr(obj, "__defaults__", None), depth + 1, path),
+            _describe(getattr(obj, "__kwdefaults__", None), depth + 1, path),
+            tuple(
+                _describe(_cell_contents(cell), depth + 1, path)
+                for cell in getattr(obj, "__closure__", None) or ()
+            ),
+        )
+    # A non-callable without a __dict__: identity is the only key left.
+    return f"{type(obj).__name__}@{id(obj)}"
+
+
+def _describe_code(code: CodeType) -> Any:
+    """A code object's identity-free fields; its constants are literals
+    and nested code objects only, so the walk is finite."""
+    return (
+        code.co_filename,
+        code.co_firstlineno,
+        code.co_name,
+        code.co_code,
+        code.co_names,
+        tuple(
+            _describe_code(const) if isinstance(const, CodeType) else repr(const)
+            for const in code.co_consts
+        ),
+    )
+
+
+def _cell_contents(cell: Any) -> Any:
+    try:
+        return cell.cell_contents
+    except ValueError:  # a cell whose variable is not bound yet
+        return "<empty cell>"
 
 
 #: per-object memo of the (expensive) structural pipeline digest.  The
-#: id-tuple guard detects operators being replaced, added, removed, or
-#: reordered; mutating an operator's attributes *in place* after a check
-#: is not detected (operators are build-time-frozen by convention).
-_PIPELINE_DIGESTS: "weakref.WeakKeyDictionary[Pipeline, tuple[tuple[int, ...], str]]" = (
+#: guard holds a weak reference to each operator, so it detects operators
+#: being replaced (even by a new object at a freed one's address), added,
+#: removed, or reordered; mutating an operator's attributes *in place*
+#: after a check is not detected (operators are build-time-frozen by
+#: convention).
+_PIPELINE_DIGESTS: "weakref.WeakKeyDictionary[Pipeline, _DigestMemo]" = (
     weakref.WeakKeyDictionary()
 )
+_DigestMemo = tuple[tuple["weakref.ref[Operator]", ...], str]
+
+_deref = weakref.ref.__call__
 
 
 def _pipeline_digest(pipeline: Pipeline) -> str:
@@ -102,12 +169,16 @@ def _pipeline_digest(pipeline: Pipeline) -> str:
     it entirely.  Distinct-but-equal pipelines still converge on the
     same digest through the full walk.
     """
-    ops_ids = tuple(id(op) for op in pipeline.operators)
+    operators = pipeline.operators
     memo = _PIPELINE_DIGESTS.get(pipeline)
-    if memo is not None and memo[0] == ops_ids:
+    if (
+        memo is not None
+        and len(memo[0]) == len(operators)
+        and all(map(is_, map(_deref, memo[0]), operators))
+    ):
         return memo[1]
     digest = hashlib.sha256(repr(_describe(pipeline)).encode()).hexdigest()
-    _PIPELINE_DIGESTS[pipeline] = (ops_ids, digest)
+    _PIPELINE_DIGESTS[pipeline] = (tuple(map(weakref.ref, operators)), digest)
     return digest
 
 

@@ -46,6 +46,7 @@ __all__ = [
 UNATTRIBUTED = "(unattributed)"
 
 
+
 def _bucket_key(prompt_key: str, version: int | None) -> str:
     if version is None:
         return prompt_key
@@ -146,9 +147,11 @@ def build_attribution(
     versions_seen: dict[str, list[int]] = {}
     #: REFINE edges in log order: (key, new_version, action, mode, condition).
     refine_edges: list[tuple[str, int | None, str, str, Any]] = []
-    #: operator frame stack; each frame buffers retry/fault charges that
-    #: resolve when the frame's GENERATE event arrives.
-    frames: list[dict[str, Any]] = []
+    #: operator frame stack as two parallel lists: each frame's operator
+    #: label and the retry/fault charges it buffers until its GENERATE
+    #: arrives (None until the frame buffers one).
+    frame_ops: list[str] = []
+    frame_pending: list[dict[str, Any] | None] = []
 
     def bucket(name: str) -> dict[str, Any]:
         found = buckets.get(name)
@@ -161,22 +164,31 @@ def build_attribution(
         target["faults"] += int(pending.get("faults", 0))
         target["backoff_seconds"] += pending.get("backoff_seconds", 0.0)
 
+    def innermost_pending() -> dict[str, Any]:
+        """The innermost frame's buffer, or the unattributed bucket."""
+        if not frame_pending:
+            return bucket(UNATTRIBUTED)
+        pending = frame_pending[-1]
+        if pending is None:
+            pending = frame_pending[-1] = {}
+        return pending
+
     for event in log:
         kind = event.kind
         if kind is EventKind.OPERATOR_START:
-            frames.append({"operator": event.operator, "pending": {}})
+            frame_ops.append(event.operator)
+            frame_pending.append(None)
         elif kind is EventKind.OPERATOR_END:
             # Unwind to the matching frame (unbalanced logs unwind one).
-            while frames:
-                frame = frames.pop()
-                pending = frame["pending"]
+            while frame_ops:
+                operator = frame_ops.pop()
+                pending = frame_pending.pop()
                 if pending:
                     charge_pending(bucket(UNATTRIBUTED), pending)
-                if frame["operator"] == event.operator:
+                if operator == event.operator:
                     break
         elif kind is EventKind.RETRY:
-            pending = frames[-1]["pending"] if frames else None
-            entry = pending if pending is not None else bucket(UNATTRIBUTED)
+            entry = innermost_pending()
             entry["retries"] = entry.get("retries", 0) + 1
             delay = event.payload.get("delay")
             if isinstance(delay, (int, float)):
@@ -184,8 +196,7 @@ def build_attribution(
                     entry.get("backoff_seconds", 0.0) + float(delay)
                 )
         elif kind is EventKind.FAULT:
-            pending = frames[-1]["pending"] if frames else None
-            entry = pending if pending is not None else bucket(UNATTRIBUTED)
+            entry = innermost_pending()
             entry["faults"] = entry.get("faults", 0) + 1
         elif kind is EventKind.GENERATE:
             payload = event.payload
@@ -213,9 +224,9 @@ def build_attribution(
                 if version not in chain:
                     chain.append(version)
             # Resolve the enclosing frame's buffered retries/faults.
-            if frames and frames[-1]["pending"]:
-                charge_pending(target, frames[-1]["pending"])
-                frames[-1]["pending"] = {}
+            if frame_pending and frame_pending[-1]:
+                charge_pending(target, frame_pending[-1])
+                frame_pending[-1] = None
         elif kind is EventKind.CACHE_HIT:
             payload = event.payload
             deps = payload.get("prompt_versions")
@@ -249,9 +260,9 @@ def build_attribution(
 
     # Anything still buffered when the log ends (truncated run) must not
     # vanish: conserve it in the unattributed bucket.
-    for frame in frames:
-        if frame["pending"]:
-            charge_pending(bucket(UNATTRIBUTED), frame["pending"])
+    for pending in frame_pending:
+        if pending:
+            charge_pending(bucket(UNATTRIBUTED), pending)
 
     report = AttributionReport()
     for name in sorted(buckets):

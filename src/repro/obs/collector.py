@@ -106,6 +106,15 @@ __all__ = ["ObsCollector", "operator_kind"]
 #: numeric encoding of breaker states for the ``spear_breaker_state`` gauge.
 _BREAKER_STATE_VALUES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
+#: slots per hot label: the kind's event counter plus up to five instruments.
+_HOT_SLOTS = 6
+#: GENERATE's token counters: (slot, payload field, metric name).
+_TOKEN_SIGNALS = (
+    (3, "prompt_tokens", "spear_prompt_tokens_total"),
+    (4, "cached_tokens", "spear_cached_tokens_total"),
+    (5, "output_tokens", "spear_output_tokens_total"),
+)
+
 
 def operator_kind(label: str) -> str:
     """Collapse an operator label to its kind: ``GEN["answer"]`` → ``GEN``."""
@@ -127,6 +136,16 @@ class ObsCollector:
         #: (metric name, *label values) -> instrument; registries never
         #: drop instruments, and each metric has fixed label names.
         self._instruments: dict[tuple[str, ...], Any] = {}
+        #: per hot kind, operator label (prompt key for GENERATE) ->
+        #: instrument slots, shared per (kind, operator kind or prompt
+        #: key) through ``_hot_groups``; see :meth:`on_event`.
+        self._hot_groups: dict[tuple[EventKind, str], list[Any]] = {}
+        self._hot_start: dict[str, list[Any]] = {}
+        self._hot_end: dict[str, list[Any]] = {}
+        self._hot_generate: dict[str, list[Any]] = {}
+        self._hot_cache_hit: dict[str, list[Any]] = {}
+        #: model label -> the model listener's instruments.
+        self._hot_model: dict[str, tuple[Any, ...]] = {}
 
     # -- wiring -------------------------------------------------------------
 
@@ -257,66 +276,108 @@ class ObsCollector:
 
     # -- event handling -----------------------------------------------------
 
+    def _slots(self, kind: EventKind, label: str) -> list[Any]:
+        """The slot list for a label not seen before: every operator label
+        of one operator kind shares one (their instruments are labelled by
+        the kind), and each prompt key has its own."""
+        key = (kind, label if kind is EventKind.GENERATE else operator_kind(label))
+        slots = self._hot_groups.get(key)
+        if slots is None:
+            slots = self._hot_groups[key] = [None] * _HOT_SLOTS
+        return slots
+
+    def _fill(self, entry: list[Any], slot: int, *args: Any, **labels: Any) -> Any:
+        """Resolve ``entry[slot]`` through :meth:`_metric` on its first use."""
+        instrument = entry[slot] = self._metric(*args, **labels)
+        return instrument
+
     def on_event(self, event: Event) -> None:
-        """The :meth:`EventLog.subscribe` callback."""
+        """The :meth:`EventLog.subscribe` callback.
+
+        The four hot kinds (operator start/end, generation, result-cache
+        hit) keep their instruments in a table per kind, from operator
+        label (prompt key for generation) to a slot list (see
+        :meth:`_slots`).  A slot is filled through :meth:`_metric` the
+        first time it is used, so every instrument is registered exactly
+        when the generic path would register it.  Every other kind takes
+        the generic path.
+        """
         self.spans.add(event)
-        self._metric(
-            "counter", "spear_events_total", "Events observed, by kind.",
-            kind=event.kind.value,
-        ).inc()
         kind = event.kind
         if kind is EventKind.OPERATOR_START:
-            op = operator_kind(event.operator)
-            self._metric(
-                "counter", "spear_operator_invocations_total",
-                "Operator applications started.", operator=op,
-            ).inc()
-            self._open_starts.setdefault(event.operator, []).append(event.at)
+            table, label = self._hot_start, event.operator
         elif kind is EventKind.OPERATOR_END:
-            starts = self._open_starts.get(event.operator)
-            if starts:
-                wall = max(event.at - starts.pop(), 0.0)
-                self._metric(
-                    "histogram", "spear_operator_wall_seconds",
-                    "Wall time per operator application (virtual clock).",
-                    buckets=LATENCY_BUCKETS,
-                    operator=operator_kind(event.operator),
-                ).observe(wall)
+            table, label = self._hot_end, event.operator
         elif kind is EventKind.GENERATE:
-            prompt = str(event.payload.get("prompt_key", "?"))
-            self._metric(
-                "counter", "spear_gen_calls_total", "GEN operator calls.", prompt=prompt
-            ).inc()
-            self._metric(
-                "histogram", "spear_gen_latency_seconds",
-                "Simulated latency per generation call.",
-                buckets=LATENCY_BUCKETS,
-                prompt=prompt,
-            ).observe(float(event.payload.get("latency", 0.0) or 0.0))
-            for signal, metric in (
-                ("prompt_tokens", "spear_prompt_tokens_total"),
-                ("cached_tokens", "spear_cached_tokens_total"),
-                ("output_tokens", "spear_output_tokens_total"),
-            ):
-                value = event.payload.get(signal)
-                if value is not None:
-                    self._metric(
-                        "counter", metric, f"Sum of {signal} across GEN calls.",
-                        prompt=prompt,
-                    ).inc(float(value))
+            payload = event.payload
+            table, label = self._hot_generate, str(payload.get("prompt_key", "?"))
         elif kind is EventKind.CACHE_HIT:
-            op = operator_kind(event.operator)
+            table, label = self._hot_cache_hit, event.operator
+        else:
             self._metric(
-                "counter", "spear_result_cache_hits_total",
-                "Operator applications served from the result cache.",
-                operator=op,
+                "counter", "spear_events_total", "Events observed, by kind.",
+                kind=kind.value,
             ).inc()
-            self._metric(
-                "counter", "spear_result_cache_saved_seconds_total",
+            self._on_rare_event(event)
+            return
+        hot = table.get(label)
+        if hot is None:
+            hot = table[label] = self._slots(kind, label)
+        (hot[0] or self._fill(
+            hot, 0, "counter", "spear_events_total", "Events observed, by kind.",
+            kind=kind.value,
+        )).inc()
+        if kind is EventKind.OPERATOR_START:
+            (hot[1] or self._fill(
+                hot, 1, "counter", "spear_operator_invocations_total",
+                "Operator applications started.", operator=operator_kind(label),
+            )).inc()
+            starts = self._open_starts.get(label)
+            if starts is None:
+                self._open_starts[label] = [event.at]
+            else:
+                starts.append(event.at)
+        elif kind is EventKind.OPERATOR_END:
+            starts = self._open_starts.get(label)
+            if starts:
+                (hot[1] or self._fill(
+                    hot, 1, "histogram", "spear_operator_wall_seconds",
+                    "Wall time per operator application (virtual clock).",
+                    buckets=LATENCY_BUCKETS, operator=operator_kind(label),
+                )).observe(max(event.at - starts.pop(), 0.0))
+        elif kind is EventKind.GENERATE:
+            (hot[1] or self._fill(
+                hot, 1, "counter", "spear_gen_calls_total", "GEN operator calls.",
+                prompt=label,
+            )).inc()
+            (hot[2] or self._fill(
+                hot, 2, "histogram", "spear_gen_latency_seconds",
+                "Simulated latency per generation call.",
+                buckets=LATENCY_BUCKETS, prompt=label,
+            )).observe(float(payload.get("latency", 0.0) or 0.0))
+            for slot, signal, metric in _TOKEN_SIGNALS:
+                value = payload.get(signal)
+                if value is not None:
+                    (hot[slot] or self._fill(
+                        hot, slot, "counter", metric,
+                        f"Sum of {signal} across GEN calls.", prompt=label,
+                    )).inc(float(value))
+        else:  # CACHE_HIT
+            (hot[1] or self._fill(
+                hot, 1, "counter", "spear_result_cache_hits_total",
+                "Operator applications served from the result cache.",
+                operator=operator_kind(label),
+            )).inc()
+            (hot[2] or self._fill(
+                hot, 2, "counter", "spear_result_cache_saved_seconds_total",
                 "Simulated seconds saved by result-cache hits.",
-                operator=op,
-            ).inc(float(event.payload.get("saved_seconds", 0.0) or 0.0))
-        elif kind is EventKind.ERROR:
+                operator=operator_kind(label),
+            )).inc(float(event.payload.get("saved_seconds", 0.0) or 0.0))
+
+    def _on_rare_event(self, event: Event) -> None:
+        """The generic path: every kind but the four hot ones."""
+        kind = event.kind
+        if kind is EventKind.ERROR:
             self._metric(
                 "counter", "spear_operator_errors_total", "Operator errors.",
                 operator=operator_kind(event.operator),
@@ -524,24 +585,39 @@ class ObsCollector:
         each other), and callers that bypass the operator layer entirely
         (benchmarks, batch harnesses) still show up here.
         """
-        self._metric(
-            "counter", "spear_model_gen_calls_total",
-            "Generation calls observed at the model layer.", model=model,
-        ).inc()
-        self._metric(
-            "histogram", "spear_model_gen_latency_seconds",
-            "Simulated latency per model-layer generation call.",
-            buckets=LATENCY_BUCKETS,
-            model=model,
-        ).observe(result.latency.total)
-        for value, metric in (
-            (result.prompt_tokens, "spear_model_prompt_tokens_total"),
-            (result.cached_tokens, "spear_model_cached_tokens_total"),
-            (result.output_tokens, "spear_model_output_tokens_total"),
-        ):
+        hot = self._hot_model.get(model)
+        if hot is None:
+            hot = self._hot_model[model] = self._model_instruments(model)
+        calls, latency, prompt_tokens, cached_tokens, output_tokens = hot
+        calls.inc()
+        latency.observe(result.latency.total)
+        prompt_tokens.inc(float(result.prompt_tokens))
+        cached_tokens.inc(float(result.cached_tokens))
+        output_tokens.inc(float(result.output_tokens))
+
+    def _model_instruments(self, model: str) -> tuple[Any, ...]:
+        return (
             self._metric(
-                "counter", metric, "Model-layer token totals.", model=model
-            ).inc(float(value))
+                "counter", "spear_model_gen_calls_total",
+                "Generation calls observed at the model layer.", model=model,
+            ),
+            self._metric(
+                "histogram", "spear_model_gen_latency_seconds",
+                "Simulated latency per model-layer generation call.",
+                buckets=LATENCY_BUCKETS,
+                model=model,
+            ),
+            *(
+                self._metric(
+                    "counter", metric, "Model-layer token totals.", model=model
+                )
+                for metric in (
+                    "spear_model_prompt_tokens_total",
+                    "spear_model_cached_tokens_total",
+                    "spear_model_output_tokens_total",
+                )
+            ),
+        )
 
     # -- read side ----------------------------------------------------------
 

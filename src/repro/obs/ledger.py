@@ -34,7 +34,7 @@ import os
 import time
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import SpearError
 from repro.obs.attribution import AttributionReport, build_attribution
@@ -75,6 +75,11 @@ def _dumps(value: Any) -> str:
     return "".join(_ENCODER(value, 0)) if _ENCODER else json.dumps(value)
 
 
+#: an ``events.jsonl`` line as ``json.dumps`` writes an event record:
+#: ``%d`` and ``repr`` print an int and a finite float exactly as it does.
+_LINE = '{"seq": %d, "kind": %s, "operator": %s, "at": %s, "payload": %s}'
+
+
 def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(
@@ -94,6 +99,9 @@ class RunLedger:
         self._events_handle: Any = None
         self._series_handle: Any = None
         self._captured: list[Event] = []
+        #: kinds and operator labels, JSON-encoded once each.
+        self._kind_texts: dict[Any, str] = {}
+        self._operator_texts: dict[str, str] = {}
         self._recorder: SeriesRecorder | None = None
         self._collector: Any = None
         self._log: EventLog | None = None
@@ -176,32 +184,48 @@ class RunLedger:
         """Encode and write every captured-but-unwritten event, batched.
 
         Encoding is deferred to flush time and batched into one write so
-        the per-event subscriber stays cheap; payloads made only of JSON
-        scalars and lists of them (the overwhelming majority) skip the
-        tagged-encoding walk entirely — ``json.dumps`` emits the identical
-        bytes for them.
+        the per-event subscriber stays cheap.
         """
         handle = self._events_handle
         if handle is None or self._written >= len(self._captured):
             return
         batch = self._captured[self._written :]
         self._written = len(self._captured)
-        lines = []
-        for event in batch:
-            record = event.to_dict()
-            payload = record["payload"]
-            if all(map(_plain, payload.values())):
-                lines.append(_dumps(record))
-            else:
-                lines.append(_dumps(_encode_value(record)))
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join(map(self._line, batch)) + "\n")
         handle.flush()
+
+    def _line(self, event: Event) -> str:
+        """``json.dumps(_encode_value(event.to_dict()))``, cheaply.
+
+        An event with an int ``seq``, a finite float ``at`` and a payload
+        of JSON scalars and lists of them (nearly every event) is one
+        ``%``-format over its kind and operator, each encoded once, and
+        the encoded payload; an empty payload (operator start/end) never
+        reaches the encoder.  Anything else takes the tagged encoding.
+        """
+        seq, at, payload = event.seq, event.at, event.payload
+        if type(seq) is int and type(at) is float and at - at == 0.0:
+            if not payload:
+                body = "{}"
+            elif all(map(_plain, payload.values())):
+                body = _dumps(payload if type(payload) is dict else dict(payload))
+            else:
+                body = None
+            if body is not None:
+                kind, operator = event.kind, event.operator
+                kind_text = self._kind_texts.get(kind)
+                if kind_text is None:
+                    kind_text = self._kind_texts[kind] = _dumps(kind.value)
+                operator_text = self._operator_texts.get(operator)
+                if operator_text is None:
+                    operator_text = self._operator_texts[operator] = _dumps(operator)
+                return _LINE % (seq, kind_text, operator_text, repr(at), body)
+        return _dumps(_encode_value(event.to_dict()))
 
     def _write_series_row(self, row: dict[str, Any]) -> None:
         handle = self._series_handle
         if handle is not None:
-            handle.write(_dumps(row))
-            handle.write("\n")
+            handle.write(_dumps(row) + "\n")
 
     def finalize(
         self,
@@ -264,7 +288,7 @@ def ledger_scope(
     options: Any,
     state: Any,
     *,
-    manifest: dict[str, Any] | None = None,
+    manifest: Callable[[], dict[str, Any]] | None = None,
     registry: Any = None,
     collector: Any = None,
 ) -> Iterator[RunLedger | None]:
@@ -273,8 +297,9 @@ def ledger_scope(
     The outermost runner that enters this scope for a state owns the run
     directory; nested entries (a RefinementLoop driving Executor.run per
     iteration, an Executor invoked inside a batch) see the already-open
-    ledger and change nothing.  With no ``options.ledger_dir`` the scope
-    is free.
+    ledger and change nothing.  ``manifest`` builds the run's manifest
+    fields and is called only when a ledger opens, so with no
+    ``options.ledger_dir`` the scope is free.
     """
     ledger_dir = getattr(options, "ledger_dir", None)
     active = getattr(state, "ledger", None)
@@ -284,7 +309,7 @@ def ledger_scope(
     ledger = RunLedger.create(ledger_dir)
     ledger.open(
         state.events,
-        manifest=manifest,
+        manifest=manifest() if manifest is not None else None,
         registry=registry,
         collector=collector,
         series_interval=getattr(options, "series_interval", 1.0),

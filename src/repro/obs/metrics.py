@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ObservabilityError
@@ -135,17 +136,18 @@ class Histogram:
     def observe(self, value: float) -> None:
         """Record one observation."""
         value = float(value)
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        # The first bound >= value; NaN compares false to every bound, so
+        # it lands in the overflow bucket.
+        bounds = self.bounds
+        index = bisect_left(bounds, value) if value == value else len(bounds)
         with self._lock:
             self.bucket_counts[index] += 1
             self.count += 1
             self.sum += value
-            self.min = min(self.min, value)
-            self.max = max(self.max, value)
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
 
     @property
     def mean(self) -> float:

@@ -126,17 +126,22 @@ class RunReport:
         return cls.from_dict(json.loads(text))
 
 
-def _family_children(registry, name: str) -> list[tuple[dict[str, str], Any]]:
-    for family_name, _, _, samples in registry.collect():
-        if family_name == name:
-            return samples
-    return []
+#: family name -> its ``(labels, instrument)`` children, as collected.
+Families = dict[str, list[tuple[dict[str, str], Any]]]
 
 
-def _counter_by_label(registry, name: str, label: str) -> dict[str, float]:
+def _family_children(
+    families: Families, name: str
+) -> list[tuple[dict[str, str], Any]]:
+    return families.get(name, [])
+
+
+def _counter_by_label(
+    families: Families, name: str, label: str
+) -> dict[str, float]:
     return {
         labels.get(label, "?"): child.value
-        for labels, child in _family_children(registry, name)
+        for labels, child in _family_children(families, name)
         if isinstance(child, Counter)
     }
 
@@ -150,16 +155,20 @@ def build_report(
     """Roll a collector's registry + spans up into a :class:`RunReport`."""
     pricing = pricing if pricing is not None else Pricing()
     registry = collector.registry
+    # One collect() for the whole report, not one per family read.
+    families: Families = {
+        name: samples for name, _kind, _help, samples in registry.collect()
+    }
     report = RunReport()
 
     # -- per-operator-kind rollups -----------------------------------------
     invocations = _counter_by_label(
-        registry, "spear_operator_invocations_total", "operator"
+        families, "spear_operator_invocations_total", "operator"
     )
-    errors = _counter_by_label(registry, "spear_operator_errors_total", "operator")
+    errors = _counter_by_label(families, "spear_operator_errors_total", "operator")
     wall_hists = {
         labels.get("operator", "?"): child
-        for labels, child in _family_children(registry, "spear_operator_wall_seconds")
+        for labels, child in _family_children(families, "spear_operator_wall_seconds")
         if isinstance(child, Histogram)
     }
     for op in sorted(set(invocations) | set(wall_hists)):
@@ -170,13 +179,13 @@ def build_report(
         }
 
     # -- per-prompt generation rollups -------------------------------------
-    calls = _counter_by_label(registry, "spear_gen_calls_total", "prompt")
-    prompt_tokens = _counter_by_label(registry, "spear_prompt_tokens_total", "prompt")
-    cached_tokens = _counter_by_label(registry, "spear_cached_tokens_total", "prompt")
-    output_tokens = _counter_by_label(registry, "spear_output_tokens_total", "prompt")
+    calls = _counter_by_label(families, "spear_gen_calls_total", "prompt")
+    prompt_tokens = _counter_by_label(families, "spear_prompt_tokens_total", "prompt")
+    cached_tokens = _counter_by_label(families, "spear_cached_tokens_total", "prompt")
+    output_tokens = _counter_by_label(families, "spear_output_tokens_total", "prompt")
     latency_hists = {
         labels.get("prompt", "?"): child
-        for labels, child in _family_children(registry, "spear_gen_latency_seconds")
+        for labels, child in _family_children(families, "spear_gen_latency_seconds")
         if isinstance(child, Histogram)
     }
     for prompt in sorted(set(calls) | set(latency_hists)):
@@ -194,14 +203,14 @@ def build_report(
         }
 
     # -- model layer (listener counters + pull gauges) ---------------------
-    model_calls = _counter_by_label(registry, "spear_model_gen_calls_total", "model")
-    model_prompt = _counter_by_label(registry, "spear_model_prompt_tokens_total", "model")
-    model_cached = _counter_by_label(registry, "spear_model_cached_tokens_total", "model")
-    model_output = _counter_by_label(registry, "spear_model_output_tokens_total", "model")
+    model_calls = _counter_by_label(families, "spear_model_gen_calls_total", "model")
+    model_prompt = _counter_by_label(families, "spear_model_prompt_tokens_total", "model")
+    model_cached = _counter_by_label(families, "spear_model_cached_tokens_total", "model")
+    model_output = _counter_by_label(families, "spear_model_output_tokens_total", "model")
     model_latency = {
         labels.get("model", "?"): child
         for labels, child in _family_children(
-            registry, "spear_model_gen_latency_seconds"
+            families, "spear_model_gen_latency_seconds"
         )
         if isinstance(child, Histogram)
     }
@@ -220,26 +229,26 @@ def build_report(
         }
 
     # -- batch runs (sequential / parallel runners) ------------------------
-    batch_runs = _counter_by_label(registry, "spear_batch_runs_total", "mode")
-    batch_items = _counter_by_label(registry, "spear_batch_items_total", "mode")
+    batch_runs = _counter_by_label(families, "spear_batch_runs_total", "mode")
+    batch_items = _counter_by_label(families, "spear_batch_items_total", "mode")
     batch_failures = _counter_by_label(
-        registry, "spear_batch_failures_total", "mode"
+        families, "spear_batch_failures_total", "mode"
     )
     batch_elapsed = {
         labels.get("mode", "?"): child
         for labels, child in _family_children(
-            registry, "spear_batch_elapsed_seconds"
+            families, "spear_batch_elapsed_seconds"
         )
         if isinstance(child, Histogram)
     }
     batch_throughput = {
         labels.get("mode", "?"): child
-        for labels, child in _family_children(registry, "spear_batch_throughput")
+        for labels, child in _family_children(families, "spear_batch_throughput")
         if isinstance(child, Gauge)
     }
     batch_workers = {
         labels.get("mode", "?"): child
-        for labels, child in _family_children(registry, "spear_batch_workers")
+        for labels, child in _family_children(families, "spear_batch_workers")
         if isinstance(child, Gauge)
     }
     for mode in sorted(set(batch_runs) | set(batch_elapsed)):
@@ -261,7 +270,7 @@ def build_report(
             (
                 child
                 for _labels, child in _family_children(
-                    registry, "spear_sched_step_size"
+                    families, "spear_sched_step_size"
                 )
                 if isinstance(child, Histogram)
             ),
@@ -271,7 +280,7 @@ def build_report(
             (
                 child
                 for _labels, child in _family_children(
-                    registry, "spear_sched_step_tokens"
+                    families, "spear_sched_step_tokens"
                 )
                 if isinstance(child, Histogram)
             ),
@@ -281,7 +290,7 @@ def build_report(
             (
                 child.value
                 for _labels, child in _family_children(
-                    registry, "spear_sched_queue_depth"
+                    families, "spear_sched_queue_depth"
                 )
                 if isinstance(child, Gauge)
             ),
@@ -290,7 +299,7 @@ def build_report(
         waits = {
             labels.get("class", "?"): child
             for labels, child in _family_children(
-                registry, "spear_sched_wait_seconds"
+                families, "spear_sched_wait_seconds"
             )
             if isinstance(child, Histogram)
         }
@@ -314,7 +323,7 @@ def build_report(
         (
             child
             for _labels, child in _family_children(
-                registry, "spear_prefix_step_dedup_tokens"
+                families, "spear_prefix_step_dedup_tokens"
             )
             if isinstance(child, Histogram)
         ),
@@ -324,7 +333,7 @@ def build_report(
         (
             child
             for _labels, child in _family_children(
-                registry, "spear_prefix_groups_per_step"
+                families, "spear_prefix_groups_per_step"
             )
             if isinstance(child, Histogram)
         ),
@@ -336,7 +345,7 @@ def build_report(
         "spear_prefix_cache_leaves",
         "spear_prefix_cache_pinned_blocks",
     ):
-        for labels, child in _family_children(registry, gauge_name):
+        for labels, child in _family_children(families, gauge_name):
             if isinstance(child, Gauge):
                 bucket = radix_gauges.setdefault(labels.get("model", "?"), {})
                 bucket[
@@ -356,17 +365,17 @@ def build_report(
         "spear_kv_cache_hit_rate",
         "spear_kv_cache_evictions_total",
     ):
-        for labels, child in _family_children(registry, gauge_name):
+        for labels, child in _family_children(families, gauge_name):
             if isinstance(child, Gauge):
                 bucket = report.cache.setdefault(labels.get("model", "?"), {})
                 bucket[gauge_name.removeprefix("spear_")] = round(child.value, 6)
 
     # -- operator result cache ---------------------------------------------
     rc_hits = _counter_by_label(
-        registry, "spear_result_cache_hits_total", "operator"
+        families, "spear_result_cache_hits_total", "operator"
     )
     rc_saved = _counter_by_label(
-        registry, "spear_result_cache_saved_seconds_total", "operator"
+        families, "spear_result_cache_saved_seconds_total", "operator"
     )
     if rc_hits or rc_saved:
         report.result_cache["by_operator"] = {
@@ -382,31 +391,31 @@ def build_report(
         "spear_result_cache_invalidations_total",
         "spear_result_cache_evictions_total",
     ):
-        for _labels, child in _family_children(registry, gauge_name):
+        for _labels, child in _family_children(families, gauge_name):
             if isinstance(child, Gauge):
                 report.result_cache[
                     gauge_name.removeprefix("spear_result_cache_")
                 ] = round(child.value, 6)
 
     # -- resilience (faults / retries / breakers / degraded serving) --------
-    faults = _counter_by_label(registry, "spear_faults_injected_total", "kind")
-    failures = _counter_by_label(registry, "spear_model_failures_total", "model")
-    retries = _counter_by_label(registry, "spear_retries_total", "model")
-    degraded = _counter_by_label(registry, "spear_degraded_runs_total", "target")
+    faults = _counter_by_label(families, "spear_faults_injected_total", "kind")
+    failures = _counter_by_label(families, "spear_model_failures_total", "model")
+    retries = _counter_by_label(families, "spear_retries_total", "model")
+    degraded = _counter_by_label(families, "spear_degraded_runs_total", "target")
     backoff = {
         labels.get("model", "?"): child
         for labels, child in _family_children(
-            registry, "spear_retry_backoff_seconds"
+            families, "spear_retry_backoff_seconds"
         )
         if isinstance(child, Histogram)
     }
     breaker_state = {
         labels.get("model", "?"): child.value
-        for labels, child in _family_children(registry, "spear_breaker_state")
+        for labels, child in _family_children(families, "spear_breaker_state")
         if isinstance(child, Gauge)
     }
     breaker_transitions = _counter_by_label(
-        registry, "spear_breaker_transitions_total", "model"
+        families, "spear_breaker_transitions_total", "model"
     )
     if faults or failures or retries or degraded or breaker_state:
         state_names = {0.0: "closed", 1.0: "half_open", 2.0: "open"}

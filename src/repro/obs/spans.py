@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 
+
 @dataclass
 class Span:
     """One operator application reconstructed from START/END events."""
@@ -97,42 +98,44 @@ class SpanBuilder:
 
     def add(self, event: Event) -> None:
         """Incorporate one event."""
-        self._last_at = max(self._last_at, event.at)
-        if event.kind is EventKind.OPERATOR_START:
-            span = Span(
-                operator=event.operator, start=event.at, depth=len(self._stack)
-            )
-            if self._stack:
-                self._stack[-1].children.append(span)
+        at = event.at
+        if at > self._last_at:
+            self._last_at = at
+        kind = event.kind
+        stack = self._stack
+        if kind is EventKind.OPERATOR_START:
+            span = Span(operator=event.operator, start=at, depth=len(stack))
+            if stack:
+                stack[-1].children.append(span)
             else:
                 self.roots.append(span)
-            self._stack.append(span)
+            stack.append(span)
             return
-        if event.kind is EventKind.OPERATOR_END:
-            stack = self._stack
+        if kind is EventKind.OPERATOR_END:
             if stack and stack[-1].operator == event.operator:
-                stack.pop().end = event.at  # the balanced case
+                stack.pop().end = at  # the balanced case
                 return
             if not any(span.operator == event.operator for span in stack):
                 return  # unbalanced: END with no open START
             # Close any inner spans the log never ended (interleaving /
             # truncation), then the matching span itself.
-            while self._stack:
-                span = self._stack.pop()
-                span.end = event.at
+            while stack:
+                span = stack.pop()
+                span.end = at
                 if span.operator == event.operator:
                     break
                 span.complete = False
             return
         # Semantic event: attribute to every open span (inclusive rollup).
-        for span in self._stack:
+        for span in stack:
             span.events += 1
-        if event.kind is EventKind.GENERATE:
-            prompt = int(event.payload.get("prompt_tokens", 0) or 0)
-            cached = int(event.payload.get("cached_tokens", 0) or 0)
-            output = int(event.payload.get("output_tokens", 0) or 0)
-            latency = float(event.payload.get("latency", 0.0) or 0.0)
-            for span in self._stack:
+        if kind is EventKind.GENERATE:
+            payload = event.payload
+            prompt = int(payload.get("prompt_tokens", 0) or 0)
+            cached = int(payload.get("cached_tokens", 0) or 0)
+            output = int(payload.get("output_tokens", 0) or 0)
+            latency = float(payload.get("latency", 0.0) or 0.0)
+            for span in stack:
                 span.gen_calls += 1
                 span.prompt_tokens += prompt
                 span.cached_tokens += cached

@@ -24,6 +24,8 @@ crossings (stamped at the watermark boundary), or the forcing event kind
 from __future__ import annotations
 
 import threading
+from itertools import compress, count
+from operator import attrgetter, is_not
 from typing import Any, Callable
 
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
@@ -35,6 +37,8 @@ __all__ = ["SeriesRecorder", "FORCED_SAMPLE_KINDS"]
 FORCED_SAMPLE_KINDS = frozenset(
     {EventKind.REFINE, EventKind.BREAKER, EventKind.BATCH}
 )
+
+_VALUE = attrgetter("value")
 
 
 def _sample_name(name: str, labels: dict[str, str]) -> str:
@@ -71,11 +75,14 @@ class SeriesRecorder:
         self.rows: list[dict[str, Any]] = []
         self._next_watermark: float | None = None
         self._lock = threading.Lock()
-        # (display name, instrument) pairs cached against the registry's
+        # Display names and instruments, cached against the registry's
         # registration version, so each sample is a plain value sweep
         # rather than a full collect-and-sort of the registry.
-        self._instruments: list[tuple[str, Counter | Gauge]] = []
+        self._instruments: tuple[list[str], list[Counter | Gauge]] = ([], [])
         self._instruments_version = -1
+        #: the last row's raw values and their rounding, per instrument.
+        self._values: list[float | None] = []
+        self._rounded: list[float] = []
 
     # -- wiring --------------------------------------------------------------
 
@@ -91,6 +98,15 @@ class SeriesRecorder:
 
     def on_event(self, event: Event) -> None:
         """EventLog subscriber: advance watermarks, force regime samples."""
+        # Watermarks only advance, so an event before the next one that
+        # forces nothing can skip the lock; the rest re-check under it.
+        watermark = self._next_watermark
+        if (
+            watermark is not None
+            and event.at < watermark
+            and event.kind not in FORCED_SAMPLE_KINDS
+        ):
+            return
         with self._lock:
             if self._next_watermark is None:
                 self._record(event.at, "start")
@@ -109,23 +125,33 @@ class SeriesRecorder:
         with self._lock:
             return self._record(at, trigger)
 
-    def _scan_instruments(self) -> list[tuple[str, Counter | Gauge]]:
+    def _scan_instruments(self) -> tuple[list[str], list[Counter | Gauge]]:
         version = self.registry.version
         if version != self._instruments_version:
-            pairs: list[tuple[str, Counter | Gauge]] = []
+            names: list[str] = []
+            instruments: list[Counter | Gauge] = []
             for name, _kind, _help, samples in self.registry.collect():
                 for labels, instrument in samples:
                     if isinstance(instrument, (Counter, Gauge)):
-                        pairs.append((_sample_name(name, labels), instrument))
-            self._instruments = pairs
+                        names.append(_sample_name(name, labels))
+                        instruments.append(instrument)
+            self._instruments = (names, instruments)
             self._instruments_version = version
+            self._values = [None] * len(instruments)
+            self._rounded = [0.0] * len(instruments)
         return self._instruments
 
     def _record(self, at: float, trigger: str) -> dict[str, Any]:
-        metrics = {
-            name: round(float(instrument.value), 6)
-            for name, instrument in self._scan_instruments()
-        }
+        names, instruments = self._scan_instruments()
+        values = list(map(float, map(_VALUE, instruments)))
+        # round(value, 6) again only where the value is a new object: an
+        # unchanged counter or set gauge hands back the very float it did
+        # last row (which ``_values`` keeps alive, so its id is not reused).
+        rounded = self._rounded
+        for index in compress(count(), map(is_not, values, self._values)):
+            rounded[index] = round(values[index], 6)
+        self._values = values
+        metrics = dict(zip(names, rounded))
         row = {"at": round(at, 6), "trigger": trigger, "metrics": metrics}
         self.rows.append(row)
         if self.sink is not None:

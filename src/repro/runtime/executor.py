@@ -304,7 +304,7 @@ class Executor:
         return ledger_scope(
             self.options,
             state,
-            manifest={
+            manifest=lambda: {
                 "runner": runner,
                 "pipeline": describe_pipeline(pipeline),
                 **manifest,

@@ -162,7 +162,7 @@ class ParallelBatchRunner:
         with ledger_scope(
             self.options,
             self.base_state,
-            manifest={
+            manifest=lambda: {
                 "runner": "ParallelBatchRunner",
                 "pipeline": describe_pipeline(pipeline),
                 "workers": self.workers,

@@ -180,12 +180,14 @@ class TenantSession:
             if request.context:
                 for key, value in request.context.items():
                     state.context.put(str(key), value, producer="serve")
-            manifest = {
-                "runner": "SpearServer",
-                "tenant": self.config.name,
-                "request_id": request.request_id,
-                "pipeline": describe_pipeline(pipeline),
-            }
+            def manifest() -> dict[str, Any]:
+                return {
+                    "runner": "SpearServer",
+                    "tenant": self.config.name,
+                    "request_id": request.request_id,
+                    "pipeline": describe_pipeline(pipeline),
+                }
+
             with ledger_scope(
                 self.executor.options, state, manifest=manifest
             ):

@@ -11,6 +11,7 @@ from repro.analysis import (
     check_pipeline,
     fingerprint_check,
 )
+from repro.analysis.cache import _describe
 from repro.core import (
     CHECK,
     GEN,
@@ -18,6 +19,7 @@ from repro.core import (
     RET,
     VIEW,
     Condition,
+    FunctionOperator,
     Pipeline,
     RefAction,
     ViewRegistry,
@@ -88,6 +90,101 @@ class TestFingerprint:
         first, second = pipeline(), pipeline()
         assert first is not second
         assert fingerprint_check(first) == fingerprint_check(second)
+
+
+class TestRecycledAddresses:
+    """A new object at a freed one's address never inherits its digest."""
+
+    def test_operator_replaced_in_place_at_a_recycled_address(self):
+        texts = ("Answer briefly. ", "Cite evidence. ", "Summarize: {notes} ")
+        expected = {text: fingerprint_check(pipeline(text)) for text in texts}
+        target = pipeline()
+        reused = False
+        for round_ in range(200):
+            text = texts[round_ % 3]  # never the text just replaced
+            previous = id(target.operators[0])
+            # Refcounting frees the replaced operator here, so the new
+            # one usually lands at its address (no collection in between
+            # to reshuffle the free list).
+            target.operators[0] = None
+            target.operators[0] = REF(RefAction.CREATE, text, key="qa")
+            assert fingerprint_check(target) == expected[text]
+            reused |= id(target.operators[0]) == previous
+        assert reused, "no operator took the address of the one it replaced"
+
+    def test_callables_are_keyed_by_code_not_address(self):
+        def body(kind: int):
+            if kind:
+                return lambda state: state
+            return lambda state: None
+
+        fingerprints: dict[int, set[str]] = {0: set(), 1: set()}
+        addresses: dict[int, set[int]] = {0: set(), 1: set()}
+        for round_ in range(200):
+            kind = round_ % 2
+            fn = body(kind)
+            addresses[kind].add(id(fn))
+            fingerprints[kind].add(
+                fingerprint_check(Pipeline([FunctionOperator(fn, label="F")]))
+            )
+            del fn  # freed here, so the next closure can take its address
+            if addresses[0] & addresses[1]:
+                break
+        assert addresses[0] & addresses[1], "no address was reused across kinds"
+        assert len(fingerprints[0]) == len(fingerprints[1]) == 1
+        assert fingerprints[0] != fingerprints[1]
+
+    def test_defaults_and_closure_cells_distinguish_callables(self):
+        def closing(value):
+            return lambda state: value
+
+        def defaulting(value):
+            def body(state, value=value):
+                return value
+
+            return body
+
+        def fingerprint(fn) -> str:
+            return fingerprint_check(Pipeline([FunctionOperator(fn, label="F")]))
+
+        assert fingerprint(closing(1)) == fingerprint(closing(1))
+        assert fingerprint(closing(1)) != fingerprint(closing(2))
+        assert fingerprint(defaulting(1)) == fingerprint(defaulting(1))
+        assert fingerprint(defaulting(1)) != fingerprint(defaulting(2))
+
+    def test_self_recursive_closure_is_described_once(self):
+        def build():
+            def walk(n):
+                return walk(n - 1) if n else 0
+
+            return walk
+
+        description = repr(_describe(build()))
+        assert description.count(".<locals>.walk'") == 1
+        assert "<cycle>" in description
+
+    def test_mutually_recursive_closures_fingerprint_promptly(self):
+        def build(limit):
+            def a(n):
+                return b(n) + c(n) if n < limit else n
+
+            def b(n):
+                return a(n + 1) + c(n + 1)
+
+            def c(n):
+                return a(n + 2) + b(n + 2)
+
+            return a
+
+        def fingerprint(limit: int) -> str:
+            operator = FunctionOperator(build(limit), label="F")
+            return fingerprint_check(Pipeline([operator]))
+
+        start = time.perf_counter()
+        first = fingerprint(3)
+        assert time.perf_counter() - start < 2.0
+        assert fingerprint(3) == first
+        assert fingerprint(4) != first
 
 
 class TestCheckCache:

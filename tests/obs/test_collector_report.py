@@ -327,6 +327,81 @@ def _uncached(registry=None):
     return collector
 
 
+def _metric_only_fold(collector, event):
+    """The hot kinds as the generic path folds them: every instrument
+    through ``_metric``, nothing resolved ahead; the oracle for the slot
+    tables of :meth:`ObsCollector.on_event`."""
+    from repro.obs.metrics import LATENCY_BUCKETS
+
+    kind = event.kind
+    if kind not in (
+        EventKind.OPERATOR_START, EventKind.OPERATOR_END,
+        EventKind.GENERATE, EventKind.CACHE_HIT,
+    ):
+        collector.on_event(event)
+        return
+    metric = collector._metric
+    collector.spans.add(event)
+    metric("counter", "spear_events_total", "Events observed, by kind.",
+           kind=kind.value).inc()
+    if kind is EventKind.OPERATOR_START:
+        metric("counter", "spear_operator_invocations_total",
+               "Operator applications started.",
+               operator=operator_kind(event.operator)).inc()
+        collector._open_starts.setdefault(event.operator, []).append(event.at)
+    elif kind is EventKind.OPERATOR_END:
+        starts = collector._open_starts.get(event.operator)
+        if starts:
+            metric("histogram", "spear_operator_wall_seconds",
+                   "Wall time per operator application (virtual clock).",
+                   buckets=LATENCY_BUCKETS,
+                   operator=operator_kind(event.operator),
+                   ).observe(max(event.at - starts.pop(), 0.0))
+    elif kind is EventKind.GENERATE:
+        prompt = str(event.payload.get("prompt_key", "?"))
+        metric("counter", "spear_gen_calls_total", "GEN operator calls.",
+               prompt=prompt).inc()
+        metric("histogram", "spear_gen_latency_seconds",
+               "Simulated latency per generation call.",
+               buckets=LATENCY_BUCKETS, prompt=prompt,
+               ).observe(float(event.payload.get("latency", 0.0) or 0.0))
+        for signal in ("prompt_tokens", "cached_tokens", "output_tokens"):
+            value = event.payload.get(signal)
+            if value is not None:
+                metric("counter", f"spear_{signal}_total",
+                       f"Sum of {signal} across GEN calls.",
+                       prompt=prompt).inc(float(value))
+    else:
+        op = operator_kind(event.operator)
+        metric("counter", "spear_result_cache_hits_total",
+               "Operator applications served from the result cache.",
+               operator=op).inc()
+        metric("counter", "spear_result_cache_saved_seconds_total",
+               "Simulated seconds saved by result-cache hits.",
+               operator=op,
+               ).inc(float(event.payload.get("saved_seconds", 0.0) or 0.0))
+
+
+def _emit_unbalanced(log):
+    """START/END brackets a well-formed run never emits, and hot events
+    with fields missing."""
+    log.emit(EventKind.OPERATOR_END, 'ORPHAN["x"]', at=5.0)
+    log.emit(EventKind.OPERATOR_START, "OUTER", at=5.0)
+    log.emit(EventKind.OPERATOR_START, 'GEN["inner"]', at=5.5)
+    log.emit(EventKind.GENERATE, 'GEN["inner"]', at=6.0, prompt_key="qa",
+             latency=0.5, prompt_tokens=7)
+    log.emit(EventKind.GENERATE, 'GEN["inner"]', at=6.0)
+    log.emit(EventKind.OPERATOR_END, "OUTER", at=6.5)
+    log.emit(EventKind.OPERATOR_END, 'GEN["inner"]', at=7.0)
+    log.emit(EventKind.OPERATOR_END, 'GEN["inner"]', at=7.5)
+    log.emit(EventKind.CACHE_HIT, 'GEN["hit"]', at=8.0)
+    log.emit(EventKind.OPERATOR_START, 'OTHER["y"]', at=8.5)
+    log.emit(EventKind.OPERATOR_END, 'OTHER["y"]', at=8.75)
+    log.emit(EventKind.OPERATOR_START, 'GEN["open"]', at=9.0)
+    log.emit(EventKind.OPERATOR_START, 'GEN["open"]', at=9.5)
+    log.emit(EventKind.OPERATOR_END, 'GEN["open"]', at=9.0)
+
+
 class TestInstrumentCache:
     """The per-collector instrument cache never changes what is recorded."""
 
@@ -361,6 +436,66 @@ class TestInstrumentCache:
         assert _registry_state(live.registry) == _registry_state(
             oracle.registry
         )
+
+    def test_hot_kind_slots_equal_a_metric_only_fold(self):
+        log, _half = self._run()
+        _emit_unbalanced(log)
+        live = ObsCollector()
+        live.replay(log)
+        oracle = ObsCollector()
+        for event in log:
+            _metric_only_fold(oracle, event)
+        assert _registry_state(live.registry) == _registry_state(
+            oracle.registry
+        )
+        assert [span.to_dict() for span in live.spans.finish()] == [
+            span.to_dict() for span in oracle.spans.finish()
+        ]
+        assert live._open_starts == oracle._open_starts
+
+    def test_series_row_equals_dumps_of_the_dict_row(self):
+        """Rows re-round only changed values; the bytes must not move."""
+        import math
+
+        from repro.obs.ledger import _dumps
+        from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+        from repro.obs.timeseries import SeriesRecorder, _sample_name
+
+        registry = MetricsRegistry()
+        ticks = registry.counter("ticks_total", kind="a")
+        level = registry.gauge("level")
+        pulled = [math.inf, math.nan, -math.inf, 1e-7, 0.1234567, -0.0, 5.0]
+        current = {}
+        registry.gauge("pulled").set_function(lambda: current["pulled"])
+
+        def dict_row(at, trigger):
+            metrics = {}
+            for name, _kind, _help, samples in registry.collect():
+                for labels, instrument in samples:
+                    if isinstance(instrument, (Counter, Gauge)):
+                        metrics[_sample_name(name, labels)] = round(
+                            float(instrument.value), 6
+                        )
+            return {"at": round(at, 6), "trigger": trigger, "metrics": metrics}
+
+        pairs = []
+        recorder = SeriesRecorder(registry, sink=lambda row: pairs.append(
+            (_dumps(row), _dumps(dict_row(row["at"], row["trigger"])))
+        ))
+        for step, (inc, value) in enumerate(
+            [(1, 0.0), (0, -0.0), (0.25, 2.0000004), (0, 2.0000004), (1, 0.0),
+             (0, 1e300), (0, -(2.0**60))]
+        ):
+            ticks.inc(inc)
+            level.set(value)
+            current["pulled"] = pulled[step]
+            if step == 3:
+                registry.counter("late_total").inc()
+            recorder.sample(float(step), "manual")
+        assert len(pairs) == 7
+        for written, expected in pairs:
+            assert written == expected
+        assert "-0.0" in pairs[1][0] and "Infinity" in pairs[0][0]
 
     def test_two_collectors_sharing_one_registry(self):
         first = ObsCollector()

@@ -67,6 +67,26 @@ class TestWriteSide:
         ):
             assert (run_dir / name).exists(), name
 
+    def test_no_ledger_builds_no_manifest(self, monkeypatch):
+        import repro.obs.ledger as ledger_module
+        from repro.runtime.incremental import RefinementLoop
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("manifest built without a ledger")
+
+        monkeypatch.setattr(ledger_module, "describe_pipeline", refuse)
+        monkeypatch.setattr(ledger_module, "describe_options", refuse)
+        executor = make_executor(None)
+        state = executor.new_state()
+        pipeline = make_pipeline(state)
+        executor.run(pipeline, state=state)
+        RefinementLoop(
+            executor,
+            pipeline,
+            refiners=[REF(RefAction.APPEND, "Be specific.", key="qa")],
+            max_iterations=2,
+        ).run(state=state)
+
     def test_manifest_identity_and_status(self, ledgered_run):
         root, state, _result = ledgered_run
         run = Ledger(root).latest()
@@ -274,6 +294,63 @@ class TestReadSide:
 
 class TestFastPathBytes:
     """Payloads that skip the tagged encoding still write the same bytes."""
+
+    def test_line_writer_equals_the_tagged_encoding(self, tmp_path):
+        """Every ``(seq, at, label, payload)`` shape, fast path or not."""
+        import math
+
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.core.entry import RefAction
+        from repro.llm.latency import LatencyBreakdown
+        from repro.runtime.events import Event
+        from repro.runtime.tracing import _encode_value
+
+        ats = st.one_of(
+            st.sampled_from(
+                [-0.0, 1e-7, 1e16, 1e22, 3, math.inf, -math.inf, math.nan]
+            ),
+            st.floats(),
+        )
+        labels = st.one_of(
+            st.sampled_from(['GEN["a"]', "back\\slash", "naïve ☃", ""]),
+            st.text(alphabet='"\\é☃\n[]aG', max_size=8),
+        )
+        scalars = st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(),
+            st.text(alphabet='"\\é☃x', max_size=5),
+        )
+        payloads = st.one_of(
+            st.just({}),
+            st.dictionaries(st.text(max_size=5), scalars, max_size=4),
+            st.dictionaries(
+                st.text(max_size=5), st.sampled_from(list(RefAction)), max_size=2
+            ),
+            st.just({"latency": LatencyBreakdown(0.1, 0.2, 0.0, 0.3)}),
+            st.dictionaries(
+                st.text(max_size=5),
+                st.lists(scalars, max_size=3).map(tuple),
+                max_size=2,
+            ),
+        )
+        ledger = RunLedger(tmp_path, "000001")
+
+        @settings(max_examples=300, deadline=None)
+        @given(
+            seq=st.integers(min_value=0),
+            kind=st.sampled_from(list(EventKind)),
+            operator=labels,
+            at=ats,
+            payload=payloads,
+        )
+        def line_matches(seq, kind, operator, at, payload):
+            event = Event(seq, kind, operator, at, payload)
+            expected = json.dumps(_encode_value(event.to_dict()))
+            assert ledger._line(event) == expected
+            assert ledger._line(event) == expected  # the cached head
+
+        line_matches()
 
     def test_every_line_equals_the_tagged_encoding(self, tmp_path):
         from hypothesis import given, settings

@@ -129,6 +129,33 @@ class TestHistogram:
 
         check()
 
+    def test_bucket_index_equals_the_linear_scan(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        bounds = (-1.0, 0.0, 0.1, 0.25, 1.0, 55.0)
+
+        def linear_scan(value):
+            for index, bound in enumerate(bounds):
+                if value <= bound:
+                    return index
+            return len(bounds)
+
+        specials = [math.nan, math.inf, -math.inf, -0.0, *bounds]
+        specials += [math.nextafter(b, math.inf) for b in bounds]
+        specials += [math.nextafter(b, -math.inf) for b in bounds]
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.one_of(st.sampled_from(specials), st.floats()))
+        def check(value):
+            hist = Histogram(buckets=bounds)
+            hist.observe(value)
+            expected = [0] * (len(bounds) + 1)
+            expected[linear_scan(value)] = 1
+            assert hist.bucket_counts == expected
+
+        check()
+
     def test_quantile_bounds_validated(self):
         with pytest.raises(ObservabilityError):
             Histogram(buckets=(1.0,)).quantile(1.5)

@@ -286,6 +286,20 @@ class TestServeObservability:
         assert event.payload["elapsed"] > 0.0
         assert event.payload["queue_depth"] == 0
 
+    def test_no_ledger_builds_no_manifest(self, monkeypatch):
+        import repro.obs.ledger as ledger_module
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("manifest built without a ledger")
+
+        monkeypatch.setattr(ledger_module, "describe_pipeline", refuse)
+        monkeypatch.setattr(ledger_module, "describe_options", refuse)
+        server = make_server()
+        server.add_tenant("acme")
+        with server:
+            response = server.submit(request_for(server, "acme")).result()
+        assert response.ok
+
     def test_pool_snapshot_aggregates_sessions_and_partitions(self):
         server = make_server()
         server.add_tenant("a")

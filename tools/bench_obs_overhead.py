@@ -244,9 +244,9 @@ def run_benchmark(
             )
         last_dir = Path(tmp) / f"runs_{reps - 1}"
         conservation = check_attribution_conservation(last_dir)
-        event_count = int(
-            Ledger(last_dir).latest().manifest.get("event_count", 0)
-        )
+        last_run = Ledger(last_dir).latest()
+        event_count = int(last_run.manifest.get("event_count", 0))
+        series_rows = len(last_run.series())
 
     host_off = min(off_walls)
     host_on = min(on_walls)
@@ -265,6 +265,11 @@ def run_benchmark(
         "overhead_pct": round(sim_overhead, 4),
         "host_wall_off_s": round(host_off, 4),
         "host_wall_on_s": round(host_on, 4),
+        # Every repetition, so a failed gate shows noise (one slow rep in
+        # either arm) apart from a ledger that got slower (every on rep).
+        "host_walls_off_s": [round(wall, 4) for wall in off_walls],
+        "host_walls_on_s": [round(wall, 4) for wall in on_walls],
+        "series_rows": series_rows,
         "host_overhead_pct": round(host_overhead, 2),
         "host_us_per_event": round(host_delta * 1e6 / event_count, 2)
         if event_count
