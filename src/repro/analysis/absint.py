@@ -32,9 +32,10 @@ module adds only the branch control flow.
 
 Forks are cheap because prompt states are immutable: a snapshot is a
 shallow copy of the store's dicts that shares every
-:class:`~repro.analysis.dataflow._PromptState` with the live walk, and
-the join reuses a key's state when every path still holds the same
-object.
+:class:`~repro.analysis.dataflow._PromptState` with the live walk.  The
+join starts from the fork's prompt store and rebuilds only the keys the
+walker's write log names since the fork, reusing a key's state when
+every path still holds the same object.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ class AbstractState:
 
     ``dead_write_mark``/``fusion_mark`` record accumulator lengths so a
     dead arm's rollback can also discard any dead-write or fusion-pair
-    evidence it produced (live paths keep theirs).
+    evidence it produced (live paths keep theirs).  ``prompt_mark`` is
+    the length of the walker's prompt-write log: the keys logged after a
+    fork's mark are the only ones its join has to rebuild.
     """
 
     prompts: dict[str, _PromptState]
@@ -73,6 +76,7 @@ class AbstractState:
     havoc: bool
     dead_write_mark: int
     fusion_mark: int
+    prompt_mark: int
 
 
 def _join_origins(stores: list[dict[str, str]]) -> dict[str, str]:
@@ -105,6 +109,7 @@ class PathSensitiveWalker(_Walker):
             havoc=self.havoc,
             dead_write_mark=len(self.dead_writes),
             fusion_mark=len(self.fusion_pairs),
+            prompt_mark=len(self.prompt_log),
         )
 
     def _restore(self, state: AbstractState, *, rollback: bool = False) -> None:
@@ -116,20 +121,27 @@ class PathSensitiveWalker(_Walker):
         if rollback:
             del self.dead_writes[state.dead_write_mark :]
             del self.fusion_pairs[state.fusion_mark :]
+            del self.prompt_log[state.prompt_mark :]
 
     # -- join -----------------------------------------------------------------
 
-    def _join(self, paths: list[AbstractState]) -> AbstractState:
-        """The least upper bound of the feasible paths' post-states."""
+    def _join(self, base: AbstractState, paths: list[AbstractState]) -> AbstractState:
+        """The least upper bound of the feasible paths' post-states.
+
+        ``base`` is the fork the paths were walked from.  A prompt key no
+        path wrote since then still holds ``base``'s state in every path,
+        so it is taken from ``base`` by reference; only the keys the
+        write log names after ``base.prompt_mark`` are rebuilt.
+        """
         if len(paths) == 1:
             return paths[0]
         first = paths[0]
-        prompts: dict[str, _PromptState] = {}
-        for key in {key for path in paths for key in path.prompts}:
+        prompts = dict(base.prompts)
+        for key in set(self.prompt_log[base.prompt_mark :]):
             infos = [path.prompts.get(key) for path in paths]
             shared = infos[0]
             if shared is not None and all(info is shared for info in infos):
-                # No path wrote the key since the fork.
+                # Logged, yet every path holds one state: nothing to join.
                 prompts[key] = shared
                 continue
             present = [info for info in infos if info is not None]
@@ -174,6 +186,7 @@ class PathSensitiveWalker(_Walker):
             havoc=any(path.havoc for path in paths),
             dead_write_mark=len(self.dead_writes),
             fusion_mark=len(self.fusion_pairs),
+            prompt_mark=len(self.prompt_log),
         )
 
     # -- condition refinement --------------------------------------------------
@@ -247,7 +260,7 @@ class PathSensitiveWalker(_Walker):
                     op.orelse, conditional=True, repeated=repeated, path=branch_path
                 )
             outcomes.append(self._snapshot())
-        self._restore(self._join(outcomes))
+        self._restore(self._join(base, outcomes))
         return node
 
     def _walk_switch(self, op: SWITCH, conditional, repeated, path) -> "OpNode":
@@ -300,5 +313,5 @@ class PathSensitiveWalker(_Walker):
             # No case matched and there is no default: plain fallthrough.
             self._restore(base)
             outcomes.append(self._snapshot())
-        self._restore(self._join(outcomes))
+        self._restore(self._join(base, outcomes))
         return node

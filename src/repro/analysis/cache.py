@@ -14,8 +14,10 @@ prompt texts and params, bound context slots, registered sources and
 agents, the view registry, ``open_context``, and the runtime mapping.
 Callables are described by module, qualname, code, defaults and
 closure cells, never by address, so a new object at a freed one's
-address cannot inherit its entry; only a non-callable object without a
-``__dict__`` falls back to identity.
+address cannot inherit its entry.  Slotted objects are described by
+their set slot values (a :class:`~repro.core.entry.StaticChunk` by its
+text alone); only an object with neither a ``__dict__`` nor slots falls
+back to identity.
 
 Hits and misses are observable as ``spear_check_cache_hits_total`` /
 ``spear_check_cache_misses_total`` when a metrics registry is passed.
@@ -32,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.analysis.check import check_pipeline
 from repro.analysis.diagnostics import CheckResult
+from repro.core.entry import StaticChunk
 from repro.core.operators import Operator
 from repro.core.pipeline import Pipeline
 
@@ -120,8 +123,38 @@ def _describe_node(obj: Any, depth: int, path: dict[int, int]) -> Any:
                 for cell in getattr(obj, "__closure__", None) or ()
             ),
         )
-    # A non-callable without a __dict__: identity is the only key left.
+    if isinstance(obj, StaticChunk):
+        # ``memo`` caches analyses of ``text``; it is not content.
+        return ("StaticChunk", obj.text)
+    slots = _slot_values(obj)
+    if slots:
+        return (
+            type(obj).__name__,
+            tuple(
+                (name, _describe(value, depth + 1, path)) for name, value in slots
+            ),
+        )
+    # Neither a __dict__ nor slots: identity is the only key left.
     return f"{type(obj).__name__}@{id(obj)}"
+
+
+def _slot_values(obj: Any) -> list[tuple[str, Any]]:
+    """``obj``'s set ``__slots__`` values, by name, over its MRO."""
+    values: dict[str, Any] = {}
+    for klass in type(obj).__mro__:
+        names = klass.__dict__.get("__slots__", ())
+        for name in (names,) if isinstance(names, str) else names:
+            if name in ("__dict__", "__weakref__"):
+                continue
+            if name.startswith("__") and not name.endswith("__"):
+                name = f"_{klass.__name__.lstrip('_')}{name}"  # name-mangled
+            if name in values:
+                continue
+            try:
+                values[name] = getattr(obj, name)
+            except AttributeError:  # declared but never set
+                continue
+    return sorted(values.items())
 
 
 def _describe_code(code: CodeType) -> Any:

@@ -24,7 +24,11 @@ from repro.analysis.diagnostics import (
     SourceSpan,
     make_diagnostic,
 )
-from repro.analysis.suppressions import Suppression, apply_suppressions
+from repro.analysis.suppressions import (
+    Suppression,
+    apply_suppressions,
+    suppressions_from_comments,
+)
 from repro.core.pipeline import Pipeline
 from repro.core.state import ExecutionState
 from repro.errors import DslCompileError, DslSyntaxError
@@ -154,18 +158,17 @@ def check_program(
 
     Inline ``# spear: ignore[SPEAR1xx]`` comments suppress matching
     findings on their target line; when checking source text they are
-    collected automatically, for a pre-parsed AST pass ``suppressions``.
-    Suppressions that silence nothing come back as SPEAR199.
+    collected from the parse's own scan, for a pre-parsed AST pass
+    ``suppressions``.  Suppressions that silence nothing come back as
+    SPEAR199.
     """
     from repro.dl.compiler import compile_program
-    from repro.dl.lexer import collect_suppressions
-    from repro.dl.parser import parse
+    from repro.dl.parser import _parse_with_comments
 
-    source = program if isinstance(program, str) else None
     result = CheckResult()
     if isinstance(program, str):
         try:
-            program = parse(program)
+            program, comments = _parse_with_comments(program)
         except DslSyntaxError as error:
             result.extend(
                 [
@@ -181,6 +184,8 @@ def check_program(
                 ]
             )
             return result
+        if suppressions is None:
+            suppressions = suppressions_from_comments(comments)
     try:
         compiled = compile_program(program, views=views, filename=filename)
     except DslCompileError as error:
@@ -225,8 +230,6 @@ def check_program(
                 ]
             )
     result.sort()
-    if suppressions is None and isinstance(source, str):
-        suppressions = collect_suppressions(source)
     if suppressions:
         result = apply_suppressions(result, suppressions, filename=filename)
     return result

@@ -362,29 +362,50 @@ def check_unbounded_fanout(
     return findings
 
 
-def _dependent_steps(steps: list[OpNode], keys: frozenset[str]) -> int:
+def _dependent_step_counts(
+    steps: list[OpNode], key_sets: list[frozenset[str]]
+) -> list[int]:
     """Static mirror of the optimizer's ``dependent_suffix`` taint.
 
-    Returns how many of ``steps`` (the pipeline's live non-control
-    steps) are invalidated when a refiner rewrites the prompt ``keys``.
-    Taint runs from the top, exactly like incremental re-execution after
-    a refinement: any step touching a tainted prompt key re-runs, and
-    re-running steps taint every context slot and prompt key they write.
+    Returns, per entry of ``key_sets``, how many of ``steps`` (the
+    pipeline's live non-control steps) are invalidated when a refiner
+    rewrites those prompt keys.  Taint runs from the top, exactly like
+    incremental re-execution after a refinement: any step touching a
+    tainted prompt key re-runs, and re-running steps taint every context
+    slot and prompt key they write.
+
+    One forward pass serves every key set: a key or slot carries a
+    bitmask with bit ``i`` set when key set ``i`` taints it, and a step
+    re-runs for exactly the key sets whose bits reach it.
     """
-    tainted_prompts = set(keys)
-    tainted_context: set[str] = set()
-    rerun = 0
+    prompt_taint: dict[str, int] = {}
+    for bit, keys in enumerate(key_sets):
+        for key in keys:
+            prompt_taint[key] = prompt_taint.get(key, 0) | 1 << bit
+    context_taint: dict[str, int] = {}
+    reruns: dict[int, int] = {}  # taint mask → steps re-run under it
     for node in steps:
-        if (
-            tainted_prompts.isdisjoint(node.prompt_reads)
-            and tainted_prompts.isdisjoint(node.prompt_writes)
-            and tainted_context.isdisjoint(node.context_reads)
-        ):
+        mask = 0
+        for key in node.prompt_reads:
+            mask |= prompt_taint.get(key, 0)
+        for key in node.prompt_writes:
+            mask |= prompt_taint.get(key, 0)
+        for slot in node.context_reads:
+            mask |= context_taint.get(slot, 0)
+        if not mask:
             continue
-        rerun += 1
-        tainted_prompts.update(node.prompt_writes)
-        tainted_context.update(node.context_writes)
-    return rerun
+        reruns[mask] = reruns.get(mask, 0) + 1
+        for key in node.prompt_writes:
+            prompt_taint[key] = prompt_taint.get(key, 0) | mask
+        for slot in node.context_writes:
+            context_taint[slot] = context_taint.get(slot, 0) | mask
+    counts = [0] * len(key_sets)
+    for mask, rerun in reruns.items():
+        while mask:
+            low = mask & -mask
+            counts[low.bit_length() - 1] += rerun
+            mask ^= low
+    return counts
 
 
 def check_cache_defeating_refiner(
@@ -404,8 +425,9 @@ def check_cache_defeating_refiner(
         for node in graph
         if not node.unreachable and node.kind not in _CONTROL_KINDS
     ]
-    # Refiners of the same keys taint the same suffix.
-    reruns: dict[frozenset[str], int] = {}
+    # Refiners of the same keys taint the same suffix: one taint pass
+    # counts it for every distinct key set.
+    refiners: list[tuple[OpNode, frozenset[str]]] = []
     for node in graph:
         if node.unreachable or not (node.conditional or node.repeated):
             continue
@@ -414,12 +436,12 @@ def check_cache_defeating_refiner(
                 continue
         elif node.kind != "MAP":
             continue
-        if not node.prompt_writes:
-            continue
-        keys = frozenset(node.prompt_writes)
-        rerun = reruns.get(keys)
-        if rerun is None:
-            rerun = reruns[keys] = _dependent_steps(steps, keys)
+        if node.prompt_writes:
+            refiners.append((node, frozenset(node.prompt_writes)))
+    key_sets = list(dict.fromkeys(keys for __, keys in refiners))
+    counts = dict(zip(key_sets, _dependent_step_counts(steps, key_sets)))
+    for node, keys in refiners:
+        rerun = counts[keys]
         if rerun < _SUFFIX_MIN_RERUN:
             continue
         fraction = rerun / max(len(steps), 1)

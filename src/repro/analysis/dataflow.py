@@ -6,8 +6,8 @@ prompt entries, template parameters, and context slots each operator
 reads and writes is a static property of the operator parameters.  The
 builder here walks a :class:`~repro.core.pipeline.Pipeline` with an
 abstract interpreter that mirrors the runtime contracts — it reuses
-:func:`~repro.core.operators._context_reads_for_template` (the exact
-routine GEN footprints use) over the statically-known prompt texts
+:func:`~repro.core.operators._template_roots` (the placeholder-root
+extraction GEN footprints use) over the statically-known prompt texts
 instead of re-implementing template parsing, and each
 :class:`OpNode` can render its static input set as a
 :class:`~repro.core.footprint.Footprint` so analysis results and
@@ -43,7 +43,7 @@ from repro.core.operators import (
     MERGE,
     REF,
     RET,
-    _context_reads_for_template,
+    _template_roots,
 )
 from repro.core.pipeline import Pipeline
 from repro.errors import ViewError
@@ -297,26 +297,6 @@ class DataflowGraph:
 # -- the abstract interpreter ----------------------------------------------
 
 
-class _SlotView:
-    """Duck-typed stand-in for :class:`~repro.core.context.Context`."""
-
-    def __init__(self, slots: dict[str, str]) -> None:
-        self._slots = slots
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._slots
-
-    def __getitem__(self, key: str) -> str:
-        return self._slots[key]
-
-
-class _StateShim:
-    """The minimal state surface ``_context_reads_for_template`` needs."""
-
-    def __init__(self, slots: dict[str, str]) -> None:
-        self.context = _SlotView(slots)
-
-
 class _PromptState(NamedTuple):
     """Abstract value of one prompt key during the walk.
 
@@ -365,6 +345,9 @@ class _Walker:
         self.pending_writes: dict[str, int] = {}
         self.dead_writes: list[tuple[int, str]] = []
         self.fusion_pairs: list[tuple[int, int, str]] = []
+        #: every prompt key written, in walk order: a branch join
+        #: rebuilds only the keys written since its fork.
+        self.prompt_log: list[str] = []
         #: >0 while walking a statically-dead branch.
         self._dead_depth = 0
 
@@ -445,18 +428,14 @@ class _Walker:
     ) -> frozenset[str]:
         """Placeholder roots of ``texts``, for retention past a collapse.
 
-        Extracted eagerly (against the current abstract context) so the
-        spill set stays bounded by the placeholder vocabulary no matter
-        how many alternative texts the fan limiter drops.
+        Extracted eagerly so the spill set stays bounded by the
+        placeholder vocabulary no matter how many alternative texts the
+        fan limiter drops.
         """
-        shim = _StateShim(self.context)
         shadowed = params | {"base"}
         roots: set[str] = set()
         for text in texts:
-            for root, _status in _context_reads_for_template(
-                shim, template_placeholders(text), shadowed=shadowed
-            ):
-                roots.add(root)
+            roots.update(_template_roots(template_placeholders(text), shadowed))
         return frozenset(roots)
 
     def _write_prompt(
@@ -470,6 +449,7 @@ class _Walker:
         spill: frozenset[str] = frozenset(),
     ) -> None:
         node.prompt_writes += (key,)
+        self.prompt_log.append(key)
         info = self.prompts.get(key)
         if texts is not None and len(texts) > _TEXT_FAN_LIMIT:
             spill = spill | self._spill_roots(texts, params)
@@ -522,22 +502,19 @@ class _Walker:
     ) -> None:
         """Record the context slots a prompt's template interpolates.
 
-        Reuses the runtime's own placeholder fingerprinting over every
-        statically-known text; a DYNAMIC text contributes nothing (its
-        reads are unknowable).
+        Extracts roots with the runtime's own placeholder helper (the
+        one GEN footprints use) over every statically-known text; a
+        DYNAMIC text contributes nothing (its reads are unknowable).
         """
         if info is None or (info.texts is None and not info.spill):
             return
         shadowed = shadowed | info.params | {"base"}
-        shim = _StateShim(self.context)
         for text in info.texts or ():
-            for root, status in _context_reads_for_template(
-                shim, template_placeholders(text), shadowed=shadowed
-            ):
+            for root in _template_roots(template_placeholders(text), shadowed):
                 if root not in node.template_params:
                     node.template_params += (root,)
                 self._read_context(node, root, hard=False)
-                if status == ABSENT and not self.havoc:
+                if root not in self.context and not self.havoc:
                     if root not in node.unbound_params:
                         node.unbound_params += (root,)
         # Roots salvaged from fan-limited texts still count as reads, but

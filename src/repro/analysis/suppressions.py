@@ -12,9 +12,10 @@ stands alone:
       GEN["answer", prompt="qa"]  # spear: ignore[SPEAR101]
     }
 
-Suppressions are collected by the lexer
-(:func:`repro.dl.lexer.collect_suppressions`) so they survive exactly
-as the parser sees the source, and applied after analysis by
+Suppressions are collected from the comments the lexer's scan records
+(:func:`repro.dl.lexer.collect_suppressions`, or the parse inside
+:func:`~repro.analysis.check.check_program`) so they survive exactly as
+the parser sees the source, and applied after analysis by
 :func:`apply_suppressions`.  Every listed code that silenced nothing —
 a stale suppression, a typo, an unknown code — comes back as SPEAR199,
 so suppressions can never rot silently.
@@ -34,7 +35,12 @@ from repro.analysis.diagnostics import (
     make_diagnostic,
 )
 
-__all__ = ["SUPPRESSION_RE", "Suppression", "apply_suppressions"]
+__all__ = [
+    "SUPPRESSION_RE",
+    "Suppression",
+    "apply_suppressions",
+    "suppressions_from_comments",
+]
 
 #: the accepted comment shape; codes are comma-separated inside [].
 SUPPRESSION_RE = re.compile(
@@ -78,6 +84,18 @@ class Suppression:
             comment_line=line,
             comment_column=column,
         )
+
+
+def suppressions_from_comments(
+    comments: Iterable[tuple[str, int, int, bool]],
+) -> list[Suppression]:
+    """The suppressions among lexer comments ``(text, line, column, trailing)``."""
+    suppressions = []
+    for text, line, column, trailing in comments:
+        suppression = Suppression.from_comment(text, line, column, trailing=trailing)
+        if suppression is not None:
+            suppressions.append(suppression)
+    return suppressions
 
 
 def apply_suppressions(

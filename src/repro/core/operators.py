@@ -25,6 +25,25 @@ from repro.errors import OperatorError, RefinementError
 from repro.runtime.events import EventKind
 
 
+def _template_roots(
+    names: Iterable[str], shadowed: Collection[str] = ()
+) -> tuple[str, ...]:
+    """The context roots a template's placeholder ``names`` read.
+
+    Dotted placeholders resolve from their root key; roots bound by the
+    operator's literal ``extra`` values (``shadowed``) are part of the
+    operator identity instead.  Ordered by first use, de-duplicated.
+    GEN/RET footprints and the static dataflow walker share this one
+    extraction.
+    """
+    roots: dict[str, None] = {}
+    for name in names:
+        root = name.partition(".")[0]
+        if root not in shadowed:
+            roots[root] = None
+    return tuple(roots)
+
+
 def _context_reads_for_template(
     state: ExecutionState,
     names: Iterable[str],
@@ -33,21 +52,14 @@ def _context_reads_for_template(
 ) -> tuple[tuple[str, str], ...]:
     """Fingerprint the context slots a template's placeholder ``names`` read.
 
-    Dotted placeholders resolve from their root key; roots bound by the
-    operator's literal ``extra`` values are part of the operator identity
-    instead.  A missing slot fingerprints as :data:`ABSENT` — absence is
-    an input too, because an unbound placeholder renders literally.
+    A missing slot fingerprints as :data:`ABSENT` — absence is an input
+    too, because an unbound placeholder renders literally.
     """
-    reads: dict[str, str] = {}
-    for name in names:
-        root = name.split(".", 1)[0]
-        if root in shadowed or root in reads:
-            continue
-        if root in state.context:
-            reads[root] = stable_digest(state.context[root])
-        else:
-            reads[root] = ABSENT
-    return tuple(reads.items())
+    context = state.context
+    return tuple(
+        (root, stable_digest(context[root]) if root in context else ABSENT)
+        for root in _template_roots(names, shadowed)
+    )
 
 
 __all__ = ["RET", "GEN", "REF", "CHECK", "MERGE", "DELEGATE"]

@@ -22,18 +22,24 @@ The lexer produces a flat token stream; comments (``# ...``) and
 whitespace are skipped.  Strings support single, double, and triple
 double-quoted forms.
 
-One compiled master regex does the scanning: each match is a run of
-spaces/tabs folded into the token after it, and the named group that
-matched is the token's kind.  Every non-blank character starts some
-alternative (the last one is "any other character"), so the matches
-tile the source up to its trailing blanks and errors come back as groups
-too.  Columns are counted from a ``line_start`` index that moves only at
-newlines.
+One private scanner, :func:`_scan`, does the work for the parser and
+for :func:`tokenize`.  A compiled master regex matches a run of blanks
+(newlines included) folded into the token after it, and the named group
+that matched is the token's kind.  Every non-blank character starts
+some alternative (the last one is "any other character"), so the
+matches tile the source up to its trailing blanks and errors come back
+as groups too.  A scanned token is a plain ``(TokenType, value,
+offset)`` tuple.  Lines and columns are not counted while scanning:
+:func:`_line_starts` indexes the source's newline offsets once and
+:func:`_position` bisects it, only where a position is stored or
+reported (AST nodes, :class:`DslSyntaxError`, comments, and the
+:class:`Token` view ``tokenize`` returns).
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from enum import Enum
 from typing import NamedTuple
 
@@ -91,10 +97,14 @@ _PUNCT = {
 # admits numeric characters that are not decimal digits, such as ``²``
 # and ``Ⅻ``, so non-ASCII starts go through UNAME and are checked with
 # ``str.isalpha()``.  NUMBER takes decimal digits only (what
-# ``int()``/``float()`` accept).
+# ``int()``/``float()`` accept).  NAME and PUNCT, the bulk of any
+# program, are tried first: none of the alternatives they moved ahead of
+# starts with an ASCII letter, ``_`` or one of the punctuation marks, so
+# every match is the same and only failed tries are saved.
 _TOKEN = re.compile(
-    r"[ \t\r]*(?:"
-    r"(?P<NEWLINE>\n)"
+    r"[ \t\r\n]*(?:"
+    r"(?P<NAME>[A-Za-z_]\w*)"
+    r"|(?P<PUNCT>[][{}(),:=<>])"
     r"|(?P<COMMENT>#[^\n]*)"
     r'|(?P<TRIPLE>"""[\s\S]*?""")'
     r'|(?P<OPEN_TRIPLE>""")'
@@ -102,11 +112,99 @@ _TOKEN = re.compile(
     r"""|(?P<OPEN_STRING>["'])"""
     r"|(?P<ARROW>->)"
     r"|(?P<NUMBER>-?\d[\d.]*(?:[eE][+-]?\d+)?)"
-    r"|(?P<NAME>[A-Za-z_]\w*)"
     r"|(?P<UNAME>[^\W\d]\w*)"
-    r"|(?P<PUNCT>[][{}(),:=<>])"
-    r"|(?P<OTHER>[^ \t\r]))"
+    r"|(?P<OTHER>[^ \t\r\n]))"
 )
+
+_NEWLINE = re.compile(r"\n")
+
+# Kinds the scanner emits per token, as globals: ``TokenType.NAME`` is a
+# lookup through the enum's metaclass.
+_NAME = TokenType.NAME
+_STRING = TokenType.STRING
+_NUMBER = TokenType.NUMBER
+_ARROW = TokenType.ARROW
+
+#: a scanned token: kind, value, and the offset of its first character.
+_Scanned = tuple[TokenType, str, int]
+
+
+def _line_starts(source: str) -> list[int]:
+    """The offset of every line's first character, line 1 first."""
+    return [0, *(match.end() for match in _NEWLINE.finditer(source))]
+
+
+def _position(starts: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based ``(line, column)`` of ``offset``, from its line starts."""
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1
+
+
+def _error(source: str, message: str, offset: int) -> DslSyntaxError:
+    return DslSyntaxError(message, *_position(_line_starts(source), offset))
+
+
+def _scan(
+    source: str, comments: "list[tuple[str, int, bool]] | None" = None
+) -> list[_Scanned]:
+    """Scan ``source`` into ``(TokenType, value, offset)`` tuples, EOF last.
+
+    ``comments``, when given, collects every comment as ``(text, offset,
+    trailing)`` — ``trailing`` is True when the token before it starts
+    on the comment's line.
+    """
+    tokens: list[_Scanned] = []
+    append = tokens.append
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match[kind]
+        start = match.start(kind)
+        if kind == "NAME":
+            append((_NAME, text, start))
+        elif kind == "PUNCT":
+            append((_PUNCT[text], text, start))
+        elif kind == "STRING":
+            quote = text[0]
+            value = text[1:-1]
+            if "\\" in value:
+                value = (
+                    value.replace(f"\\{quote}", quote)
+                    .replace("\\n", "\n")
+                    .replace("\\\\", "\\")
+                )
+            append((_STRING, value, start))
+        elif kind == "TRIPLE":
+            append((_STRING, text[3:-3], start))
+        elif kind == "NUMBER":
+            if text.count(".") > 1:
+                raise _error(source, f"malformed number {text!r}", start)
+            append((_NUMBER, text, start))
+        elif kind == "ARROW":
+            append((_ARROW, text, start))
+        elif kind == "COMMENT":
+            if comments is not None:
+                trailing = bool(tokens) and source.find("\n", tokens[-1][2], start) < 0
+                comments.append((text, start, trailing))
+        elif kind == "UNAME" and text[0].isalpha():
+            append((_NAME, text, start))
+        elif kind == "OPEN_TRIPLE":
+            raise _error(source, "unterminated triple-quoted string", start)
+        elif kind == "OPEN_STRING":
+            raise _error(source, "unterminated string", start)
+        else:
+            raise _error(source, f"unexpected character {text[0]!r}", start)
+    append((TokenType.EOF, "", len(source)))
+    return tokens
+
+
+def _comment_positions(
+    starts: list[int], comments: "list[tuple[str, int, bool]]"
+) -> "list[tuple[str, int, int, bool]]":
+    """Scanned comments as ``(text, line, column, trailing)``."""
+    return [
+        (text, *_position(starts, offset), trailing)
+        for text, offset, trailing in comments
+    ]
 
 
 def tokenize(
@@ -122,59 +220,15 @@ def tokenize(
     itself never contains comments; this side channel is how inline
     ``# spear: ignore[...]`` suppressions reach the checker.
     """
-    tokens: list[Token] = []
-    append = tokens.append
-    line = 1
-    line_start = 0
-    for match in _TOKEN.finditer(source):
-        kind = match.lastgroup
-        if kind == "NEWLINE":
-            line += 1
-            line_start = match.end()
-            continue
-        start = match.start(kind)
-        text = match[kind]
-        column = start - line_start + 1
-        if kind == "NAME":
-            append(Token(TokenType.NAME, text, line, column))
-        elif kind == "PUNCT":
-            append(Token(_PUNCT[text], text, line, column))
-        elif kind == "STRING" or kind == "TRIPLE":
-            if kind == "TRIPLE":
-                value = text[3:-3]
-            else:
-                quote = text[0]
-                value = text[1:-1]
-                if "\\" in value:
-                    value = (
-                        value.replace(f"\\{quote}", quote)
-                        .replace("\\n", "\n")
-                        .replace("\\\\", "\\")
-                    )
-            append(Token(TokenType.STRING, value, line, column))
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = start + text.rindex("\n") + 1
-        elif kind == "NUMBER":
-            if text.count(".") > 1:
-                raise DslSyntaxError(f"malformed number {text!r}", line, column)
-            append(Token(TokenType.NUMBER, text, line, column))
-        elif kind == "ARROW":
-            append(Token(TokenType.ARROW, text, line, column))
-        elif kind == "COMMENT":
-            if comments is not None:
-                trailing = bool(tokens) and tokens[-1].line == line
-                comments.append((text, line, column, trailing))
-        elif kind == "UNAME" and text[0].isalpha():
-            append(Token(TokenType.NAME, text, line, column))
-        elif kind == "OPEN_TRIPLE":
-            raise DslSyntaxError("unterminated triple-quoted string", line, column)
-        elif kind == "OPEN_STRING":
-            raise DslSyntaxError("unterminated string", line, column)
-        else:
-            raise DslSyntaxError(f"unexpected character {text[0]!r}", line, column)
-    append(Token(TokenType.EOF, "", line, len(source) - line_start + 1))
-    return tokens
+    scanned_comments: list[tuple[str, int, bool]] = []
+    scanned = _scan(source, None if comments is None else scanned_comments)
+    starts = _line_starts(source)
+    if comments is not None:
+        comments.extend(_comment_positions(starts, scanned_comments))
+    return [
+        Token(kind, value, *_position(starts, offset))
+        for kind, value, offset in scanned
+    ]
 
 
 def collect_suppressions(source: str) -> "list":
@@ -184,18 +238,12 @@ def collect_suppressions(source: str) -> "list":
     source that fails to lex yields none (the checker reports SPEAR001
     long before suppressions matter).
     """
-    from repro.analysis.suppressions import Suppression
+    from repro.analysis.suppressions import suppressions_from_comments
 
-    comments: list[tuple[str, int, int, bool]] = []
+    comments: list[tuple[str, int, bool]] = []
     try:
-        tokenize(source, comments=comments)
+        _scan(source, comments)
     except DslSyntaxError:
         return []
-    suppressions = []
-    for text, line, column, trailing in comments:
-        suppression = Suppression.from_comment(
-            text, line, column, trailing=trailing
-        )
-        if suppression is not None:
-            suppressions.append(suppression)
-    return suppressions
+    starts = _line_starts(source)
+    return suppressions_from_comments(_comment_positions(starts, comments))

@@ -24,6 +24,7 @@ from repro.core import (
     RefAction,
     ViewRegistry,
 )
+from repro.core.entry import CompiledTemplate, StaticChunk
 from repro.core.state import ExecutionState
 from repro.llm.model import SimulatedLLM
 from repro.obs.metrics import MetricsRegistry
@@ -151,6 +152,51 @@ class TestRecycledAddresses:
         assert fingerprint(closing(1)) != fingerprint(closing(2))
         assert fingerprint(defaulting(1)) == fingerprint(defaulting(1))
         assert fingerprint(defaulting(1)) != fingerprint(defaulting(2))
+
+    def test_slotted_values_are_keyed_by_content_not_address(self):
+        texts = ("Answer {topic}. ", "Cite {source}. ", "Summarize: {notes} ")
+
+        def fingerprint(template: CompiledTemplate) -> str:
+            return fingerprint_check(pipeline(), runtime={"template": template})
+
+        expected = {text: fingerprint(CompiledTemplate(text)) for text in texts}
+        assert len(set(expected.values())) == len(texts)
+        holder = [CompiledTemplate(texts[0])]
+        reused = False
+        for round_ in range(200):
+            text = texts[round_ % 3]  # never the text just replaced
+            previous = id(holder[0])
+            holder[0] = None  # freed here, so the next one can take its address
+            holder[0] = CompiledTemplate(text)
+            assert fingerprint(holder[0]) == expected[text]
+            reused |= id(holder[0]) == previous
+        assert reused, "no template took the address of the one it replaced"
+
+    def test_static_chunk_is_described_by_text_not_memo(self):
+        cold, warm = StaticChunk("Answer briefly."), StaticChunk("Answer briefly.")
+        warm.memo["tokens"] = (1, 2, 3)
+        assert _describe(cold) == _describe(warm) == ("StaticChunk", "Answer briefly.")
+        assert _describe(StaticChunk("Other.")) != _describe(cold)
+
+    def test_slots_are_walked_over_the_mro(self):
+        class Base:
+            __slots__ = ("__hidden", "unset")
+
+            def __init__(self, hidden):
+                self.__hidden = hidden
+
+        class Child(Base):
+            __slots__ = "extra"
+
+            def __init__(self, hidden, extra):
+                super().__init__(hidden)
+                self.extra = extra
+
+        assert _describe(Child(1, "x")) == _describe(Child(1, "x"))
+        assert _describe(Child(1, "x")) != _describe(Child(2, "x"))
+        assert _describe(Child(1, "x")) != _describe(Child(1, "y"))
+        assert "@" not in repr(_describe(CompiledTemplate("a {x} b")))
+        assert "@" in _describe(object())  # no __dict__, no slots: identity
 
     def test_self_recursive_closure_is_described_once(self):
         def build():
