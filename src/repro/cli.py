@@ -11,7 +11,7 @@ Subcommands::
     python -m repro runs LEDGER_DIR [--run ID] [--format {table,json}]
     python -m repro diff RUN_A RUN_B [--gate] [--max-regress PCT]
     python -m repro top LEDGER_DIR_OR_RUN [--interval S] [--once]
-    python -m repro serve [--tenants N] [--workers W] [--overload X] [...]
+    python -m repro serve [--tenants N] [--overload X] [...]
 
 ``run`` executes a SPEAR-DL file against a fully wired state: the
 simulated model grounded on the seeded synthetic corpora, the clinical
@@ -216,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--tenants", type=int, default=16, help="tenant count (default: 16)"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=8, help="pool worker threads (default: 8)"
     )
     serve.add_argument(
         "--queue-limit",
@@ -1152,7 +1149,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tenants=args.tenants,
         queue_limit=args.queue_limit,
         overload=args.overload,
-        workers=args.workers,
         corpus_size=args.corpus,
         seed=args.seed,
     )
@@ -1167,7 +1163,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"served {metrics['served']}/{metrics['submitted']} requests "
         f"across {metrics['tenants']} tenants "
-        f"({metrics['workers']} workers, queue limit {metrics['queue_limit']})"
+        f"(queue limit {metrics['queue_limit']})"
     )
     print(
         f"  shed {metrics['shed']} ({metrics['shed_rate'] * 100:.1f}%)  "

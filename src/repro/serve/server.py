@@ -1,11 +1,12 @@
 """The multi-tenant serving pool: typed requests in, typed responses out.
 
 :class:`SpearServer` owns the warm :class:`~repro.serve.session.TenantSession`
-pool and a thread pool of workers.  Submission is admission-controlled
+pool and one dispatcher thread.  Submission is admission-controlled
 per tenant (bounded queues + breaker-style shedding via
 :class:`~repro.resilience.ShedPolicy`); admitted requests enter one
-global queue ordered by (priority class, deadline, arrival) and drain
-into sessions, one request per tenant at a time and in queue order.
+global queue ordered by (priority class, deadline, arrival), and the
+dispatcher runs them to completion one at a time in that order, so
+every tenant's requests run in queue order by construction.
 Every outcome — served or shed — is a ``SERVE`` event on the server's
 own event log, which an attached
 :class:`~repro.obs.collector.ObsCollector` rolls into the
@@ -21,9 +22,8 @@ import itertools
 import threading
 import time
 import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.errors import RateLimitError, SpearError
 from repro.llm.partitions import CachePartitions
@@ -123,39 +123,26 @@ class _Admitted:
         return self.order < other.order
 
 
-@contextmanager
-def _briefly(lock: Any) -> Iterator[None]:
-    """Hold one of the pool's microsecond locks, polling instead of queueing.
-
-    A worker queued on a lock is handed it on release but still waits for
-    the GIL; the worker that has the GIL then blocks on the same lock one
-    request later, and every request costs a thread hand-off from then on
-    (a lock convoy: docs/serving.md).  Sleeping gives the holder the GIL.
-    """
-    while not lock.acquire(False):
-        time.sleep(1e-4)
-    try:
-        yield
-    finally:
-        lock.release()
-
-
 class SpearServer:
-    """Thread-based multi-tenant serving over warm SPEAR runtimes.
+    """Multi-tenant serving over warm SPEAR runtimes, one request at a time.
 
     Usage::
 
         server = SpearServer(binder=lambda llm: llm.bind_tweets(corpus))
         server.register_pipeline("summarize", pipeline, prompts={...})
         server.add_tenant("acme")
-        with server:                      # starts the worker pool
+        with server:                      # starts the dispatcher
             future = server.submit(ServeRequest("acme", "summarize",
                                                 context={"tweet": text}))
             response = future.result()
 
     Requests may also be submitted before :meth:`start` — they queue up
-    and drain once workers run (the synthetic traffic driver uses this
-    for deterministic overload experiments).
+    and drain once the dispatcher runs (the synthetic traffic driver uses
+    this for deterministic overload experiments).  :meth:`shutdown` is
+    terminal: a shut-down server admits nothing and cannot be restarted.
+
+    ``workers`` is accepted and ignored; it goes once
+    ``bench/workloads.py`` stops passing it (ROADMAP item 10).
     """
 
     def __init__(
@@ -163,18 +150,16 @@ class SpearServer:
         *,
         profile: str = DEFAULT_PROFILE,
         binder: Any = None,
-        workers: int = 4,
+        workers: Any = None,
         shed: ShedPolicy | None = None,
         ledger_dir: Any = None,
         collector: Any = None,
         partitions: CachePartitions | None = None,
         auto_tenants: bool = False,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1: {workers}")
+        del workers
         self.profile = profile
         self.binder = binder
-        self.workers = workers
         self.shed = shed if shed is not None else ShedPolicy()
         self.ledger_dir = ledger_dir
         self.collector = collector
@@ -191,15 +176,14 @@ class SpearServer:
             collector.subscribe_to(self.events)
         self._pipelines: dict[str, tuple["Pipeline", dict[str, str]]] = {}
         self._tenants: dict[str, TenantConfig] = {}
-        self._sessions: dict[str, TenantSession] = {}
-        self._admission = threading.Lock()
-        #: serializes the workers' SERVE records (see :func:`_briefly`).
-        self._served = threading.Lock()
-        self._queue: list[_Admitted] = []
+        #: the one lock: guards the session map, the sessions' admission
+        #: counts, the queue and the lifecycle fields below.
         self._cv = threading.Condition()
+        self._sessions: dict[str, TenantSession] = {}
+        self._queue: list[_Admitted] = []
         self._counter = itertools.count()
-        self._threads: list[threading.Thread] = []
-        self._running = False
+        self._dispatcher: threading.Thread | None = None
+        self._closed = False
 
     # -- registration -------------------------------------------------------
 
@@ -234,7 +218,7 @@ class SpearServer:
                 prompts=dict(prompts or {}),
                 open_context=True,
                 name=name,
-                runtime={"serve": True, "lanes": self.workers},
+                runtime={"serve": True},
             )
             if result.has_errors:
                 raise SpearValidationError(result.errors)
@@ -273,70 +257,65 @@ class SpearServer:
         return list(self._tenants)
 
     def _session(self, tenant: str) -> TenantSession:
-        with self._admission:
-            session = self._sessions.get(tenant)
-            if session is not None:
-                return session
-            config = self._tenants.get(tenant)
-            if config is None:
-                if not self.auto_tenants:
-                    raise SpearError(
-                        f"unknown tenant: {tenant!r} (register it with "
-                        "add_tenant, or pass auto_tenants=True)"
-                    )
-                config = TenantConfig(name=tenant)
-                self._tenants[tenant] = config
-            session = TenantSession(
-                config,
-                profile=self.profile,
-                binder=self.binder,
-                partitions=self.partitions,
-                shed=self.shed,
-                ledger_root=self.ledger_dir,
-            )
-            self._sessions[tenant] = session
+        """The tenant's session, built on first use (under ``_cv``)."""
+        session = self._sessions.get(tenant)
+        if session is not None:
             return session
+        config = self._tenants.get(tenant)
+        if config is None:
+            if not self.auto_tenants:
+                raise SpearError(
+                    f"unknown tenant: {tenant!r} (register it with "
+                    "add_tenant, or pass auto_tenants=True)"
+                )
+            config = TenantConfig(name=tenant)
+            self._tenants[tenant] = config
+        session = TenantSession(
+            config,
+            profile=self.profile,
+            binder=self.binder,
+            partitions=self.partitions,
+            shed=self.shed,
+            ledger_root=self.ledger_dir,
+        )
+        self._sessions[tenant] = session
+        return session
 
     def session(self, tenant: str) -> TenantSession:
         """The tenant's (lazily created) warm session."""
-        return self._session(tenant)
+        with self._cv:
+            return self._session(tenant)
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "SpearServer":
-        """Spin up the worker pool (idempotent)."""
+        """Start the dispatcher (idempotent while running)."""
         with self._cv:
-            if self._running:
-                return self
-            self._running = True
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"spear-serve-{index}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+            if self._closed:
+                raise SpearError("server is shut down")
+            if self._dispatcher is None:
+                self._dispatcher = threading.Thread(
+                    target=self._dispatch, name="spear-serve", daemon=True
+                )
+                self._dispatcher.start()
         return self
 
     def shutdown(self, *, wait: bool = True) -> None:
-        """Stop the workers; queued-but-unstarted requests error out."""
+        """Stop for good: the running request finishes, queued ones error.
+
+        Terminal: afterwards :meth:`submit`, :meth:`serve` and
+        :meth:`start` raise :class:`~repro.errors.SpearError`.
+        """
         with self._cv:
-            if not self._running:
+            if self._closed:
                 return
-            self._running = False
-            self._cv.notify_all()
-        if wait:
-            for thread in self._threads:
-                thread.join(timeout=30.0)
-        self._threads.clear()
-        with self._cv:
+            self._closed = True
+            self._cv.notify()
             drained, self._queue = self._queue, []
-            for session in list(self._sessions.values()):
-                drained += session.waiting
-                session.waiting = []
         for entry in drained:
             self._finish_aborted(entry)
+        if wait and self._dispatcher is not None:
+            self._dispatcher.join()
 
     def __enter__(self) -> "SpearServer":
         return self.start()
@@ -377,13 +356,26 @@ class SpearServer:
 
         if request.pipeline not in self._pipelines:
             raise SpearError(f"unknown pipeline: {request.pipeline!r}")
-        session = self._session(request.tenant)
         request_id = request.request_id or (
             f"{request.tenant}-{next(self._counter)}"
         )
-        with self._admission:
+        if request.request_id is None:
+            request = replace(request, request_id=request_id)
+        pipeline, prompts = self._pipelines[request.pipeline]
+        future: "Future[ServeResponse]" = Future()
+        with self._cv:
+            if self._closed:
+                raise SpearError("server is shut down")
+            session = self._session(request.tenant)
             admitted, reason = session.admit()
             depth = session.pending
+            if admitted:
+                entry = _Admitted(
+                    self._order_key(request, session),
+                    request, session, pipeline, prompts, future,
+                )
+                heapq.heappush(self._queue, entry)
+                self._cv.notify()
         if not admitted:
             retry_after = session.shed.retry_after_s
             self.events.record(
@@ -404,31 +396,19 @@ class SpearServer:
                 f"{retry_after}s",
                 retry_after=retry_after,
             )
-        if request.request_id is None:
-            request = ServeRequest(
-                tenant=request.tenant,
-                pipeline=request.pipeline,
-                items=request.items,
-                context=request.context,
-                priority=request.priority,
-                deadline_s=request.deadline_s,
-                request_id=request_id,
-            )
-        pipeline, prompts = self._pipelines[request.pipeline]
-        future: "Future[ServeResponse]" = Future()
-        entry = _Admitted(
-            self._order_key(request, session),
-            request, session, pipeline, prompts, future,
-        )
-        with self._cv:
-            heapq.heappush(self._queue, entry)
-            self._cv.notify()
         return future
 
     def serve(
         self, requests: Iterable[ServeRequest]
     ) -> list[ServeResponse]:
-        """Submit a batch and wait; sheds become ``status="shed"`` rows."""
+        """Submit a batch and wait; sheds become ``status="shed"`` rows.
+
+        The server must be running: waiting on a stopped one would block
+        forever, so this raises :class:`~repro.errors.SpearError` first.
+        """
+        with self._cv:
+            if self._dispatcher is None or self._closed:
+                raise SpearError("serve() needs a running server: start() it")
         futures: list["Future[ServeResponse] | ServeResponse"] = []
         for request in requests:
             try:
@@ -448,50 +428,18 @@ class SpearServer:
             for entry in futures
         ]
 
-    # -- workers ------------------------------------------------------------
+    # -- dispatch -----------------------------------------------------------
 
-    def _worker_loop(self) -> None:
-        finished: TenantSession | None = None
+    def _dispatch(self) -> None:
+        """Run queued requests in queue order until :meth:`shutdown`."""
         while True:
-            with _briefly(self._cv):
-                if finished is not None:
-                    self._release(finished)
-                while True:
-                    if not self._running:
-                        return
-                    entry = self._take()
-                    if entry is not None:
-                        break
+            with self._cv:
+                while not self._queue and not self._closed:
                     self._cv.wait()
-                if self._queue:
-                    # A requeued entry may belong to a tenant that a
-                    # waiting worker, having set it aside, can now take.
-                    self._cv.notify()
+                if self._closed:
+                    return
+                entry = heapq.heappop(self._queue)
             self._execute_entry(entry)
-            finished = entry.session
-
-    def _take(self) -> _Admitted | None:
-        """Pop the first queued entry whose tenant is idle (under ``_cv``).
-
-        A tenant's requests run one at a time and in queue order: an
-        entry whose tenant is running waits on that session's own heap
-        until :meth:`_release`, and the worker takes the next tenant's.
-        """
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            session = entry.session
-            if session.running:
-                heapq.heappush(session.waiting, entry)
-                continue
-            session.running = True
-            return entry
-        return None
-
-    def _release(self, session: TenantSession) -> None:
-        """Mark ``session`` idle and requeue its next entry (under ``_cv``)."""
-        session.running = False
-        if session.waiting:
-            heapq.heappush(self._queue, heapq.heappop(session.waiting))
 
     def _execute_entry(self, entry: _Admitted) -> None:
         request = entry.request
@@ -507,8 +455,6 @@ class SpearServer:
                 error=f"{type(error).__name__}: {error}",
                 queue_wait=queue_wait,
             )
-            if session.breaker is not None:
-                session.breaker.record_failure(session.clock.now)
         else:
             report = dict(result.report)
             response = ServeResponse(
@@ -516,40 +462,37 @@ class SpearServer:
                 request_id=request.request_id or "?",
                 status="ok",
                 result=result,
-                # The run's own measure, taken under the session lock: a
-                # clock read out here would absorb the time of a same-tenant
-                # request another worker is running.
                 elapsed=report["elapsed"],
                 queue_wait=queue_wait,
                 report=report,
             )
+        with self._cv:
             if session.breaker is not None:
-                session.breaker.record_success(session.clock.now)
-        with _briefly(self._admission):
+                if response.ok:
+                    session.breaker.record_success(session.clock.now)
+                else:
+                    session.breaker.record_failure(session.clock.now)
             session.pending -= 1
             depth = session.pending
-        # The log has a lock of its own, which would convoy the same way:
-        # workers take turns here, so they never meet on it.
-        with _briefly(self._served):
-            self.events.record(
-                EventKind.SERVE,
-                "SpearServer",
-                at=session.clock.now,
-                payload={
-                    "tenant": response.tenant,
-                    "request_id": response.request_id,
-                    "status": response.status,
-                    "elapsed": response.elapsed,
-                    "queue_wait": response.queue_wait,
-                    "queue_depth": depth,
-                    "priority": str(request.priority) if request.priority else None,
-                    "deadline_s": request.deadline_s,
-                },
-            )
+        self.events.record(
+            EventKind.SERVE,
+            "SpearServer",
+            at=session.clock.now,
+            payload={
+                "tenant": response.tenant,
+                "request_id": response.request_id,
+                "status": response.status,
+                "elapsed": response.elapsed,
+                "queue_wait": response.queue_wait,
+                "queue_depth": depth,
+                "priority": str(request.priority) if request.priority else None,
+                "deadline_s": request.deadline_s,
+            },
+        )
         entry.future.set_result(response)
 
     def _finish_aborted(self, entry: _Admitted) -> None:
-        with self._admission:
+        with self._cv:
             entry.session.pending -= 1
         entry.future.set_result(
             ServeResponse(
@@ -564,16 +507,12 @@ class SpearServer:
 
     def snapshot(self) -> dict[str, Any]:
         """Pool-wide accounting: sessions, queue, cache partitions."""
-        with self._admission:
-            sessions = dict(self._sessions)
         with self._cv:
-            queued = len(self._queue) + sum(
-                len(session.waiting) for session in sessions.values()
-            )
+            sessions = dict(self._sessions)
+            queued = len(self._queue)
         return {
             "tenants": len(sessions),
             "queued": queued,
-            "workers": self.workers,
             "sessions": {
                 name: session.snapshot()
                 for name, session in sessions.items()

@@ -5,16 +5,14 @@ It owns everything a tenant's pipelines touch — virtual clock, simulated
 model grounded on the server's corpora, prompt store, operator result
 cache, and a private KV cache partition — so two tenants can
 never share cache state, observe each other's prompts, or perturb each
-other's clocks.  A session executes one request at a time and in queue
-order (the server hands a tenant's next request to a worker only after
-its previous one finished), which keeps every tenant's event stream
-totally ordered and its outputs byte-identical to a standalone run of
-the same pipeline.
+other's clocks.  The server's one dispatcher thread executes requests
+one at a time and in queue order, which keeps every tenant's event
+stream totally ordered and its outputs byte-identical to a standalone
+run of the same pipeline.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -115,15 +113,7 @@ class TenantSession:
         #: request runs on a fork so request context never accumulates.
         self.state = self.executor.new_state()
         self.clock = clock
-        #: serializes direct :meth:`execute` callers; served requests are
-        #: already one at a time.
-        self.lock = threading.Lock()
-        #: dispatch bookkeeping, guarded by the server's queue condition:
-        #: whether a worker is running this tenant's request, and the
-        #: tenant's queued entries held back until it finishes.
-        self.running = False
-        self.waiting: list[Any] = []
-        #: admission bookkeeping, guarded by the server's admission lock.
+        #: admission bookkeeping, guarded by the server's queue condition.
         self.pending = 0
         self.completed = 0
         self.shed_count = 0
@@ -133,7 +123,7 @@ class TenantSession:
             else None
         )
 
-    # -- admission (called under the server's admission lock) --------------
+    # -- admission (called under the server's queue condition) -------------
 
     def admit(self) -> "tuple[bool, str | None]":
         """One admission decision: (admitted, shed_reason)."""
@@ -170,30 +160,29 @@ class TenantSession:
         both satisfy the shared ``.output()`` / ``.report`` / ``.cache``
         protocol.  The whole request is one ledger run under the
         tenant's ledger root (manifest keyed by tenant and request id);
-        the executor's inner per-run scope is reentrant and defers.
+        the executor's inner per-run scope is reentrant and defers.  Not
+        thread-safe: the server calls it from its one dispatcher thread.
         """
         from repro.obs.ledger import describe_pipeline, ledger_scope
 
-        with self.lock:
-            self._ensure_prompts(prompts)
-            state = self.state.fork()
-            if request.context:
-                for key, value in request.context.items():
-                    state.context.put(str(key), value, producer="serve")
-            def manifest() -> dict[str, Any]:
-                return {
-                    "runner": "SpearServer",
-                    "tenant": self.config.name,
-                    "request_id": request.request_id,
-                    "pipeline": describe_pipeline(pipeline),
-                }
+        self._ensure_prompts(prompts)
+        state = self.state.fork()
+        if request.context:
+            for key, value in request.context.items():
+                state.context.put(str(key), value, producer="serve")
 
-            with ledger_scope(
-                self.executor.options, state, manifest=manifest
-            ):
-                result = self.executor.run(pipeline, items=request.items, state=state)
-            self.completed += 1
-            return result
+        def manifest() -> dict[str, Any]:
+            return {
+                "runner": "SpearServer",
+                "tenant": self.config.name,
+                "request_id": request.request_id,
+                "pipeline": describe_pipeline(pipeline),
+            }
+
+        with ledger_scope(self.executor.options, state, manifest=manifest):
+            result = self.executor.run(pipeline, items=request.items, state=state)
+        self.completed += 1
+        return result
 
     def snapshot(self) -> dict[str, Any]:
         """Point-in-time session accounting (admission + runtime)."""

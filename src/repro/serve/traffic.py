@@ -2,7 +2,7 @@
 
 Drives a :class:`~repro.serve.server.SpearServer` with closed bursts of
 per-tenant requests over the Table-3 tweet workload.  Determinism is the
-point: every burst is submitted *before* the worker pool starts, so
+point: every burst is submitted *before* the dispatcher starts, so
 admission control sees the full backlog at once — a burst of exactly the
 queue limit sheds nothing, and a burst of ``overload × limit`` sheds
 exactly ``(overload - 1) × limit`` requests per tenant, independent of
@@ -17,7 +17,7 @@ benchmark workload, and ``tests/serve/test_server.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.data import make_tweet_corpus
 from repro.errors import RateLimitError
@@ -28,9 +28,6 @@ from repro.experiments.common import (
 )
 from repro.resilience import ShedPolicy
 from repro.serve.server import ServeRequest, SpearServer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 __all__ = ["TrafficConfig", "build_demo_server", "run_traffic"]
 
@@ -55,7 +52,6 @@ class TrafficConfig:
     requests_per_tenant: int | None = None
     #: multiplies the burst; the excess over ``queue_limit`` is shed.
     overload: int = 1
-    workers: int = 8
     #: tweets in the shared demo corpus (requests cycle through it).
     corpus_size: int = 32
     seed: int = 7
@@ -93,7 +89,6 @@ def build_demo_server(
     server = SpearServer(
         profile=config.profile,
         binder=lambda llm: llm.bind_tweets(corpus),
-        workers=config.workers,
         shed=ShedPolicy(queue_limit=config.queue_limit),
         **server_kwargs,
     )
@@ -134,11 +129,11 @@ def run_traffic(
     *,
     pipeline: str = "summarize_filter",
 ) -> dict[str, Any]:
-    """Submit every tenant's burst, run the pool to drain, report.
+    """Submit every tenant's burst, drain it, shut the server down, report.
 
     The server must not be started yet: all bursts are enqueued against
-    the stopped pool first (making shed counts a pure function of the
-    config), then the workers are started and the backlog drains.
+    the stopped server first (making shed counts a pure function of the
+    config), then the dispatcher starts and the backlog drains.
     Returns the metrics dict (per-tenant rows under ``"tenants"``).
     """
     import time
@@ -180,7 +175,6 @@ def run_traffic(
     }
     return {
         "tenants": config.tenants,
-        "workers": config.workers,
         "queue_limit": config.queue_limit,
         "overload": config.overload,
         "submitted": submitted,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from concurrent.futures import TimeoutError as FutureTimeout
 
 import pytest
 
@@ -39,7 +38,6 @@ def make_server(**kwargs) -> SpearServer:
     corpus = make_tweet_corpus(CORPUS_SIZE, seed=SEED)
     kwargs.setdefault("profile", PROFILE)
     kwargs.setdefault("binder", lambda llm: llm.bind_tweets(corpus))
-    kwargs.setdefault("workers", 2)
     server = SpearServer(**kwargs)
     server.register_pipeline(
         "summarize",
@@ -72,10 +70,10 @@ class TestServeBasics:
         assert response.elapsed > 0.0
 
     def test_elapsed_excludes_a_same_tenant_neighbours_time(self):
-        # Two workers serve one tenant's consecutive requests, one after
-        # the other.  ``elapsed`` must not absorb the neighbour's run (it
-        # used to read the tenant clock before the request started).
-        server = make_server(workers=2, shed=ShedPolicy(queue_limit=40))
+        # ``elapsed`` is the run's own measure: it must not absorb the
+        # tenant's previous request (it used to read the tenant clock
+        # before the request started).
+        server = make_server(shed=ShedPolicy(queue_limit=40))
         server.add_tenant("acme")
         futures = [
             server.submit(request_for(server, "acme", index)) for index in range(40)
@@ -139,15 +137,13 @@ class TestServeBasics:
             response = server.submit(
                 ServeRequest(tenant="acme", pipeline="summarize", context={})
             ).result()
-        # No tweet bound: the GEN still runs, but an unknown-prompt-key
-        # style failure is what we'd surface; either way the pool stays up.
-        assert response.status in ("ok", "error")
-        follow_up = server.submit(request_for(server, "acme"))
-        with server:
-            assert follow_up.result().ok
+            # No tweet bound: the GEN still runs, but an unknown-prompt-key
+            # style failure is what we'd surface; either way the pool stays up.
+            assert response.status in ("ok", "error")
+            assert server.submit(request_for(server, "acme")).result().ok
 
     def test_shutdown_drains_unstarted_requests_as_errors(self):
-        server = make_server(workers=1)
+        server = make_server()
         server.add_tenant("acme")
         futures = [server.submit(request_for(server, "acme", i)) for i in range(3)]
         server.start()
@@ -157,22 +153,35 @@ class TestServeBasics:
         # pending drained back to zero either way
         assert server.session("acme").pending == 0
 
-    def test_worker_stands_aside_for_a_held_pool_lock(self):
-        # Workers poll the pool's short locks instead of queueing on them
-        # (a queued worker is handed the lock before it has the GIL, and
-        # the pool convoys): held, the lock delays the outcome; released,
-        # the worker carries on and leaves it free.
-        server = make_server(workers=2)
+    def test_shutdown_is_terminal(self):
+        server = make_server()
         server.add_tenant("acme")
-        future = server.submit(request_for(server, "acme"))
-        server._admission.acquire()
         with server:
-            with pytest.raises(FutureTimeout):
-                future.result(timeout=0.3)
-            server._admission.release()
-            assert future.result(timeout=60).ok
-        assert not server._admission.locked()
+            assert server.submit(request_for(server, "acme")).result(timeout=60).ok
+        assert not server._dispatcher.is_alive()
+        logged = len(server.events)
+        for call in (
+            lambda: server.submit(request_for(server, "acme", 1)),
+            lambda: server.serve([request_for(server, "acme", 2)]),
+            server.start,
+        ):
+            with pytest.raises(SpearError, match="shut down|running server"):
+                call()
+        # nothing admitted, counted or logged after shutdown
+        assert server.snapshot()["queued"] == server.session("acme").pending == 0
+        assert server.session("acme").shed_count == 0
+        assert len(server.events) == logged
+
+    def test_unstarted_server_refuses_serve_and_shuts_down_its_queue(self):
+        server = make_server()
+        server.add_tenant("acme")
+        with pytest.raises(SpearError, match="running server"):
+            server.serve([request_for(server, "acme")])
         assert server.session("acme").pending == 0
+        future = server.submit(request_for(server, "acme"))
+        server.shutdown()
+        assert future.result(timeout=5).status == "error"
+        assert server.snapshot()["queued"] == server.session("acme").pending == 0
 
 
 class TestLoadShedding:
@@ -333,7 +342,7 @@ class TestServePolicyWarning:
         assert EventKind.SCHED not in [e.kind for e in response.result.events]
 
     def test_clean_pipeline_registers_strict_without_warnings(self):
-        server = SpearServer(workers=2)
+        server = SpearServer()
         clean = Pipeline(
             [
                 REF(RefAction.CREATE, "Summarize the ticket.", key="qa"),
@@ -358,9 +367,10 @@ class TestTenantOrder:
     def test_same_tenant_requests_complete_in_submission_order(
         self, workers, tenants, drains
     ):
-        # Two workers must never race for one tenant's consecutive
-        # requests: a worker skips a running tenant's next entry, so a
-        # tenant's requests finish in the order they were queued.
+        # Under a one-microsecond switch interval, a tenant's requests
+        # still finish in the order they were queued: the one dispatcher
+        # serves them in turn, and the accepted-but-unused ``workers``
+        # keyword changes nothing about that.
         names = [f"t{index}" for index in range(tenants)]
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -386,11 +396,38 @@ class TestTenantOrder:
         finally:
             sys.setswitchinterval(previous)
 
+    def test_dispatch_follows_rank_deadline_arrival_order(self):
+        # Interleaved submissions to a stopped server.  The one dispatcher
+        # serves them in the (rank, deadline, arrival) sort, so each
+        # tenant (one rank and deadline) completes in submission order.
+        keys = {"bulk": (2, math.inf), "int-late": (0, 5.0)}
+        keys.update({"normal": (1, math.inf), "int-soon": (0, 2.0)})
+        server = make_server()
+        server.add_tenant("bulk", priority="bulk")
+        server.add_tenant("int-late", priority="interactive", deadline_s=5.0)
+        server.add_tenant("normal")
+        server.add_tenant("int-soon", priority="interactive", deadline_s=2.0)
+        futures = [
+            server.submit(request_for(server, name, index))
+            for index in range(3)
+            for name in keys
+        ]
+        with server:
+            responses = [future.result(timeout=60) for future in futures]
+        arrival = enumerate(responses)
+        expected = sorted(arrival, key=lambda r: (keys[r[1].tenant], r[0]))
+        served = [
+            event.payload["request_id"]
+            for event in server.events
+            if event.kind is EventKind.SERVE and event.payload["status"] == "ok"
+        ]
+        assert served == [response.request_id for _, response in expected]
+
 
 class TestTrafficDriver:
     def test_nominal_traffic_sheds_nothing(self):
         config = TrafficConfig(
-            tenants=3, queue_limit=2, workers=2, corpus_size=CORPUS_SIZE
+            tenants=3, queue_limit=2, corpus_size=CORPUS_SIZE
         )
         metrics = run_traffic(build_demo_server(config), config)
         assert metrics["submitted"] == 6
@@ -403,7 +440,6 @@ class TestTrafficDriver:
         config = TrafficConfig(
             tenants=3,
             queue_limit=2,
-            workers=2,
             overload=4,
             corpus_size=CORPUS_SIZE,
         )
@@ -415,10 +451,10 @@ class TestTrafficDriver:
         assert metrics["shed_rate"] == 0.75
 
     def test_six_tenant_pool_sheds_exactly_the_overload_excess(self):
-        """6 tenants, queue limit 3, 4 workers: nominal traffic sheds
+        """6 tenants, queue limit 3: nominal traffic sheds
         nothing; 4x overload sheds (4 - 1) x 3 per tenant, serving the
         admitted 3 each."""
-        base = dict(tenants=6, queue_limit=3, workers=4, corpus_size=16)
+        base = dict(tenants=6, queue_limit=3, corpus_size=16)
         nominal_config = TrafficConfig(**base)
         nominal = run_traffic(build_demo_server(nominal_config), nominal_config)
         assert (nominal["shed"], nominal["errors"]) == (0, 0)
@@ -431,7 +467,7 @@ class TestTrafficDriver:
 
     def test_traffic_metrics_are_deterministic_in_sim_time(self):
         config = TrafficConfig(
-            tenants=2, queue_limit=2, workers=2, corpus_size=CORPUS_SIZE
+            tenants=2, queue_limit=2, corpus_size=CORPUS_SIZE
         )
         first = run_traffic(build_demo_server(config), config)
         second = run_traffic(build_demo_server(config), config)

@@ -717,7 +717,6 @@ class TestServeCommand:
             [
                 "serve",
                 "--tenants", "2",
-                "--workers", "2",
                 "--queue-limit", "2",
                 "--corpus", "4",
             ]
@@ -739,7 +738,6 @@ class TestServeCommand:
             [
                 "serve",
                 "--tenants", "2",
-                "--workers", "2",
                 "--queue-limit", "2",
                 "--overload", "3",
                 "--corpus", "4",
