@@ -12,7 +12,7 @@ from repro.llm.packing import Fragment, PackResult, pack_fragments
 from repro.llm.partitions import CachePartition, CachePartitions
 from repro.llm.profiles import DEFAULT_PROFILE, PROFILES, ModelProfile, get_profile
 from repro.llm.quality import error_rate, noisy_bool
-from repro.llm.radix_cache import RadixPrefixCache, shared_prefix_tokens
+from repro.llm.radix_cache import RadixPrefixCache
 from repro.llm.tasks import TaskEngine, TaskOutput, route_task
 from repro.llm.tokenizer import Tokenizer
 
@@ -24,7 +24,6 @@ __all__ = [
     "CachePartition",
     "CachePartitions",
     "RadixPrefixCache",
-    "shared_prefix_tokens",
     "LatencyBreakdown",
     "estimate_latency",
     "GenerationResult",

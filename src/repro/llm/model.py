@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import ModelError, TokenBudgetExceededError
-from repro.llm.features import PromptFeatures, prompt_features
 from repro.llm.kv_cache import BlockPrefixCache
 from repro.llm.latency import LatencyBreakdown, estimate_latency
 from repro.llm.radix_cache import RadixPrefixCache
@@ -146,34 +145,31 @@ class SimulatedLLM:
     #
     # ``generate`` composes four backend steps that the GEN scheduler
     # (:mod:`repro.runtime.scheduler`) also drives individually: ``prepare``
-    # (tokenize + validate), ``execute_task`` (deterministic task output),
-    # ``make_result`` (spike-scaled result) and ``record_result``
-    # (counters + listeners).  Keeping them public means batched and
-    # unbatched calls share one code path for everything except latency
-    # pricing and clock charging.
+    # (validate + tokenize, the call's one pass over the whole prompt),
+    # ``execute_task`` (deterministic task output), ``make_result``
+    # (spike-scaled result) and ``record_result`` (counters + listeners).
+    # Keeping them public means batched and unbatched calls share one code
+    # path for everything except latency pricing and clock charging.
 
-    def prepare(self, prompt: str) -> tuple[list[int], PromptFeatures]:
-        """Tokenize and validate a prompt; returns (tokens, features).
+    def prepare(self, prompt: str) -> list[int]:
+        """Validate and tokenize a prompt; returns its token ids.
 
-        Exactly ``encode``/``extract_features`` of the text; segments make it cheap.
+        Exactly ``encode`` of the text; segments make it cheap.  Prompt
+        features are the task engine's business: it reads them from the
+        instructions, and only QA analyses the whole prompt.
 
         Raises :class:`ModelError` for an empty prompt and
         :class:`TokenBudgetExceededError` past the context window.
         """
         if not prompt:
             raise ModelError("cannot generate from an empty prompt")
-        features = prompt_features(prompt)
         tokens = self.tokenizer.encode_prompt(prompt)
         if len(tokens) > self.profile.context_window:
             raise TokenBudgetExceededError(len(tokens), self.profile.context_window)
-        return tokens, features
+        return tokens
 
     def execute_task(
-        self,
-        prompt: str,
-        features: PromptFeatures,
-        *,
-        max_tokens: int | None = None,
+        self, prompt: str, *, max_tokens: int | None = None
     ) -> tuple[str, int, TaskOutput]:
         """Route and run the task; returns (text, output_tokens, output).
 
@@ -181,7 +177,7 @@ class SimulatedLLM:
         shared mutable state, so concurrent lanes may execute tasks in
         any order without changing any item's output.
         """
-        output: TaskOutput = self.engine.run(prompt, features)
+        output: TaskOutput = self.engine.run(prompt)
         text = output.text
         output_tokens = self.tokenizer.count(text)
         if max_tokens is not None and output_tokens > max_tokens:
@@ -251,7 +247,6 @@ class SimulatedLLM:
         decision: Any,
         prompt: str,
         tokens: list[int],
-        features: PromptFeatures,
         *,
         max_tokens: int | None,
         clock: VirtualClock,
@@ -295,7 +290,7 @@ class SimulatedLLM:
             )
         if kind == "timeout":
             _text, output_tokens, _output = self.execute_task(
-                prompt, features, max_tokens=max_tokens
+                prompt, max_tokens=max_tokens
             )
             full = estimate_latency(
                 self.profile,
@@ -313,7 +308,7 @@ class SimulatedLLM:
             )
         if kind == "malformed":
             text, output_tokens, _output = self.execute_task(
-                prompt, features, max_tokens=max_tokens
+                prompt, max_tokens=max_tokens
             )
             keep = max(1, int(output_tokens * spec.truncation_fraction))
             partial = " ".join(self.tokenizer.pieces(text)[:keep])
@@ -348,7 +343,7 @@ class SimulatedLLM:
             use_cache: override the instance-level prefix-cache setting
                 for this call.
         """
-        tokens, features = self.prepare(prompt)
+        tokens = self.prepare(prompt)
 
         # Fault decisions precede the kv-cache lookup so a faulted call
         # leaves no cache side effects — its retry sees the same cache
@@ -360,16 +355,13 @@ class SimulatedLLM:
         )
         if decision is not None and decision.kind is not None:
             self.inject_fault(
-                decision, prompt, tokens, features,
-                max_tokens=max_tokens, clock=self.clock,
+                decision, prompt, tokens, max_tokens=max_tokens, clock=self.clock
             )
 
         caching = self.enable_prefix_cache if use_cache is None else use_cache
         cached = self.kv_cache.lookup_and_insert(tokens) if caching else 0
 
-        text, output_tokens, output = self.execute_task(
-            prompt, features, max_tokens=max_tokens
-        )
+        text, output_tokens, output = self.execute_task(prompt, max_tokens=max_tokens)
 
         result = self.make_result(
             text,

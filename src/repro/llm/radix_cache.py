@@ -46,30 +46,7 @@ from typing import Iterator, Sequence
 
 from repro.llm.kv_cache import _DEFAULT_BLOCK, _DEFAULT_CAPACITY, CacheStats
 
-__all__ = ["RadixPrefixCache", "shared_prefix_tokens"]
-
-
-def shared_prefix_tokens(
-    a: Sequence[int], b: Sequence[int], block_size: int
-) -> int:
-    """Block-aligned shared-prefix length of two token sequences, in tokens.
-
-    This is the scheduler's trunk-overlap measure: the number of leading
-    tokens the two sequences share, rounded down to whole cache blocks
-    (only complete blocks are ever cached, so only complete blocks can
-    be deduplicated).  Pure and deterministic — admission decisions built
-    on it depend on tokenized prompts alone.
-    """
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    limit = min(len(a), len(b))
-    blocks = 0
-    for start in range(0, limit - block_size + 1, block_size):
-        end = start + block_size
-        if tuple(a[start:end]) != tuple(b[start:end]):
-            break
-        blocks += 1
-    return blocks * block_size
+__all__ = ["RadixPrefixCache"]
 
 
 class _RadixNode:
@@ -131,9 +108,7 @@ class RadixPrefixCache:
 
     def _blocks(self, tokens: Sequence[int]) -> Iterator[tuple[int, ...]]:
         """Every *complete* block of ``tokens``, in order."""
-        size = self.block_size
-        for start in range(0, len(tokens) - size + 1, size):
-            yield tuple(tokens[start : start + size])
+        return zip(*[iter(tokens)] * self.block_size)
 
     def _touch(self, node: _RadixNode) -> None:
         self._tick += 1

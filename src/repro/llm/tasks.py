@@ -30,7 +30,7 @@ from repro.core.entry import RenderedPrompt
 from repro.data.clinical import ClinicalCorpus, Patient
 from repro.data.tweets import Tweet, TweetCorpus
 from repro.data import vocab
-from repro.llm.features import PromptFeatures, extract_features, prompt_features
+from repro.llm.features import PromptFeatures, prompt_features
 from repro.llm.profiles import ModelProfile
 from repro.llm.quality import confidence_for, error_rate, item_rng, noisy_bool
 
@@ -80,8 +80,13 @@ class TaskOutput:
     extras: dict[str, Any] = field(default_factory=dict)
 
 
-def route_task(prompt: str, features: PromptFeatures) -> str:
-    """Classify the prompt into a task kind (see module docstring)."""
+def route_task(prompt: str) -> str:
+    """Classify the prompt into a task kind (see module docstring).
+
+    Substring tests on one lowered copy; "wants filter" includes exactly
+    :attr:`PromptFeatures.has_sentiment_terms`, so routing needs no
+    feature record.
+    """
     lowered = prompt.lower()
     if SECTION_MARKER.lower() in lowered:
         return "sections"
@@ -93,7 +98,9 @@ def route_task(prompt: str, features: PromptFeatures) -> str:
         verb in lowered for verb in ("summarize", "summarise", "clean up", "clean the")
     )
     wants_filter = (
-        features.has_sentiment_terms
+        "negative" in lowered
+        or "positive" in lowered
+        or "sentiment" in lowered
         or "filter" in lowered
         or "select" in lowered
         or "classify" in lowered
@@ -184,11 +191,13 @@ class TaskEngine:
 
     # -- entry point ------------------------------------------------------------
 
-    def run(self, prompt: str, features: PromptFeatures | None = None) -> TaskOutput:
-        """Execute the task requested by ``prompt``."""
-        if features is None:
-            features = extract_features(prompt)
-        return self._HANDLERS[route_task(prompt, features)](self, prompt, features)
+    def run(self, prompt: str) -> TaskOutput:
+        """Execute the task requested by ``prompt``.
+
+        Each handler takes the features it reads: tweet tasks from the
+        memoised instructions, QA from the whole prompt, the rest none.
+        """
+        return self._HANDLERS[route_task(prompt)](self, prompt)
 
     # -- helpers -----------------------------------------------------------------
 
@@ -258,7 +267,7 @@ class TaskEngine:
             summary = summary + " (unclear)"
         return self._apply_word_limit(summary, features), p_error, degraded
 
-    def _run_summarize(self, prompt: str, features: PromptFeatures) -> TaskOutput:
+    def _run_summarize(self, prompt: str) -> TaskOutput:
         tweet = self._locate_tweet(prompt)
         _, features = self._instructions(prompt, tweet)
         summary, p_error, degraded = self._summary_for(prompt, features, tweet)
@@ -301,7 +310,7 @@ class TaskEngine:
             decision = decision and _lexicon_school(prompt)
         return decision
 
-    def _run_classify(self, prompt: str, features: PromptFeatures) -> TaskOutput:
+    def _run_classify(self, prompt: str) -> TaskOutput:
         tweet = self._locate_tweet(prompt)
         instructions, features = self._instructions(prompt, tweet)
         terms = self._predicate_terms(instructions, features)
@@ -324,7 +333,7 @@ class TaskEngine:
 
     # -- fused map+filter -------------------------------------------------------------
 
-    def _run_fused(self, prompt: str, features: PromptFeatures) -> TaskOutput:
+    def _run_fused(self, prompt: str) -> TaskOutput:
         tweet = self._locate_tweet(prompt)
         instructions, features = self._instructions(prompt, tweet)
         order = _fused_order(instructions)
@@ -363,7 +372,7 @@ class TaskEngine:
 
     # -- clinical QA --------------------------------------------------------------------
 
-    def _run_qa(self, prompt: str, features: PromptFeatures) -> TaskOutput:
+    def _run_qa(self, prompt: str) -> TaskOutput:
         patient = self._locate_patient(prompt)
         if patient is None:
             return TaskOutput(
@@ -373,6 +382,8 @@ class TaskEngine:
                 extras={"fields": {}},
             )
         lowered = prompt.lower()
+        # The chart is the item, so QA reads the features of the whole prompt.
+        features = prompt_features(prompt)
         p_error = error_rate(features, self.profile, difficulty=patient.difficulty)
         fingerprint = features.fingerprint()
         rng = item_rng(patient.patient_id + "#qa", fingerprint, self.profile.name)
@@ -444,7 +455,7 @@ class TaskEngine:
 
     # -- prompt rewriting (assisted / agentic refinement) ----------------------------------
 
-    def _run_rewrite(self, prompt: str, features: PromptFeatures) -> TaskOutput:
+    def _run_rewrite(self, prompt: str) -> TaskOutput:
         original: str | None = None
         if PROMPT_BLOCK_START in prompt and PROMPT_BLOCK_END in prompt:
             start = prompt.index(PROMPT_BLOCK_START) + len(PROMPT_BLOCK_START)
@@ -533,7 +544,7 @@ class TaskEngine:
 
     # -- fused multi-GEN sections (paper §5, GEN fusion) --------------------------------------
 
-    def _run_sections(self, prompt: str, features: PromptFeatures) -> TaskOutput:
+    def _run_sections(self, prompt: str) -> TaskOutput:
         """Answer each "### Section k" block independently, in one call.
 
         This is the behaviour GEN fusion relies on: semantically coupled
@@ -567,7 +578,7 @@ class TaskEngine:
 
     # -- fallback ---------------------------------------------------------------------------
 
-    def _run_freeform(self, prompt: str, features: PromptFeatures) -> TaskOutput:
+    def _run_freeform(self, prompt: str) -> TaskOutput:
         payload = prompt.strip().splitlines()
         tail = payload[-1] if payload else ""
         return TaskOutput(

@@ -62,6 +62,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ParallelBatchRunner"]
 
 
+def _resume_order(lane_ids: Iterable[int]) -> list[int]:
+    """The order in which runnable lanes resume: lane order.
+
+    Nothing else depends on it: the engine prepares and admits by lane id,
+    so any order composes the same steps (tests permute it to check).
+    """
+    return sorted(lane_ids)
+
+
 def _per_item(value: Any, item: Any) -> Any:
     """Resolve a per-item scheduling attribute (constant or callable)."""
     return value(item) if callable(value) else value
@@ -345,11 +354,13 @@ class ParallelBatchRunner:
         A lane runs until it yields a call on its own lane model, which
         parks it on the engine, or until it ends.  Once no lane is ready,
         every open lane is parked and the engine has stepped; the lanes
-        whose calls are done resume in lane order.  Each resumes with
-        its ``answer``: the call's result is sent in, or its error thrown
-        in at the yield.
+        whose calls are done resume in :func:`_resume_order`.  Each
+        resumes with its ``answer``: the call's result is sent in, or its
+        error thrown in at the yield.
         """
-        ready = deque((lane_id, lambda: None) for lane_id in range(len(lanes)))
+        ready = deque(
+            (lane_id, lambda: None) for lane_id in _resume_order(range(len(lanes)))
+        )
         parked: dict[int, Any] = {}
         while ready:
             lane_id, answer = ready.popleft()
@@ -372,7 +383,7 @@ class ParallelBatchRunner:
                     break
                 answer = call.answer
             if not ready:
-                for lane_id in sorted(parked):
+                for lane_id in _resume_order(parked):
                     if parked[lane_id].done:
                         request = parked.pop(lane_id)
                         ready.append((lane_id, partial(engine.finish, request)))

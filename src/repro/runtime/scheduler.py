@@ -209,7 +209,7 @@ class _Request:
         "lane_id", "prompt", "max_tokens", "use_cache", "clock",
         "result", "error", "done",
         "arrival", "priority_rank", "priority_name", "deadline",
-        "tokens", "features", "decision", "prepared",
+        "tokens", "trunk", "decision", "prepared",
     )
 
     def __init__(
@@ -233,7 +233,8 @@ class _Request:
         self.priority_name = "normal"
         self.deadline: float | None = None
         self.tokens: list[int] | None = None
-        self.features: Any = None
+        #: shared-trunk grouping key, set with the tokens when grouping is on.
+        self.trunk: tuple | None = None
         self.decision: Any = None
         self.prepared = False
 
@@ -419,7 +420,7 @@ class GenScheduler:
         """
         model = self.model
         try:
-            request.tokens, request.features = model.prepare(request.prompt)
+            request.tokens = model.prepare(request.prompt)
         except Exception as error:  # noqa: BLE001 - delivered to the lane
             request.error = error
             request.done = True
@@ -433,13 +434,14 @@ class GenScheduler:
             try:
                 model.inject_fault(
                     request.decision, request.prompt, request.tokens,
-                    request.features, max_tokens=request.max_tokens,
-                    clock=request.clock,
+                    max_tokens=request.max_tokens, clock=request.clock,
                 )
             except Exception as error:  # noqa: BLE001 - delivered to the lane
                 request.error = error
             request.done = True
             return False
+        if self.config.prefix_group_blocks > 0:
+            request.trunk = self._trunk_key(request)
         request.prepared = True
         return True
 
@@ -476,7 +478,7 @@ class GenScheduler:
                     else 0
                 )
                 text, output_tokens, output = model.execute_task(
-                    request.prompt, request.features, max_tokens=request.max_tokens
+                    request.prompt, max_tokens=request.max_tokens
                 )
             except Exception as error:  # noqa: BLE001 - delivered to the lane
                 request.error = error
@@ -521,7 +523,7 @@ class GenScheduler:
         groups: dict[tuple, list[_Request]] = {}
         order: list[tuple] = []
         for request in ordered:
-            key = self._trunk_key(request)
+            key = request.trunk
             if key not in groups:
                 groups[key] = []
                 order.append(key)
@@ -551,11 +553,9 @@ class GenScheduler:
         trie: dict = {}
         dedup: list[int] = []
         for index, request in enumerate(admitted):
-            tokens = request.tokens or []
             node = trie
             depth = 0
-            for start in range(0, len(tokens) - block_size + 1, block_size):
-                block = tuple(tokens[start : start + block_size])
+            for block in zip(*[iter(request.tokens or ())] * block_size):
                 child = node.get(block)
                 if child is None:
                     # Past the first miss every child is new: depth is final.
@@ -732,7 +732,7 @@ class GenScheduler:
             tokens=tokens,
             dedup_tokens=sum(dedup),
             prefix_groups=(
-                len({self._trunk_key(r) for r in admitted})
+                len({request.trunk for request in admitted})
                 if self.config.prefix_group_blocks > 0
                 else 0
             ),

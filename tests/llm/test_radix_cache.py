@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from repro.llm.kv_cache import BlockPrefixCache
 from repro.llm.model import SimulatedLLM
-from repro.llm.radix_cache import RadixPrefixCache, shared_prefix_tokens
+from repro.llm.radix_cache import RadixPrefixCache
 from tests.runtime import table3_workload as table3
+from tests.runtime.reference_dedup import shared_prefix_tokens
 
 tokens_strategy = st.lists(
     st.integers(min_value=0, max_value=2**32 - 1), max_size=120

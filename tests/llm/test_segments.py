@@ -634,7 +634,8 @@ def test_concurrent_lanes_and_workers_agree_with_sequential():
                 state.context.put("suffix", suffixes[(index + round_) % 4])
                 prompt = state.render_prompt("p")
                 leads.add(id(prompt.segments[0]))
-                out.append((str(prompt), *models[index].prepare(prompt)))
+                tokens = models[index].prepare(prompt)
+                out.append((str(prompt), tokens, prompt_features(prompt)))
             results[index] = out
         except BaseException as error:  # noqa: BLE001 - reported below
             results[index] = error

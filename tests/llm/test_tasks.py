@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.llm.features import extract_features
 from repro.llm.profiles import get_profile
 from repro.llm.tasks import (
     PROMPT_BLOCK_END,
@@ -21,7 +20,7 @@ def engine(tweet_corpus, clinical_corpus):
 
 
 def _route(text):
-    return route_task(text, extract_features(text))
+    return route_task(text)
 
 
 class TestRouting:

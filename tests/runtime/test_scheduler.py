@@ -13,6 +13,7 @@ directly or through the runner's lane generators.
 
 import contextlib
 import io
+import random
 import threading
 from types import SimpleNamespace
 
@@ -26,10 +27,10 @@ from repro.core.state import ExecutionState
 from repro.data import make_tweet_corpus
 from repro.errors import ModelError, TransientModelError
 from repro.llm.model import SimulatedLLM
-from repro.llm.radix_cache import shared_prefix_tokens
 from repro.obs import ObsCollector
 from repro.obs.ledger import Ledger
-from repro.resilience import RetryPolicy
+from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
+from repro.runtime import parallel as parallel_module
 from repro.runtime.batch import BatchRunner
 from repro.runtime.clock import VirtualClock
 from repro.runtime.events import EventKind
@@ -42,6 +43,7 @@ from repro.runtime.scheduler import (
     resolve_priority_class,
 )
 from tests.runtime import table3_workload as table3
+from tests.runtime.reference_dedup import shared_prefix_tokens
 
 FILTER_PROMPT = (
     "Select the tweet only if its sentiment is negative. "
@@ -83,10 +85,10 @@ def _fail_task_on(llm, marker):
     """Make ``llm.execute_task`` raise for every prompt containing ``marker``."""
     original = llm.execute_task
 
-    def execute_task(prompt, features, **kwargs):
+    def execute_task(prompt, **kwargs):
         if marker in prompt:
             raise ValueError(f"task failed on {marker!r}")
-        return original(prompt, features, **kwargs)
+        return original(prompt, **kwargs)
 
     llm.execute_task = execute_task
 
@@ -603,9 +605,11 @@ class TestPrefixAware:
         block = llm.kv_cache.block_size
 
         def req(tokens, lane, rank=1):
-            return SimpleNamespace(
+            request = SimpleNamespace(
                 tokens=tokens, lane_id=lane, priority_rank=rank
             )
+            request.trunk = engine._trunk_key(request)  # as ``_prepare`` sets it
+            return request
 
         trunk_a = list(range(block))
         trunk_b = list(range(1000, 1000 + block))
@@ -735,61 +739,57 @@ class TestPrefixAware:
             assert metric.value == kv[key], gauge
 
 
-_WORKLOADS = st.tuples(
-    st.integers(min_value=1, max_value=16),  # items
-    st.integers(min_value=1, max_value=8),  # workers
-    st.integers(min_value=0, max_value=2**16),  # seed
-    st.lists(  # pipeline stages
-        st.sampled_from(["map", "filter"]), min_size=1, max_size=3
-    ),
-    st.sampled_from([None, 80, 400]),  # max_batch_tokens
-    st.sampled_from([0.0, 5.0, 1e9]),  # watermark_s
-)
+def _resume_orders():
+    """Lane order, its reverse and three seeded shuffles."""
+    yield sorted
+    yield lambda lane_ids: sorted(lane_ids, reverse=True)
+    for rng in map(random.Random, (1, 2, 3)):
+        yield lambda lane_ids, rng=rng: rng.sample(sorted(lane_ids), len(lane_ids))
 
 
-class TestSchedulerProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(_WORKLOADS)
-    def test_byte_identical_and_seed_deterministic(self, workload):
-        """On randomized pipelines and policy knobs, scheduler outputs are
-        byte-identical to sequential and step composition is a pure
-        function of the workload + seed."""
-        n_items, workers, seed, stages, max_tokens, watermark = workload
-        pipeline = Pipeline(
-            [
-                GEN(f"out{i}", prompt=key)
-                for i, key in enumerate(stages)
-            ]
-        )
-        config = SchedulerConfig(
-            max_batch_tokens=max_tokens, watermark_s=watermark
-        )
+class TestLaneOrder:
+    @pytest.mark.parametrize(
+        "max_tokens, watermark, mixed, fault_rate",
+        [(None, 1e9, False, 0.3), (80, 0.0, True, 0.3), (400, 5.0, False, 0.0)],
+        ids=["faults", "mixed-faults", "no-faults"],
+    )
+    def test_resume_order_changes_nothing(
+        self, monkeypatch, max_tokens, watermark, mixed, fault_rate
+    ):
+        """Any resume order gives sequential outputs and lane order's clocks,
+        counters and step trace.  Twin items on neighbouring lanes, equal
+        arrivals and a fault plan make admission and fault attempts lean on
+        the lane-id tie-breaks."""
 
-        state_seq, items = _build_state(n_items=n_items, seed=seed)
-        sequential = BatchRunner(state_seq, bind=_bind_tweet).run(
-            pipeline, items=items
-        )
-        keys = [f"out{i}" for i in range(len(stages))]
-
-        def outputs(batch):
-            return [
-                tuple(r.context.get(key) for key in keys)
-                for r in batch.items
-            ]
-
-        traces = []
-        for _ in range(2):
-            state_par, items_par = _build_state(n_items=n_items, seed=seed)
-            runner = ParallelBatchRunner(
-                state_par,
-                bind=_bind_tweet,
-                workers=workers,
-                options=RuntimeOptions(scheduler=config),
+        def run(runner_type, **kwargs):
+            state, tweets = _build_state(n_items=6, seed=5)
+            state.model.fault_plan = FaultPlan(
+                9, default=FaultSpec(transient_rate=fault_rate)
             )
-            batch = runner.run(pipeline, items=items_par)
-            assert outputs(batch) == outputs(sequential)
-            traces.append(_step_trace(runner.last_batcher))
-        assert traces[0] == traces[1]
+            runner = runner_type(state, bind=_bind_tweet, on_error="collect", **kwargs)
+            batch = runner.run(_pipeline(), items=[t for t in tweets for _ in "ab"])
+            engine = getattr(runner, "last_batcher", None)
+            return (_texts(batch), [repr(r.error) for r in batch.items]), (
+                [r.elapsed for r in batch.items],
+                batch.elapsed,
+                state.model.snapshot(),
+                engine and (engine.snapshot(), engine.steps),
+            )
+
+        sequential = run(BatchRunner)[0]
+        config = SchedulerConfig(max_batch_tokens=max_tokens, watermark_s=watermark)
+        ranks = ("interactive", "bulk") if mixed else ("normal", "normal")
+        options = RuntimeOptions(
+            scheduler=config, priority=lambda item: ranks[int(item.uid[-1]) % 2]
+        )
+        runs = []
+        for order in _resume_orders():
+            monkeypatch.setattr(parallel_module, "_resume_order", order)
+            outputs, observed = run(ParallelBatchRunner, workers=4, options=options)
+            assert outputs == sequential
+            runs.append(observed)
+        assert all(run == runs[0] for run in runs[1:])
+        assert any(error != "None" for error in sequential[1]) == (fault_rate > 0)
 
 
 class TestSchedulerStress:
@@ -936,7 +936,7 @@ class TestStepErrorRegression:
             "Summarize the tweet.\nTweet:\nso tired of delays",
             "Summarize the tweet.\nTweet:\nthe trains are late again",
         ]
-        poisoned = llm.prepare(prompts[1])[0]
+        poisoned = llm.prepare(prompts[1])
         lookup = llm.kv_cache.lookup_and_insert
 
         def lookup_or_boom(tokens):
@@ -1020,11 +1020,11 @@ class TestExecutorIntegration:
         execute_task = llm.execute_task
         calls = []
 
-        def first_call_fails(prompt, features, **kwargs):
+        def first_call_fails(prompt, **kwargs):
             calls.append(prompt)
             if len(calls) == 1:
                 raise TransientModelError("engine hiccup")
-            return execute_task(prompt, features, **kwargs)
+            return execute_task(prompt, **kwargs)
 
         llm.execute_task = first_call_fails
         retry = RETRY(
