@@ -16,8 +16,8 @@ Callables are described by module, qualname, code, defaults and
 closure cells, never by address, so a new object at a freed one's
 address cannot inherit its entry.  Slotted objects are described by
 their set slot values (a :class:`~repro.core.entry.StaticChunk` by its
-text alone); only an object with neither a ``__dict__`` nor slots falls
-back to identity.
+text alone).  An object with neither a ``__dict__`` nor slots has no
+content to describe: a request holding one is checked but never cached.
 
 Hits and misses are observable as ``spear_check_cache_hits_total`` /
 ``spear_check_cache_misses_total`` when a metrics registry is passed.
@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 _PRIMITIVES = (str, int, float, bool, bytes)
+
+
+class _Opaque(Exception):
+    """An object with neither a ``__dict__`` nor slots: only its address
+    could tell two apart, and a freed address is reused."""
 
 
 def _describe(obj: Any, depth: int = 0, path: dict[int, int] | None = None) -> Any:
@@ -134,8 +139,7 @@ def _describe_node(obj: Any, depth: int, path: dict[int, int]) -> Any:
                 (name, _describe(value, depth + 1, path)) for name, value in slots
             ),
         )
-    # Neither a __dict__ nor slots: identity is the only key left.
-    return f"{type(obj).__name__}@{id(obj)}"
+    raise _Opaque(type(obj).__name__)
 
 
 def _slot_values(obj: Any) -> list[tuple[str, Any]]:
@@ -227,27 +231,31 @@ def fingerprint_check(
     prompt_params: Mapping[str, Iterable[str]] | None = None,
     name: str | None = None,
     runtime: Mapping[str, Any] | None = None,
-) -> str:
-    """Content hash of one (pipeline, environment) check request."""
-    description = (
-        _pipeline_digest(pipeline),
-        _describe(
-            {
-                key: getattr(value, "text", value)
-                for key, value in (prompts or {}).items()
-            }
-        ),
-        tuple(sorted(context)),
-        _describe(views),
-        tuple(sources) if sources is not None else None,
-        tuple(agents) if agents is not None else None,
-        open_context,
-        _describe(
-            {key: tuple(value) for key, value in (prompt_params or {}).items()}
-        ),
-        name,
-        _describe(runtime) if runtime is not None else None,
-    )
+) -> str | None:
+    """Content hash of one (pipeline, environment) check request, or None
+    when the request holds an object with no content to describe."""
+    try:
+        description = (
+            _pipeline_digest(pipeline),
+            _describe(
+                {
+                    key: getattr(value, "text", value)
+                    for key, value in (prompts or {}).items()
+                }
+            ),
+            tuple(sorted(context)),
+            _describe(views),
+            tuple(sources) if sources is not None else None,
+            tuple(agents) if agents is not None else None,
+            open_context,
+            _describe(
+                {key: tuple(value) for key, value in (prompt_params or {}).items()}
+            ),
+            name,
+            _describe(runtime) if runtime is not None else None,
+        )
+    except _Opaque:
+        return None
     return hashlib.sha256(repr(description).encode()).hexdigest()
 
 
@@ -291,7 +299,7 @@ class CheckCache:
         returned result is shared between callers — treat it as frozen.
         """
         key = fingerprint_check(pipeline, **env)
-        cached = self.get(key)
+        cached = self.get(key) if key is not None else None
         if cached is not None:
             self.hits += 1
             if metrics is not None:
@@ -307,7 +315,8 @@ class CheckCache:
                 "Static checks that ran the full analysis.",
             ).inc()
         result = check_pipeline(pipeline, **env)
-        self.put(key, result)
+        if key is not None:
+            self.put(key, result)
         return result
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping
 
+from repro.core.footprint import immutable_by_type, stable_digest
 from repro.errors import UnknownContextKeyError
 
 __all__ = ["Context"]
@@ -23,6 +24,9 @@ class Context:
         #: key -> the prompt chunk of its long ``str`` value (DESIGN.md §7):
         #: made when a template first interpolates it, dropped with the binding.
         self.chunks: dict[str, Any] = {}
+        #: key -> (value, ``stable_digest(value)``) for a value immutable by
+        #: type: made when a footprint first reads it, dropped with the binding.
+        self.digests: dict[str, tuple[Any, str]] = {}
         #: ordered (key, producer) pairs recording who wrote each value;
         #: producer is an operator/agent label, "initial" for seed data.
         self.write_log: list[tuple[str, str]] = [
@@ -46,6 +50,7 @@ class Context:
         except KeyError:
             raise UnknownContextKeyError(key) from None
         self.chunks.pop(key, None)
+        self.digests.pop(key, None)
 
     def __contains__(self, key: object) -> bool:
         return key in self._values
@@ -72,12 +77,27 @@ class Context:
         chunk = self.chunks.get(key)
         if chunk is not None and chunk.text is not value:
             self.chunks.pop(key, None)
+        known = self.digests.get(key)
+        if known is not None and known[0] is not value:
+            del self.digests[key]
         self.write_log.append((key, producer))
 
     def update(self, values: Mapping[str, Any], *, producer: str = "unknown") -> None:
         """Bulk write, recording the same producer for every key."""
         for key, value in values.items():
             self.put(key, value, producer=producer)
+
+    def digest(self, key: str) -> str:
+        """``stable_digest`` of the value under ``key``, kept beside the
+        value while it stays bound when it is immutable by type."""
+        value = self[key]
+        known = self.digests.get(key)
+        if known is not None and known[0] is value:
+            return known[1]
+        digest = stable_digest(value)
+        if immutable_by_type(value):
+            self.digests[key] = (value, digest)
+        return digest
 
     def producers_of(self, key: str) -> list[str]:
         """All operators that ever wrote ``key``, in order."""
@@ -96,13 +116,14 @@ class Context:
     def fork(self) -> "Context":
         """Shallow-copy the context for branch/shadow execution.
 
-        The copy shares the prompt chunks this context already holds; a
-        fork only reads its parent.
+        The copy shares the prompt chunks and value digests this context
+        already holds; a fork only reads its parent.
         """
         copy = Context()
         copy._values = dict(self._values)
         copy.write_log = list(self.write_log)
         copy.chunks = dict(self.chunks)
+        copy.digests = dict(self.digests)
         return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -24,16 +24,23 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
-__all__ = ["ABSENT", "Footprint", "stable_digest"]
+__all__ = ["ABSENT", "Footprint", "immutable_by_type", "stable_digest"]
 
 #: placeholder digest for a context slot the template references but the
 #: context does not (yet) hold — absence is part of the input set, because
 #: an unbound placeholder renders literally.
 ABSENT = "<absent>"
 
-#: what ``json.dumps(value, sort_keys=True, default=repr)`` builds per call.
+#: the C encoder ``json.dumps(value, sort_keys=True, default=repr)`` builds
+#: per call, built once.  It keeps no circular-reference markers (a shared
+#: table would be unsafe across threads): a self-containing value exceeds
+#: the recursion limit instead and takes the same ``repr`` fallback.
+_ENCODER = c_make_encoder and c_make_encoder(
+    None, repr, encode_basestring_ascii, None, ": ", ", ", True, False, True
+)
 _STABLE_JSON = json.JSONEncoder(sort_keys=True, default=repr)
 
 
@@ -46,10 +53,31 @@ def stable_digest(value: Any) -> str:
     readable in event payloads while leaving collisions negligible.
     """
     try:
-        payload = _STABLE_JSON.encode(value)
-    except (TypeError, ValueError):
+        if _ENCODER:
+            payload = "".join(_ENCODER(value, 0))
+        else:  # pragma: no cover - a Python without the C accelerator
+            payload = _STABLE_JSON.encode(value)
+    except (TypeError, ValueError, RecursionError):
         payload = repr(value)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def immutable_by_type(value: Any) -> bool:
+    """True when no in-place mutation can change ``stable_digest(value)``:
+    a str, number, bool or None, a tuple of such values, or a frozen
+    dataclass instance (whose fields cannot be rebound).  Only these
+    values may keep a digest once computed; anything else is re-hashed
+    on every use."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return True
+    if kind is tuple:
+        return all(map(immutable_by_type, value))
+    params = getattr(kind, "__dataclass_params__", None)
+    return params is not None and params.frozen
 
 
 @dataclass(frozen=True)

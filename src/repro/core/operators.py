@@ -57,9 +57,13 @@ def _context_reads_for_template(
     """
     context = state.context
     return tuple(
-        (root, stable_digest(context[root]) if root in context else ABSENT)
+        (root, context.digest(root) if root in context else ABSENT)
         for root in _template_roots(names, shadowed)
     )
+
+
+#: the digest of the empty ``params`` dict nearly every prompt carries.
+_NO_PARAMS = stable_digest({})
 
 
 __all__ = ["RET", "GEN", "REF", "CHECK", "MERGE", "DELEGATE"]
@@ -122,7 +126,7 @@ class RET(Operator):
                     self.prompt_key,
                     entry.version,
                     entry.text_digest,
-                    stable_digest(entry.params),  # a mutable dict: every call
+                    stable_digest(entry.params) if entry.params else _NO_PARAMS,
                 ),
             )
             context_reads = _context_reads_for_template(state, entry.template.names)
@@ -168,6 +172,11 @@ class GEN(Operator):
     ref_log record, which is what cost-based refinement planning mines.
     """
 
+    #: the last footprint, which an application whose inputs all equal its
+    #: inputs reuses, digest included.  A slot, outside the instance dict:
+    #: a run-time memo is no part of the operator's structural description.
+    __slots__ = ("_footprint",)
+
     def __init__(
         self,
         label_key: str,
@@ -181,6 +190,7 @@ class GEN(Operator):
         self.extra = dict(extra or {})
         self.max_tokens = max_tokens
         self.label = f'GEN["{label_key}"]'
+        self._footprint: Footprint | None = None
 
     @cached_property
     def _identity(self) -> str:
@@ -216,23 +226,30 @@ class GEN(Operator):
         if model_key is None:
             return None
         entry = state.prompts[self.prompt_key]
-        return Footprint(
+        params = stable_digest(entry.params) if entry.params else _NO_PARAMS
+        prompt_deps = (
+            (self.prompt_key, entry.version, entry.text_digest, params),
+        )
+        context_reads = _context_reads_for_template(
+            state, entry.template.names, shadowed=self.extra
+        )
+        last = self._footprint
+        if (
+            last is not None
+            and last.model_key == model_key
+            and last.prompt_deps == prompt_deps
+            and last.context_reads == context_reads
+        ):
+            return last
+        footprint = self._footprint = Footprint(
             operator=self.label,
             identity=self._identity,
             model_key=model_key,
-            prompt_deps=(
-                (
-                    self.prompt_key,
-                    entry.version,
-                    entry.text_digest,
-                    stable_digest(entry.params),  # a mutable dict: every call
-                ),
-            ),
-            context_reads=_context_reads_for_template(
-                state, entry.template.names, shadowed=self.extra
-            ),
+            prompt_deps=prompt_deps,
+            context_reads=context_reads,
             context_writes=(self.label_key, f"{self.label_key}__result"),
         )
+        return footprint
 
     def _steps(self, state: ExecutionState) -> Steps:
         if state.model is None:

@@ -45,6 +45,11 @@ __all__ = [
 #: (retries in a GEN that never completed, model calls outside GEN).
 UNATTRIBUTED = "(unattributed)"
 
+#: the folded kinds, bound once: an enum attribute read is a metaclass lookup.
+_START, _END = EventKind.OPERATOR_START, EventKind.OPERATOR_END
+_RETRY, _FAULT, _REFINE = EventKind.RETRY, EventKind.FAULT, EventKind.REFINE
+_GENERATE, _CACHE_HIT = EventKind.GENERATE, EventKind.CACHE_HIT
+
 
 
 def _bucket_key(prompt_key: str, version: int | None) -> str:
@@ -175,10 +180,10 @@ def build_attribution(
 
     for event in log:
         kind = event.kind
-        if kind is EventKind.OPERATOR_START:
+        if kind is _START:
             frame_ops.append(event.operator)
             frame_pending.append(None)
-        elif kind is EventKind.OPERATOR_END:
+        elif kind is _END:
             # Unwind to the matching frame (unbalanced logs unwind one).
             while frame_ops:
                 operator = frame_ops.pop()
@@ -187,7 +192,7 @@ def build_attribution(
                     charge_pending(bucket(UNATTRIBUTED), pending)
                 if operator == event.operator:
                     break
-        elif kind is EventKind.RETRY:
+        elif kind is _RETRY:
             entry = innermost_pending()
             entry["retries"] = entry.get("retries", 0) + 1
             delay = event.payload.get("delay")
@@ -195,10 +200,10 @@ def build_attribution(
                 entry["backoff_seconds"] = (
                     entry.get("backoff_seconds", 0.0) + float(delay)
                 )
-        elif kind is EventKind.FAULT:
+        elif kind is _FAULT:
             entry = innermost_pending()
             entry["faults"] = entry.get("faults", 0) + 1
-        elif kind is EventKind.GENERATE:
+        elif kind is _GENERATE:
             payload = event.payload
             prompt_key = str(payload.get("prompt_key", UNATTRIBUTED))
             version = payload.get("prompt_version")
@@ -227,7 +232,7 @@ def build_attribution(
             if frame_pending and frame_pending[-1]:
                 charge_pending(target, frame_pending[-1])
                 frame_pending[-1] = None
-        elif kind is EventKind.CACHE_HIT:
+        elif kind is _CACHE_HIT:
             payload = event.payload
             deps = payload.get("prompt_versions")
             if not deps:
@@ -242,7 +247,7 @@ def build_attribution(
                 target = bucket(name)
                 target["cache_hits"] += 1
                 target["cache_saved_seconds"] += share
-        elif kind is EventKind.REFINE:
+        elif kind is _REFINE:
             payload = event.payload
             refine_edges.append(
                 (

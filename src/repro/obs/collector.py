@@ -108,6 +108,9 @@ _BREAKER_STATE_VALUES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
 #: slots per hot label: the kind's event counter plus up to five instruments.
 _HOT_SLOTS = 6
+#: the hot kinds, bound once: an enum attribute read is a metaclass lookup.
+_START, _END = EventKind.OPERATOR_START, EventKind.OPERATOR_END
+_GENERATE, _CACHE_HIT = EventKind.GENERATE, EventKind.CACHE_HIT
 #: GENERATE's token counters: (slot, payload field, metric name).
 _TOKEN_SIGNALS = (
     (3, "prompt_tokens", "spear_prompt_tokens_total"),
@@ -241,23 +244,26 @@ class ObsCollector:
         if cache in self._attached_result_caches:
             return
         self._attached_result_caches.add(cache)
+        # The gauges read the cache's own fields (through a read-only view
+        # to its cache) rather than building a snapshot dict per read.
+        source = getattr(cache, "_inner", cache)
         gauges = self.registry
         gauges.gauge(
             "spear_result_cache_entries",
             "Entries resident in the operator result cache.",
-        ).set_function(lambda: cache.snapshot()["entries"])
+        ).set_function(lambda: float(len(source)))
         gauges.gauge(
             "spear_result_cache_hit_rate",
             "Lifetime hit rate of the operator result cache.",
-        ).set_function(lambda: cache.snapshot()["hit_rate"])
+        ).set_function(lambda: source.hit_rate)
         gauges.gauge(
             "spear_result_cache_invalidations_total",
             "Entries invalidated by prompt refinements.",
-        ).set_function(lambda: cache.snapshot()["invalidations"])
+        ).set_function(lambda: float(source.invalidations))
         gauges.gauge(
             "spear_result_cache_evictions_total",
             "Entries evicted by the result cache's LRU policy.",
-        ).set_function(lambda: cache.snapshot()["evictions"])
+        ).set_function(lambda: float(source.evictions))
 
     # -- instruments ----------------------------------------------------------
 
@@ -280,7 +286,7 @@ class ObsCollector:
         """The slot list for a label not seen before: every operator label
         of one operator kind shares one (their instruments are labelled by
         the kind), and each prompt key has its own."""
-        key = (kind, label if kind is EventKind.GENERATE else operator_kind(label))
+        key = (kind, label if kind is _GENERATE else operator_kind(label))
         slots = self._hot_groups.get(key)
         if slots is None:
             slots = self._hot_groups[key] = [None] * _HOT_SLOTS
@@ -304,14 +310,14 @@ class ObsCollector:
         """
         self.spans.add(event)
         kind = event.kind
-        if kind is EventKind.OPERATOR_START:
+        if kind is _START:
             table, label = self._hot_start, event.operator
-        elif kind is EventKind.OPERATOR_END:
+        elif kind is _END:
             table, label = self._hot_end, event.operator
-        elif kind is EventKind.GENERATE:
+        elif kind is _GENERATE:
             payload = event.payload
             table, label = self._hot_generate, str(payload.get("prompt_key", "?"))
-        elif kind is EventKind.CACHE_HIT:
+        elif kind is _CACHE_HIT:
             table, label = self._hot_cache_hit, event.operator
         else:
             self._metric(
@@ -327,7 +333,7 @@ class ObsCollector:
             hot, 0, "counter", "spear_events_total", "Events observed, by kind.",
             kind=kind.value,
         )).inc()
-        if kind is EventKind.OPERATOR_START:
+        if kind is _START:
             (hot[1] or self._fill(
                 hot, 1, "counter", "spear_operator_invocations_total",
                 "Operator applications started.", operator=operator_kind(label),
@@ -337,7 +343,7 @@ class ObsCollector:
                 self._open_starts[label] = [event.at]
             else:
                 starts.append(event.at)
-        elif kind is EventKind.OPERATOR_END:
+        elif kind is _END:
             starts = self._open_starts.get(label)
             if starts:
                 (hot[1] or self._fill(
@@ -345,7 +351,7 @@ class ObsCollector:
                     "Wall time per operator application (virtual clock).",
                     buckets=LATENCY_BUCKETS, operator=operator_kind(label),
                 )).observe(max(event.at - starts.pop(), 0.0))
-        elif kind is EventKind.GENERATE:
+        elif kind is _GENERATE:
             (hot[1] or self._fill(
                 hot, 1, "counter", "spear_gen_calls_total", "GEN operator calls.",
                 prompt=label,

@@ -75,9 +75,15 @@ def _dumps(value: Any) -> str:
     return "".join(_ENCODER(value, 0)) if _ENCODER else json.dumps(value)
 
 
-#: an ``events.jsonl`` line as ``json.dumps`` writes an event record:
-#: ``%d`` and ``repr`` print an int and a finite float exactly as it does.
-_LINE = '{"seq": %d, "kind": %s, "operator": %s, "at": %s, "payload": %s}'
+def _line_template(kind: Any, operator: str) -> str:
+    """The ``events.jsonl`` line of one (kind, operator), as ``json.dumps``
+    writes an event record, with ``%d`` / ``%s`` slots for its seq, at and
+    payload: ``%d`` and ``repr`` print an int and a finite float exactly as
+    it does."""
+    head = '{"seq": %%d, "kind": %s, "operator": %s, ' % (
+        _dumps(kind.value), _dumps(operator).replace("%", "%%")
+    )
+    return head + '"at": %s, "payload": %s}'
 
 
 def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
@@ -99,9 +105,11 @@ class RunLedger:
         self._events_handle: Any = None
         self._series_handle: Any = None
         self._captured: list[Event] = []
-        #: kinds and operator labels, JSON-encoded once each.
-        self._kind_texts: dict[Any, str] = {}
-        self._operator_texts: dict[str, str] = {}
+        #: (kind value, operator) -> its line template; the last ``at``
+        #: encoded and its text (consecutive events often share one).
+        self._templates: dict[tuple[str, str], str] = {}
+        self._at: Any = None
+        self._at_text = ""
         self._recorder: SeriesRecorder | None = None
         self._collector: Any = None
         self._log: EventLog | None = None
@@ -199,8 +207,8 @@ class RunLedger:
 
         An event with an int ``seq``, a finite float ``at`` and a payload
         of JSON scalars and lists of them (nearly every event) is one
-        ``%``-format over its kind and operator, each encoded once, and
-        the encoded payload; an empty payload (operator start/end) never
+        ``%``-format of its (kind, operator) template over its seq, at and
+        encoded payload; an empty payload (operator start/end) never
         reaches the encoder.  Anything else takes the tagged encoding.
         """
         seq, at, payload = event.seq, event.at, event.payload
@@ -213,19 +221,20 @@ class RunLedger:
                 body = None
             if body is not None:
                 kind, operator = event.kind, event.operator
-                kind_text = self._kind_texts.get(kind)
-                if kind_text is None:
-                    kind_text = self._kind_texts[kind] = _dumps(kind.value)
-                operator_text = self._operator_texts.get(operator)
-                if operator_text is None:
-                    operator_text = self._operator_texts[operator] = _dumps(operator)
-                return _LINE % (seq, kind_text, operator_text, repr(at), body)
+                # ``_value_``, not the enum itself: Enum hashes in Python.
+                key = (kind._value_, operator)
+                template = self._templates.get(key)
+                if template is None:
+                    template = self._templates[key] = _line_template(kind, operator)
+                if at is not self._at:  # ``_at`` keeps it alive: no id reuse
+                    self._at, self._at_text = at, repr(at)
+                return template % (seq, self._at_text, body)
         return _dumps(_encode_value(event.to_dict()))
 
     def _write_series_row(self, row: dict[str, Any]) -> None:
         handle = self._series_handle
         if handle is not None:
-            handle.write(_dumps(row) + "\n")
+            handle.write(self._recorder.last_line + "\n")
 
     def finalize(
         self,

@@ -27,6 +27,10 @@ from typing import Iterator
 
 from repro.runtime.events import Event, EventKind, EventLog
 
+#: bound once: an enum attribute read is a metaclass lookup.
+_START, _END = EventKind.OPERATOR_START, EventKind.OPERATOR_END
+_GENERATE = EventKind.GENERATE
+
 __all__ = [
     "Span",
     "SpanBuilder",
@@ -103,7 +107,7 @@ class SpanBuilder:
             self._last_at = at
         kind = event.kind
         stack = self._stack
-        if kind is EventKind.OPERATOR_START:
+        if kind is _START:
             span = Span(operator=event.operator, start=at, depth=len(stack))
             if stack:
                 stack[-1].children.append(span)
@@ -111,7 +115,7 @@ class SpanBuilder:
                 self.roots.append(span)
             stack.append(span)
             return
-        if kind is EventKind.OPERATOR_END:
+        if kind is _END:
             if stack and stack[-1].operator == event.operator:
                 stack.pop().end = at  # the balanced case
                 return
@@ -129,7 +133,7 @@ class SpanBuilder:
         # Semantic event: attribute to every open span (inclusive rollup).
         for span in stack:
             span.events += 1
-        if kind is EventKind.GENERATE:
+        if kind is _GENERATE:
             payload = event.payload
             prompt = int(payload.get("prompt_tokens", 0) or 0)
             cached = int(payload.get("cached_tokens", 0) or 0)

@@ -23,8 +23,10 @@ crossings (stamped at the watermark boundary), or the forcing event kind
 
 from __future__ import annotations
 
+import json
 import threading
 from itertools import compress, count
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, is_not
 from typing import Any, Callable
 
@@ -39,6 +41,15 @@ FORCED_SAMPLE_KINDS = frozenset(
 )
 
 _VALUE = attrgetter("value")
+
+#: a row as ``json.dumps`` writes it, over its three encoded parts.
+_ROW = '{"at": %s, "trigger": %s, "metrics": {%s}}'
+
+
+def _number_text(value: Any) -> str:
+    """``json.dumps(value)``: a finite float's repr."""
+    finite = type(value) is float and value - value == 0.0
+    return repr(value) if finite else json.dumps(value)
 
 
 def _sample_name(name: str, labels: dict[str, str]) -> str:
@@ -56,8 +67,9 @@ class SeriesRecorder:
             snapshot (usually the collector's).
         interval: simulated seconds between watermark samples.
         sink: optional callable invoked with each row as it is recorded
-            (the ledger passes a JSONL writer); rows also accumulate in
-            :attr:`rows` either way.
+            (the ledger passes a JSONL writer, which writes
+            :attr:`last_line`); rows also accumulate in :attr:`rows` either
+            way.
     """
 
     def __init__(
@@ -73,6 +85,8 @@ class SeriesRecorder:
         self.interval = float(interval)
         self.sink = sink
         self.rows: list[dict[str, Any]] = []
+        #: ``json.dumps`` of the last row, joined from per-metric texts.
+        self.last_line = ""
         self._next_watermark: float | None = None
         self._lock = threading.Lock()
         # Display names and instruments, cached against the registry's
@@ -80,9 +94,12 @@ class SeriesRecorder:
         # rather than a full collect-and-sort of the registry.
         self._instruments: tuple[list[str], list[Counter | Gauge]] = ([], [])
         self._instruments_version = -1
-        #: the last row's raw values and their rounding, per instrument.
+        #: the last row's raw values, their rounding and ``"name": value``
+        #: text, and each encoded ``"name": ``, per instrument.
         self._values: list[float | None] = []
         self._rounded: list[float] = []
+        self._texts: list[str] = []
+        self._heads: list[str] = []
 
     # -- wiring --------------------------------------------------------------
 
@@ -128,31 +145,43 @@ class SeriesRecorder:
     def _scan_instruments(self) -> tuple[list[str], list[Counter | Gauge]]:
         version = self.registry.version
         if version != self._instruments_version:
-            names: list[str] = []
-            instruments: list[Counter | Gauge] = []
+            # A display name two label sets share keeps its first place and
+            # the last one's value, as in a dict of the row.
+            named: dict[str, Counter | Gauge] = {}
             for name, _kind, _help, samples in self.registry.collect():
                 for labels, instrument in samples:
                     if isinstance(instrument, (Counter, Gauge)):
-                        names.append(_sample_name(name, labels))
-                        instruments.append(instrument)
-            self._instruments = (names, instruments)
+                        named[_sample_name(name, labels)] = instrument
+            names = list(named)
+            self._instruments = (names, list(named.values()))
             self._instruments_version = version
-            self._values = [None] * len(instruments)
-            self._rounded = [0.0] * len(instruments)
+            self._values = [None] * len(names)
+            self._rounded = [0.0] * len(names)
+            self._texts = [""] * len(names)
+            self._heads = [encode_basestring_ascii(name) + ": " for name in names]
         return self._instruments
 
     def _record(self, at: float, trigger: str) -> dict[str, Any]:
         names, instruments = self._scan_instruments()
         values = list(map(float, map(_VALUE, instruments)))
-        # round(value, 6) again only where the value is a new object: an
+        # Round and render again only a changed value: a new object (an
         # unchanged counter or set gauge hands back the very float it did
-        # last row (which ``_values`` keeps alive, so its id is not reused).
-        rounded = self._rounded
-        for index in compress(count(), map(is_not, values, self._values)):
-            rounded[index] = round(values[index], 6)
+        # last row, which ``_values`` keeps alive, so its id is not reused)
+        # that is not an equal nonzero (a pull gauge's equal new float).
+        rounded, texts, heads, last = (
+            self._rounded, self._texts, self._heads, self._values
+        )
+        for index in compress(count(), map(is_not, values, last)):
+            value = values[index]
+            if value != last[index] or not value:
+                value = rounded[index] = round(value, 6)
+                texts[index] = heads[index] + _number_text(value)
         self._values = values
         metrics = dict(zip(names, rounded))
         row = {"at": round(at, 6), "trigger": trigger, "metrics": metrics}
+        self.last_line = _ROW % (
+            _number_text(row["at"]), encode_basestring_ascii(trigger), ", ".join(texts)
+        )
         self.rows.append(row)
         if self.sink is not None:
             self.sink(row)

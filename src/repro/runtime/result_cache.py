@@ -20,7 +20,8 @@ would — cached runs stay byte-identical to uncached ones.
 
 Invalidation is version-precise and transitive.  Each entry records
 dependency edges at insert time: the prompt versions it read, the
-``(key, value-digest)`` pairs it read from C, and the pairs it wrote.
+``(key, value-digest)`` pairs it read from C, and the values it wrote
+(digested when an invalidation walk meets a reader of their key).
 When a refinement bumps a prompt version (observed via ``REFINE`` /
 ``MERGE`` / ``VIEW_EXPAND`` events on a subscribed log), entries pinned
 to older versions of that key die, then the closure chases writer →
@@ -54,7 +55,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from repro.core.footprint import Footprint, stable_digest
+from repro.core.footprint import Footprint, immutable_by_type, stable_digest
 from repro.runtime.events import EventKind, EventLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,6 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.store import PromptStore
 
 __all__ = ["CachedDelta", "ReadOnlyResultCache", "ResultCache"]
+
+#: the event kinds that may bump a prompt version.
+_REFINING = frozenset({EventKind.REFINE, EventKind.MERGE, EventKind.VIEW_EXPAND})
 
 # Mutation-op tags recorded during live execution and re-applied on hits.
 _CTX_PUT = "ctx_put"
@@ -78,14 +82,18 @@ class CachedDelta:
 
     ``ops`` is the exact mutation sequence the live run performed against
     C and M; ``elapsed`` is the simulated time the live run cost (what a
-    hit saves); ``write_digests`` are the ``(key, value-digest)`` pairs
-    written into C, used to chain transitive invalidation edges.
+    hit saves); ``writes`` are the ``(key, value, digest)`` triples
+    written into C, used to chain transitive invalidation edges.  A value
+    that is not immutable by type is digested at write time, so an
+    in-place mutation afterwards cannot move its edge; an immutable one
+    (``digest`` None) only when an invalidation walk meets a reader of
+    its key.
     """
 
     footprint: Footprint
     ops: tuple[tuple[Any, ...], ...]
     elapsed: float
-    write_digests: tuple[tuple[str, str], ...]
+    writes: tuple[tuple[str, Any, str | None], ...]
 
     def replay(self, state: "ExecutionState") -> None:
         """Re-apply the recorded mutations to ``state``."""
@@ -205,17 +213,15 @@ class _Recording:
     def delta(self, footprint: Footprint, elapsed: float) -> CachedDelta:
         """Freeze the recorded mutations into a cacheable delta."""
         writes = tuple(
-            dict.fromkeys(
-                (op[1], stable_digest(op[2]))
-                for op in self.ops
-                if op[0] == _CTX_PUT
-            )
+            (op[1], op[2], None if immutable_by_type(op[2]) else stable_digest(op[2]))
+            for op in self.ops
+            if op[0] == _CTX_PUT
         )
         return CachedDelta(
             footprint=footprint,
             ops=tuple(self.ops),
             elapsed=elapsed,
-            write_digests=writes,
+            writes=writes,
         )
 
 
@@ -234,8 +240,8 @@ class ResultCache:
         self._entries: OrderedDict[str, CachedDelta] = OrderedDict()
         #: prompt key → digests of entries that read it (any version).
         self._by_prompt: dict[str, set[str]] = {}
-        #: (context key, value digest) → digests of entries that read it.
-        self._by_read: dict[tuple[str, str], set[str]] = {}
+        #: context key → value digest → digests of entries that read it.
+        self._by_read: dict[str, dict[str, set[str]]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -275,8 +281,9 @@ class ResultCache:
             self._entries[digest] = delta
             for key in footprint.prompt_keys:
                 self._by_prompt.setdefault(key, set()).add(digest)
-            for pair in footprint.context_reads:
-                self._by_read.setdefault(pair, set()).add(digest)
+            for key, value_digest in footprint.context_reads:
+                readers = self._by_read.setdefault(key, {})
+                readers.setdefault(value_digest, set()).add(digest)
             while len(self._entries) > self.capacity:
                 oldest, _ = next(iter(self._entries.items())), None
                 self._remove_locked(oldest[0])
@@ -315,9 +322,13 @@ class ResultCache:
             if digest in dead or digest not in self._entries:
                 continue
             dead.add(digest)
-            delta = self._entries[digest]
-            for pair in delta.write_digests:
-                for reader in self._by_read.get(pair, ()):
+            for key, value, value_digest in self._entries[digest].writes:
+                readers = self._by_read.get(key)
+                if readers is None:
+                    continue  # nothing cached reads the key: never hashed
+                if value_digest is None:
+                    value_digest = stable_digest(value)
+                for reader in readers.get(value_digest, ()):
                     if reader not in dead:
                         queue.append(reader)
         for digest in dead:
@@ -335,12 +346,15 @@ class ResultCache:
                 bucket.discard(digest)
                 if not bucket:
                     del self._by_prompt[key]
-        for pair in delta.footprint.context_reads:
-            bucket = self._by_read.get(pair)
+        for key, value_digest in delta.footprint.context_reads:
+            readers = self._by_read.get(key)
+            bucket = readers.get(value_digest) if readers is not None else None
             if bucket is not None:
                 bucket.discard(digest)
                 if not bucket:
-                    del self._by_read[pair]
+                    del readers[value_digest]
+                    if not readers:
+                        del self._by_read[key]
 
     def subscribe_to(self, log: EventLog, store: "PromptStore") -> None:
         """Invalidate on refinement events from ``store``'s executions.
@@ -358,14 +372,9 @@ class ResultCache:
 
         def _on_event(event: Any, _store: "PromptStore" = store) -> None:
             kind = event.kind
-            if kind is EventKind.REFINE:
-                key = event.payload.get("key")
-            elif kind is EventKind.MERGE:
-                key = event.payload.get("into")
-            elif kind is EventKind.VIEW_EXPAND:
-                key = event.payload.get("key")
-            else:
+            if kind not in _REFINING:
                 return
+            key = event.payload.get("into" if kind is EventKind.MERGE else "key")
             if key is None or key not in _store:
                 return
             current = _store[key].version

@@ -2,16 +2,18 @@
 
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.analysis.cache as check_cache
 from repro.analysis import (
     CheckCache,
     cached_check_state,
     check_pipeline,
     fingerprint_check,
 )
-from repro.analysis.cache import _describe
+from repro.analysis.cache import _describe, _Opaque
 from repro.core import (
     CHECK,
     GEN,
@@ -93,45 +95,71 @@ class TestFingerprint:
         assert fingerprint_check(first) == fingerprint_check(second)
 
 
+class _Addresses:
+    """Stands in for ``id`` inside :mod:`repro.analysis.cache`.
+
+    The object last passed to :meth:`reuse` presents one fixed address, so
+    each replacement presents the address of the object it replaced: the
+    collision an allocator makes only sometimes (it depends on heap
+    layout, so on ``PYTHONHASHSEED``) happens every time.  The address is
+    a live anchor's, which no other object can hold and no walk meets.
+    """
+
+    def __init__(self) -> None:
+        self._anchor = object()
+        self._presented: dict[int, int] = {}
+
+    def __call__(self, obj: object) -> int:
+        return self._presented.get(id(obj), id(obj))
+
+    def reuse(self, new: object) -> None:
+        self._presented = {id(new): id(self._anchor)}
+
+
+@pytest.fixture
+def addresses(monkeypatch):
+    fake = _Addresses()
+    monkeypatch.setattr(check_cache, "id", fake, raising=False)
+    return fake
+
+
 class TestRecycledAddresses:
     """A new object at a freed one's address never inherits its digest."""
 
-    def test_operator_replaced_in_place_at_a_recycled_address(self):
+    def test_operator_replaced_in_place_at_a_recycled_address(self, addresses):
         texts = ("Answer briefly. ", "Cite evidence. ", "Summarize: {notes} ")
         expected = {text: fingerprint_check(pipeline(text)) for text in texts}
         target = pipeline()
+        addresses.reuse(target.operators[0])
         reused = False
         for round_ in range(200):
             text = texts[round_ % 3]  # never the text just replaced
-            previous = id(target.operators[0])
-            # Refcounting frees the replaced operator here, so the new
-            # one usually lands at its address (no collection in between
-            # to reshuffle the free list).
+            previous = addresses(target.operators[0])
             target.operators[0] = None
             target.operators[0] = REF(RefAction.CREATE, text, key="qa")
+            addresses.reuse(target.operators[0])
             assert fingerprint_check(target) == expected[text]
-            reused |= id(target.operators[0]) == previous
+            reused |= addresses(target.operators[0]) == previous
         assert reused, "no operator took the address of the one it replaced"
 
-    def test_callables_are_keyed_by_code_not_address(self):
+    def test_callables_are_keyed_by_code_not_address(self, addresses):
         def body(kind: int):
             if kind:
                 return lambda state: state
             return lambda state: None
 
         fingerprints: dict[int, set[str]] = {0: set(), 1: set()}
-        addresses: dict[int, set[int]] = {0: set(), 1: set()}
+        seen: dict[int, set[int]] = {0: set(), 1: set()}
         for round_ in range(200):
             kind = round_ % 2
             fn = body(kind)
-            addresses[kind].add(id(fn))
+            addresses.reuse(fn)
+            seen[kind].add(addresses(fn))
             fingerprints[kind].add(
                 fingerprint_check(Pipeline([FunctionOperator(fn, label="F")]))
             )
-            del fn  # freed here, so the next closure can take its address
-            if addresses[0] & addresses[1]:
-                break
-        assert addresses[0] & addresses[1], "no address was reused across kinds"
+            del fn  # freed here: the next closure presents its address
+        assert seen[0] & seen[1], "no address was reused across kinds"
         assert len(fingerprints[0]) == len(fingerprints[1]) == 1
         assert fingerprints[0] != fingerprints[1]
 
@@ -153,7 +181,7 @@ class TestRecycledAddresses:
         assert fingerprint(defaulting(1)) == fingerprint(defaulting(1))
         assert fingerprint(defaulting(1)) != fingerprint(defaulting(2))
 
-    def test_slotted_values_are_keyed_by_content_not_address(self):
+    def test_slotted_values_are_keyed_by_content_not_address(self, addresses):
         texts = ("Answer {topic}. ", "Cite {source}. ", "Summarize: {notes} ")
 
         def fingerprint(template: CompiledTemplate) -> str:
@@ -162,15 +190,30 @@ class TestRecycledAddresses:
         expected = {text: fingerprint(CompiledTemplate(text)) for text in texts}
         assert len(set(expected.values())) == len(texts)
         holder = [CompiledTemplate(texts[0])]
+        addresses.reuse(holder[0])
         reused = False
         for round_ in range(200):
             text = texts[round_ % 3]  # never the text just replaced
-            previous = id(holder[0])
-            holder[0] = None  # freed here, so the next one can take its address
+            previous = addresses(holder[0])
+            holder[0] = None
             holder[0] = CompiledTemplate(text)
+            addresses.reuse(holder[0])
             assert fingerprint(holder[0]) == expected[text]
-            reused |= id(holder[0]) == previous
+            reused |= addresses(holder[0]) == previous
         assert reused, "no template took the address of the one it replaced"
+
+    def test_an_object_with_no_content_is_never_cached(self):
+        opaque = object()  # neither a __dict__ nor slots
+        with pytest.raises(_Opaque):
+            _describe(opaque)
+        assert fingerprint_check(pipeline(), runtime={"lock": opaque}) is None
+        cache = CheckCache()
+        for _ in range(2):
+            result = cache.check(pipeline(), runtime={"lock": opaque})
+            assert result.diagnostics == check_pipeline(
+                pipeline(), runtime={"lock": opaque}
+            ).diagnostics
+        assert (cache.hits, cache.misses, len(cache)) == (0, 2, 0)
 
     def test_static_chunk_is_described_by_text_not_memo(self):
         cold, warm = StaticChunk("Answer briefly."), StaticChunk("Answer briefly.")
@@ -196,7 +239,6 @@ class TestRecycledAddresses:
         assert _describe(Child(1, "x")) != _describe(Child(2, "x"))
         assert _describe(Child(1, "x")) != _describe(Child(1, "y"))
         assert "@" not in repr(_describe(CompiledTemplate("a {x} b")))
-        assert "@" in _describe(object())  # no __dict__, no slots: identity
 
     def test_self_recursive_closure_is_described_once(self):
         def build():

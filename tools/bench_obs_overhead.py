@@ -269,6 +269,12 @@ def run_benchmark(
         # either arm) apart from a ledger that got slower (every on rep).
         "host_walls_off_s": [round(wall, 4) for wall in off_walls],
         "host_walls_on_s": [round(wall, 4) for wall in on_walls],
+        # Each repetition's own ledger cost per event (its on minus its
+        # off wall); the gate still reads the min-over-reps walls above.
+        "host_us_per_event_reps": [
+            round((on - off) * 1e6 / event_count, 2) if event_count else 0.0
+            for off, on in zip(off_walls, on_walls)
+        ],
         "series_rows": series_rows,
         "host_overhead_pct": round(host_overhead, 2),
         "host_us_per_event": round(host_delta * 1e6 / event_count, 2)
@@ -344,6 +350,17 @@ def main(argv: list[str] | None = None) -> int:
         f"{result['host_us_per_event']:.1f}µs/event over "
         f"{result['event_count']} events)"
     )
+    for rep, (off, on, per_event) in enumerate(
+        zip(
+            result["host_walls_off_s"],
+            result["host_walls_on_s"],
+            result["host_us_per_event_reps"],
+        )
+    ):
+        print(
+            f"  rep {rep}: {off:.4f}s off / {on:.4f}s on, "
+            f"{per_event:.1f}µs/event"
+        )
     print(
         f"outputs byte-identical; tokens conserved across "
         f"{result['attribution']['prompt_version_buckets']} "
