@@ -12,8 +12,9 @@ Run: ``python examples/clinical_audit.py``
 import tempfile
 from pathlib import Path
 
-from repro import (
+from repro.api import (
     CHECK,
+    BatchRunner,
     Condition,
     ExecutionState,
     GEN,
@@ -21,12 +22,12 @@ from repro import (
     REF,
     RefAction,
     SimulatedLLM,
+    build_run_report,
 )
 from repro.data import make_clinical_corpus
 from repro.eval.metrics import field_completeness
-from repro.runtime.batch import BatchRunner
 from repro.runtime.persistence import load_store, save_store
-from repro.runtime.tracing import render_timeline, summarize_run
+from repro.runtime.tracing import render_timeline
 
 QA_PROMPT = (
     "### Task\n"
@@ -106,22 +107,15 @@ def main() -> None:
         print(f"prompt store persisted to JSON and reloaded "
               f"({path.stat().st_size} bytes), texts identical\n")
 
-    # Introspection: the run summary and the tail of the timeline.
-    summary = summarize_run(base_state.events)
-    operators = summary.pop("operators", {})
-    for kind, stats in sorted(summary.items()):
-        line = f"  {kind}: {int(stats['count'])} events"
-        if stats["latency"]:
-            line += f", {stats['latency']:.1f}s generation latency"
-        print(line)
-    slowest = sorted(
-        operators.items(), key=lambda item: -item[1]["wall_time"]
-    )[:3]
-    for label, stats in slowest:
-        print(
-            f"  {label}: {int(stats['count'])} applications, "
-            f"{stats['wall_time']:.1f}s wall"
-        )
+    # Introspection: the run report's rollups and the tail of the timeline.
+    report = build_run_report(base_state.events, top_k=3)
+    for kind, stats in report.operators.items():
+        wall = stats["wall_seconds"]
+        print(f"  {kind}: {stats['invocations']} applications, "
+              f"{wall['total']:.1f}s wall (p50 {wall['p50']:.2f}s)")
+    for span in report.slowest_spans:
+        print(f"  slowest: {span['operator']} at {span['start']:.1f}s, "
+              f"{span['wall']:.1f}s wall")
     print("\nlast item's timeline:")
     tail = render_timeline(base_state.events).splitlines()[-6:]
     print("\n".join(tail))

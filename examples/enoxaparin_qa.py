@@ -13,7 +13,8 @@ Demonstrates every core operator on a synthetic clinical corpus:
 Run: ``python examples/enoxaparin_qa.py``
 """
 
-from repro import (
+from repro.agents import ValidationAgent
+from repro.api import (
     CHECK,
     Condition,
     DELEGATE,
@@ -25,12 +26,11 @@ from repro import (
     RefAction,
     SimulatedLLM,
     VIEW,
-    verify_replay,
 )
-from repro.agents import ValidationAgent
 from repro.core.history import trace
 from repro.data import make_clinical_corpus
 from repro.retrieval import clinical_sources
+from repro.runtime.replay import verify_replay
 
 
 def build_state(corpus) -> ExecutionState:

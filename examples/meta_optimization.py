@@ -9,7 +9,7 @@ planner packs the best refiners into a token budget for the next run.
 Run: ``python examples/meta_optimization.py``
 """
 
-from repro import ExecutionState, GEN, REF, RefAction, SimulatedLLM
+from repro.api import ExecutionState, GEN, REF, RefAction, SimulatedLLM
 from repro.core.meta import (
     analyze_refiners,
     evolution_summary,

@@ -13,7 +13,7 @@ ready for offline analysis with ``spear stats`` / ``spear trace``.
 import sys
 from pathlib import Path
 
-from repro import (
+from repro.api import (
     CHECK,
     Condition,
     ExecutionState,

@@ -8,8 +8,8 @@ own notation, and delegation — compiled to the identical operator objects.
 Run: ``python examples/spear_dl_demo.py``
 """
 
-from repro import ExecutionState, SimulatedLLM
 from repro.agents import ValidationAgent
+from repro.api import ExecutionState, SimulatedLLM
 from repro.data import make_clinical_corpus
 from repro.dl import compile_source, parse
 from repro.retrieval import clinical_sources

@@ -31,7 +31,14 @@ __all__ = [
     "bound_chunk",
     "render_template",
     "template_placeholders",
+    "PROMPT_BLOCK_START",
+    "PROMPT_BLOCK_END",
 ]
+
+#: Delimiters rewrite meta-prompts use to carry the prompt being rewritten:
+#: ``core.refinement`` writes them and ``llm.tasks`` parses them.
+PROMPT_BLOCK_START = "<<<PROMPT>>>"
+PROMPT_BLOCK_END = "<<<END>>>"
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_.]*)\}")
 

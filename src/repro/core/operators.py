@@ -14,7 +14,6 @@ inside the algebra.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Any, Callable, Collection, Iterable
 
 from repro.core.algebra import Condition, GenCall, Operator, Steps, as_condition
@@ -173,9 +172,11 @@ class GEN(Operator):
     """
 
     #: the last footprint, which an application whose inputs all equal its
-    #: inputs reuses, digest included.  A slot, outside the instance dict:
-    #: a run-time memo is no part of the operator's structural description.
-    __slots__ = ("_footprint",)
+    #: inputs reuses, digest included, and the digest of the constructor
+    #: arguments (which nothing reassigns), made on the first footprint.
+    #: Slots, outside the instance dict: a run-time memo is no part of the
+    #: operator's structural description.
+    __slots__ = ("_footprint", "_identity")
 
     def __init__(
         self,
@@ -191,14 +192,7 @@ class GEN(Operator):
         self.max_tokens = max_tokens
         self.label = f'GEN["{label_key}"]'
         self._footprint: Footprint | None = None
-
-    @cached_property
-    def _identity(self) -> str:
-        # The constructor arguments, which nothing reassigns: hashed once.
-        return stable_digest({
-            "op": "GEN", "label": self.label_key, "prompt": self.prompt_key,
-            "extra": self.extra, "max_tokens": self.max_tokens,
-        })
+        self._identity: str | None = None
 
     def footprint(self, state: ExecutionState) -> Footprint | None:
         """GEN's inputs: its params, the prompt at its version, the context
@@ -241,9 +235,15 @@ class GEN(Operator):
             and last.context_reads == context_reads
         ):
             return last
+        identity = self._identity
+        if identity is None:
+            identity = self._identity = stable_digest({
+                "op": "GEN", "label": self.label_key, "prompt": self.prompt_key,
+                "extra": self.extra, "max_tokens": self.max_tokens,
+            })
         footprint = self._footprint = Footprint(
             operator=self.label,
-            identity=self._identity,
+            identity=identity,
             model_key=model_key,
             prompt_deps=prompt_deps,
             context_reads=context_reads,

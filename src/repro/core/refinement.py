@@ -19,11 +19,15 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.algebra import Condition, Operator
-from repro.core.entry import RefAction, RefinementMode
+from repro.core.entry import (
+    PROMPT_BLOCK_END,
+    PROMPT_BLOCK_START,
+    RefAction,
+    RefinementMode,
+)
 from repro.core.operators import CHECK, REF
 from repro.core.state import ExecutionState
 from repro.errors import RefinementError
-from repro.llm.tasks import PROMPT_BLOCK_END, PROMPT_BLOCK_START
 
 __all__ = [
     "manual_refinement",

@@ -4,7 +4,7 @@
 interface the SPEAR runtime consumes:
 
 - tokenizes the prompt and consults the radix prefix cache (SGLang
-  RadixAttention-style; the legacy vLLM hash-chain tier is pluggable);
+  RadixAttention-style);
 - routes and executes the task via :class:`~repro.llm.tasks.TaskEngine`;
 - charges modelled latency to a virtual clock;
 - returns a :class:`GenerationResult` carrying text, token accounting,
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import ModelError, TokenBudgetExceededError
-from repro.llm.kv_cache import BlockPrefixCache
 from repro.llm.latency import LatencyBreakdown, estimate_latency
 from repro.llm.radix_cache import RadixPrefixCache
 from repro.llm.profiles import DEFAULT_PROFILE, ModelProfile, get_profile
@@ -60,7 +59,7 @@ class SimulatedLLM:
         profile: str | ModelProfile = DEFAULT_PROFILE,
         *,
         clock: VirtualClock | None = None,
-        kv_cache: "RadixPrefixCache | BlockPrefixCache | None" = None,
+        kv_cache: RadixPrefixCache | None = None,
         enable_prefix_cache: bool = True,
         fault_plan: Any = None,
     ) -> None:
@@ -73,9 +72,6 @@ class SimulatedLLM:
         #: means every call succeeds, exactly as before.
         self.fault_plan = fault_plan
         self.tokenizer = Tokenizer()
-        # Radix-tree prefix index by default (SGLang RadixAttention
-        # structure); pass a BlockPrefixCache explicitly for the legacy
-        # vLLM hash-chain behaviour (the two are accounting-compatible).
         self.kv_cache = kv_cache if kv_cache is not None else RadixPrefixCache()
         self.enable_prefix_cache = enable_prefix_cache
         self.engine = TaskEngine(self.profile)

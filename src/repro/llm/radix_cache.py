@@ -1,17 +1,19 @@
 """Radix-tree prefix cache, modelled on SGLang RadixAttention.
 
-:class:`~repro.llm.kv_cache.BlockPrefixCache` reproduces vLLM's
-hash-chained scheme: a flat LRU set of chain hashes, one per block, where
-a block is reusable only when its entire prefix matched.  That flat view
-has a structural flaw under eviction pressure — **orphaned descendants**.
-LRU evicts the globally coldest *hash*, which may be a mid-chain parent;
-every deeper block of that chain stays resident (it has its own hash
-entry) but can never be matched again, because a prefix walk stops at the
-first missing block.  The stranded blocks occupy capacity until they age
-out on their own, evicting useful entries in the meantime.
+The simulated model's one KV tier.  It stands in for vLLM automatic
+prefix caching (paper ref [16]): a prompt's token sequence is split into
+fixed-size blocks, a block is reusable only when its entire prefix
+matched, and the "Cache Hit (%)" column of the paper's Table 3 is
+``cached_tokens / prompt_tokens`` over all GEN calls.  vLLM keeps the
+blocks as a flat LRU set of chain hashes, which under eviction pressure
+strands **orphaned descendants**: LRU may evict a mid-chain parent while
+every deeper block stays resident but unreachable.  Given the same insert
+history and no eviction pressure, this tier reports the chain scheme's
+numbers call for call; it only pulls ahead when capacity forces eviction
+decisions.
 
-:class:`RadixPrefixCache` stores the same block-aligned prefixes as a
-radix tree over token blocks instead:
+:class:`RadixPrefixCache` stores the block-aligned prefixes as a radix
+tree over token blocks:
 
 - **token-block nodes** — each node is one ``block_size``-token block;
   a root-to-node path is a cached prefix, and divergent suffixes share
@@ -28,25 +30,38 @@ radix tree over token blocks instead:
   matching :meth:`unpin`; the continuous scheduler pins the trunks of
   admitted-but-unexecuted requests so an earlier step member's insert
   cannot evict a later member's matched prefix mid-step.
-
-The accounting contract (:class:`~repro.llm.kv_cache.CacheStats`, the
-``snapshot()`` keys, and the hit/miss-per-walk semantics) is a strict
-superset of ``BlockPrefixCache``'s, so the model, the obs gauges, and
-Table 3's "Cache Hit (%)" column read identically over either tier.
-Given the same insert history and no eviction pressure the two caches
-match byte-for-byte call-for-call — the radix tree only pulls ahead when
-capacity forces eviction decisions.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.llm.kv_cache import _DEFAULT_BLOCK, _DEFAULT_CAPACITY, CacheStats
+__all__ = ["CacheStats", "RadixPrefixCache"]
 
-__all__ = ["RadixPrefixCache"]
+_DEFAULT_BLOCK = 16
+_DEFAULT_CAPACITY = 65536  # blocks
+
+
+@dataclass
+class CacheStats:
+    """Aggregate accounting across all lookups."""
+
+    lookups: int = 0
+    prompt_tokens: int = 0
+    cached_tokens: int = 0
+    block_hits: int = 0
+    block_misses: int = 0
+    evictions: int = 0
+
+    @property
+    def hit_rate(self) -> float:
+        """Token-level hit rate (the paper's Cache Hit %)."""
+        if self.prompt_tokens == 0:
+            return 0.0
+        return self.cached_tokens / self.prompt_tokens
 
 
 class _RadixNode:
@@ -71,13 +86,11 @@ class _RadixNode:
 class RadixPrefixCache:
     """Radix-tree prefix cache with pinning and leaf-first LRU eviction.
 
-    Drop-in for :class:`~repro.llm.kv_cache.BlockPrefixCache`: same
-    constructor signature, same ``match_prefix`` / ``insert`` /
-    ``lookup_and_insert`` / ``snapshot`` / ``clear`` contract and stats
-    semantics, plus :meth:`pin` / :meth:`unpin` for scheduler trunk
-    protection.  Thread-safe under one reentrant lock, like the chain
-    cache: lookups, inserts, pins, and snapshots from concurrent worker
-    threads are atomic.
+    ``match_prefix`` / ``insert`` / ``lookup_and_insert`` account each
+    lookup in :class:`CacheStats`; :meth:`pin` / :meth:`unpin` protect
+    scheduler trunks.  Thread-safe under one reentrant lock: lookups,
+    inserts, pins, and snapshots from concurrent worker threads are
+    atomic.
     """
 
     def __init__(
@@ -178,14 +191,14 @@ class RadixPrefixCache:
             self._leaves.add(parent)
             self._queue(parent)
 
-    # -- the BlockPrefixCache contract ---------------------------------------
+    # -- lookups and inserts ------------------------------------------------
 
     def match_prefix(self, tokens: Sequence[int]) -> int:
         """Number of leading tokens of ``tokens`` served from cache.
 
         Walks the tree from the root; stops at the first block with no
-        resident node (identical semantics to the chain walk: a block is
-        reusable only when its whole prefix matched).  Updates stats and
+        resident node (a block is reusable only when its whole prefix
+        matched).  Updates stats and
         LRU recency on the matched path.
         """
         with self._lock:
@@ -288,7 +301,7 @@ class RadixPrefixCache:
     # -- introspection -------------------------------------------------------
 
     def snapshot(self) -> dict[str, float]:
-        """Point-in-time statistics (superset of the chain cache's keys)."""
+        """Point-in-time statistics for gauges and reports (atomic)."""
         with self._lock:
             return {
                 "blocks": self._size,
@@ -301,7 +314,6 @@ class RadixPrefixCache:
                 "block_misses": self.stats.block_misses,
                 "evictions": self.stats.evictions,
                 "hit_rate": self.stats.hit_rate,
-                # radix-only extras
                 "nodes": self._size,
                 "leaves": len(self._leaves),
                 "pinned_blocks": self._pinned_nodes,

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.entry import RenderedPrompt
+from repro.core.entry import PROMPT_BLOCK_END, PROMPT_BLOCK_START, RenderedPrompt
 from repro.data.clinical import ClinicalCorpus, Patient
 from repro.data.tweets import Tweet, TweetCorpus
 from repro.data import vocab
@@ -35,10 +35,6 @@ from repro.llm.profiles import ModelProfile
 from repro.llm.quality import confidence_for, error_rate, item_rng, noisy_bool
 
 __all__ = ["TaskOutput", "TaskEngine", "route_task"]
-
-#: Delimiters used by rewrite meta-prompts to carry structured payloads.
-PROMPT_BLOCK_START = "<<<PROMPT>>>"
-PROMPT_BLOCK_END = "<<<END>>>"
 
 #: Section marker used by fused multi-GEN prompts (paper §5: fusing
 #: adjacent GENs that share context into one call).  The engine answers

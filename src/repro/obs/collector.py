@@ -210,24 +210,21 @@ class ObsCollector:
                 "spear_kv_cache_evictions_total",
                 "Blocks evicted from the prefix cache.", model=label,
             ).set_function(lambda: float(kv.stats.evictions))
-            if hasattr(kv, "pin"):
-                # Radix-tree tier only: structural gauges over the tree.
-                gauges.gauge(
-                    "spear_prefix_cache_nodes",
-                    "Token-block nodes resident in the radix prefix tree.",
-                    model=label,
-                ).set_function(lambda: float(kv.snapshot()["nodes"]))
-                gauges.gauge(
-                    "spear_prefix_cache_leaves",
-                    "Leaf nodes of the radix prefix tree "
-                    "(the eviction frontier).",
-                    model=label,
-                ).set_function(lambda: float(kv.snapshot()["leaves"]))
-                gauges.gauge(
-                    "spear_prefix_cache_pinned_blocks",
-                    "Radix nodes pinned against eviction by the scheduler.",
-                    model=label,
-                ).set_function(lambda: float(kv.snapshot()["pinned_blocks"]))
+            gauges.gauge(
+                "spear_prefix_cache_nodes",
+                "Token-block nodes resident in the radix prefix tree.",
+                model=label,
+            ).set_function(lambda: float(kv.snapshot()["nodes"]))
+            gauges.gauge(
+                "spear_prefix_cache_leaves",
+                "Leaf nodes of the radix prefix tree (the eviction frontier).",
+                model=label,
+            ).set_function(lambda: float(kv.snapshot()["leaves"]))
+            gauges.gauge(
+                "spear_prefix_cache_pinned_blocks",
+                "Radix nodes pinned against eviction by the scheduler.",
+                model=label,
+            ).set_function(lambda: float(kv.snapshot()["pinned_blocks"]))
         if hasattr(model, "add_listener"):
             model.add_listener(
                 lambda result: self.on_generation(result, model=label)

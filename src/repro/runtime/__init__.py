@@ -20,9 +20,7 @@ from repro.runtime.replay import ReplayStep, export_replay_log, replay, verify_r
 from repro.runtime.tracing import (
     export_events,
     import_events,
-    operator_wall_times,
     render_timeline,
-    summarize_run,
 )
 from repro.runtime.shadow import ShadowReport, compare_states, shadow_run
 
@@ -55,8 +53,6 @@ __all__ = [
     "store_from_dict",
     "store_to_dict",
     "render_timeline",
-    "summarize_run",
-    "operator_wall_times",
     "export_events",
     "import_events",
     "ReplayStep",

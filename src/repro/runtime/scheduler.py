@@ -493,9 +493,6 @@ class GenScheduler:
         deadline = request.deadline if request.deadline is not None else float("inf")
         return (request.priority_rank, deadline, request.arrival, request.lane_id)
 
-    def _block_size(self) -> int:
-        return int(getattr(self.model.kv_cache, "block_size", 16))
-
     def _trunk_key(self, request: _Request) -> tuple:
         """Deterministic shared-trunk grouping key of one request.
 
@@ -506,7 +503,7 @@ class GenScheduler:
         a bulk request can never ride an interactive group past other
         interactive work.
         """
-        span = self.config.prefix_group_blocks * self._block_size()
+        span = self.config.prefix_group_blocks * self.model.kv_cache.block_size
         tokens = request.tokens or []
         if len(tokens) < span:
             return ("solo", request.lane_id)
@@ -549,7 +546,7 @@ class GenScheduler:
         """
         if not self.config.prefix_dedup or len(admitted) < 2:
             return [0] * len(admitted)
-        block_size = self._block_size()
+        block_size = self.model.kv_cache.block_size
         trie: dict = {}
         dedup: list[int] = []
         for index, request in enumerate(admitted):
@@ -643,18 +640,14 @@ class GenScheduler:
     ) -> None:
         model = self.model
         # Pin the admitted trunks so an earlier member's insert can never
-        # evict a later member's matched prefix mid-step (radix cache
-        # only; the legacy chain cache has no pin surface).
+        # evict a later member's matched prefix mid-step.
         kv = model.kv_cache
-        pins = None
-        if hasattr(kv, "pin"):
-            pins = [kv.pin(request.tokens or []) for request in admitted]
+        pins = [kv.pin(request.tokens or []) for request in admitted]
         try:
             ran, triples, outputs = self._execute(admitted)
         finally:
-            if pins is not None:
-                for handle in pins:
-                    kv.unpin(handle)
+            for handle in pins:
+                kv.unpin(handle)
         for request in admitted:
             if request.done:  # its lookup or task raised: the error is its result
                 self._complete(request)

@@ -6,7 +6,11 @@ pipeline wants:
 
 - :func:`render_timeline` — one line per semantic event, indented by
   operator nesting, with timestamps and key payload fields;
-- :func:`summarize_run` — aggregate counts and latency per operator kind.
+- :func:`export_events` / :func:`import_events` — the JSONL event codec
+  the run ledger and the trace CLI read with.
+
+Per-operator rollups (counts, wall time, unclosed spans) come from the
+span tree in :mod:`repro.obs` (:func:`repro.obs.build_run_report`).
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from repro.runtime.events import Event, EventKind, EventLog
 
 __all__ = [
     "render_timeline",
-    "summarize_run",
-    "operator_wall_times",
     "export_events",
     "import_events",
 ]
@@ -250,61 +252,3 @@ def import_events(path: str | Path) -> EventLog:
     if len(log) == 0:
         raise SpearError(f"{source}: trace file contains no events")
     return log
-
-
-def operator_wall_times(log: EventLog) -> dict[str, dict[str, float]]:
-    """Per-operator wall time derived from START/END lifecycle pairs.
-
-    Pairs are matched per operator label (LIFO, so re-entrant operators
-    accumulate correctly).  Unbalanced logs are handled gracefully:
-    an END without a START is ignored, and a START never closed counts
-    toward ``unclosed`` without contributing wall time.
-    """
-    open_starts: dict[str, list[float]] = {}
-    stats: dict[str, dict[str, float]] = {}
-    for event in log:
-        if event.kind in _OPENERS:
-            open_starts.setdefault(event.operator, []).append(event.at)
-        elif event.kind in _CLOSERS:
-            starts = open_starts.get(event.operator)
-            if not starts:
-                continue  # unbalanced: END with no matching START
-            started = starts.pop()
-            bucket = stats.setdefault(
-                event.operator, {"count": 0, "wall_time": 0.0, "unclosed": 0}
-            )
-            bucket["count"] += 1
-            bucket["wall_time"] += max(event.at - started, 0.0)
-    for operator, starts in open_starts.items():
-        if starts:  # unbalanced: STARTs never closed
-            bucket = stats.setdefault(
-                operator, {"count": 0, "wall_time": 0.0, "unclosed": 0}
-            )
-            bucket["unclosed"] += len(starts)
-    return stats
-
-
-def summarize_run(log: EventLog) -> dict[str, dict[str, float]]:
-    """Aggregate per-kind counts / latency plus per-operator wall time.
-
-    Semantic events land in per-kind buckets (``count`` and, where the
-    payload carries one, summed ``latency``).  Lifecycle events are not
-    counted as a kind, but their START/END pairs are distilled into the
-    ``"operators"`` entry: per-operator-label ``count``, ``wall_time``,
-    and ``unclosed`` (starts with no matching end in a truncated log).
-    """
-    summary: dict[str, dict[str, float]] = {}
-    for event in log:
-        if event.kind in _OPENERS or event.kind in _CLOSERS:
-            continue
-        bucket = summary.setdefault(
-            event.kind.value, {"count": 0, "latency": 0.0}
-        )
-        bucket["count"] += 1
-        latency = event.payload.get("latency")
-        if isinstance(latency, (int, float)):
-            bucket["latency"] += float(latency)
-    walls = operator_wall_times(log)
-    if walls:
-        summary["operators"] = walls  # type: ignore[assignment]
-    return summary

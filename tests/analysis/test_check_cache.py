@@ -32,6 +32,7 @@ from repro.llm.model import SimulatedLLM
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.executor import Executor
 from repro.runtime.options import RuntimeOptions
+from repro.runtime.result_cache import ResultCache
 
 
 def pipeline(text: str = "Answer briefly. ") -> Pipeline:
@@ -393,6 +394,29 @@ class TestCachedCheckState:
         executor.run(target)
         cached_check_state(target, state, cache=cache)
         assert (cache.hits, cache.misses) == (2, 1)
+
+    def test_gen_pipeline_still_hits_after_a_cached_run(self):
+        """A GEN's footprint memos are no part of its description: a
+        pipeline re-walked after its GENs ran under a result cache hits."""
+        executor = Executor(
+            options=RuntimeOptions(
+                model=SimulatedLLM(
+                    "qwen2.5-7b-instruct", enable_prefix_cache=False
+                ),
+                result_cache=ResultCache(),
+            )
+        )
+        state = executor.new_state()
+        state.prompts.create("qa", "Answer briefly. ")
+        gen = GEN("answer", prompt="qa")
+        before = repr(_describe(Pipeline([gen]), 0, {}))
+        cache = CheckCache()
+        cached_check_state(Pipeline([gen]), state, cache=cache)
+        executor.run(Pipeline([gen]), state=state.fork())
+        assert gen._footprint is not None  # the run took a footprint
+        assert repr(_describe(Pipeline([gen]), 0, {})) == before
+        cached_check_state(Pipeline([gen]), state, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ from repro.data.clinical import make_clinical_corpus
 from repro.data.tweets import make_tweet_corpus
 from repro.eval.metrics import prf_from_sets
 from repro.experiments.common import build_views, compose_item_prompt
-from repro.llm.kv_cache import BlockPrefixCache
 from repro.llm.model import SimulatedLLM
 from repro.llm.packing import Fragment, pack_fragments
 from repro.llm.profiles import get_profile
+from repro.llm.radix_cache import RadixPrefixCache
 from repro.llm.tokenizer import Tokenizer
 from repro.optimizer.gen_fusion import FusedGen
 from repro.optimizer.planner import CandidateRefiner, RefinementPlanner
@@ -376,7 +376,7 @@ def test_prefix_cache_is_a_large_share_of_stage_latency():
 
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
 def test_block_size_keeps_hit_rate(block_size):
-    llm = SimulatedLLM(kv_cache=BlockPrefixCache(block_size=block_size))
+    llm = SimulatedLLM(kv_cache=RadixPrefixCache(block_size=block_size))
     __, hit_rate = _filter_stage(llm)
     assert hit_rate > 0.5
 
@@ -384,7 +384,7 @@ def test_block_size_keeps_hit_rate(block_size):
 def test_hit_rate_falls_as_blocks_coarsen():
     """Smaller blocks waste less of the shared prefix to quantization."""
     rates = [
-        _filter_stage(SimulatedLLM(kv_cache=BlockPrefixCache(block_size=size)))[1]
+        _filter_stage(SimulatedLLM(kv_cache=RadixPrefixCache(block_size=size)))[1]
         for size in BLOCK_SIZES
     ]
     assert rates[0] >= rates[1] >= rates[2]

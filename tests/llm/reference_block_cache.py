@@ -1,15 +1,15 @@
-"""Block-level prefix cache, modelled on vLLM automatic prefix caching.
+"""vLLM's hash-chained block prefix cache, kept as a test oracle.
 
-vLLM's scheme (paper ref [16]): the token sequence of a prompt is split
-into fixed-size blocks; each block is identified by the hash of *all*
-tokens up to and including it (a hash chain), so a block is reusable only
-when the entire prefix before it matches.  On a new request, the scheduler
-walks the chain and reuses the longest cached prefix; the remaining tokens
-pay full prefill cost.
-
-This module reproduces that algorithm exactly (with LRU eviction) and
-exposes hit/miss accounting — the "Cache Hit (%)" column of the paper's
-Table 3 is ``cached_tokens / prompt_tokens`` over all GEN calls.
+vLLM automatic prefix caching (paper ref [16]) splits a prompt's token
+sequence into fixed-size blocks; each block is identified by the hash of
+*all* tokens up to and including it (a hash chain), so a block is
+reusable only when the entire prefix before it matches.  The chain hashes
+live in one flat LRU set.  :class:`BlockPrefixCache` reproduces that
+algorithm exactly; the radix tests check that
+:class:`~repro.llm.radix_cache.RadixPrefixCache` reports the same numbers
+call for call when capacity never forces an eviction, and that it keeps
+more reachable blocks when it does.  It lives under ``tests/`` only and
+nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -17,31 +17,8 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
 
-__all__ = ["BlockPrefixCache", "CacheStats"]
-
-_DEFAULT_BLOCK = 16
-_DEFAULT_CAPACITY = 65536  # blocks
-
-
-@dataclass
-class CacheStats:
-    """Aggregate accounting across all lookups."""
-
-    lookups: int = 0
-    prompt_tokens: int = 0
-    cached_tokens: int = 0
-    block_hits: int = 0
-    block_misses: int = 0
-    evictions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Token-level hit rate (the paper's Cache Hit %)."""
-        if self.prompt_tokens == 0:
-            return 0.0
-        return self.cached_tokens / self.prompt_tokens
+from repro.llm.radix_cache import _DEFAULT_BLOCK, _DEFAULT_CAPACITY, CacheStats
 
 
 def _chain_hash(prev: int, block: tuple[int, ...]) -> int:

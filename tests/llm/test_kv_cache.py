@@ -1,11 +1,11 @@
-"""Tests for the vLLM-style block prefix cache."""
+"""Tests for the vLLM-style block prefix cache the radix tests use as oracle."""
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.llm.kv_cache import BlockPrefixCache
+from tests.llm.reference_block_cache import BlockPrefixCache
 
 tokens_strategy = st.lists(
     st.integers(min_value=0, max_value=2**32 - 1), max_size=120

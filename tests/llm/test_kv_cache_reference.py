@@ -10,7 +10,7 @@ this is the strongest correctness statement about the hash-chain scheme.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.llm.kv_cache import BlockPrefixCache
+from tests.llm.reference_block_cache import BlockPrefixCache
 
 BLOCK = 4
 

@@ -1,7 +1,8 @@
 """Tests for the radix-tree prefix cache and its chain-cache parity.
 
-Covers the drop-in contract (same semantics as ``BlockPrefixCache`` on
-the no-eviction path), the structural fix (leaf-first eviction cannot
+Covers the chain oracle's contract (same semantics as the reference
+``BlockPrefixCache`` in ``reference_block_cache.py`` on the no-eviction
+path), the structural fix (leaf-first eviction cannot
 strand orphaned descendants), pinning, and property-based parity:
 call-for-call the radix cache serves at least the chain cache's tokens.
 """
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.llm.kv_cache import BlockPrefixCache
 from repro.llm.model import SimulatedLLM
 from repro.llm.radix_cache import RadixPrefixCache
+from tests.llm.reference_block_cache import BlockPrefixCache
 from tests.runtime import table3_workload as table3
 from tests.runtime.reference_dedup import shared_prefix_tokens
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import (
     SpanBuilder,
+    build_run_report,
     build_span_tree,
     iter_spans,
     render_span_tree,
@@ -98,6 +99,32 @@ class TestMalformedLogs:
 
     def test_empty_log(self):
         assert build_span_tree(EventLog()) == []
+
+    def test_unmatched_end_then_start_never_closed(self):
+        log = EventLog()
+        log.emit(EventKind.OPERATOR_END, "ghost", at=1.0)
+        log.emit(EventKind.OPERATOR_START, "truncated", at=2.0)
+        (span,) = build_span_tree(log)
+        assert span.operator == "truncated"
+        assert not span.complete
+        # The operator rollup counts the START and times no application.
+        operators = build_run_report(log).operators
+        assert "ghost" not in operators
+        assert operators["truncated"]["invocations"] == 1
+        assert operators["truncated"]["wall_seconds"]["count"] == 0
+
+    def test_reentrant_operator_nests(self):
+        log = EventLog()
+        log.emit(EventKind.OPERATOR_START, "A", at=0.0)
+        log.emit(EventKind.OPERATOR_START, "A", at=1.0)
+        log.emit(EventKind.OPERATOR_END, "A", at=2.0)
+        log.emit(EventKind.OPERATOR_END, "A", at=4.0)
+        (outer,) = build_span_tree(log)
+        (inner,) = outer.children
+        assert (outer.wall, inner.wall) == (4.0, 1.0)
+        # Inner pair (1→2) + outer pair (0→4).
+        wall = build_run_report(log).operators["A"]["wall_seconds"]
+        assert (wall["count"], wall["total"]) == (2, 5.0)
 
 
 class TestHelpers:

@@ -556,25 +556,6 @@ class TestPrefixAware:
         assert snapshot["pinned_blocks"] == 0
         assert snapshot["blocks"] > 0
 
-    def test_legacy_chain_cache_still_works(self):
-        from repro.llm.kv_cache import BlockPrefixCache
-
-        llm = SimulatedLLM(
-            "qwen2.5-7b-instruct", kv_cache=BlockPrefixCache()
-        )
-        corpus = make_tweet_corpus(8, seed=7)
-        llm.bind_tweets(corpus)
-        state = ExecutionState(model=llm, clock=llm.clock)
-        state.prompts.create("map", LONG_MAP_PROMPT)
-        runner = ParallelBatchRunner(state, bind=_bind_tweet, workers=4)
-        batch = runner.run(
-            Pipeline([GEN("summary", prompt="map")]), items=list(corpus)
-        )
-        assert all(r.context.get("summary") for r in batch.items)
-        # No pin() on the chain tier: the scheduler degrades gracefully
-        # but dedup pricing still applies (it needs only token overlap).
-        assert runner.last_batcher.dedup_tokens_total > 0
-
     def test_prefix_composition_deterministic(self):
         traces = []
         for _ in range(2):
