@@ -15,7 +15,6 @@ Everything is deterministic given (profile, bound corpora, prompt).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -75,10 +74,7 @@ class SimulatedLLM:
         self.kv_cache = kv_cache if kv_cache is not None else RadixPrefixCache()
         self.enable_prefix_cache = enable_prefix_cache
         self.engine = TaskEngine(self.profile)
-        # aggregate accounting across all calls; guarded by ``_lock`` so
-        # concurrent worker threads (the serving layer's pool) never
-        # lose an increment or drop a listener notification.
-        self._lock = threading.RLock()
+        # aggregate accounting across all calls.
         self.calls = 0
         self.total_latency = 0.0
         self.total_prompt_tokens = 0
@@ -123,19 +119,17 @@ class SimulatedLLM:
 
     def add_listener(self, listener: Callable[[GenerationResult], None]) -> None:
         """Call ``listener`` with every future :class:`GenerationResult`."""
-        with self._lock:
-            self._listeners.append(listener)
+        self._listeners.append(listener)
 
     def remove_listener(
         self, listener: Callable[[GenerationResult], None]
     ) -> bool:
         """Detach a listener; returns False when it was not registered."""
-        with self._lock:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                return False
-            return True
+        try:
+            self._listeners.remove(listener)
+        except ValueError:
+            return False
+        return True
 
     # -- generation -----------------------------------------------------------
     #
@@ -222,21 +216,16 @@ class SimulatedLLM:
 
     def record_result(self, result: GenerationResult) -> None:
         """Fold one result into the aggregate counters and notify listeners."""
-        with self._lock:
-            self.calls += 1
-            self.total_latency += result.latency.total
-            self.total_prompt_tokens += result.prompt_tokens
-            self.total_cached_tokens += result.cached_tokens
-            self.total_output_tokens += result.output_tokens
-            listeners = list(self._listeners)
-        for listener in listeners:
+        self.calls += 1
+        self.total_latency += result.latency.total
+        self.total_prompt_tokens += result.prompt_tokens
+        self.total_cached_tokens += result.cached_tokens
+        self.total_output_tokens += result.output_tokens
+        for listener in list(self._listeners):
             try:
                 listener(result)
             except Exception as error:  # noqa: BLE001 - observers must not break serving
-                with self._lock:
-                    self.listener_errors.append(
-                        f"{type(error).__name__}: {error}"
-                    )
+                self.listener_errors.append(f"{type(error).__name__}: {error}")
 
     def inject_fault(
         self,
@@ -388,33 +377,31 @@ class SimulatedLLM:
         return self.total_cached_tokens / self.total_prompt_tokens
 
     def snapshot(self) -> dict[str, Any]:
-        """Point-in-time accounting for gauges and reports (atomic)."""
-        with self._lock:
-            return {
-                "profile": self.profile.name,
-                "calls": self.calls,
-                "total_latency": self.total_latency,
-                "total_prompt_tokens": self.total_prompt_tokens,
-                "total_cached_tokens": self.total_cached_tokens,
-                "total_output_tokens": self.total_output_tokens,
-                "overall_cache_hit_rate": self.overall_cache_hit_rate,
-                "kv_cache": self.kv_cache.snapshot(),
-                "faults": (
-                    self.fault_plan.snapshot()
-                    if self.fault_plan is not None
-                    and hasattr(self.fault_plan, "snapshot")
-                    else None
-                ),
-            }
+        """Point-in-time accounting for gauges and reports."""
+        return {
+            "profile": self.profile.name,
+            "calls": self.calls,
+            "total_latency": self.total_latency,
+            "total_prompt_tokens": self.total_prompt_tokens,
+            "total_cached_tokens": self.total_cached_tokens,
+            "total_output_tokens": self.total_output_tokens,
+            "overall_cache_hit_rate": self.overall_cache_hit_rate,
+            "kv_cache": self.kv_cache.snapshot(),
+            "faults": (
+                self.fault_plan.snapshot()
+                if self.fault_plan is not None
+                and hasattr(self.fault_plan, "snapshot")
+                else None
+            ),
+        }
 
     def reset_stats(self, *, clear_cache: bool = False) -> None:
         """Zero the aggregate counters (and optionally drop the caches)."""
-        with self._lock:
-            self.calls = 0
-            self.total_latency = 0.0
-            self.total_prompt_tokens = 0
-            self.total_cached_tokens = 0
-            self.total_output_tokens = 0
+        self.calls = 0
+        self.total_latency = 0.0
+        self.total_prompt_tokens = 0
+        self.total_cached_tokens = 0
+        self.total_output_tokens = 0
         if clear_cache:
             self.kv_cache.clear()
 

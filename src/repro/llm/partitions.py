@@ -11,7 +11,6 @@ prefixing, so a lookup physically cannot hit another tenant's entries.
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
 from repro.llm.radix_cache import RadixPrefixCache
@@ -48,8 +47,6 @@ class CachePartitions:
     The serving layer asks for ``partitions.get(tenant)`` when building a
     tenant's model; two distinct namespaces always receive distinct cache
     objects, so cross-tenant KV sharing is structurally impossible.
-    Thread-safe: concurrent first requests for the same namespace resolve
-    to one partition.
     """
 
     def __init__(
@@ -61,33 +58,30 @@ class CachePartitions:
         self.block_size = block_size
         self.capacity_blocks = capacity_blocks
         self._partitions: dict[str, CachePartition] = {}
-        self._lock = threading.Lock()
 
     def get(self, namespace: str) -> CachePartition:
         """The namespace's partition, created on first use."""
         if not namespace:
             raise ValueError("namespace must be non-empty")
-        with self._lock:
-            partition = self._partitions.get(namespace)
-            if partition is None:
-                partition = CachePartition(
-                    namespace,
-                    block_size=self.block_size,
-                    capacity_blocks=self.capacity_blocks,
-                )
-                self._partitions[namespace] = partition
-            return partition
+        partition = self._partitions.get(namespace)
+        if partition is None:
+            partition = CachePartition(
+                namespace,
+                block_size=self.block_size,
+                capacity_blocks=self.capacity_blocks,
+            )
+            self._partitions[namespace] = partition
+        return partition
 
     def namespaces(self) -> list[str]:
         """All namespaces with a live partition, in creation order."""
-        with self._lock:
-            return list(self._partitions)
+        return list(self._partitions)
 
     def snapshot(self) -> dict[str, Any]:
         """Per-namespace snapshots plus aggregate hit accounting."""
-        with self._lock:
-            partitions = list(self._partitions.values())
-        per_namespace = {p.namespace: p.snapshot() for p in partitions}
+        per_namespace = {
+            p.namespace: p.snapshot() for p in self._partitions.values()
+        }
         total_cached = sum(
             s["kv_cache"].get("cached_tokens", 0.0)
             for s in per_namespace.values()

@@ -35,7 +35,6 @@ tree over token blocks:
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -88,9 +87,7 @@ class RadixPrefixCache:
 
     ``match_prefix`` / ``insert`` / ``lookup_and_insert`` account each
     lookup in :class:`CacheStats`; :meth:`pin` / :meth:`unpin` protect
-    scheduler trunks.  Thread-safe under one reentrant lock: lookups,
-    inserts, pins, and snapshots from concurrent worker threads are
-    atomic.
+    scheduler trunks.
     """
 
     def __init__(
@@ -115,7 +112,6 @@ class RadixPrefixCache:
         self._pinned_nodes = 0
         self._tick = 0
         self.stats = CacheStats()
-        self._lock = threading.RLock()
 
     # -- internals -----------------------------------------------------------
 
@@ -145,7 +141,7 @@ class RadixPrefixCache:
             node = child
         return path
 
-    def _evict_locked(self) -> None:
+    def _evict_to_capacity(self) -> None:
         """Reclaim coldest unpinned leaves until within capacity.
 
         Bottom-up by construction: a node is only a candidate once all
@@ -201,11 +197,10 @@ class RadixPrefixCache:
         matched).  Updates stats and
         LRU recency on the matched path.
         """
-        with self._lock:
-            path = self._walk(tokens)
-            for node in path:
-                self._touch(node)
-            return self._count_lookup(tokens, len(path))
+        path = self._walk(tokens)
+        for node in path:
+            self._touch(node)
+        return self._count_lookup(tokens, len(path))
 
     def _count_lookup(self, tokens: Sequence[int], matched: int) -> int:
         """Record one lookup that matched ``matched`` blocks; returns tokens."""
@@ -218,7 +213,7 @@ class RadixPrefixCache:
         self.stats.cached_tokens += cached
         return cached
 
-    def _insert_locked(self, tokens: Sequence[int]) -> tuple[int, int]:
+    def _insert(self, tokens: Sequence[int]) -> tuple[int, int]:
         """Cache every complete block of ``tokens`` in one descent.
 
         Returns ``(matched, added)``: the blocks already resident on the
@@ -244,13 +239,12 @@ class RadixPrefixCache:
             node = child
         if added:  # the path ends in a node made just now: a new leaf
             self._queue(node)
-        self._evict_locked()
+        self._evict_to_capacity()
         return matched, added
 
     def insert(self, tokens: Sequence[int]) -> int:
         """Cache every complete block of ``tokens``; returns blocks added."""
-        with self._lock:
-            return self._insert_locked(tokens)[1]
+        return self._insert(tokens)[1]
 
     def lookup_and_insert(self, tokens: Sequence[int]) -> int:
         """The per-request path: match the prefix, then cache the prompt.
@@ -260,8 +254,7 @@ class RadixPrefixCache:
         ever compare with each other, and the relative order of every
         stamp is the one the two walks would leave).
         """
-        with self._lock:
-            return self._count_lookup(tokens, self._insert_locked(tokens)[0])
+        return self._count_lookup(tokens, self._insert(tokens)[0])
 
     # -- pinning -------------------------------------------------------------
 
@@ -275,13 +268,12 @@ class RadixPrefixCache:
         matter how cold they go.  Pinning a sequence with no resident
         prefix returns an empty handle; unpinning it is a no-op.
         """
-        with self._lock:
-            path = self._walk(tokens)
-            for node in path:
-                if node.pins == 0:
-                    self._pinned_nodes += 1
-                node.pins += 1
-            return tuple(path)
+        path = self._walk(tokens)
+        for node in path:
+            if node.pins == 0:
+                self._pinned_nodes += 1
+            node.pins += 1
+        return tuple(path)
 
     def unpin(self, handle: tuple[_RadixNode, ...]) -> None:
         """Release a :meth:`pin` reference; over-release raises.
@@ -289,47 +281,43 @@ class RadixPrefixCache:
         The whole handle is checked first: a double release must not
         drop another holder's pin on a shared trunk before it fails.
         """
-        with self._lock:
-            if any(node.pins <= 0 for node in handle):
-                raise ValueError("unpin without a matching pin")
-            for node in handle:
-                node.pins -= 1
-                if node.pins == 0:
-                    self._pinned_nodes -= 1
-            self._evict_locked()
+        if any(node.pins <= 0 for node in handle):
+            raise ValueError("unpin without a matching pin")
+        for node in handle:
+            node.pins -= 1
+            if node.pins == 0:
+                self._pinned_nodes -= 1
+        self._evict_to_capacity()
 
     # -- introspection -------------------------------------------------------
 
     def snapshot(self) -> dict[str, float]:
-        """Point-in-time statistics for gauges and reports (atomic)."""
-        with self._lock:
-            return {
-                "blocks": self._size,
-                "capacity_blocks": self.capacity_blocks,
-                "block_size": self.block_size,
-                "lookups": self.stats.lookups,
-                "prompt_tokens": self.stats.prompt_tokens,
-                "cached_tokens": self.stats.cached_tokens,
-                "block_hits": self.stats.block_hits,
-                "block_misses": self.stats.block_misses,
-                "evictions": self.stats.evictions,
-                "hit_rate": self.stats.hit_rate,
-                "nodes": self._size,
-                "leaves": len(self._leaves),
-                "pinned_blocks": self._pinned_nodes,
-            }
+        """Point-in-time statistics for gauges and reports."""
+        return {
+            "blocks": self._size,
+            "capacity_blocks": self.capacity_blocks,
+            "block_size": self.block_size,
+            "lookups": self.stats.lookups,
+            "prompt_tokens": self.stats.prompt_tokens,
+            "cached_tokens": self.stats.cached_tokens,
+            "block_hits": self.stats.block_hits,
+            "block_misses": self.stats.block_misses,
+            "evictions": self.stats.evictions,
+            "hit_rate": self.stats.hit_rate,
+            "nodes": self._size,
+            "leaves": len(self._leaves),
+            "pinned_blocks": self._pinned_nodes,
+        }
 
     def __len__(self) -> int:
-        with self._lock:
-            return self._size
+        return self._size
 
     def clear(self) -> None:
         """Drop all cached blocks (pins included) and reset statistics."""
-        with self._lock:
-            self._root = _RadixNode(None, None)
-            self._size = 0
-            self._leaves = set()
-            self._heap = None
-            self._pinned_nodes = 0
-            self._tick = 0
-            self.stats = CacheStats()
+        self._root = _RadixNode(None, None)
+        self._size = 0
+        self._leaves = set()
+        self._heap = None
+        self._pinned_nodes = 0
+        self._tick = 0
+        self.stats = CacheStats()

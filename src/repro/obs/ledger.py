@@ -31,7 +31,9 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import threading
 import time
+import weakref
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -292,6 +294,32 @@ class RunLedger:
         _atomic_write_json(self.path / "manifest.json", self.manifest)
 
 
+#: runtime object -> the thread that first ran it (see :func:`claim_run`).
+_OWNERS: "weakref.WeakKeyDictionary[Any, threading.Thread]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def claim_run(state: Any) -> None:
+    """Bind ``state``'s model and result cache to the calling thread.
+
+    A runtime object belongs to the thread that first runs it: its
+    model (radix tier, counters, listeners, fault plan) and result cache
+    take no locks, so a run from any other thread raises
+    :class:`~repro.errors.SpearError` instead of racing the owner.
+    """
+    current = threading.current_thread()
+    for obj in (state.model, state.result_cache):
+        if obj is None:
+            continue
+        owner = _OWNERS.setdefault(obj, current)
+        if owner is not current:
+            raise SpearError(
+                f"{type(obj).__name__} is owned by thread {owner.name!r}; "
+                f"thread {current.name!r} cannot run it"
+            )
+
+
 @contextlib.contextmanager
 def ledger_scope(
     options: Any,
@@ -308,8 +336,9 @@ def ledger_scope(
     iteration, an Executor invoked inside a batch) see the already-open
     ledger and change nothing.  ``manifest`` builds the run's manifest
     fields and is called only when a ledger opens, so with no
-    ``options.ledger_dir`` the scope is free.
+    ``options.ledger_dir`` the scope costs one :func:`claim_run`.
     """
+    claim_run(state)
     ledger_dir = getattr(options, "ledger_dir", None)
     active = getattr(state, "ledger", None)
     if ledger_dir is None or active is not None:

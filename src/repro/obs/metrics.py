@@ -15,15 +15,13 @@ dashboard expect:
 
 Everything is plain Python on the virtual-clock timeline: deterministic,
 dependency-free, and cheap enough for the hot path.  Instruments and the
-registry are thread-safe: concurrent worker threads (the serving
-layer's pool) update them without losing increments or
-observations.
+registry belong to the run that updates them (one thread), so they take
+no locks.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left
 from typing import Any, Callable, Iterator, Sequence
 
@@ -59,50 +57,42 @@ def _label_key(labels: dict[str, str]) -> LabelKey:
 class Counter:
     """A monotonically increasing total."""
 
-    __slots__ = ("value", "_lock")
+    __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value: float = 0.0
-        self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be >= 0) to the total."""
         if amount < 0:
             raise ObservabilityError(f"counter increments must be >= 0: {amount}")
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
 
 class Gauge:
     """A point-in-time value; may be backed by a pull callback."""
 
-    __slots__ = ("_value", "_fn", "_lock")
+    __slots__ = ("_value", "_fn")
 
     def __init__(self) -> None:
         self._value: float = 0.0
         self._fn: Callable[[], float] | None = None
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
         """Record the current value (clears any pull callback)."""
-        with self._lock:
-            self._value = float(value)
-            self._fn = None
+        self._value = float(value)
+        self._fn = None
 
     def set_function(self, fn: Callable[[], float]) -> None:
         """Read the value from ``fn`` at collection time (pull-style)."""
-        with self._lock:
-            self._fn = fn
+        self._fn = fn
 
     @property
     def value(self) -> float:
         """The current value (invoking the pull callback when set)."""
-        with self._lock:
-            fn = self._fn
-            value = self._value
-        if fn is not None:
-            return float(fn())
-        return value
+        if self._fn is not None:
+            return float(self._fn())
+        return self._value
 
 
 class Histogram:
@@ -115,7 +105,7 @@ class Histogram:
     possible here because we track min/max exactly).
     """
 
-    __slots__ = ("bounds", "bucket_counts", "count", "sum", "min", "max", "_lock")
+    __slots__ = ("bounds", "bucket_counts", "count", "sum", "min", "max")
 
     def __init__(self, buckets: Sequence[float] = LATENCY_BUCKETS) -> None:
         bounds = tuple(float(b) for b in buckets)
@@ -131,7 +121,6 @@ class Histogram:
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -140,14 +129,13 @@ class Histogram:
         # it lands in the overflow bucket.
         bounds = self.bounds
         index = bisect_left(bounds, value) if value == value else len(bounds)
-        with self._lock:
-            self.bucket_counts[index] += 1
-            self.count += 1
-            self.sum += value
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
+        self.bucket_counts[index] += 1
+        self.count += 1
+        self.sum += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     @property
     def mean(self) -> float:
@@ -165,40 +153,38 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ObservabilityError(f"quantile must be in [0, 1]: {q}")
-        with self._lock:
-            if self.count == 0:
-                return 0.0
-            if self.min == self.max:
-                # One sample, or every sample equal: the quantile is known
-                # exactly — interpolating inside the bucket would invent
-                # spread that was never observed.
-                return self.min
-            rank = q * self.count
-            cumulative = 0
-            for i, bucket_count in enumerate(self.bucket_counts):
-                previous = cumulative
-                cumulative += bucket_count
-                if cumulative >= rank and bucket_count:
-                    if i == len(self.bounds):
-                        return self.max  # overflow bucket: exact max is known
-                    lower = self.bounds[i - 1] if i else max(self.min, 0.0)
-                    lower = min(lower, self.bounds[i])
-                    upper = self.bounds[i]
-                    fraction = (rank - previous) / bucket_count
-                    value = lower + (upper - lower) * fraction
-                    return min(max(value, self.min), self.max)
-            return self.max
+        if self.count == 0:
+            return 0.0
+        if self.min == self.max:
+            # One sample, or every sample equal: the quantile is known
+            # exactly — interpolating inside the bucket would invent
+            # spread that was never observed.
+            return self.min
+        rank = q * self.count
+        cumulative = 0
+        for i, bucket_count in enumerate(self.bucket_counts):
+            previous = cumulative
+            cumulative += bucket_count
+            if cumulative >= rank and bucket_count:
+                if i == len(self.bounds):
+                    return self.max  # overflow bucket: exact max is known
+                lower = self.bounds[i - 1] if i else max(self.min, 0.0)
+                lower = min(lower, self.bounds[i])
+                upper = self.bounds[i]
+                fraction = (rank - previous) / bucket_count
+                value = lower + (upper - lower) * fraction
+                return min(max(value, self.min), self.max)
+        return self.max
 
     def cumulative_counts(self) -> list[tuple[float, int]]:
         """(upper_bound, cumulative_count) pairs, ending with +Inf."""
-        with self._lock:
-            pairs: list[tuple[float, int]] = []
-            running = 0
-            for bound, bucket_count in zip(self.bounds, self.bucket_counts):
-                running += bucket_count
-                pairs.append((bound, running))
-            pairs.append((math.inf, running + self.bucket_counts[-1]))
-            return pairs
+        pairs: list[tuple[float, int]] = []
+        running = 0
+        for bound, bucket_count in zip(self.bounds, self.bucket_counts):
+            running += bucket_count
+            pairs.append((bound, running))
+        pairs.append((math.inf, running + self.bucket_counts[-1]))
+        return pairs
 
 
 class MetricsRegistry:
@@ -213,9 +199,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         #: name -> (type, help, {label_key: instrument})
         self._families: dict[str, tuple[str, str, dict[LabelKey, object]]] = {}
-        # one registry lock guards family and child creation, so two lanes
-        # asking for the same (name, labels) always get the same instrument.
-        self._lock = threading.RLock()
         #: bumped on every new instrument registration; instruments are
         #: never removed, so an unchanged version means an unchanged
         #: instrument set — periodic samplers key their caches on it.
@@ -247,14 +230,13 @@ class MetricsRegistry:
     def _child(
         self, name: str, kind: str, help_text: str, labels: dict[str, str], make
     ) -> Any:
-        with self._lock:
-            children = self._family(name, kind, help_text)
-            key = _label_key(labels)
-            child = children.get(key)
-            if child is None:
-                child = children[key] = make()
-                self._version += 1
-            return child
+        children = self._family(name, kind, help_text)
+        key = _label_key(labels)
+        child = children.get(key)
+        if child is None:
+            child = children[key] = make()
+            self._version += 1
+        return child
 
     def counter(self, name: str, help_text: str = "", **labels: str) -> Counter:
         """Get or create the counter ``name{labels}``."""
@@ -284,11 +266,10 @@ class MetricsRegistry:
     ) -> Iterator[tuple[str, str, str, list[tuple[dict[str, str], object]]]]:
         """Yield (name, type, help, [(labels, instrument), ...]) families,
         names sorted, children sorted by label set."""
-        with self._lock:
-            families = {
-                name: (kind, help_text, dict(children))
-                for name, (kind, help_text, children) in self._families.items()
-            }
+        families = {
+            name: (kind, help_text, dict(children))
+            for name, (kind, help_text, children) in self._families.items()
+        }
         for name in sorted(families):
             kind, help_text, children = families[name]
             samples = [
@@ -299,25 +280,21 @@ class MetricsRegistry:
 
     def get(self, name: str, **labels: str) -> object | None:
         """The instrument registered under (name, labels), or None."""
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                return None
-            return family[2].get(_label_key(labels))
+        family = self._families.get(name)
+        if family is None:
+            return None
+        return family[2].get(_label_key(labels))
 
     def names(self) -> list[str]:
         """All registered family names, sorted."""
-        with self._lock:
-            return sorted(self._families)
+        return sorted(self._families)
 
     def sum_counter(self, name: str) -> float:
         """Total of a counter family across every label set (0 if absent)."""
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                return 0.0
-            kind, _, children = family
-            if kind != "counter":
-                raise ObservabilityError(f"metric {name!r} is a {kind}, not a counter")
-            instruments = list(children.values())
-        return sum(child.value for child in instruments)  # type: ignore[attr-defined]
+        family = self._families.get(name)
+        if family is None:
+            return 0.0
+        kind, _, children = family
+        if kind != "counter":
+            raise ObservabilityError(f"metric {name!r} is a {kind}, not a counter")
+        return sum(child.value for child in children.values())  # type: ignore[attr-defined]

@@ -24,7 +24,6 @@ crossings (stamped at the watermark boundary), or the forcing event kind
 from __future__ import annotations
 
 import json
-import threading
 from itertools import compress, count
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, is_not
@@ -88,7 +87,6 @@ class SeriesRecorder:
         #: ``json.dumps`` of the last row, joined from per-metric texts.
         self.last_line = ""
         self._next_watermark: float | None = None
-        self._lock = threading.Lock()
         # Display names and instruments, cached against the registry's
         # registration version, so each sample is a plain value sweep
         # rather than a full collect-and-sort of the registry.
@@ -115,8 +113,8 @@ class SeriesRecorder:
 
     def on_event(self, event: Event) -> None:
         """EventLog subscriber: advance watermarks, force regime samples."""
-        # Watermarks only advance, so an event before the next one that
-        # forces nothing can skip the lock; the rest re-check under it.
+        # Fast path: an event before the next watermark that forces
+        # nothing records no row.
         watermark = self._next_watermark
         if (
             watermark is not None
@@ -124,23 +122,21 @@ class SeriesRecorder:
             and event.kind not in FORCED_SAMPLE_KINDS
         ):
             return
-        with self._lock:
-            if self._next_watermark is None:
-                self._record(event.at, "start")
-                self._next_watermark = event.at + self.interval
-            else:
-                # Lane-folded events may arrive with earlier timestamps
-                # than the merged clock; only forward crossings sample.
-                while event.at >= self._next_watermark:
-                    self._record(self._next_watermark, "watermark")
-                    self._next_watermark += self.interval
-            if event.kind in FORCED_SAMPLE_KINDS:
-                self._record(event.at, event.kind.value)
+        if self._next_watermark is None:
+            self._record(event.at, "start")
+            self._next_watermark = event.at + self.interval
+        else:
+            # Lane-folded events may arrive with earlier timestamps
+            # than the merged clock; only forward crossings sample.
+            while event.at >= self._next_watermark:
+                self._record(self._next_watermark, "watermark")
+                self._next_watermark += self.interval
+        if event.kind in FORCED_SAMPLE_KINDS:
+            self._record(event.at, event.kind.value)
 
     def sample(self, at: float, trigger: str = "manual") -> dict[str, Any]:
         """Record one sample now (e.g. a final sample at finalization)."""
-        with self._lock:
-            return self._record(at, trigger)
+        return self._record(at, trigger)
 
     def _scan_instruments(self) -> tuple[list[str], list[Counter | Gauge]]:
         version = self.registry.version

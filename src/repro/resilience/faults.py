@@ -6,8 +6,8 @@ prompt digest, attempt index)`` — a stable hash drives a uniform draw
 that is compared against the configured per-channel rates — so two runs
 with the same seed inject *exactly* the same faults, regardless of
 thread timing or lane assignment.  Retrying a prompt advances its
-attempt index (tracked per ``(profile, prompt digest)`` under a lock),
-so each retry gets a fresh, still-deterministic draw.
+attempt index (tracked per ``(profile, prompt digest)``), so each retry
+gets a fresh, still-deterministic draw.
 
 Fault channels (mutually exclusive per call, drawn from one uniform
 sample against cumulative rates):
@@ -29,7 +29,6 @@ the call: it multiplies the modelled latency by ``spike_factor``.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 
 __all__ = ["FaultSpec", "FaultDecision", "FaultPlan", "unit_draw"]
@@ -135,7 +134,6 @@ class FaultPlan:
         self.seed = seed
         self.default = default if default is not None else FaultSpec()
         self.per_model = dict(per_model or {})
-        self._lock = threading.Lock()
         self._attempts: dict[tuple[str, str], int] = {}
         self._injected: dict[str, int] = {}
         self._decisions = 0
@@ -154,11 +152,10 @@ class FaultPlan:
         """
         spec = self.spec_for(model)
         digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:24]
-        with self._lock:
-            key = (model, digest)
-            attempt = self._attempts.get(key, 0)
-            self._attempts[key] = attempt + 1
-            self._decisions += 1
+        key = (model, digest)
+        attempt = self._attempts.get(key, 0)
+        self._attempts[key] = attempt + 1
+        self._decisions += 1
 
         kind: str | None = None
         draw = unit_draw(self.seed, "fault", model, digest, attempt)
@@ -179,30 +176,27 @@ class FaultPlan:
             spike = spec.spike_factor
 
         if kind is not None or spike != 1.0:
-            with self._lock:
-                label = kind if kind is not None else "latency_spike"
-                self._injected[label] = self._injected.get(label, 0) + 1
+            label = kind if kind is not None else "latency_spike"
+            self._injected[label] = self._injected.get(label, 0) + 1
         return FaultDecision(
             kind=kind, attempt=attempt, spike_factor=spike, spec=spec
         )
 
     def reset(self) -> None:
         """Forget attempt counters and injection tallies (fresh run)."""
-        with self._lock:
-            self._attempts.clear()
-            self._injected.clear()
-            self._decisions = 0
+        self._attempts.clear()
+        self._injected.clear()
+        self._decisions = 0
 
     def snapshot(self) -> dict[str, object]:
         """Point-in-time injection accounting for gauges and reports."""
-        with self._lock:
-            injected = dict(sorted(self._injected.items()))
-            return {
-                "seed": self.seed,
-                "decisions": self._decisions,
-                "injected": injected,
-                "injected_total": sum(injected.values()),
-            }
+        injected = dict(sorted(self._injected.items()))
+        return {
+            "seed": self.seed,
+            "decisions": self._decisions,
+            "injected": injected,
+            "injected_total": sum(injected.values()),
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -11,7 +11,6 @@ policy's effect is fully determined by its inputs.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -139,8 +138,8 @@ class ShedPolicy:
 class CircuitBreaker:
     """Closed → open → half-open breaker on the virtual clock.
 
-    Thread-safe: parallel lanes share one breaker per model profile, so
-    a model melting down in one lane stops the others from hammering it.
+    Parallel lanes share one breaker per model profile, so a model
+    melting down in one lane stops the others from hammering it.
     All time comes from the caller (``now``), never the wall clock.
     """
 
@@ -150,23 +149,18 @@ class CircuitBreaker:
 
     def __init__(self, policy: BreakerPolicy | None = None) -> None:
         self.policy = policy if policy is not None else BreakerPolicy()
-        self._lock = threading.Lock()
         self._failures = 0
         self._opened_at: float | None = None
         self._probes_in_flight = 0
         self.transitions = 0
 
-    def _state_locked(self, now: float) -> str:
+    def state(self, now: float) -> str:
+        """The breaker state as of virtual time ``now``."""
         if self._opened_at is None:
             return self.CLOSED
         if now >= self._opened_at + self.policy.cooldown_s:
             return self.HALF_OPEN
         return self.OPEN
-
-    def state(self, now: float) -> str:
-        """The breaker state as of virtual time ``now``."""
-        with self._lock:
-            return self._state_locked(now)
 
     def allow(self, now: float) -> bool:
         """Whether a call may proceed at time ``now``.
@@ -174,57 +168,53 @@ class CircuitBreaker:
         In half-open state at most ``half_open_probes`` concurrent calls
         are admitted; their outcomes close or re-open the circuit.
         """
-        with self._lock:
-            state = self._state_locked(now)
-            if state == self.CLOSED:
-                return True
-            if state == self.OPEN:
-                return False
-            if self._probes_in_flight >= self.policy.half_open_probes:
-                return False
-            self._probes_in_flight += 1
+        state = self.state(now)
+        if state == self.CLOSED:
             return True
+        if state == self.OPEN:
+            return False
+        if self._probes_in_flight >= self.policy.half_open_probes:
+            return False
+        self._probes_in_flight += 1
+        return True
 
     def record_success(self, now: float) -> str:
         """Fold in a successful call; returns the resulting state."""
-        with self._lock:
-            was_open = self._opened_at is not None
-            self._failures = 0
-            self._opened_at = None
-            self._probes_in_flight = 0
-            if was_open:
-                self.transitions += 1
-            return self.CLOSED
+        was_open = self._opened_at is not None
+        self._failures = 0
+        self._opened_at = None
+        self._probes_in_flight = 0
+        if was_open:
+            self.transitions += 1
+        return self.CLOSED
 
     def record_failure(self, now: float) -> str:
         """Fold in a failed call; returns the resulting state."""
-        with self._lock:
-            state = self._state_locked(now)
-            if state == self.HALF_OPEN:
-                # The probe failed: re-open and restart the cooldown.
-                self._opened_at = now
-                self._probes_in_flight = 0
-                self.transitions += 1
-                return self.OPEN
-            self._failures += 1
-            if (
-                self._opened_at is None
-                and self._failures >= self.policy.failure_threshold
-            ):
-                self._opened_at = now
-                self.transitions += 1
-                return self.OPEN
-            return self._state_locked(now)
+        state = self.state(now)
+        if state == self.HALF_OPEN:
+            # The probe failed: re-open and restart the cooldown.
+            self._opened_at = now
+            self._probes_in_flight = 0
+            self.transitions += 1
+            return self.OPEN
+        self._failures += 1
+        if (
+            self._opened_at is None
+            and self._failures >= self.policy.failure_threshold
+        ):
+            self._opened_at = now
+            self.transitions += 1
+            return self.OPEN
+        return self.state(now)
 
     def snapshot(self, now: float) -> dict[str, Any]:
         """Point-in-time breaker accounting."""
-        with self._lock:
-            return {
-                "state": self._state_locked(now),
-                "consecutive_failures": self._failures,
-                "opened_at": self._opened_at,
-                "transitions": self.transitions,
-            }
+        return {
+            "state": self.state(now),
+            "consecutive_failures": self._failures,
+            "opened_at": self._opened_at,
+            "transitions": self.transitions,
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CircuitBreaker(failures={self._failures}, opened_at={self._opened_at})"

@@ -29,7 +29,6 @@ asserts this).
 from __future__ import annotations
 
 import hashlib
-import threading
 from typing import TYPE_CHECKING, Any
 
 from repro.core.algebra import GenCall, drive
@@ -81,7 +80,6 @@ class ResilienceRuntime:
         self.breaker_policy = breaker
         self.fallback = fallback if fallback is not None else FallbackChain()
         self.seed = seed
-        self._lock = threading.Lock()
         self._breakers: dict[str, CircuitBreaker] = {}
         self._fallback_models: dict[str, Any] = {}
 
@@ -91,18 +89,17 @@ class ResilienceRuntime:
         """The (lazily created) breaker guarding ``model``; shared by lanes."""
         if self.breaker_policy is None:
             return None
-        with self._lock:
-            breaker = self._breakers.get(model)
-            if breaker is None:
-                breaker = CircuitBreaker(self.breaker_policy)
-                self._breakers[model] = breaker
-            return breaker
+        breaker = self._breakers.get(model)
+        if breaker is None:
+            breaker = CircuitBreaker(self.breaker_policy)
+            self._breakers[model] = breaker
+        return breaker
 
     def breaker_snapshots(self, now: float) -> dict[str, dict[str, Any]]:
         """Per-model breaker states for gauges and reports."""
-        with self._lock:
-            breakers = dict(self._breakers)
-        return {name: breaker.snapshot(now) for name, breaker in breakers.items()}
+        return {
+            name: breaker.snapshot(now) for name, breaker in self._breakers.items()
+        }
 
     def _fallback_model(self, profile: str, primary: Any) -> Any:
         """Build (once) the degraded-tier backend for ``profile``.
@@ -112,23 +109,22 @@ class ResilienceRuntime:
         calling state's clock explicitly), a cold prefix cache, and no
         fault plan — it models a separate, lightly-loaded tier.
         """
-        with self._lock:
-            model = self._fallback_models.get(profile)
-            if model is not None:
-                return model
-            from repro.llm.model import SimulatedLLM
-
-            model = SimulatedLLM(profile, enable_prefix_cache=False)
-            engine = getattr(primary, "engine", None)
-            if engine is not None:
-                tweets = getattr(engine, "_tweets", None)
-                if tweets is not None:
-                    model.bind_tweets(tweets)
-                clinical = getattr(engine, "_clinical", None)
-                if clinical is not None:
-                    model.bind_clinical(clinical)
-            self._fallback_models[profile] = model
+        model = self._fallback_models.get(profile)
+        if model is not None:
             return model
+        from repro.llm.model import SimulatedLLM
+
+        model = SimulatedLLM(profile, enable_prefix_cache=False)
+        engine = getattr(primary, "engine", None)
+        if engine is not None:
+            tweets = getattr(engine, "_tweets", None)
+            if tweets is not None:
+                model.bind_tweets(tweets)
+            clinical = getattr(engine, "_clinical", None)
+            if clinical is not None:
+                model.bind_clinical(clinical)
+        self._fallback_models[profile] = model
+        return model
 
     # -- the generate path ----------------------------------------------------
 

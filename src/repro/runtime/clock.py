@@ -15,21 +15,14 @@ serialization.
 
 from __future__ import annotations
 
-import threading
-
 __all__ = ["VirtualClock"]
 
 
 class VirtualClock:
-    """Monotonic simulated clock, advanced explicitly by cost charges.
-
-    Thread-safe: concurrent ``advance`` calls never lose a charge (the
-    serving layer's worker threads may charge one clock).
-    """
+    """Monotonic simulated clock, advanced explicitly by cost charges."""
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._lock = threading.Lock()
 
     @property
     def now(self) -> float:
@@ -43,9 +36,8 @@ class VirtualClock:
         """
         if seconds < 0:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
-        with self._lock:
-            self._now += seconds
-            return self._now
+        self._now += seconds
+        return self._now
 
     def advance_to(self, deadline: float) -> float:
         """Advance the clock to ``deadline`` if it is in the future.
@@ -54,15 +46,13 @@ class VirtualClock:
         joining a micro-batch synchronize on the batch completion time,
         and the latest lane defines it).  Returns the new time.
         """
-        with self._lock:
-            if deadline > self._now:
-                self._now = float(deadline)
-            return self._now
+        if deadline > self._now:
+            self._now = float(deadline)
+        return self._now
 
     def reset(self, start: float = 0.0) -> None:
         """Rewind the clock (used between experiment trials)."""
-        with self._lock:
-            self._now = float(start)
+        self._now = float(start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self._now:.6f})"

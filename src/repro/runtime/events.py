@@ -9,7 +9,6 @@ paper §4.4, and refinement replay (§6).
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -67,17 +66,16 @@ class Event:
 class EventLog:
     """Append-only event sink with query helpers.
 
-    Thread-safe: ``record``/``emit``, ``subscribe``/``unsubscribe``, and
-    the query helpers may be called from concurrent worker threads.  One
-    reentrant lock serializes appends, so sequence numbers are unique and
-    subscribers see a totally ordered stream (a subscriber that records
-    back into the same log from its callback re-enters safely).
+    One thread records at a time: the run that owns the log's state (see
+    :func:`repro.obs.ledger.claim_run`), or, on a server's own log, the
+    thread holding the server's condition.  Sequence numbers are unique,
+    subscribers see a totally ordered stream, and a subscriber that
+    records back into the same log from its callback re-enters safely.
     """
 
     def __init__(self) -> None:
         self._events: list[Event] = []
         self._counter = itertools.count()
-        self._lock = threading.RLock()
         #: live subscribers (e.g. a shadow executor), called with every event;
         #: copy-on-write, so each dispatch iterates a snapshot for free.
         self._subscribers: tuple[Callable[[Event], None], ...] = ()
@@ -121,11 +119,10 @@ class EventLog:
     def _append(
         self, kind: EventKind, operator: str, at: float, payload: dict[str, Any]
     ) -> Event:
-        with self._lock:
-            event = Event(next(self._counter), kind, operator, at, payload)
-            self._events.append(event)
-            self._notify(self._subscribers, event, fanout_errors=True)
-            return event
+        event = Event(next(self._counter), kind, operator, at, payload)
+        self._events.append(event)
+        self._notify(self._subscribers, event, fanout_errors=True)
+        return event
 
     def extend(self, events: Iterable[Event]) -> list[Event]:
         """Re-record foreign events into this log, renumbering their ``seq``.
@@ -137,17 +134,16 @@ class EventLog:
         preserved; subscribers are notified exactly as for live records.
         Returns the renumbered events.
         """
-        with self._lock:
-            counter, appended = self._counter, []
-            for event in events:
-                new = Event(
-                    next(counter), event.kind, event.operator, event.at,
-                    dict(event.payload) if event.payload else {},
-                )
-                self._events.append(new)
-                self._notify(self._subscribers, new, fanout_errors=True)
-                appended.append(new)
-            return appended
+        counter, appended = self._counter, []
+        for event in events:
+            new = Event(
+                next(counter), event.kind, event.operator, event.at,
+                dict(event.payload) if event.payload else {},
+            )
+            self._events.append(new)
+            self._notify(self._subscribers, new, fanout_errors=True)
+            appended.append(new)
+        return appended
 
     def _notify(
         self,
@@ -181,19 +177,17 @@ class EventLog:
 
     def subscribe(self, callback: Callable[[Event], None]) -> None:
         """Register ``callback`` to receive every future event."""
-        with self._lock:
-            self._subscribers += (callback,)
+        self._subscribers += (callback,)
 
     def unsubscribe(self, callback: Callable[[Event], None]) -> bool:
         """Remove a subscriber; returns False when it was not registered."""
-        with self._lock:
-            subscribers = list(self._subscribers)
-            try:
-                subscribers.remove(callback)
-            except ValueError:
-                return False
-            self._subscribers = tuple(subscribers)
-            return True
+        subscribers = list(self._subscribers)
+        try:
+            subscribers.remove(callback)
+        except ValueError:
+            return False
+        self._subscribers = tuple(subscribers)
+        return True
 
     # -- queries -----------------------------------------------------------
 
@@ -201,19 +195,17 @@ class EventLog:
         return len(self._events)
 
     def __iter__(self) -> Iterator[Event]:
-        # Iterate a snapshot so concurrent appends cannot skew iteration.
+        # Iterate a snapshot so a subscriber's appends cannot skew iteration.
         return iter(self.all())
 
     def all(self) -> list[Event]:
         """All events, oldest first."""
-        with self._lock:
-            return list(self._events)
+        return list(self._events)
 
     def since(self, index: int) -> list[Event]:
         """Events from position ``index`` on: ``all()[index:]`` without
         copying the older part of the log."""
-        with self._lock:
-            return self._events[index:]
+        return self._events[index:]
 
     def of_kind(self, kind: EventKind) -> list[Event]:
         """Events of one kind, oldest first."""
@@ -243,5 +235,4 @@ class EventLog:
 
     def clear(self) -> None:
         """Drop all events (subscribers are kept)."""
-        with self._lock:
-            self._events.clear()
+        self._events.clear()

@@ -38,10 +38,10 @@ Correctness notes:
   missed (manual ``entry.record`` calls, lane logs folded late): the
   version/text digest in the fingerprint already misses.  Event-driven
   invalidation exists to reclaim memory and to account precisely.
-- Thread-safe: worker threads share one cache under a reentrant lock.
-  Two lanes or threads may race to execute the same miss; both compute the
-  identical delta (execution is deterministic), so duplicate inserts are
-  harmless.
+- One owner: a cache belongs to the thread that first runs it (see
+  :func:`repro.obs.ledger.claim_run`).  Two lanes may both execute the
+  same miss; both compute the identical delta (execution is
+  deterministic), so duplicate inserts are harmless.
 - Shadow runs (:func:`repro.runtime.shadow.shadow_run`) share the cache
   through :meth:`ResultCache.read_only`: hits splice, but nothing the
   shadow does can insert or invalidate.
@@ -49,11 +49,10 @@ Correctness notes:
 
 from __future__ import annotations
 
-import threading
 import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.footprint import Footprint, immutable_by_type, stable_digest
 from repro.runtime.events import EventKind, EventLog
@@ -247,7 +246,6 @@ class ResultCache:
         self.invalidations = 0
         self.evictions = 0
         self.saved_seconds = 0.0
-        self._lock = threading.RLock()
         #: logs already wired; weak, so a collected log's recycled id()
         #: never passes for a new one.
         self._watched: weakref.WeakSet[EventLog] = weakref.WeakSet()
@@ -257,15 +255,14 @@ class ResultCache:
     def lookup(self, footprint: Footprint) -> CachedDelta | None:
         """Return the cached delta for ``footprint``, counting hit/miss."""
         digest = footprint.digest
-        with self._lock:
-            delta = self._entries.get(digest)
-            if delta is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(digest)
-            self.hits += 1
-            self.saved_seconds += max(delta.elapsed - self.hit_cost, 0.0)
-            return delta
+        delta = self._entries.get(digest)
+        if delta is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(digest)
+        self.hits += 1
+        self.saved_seconds += max(delta.elapsed - self.hit_cost, 0.0)
+        return delta
 
     def recorder(self, state: "ExecutionState") -> _Recording | None:
         """Start recording a live execution for later insertion."""
@@ -274,20 +271,18 @@ class ResultCache:
     def insert(self, footprint: Footprint, delta: CachedDelta) -> None:
         """Store ``delta`` and record its dependency edges."""
         digest = footprint.digest
-        with self._lock:
-            if digest in self._entries:
-                self._entries.move_to_end(digest)
-                return
-            self._entries[digest] = delta
-            for key in footprint.prompt_keys:
-                self._by_prompt.setdefault(key, set()).add(digest)
-            for key, value_digest in footprint.context_reads:
-                readers = self._by_read.setdefault(key, {})
-                readers.setdefault(value_digest, set()).add(digest)
-            while len(self._entries) > self.capacity:
-                oldest, _ = next(iter(self._entries.items())), None
-                self._remove_locked(oldest[0])
-                self.evictions += 1
+        if digest in self._entries:
+            self._entries.move_to_end(digest)
+            return
+        self._entries[digest] = delta
+        for key in footprint.prompt_keys:
+            self._by_prompt.setdefault(key, set()).add(digest)
+        for key, value_digest in footprint.context_reads:
+            readers = self._by_read.setdefault(key, {})
+            readers.setdefault(value_digest, set()).add(digest)
+        while len(self._entries) > self.capacity:
+            self._remove(next(iter(self._entries)))
+            self.evictions += 1
 
     # -- invalidation --------------------------------------------------------
 
@@ -302,19 +297,15 @@ class ResultCache:
         downstream entries that consumed a dead entry's context output die
         with it.  Returns the number of entries removed.
         """
-        with self._lock:
-            seeds = set()
-            for digest in self._by_prompt.get(key, ()):
-                delta = self._entries.get(digest)
-                if delta is None:
-                    continue
-                for dep_key, version, _text, _params in delta.footprint.prompt_deps:
-                    if dep_key == key and version != keep_version:
-                        seeds.add(digest)
-                        break
-            return self._invalidate_closure_locked(seeds)
-
-    def _invalidate_closure_locked(self, seeds: Iterable[str]) -> int:
+        seeds = set()
+        for digest in self._by_prompt.get(key, ()):
+            delta = self._entries.get(digest)
+            if delta is None:
+                continue
+            for dep_key, version, _text, _params in delta.footprint.prompt_deps:
+                if dep_key == key and version != keep_version:
+                    seeds.add(digest)
+                    break
         queue = deque(seeds)
         dead: set[str] = set()
         while queue:
@@ -322,8 +313,8 @@ class ResultCache:
             if digest in dead or digest not in self._entries:
                 continue
             dead.add(digest)
-            for key, value, value_digest in self._entries[digest].writes:
-                readers = self._by_read.get(key)
+            for written, value, value_digest in self._entries[digest].writes:
+                readers = self._by_read.get(written)
                 if readers is None:
                     continue  # nothing cached reads the key: never hashed
                 if value_digest is None:
@@ -332,11 +323,11 @@ class ResultCache:
                     if reader not in dead:
                         queue.append(reader)
         for digest in dead:
-            self._remove_locked(digest)
+            self._remove(digest)
         self.invalidations += len(dead)
         return len(dead)
 
-    def _remove_locked(self, digest: str) -> None:
+    def _remove(self, digest: str) -> None:
         delta = self._entries.pop(digest, None)
         if delta is None:
             return
@@ -393,14 +384,12 @@ class ResultCache:
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-            self._by_prompt.clear()
-            self._by_read.clear()
+        self._entries.clear()
+        self._by_prompt.clear()
+        self._by_read.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def hit_rate(self) -> float:
@@ -410,18 +399,17 @@ class ResultCache:
 
     def snapshot(self) -> dict[str, float]:
         """Point-in-time statistics for gauges, reports and run deltas."""
-        with self._lock:
-            return {
-                "entries": float(len(self._entries)),
-                "capacity": float(self.capacity),
-                "hits": float(self.hits),
-                "misses": float(self.misses),
-                "hit_rate": self.hit_rate,
-                "invalidations": float(self.invalidations),
-                "evictions": float(self.evictions),
-                "saved_seconds": self.saved_seconds,
-                "hit_cost": self.hit_cost,
-            }
+        return {
+            "entries": float(len(self._entries)),
+            "capacity": float(self.capacity),
+            "hits": float(self.hits),
+            "misses": float(self.misses),
+            "hit_rate": self.hit_rate,
+            "invalidations": float(self.invalidations),
+            "evictions": float(self.evictions),
+            "saved_seconds": self.saved_seconds,
+            "hit_cost": self.hit_cost,
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -8,8 +8,8 @@ global queue ordered by (priority class, deadline, arrival), and the
 dispatcher runs them to completion one at a time in that order, so
 every tenant's requests run in queue order by construction.
 Every outcome — served or shed — is a ``SERVE`` event on the server's
-own event log, which an attached
-:class:`~repro.obs.collector.ObsCollector` rolls into the
+own event log, recorded under the server's one condition, which an
+attached :class:`~repro.obs.collector.ObsCollector` rolls into the
 ``spear_serve_*`` metric family.  Tenant session logs never see SERVE
 events, so per-tenant ledger runs stay byte-identical to standalone
 executions of the same pipeline.
@@ -171,13 +171,16 @@ class SpearServer:
         self.auto_tenants = auto_tenants
         #: the server's own event log: SERVE outcomes only, never tenant
         #: pipeline events (those live on the sessions' logs/ledgers).
+        #: Recorded only under ``_cv``, so its order is the order of those
+        #: acquisitions; read it under ``_cv`` too, or after shutdown.
         self.events = EventLog()
         if collector is not None:
             collector.subscribe_to(self.events)
         self._pipelines: dict[str, tuple["Pipeline", dict[str, str]]] = {}
         self._tenants: dict[str, TenantConfig] = {}
         #: the one lock: guards the session map, the sessions' admission
-        #: counts, the queue and the lifecycle fields below.
+        #: counts, the queue, ``events``, the partition map and the
+        #: lifecycle fields below.
         self._cv = threading.Condition()
         self._sessions: dict[str, TenantSession] = {}
         self._queue: list[_Admitted] = []
@@ -314,8 +317,11 @@ class SpearServer:
             drained, self._queue = self._queue, []
         for entry in drained:
             self._finish_aborted(entry)
-        if wait and self._dispatcher is not None:
-            self._dispatcher.join()
+        # A future's done-callback runs on the dispatcher, which cannot
+        # join itself: it stops once the callback returns.
+        dispatcher = self._dispatcher
+        if wait and dispatcher not in (None, threading.current_thread()):
+            dispatcher.join()
 
     def __enter__(self) -> "SpearServer":
         return self.start()
@@ -326,7 +332,7 @@ class SpearServer:
     # -- submission ---------------------------------------------------------
 
     def _order_key(
-        self, request: ServeRequest, session: TenantSession
+        self, request: ServeRequest, session: TenantSession, seq: int
     ) -> tuple:
         priority = (
             request.priority
@@ -340,7 +346,7 @@ class SpearServer:
             else session.config.deadline_s
         )
         deadline_key = deadline if deadline is not None else float("inf")
-        return (rank, deadline_key, next(self._counter))
+        return (rank, deadline_key, seq)
 
     def submit(self, request: ServeRequest) -> "Future[ServeResponse]":
         """Admit one request; returns a future resolving to its response.
@@ -356,27 +362,25 @@ class SpearServer:
 
         if request.pipeline not in self._pipelines:
             raise SpearError(f"unknown pipeline: {request.pipeline!r}")
-        request_id = request.request_id or (
-            f"{request.tenant}-{next(self._counter)}"
-        )
-        if request.request_id is None:
-            request = replace(request, request_id=request_id)
         pipeline, prompts = self._pipelines[request.pipeline]
         future: "Future[ServeResponse]" = Future()
         with self._cv:
             if self._closed:
                 raise SpearError("server is shut down")
             session = self._session(request.tenant)
+            # One number per submit: the auto id and the arrival tiebreak.
+            seq = next(self._counter)
+            if request.request_id is None:
+                request = replace(request, request_id=f"{request.tenant}-{seq}")
             admitted, reason = session.admit()
-            depth = session.pending
             if admitted:
                 entry = _Admitted(
-                    self._order_key(request, session),
+                    self._order_key(request, session, seq),
                     request, session, pipeline, prompts, future,
                 )
                 heapq.heappush(self._queue, entry)
                 self._cv.notify()
-        if not admitted:
+                return future
             retry_after = session.shed.retry_after_s
             self.events.record(
                 EventKind.SERVE,
@@ -384,19 +388,18 @@ class SpearServer:
                 at=session.clock.now,
                 payload={
                     "tenant": request.tenant,
-                    "request_id": request_id,
+                    "request_id": request.request_id,
                     "status": "shed",
                     "reason": reason,
-                    "queue_depth": depth,
+                    "queue_depth": session.pending,
                     "retry_after": retry_after,
                 },
             )
-            raise RateLimitError(
-                f"tenant {request.tenant!r} shed ({reason}); retry after "
-                f"{retry_after}s",
-                retry_after=retry_after,
-            )
-        return future
+        raise RateLimitError(
+            f"tenant {request.tenant!r} shed ({reason}); retry after "
+            f"{retry_after}s",
+            retry_after=retry_after,
+        )
 
     def serve(
         self, requests: Iterable[ServeRequest]
@@ -473,22 +476,21 @@ class SpearServer:
                 else:
                     session.breaker.record_failure(session.clock.now)
             session.pending -= 1
-            depth = session.pending
-        self.events.record(
-            EventKind.SERVE,
-            "SpearServer",
-            at=session.clock.now,
-            payload={
-                "tenant": response.tenant,
-                "request_id": response.request_id,
-                "status": response.status,
-                "elapsed": response.elapsed,
-                "queue_wait": response.queue_wait,
-                "queue_depth": depth,
-                "priority": str(request.priority) if request.priority else None,
-                "deadline_s": request.deadline_s,
-            },
-        )
+            self.events.record(
+                EventKind.SERVE,
+                "SpearServer",
+                at=session.clock.now,
+                payload={
+                    "tenant": response.tenant,
+                    "request_id": response.request_id,
+                    "status": response.status,
+                    "elapsed": response.elapsed,
+                    "queue_wait": response.queue_wait,
+                    "queue_depth": session.pending,
+                    "priority": str(request.priority) if request.priority else None,
+                    "deadline_s": request.deadline_s,
+                },
+            )
         entry.future.set_result(response)
 
     def _finish_aborted(self, entry: _Admitted) -> None:
@@ -510,6 +512,7 @@ class SpearServer:
         with self._cv:
             sessions = dict(self._sessions)
             queued = len(self._queue)
+            partitions = self.partitions.snapshot()
         return {
             "tenants": len(sessions),
             "queued": queued,
@@ -517,5 +520,5 @@ class SpearServer:
                 name: session.snapshot()
                 for name, session in sessions.items()
             },
-            "partitions": self.partitions.snapshot(),
+            "partitions": partitions,
         }

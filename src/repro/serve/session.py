@@ -160,8 +160,9 @@ class TenantSession:
         both satisfy the shared ``.output()`` / ``.report`` / ``.cache``
         protocol.  The whole request is one ledger run under the
         tenant's ledger root (manifest keyed by tenant and request id);
-        the executor's inner per-run scope is reentrant and defers.  Not
-        thread-safe: the server calls it from its one dispatcher thread.
+        the executor's inner per-run scope is reentrant and defers.  The
+        server calls it from its one dispatcher thread, which thereby owns
+        the session's model and result cache.
         """
         from repro.obs.ledger import describe_pipeline, ledger_scope
 

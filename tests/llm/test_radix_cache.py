@@ -262,7 +262,7 @@ class _Recording(RadixPrefixCache):
 class _ScanReference(_Recording):
     """The O(leaves) eviction scan, kept as the reference order."""
 
-    def _evict_locked(self):
+    def _evict_to_capacity(self):
         while self._size > self.capacity_blocks:
             victim = None
             for leaf in self._leaves:

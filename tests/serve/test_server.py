@@ -8,9 +8,13 @@ observability, and per-tenant request order.
 
 from __future__ import annotations
 
+import logging
 import math
 import sys
+import threading
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -422,6 +426,132 @@ class TestTenantOrder:
             if event.kind is EventKind.SERVE and event.payload["status"] == "ok"
         ]
         assert served == [response.request_id for _, response in expected]
+
+
+class TestServerThreads:
+    """The caller's threads and the dispatcher share the server only under
+    its one condition: admission, ``events`` and the partition map."""
+
+    def test_auto_request_ids_take_one_number_per_submit(self):
+        server = make_server()
+        server.add_tenant("t0")
+        server.add_tenant("t1")
+        futures = [
+            server.submit(request_for(server, name, index))
+            for index in range(2)
+            for name in ("t0", "t1")
+        ]
+        with server:
+            ids = [future.result(timeout=60).request_id for future in futures]
+        assert ids == ["t0-0", "t1-1", "t0-2", "t1-3"]
+        assert [event.payload["request_id"] for event in server.events] == ids
+
+    def test_shutdown_from_a_done_callback(self, caplog):
+        # The callback runs on the dispatcher, which must not join itself.
+        server = make_server()
+        server.add_tenant("acme")
+        future = server.submit(request_for(server, "acme"))
+        future.add_done_callback(lambda _: server.shutdown())
+        with caplog.at_level(logging.DEBUG, logger="concurrent.futures"):
+            server.start()
+            assert future.result(timeout=60).ok
+            server._dispatcher.join(timeout=60)
+        assert not server._dispatcher.is_alive()
+        assert not [r for r in caplog.records if r.name == "concurrent.futures"]
+        with pytest.raises(SpearError, match="shut down"):
+            server.submit(request_for(server, "acme", 1))
+
+    def test_events_from_concurrent_submitters_are_one_total_order(self):
+        registry = MetricsRegistry()
+        server = make_server(
+            shed=ShedPolicy(queue_limit=2), collector=ObsCollector(registry)
+        )
+        delivered: list[int] = []
+        server.events.subscribe(lambda event: delivered.append(event.seq))
+        tenants = [f"t{index}" for index in range(4)]
+        for name in tenants:
+            server.add_tenant(name)
+        per_thread = 100
+        admitted: dict[str, list] = {name: [] for name in tenants}
+        start = threading.Barrier(len(tenants), timeout=30)
+
+        def submitter(name):
+            start.wait()
+            for index in range(per_thread):
+                request = replace(
+                    request_for(server, name, index), request_id=f"{name}/{index}"
+                )
+                try:
+                    future = server.submit(request)
+                except RateLimitError:
+                    continue
+                admitted[name].append((request.request_id, future))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with server:
+                threads = [
+                    threading.Thread(target=submitter, args=(name,))
+                    for name in tenants
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                for entries in admitted.values():
+                    for _, future in entries:
+                        assert future.result(timeout=60).ok
+        finally:
+            sys.setswitchinterval(previous)
+
+        events = server.events.all()
+        assert [event.seq for event in events] == list(range(len(events)))
+        assert delivered == list(range(len(events)))
+        assert registry.sum_counter("spear_serve_requests_total") == len(events)
+        assert all(event.kind is EventKind.SERVE for event in events)
+        ids = Counter(event.payload["request_id"] for event in events)
+        expected = {
+            f"{name}/{index}" for name in tenants for index in range(per_thread)
+        }
+        assert set(ids) == expected and set(ids.values()) == {1}
+        for name in tenants:
+            served = [
+                event.payload["request_id"]
+                for event in events
+                if event.payload["tenant"] == name
+                and event.payload["status"] == "ok"
+            ]
+            assert served == [request_id for request_id, _ in admitted[name]]
+
+    def test_snapshot_while_tenants_auto_register(self):
+        server = make_server(auto_tenants=True)
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def snapshots():
+            while not stop.is_set():
+                try:
+                    server.snapshot()
+                except BaseException as error:  # noqa: BLE001 - reported below
+                    errors.append(error)
+                    return
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        reader = threading.Thread(target=snapshots)
+        reader.start()
+        try:
+            for index in range(40):
+                server.submit(request_for(server, f"auto-{index}"))
+        finally:
+            stop.set()
+            reader.join(timeout=60)
+            sys.setswitchinterval(previous)
+        assert not errors
+        assert server.snapshot()["partitions"]["namespaces"] == 40
+        server.shutdown()
 
 
 class TestTrafficDriver:
