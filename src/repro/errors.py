@@ -138,7 +138,11 @@ class TransientModelError(ModelError):
 
 
 class RateLimitError(TransientModelError):
-    """The backend shed load; retry after ``retry_after`` simulated seconds."""
+    """The backend shed load; retry after ``retry_after`` simulated seconds.
+
+    A server shed carries the ``request_id`` it recorded for the request
+    (None for a model-level rate limit).
+    """
 
     fault_kind = "rate_limit"
 
@@ -149,9 +153,11 @@ class RateLimitError(TransientModelError):
         retry_after: float = 0.0,
         injected: bool = False,
         attempt: int | None = None,
+        request_id: str | None = None,
     ) -> None:
         super().__init__(message, injected=injected, attempt=attempt)
         self.retry_after = retry_after
+        self.request_id = request_id
 
 
 class TimeoutError(TransientModelError, TimeoutError):  # noqa: A001 - paper taxonomy name

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from _random import Random as _CRandom
 
 from repro.llm.features import PromptFeatures
 from repro.llm.profiles import ModelProfile
@@ -97,9 +98,18 @@ def error_rate(
 
 
 def item_rng(item_uid: str, fingerprint: int, model_name: str) -> random.Random:
-    """Deterministic RNG for one (item, prompt-features, model) triple."""
+    """Deterministic RNG for one (item, prompt-features, model) triple.
+
+    The state is ``random.Random(seed)``'s, built without the Python
+    ``__init__`` / ``seed`` layer: an int seed goes straight to the C
+    seeding (``init_by_array``), and ``gauss_next`` is cleared as
+    ``seed`` would clear it.
+    """
     seed = zlib.crc32(f"{item_uid}|{fingerprint}|{model_name}".encode("utf-8"))
-    return random.Random(seed)
+    rng = random.Random.__new__(random.Random)
+    _CRandom.seed(rng, seed)
+    rng.gauss_next = None
+    return rng
 
 
 def noisy_bool(

@@ -29,7 +29,8 @@ tree over token blocks:
   of a token sequence out of the eviction candidate set until the
   matching :meth:`unpin`; the continuous scheduler pins the trunks of
   admitted-but-unexecuted requests so an earlier step member's insert
-  cannot evict a later member's matched prefix mid-step.
+  cannot evict a later member's matched prefix mid-step, and each
+  member's :meth:`lookup_and_insert` resumes its descent below its pin.
 """
 
 from __future__ import annotations
@@ -213,17 +214,29 @@ class RadixPrefixCache:
         self.stats.cached_tokens += cached
         return cached
 
-    def _insert(self, tokens: Sequence[int]) -> tuple[int, int]:
+    def _insert(
+        self, tokens: Sequence[int], handle: Sequence[_RadixNode] = ()
+    ) -> tuple[int, int]:
         """Cache every complete block of ``tokens`` in one descent.
 
+        The descent resumes below ``handle``, a :meth:`pin` of ``tokens``
+        still held: pinned nodes stay resident and keep their blocks, so
+        they are the first ``len(handle)`` nodes a walk from the root
+        would meet, and they are touched in that order here.
         Returns ``(matched, added)``: the blocks already resident on the
         path (a prefix of it — past the first miss every node is new)
         and the blocks created.  Each path node is touched once, so
         stamps rise along the path above every earlier stamp.
         """
-        matched = added = 0
+        tick = self._tick
         node = self._root
-        for block in self._blocks(tokens):
+        for node in handle:
+            tick += 1
+            node.stamp = tick
+        matched, added = len(handle), 0
+        block_size = self.block_size
+        rest = tokens[matched * block_size :] if matched else tokens
+        for block in zip(*[iter(rest)] * block_size):
             child = node.children.get(block)
             if child is None:
                 child = _RadixNode(block, node)
@@ -235,8 +248,10 @@ class RadixPrefixCache:
                 added += 1
             else:
                 matched += 1
-            self._touch(child)
+            tick += 1
+            child.stamp = tick
             node = child
+        self._tick = tick
         if added:  # the path ends in a node made just now: a new leaf
             self._queue(node)
         self._evict_to_capacity()
@@ -246,15 +261,20 @@ class RadixPrefixCache:
         """Cache every complete block of ``tokens``; returns blocks added."""
         return self._insert(tokens)[1]
 
-    def lookup_and_insert(self, tokens: Sequence[int]) -> int:
+    def lookup_and_insert(
+        self, tokens: Sequence[int], handle: Sequence[_RadixNode] = ()
+    ) -> int:
         """The per-request path: match the prefix, then cache the prompt.
 
         One descent does both, with the statistics of :meth:`match_prefix`
         followed by :meth:`insert` and the same LRU order (stamps only
         ever compare with each other, and the relative order of every
-        stamp is the one the two walks would leave).
+        stamp is the one the two walks would leave).  ``handle`` is a
+        :meth:`pin` of ``tokens`` that is still held; the descent starts
+        below it, with every stamp, statistic and eviction of the walk
+        from the root.
         """
-        return self._count_lookup(tokens, self._insert(tokens)[0])
+        return self._count_lookup(tokens, self._insert(tokens, handle)[0])
 
     # -- pinning -------------------------------------------------------------
 

@@ -42,9 +42,14 @@ class EventKind(str, Enum):
     FALLBACK = "fallback"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
-    """One structured log record."""
+    """One structured log record.
+
+    Not frozen: the log that holds an event owns it, and
+    :meth:`EventLog.absorb` renumbers ``seq`` in place when it moves
+    events from another log.  Nothing else edits a record.
+    """
 
     seq: int
     kind: EventKind
@@ -121,18 +126,17 @@ class EventLog:
     ) -> Event:
         event = Event(next(self._counter), kind, operator, at, payload)
         self._events.append(event)
-        self._notify(self._subscribers, event, fanout_errors=True)
+        if self._subscribers:
+            self._notify(self._subscribers, event, fanout_errors=True)
         return event
 
     def extend(self, events: Iterable[Event]) -> list[Event]:
         """Re-record foreign events into this log, renumbering their ``seq``.
 
-        The parallel batch runner records per-lane events into private
-        lane logs (so concurrent lanes never interleave span brackets),
-        then folds each lane's stream into the base log when the run
-        completes.  Kind, operator, timestamp and payload (copied) are
-        preserved; subscribers are notified exactly as for live records.
-        Returns the renumbered events.
+        For events another log still holds (ledger replay, imports): each
+        is copied, payload included, so the source is left untouched.
+        Kind, operator and timestamp are preserved; subscribers are
+        notified exactly as for live records.  Returns the new events.
         """
         counter, appended = self._counter, []
         for event in events:
@@ -144,6 +148,23 @@ class EventLog:
             self._notify(self._subscribers, new, fanout_errors=True)
             appended.append(new)
         return appended
+
+    def absorb(self, other: "EventLog") -> None:
+        """Move every event of ``other`` to the end of this log.
+
+        The events themselves move: each gets this log's next ``seq`` in
+        place and ``other`` is left empty, so nothing is copied.  Only
+        for a log whose events nothing else holds (a parallel run's
+        private lane logs).  Subscribers of this log are notified exactly
+        as by :meth:`extend`.
+        """
+        counter, events, moved = self._counter, self._events, other._events
+        other._events = []
+        for event in moved:
+            event.seq = next(counter)
+            events.append(event)
+            if self._subscribers:
+                self._notify(self._subscribers, event, fanout_errors=True)
 
     def _notify(
         self,

@@ -408,11 +408,13 @@ class ParallelBatchRunner:
         lane_clocks: list[VirtualClock],
         start: float,
     ) -> None:
-        """Replay each lane's private log into the base log as a LANE span.
+        """Move each lane's private log into the base log as a LANE span.
 
         Lane streams are appended whole, one lane after another, so span
         nesting stays well-formed (each lane's events are already a
-        well-bracketed sequence on its own clock).
+        well-bracketed sequence on its own clock).  The events move rather
+        than being copied: the base log renumbers them in place and each
+        lane log is left empty.
         """
         events = self.base_state.events
         for lane_id, lane_log in enumerate(lane_logs):
@@ -421,7 +423,7 @@ class ParallelBatchRunner:
                 f"LANE[{lane_id}]",
                 at=start,
             )
-            events.extend(lane_log.all())
+            events.absorb(lane_log)
             events.record(
                 EventKind.OPERATOR_END,
                 f"LANE[{lane_id}]",

@@ -37,8 +37,9 @@ Within a quiescence the engine forms *one* policy step:
 Prefix economics inside a step: the trunks of every admitted request are
 **pinned** in the radix prefix cache for the duration of the step (an
 earlier member's insert can never evict a later member's matched
-prefix), and with ``prefix_dedup`` each member's block-aligned overlap
-with *earlier step members* is priced at zero by
+prefix, and each member's lookup resumes below its pin), and with
+``prefix_dedup`` each member's block-aligned overlap with *earlier step
+members* is priced at zero by
 :func:`~repro.llm.latency.estimate_continuous_step` — the shared trunk
 goes through the serial prefill pipe once per step, not once per
 request.  Dedup changes latency accounting only, never texts or cache
@@ -209,7 +210,7 @@ class _Request:
         "lane_id", "prompt", "max_tokens", "use_cache", "clock",
         "result", "error", "done",
         "arrival", "priority_rank", "priority_name", "deadline",
-        "tokens", "trunk", "decision", "prepared",
+        "tokens", "trunk", "decision", "prepared", "handle",
     )
 
     def __init__(
@@ -237,6 +238,8 @@ class _Request:
         self.trunk: tuple | None = None
         self.decision: Any = None
         self.prepared = False
+        #: the request's prefix-cache pin while its step runs.
+        self.handle: tuple = ()
 
 
 class LaneModel:
@@ -452,9 +455,10 @@ class GenScheduler:
     ]:
         """Run the deterministic task engine over prepared requests, in order.
 
-        Performs the per-request prefix-cache lookup and task execution —
-        the back half of an engine step.  Returns the requests that ran,
-        their ``(prompt_tokens, cached_tokens, output_tokens)`` triples and
+        Performs the per-request prefix-cache lookup, resumed below the
+        request's step pin, and task execution — the back half of an
+        engine step.  Returns the requests that ran, their
+        ``(prompt_tokens, cached_tokens, output_tokens)`` triples and
         their ``(text, output_tokens, output)`` results, index-aligned.  A
         request whose lookup or task raises is completed in place with that
         error (the exception a direct call would raise) and left out; its
@@ -473,7 +477,9 @@ class GenScheduler:
             )
             try:
                 cached = (
-                    model.kv_cache.lookup_and_insert(request.tokens)
+                    model.kv_cache.lookup_and_insert(
+                        request.tokens, request.handle
+                    )
                     if caching
                     else 0
                 )
@@ -531,6 +537,7 @@ class GenScheduler:
         self,
         admitted: "list[_Request]",
         triples: "list[tuple[int, int, int]]",
+        handles: "list[tuple]",
     ) -> "list[int]":
         """Intra-step trunk overlap per member, in admission order.
 
@@ -543,6 +550,13 @@ class GenScheduler:
         One pass over a trie of the earlier members' blocks: ``i``'s
         match depth in it is that largest shared prefix, so a step costs
         O(total blocks) rather than a comparison per pair of members.
+        ``handles`` are the members' step pins, index-aligned (``()``
+        for a member with nothing pinned).  The trie
+        levels inside a pin are keyed by radix node and only the blocks
+        below it are cut: every pin of a step is walked before any
+        insert, so a pinned node stands for exactly one block prefix, and
+        that prefix is pinned for one member exactly when it is pinned
+        for every member that shares it.
         """
         if not self.config.prefix_dedup or len(admitted) < 2:
             return [0] * len(admitted)
@@ -552,11 +566,15 @@ class GenScheduler:
         for index, request in enumerate(admitted):
             node = trie
             depth = 0
-            for block in zip(*[iter(request.tokens or ())] * block_size):
-                child = node.get(block)
+            handle = handles[index]
+            tokens = request.tokens or ()
+            if handle:
+                tokens = tokens[len(handle) * block_size :]
+            for key in (*handle, *zip(*[iter(tokens)] * block_size)):
+                child = node.get(key)
                 if child is None:
                     # Past the first miss every child is new: depth is final.
-                    child = node[block] = {}
+                    child = node[key] = {}
                 else:
                     depth += 1
                 node = child
@@ -642,12 +660,13 @@ class GenScheduler:
         # Pin the admitted trunks so an earlier member's insert can never
         # evict a later member's matched prefix mid-step.
         kv = model.kv_cache
-        pins = [kv.pin(request.tokens or []) for request in admitted]
+        for request in admitted:
+            request.handle = kv.pin(request.tokens or [])
         try:
             ran, triples, outputs = self._execute(admitted)
         finally:
-            for handle in pins:
-                kv.unpin(handle)
+            for request in admitted:
+                kv.unpin(request.handle)
         for request in admitted:
             if request.done:  # its lookup or task raised: the error is its result
                 self._complete(request)
@@ -655,7 +674,9 @@ class GenScheduler:
             self._observe_queue_depth()
             return
         admitted = ran
-        dedup = self._dedup_tokens(admitted, triples)
+        dedup = self._dedup_tokens(
+            admitted, triples, [request.handle for request in admitted]
+        )
         step = estimate_continuous_step(
             model.profile,
             triples,

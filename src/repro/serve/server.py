@@ -355,8 +355,8 @@ class SpearServer:
         is at its :class:`~repro.resilience.ShedPolicy` limit (or its
         shed breaker is open), a SERVE shed event is recorded and
         :class:`~repro.errors.RateLimitError` is raised with the
-        policy's ``retry_after`` hint — the caller backs off instead of
-        queueing unboundedly.
+        policy's ``retry_after`` hint and the request id the event
+        recorded — the caller backs off instead of queueing unboundedly.
         """
         from concurrent.futures import Future
 
@@ -399,12 +399,15 @@ class SpearServer:
             f"tenant {request.tenant!r} shed ({reason}); retry after "
             f"{retry_after}s",
             retry_after=retry_after,
+            request_id=request.request_id,
         )
 
     def serve(
         self, requests: Iterable[ServeRequest]
     ) -> list[ServeResponse]:
         """Submit a batch and wait; sheds become ``status="shed"`` rows.
+
+        A shed row carries the request id its SERVE shed event recorded.
 
         The server must be running: waiting on a stopped one would block
         forever, so this raises :class:`~repro.errors.SpearError` first.
@@ -420,7 +423,7 @@ class SpearServer:
                 futures.append(
                     ServeResponse(
                         tenant=request.tenant,
-                        request_id=request.request_id or "?",
+                        request_id=error.request_id or "?",
                         status="shed",
                         error=str(error),
                         retry_after=error.retry_after,

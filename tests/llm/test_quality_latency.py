@@ -1,5 +1,8 @@
 """Tests for the quality (error) model and latency model."""
 
+import random
+import zlib
+
 import pytest
 
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from repro.llm.features import PromptFeatures, extract_features
 from repro.llm.latency import estimate_continuous_step, estimate_latency
 from repro.llm.profiles import get_profile
-from repro.llm.quality import confidence_for, error_rate, noisy_bool
+from repro.llm.quality import confidence_for, error_rate, item_rng, noisy_bool
 
 QWEN = get_profile("qwen2.5-7b-instruct")
 
@@ -124,6 +127,32 @@ class TestNoiseChannel:
     def test_confidence_bounds(self, p_error, uid):
         value = confidence_for(p_error, uid, 7, "m")
         assert 0.05 <= value <= 0.99
+
+
+class TestItemRng:
+    """``item_rng`` skips ``random.Random``'s Python seeding layer but
+    must reach the state ``random.Random(crc32(...))`` reaches."""
+
+    @settings(max_examples=300)
+    @given(
+        st.text(max_size=40),
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.text(max_size=20),
+    )
+    def test_same_state_and_draws_as_random_random(self, uid, fingerprint, model):
+        seed = zlib.crc32(f"{uid}|{fingerprint}|{model}".encode("utf-8"))
+        fast, slow = item_rng(uid, fingerprint, model), random.Random(seed)
+        assert type(fast) is random.Random
+        assert fast.getstate() == slow.getstate()
+        for draw in (
+            lambda rng: rng.random(),
+            lambda rng: rng.uniform(-0.08, 0.08),
+            lambda rng: rng.gauss(0.0, 1.0),
+            lambda rng: rng.gauss(0.0, 1.0),  # the cached second normal
+            lambda rng: rng.random(),
+        ):
+            assert draw(fast) == draw(slow)
+        assert fast.getstate() == slow.getstate()
 
 
 class TestLatencyModel:

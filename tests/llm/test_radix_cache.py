@@ -401,6 +401,91 @@ class TestOneWalkLookup:
         assert one.snapshot() == two.snapshot()
 
 
+def _stamps(cache):
+    """Every resident node's stamp and leaf flag, by root-to-node path."""
+    found = {}
+
+    def walk(node, path):
+        for block, child in node.children.items():
+            key = path + (block,)
+            found[key] = (child.stamp, child in cache._leaves)
+            walk(child, key)
+
+    walk(cache._root, ())
+    return found
+
+
+#: Engine-shaped steps: a few prompts over a two-token alphabet, so step
+#: members share trunks with each other and with earlier steps.
+step_prompts = st.lists(st.integers(min_value=0, max_value=1), max_size=9)
+engine_steps = st.lists(
+    st.tuples(
+        st.lists(step_prompts, max_size=3),  # inserted before the step
+        st.lists(step_prompts, min_size=1, max_size=5),  # the step's members
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestResumeBelowPin:
+    """``lookup_and_insert(tokens, handle)`` resumes below a step pin.
+
+    A pin taken before the step's inserts keeps its nodes resident and
+    unchanged, so the resumed descent must leave exactly what the descent
+    from the root leaves: statistics, stamps, leaves and victims.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.integers(min_value=1, max_value=10),
+        engine_steps,
+    )
+    def test_equals_the_descent_from_the_root(self, block_size, capacity, steps):
+        resumed = _Recording(block_size=block_size, capacity_blocks=capacity)
+        rooted = _ScanReference(block_size=block_size, capacity_blocks=capacity)
+        for before, members in steps:
+            for cache in (resumed, rooted):
+                for tokens in before:
+                    cache.insert(tokens)
+            handles = [resumed.pin(tokens) for tokens in members]
+            held = [rooted.pin(tokens) for tokens in members]
+            for tokens, handle in zip(members, handles):
+                assert resumed.lookup_and_insert(tokens, handle) == (
+                    rooted.lookup_and_insert(tokens)
+                )
+            for cache, pins in ((resumed, handles), (rooted, held)):
+                for handle in pins:
+                    cache.unpin(handle)
+            assert resumed.stats == rooted.stats
+            assert resumed.victims == rooted.victims
+            assert _stamps(resumed) == _stamps(rooted)
+            assert resumed._tick == rooted._tick
+            assert resumed.snapshot() == rooted.snapshot()
+
+    def test_resumes_below_a_trunk_that_pressure_cannot_evict(self):
+        resumed = _Recording(block_size=2, capacity_blocks=3)
+        rooted = _ScanReference(block_size=2, capacity_blocks=3)
+        members = [[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 7, 8], [9, 9, 9, 9]]
+        for cache in (resumed, rooted):
+            cache.insert([1, 2, 3, 4])
+        handles = [resumed.pin(tokens) for tokens in members]
+        assert [len(handle) for handle in handles] == [2, 2, 0]
+        held = [rooted.pin(tokens) for tokens in members]
+        for tokens, handle in zip(members, handles):
+            assert resumed.lookup_and_insert(tokens, handle) == (
+                rooted.lookup_and_insert(tokens)
+            )
+        assert resumed.victims and resumed.victims == rooted.victims
+        for handle in handles:
+            resumed.unpin(handle)
+        for handle in held:
+            rooted.unpin(handle)
+        assert _stamps(resumed) == _stamps(rooted)
+        assert resumed.stats == rooted.stats
+
+
 class TestRadixProperties:
     @settings(max_examples=60)
     @given(tokens_strategy)

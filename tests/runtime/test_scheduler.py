@@ -27,6 +27,7 @@ from repro.core.state import ExecutionState
 from repro.data import make_tweet_corpus
 from repro.errors import ModelError, TransientModelError
 from repro.llm.model import SimulatedLLM
+from repro.llm.radix_cache import RadixPrefixCache
 from repro.obs import ObsCollector
 from repro.obs.ledger import Ledger
 from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
@@ -627,10 +628,10 @@ class TestPrefixAware:
         # Second member shares 3 blocks but only 1 survived to its
         # lookup: dedup must not exceed what the cache actually served.
         triples = [(len(trunk) + 1, 0, 10), (len(trunk) + 1, block, 10)]
-        assert engine._dedup_tokens(admitted, triples) == [0, block]
+        assert engine._dedup_tokens(admitted, triples, [(), ()]) == [0, block]
         # With ample cache the full trunk dedups.
         triples = [(len(trunk) + 1, 0, 10), (len(trunk) + 1, 3 * block, 10)]
-        assert engine._dedup_tokens(admitted, triples) == [0, 3 * block]
+        assert engine._dedup_tokens(admitted, triples, [(), ()]) == [0, 3 * block]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -680,7 +681,117 @@ class TestPrefixAware:
             )
             for index, request in enumerate(admitted)
         ]
-        assert engine._dedup_tokens(admitted, triples) == expected
+        assert engine._dedup_tokens(admitted, triples, [()] * len(admitted)) == (
+            expected
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.integers(min_value=1, max_value=12),
+        st.lists(st.lists(st.integers(0, 1), max_size=9), max_size=4),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 1), max_size=9),
+                st.booleans(),  # the member's task raises after its lookup
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_dedup_with_pins_equals_pairwise_oracle(
+        self, block_size, capacity, warm, members
+    ):
+        """Trie levels keyed by pinned node give the block trie's depths,
+        whatever the step's inserts evict and whichever members drop out."""
+        kv = RadixPrefixCache(block_size=block_size, capacity_blocks=capacity)
+        engine = GenScheduler(SimpleNamespace(kv_cache=kv))
+        for tokens in warm:
+            kv.insert(tokens)
+        handles = [kv.pin(tokens) for tokens, _ in members]
+        ran, triples, pins = [], [], []
+        for lane, ((tokens, raises), handle) in enumerate(zip(members, handles)):
+            cached = kv.lookup_and_insert(tokens, handle)
+            if not raises:
+                ran.append(SimpleNamespace(tokens=tokens, lane_id=lane))
+                triples.append((len(tokens), cached, 1))
+                pins.append(handle)
+        for handle in handles:
+            kv.unpin(handle)
+        expected = [
+            min(
+                max(
+                    (
+                        shared_prefix_tokens(
+                            request.tokens, earlier.tokens, block_size
+                        )
+                        for earlier in ran[:index]
+                    ),
+                    default=0,
+                ),
+                triples[index][1],
+            )
+            for index, request in enumerate(ran)
+        ]
+        assert engine._dedup_tokens(ran, triples, pins) == expected
+        assert engine._dedup_tokens(ran, triples, [()] * len(ran)) == expected
+
+    def test_engine_dedup_under_mid_step_eviction_and_a_raising_task(self):
+        """Every step's dedup, on the engine's own handles, equals the
+        pairwise oracle while inserts evict inside the step and one
+        member's task raises."""
+        state, items = table3.build_state(
+            32, kv_cache=RadixPrefixCache(capacity_blocks=20)
+        )
+        _fail_task_on(state.model, items[9].text)
+        calls = []
+        dedup_tokens = GenScheduler._dedup_tokens
+        execute = GenScheduler._execute
+
+        def recording_dedup(engine, admitted, triples, handles):
+            result = dedup_tokens(engine, admitted, triples, handles)
+            calls.append(([r.tokens for r in admitted], triples, handles, result))
+            return result
+
+        def counting_execute(engine, requests):
+            before = engine.model.kv_cache.stats.evictions
+            ran = execute(engine, requests)
+            steps.append(
+                (
+                    engine.model.kv_cache.stats.evictions - before,
+                    len(requests) - len(ran[0]),
+                )
+            )
+            return ran
+
+        steps = []
+        runner = ParallelBatchRunner(
+            state, bind=table3.bind, workers=8, on_error="collect"
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GenScheduler, "_dedup_tokens", recording_dedup)
+            patch.setattr(GenScheduler, "_execute", counting_execute)
+            batch = runner.run(table3.pipeline(), items=items)
+        assert len(batch.failures()) == 1
+        assert any(evicted for evicted, _ in steps)  # inside a step
+        assert any(dropped for _, dropped in steps)  # the raising member
+        assert any(handle for _, _, handles, _ in calls for handle in handles)
+        block = state.model.kv_cache.block_size
+        for tokens, triples, handles, result in calls:
+            expected = [
+                min(
+                    max(
+                        (
+                            shared_prefix_tokens(mine, other, block)
+                            for other in tokens[:index]
+                        ),
+                        default=0,
+                    ),
+                    triples[index][1],
+                )
+                for index, mine in enumerate(tokens)
+            ]
+            assert result == expected
 
     def test_sched_events_carry_prefix_payload(self):
         state, runner, _ = self._run(n_items=8, workers=4)
@@ -920,10 +1031,10 @@ class TestStepErrorRegression:
         poisoned = llm.prepare(prompts[1])
         lookup = llm.kv_cache.lookup_and_insert
 
-        def lookup_or_boom(tokens):
+        def lookup_or_boom(tokens, handle=()):
             if list(tokens) == poisoned:
                 raise RuntimeError("kv lookup failed")
-            return lookup(tokens)
+            return lookup(tokens, handle)
 
         llm.kv_cache.lookup_and_insert = lookup_or_boom
         engine = GenScheduler(llm)

@@ -272,6 +272,79 @@ class TestLoadShedding:
         assert shed.output("summary") is None
 
 
+    def test_shed_error_carries_the_recorded_id(self):
+        server = make_server(shed=ShedPolicy(queue_limit=1))
+        server.add_tenant("acme")
+        server.submit(request_for(server, "acme"))
+        errors = []
+        for request in (
+            request_for(server, "acme", 1),
+            replace(request_for(server, "acme", 2), request_id="mine"),
+        ):
+            with pytest.raises(RateLimitError) as excinfo:
+                server.submit(request)
+            errors.append(excinfo.value.request_id)
+        recorded = [
+            event.payload["request_id"]
+            for event in server.events
+            if event.kind is EventKind.SERVE
+            and event.payload.get("status") == "shed"
+        ]
+        assert errors == recorded == ["acme-1", "mine"]
+        with server:
+            pass
+
+    def test_shed_rows_keep_their_id(self, monkeypatch):
+        """Auto-id requests shed inside ``serve`` answer with the id their
+        SERVE shed event recorded, not ``"?"``."""
+        from repro.serve.session import TenantSession
+
+        config = TrafficConfig(tenants=1, queue_limit=1, corpus_size=CORPUS_SIZE)
+        server = build_demo_server(config)
+        # Hold the first request in execution until all four are submitted,
+        # so the queue is full for the other three.
+        gate = threading.Event()
+        execute = TenantSession.execute
+
+        def gated(self, *args, **kwargs):
+            gate.wait(timeout=10)
+            return execute(self, *args, **kwargs)
+
+        submitted = []
+        submit = server.submit
+
+        def counting(request):
+            try:
+                return submit(request)
+            finally:
+                submitted.append(request)
+                if len(submitted) == 4:
+                    gate.set()
+
+        monkeypatch.setattr(TenantSession, "execute", gated)
+        monkeypatch.setattr(server, "submit", counting)
+        tenant = config.tenant_names()[0]
+        requests = [
+            ServeRequest(
+                tenant=tenant,
+                pipeline="summarize",
+                context={"tweet": server.corpus[index].text},
+            )
+            for index in range(4)
+        ]
+        with server:
+            responses = server.serve(requests)
+        assert [r.status for r in responses] == ["ok", "shed", "shed", "shed"]
+        shed_ids = [
+            event.payload["request_id"]
+            for event in server.events
+            if event.kind is EventKind.SERVE
+            and event.payload.get("status") == "shed"
+        ]
+        assert [r.request_id for r in responses[1:]] == shed_ids
+        assert len(set(shed_ids)) == 3 and "?" not in shed_ids
+
+
 class TestServeObservability:
     def test_collector_rolls_serve_metrics(self):
         registry = MetricsRegistry()

@@ -1,6 +1,8 @@
-"""The pair rule's arithmetic in ``tools/bench_pairs.py``, on fixed numbers."""
+"""The pair rule's arithmetic in ``tools/bench_pairs.py``, on fixed numbers,
+and every claim record committed under ``claims/``, recomputed."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,60 @@ def test_needs_two_aligned_pairs():
         bench_pairs.summarize([1.0], [1.0])
     with pytest.raises(ValueError):
         bench_pairs.summarize([1.0, 2.0], [1.0])
+
+
+# -- committed claim records ---------------------------------------------------
+
+_CLAIMS = sorted((_PATH.parents[1] / "claims").glob("*.json"))
+
+
+def _record(parent, change):
+    summary = bench_pairs.summarize(parent, change)
+    return {
+        "first": [("parent", "change")[index % 2] for index in range(len(parent))],
+        "parent_values": parent,
+        "change_values": change,
+        "summary": summary,
+        "holds": summary["holds"],
+    }
+
+
+def test_claims_are_committed():
+    assert _CLAIMS
+
+
+@pytest.mark.parametrize("path", _CLAIMS, ids=lambda path: path.name)
+def test_committed_claim_recomputes(path):
+    record = json.loads(path.read_text())
+    assert bench_pairs.check_record(record) == []
+    assert record["parent"]["src_sha256"] != record["change"]["src_sha256"]
+
+
+def test_check_record_catches_a_corrupted_raw_value():
+    record = _record([10.0, 12.0, 11.0, 13.0, 9.0], [13.0, 15.0, 14.0, 16.0, 12.0])
+    assert bench_pairs.check_record(record) == []
+    record["change_values"][2] = 11.5
+    problems = bench_pairs.check_record(record)
+    assert any(problem.startswith("change_median") for problem in problems)
+    record["change_values"][2] = "14"
+    assert bench_pairs.check_record(record)
+
+
+def test_check_record_catches_an_edited_summary():
+    record = _record([10.0, 12.0, 11.0, 13.0, 9.0], [13.0, 15.0, 14.0, 16.0, 12.0])
+    record["summary"]["parent_q3"] = 11.5
+    assert bench_pairs.check_record(record) == [
+        "parent_q3: stored 11.5, recomputed 12.0"
+    ]
+
+
+def test_check_record_catches_an_unsupported_verdict():
+    # 8 wins in 10: the numbers do not support a claim.
+    record = _record([10.0] * 10, [11.0] * 8 + [10.0] * 2)
+    assert not record["holds"]
+    record["holds"] = True
+    assert bench_pairs.check_record(record) == [
+        "holds: stored True, the pairs give False"
+    ]
+    record["summary"]["holds"] = True
+    assert len(bench_pairs.check_record(record)) == 2

@@ -16,7 +16,14 @@ runs).
 Usage::
 
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload table3_wide \\
-        --seed 7 --pairs 10 [--seconds 12]
+        --seed 7 --pairs 10 [--seconds 12] [--json claims/NAME.json]
+
+``--json PATH`` also writes the claim as one record: both sides (their git
+commit, or null for a directory that is not a checkout, and a sha256 of
+their ``src/`` files), workload, seed, the raw per-pair values, and the
+summary with its verdict.  :func:`check_record` recomputes a record's
+summary from its raw values; the tier-1 suite runs it over every record
+committed under ``claims/``.
 
 Nothing here imports ``bench``: the tool only reads its record line.
 """
@@ -24,6 +31,7 @@ Nothing here imports ``bench``: the tool only reads its record line.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -66,6 +74,56 @@ def summarize(parent: list[float], change: list[float]) -> dict[str, Any]:
     }
 
 
+def check_record(record: dict[str, Any]) -> list[str]:
+    """What is wrong with a claim record; empty when it holds up.
+
+    The stored summary must equal :func:`summarize` of the stored raw
+    values, field for field, and the verdict must be the one the numbers
+    give.  A corrupted raw value, an edited median or a ``holds`` that
+    the pairs do not support each show up here.
+    """
+    problems = []
+    try:
+        expected = summarize(record["parent_values"], record["change_values"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as error:
+        return [f"raw values unreadable: {error!r}"]
+    summary = record.get("summary", {})
+    for key, value in expected.items():
+        stored = summary.get(key)
+        if stored != value:
+            problems.append(f"{key}: stored {stored!r}, recomputed {value!r}")
+    stored, verdict = record.get("holds"), expected["holds"]
+    if stored != verdict:
+        problems.append(f"holds: stored {stored!r}, the pairs give {verdict!r}")
+    if len(record.get("first", ())) != expected["pairs"]:
+        problems.append("first: one entry per pair expected")
+    return problems
+
+
+def describe_tree(tree: Path) -> dict[str, Any]:
+    """A side of a claim: its git commit (None outside a checkout) and a
+    sha256 over its ``src/`` files, paths and bytes in sorted order."""
+    done = subprocess.run(
+        ["git", "-C", str(tree), "rev-parse", "--show-toplevel", "HEAD"],
+        capture_output=True, text=True, check=False,
+    )
+    lines = done.stdout.split()
+    # A copy inside some other checkout is not that checkout's HEAD.
+    checkout = (
+        done.returncode == 0
+        and len(lines) == 2
+        and Path(lines[0]).resolve() == tree.resolve()
+    )
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src").rglob("*.py")):
+        digest.update(path.relative_to(tree).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return {
+        "commit": lines[1] if checkout else None,
+        "src_sha256": digest.hexdigest(),
+    }
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, Any]:
     """One benchmark process in ``tree``; returns its last stdout line, parsed."""
     done = subprocess.run(
@@ -92,13 +150,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument(
+        "--json", type=Path, metavar="PATH", help="also write the claim record here"
+    )
     args = parser.parse_args(argv)
 
     values: dict[str, list[float]] = {"parent": [], "change": []}
+    first: list[str] = []
     print(f"{args.workload} seed {args.seed}, host_items_per_s")
     print(f"{'pair':>4}  {'first':<6} {'parent':>12} {'change':>12} {'ratio':>8}")
     for index in range(args.pairs):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        first.append(order[0])
         for side in order:
             record = run_once(
                 getattr(args, side), args.workload, args.seed, args.seconds
@@ -126,6 +189,23 @@ def main(argv: list[str] | None = None) -> int:
         f" wins {summary['wins']}/{summary['pairs']}"
     )
     print(f"claim holds: {'yes' if summary['holds'] else 'no'}")
+    if args.json is not None:
+        record = {
+            "metric": "host_items_per_s",
+            "workload": args.workload,
+            "seed": args.seed,
+            "seconds": args.seconds,
+            "parent": describe_tree(args.parent),
+            "change": describe_tree(args.change),
+            "first": first,
+            "parent_values": values["parent"],
+            "change_values": values["change"],
+            "summary": summary,
+            "holds": summary["holds"],
+        }
+        args.json.parent.mkdir(parents=True, exist_ok=True)
+        args.json.write_text(json.dumps(record, indent=1) + "\n")
+        print(f"record written to {args.json}")
     return 0
 
 
