@@ -174,7 +174,7 @@ def check_program(
                 [
                     make_diagnostic(
                         "SPEAR001",
-                        str(error),
+                        error.message,
                         span=SourceSpan(
                             file=filename,
                             line=getattr(error, "line", 0),
@@ -193,7 +193,7 @@ def check_program(
             [
                 make_diagnostic(
                     "SPEAR002",
-                    str(error),
+                    error.message,
                     span=SourceSpan(
                         file=filename,
                         line=getattr(error, "line", 0),

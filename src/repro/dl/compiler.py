@@ -14,6 +14,8 @@ errors can report ``file:line:col`` instead of just the op label.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.analysis.diagnostics import SourceSpan
 from repro.core.algebra import Condition, Operator
 from repro.core.derived import DIFF, EXPAND, RETRY, VIEW
@@ -63,13 +65,16 @@ class _Lowering:
     def _span(self, call: OpCall) -> SourceSpan:
         return SourceSpan(file=self.filename, line=call.line, column=call.column)
 
-    def _fail(self, call: OpCall, message: str) -> DslCompileError:
+    def _error(self, call: OpCall, message: str) -> DslCompileError:
         return DslCompileError(
-            f"{self._span(call).render()}: {call.name}: {message}",
+            message,
             line=call.line,
             column=call.column,
             file=self.filename,
         )
+
+    def _fail(self, call: OpCall, message: str) -> DslCompileError:
+        return self._error(call, f"{call.name}: {message}")
 
     def _require_string(self, call: OpCall, index: int, what: str) -> str:
         if len(call.args) <= index or not isinstance(call.args[index], str):
@@ -78,16 +83,14 @@ class _Lowering:
 
     # -- per-operator lowering --------------------------------------------
 
-    def lower_op(self, call: OpCall) -> Operator:
-        lowerer = getattr(self, f"_lower_{call.name.lower()}", None)
+    def _lowerer(self, call: OpCall) -> Callable[..., Operator]:
+        lowerer = _LOWERERS.get(call.name)
         if lowerer is None:
-            raise DslCompileError(
-                f"{self._span(call).render()}: unknown operator {call.name!r}",
-                line=call.line,
-                column=call.column,
-                file=self.filename,
-            )
-        operator = lowerer(call)
+            raise self._error(call, f"unknown operator {call.name!r}")
+        return lowerer
+
+    def lower_op(self, call: OpCall) -> Operator:
+        operator = self._lowerer(call)(self, call)
         operator.span = self._span(call)
         return operator
 
@@ -247,24 +250,21 @@ class _Lowering:
     # -- statements -------------------------------------------------------------
 
     def lower_statement(self, statement: Statement) -> Operator:
-        if statement.then is not None:
-            if statement.op.name != "CHECK":
-                raise DslCompileError(
-                    f"{self._span(statement.op).render()}: "
-                    "'->' is only valid after CHECK",
-                    line=statement.op.line,
-                    column=statement.op.column,
-                    file=self.filename,
-                )
-            then = self.lower_op(statement.then)
-            operator = self._lower_check(statement.op, then=then)
-            operator.span = self._span(statement.op)
-            return operator
-        if statement.op.name == "CHECK":
-            operator = self._lower_check(statement.op)
-            operator.span = self._span(statement.op)
-            return operator
-        return self.lower_op(statement.op)
+        if statement.then is None:
+            return self.lower_op(statement.op)
+        if self._lowerer(statement.op) is not _Lowering._lower_check:
+            raise self._error(statement.op, "'->' is only valid after CHECK")
+        operator = self._lower_check(statement.op, then=self.lower_op(statement.then))
+        operator.span = self._span(statement.op)
+        return operator
+
+
+#: Operator name -> lowering method, exact names only (``GEN``, not ``gen``).
+_LOWERERS: dict[str, Callable[..., Operator]] = {
+    name.removeprefix("_lower_").upper(): method
+    for name, method in vars(_Lowering).items()
+    if name.startswith("_lower_")
+}
 
 
 def compile_program(

@@ -256,8 +256,8 @@ class _Parser:
             if token[1] == "M" and self._peek()[0] is _LBRACKET:
                 return self._parse_metadata_condition()
             # A nested operator term (e.g. RETRY[GEN["x", prompt="qa"], ...]):
-            # uppercase NAME followed by '['.
-            if token[1].isupper() and self._peek()[0] is _LBRACKET:
+            # any NAME followed by '['; the compiler resolves the name.
+            if self._peek()[0] is _LBRACKET:
                 return self._parse_op_call()
             value = self._advance()[1]
             if value == "true":

@@ -237,6 +237,8 @@ class DslSyntaxError(DslError):
 
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__(f"line {line}, column {column}: {message}")
+        #: the finding without its position (a diagnostic carries that apart).
+        self.message = message
         self.line = line
         self.column = column
 
@@ -246,6 +248,8 @@ class DslCompileError(DslError):
 
     Optionally carries a source position (``line``/``column`` are 0 when
     unknown, ``file`` is None) so tools can report ``file:line:col``.
+    With a known line the text reads ``file:line:col: message`` (unknown
+    parts elided, a missing file shown as ``<source>``).
     """
 
     def __init__(
@@ -256,7 +260,12 @@ class DslCompileError(DslError):
         column: int = 0,
         file: "str | None" = None,
     ) -> None:
-        super().__init__(message)
+        where = f"{file or '<source>'}:{line}" if line > 0 else ""
+        if where and column > 0:
+            where += f":{column}"
+        super().__init__(f"{where}: {message}" if where else message)
+        #: the finding without its position (a diagnostic carries that apart).
+        self.message = message
         self.line = line
         self.column = column
         self.file = file

@@ -23,7 +23,7 @@ import zlib
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-__all__ = ["PromptFeatures", "extract_features", "prompt_features"]
+__all__ = ["PromptFeatures", "extract_features", "prompt_features", "segment_layout"]
 
 _INSTRUCTION_VERBS = (
     "classify",
@@ -135,14 +135,16 @@ class PromptFeatures:
         item — this is what makes strategy comparisons reproducible.
         """
         # Memoised outside the frozen fields: equality and ``fields()`` skip it.
-        cached = self.__dict__.get("_fingerprint")
+        values = self.__dict__
+        cached = values.get("_fingerprint")
         if cached is None:
-            parts = []
-            for spec in fields(self):
-                parts.append(f"{spec.name}={getattr(self, spec.name)!r}")
-            cached = zlib.crc32(";".join(parts).encode("utf-8"))
-            self.__dict__["_fingerprint"] = cached
+            text = ";".join([f"{name}={values[name]!r}" for name in _FIELD_NAMES])
+            cached = values["_fingerprint"] = zlib.crc32(text.encode("utf-8"))
         return cached
+
+
+#: The record's field names in definition order, as the fingerprint reads them.
+_FIELD_NAMES = tuple(spec.name for spec in fields(PromptFeatures))
 
 
 #: Topical terms the corpus generators use; extraction looks for these so a
@@ -159,6 +161,7 @@ TOPIC_TERMS = (
     "indication",
     "enoxaparin",
 )
+_SORTED_TOPIC_TERMS = tuple(sorted(TOPIC_TERMS))
 
 
 #: Verbs that describe the same stage collapse together; distinct stages
@@ -171,6 +174,28 @@ _STAGE_GROUPS = (
 )
 
 
+def _by_words(markers: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``markers`` split into those without whitespace and the rest."""
+    single = tuple(m for m in markers if not any(c.isspace() for c in m))
+    return single, tuple(m for m in markers if m not in single)
+
+
+_VERB_WORDS, _VERB_PHRASES = _by_words(_INSTRUCTION_VERBS)
+_TOPIC_WORDS, _TOPIC_PHRASES = _by_words(_SORTED_TOPIC_TERMS)
+_SENTIMENT_WORDS, _SENTIMENT_PHRASES = _by_words(("negative", "positive", "sentiment"))
+_HINT_WORDS, _HINT_PHRASES = _by_words(_HINT_MARKERS)
+_EXAMPLE_WORDS, _EXAMPLE_PHRASES = _by_words(_EXAMPLE_MARKERS)
+_FORMAT_WORDS, _FORMAT_PHRASES = _by_words(_FORMAT_MARKERS)
+_LIMIT_WORDS, _LIMIT_PHRASES = _by_words(_WORD_LIMIT_HEADS)
+_REASONING_WORDS, _REASONING_PHRASES = _by_words(_REASONING_MARKERS)
+#: Text longer than this tests its one-word markers on its distinct words.
+#: Timed per call on the benchmark workloads' texts (2-vCPU VM), that takes
+#: 0.6-0.7x the whole-text tests' time on the 2.7 KB ``hol_mixed`` leads,
+#: but 1.04-1.5x on windows under 128 characters and 1.0-1.3x on the
+#: 690-character view scaffolds; no workload has text in between.
+_VOCABULARY_MIN = 1024
+
+
 def extract_features(text: str) -> PromptFeatures:
     """Parse ``text`` into a :class:`PromptFeatures` record."""
     if not text.isascii():
@@ -178,11 +203,20 @@ def extract_features(text: str) -> PromptFeatures:
     # ASCII: ``IGNORECASE`` folds exactly as ``lower()`` does, so a literal
     # marker is a substring test on ``lowered`` at the same offsets.
     lowered = text.lower()
+    words = lowered.split()
+    found = lowered.__contains__
+    # A marker without whitespace occurs only inside one word, so long text
+    # tests it once per distinct word: on those words, space-joined.
+    in_word = found
+    if len(lowered) > _VOCABULARY_MIN:
+        in_word = " ".join(set(words)).__contains__
 
-    found_verbs = {verb for verb in _INSTRUCTION_VERBS if verb in lowered}
+    found_verbs = {*filter(in_word, _VERB_WORDS), *filter(found, _VERB_PHRASES)}
     task_count = sum(1 for group in _STAGE_GROUPS if group & found_verbs)
 
-    hint_terms = tuple(sorted(term for term in TOPIC_TERMS if term in lowered))
+    hint_terms = tuple(
+        sorted([*filter(in_word, _TOPIC_WORDS), *filter(found, _TOPIC_PHRASES)])
+    )
 
     criteria_at = lowered.find("criteria")
     if criteria_at < 0:
@@ -195,24 +229,30 @@ def extract_features(text: str) -> PromptFeatures:
     return PromptFeatures(
         has_instruction=bool(found_verbs),
         has_sentiment_terms=(
-            "negative" in lowered or "positive" in lowered or "sentiment" in lowered
+            any(map(in_word, _SENTIMENT_WORDS)) or any(map(found, _SENTIMENT_PHRASES))
         ),
-        has_focus_hint=any(marker in lowered for marker in _HINT_MARKERS),
+        has_focus_hint=any(map(in_word, _HINT_WORDS)) or any(map(found, _HINT_PHRASES)),
         has_adaptive_hint=hint_at >= 0 and bool(_ADAPTIVE_RE.search(text, hint_at)),
-        has_examples=any(marker in lowered for marker in _EXAMPLE_MARKERS),
-        has_output_format=any(marker in lowered for marker in _FORMAT_MARKERS),
+        has_examples=(
+            any(map(in_word, _EXAMPLE_WORDS)) or any(map(found, _EXAMPLE_PHRASES))
+        ),
+        has_output_format=(
+            any(map(in_word, _FORMAT_WORDS)) or any(map(found, _FORMAT_PHRASES))
+        ),
         has_word_limit=(
-            "word" in lowered
-            and any(head in lowered for head in _WORD_LIMIT_HEADS)
+            in_word("word")
+            and (any(map(in_word, _LIMIT_WORDS)) or any(map(found, _LIMIT_PHRASES)))
             and bool(_WORD_LIMIT_RE.search(text))
         ),
-        has_reasoning=any(marker in lowered for marker in _REASONING_MARKERS),
+        has_reasoning=(
+            any(map(in_word, _REASONING_WORDS)) or any(map(found, _REASONING_PHRASES))
+        ),
         has_guidance="general guidance" in lowered,
         criteria_count=criteria_count,
         has_view_structure=("### task" in lowered or "## task" in lowered),
         task_count=task_count,
         hint_terms=hint_terms,
-        word_count=len(text.split()),
+        word_count=len(words),
     )
 
 
@@ -284,10 +324,11 @@ _ANY_PIECE = (
 
 
 def _stage_mask(lowered: str) -> int:
+    found = lowered.__contains__
     return sum(
         1 << index
         for index, group in enumerate(_STAGE_GROUPS)
-        if any(verb in lowered for verb in group)
+        if any(map(found, group))
     )
 
 
@@ -317,30 +358,30 @@ def _chunk_features(chunk: Any) -> tuple[Any, ...]:
     return part
 
 
-def prompt_features(prompt: str) -> PromptFeatures:
-    """``extract_features(prompt)``, scanning only what is new in it.
+def segment_layout(
+    prompt: str,
+) -> tuple[list[tuple[int, Any]], list[int], list[list[int]] | None]:
+    """Where each segment of ``prompt`` starts, and the windows around its slots.
 
     A rendered prompt carries ``segments`` — objects with ``.text`` and
     ``.memo`` for the template's static chunks, plain strings for
-    interpolated values; a plain string is one slot.  The definition runs
-    once per chunk (kept in ``chunk.memo``) and per call on a window
-    around each slot; what one piece cannot settle (word boundaries, the
-    first criteria marker, unbounded runs) is re-read from the real text.
+    interpolated values; a plain string is one slot.  Returns
+    ``(placed, seams, windows)``: ``(start, segment)`` for every segment,
+    the offsets where a slot meets its neighbours or two chunks meet, and
+    the merged ``[low, high)`` spans within :data:`_REACH` of a seam.  A
+    literal shorter than ``_REACH`` that no chunk holds whole lies inside a
+    window.  ``windows`` is None when they leave at most
+    :data:`_MIN_SKIPPED` characters out: scanning flat is then cheaper.
     """
     size = len(prompt)
-    merged = dict.fromkeys(_ANY_PIECE, False)
-    terms: set[str] = set()
-    stages = 0
-    adaptive = False
-    criteria: list[tuple[int, int]] = []  # first-marker candidates
+    placed: list[tuple[int, Any]] = []
     seams: list[int] = []
     windows: list[list[int]] = []  # [low, high) around the slots, merged
-    words, open_word, position, after_chunk = 0, False, 0, False
+    position, after_chunk = 0, False
     for segment in getattr(prompt, "segments", None) or (prompt,):
         start = position
         chunk = not isinstance(segment, str)
-        text = segment.text if chunk else segment
-        position += len(text)
+        position += len(segment.text if chunk else segment)
         if not chunk or after_chunk:  # two chunks meet at an empty slot
             end = start if chunk else position
             seams += (start, end)
@@ -349,9 +390,34 @@ def prompt_features(prompt: str) -> PromptFeatures:
             else:
                 windows.append([max(0, start - _REACH), end + _REACH])
         after_chunk = chunk
-        if not chunk:
+        placed.append((start, segment))
+    if size - sum(min(high, size) - low for low, high in windows) <= _MIN_SKIPPED:
+        return placed, seams, None
+    return placed, seams, windows
+
+
+def prompt_features(prompt: str) -> PromptFeatures:
+    """``extract_features(prompt)``, scanning only what is new in it.
+
+    The definition runs once per static chunk (kept in ``chunk.memo``) and
+    per call on each window of :func:`segment_layout`; what one piece
+    cannot settle (word boundaries, the first criteria marker, unbounded
+    runs) is re-read from the real text.
+    """
+    size = len(prompt)
+    merged = dict.fromkeys(_ANY_PIECE, False)
+    terms: set[str] = set()
+    stages = 0
+    adaptive = False
+    criteria: list[tuple[int, int]] = []  # first-marker candidates
+    words, open_word = 0, False
+    placed, seams, windows = segment_layout(prompt)
+    for start, segment in placed:
+        if isinstance(segment, str):
+            text = segment
             count = len(text.split())
         else:
+            text = segment.text
             part = segment.memo.get("features") or _chunk_features(segment)
             alone, held, mask, inner_hint, marker = part
             merged.update(held)
@@ -366,7 +432,7 @@ def prompt_features(prompt: str) -> PromptFeatures:
             words += count - (open_word and not text[0].isspace())
             open_word = not text[-1].isspace()
 
-    if size - sum(min(high, size) - low for low, high in windows) <= _MIN_SKIPPED:
+    if windows is None:
         return extract_features(prompt)
     for low, high in windows:
         text = prompt[low:high]

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 __all__ = ["CacheStats", "RadixPrefixCache"]
@@ -153,6 +154,11 @@ class RadixPrefixCache:
         its stamp, and stamps are unique, so the first popped entry that
         is current and unpinned belongs to the coldest unpinned leaf —
         the victim a scan of every leaf would pick.
+
+        A victim's parent left childless is a new leaf.  When it is
+        unpinned and colder than the heap's first key it is colder than
+        every other leaf, so it is the next victim: a cold unique chain
+        is reclaimed upward without a heap round trip per block.
         """
         if self._size <= self.capacity_blocks:
             return
@@ -163,6 +169,7 @@ class RadixPrefixCache:
             for leaf in self._leaves:
                 leaf.queued = True
         pinned = []
+        root = self._root
         while self._size > self.capacity_blocks and heap:
             stamp, node = heapq.heappop(heap)
             if node.children:
@@ -173,11 +180,24 @@ class RadixPrefixCache:
                 pinned.append((stamp, node))
             else:
                 node.queued = False
-                self._evict(node)
+                while True:
+                    parent = node.parent
+                    self._evict(node)
+                    if parent is root or parent.children:
+                        break
+                    if (
+                        self._size <= self.capacity_blocks
+                        or parent.pins
+                        or (heap and heap[0][0] <= parent.stamp)
+                    ):
+                        self._queue(parent)
+                        break
+                    node = parent  # queued, it would hold a key <= its stamp
         for entry in pinned:
             heapq.heappush(heap, entry)
 
     def _evict(self, victim: _RadixNode) -> None:
+        """Drop one childless node; its parent may become a leaf."""
         parent = victim.parent
         assert parent is not None and victim.block is not None
         del parent.children[victim.block]
@@ -186,7 +206,6 @@ class RadixPrefixCache:
         self.stats.evictions += 1
         if parent is not self._root and not parent.children:
             self._leaves.add(parent)
-            self._queue(parent)
 
     # -- lookups and inserts ------------------------------------------------
 
@@ -236,23 +255,29 @@ class RadixPrefixCache:
         matched, added = len(handle), 0
         block_size = self.block_size
         rest = tokens[matched * block_size :] if matched else tokens
-        for block in zip(*[iter(rest)] * block_size):
+        blocks = zip(*[iter(rest)] * block_size)
+        for block in blocks:
             child = node.children.get(block)
             if child is None:
-                child = _RadixNode(block, node)
-                node.children[block] = child
+                # Past the first miss every block is new: one chain, whose
+                # last node is the path's only new leaf.
                 if node is not self._root:
                     self._leaves.discard(node)
-                self._leaves.add(child)
-                self._size += 1
-                added += 1
-            else:
-                matched += 1
+                for block in chain((block,), blocks):
+                    child = node.children[block] = _RadixNode(block, node)
+                    tick += 1
+                    child.stamp = tick
+                    node = child
+                    added += 1
+                self._size += added
+                self._leaves.add(node)
+                break
+            matched += 1
             tick += 1
             child.stamp = tick
             node = child
         self._tick = tick
-        if added:  # the path ends in a node made just now: a new leaf
+        if added:
             self._queue(node)
         self._evict_to_capacity()
         return matched, added

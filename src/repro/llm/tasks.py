@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any
 
 from repro.core.entry import PROMPT_BLOCK_END, PROMPT_BLOCK_START, RenderedPrompt
 from repro.data.clinical import ClinicalCorpus, Patient
 from repro.data.tweets import Tweet, TweetCorpus
 from repro.data import vocab
-from repro.llm.features import PromptFeatures, prompt_features
+from repro.llm.features import PromptFeatures, prompt_features, segment_layout
 from repro.llm.profiles import ModelProfile
 from repro.llm.quality import confidence_for, error_rate, item_rng, noisy_bool
 
@@ -64,6 +65,34 @@ _REWRITE_MARKERS = (
     "write a prompt",
     "refine the following prompt",
 )
+_SUMMARY_MARKERS = ("summarize", "summarise", "clean up", "clean the")
+_FILTER_MARKERS = ("negative", "positive", "sentiment", "filter", "select", "classify")
+#: Every literal the router tests, lowered; a route mask has bit ``i`` set
+#: when ``_ROUTE_MARKERS[i]`` occurs in the lowered prompt.
+_ROUTE_MARKERS = (
+    SECTION_MARKER.lower(),
+    *_REWRITE_MARKERS,
+    "enoxaparin",
+    "medication history",
+    *_SUMMARY_MARKERS,
+    *_FILTER_MARKERS,
+)
+_ROUTE_BITS = tuple(1 << bit for bit in range(len(_ROUTE_MARKERS)))
+#: A prompt shorter than this is routed by scanning it whole: below ~500
+#: characters that costs less than walking its segments.
+_ROUTE_WHOLE = 512
+
+
+def _bits(*markers: str) -> int:
+    return sum(1 << _ROUTE_MARKERS.index(marker) for marker in markers)
+
+
+_SECTIONS = _bits(SECTION_MARKER.lower())
+_REWRITE = _bits(*_REWRITE_MARKERS)
+_QA = _bits("enoxaparin", "medication history")
+_SUMMARY = _bits(*_SUMMARY_MARKERS)
+#: "wants filter" includes exactly :attr:`PromptFeatures.has_sentiment_terms`.
+_FILTER = _bits(*_FILTER_MARKERS)
 
 
 @dataclass(frozen=True)
@@ -76,36 +105,63 @@ class TaskOutput:
     extras: dict[str, Any] = field(default_factory=dict)
 
 
+def _marker_mask(lowered: str) -> int:
+    """The route mask of an already lowered text."""
+    return sum(compress(_ROUTE_BITS, map(lowered.__contains__, _ROUTE_MARKERS)))
+
+
+def _chunk_mask(chunk: Any) -> int:
+    """A static chunk's route mask, kept in ``chunk.memo["route"]``."""
+    mask = chunk.memo.get("route")
+    if mask is None:
+        mask = chunk.memo["route"] = _marker_mask(chunk.text.lower())
+    return mask
+
+
+def _route_mask(prompt: str) -> int:
+    """``_marker_mask(prompt.lower())``, scanning only what is new in it.
+
+    A marker no static chunk holds whole lies in a window of
+    :func:`segment_layout` (every marker is shorter than its reach), so the
+    chunks' memoised masks and the windows' scans cover every hit.  In
+    ASCII text ``lower()`` maps character by character and pieces lower as
+    the whole does; any other text, a short prompt and one the windows
+    nearly cover are lowered and scanned whole.
+    """
+    if (
+        len(prompt) < _ROUTE_WHOLE
+        or not getattr(prompt, "segments", None)
+        or not prompt.isascii()
+    ):
+        return _marker_mask(prompt.lower())
+    placed, _, windows = segment_layout(prompt)
+    if windows is None:
+        return _marker_mask(prompt.lower())
+    mask = 0
+    for _, segment in placed:
+        if not isinstance(segment, str):
+            mask |= _chunk_mask(segment)
+    for low, high in windows:
+        mask |= _marker_mask(prompt[low:high].lower())
+    return mask
+
+
 def route_task(prompt: str) -> str:
     """Classify the prompt into a task kind (see module docstring).
 
-    Substring tests on one lowered copy; "wants filter" includes exactly
-    :attr:`PromptFeatures.has_sentiment_terms`, so routing needs no
-    feature record.
+    Substring tests of :data:`_ROUTE_MARKERS` on the lowered prompt, read
+    through :func:`_route_mask` so a static chunk is scanned once.
     """
-    lowered = prompt.lower()
-    if SECTION_MARKER.lower() in lowered:
+    mask = _route_mask(prompt)
+    if mask & _SECTIONS:
         return "sections"
-    if any(marker in lowered for marker in _REWRITE_MARKERS):
+    if mask & _REWRITE:
         return "rewrite"
-    if "enoxaparin" in lowered or "medication history" in lowered:
+    if mask & _QA:
         return "qa"
-    wants_summary = any(
-        verb in lowered for verb in ("summarize", "summarise", "clean up", "clean the")
-    )
-    wants_filter = (
-        "negative" in lowered
-        or "positive" in lowered
-        or "sentiment" in lowered
-        or "filter" in lowered
-        or "select" in lowered
-        or "classify" in lowered
-    )
-    if wants_summary and wants_filter:
-        return "fused"
-    if wants_summary:
-        return "summarize"
-    if wants_filter:
+    if mask & _SUMMARY:
+        return "fused" if mask & _FILTER else "summarize"
+    if mask & _FILTER:
         return "classify"
     return "freeform"
 
@@ -133,19 +189,25 @@ def _strip_segments(prompt: str, tweet: Tweet, stripped: str) -> str:
 
     ``stripped`` is ``prompt`` with the tweet's text, then its clean text,
     replaced away — the definition.  Replacing slot by slot keeps every
-    chunk and its analyses, and is used only when it joins to that text.
+    chunk and its analyses, and is used only when the pieces spell that
+    text, which is checked in place rather than on a joined copy.
     """
     segments = getattr(prompt, "segments", None)
-    if segments:
-        kept = tuple(
-            s.replace(tweet.text, "").replace(tweet.clean_text, "")
-            if isinstance(s, str)
-            else s
-            for s in segments
-        )
-        if "".join(s if isinstance(s, str) else s.text for s in kept) == stripped:
-            return RenderedPrompt(stripped, kept)
-    return stripped
+    if not segments:
+        return stripped
+    kept = tuple(
+        s.replace(tweet.text, "").replace(tweet.clean_text, "")
+        if isinstance(s, str)
+        else s
+        for s in segments
+    )
+    position = 0
+    for s in kept:
+        text = s if isinstance(s, str) else s.text
+        if not stripped.startswith(text, position):
+            return stripped
+        position += len(text)
+    return RenderedPrompt(stripped, kept) if position == len(stripped) else stripped
 
 
 def _lexicon_sentiment(text: str) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 import zlib
+from itertools import chain
 from typing import Any
 
 __all__ = ["Tokenizer"]
@@ -21,6 +22,8 @@ _PIECE_RE = re.compile(r"[A-Za-z0-9_']+|[^A-Za-z0-9_'\s]")
 _WORD_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'"
 _CHUNK = 4
 _MAX_WORD = 8
+#: Distinct words a tokenizer remembers the ids of; a full memo is cleared.
+_WORD_MEMO = 1 << 14
 
 
 class _ChunkTokens:
@@ -48,6 +51,8 @@ class Tokenizer:
         self._id_to_piece: dict[int, str] = {}
         #: piece -> id: token lists and radix blocks share one int per id.
         self._piece_to_id: dict[str, int] = {}
+        #: whitespace-separated word -> its ids, cleared at ``_WORD_MEMO``.
+        self._word_ids: dict[str, tuple[int, ...]] = {}
 
     @staticmethod
     def pieces(text: str) -> list[str]:
@@ -62,16 +67,37 @@ class Tokenizer:
         return out
 
     def encode(self, text: str) -> list[int]:
-        """Encode ``text`` to a list of stable token ids."""
-        ids: list[int] = []
+        """Encode ``text`` to a list of stable token ids.
+
+        No piece spans whitespace (``str.split`` and the pattern's ``\\s``
+        are one character class), so the ids are those of the text's
+        words in order, and each distinct word is encoded once.
+        """
+        words = text.split()
+        memo = self._word_ids
+        found = list(map(memo.get, words))
+        if None in found:
+            if len(memo) >= _WORD_MEMO:
+                memo.clear()
+            for index, ids in enumerate(found):
+                if ids is None:
+                    word = words[index]
+                    ids = memo.get(word)
+                    if ids is None:
+                        ids = memo[word] = self._encode_word(word)
+                    found[index] = ids
+        return list(chain.from_iterable(found))
+
+    def _encode_word(self, word: str) -> tuple[int, ...]:
         known = self._piece_to_id
-        for piece in self.pieces(text):
+        ids = []
+        for piece in self.pieces(word):
             token_id = known.get(piece)
             if token_id is None:
                 token_id = known[piece] = zlib.crc32(piece.encode("utf-8"))
                 self._id_to_piece.setdefault(token_id, piece)
             ids.append(token_id)
-        return ids
+        return tuple(ids)
 
     def encode_prompt(self, prompt: str) -> list[int]:
         """``encode(prompt)``, re-encoding only what is new in it.

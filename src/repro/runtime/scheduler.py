@@ -65,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 from repro.llm.latency import estimate_continuous_step
@@ -549,9 +550,12 @@ class GenScheduler:
 
         One pass over a trie of the earlier members' blocks: ``i``'s
         match depth in it is that largest shared prefix, so a step costs
-        O(total blocks) rather than a comparison per pair of members.
-        ``handles`` are the members' step pins, index-aligned (``()``
-        for a member with nothing pinned).  The trie
+        O(shared blocks) rather than a comparison per pair of members.
+        Past a member's first miss its keys stay an unexpanded tail (an
+        iterator, under the trie key ``None``): a later member that misses
+        at a node holding a tail expands it one level and looks again, so
+        a tail is cut only as deep as later members match it.  ``handles`` are the members' step pins,
+        index-aligned (``()`` for a member with nothing pinned).  The trie
         levels inside a pin are keyed by radix node and only the blocks
         below it are cut: every pin of a step is walked before any
         insert, so a pinned node stands for exactly one block prefix, and
@@ -570,13 +574,23 @@ class GenScheduler:
             tokens = request.tokens or ()
             if handle:
                 tokens = tokens[len(handle) * block_size :]
-            for key in (*handle, *zip(*[iter(tokens)] * block_size)):
+            keys = chain(handle, zip(*[iter(tokens)] * block_size))
+            for key in keys:
                 child = node.get(key)
                 if child is None:
-                    # Past the first miss every child is new: depth is final.
-                    child = node[key] = {}
-                else:
-                    depth += 1
+                    # A node holds a tail or children, never both: expand
+                    # the tail one level and look again.
+                    tail = node.pop(None, None)
+                    if tail is not None:
+                        ahead = next(tail, None)
+                        if ahead is not None:
+                            node[ahead] = {None: tail}
+                            child = node.get(key)
+                if child is None:
+                    # Past the first miss nothing is shared: depth is final.
+                    node[key] = {None: keys}
+                    break
+                depth += 1
                 node = child
             dedup.append(min(depth * block_size, triples[index][1]))
         return dedup

@@ -398,6 +398,30 @@ class TestFixtures:
         (finding,) = result.with_code("SPEAR002")
         assert "TELEPORT" in finding.message
 
+    def test_spear001_renders_its_location_once(self):
+        source = 'pipeline p {\n  GEN["a" "b"]\n}'
+        (finding,) = check_program(source).with_code("SPEAR001")
+        assert finding.render() == (
+            "<source>:2:11: SPEAR001 error: expected ',' or ']' in argument list"
+        )
+
+    def test_spear002_renders_its_location_once(self):
+        source = 'pipeline p {\n  RET["x"] -> REF[APPEND, "y", key="qa"]\n}'
+        (finding,) = check_program(source, filename="f.spear").with_code("SPEAR002")
+        assert finding.render() == (
+            "f.spear:2:3: SPEAR002 error: '->' is only valid after CHECK"
+        )
+        (finding,) = check_program('pipeline p { GEN["x"] }').with_code("SPEAR002")
+        assert finding.render() == (
+            "<source>:1:14: SPEAR002 error: GEN: requires prompt=<prompt key>"
+        )
+
+    def test_a_lower_case_nested_operator_is_spear002(self):
+        source = 'pipeline p { RETRY[gen["a", prompt="qa"], M["confidence"] < 0.5] }'
+        (finding,) = check_program(source)
+        assert finding.code == "SPEAR002"
+        assert finding.message == "unknown operator 'gen'"
+
 
 class TestExamplesGate:
     EXAMPLES = Path(__file__).parent.parent.parent / "examples"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.diagnostics import SourceSpan
 from repro.core import CHECK, DELEGATE, GEN, MERGE, REF, RET, ExecutionState
 from repro.core.derived import DIFF, VIEW
 from repro.dl import compile_source
@@ -91,6 +92,36 @@ class TestOperatorLowering:
             compile_source(
                 'pipeline p { RET["x"] -> REF[APPEND, "y", key="qa"] }'
             )
+
+    @pytest.mark.parametrize(
+        "source, name",
+        [
+            ('pipeline p { check[M["confidence"] < 0.5] }', "check"),
+            ('pipeline p { gen["a", prompt="qa"] }', "gen"),
+            (
+                'pipeline p { check[M["confidence"] < 0.5] -> REF[APPEND, "y", key="qa"] }',
+                "check",
+            ),
+            (
+                'pipeline p { RETRY[gen["a", prompt="qa"], M["confidence"] < 0.5] }',
+                "gen",
+            ),
+            ('pipeline p { Gen["a", prompt="qa"] }', "Gen"),
+        ],
+    )
+    def test_operator_names_resolve_exactly(self, source, name):
+        # Statement, '->' statement and nested term: one answer for each.
+        with pytest.raises(DslCompileError) as excinfo:
+            compile_source(source)
+        assert excinfo.value.message == f"unknown operator {name!r}"
+
+    def test_every_lowerer_is_named_by_its_operator(self):
+        from repro.dl.compiler import _LOWERERS
+
+        assert set(_LOWERERS) == {
+            "RET", "GEN", "REF", "EXPAND", "CHECK", "MERGE", "DELEGATE",
+            "VIEW", "SELECT_VIEW", "FUSED_GEN", "RETRY", "DIFF",
+        }
 
     def test_ret_unknown_kwargs_rejected(self):
         with pytest.raises(DslCompileError):
@@ -278,7 +309,24 @@ class TestSourceSpans:
         assert err.line == 2
         assert err.column == 3
         assert err.file == "bad.spear"
-        assert "bad.spear:2:3" in str(err)
+        assert str(err) == "bad.spear:2:3: unknown operator 'TELEPORT'"
+        assert err.message == "unknown operator 'TELEPORT'"
+
+    def test_compile_error_text_is_built_from_its_position(self):
+        for kwargs, where in (
+            ({"line": 2, "column": 3, "file": "a.spear"}, "a.spear:2:3"),
+            ({"line": 2, "column": 3}, "<source>:2:3"),
+            ({"line": 2, "file": "a.spear"}, "a.spear:2"),
+        ):
+            err = DslCompileError("boom", **kwargs)
+            span = SourceSpan(
+                file=kwargs.get("file"), line=kwargs["line"], column=kwargs.get("column", 0)
+            )
+            assert span.render() == where
+            assert str(err) == f"{where}: boom"
+            assert err.message == "boom"
+        # Without a line there is no position to show.
+        assert str(DslCompileError("boom", file="a.spear")) == "boom"
 
     def test_filename_defaults_to_source_placeholder(self):
         compiled = compile_source(self.SOURCE)

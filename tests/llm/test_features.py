@@ -1,6 +1,11 @@
 """Tests for prompt feature extraction."""
 
+import ast
+import inspect
+import textwrap
 from unittest import mock
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,3 +210,71 @@ class TestLiteralFastPath:
             assert "criteria" not in text.lower()
         assert extract_features("focu\u017f on").has_focus_hint
         assert extract_features("cr\u0130ter\u0130a:\n- a").criteria_count == 1
+
+
+class TestDistinctWordsPath:
+    """Long text tests its one-word markers on its distinct words only."""
+
+    @pytest.fixture(autouse=True)
+    def always_by_words(self, monkeypatch):
+        monkeypatch.setattr(features_module, "_VOCABULARY_MIN", -1)
+
+    def test_markers_split_on_whitespace_exactly(self):
+        groups = ("VERB", "TOPIC", "SENTIMENT", "HINT", "EXAMPLE", "FORMAT", "LIMIT")
+        for group in (*groups, "REASONING"):
+            words = getattr(features_module, f"_{group}_WORDS")
+            phrases = getattr(features_module, f"_{group}_PHRASES")
+            assert all(not any(c.isspace() for c in m) for m in words)
+            assert all(any(c.isspace() for c in m) for m in phrases)
+        verbs = {*features_module._VERB_WORDS, *features_module._VERB_PHRASES}
+        assert verbs == set(features_module._INSTRUCTION_VERBS)
+        topics = {*features_module._TOPIC_WORDS, *features_module._TOPIC_PHRASES}
+        assert topics == set(features_module.TOPIC_TERMS)
+
+    def test_every_marker_tested_by_word_has_no_whitespace(self):
+        # A marker with whitespace tested on the space-joined distinct words
+        # would match or not by set order, so ``in_word`` is only ever given
+        # a ``_by_words`` word group or a literal word.
+        tree = ast.parse(textwrap.dedent(inspect.getsource(extract_features)))
+        uses = 0
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Name) and func.id == "in_word":
+                (literal,) = args
+                assert not any(c.isspace() for c in literal.value)
+                uses += 1
+            elif any(isinstance(a, ast.Name) and a.id == "in_word" for a in args):
+                assert isinstance(func, ast.Name) and func.id in ("filter", "map")
+                group = args[1].id
+                assert group.endswith("_WORDS"), group
+                markers = getattr(features_module, group)
+                assert markers and not any(c.isspace() for m in markers for c in m)
+                uses += 1
+        assert uses == 9
+
+    def test_every_marker_cut_at_every_offset(self):
+        for piece in ASCII_PIECES:
+            for text in (
+                piece,
+                f"x{piece}y",
+                f"hint: {piece}\n- z",
+                f"criteria {piece} 3 words",
+                f"{piece} 1 word",
+                f"a\x1c{piece}\x0bb {piece}",
+            ):
+                assert extract_features(text) == oracle(text), text
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(st.sampled_from(ASCII_PIECES), max_size=16).map("".join))
+    def test_equals_the_definition(self, text):
+        assert extract_features(text) == oracle(text)
+
+    def test_long_text_takes_it_as_shipped(self, monkeypatch):
+        monkeypatch.undo()
+        lead = "harbor lantern willow granite meadow copper " * 30
+        for marker in WHOLE_MARKERS:
+            for text in (lead + marker, marker + " " + lead, lead + marker.upper() + lead):
+                assert len(text) > features_module._VOCABULARY_MIN
+                assert extract_features(text) == oracle(text), marker

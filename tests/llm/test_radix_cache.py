@@ -339,6 +339,42 @@ class TestHeapEviction:
         assert heap.snapshot() == scan.snapshot()
         assert heap.match_prefix([1, 2]) == scan.match_prefix([1, 2])
 
+    def test_cold_chains_evict_upward_stopping_at_pins_and_branches(self):
+        heap = _Recording(block_size=1, capacity_blocks=12)
+        scan = _ScanReference(block_size=1, capacity_blocks=12)
+        for cache in (heap, scan):
+            cache.insert([1, 2, 3, 4, 5, 6])  # a cold chain ...
+            cache.insert([1, 2, 3, 9])  # ... that branches at 3
+            held = cache.pin([1, 2])  # below pinned ancestors
+            cache.insert([7, 8])
+            cache.match_prefix([1, 2, 3, 9])  # one branch warm again
+            cache.insert(list(range(20, 28)))
+            cache.unpin(held)
+            cache.insert(list(range(40, 51)))
+            cache.insert([1, 2, 3, 4])
+            cache.insert(list(range(60, 72)))
+        assert heap.victims == scan.victims
+        assert heap.snapshot() == scan.snapshot()
+        assert heap.stats == scan.stats
+        assert all(leaf.queued for leaf in heap._leaves)
+
+    def test_a_cold_chain_costs_no_heap_round_trip_per_block(self, monkeypatch):
+        import heapq
+
+        cache = _Recording(block_size=1, capacity_blocks=10)
+        cache.insert(list(range(10)))
+        cache.insert([99])  # the heap is built here
+        pushes = []
+        real = heapq.heappush
+        monkeypatch.setattr(
+            heapq, "heappush", lambda heap, item: pushes.append(item) or real(heap, item)
+        )
+        cache.insert(list(range(100, 110)))
+        # Every old block goes, the chain bottom-up; only the new leaf is pushed.
+        assert len(cache.victims) == 11
+        assert len(pushes) == 1
+        assert len(cache) == 10
+
 
 def _resident_paths(cache):
     """Every resident node as its root-to-node block path."""

@@ -1,9 +1,10 @@
 """Features on demand: routing and task outputs equal the eager path.
 
 A GEN call tokenizes its prompt once and builds no whole-prompt
-``PromptFeatures``: the router tests the sentiment terms on its own
-lowered copy, tweet tasks read the memoised features of their
-instructions, and only clinical QA analyses the whole prompt.  The
+``PromptFeatures``: the router reads its chunks' memoised marker hits and
+scans only the windows around the slots, tweet tasks read the memoised
+features of their instructions, and only clinical QA analyses the whole
+prompt.  The
 eager router and engine kept in ``reference_route.py`` are the oracle.
 """
 
@@ -16,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.api as spear
+from repro.core import Context
+from repro.core.entry import CompiledTemplate, RenderedPrompt, StaticChunk
 from repro.data import make_clinical_corpus, make_tweet_corpus
 from repro.llm import features as features_module
 from repro.llm import model as model_module
@@ -210,3 +213,160 @@ def test_qa_still_analyses_its_prompt(analysed):
     prompt = _handler_prompts(7)["qa"]
     assert engine.run(prompt).task == "qa"
     assert analysed == [prompt]
+
+
+# -- routing from chunk memos and seam windows ---------------------------------
+
+#: Every literal the router tests, as lowered, upper-cased and title-cased.
+_ROUTE_CASES = tuple(
+    variant
+    for marker in tasks_module._ROUTE_MARKERS
+    for variant in (marker, marker.upper(), marker.title())
+)
+#: Case-folding traps: the final sigma lowers by context, the rest by more
+#: or other characters than they had.
+_ROUTE_TRAPS = (
+    "İ", "ſ", "ſelect", "ﬁlter", "negatİve", "ΟΔΟΣ", "ΟΔΟΣ negative", "Σ",
+    "ς", "naïve", "ß", "K",
+)
+
+
+def _rendered(parts: list[str], static: list[bool]) -> RenderedPrompt:
+    """``parts`` as a rendered prompt; an empty static part stays a slot."""
+    return RenderedPrompt(
+        "".join(parts),
+        tuple(
+            StaticChunk(part) if chunk and part else part
+            for part, chunk in zip(parts, static)
+        ),
+    )
+
+
+def _assert_routes_like_eager(prompt: str) -> None:
+    text = str(prompt)
+    want = reference_route(text, extract_features(text))
+    assert route_task(prompt) == want, [
+        s if isinstance(s, str) else ("chunk", s.text) for s in prompt.segments
+    ]
+    assert route_task(prompt) == want  # again, from the chunks' memos
+
+
+@st.composite
+def _segmented_prompts(draw) -> RenderedPrompt:
+    pieces = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_ROUTE_CASES + _ROUTE_TRAPS + _MARKERS),
+                st.text(alphabet="abc ilnorst.\n", max_size=10),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    text = "".join(piece + draw(_SEPARATORS) for piece in pieces)
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=6)))
+    bounds = [0, *cuts, len(text)]
+    parts = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    static = draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts)))
+    return _rendered(parts, static)
+
+
+class TestSegmentRouting:
+    """``route_task`` on rendered prompts equals the eager router."""
+
+    @pytest.fixture(autouse=True)
+    def always_combine(self, monkeypatch):
+        # The cases here are short; production would scan them flat.
+        monkeypatch.setattr(tasks_module, "_ROUTE_WHOLE", 0)
+        monkeypatch.setattr(features_module, "_MIN_SKIPPED", -1)
+
+    def test_no_marker_outreaches_the_window(self):
+        longest = max(map(len, tasks_module._ROUTE_MARKERS))
+        assert longest < features_module._REACH
+
+    @settings(max_examples=400, deadline=None)
+    @given(_segmented_prompts())
+    def test_random_segmentations(self, prompt):
+        _assert_routes_like_eager(prompt)
+
+    @staticmethod
+    def _seam_cases() -> list[RenderedPrompt]:
+        """Each marker and trap in a chunk, in a slot and cut by each seam."""
+        cases = []
+        for whole in _ROUTE_CASES + _ROUTE_TRAPS:
+            for before, after in (("", ""), ("x ", " y"), ("\n", ".\n")):
+                text = before + whole + after
+                for start in range(len(text) + 1):
+                    for stop in (start, start + 1, start + 3, len(text)):
+                        parts = [text[:start], text[start:stop], text[stop:]]
+                        for static in (
+                            [True, False, True],
+                            [False, True, False],
+                            [True, True, True],
+                        ):
+                            cases.append(_rendered(parts, static))
+        return cases
+
+    def test_every_marker_in_a_chunk_a_slot_and_across_each_seam(self):
+        for prompt in self._seam_cases():
+            _assert_routes_like_eager(prompt)
+
+    def test_a_router_that_ignores_seams_is_caught(self, monkeypatch):
+        # With no window around the slots, a marker cut by a seam is missed.
+        monkeypatch.setattr(features_module, "_REACH", 0)
+        wrong = 0
+        for prompt in self._seam_cases():
+            text = str(prompt)
+            wrong += route_task(prompt) != reference_route(text, extract_features(text))
+        assert wrong > 100
+
+
+class TestBoundChunkRouting:
+    """Realistic rendered prompts route from their chunks' memos."""
+
+    LEAD = "Note 3: harbor lantern willow granite meadow copper saddle orchard " * 8
+    TEMPLATES = (
+        "{lead}Tweet:\n{tweet}\nSummarize and clean up the tweet.",
+        "{lead}Tweet:\n{tweet}\nSelect the tweet only if it is negative.",
+        "Classify the tweet.\n{lead}{tweet}",
+        "{tweet}{lead}Rewrite the prompt.",
+        "{lead}{lead}",
+    )
+    TWEETS = (
+        "so tired of exams", "Summarize this", "NEGATIVE vibes", "filter",
+        "the medication history", "### Section 2", "ſentiment", "İ select",
+    )
+
+    def test_bound_leads_route_like_the_eager_router(self):
+        for text in self.TEMPLATES:
+            template = CompiledTemplate(text)
+            for marker in ("", *_ROUTE_CASES[::7], "clean", "medication"):
+                # The marker inside the lead, at each of its edges.
+                for lead in (self.LEAD + marker, marker + self.LEAD, self.LEAD):
+                    context = Context({"lead": lead})
+                    for tweet in self.TWEETS:
+                        context.put("tweet", tweet)
+                        prompt = template.render(context)
+                        assert any(
+                            isinstance(s, StaticChunk) and s.text is lead
+                            for s in prompt.segments
+                        )
+                        _assert_routes_like_eager(prompt)
+
+    def test_a_chunk_is_scanned_once(self, monkeypatch):
+        template = CompiledTemplate(self.TEMPLATES[1])
+        context = Context({"lead": self.LEAD, "tweet": "so tired of exams"})
+        first = template.render(context)
+        assert len(first) >= tasks_module._ROUTE_WHOLE
+        assert route_task(first) == "classify"
+        chunks = [s for s in first.segments if isinstance(s, StaticChunk)]
+        assert all("route" in chunk.memo for chunk in chunks)
+        lowered = []
+        real = tasks_module._marker_mask
+        monkeypatch.setattr(
+            tasks_module, "_marker_mask", lambda text: lowered.append(text) or real(text)
+        )
+        context.put("tweet", "another one, positive")
+        assert route_task(template.render(context)) == "classify"
+        # Only the window around the tweet slot is scanned again.
+        assert len(lowered) == 1 and len(lowered[0]) < 2 * features_module._REACH + 40

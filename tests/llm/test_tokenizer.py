@@ -1,8 +1,11 @@
 """Tests for the deterministic tokenizer."""
 
-from hypothesis import given
+import zlib
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.llm import tokenizer as tokenizer_module
 from repro.llm.tokenizer import Tokenizer
 
 
@@ -77,3 +80,40 @@ class TestTokenizerProperties:
         for char in text:
             if char.isalnum() and char.isascii():
                 assert char in joined
+
+
+def _reference_encode(text):
+    """The definition: every piece of the whole text, hashed in order."""
+    return [zlib.crc32(piece.encode("utf-8")) for piece in Tokenizer.pieces(text)]
+
+
+class TestWordMemo:
+    @settings(max_examples=400)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    ["a", "Z9", "'", "_", ",", "é", "İ", "internationalization"]
+                ),
+                st.sampled_from([" ", "\n", "\t", "\x1c", "\xa0", "\u2028", "\u3000"]),
+                st.text(alphabet="ab'_ 1.-", max_size=20),
+                st.text(max_size=6),
+            ),
+            max_size=12,
+        )
+    )
+    def test_word_by_word_equals_the_whole_text(self, parts):
+        tokenizer = Tokenizer()
+        text = "".join(parts)
+        assert tokenizer.encode(text) == _reference_encode(text)
+        assert tokenizer.encode(text) == _reference_encode(text)  # from the memo
+        assert tokenizer.decode(tokenizer.encode(text)) == " ".join(Tokenizer.pieces(text))
+
+    def test_a_full_memo_is_cleared_not_grown(self, monkeypatch):
+        monkeypatch.setattr(tokenizer_module, "_WORD_MEMO", 4)
+        tokenizer = Tokenizer()
+        text = " ".join(f"w{index}" for index in range(10))
+        for _ in range(3):
+            assert tokenizer.encode(text) == _reference_encode(text)
+            assert len(tokenizer._word_ids) <= 10
+        assert tokenizer.encode("w1 w2") == _reference_encode("w1 w2")

@@ -736,6 +736,58 @@ class TestPrefixAware:
         assert engine._dedup_tokens(ran, triples, pins) == expected
         assert engine._dedup_tokens(ran, triples, [()] * len(ran)) == expected
 
+    @pytest.mark.parametrize("shared", [0, 1, 2, 7, 29, 30])
+    def test_dedup_walks_into_an_unexpanded_tail(self, shared):
+        """A bulk member's unique blocks stay one unexpanded tail until a
+        later member sharing ``shared`` of them walks in; depths equal the
+        pairwise oracle, pinned or not, and the tail is cut no deeper."""
+        block = 4
+
+        class Counted(list):
+            """Tokens that count how many of them a walk pulled."""
+
+            pulled = 0
+
+            def __iter__(self):
+                for token in list.__iter__(self):
+                    self.pulled += 1
+                    yield token
+
+        bulk = Counted(range(1000, 1000 + 30 * block))
+        later = bulk[: shared * block] + [7] * (3 * block)
+        members = [bulk, later, list(bulk), bulk[: (shared + 1) * block]]
+        kv = RadixPrefixCache(block_size=block, capacity_blocks=4 * 30)
+        engine = GenScheduler(SimpleNamespace(kv_cache=kv))
+        kv.insert(bulk[: 2 * block])
+        handles = [kv.pin(tokens) for tokens in members]
+        ran, triples = [], []
+        for lane, (tokens, handle) in enumerate(zip(members, handles)):
+            cached = kv.lookup_and_insert(tokens, handle)
+            ran.append(SimpleNamespace(tokens=tokens, lane_id=lane))
+            triples.append((len(tokens), cached, 1))
+        for handle in handles:
+            kv.unpin(handle)
+        expected = [
+            min(
+                max(
+                    (
+                        shared_prefix_tokens(request.tokens, earlier.tokens, block)
+                        for earlier in ran[:index]
+                    ),
+                    default=0,
+                ),
+                triples[index][1],
+            )
+            for index, request in enumerate(ran)
+        ]
+        assert expected[1] == min(shared * block, triples[1][1])
+        bulk.pulled = 0
+        assert engine._dedup_tokens(ran[:2], triples[:2], [()] * 2) == expected[:2]
+        # The bulk member's first block, then one per level the later one reached.
+        assert bulk.pulled == min(shared + 1, 30) * block
+        assert engine._dedup_tokens(ran, triples, [()] * len(ran)) == expected
+        assert engine._dedup_tokens(ran, triples, handles) == expected
+
     def test_engine_dedup_under_mid_step_eviction_and_a_raising_task(self):
         """Every step's dedup, on the engine's own handles, equals the
         pairwise oracle while inserts evict inside the step and one
