@@ -30,22 +30,31 @@ The per-operator transfer functions (GEN template fingerprinting, REF
 text algebra, view preview) live on the :class:`_Walker` base; this
 module adds only the branch control flow.
 
-Forks are cheap because prompt states are immutable: a snapshot is a
-shallow copy of the store's dicts that shares every
-:class:`~repro.analysis.dataflow._PromptState` with the live walk.  The
-join starts from the fork's prompt store and rebuilds only the keys the
-walker's write log names since the fork, reusing a key's state when
-every path still holds the same object.
+No store is ever copied.  Every change the walker makes to its four
+stores (prompts, context, metadata, pending writes) goes through
+``_Walker._set`` / ``_Walker._unset``, which append the key's old value
+to one write trail.  A fork is a mark on that trail.  Restoring the
+fork undoes the trail back to the mark, newest entry first.  A path's
+outcome is the keys written since the mark, with the values they hold
+at the path's end.  The join visits only those keys: a key no path
+wrote holds the fork's value on every path, so it is already joined.
+Prompt states are immutable, so an outcome and the trail share them
+with the live store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.analysis.dataflow import (
+    _CONTEXT,
     _CONTEXT_ATOM,
+    _METADATA,
+    _PENDING,
+    _PROMPTS,
     _TEXT_FAN_LIMIT,
+    _UNSET,
     _PromptState,
     _Walker,
 )
@@ -55,138 +64,127 @@ from repro.core.operators import CHECK
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dataflow import OpNode
 
-__all__ = ["AbstractState", "PathSensitiveWalker"]
+__all__ = ["Fork", "Outcome", "PathSensitiveWalker"]
 
 
-@dataclass
-class AbstractState:
-    """One path's snapshot of the walker's abstract store.
+class Fork(NamedTuple):
+    """Where a branch started: a mark on the trail and the walk's flags.
 
     ``dead_write_mark``/``fusion_mark`` record accumulator lengths so a
     dead arm's rollback can also discard any dead-write or fusion-pair
-    evidence it produced (live paths keep theirs).  ``prompt_mark`` is
-    the length of the walker's prompt-write log: the keys logged after a
-    fork's mark are the only ones its join has to rebuild.
+    evidence it produced (live paths keep theirs).
     """
 
-    prompts: dict[str, _PromptState]
-    context: dict[str, str]
-    metadata: dict[str, str]
-    pending_writes: dict[str, int]
+    mark: int
     havoc: bool
     dead_write_mark: int
     fusion_mark: int
-    prompt_mark: int
 
 
-def _join_origins(stores: list[dict[str, str]]) -> dict[str, str]:
-    """Definite after the branch only when definite along every path."""
-    first = stores[0]
-    if all(store == first for store in stores):
-        return first
-    return {
-        name: (
-            "definite"
-            if all(store.get(name) == "definite" for store in stores)
-            else "maybe"
-        )
-        for name in {name for store in stores for name in store}
-    }
+class Outcome(NamedTuple):
+    """One feasible path's end: per store, each key written since the
+    fork and the value it holds (``_UNSET`` when dropped)."""
+
+    written: tuple[dict[str, Any], ...]
+    havoc: bool
 
 
 class PathSensitiveWalker(_Walker):
     """A :class:`_Walker` with forked, joined, dead-arm-aware branches."""
 
-    # -- state snapshots -----------------------------------------------------
+    # -- forks -------------------------------------------------------------------
 
-    def _snapshot(self) -> AbstractState:
-        # Prompt states are immutable, so a shallow copy is a full fork.
-        return AbstractState(
-            prompts=dict(self.prompts),
-            context=dict(self.context),
-            metadata=dict(self.metadata),
-            pending_writes=dict(self.pending_writes),
-            havoc=self.havoc,
-            dead_write_mark=len(self.dead_writes),
-            fusion_mark=len(self.fusion_pairs),
-            prompt_mark=len(self.prompt_log),
+    def _fork(self) -> Fork:
+        return Fork(
+            len(self.trail), self.havoc, len(self.dead_writes), len(self.fusion_pairs)
         )
 
-    def _restore(self, state: AbstractState, *, rollback: bool = False) -> None:
-        self.prompts = dict(state.prompts)
-        self.context = dict(state.context)
-        self.metadata = dict(state.metadata)
-        self.pending_writes = dict(state.pending_writes)
-        self.havoc = state.havoc
+    def _undo(self, fork: Fork, *, rollback: bool = False) -> None:
+        """Undo every store change since ``fork``; ``rollback`` also
+        drops the dead-write and fusion evidence found since."""
+        trail, stores = self.trail, self._stores
+        for index in range(len(trail) - 1, fork.mark - 1, -1):
+            store, key, old = trail[index]
+            if old is _UNSET:
+                del stores[store][key]
+            else:
+                stores[store][key] = old
+        del trail[fork.mark :]
+        self.havoc = fork.havoc
         if rollback:
-            del self.dead_writes[state.dead_write_mark :]
-            del self.fusion_pairs[state.fusion_mark :]
-            del self.prompt_log[state.prompt_mark :]
+            del self.dead_writes[fork.dead_write_mark :]
+            del self.fusion_pairs[fork.fusion_mark :]
+
+    def _outcome(self, fork: Fork) -> Outcome:
+        """The current path's end: the keys written since ``fork``."""
+        written: tuple[dict[str, Any], ...] = ({}, {}, {}, {})
+        stores = self._stores
+        for store, key, __ in self.trail[fork.mark :]:
+            written[store][key] = stores[store].get(key, _UNSET)
+        return Outcome(written, self.havoc)
 
     # -- join -----------------------------------------------------------------
 
-    def _join(self, base: AbstractState, paths: list[AbstractState]) -> AbstractState:
-        """The least upper bound of the feasible paths' post-states.
+    def _join(self, fork: Fork, paths: list[Outcome]) -> None:
+        """Join the feasible paths' post-states into the live store.
 
-        ``base`` is the fork the paths were walked from.  A prompt key no
-        path wrote since then still holds ``base``'s state in every path,
-        so it is taken from ``base`` by reference; only the keys the
-        write log names after ``base.prompt_mark`` are rebuilt.
+        The store holds the last path's end.  With one path that is the
+        join; otherwise the store goes back to ``fork`` and each key some
+        path wrote is set to the least upper bound of its values on every
+        path (the fork's value on a path that did not write it).
         """
         if len(paths) == 1:
-            return paths[0]
-        first = paths[0]
-        prompts = dict(base.prompts)
-        for key in set(self.prompt_log[base.prompt_mark :]):
-            infos = [path.prompts.get(key) for path in paths]
-            shared = infos[0]
-            if shared is not None and all(info is shared for info in infos):
-                # Logged, yet every path holds one state: nothing to join.
-                prompts[key] = shared
+            return
+        self._undo(fork)
+        self.havoc = any(path.havoc for path in paths)
+        for store, join in (
+            (_PROMPTS, self._join_prompt),
+            (_CONTEXT, _join_origin),
+            (_METADATA, _join_origin),
+            (_PENDING, _join_pending),
+        ):
+            written = [path.written[store] for path in paths]
+            if not any(written):
                 continue
-            present = [info for info in infos if info is not None]
-            params = frozenset().union(*(info.params for info in present))
-            spill = frozenset().union(*(info.spill for info in present))
-            texts: frozenset[str] | None
-            if any(info.texts is None for info in present):
-                # Losing the exact texts must not lose their reads.
-                known = frozenset().union(
-                    *(info.texts or frozenset() for info in present)
-                )
-                if known:
-                    spill = spill | self._spill_roots(known, params)
-                texts = None
+            stored = self._stores[store]
+            for key in dict.fromkeys(chain.from_iterable(written)):
+                base = stored.get(key, _UNSET)
+                joined = join([values.get(key, base) for values in written])
+                if joined is _UNSET:
+                    self._unset(store, key)
+                else:
+                    self._set(store, key, joined)
+
+    def _join_prompt(self, values: list[Any]) -> Any:
+        """Every path's state of one prompt key, joined."""
+        shared = values[0]
+        if shared is not _UNSET and all(value is shared for value in values):
+            return shared
+        present = [info for info in values if info is not _UNSET]
+        params = spill = known = frozenset()
+        exact = True  # every path knows its texts
+        for info in present:
+            params |= info.params
+            spill |= info.spill
+            if info.texts is None:
+                exact = False
             else:
-                texts = frozenset().union(*(info.texts for info in present))
-                if len(texts) > _TEXT_FAN_LIMIT:
-                    spill = spill | self._spill_roots(texts, params)
-                    texts = None
-            prompts[key] = _PromptState(
-                texts,
-                definite=(
-                    len(present) == len(paths)
-                    and all(info.definite for info in present)
-                ),
-                initial=all(info.initial for info in present),
-                params=params,
-                spill=spill,
-            )
-        pending = first.pending_writes
-        if any(path.pending_writes != pending for path in paths):
-            pending = {
-                slot: index
-                for slot, index in pending.items()
-                if all(path.pending_writes.get(slot) == index for path in paths)
-            }
-        return AbstractState(
-            prompts=prompts,
-            context=_join_origins([path.context for path in paths]),
-            metadata=_join_origins([path.metadata for path in paths]),
-            pending_writes=pending,
-            havoc=any(path.havoc for path in paths),
-            dead_write_mark=len(self.dead_writes),
-            fusion_mark=len(self.fusion_pairs),
-            prompt_mark=len(self.prompt_log),
+                known |= info.texts
+        texts: frozenset[str] | None = known
+        if not exact:
+            # Losing the exact texts must not lose their reads.
+            if known:
+                spill = spill | self._spill_roots(known, params)
+            texts = None
+        elif len(known) > _TEXT_FAN_LIMIT:
+            spill = spill | self._spill_roots(known, params)
+            texts = None
+        return _PromptState(
+            texts,
+            len(present) == len(values) and all(info.definite for info in present),
+            all(info.initial for info in present),
+            params,
+            spill,
         )
 
     # -- condition refinement --------------------------------------------------
@@ -204,21 +202,21 @@ class PathSensitiveWalker(_Walker):
             return
         present = outcome != bool(match.group("negated"))
         if present:
-            self.context[match.group("key")] = "definite"
+            self._set(_CONTEXT, match.group("key"), "definite")
         else:
-            self.context.pop(match.group("key"), None)
+            self._unset(_CONTEXT, match.group("key"))
 
     # -- dead arms -------------------------------------------------------------
 
     def _walk_dead(self, operator, *, repeated: bool, path) -> None:
         """Materialize an unreachable arm's nodes without any state effect."""
-        base = self._snapshot()
+        fork = self._fork()
         self._dead_depth += 1
         try:
             self.walk(operator, conditional=True, repeated=repeated, path=path)
         finally:
             self._dead_depth -= 1
-            self._restore(base, rollback=True)
+            self._undo(fork, rollback=True)
 
     # -- branch walkers ---------------------------------------------------------
 
@@ -235,8 +233,8 @@ class PathSensitiveWalker(_Walker):
         self._write_metadata(node, ("checks",), conditional=conditional)
         branch_path = path + (op.label,)
 
-        base = self._snapshot()
-        outcomes: list[AbstractState] = []
+        fork = self._fork()
+        outcomes: list[Outcome] = []
         # The true path.
         if static is False:
             if op.then is not None:
@@ -247,20 +245,20 @@ class PathSensitiveWalker(_Walker):
                 self.walk(
                     op.then, conditional=True, repeated=repeated, path=branch_path
                 )
-            outcomes.append(self._snapshot())
+            outcomes.append(self._outcome(fork))
         # The false path.
         if static is True:
             if op.orelse is not None:
                 self._walk_dead(op.orelse, repeated=repeated, path=branch_path)
         else:
-            self._restore(base)
+            self._undo(fork)
             self._refine_condition(op.cond.text, False)
             if op.orelse is not None:
                 self.walk(
                     op.orelse, conditional=True, repeated=repeated, path=branch_path
                 )
-            outcomes.append(self._snapshot())
-        self._restore(self._join(base, outcomes))
+            outcomes.append(self._outcome(fork))
+        self._join(fork, outcomes)
         return node
 
     def _walk_switch(self, op: SWITCH, conditional, repeated, path) -> "OpNode":
@@ -276,14 +274,14 @@ class PathSensitiveWalker(_Walker):
         node.data["has_default"] = op.default is not None
         branch_path = path + (op.label,)
 
-        base = self._snapshot()
-        outcomes: list[AbstractState] = []
+        fork = self._fork()
+        outcomes: list[Outcome] = []
         decided = False  # an earlier case statically matched (first-match)
         for (cond, case_op), static in zip(op.cases, statics):
             if decided or static is False:
                 self._walk_dead(case_op, repeated=repeated, path=branch_path)
                 continue
-            self._restore(base)
+            self._undo(fork)
             # Earlier undecided cases all failed along this path.
             for (earlier_cond, __), earlier in zip(op.cases, statics):
                 if earlier_cond is cond:
@@ -294,24 +292,40 @@ class PathSensitiveWalker(_Walker):
             self.walk(
                 case_op, conditional=True, repeated=repeated, path=branch_path
             )
-            outcomes.append(self._snapshot())
+            outcomes.append(self._outcome(fork))
             if static is True:
                 decided = True
         if op.default is not None:
             if decided:
                 self._walk_dead(op.default, repeated=repeated, path=branch_path)
             else:
-                self._restore(base)
+                self._undo(fork)
                 for (cond, __), static in zip(op.cases, statics):
                     if static is not False:
                         self._refine_condition(cond.text, False)
                 self.walk(
                     op.default, conditional=True, repeated=repeated, path=branch_path
                 )
-                outcomes.append(self._snapshot())
+                outcomes.append(self._outcome(fork))
         elif not decided:
             # No case matched and there is no default: plain fallthrough.
-            self._restore(base)
-            outcomes.append(self._snapshot())
-        self._restore(self._join(base, outcomes))
+            self._undo(fork)
+            outcomes.append(self._outcome(fork))
+        self._join(fork, outcomes)
         return node
+
+
+def _join_origin(values: list[Any]) -> Any:
+    """Definite after the branch only when definite along every path."""
+    first = values[0]
+    if all(value == first for value in values):
+        return first
+    return "maybe"
+
+
+def _join_pending(values: list[Any]) -> Any:
+    """A dead-write candidate survives only when every path kept it."""
+    first = values[0]
+    if all(value == first for value in values):
+        return first
+    return _UNSET

@@ -16,7 +16,8 @@ Callables are described by module, qualname, code, defaults and
 closure cells, never by address, so a new object at a freed one's
 address cannot inherit its entry.  Slotted objects are described by
 their set slot values (a :class:`~repro.core.entry.StaticChunk` by its
-text alone).  An object with neither a ``__dict__`` nor slots has no
+text alone, a :class:`~repro.core.views.ViewRegistry` by its definitions
+alone).  An object with neither a ``__dict__`` nor slots has no
 content to describe: a request holding one is checked but never cached.
 
 Hits and misses are observable as ``spear_check_cache_hits_total`` /
@@ -37,6 +38,7 @@ from repro.analysis.diagnostics import CheckResult
 from repro.core.entry import StaticChunk
 from repro.core.operators import Operator
 from repro.core.pipeline import Pipeline
+from repro.core.views import ViewRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.state import ExecutionState
@@ -100,6 +102,13 @@ def _describe_node(obj: Any, depth: int, path: dict[int, int]) -> Any:
     text = getattr(obj, "text", None)
     if text is not None and type(obj).__name__ == "Condition":
         return ("Condition", text)
+    if isinstance(obj, ViewRegistry):
+        # ``_templates`` caches parses of the definitions; it is not
+        # content.  Described as if ``_views`` were its one attribute.
+        return (
+            "ViewRegistry",
+            (("_views", _describe(obj._views, depth + 1, path)),),
+        )
     attrs = getattr(obj, "__dict__", None)
     # Operators are callable but must be described structurally: two
     # separately-built but equal pipelines share one cache entry.

@@ -67,6 +67,13 @@ DYNAMIC = "<dynamic>"
 #: branchy pipelines would otherwise explode the product of literals.
 _TEXT_FAN_LIMIT = 8
 
+#: the walker's four abstract stores, by their index in ``_Walker._stores``
+#: and in every entry of its write trail.
+_PROMPTS, _CONTEXT, _METADATA, _PENDING = range(4)
+
+#: a trail entry's old value for a key its store did not hold.
+_UNSET: Any = object()
+
 #: metadata signals one GEN application writes (see ``GEN._run``).
 _GEN_SIGNALS = (
     "confidence",
@@ -300,8 +307,9 @@ class DataflowGraph:
 class _PromptState(NamedTuple):
     """Abstract value of one prompt key during the walk.
 
-    Immutable: branch snapshots share states with the live store, so a
-    write builds a new state instead of assigning fields.
+    Immutable: the write trail and branch outcomes share states with the
+    live store, so a write builds a new state instead of assigning
+    fields.  The hot paths build it positionally, in field order.
     """
 
     #: the possible current texts; ``None`` means unknowable.
@@ -345,9 +353,14 @@ class _Walker:
         self.pending_writes: dict[str, int] = {}
         self.dead_writes: list[tuple[int, str]] = []
         self.fusion_pairs: list[tuple[int, int, str]] = []
-        #: every prompt key written, in walk order: a branch join
-        #: rebuilds only the keys written since its fork.
-        self.prompt_log: list[str] = []
+        self._stores = (self.prompts, self.context, self.metadata, self.pending_writes)
+        #: ``(store, key, old value)`` for every change to a store, in walk
+        #: order: a branch forks at a length of it, undoes back to that
+        #: length, and joins only the keys written after it.
+        self.trail: list[tuple[int, str, Any]] = []
+        #: text → the placeholder roots it reads, unshadowed: GENs reading
+        #: one prompt key see the same texts again and again.
+        self._text_roots: dict[str, tuple[str, ...]] = {}
         #: >0 while walking a statically-dead branch.
         self._dead_depth = 0
 
@@ -362,27 +375,44 @@ class _Walker:
         repeated: bool,
         path: tuple[str, ...],
     ) -> OpNode:
+        # Positional, in field order: matching keywords against the
+        # dataclass's many parameters costs more than the rest of the call.
         node = OpNode(
-            index=len(self.nodes),
-            label=operator.label,
-            kind=kind,
-            operator=operator,
-            span=getattr(operator, "span", None),
-            path=path,
-            conditional=conditional,
-            repeated=repeated,
-            under_havoc=self.havoc,
-            unreachable=self._dead_depth > 0,
+            len(self.nodes),
+            operator.label,
+            kind,
+            operator,
+            getattr(operator, "span", None),
+            path,
+            conditional,
+            repeated,
+            self.havoc,
+            self._dead_depth > 0,
         )
         self.nodes.append(node)
         return node
 
     # -- abstract store operations -------------------------------------------
 
+    def _set(self, store: int, key: str, value: Any) -> None:
+        """Bind ``key`` in ``store`` to ``value``, trailing the old value."""
+        stored = self._stores[store]
+        old = stored.get(key, _UNSET)
+        if old is not value:
+            self.trail.append((store, key, old))
+            stored[key] = value
+
+    def _unset(self, store: int, key: str) -> None:
+        """Drop ``key`` from ``store``, trailing the old value."""
+        old = self._stores[store].pop(key, _UNSET)
+        if old is not _UNSET:
+            self.trail.append((store, key, old))
+
     def _read_context(self, node: OpNode, slot: str, *, hard: bool) -> None:
         if slot not in node.context_reads:
             node.context_reads += (slot,)
-        self.pending_writes.pop(slot, None)
+        if slot in self.pending_writes:
+            self._unset(_PENDING, slot)
         if hard and slot not in self.context and not self.havoc:
             if slot not in node.missing_context:
                 node.missing_context += (slot,)
@@ -391,29 +421,34 @@ class _Walker:
         self, node: OpNode, slot: str, *, conditional: bool, repeated: bool
     ) -> None:
         node.context_writes += (slot,)
-        if conditional:
-            self.context.setdefault(slot, "maybe")
-        else:
-            self.context[slot] = "definite"
+        if not conditional:
+            self._set(_CONTEXT, slot, "definite")
+        elif slot not in self.context:
+            self._set(_CONTEXT, slot, "maybe")
         if slot.endswith("__result"):
             # GEN's companion record slot: a pipeline re-generating a
             # label overwrites it by design; never dead-write material.
             return
-        previous = self.pending_writes.pop(slot, None)
+        previous = self.pending_writes.get(slot)
         if not conditional and not repeated:
             if previous is not None and not self.havoc:
                 self.dead_writes.append((previous, slot))
-            self.pending_writes[slot] = node.index
+            self._set(_PENDING, slot, node.index)
+        elif previous is not None:
+            self._unset(_PENDING, slot)
 
     def _write_metadata(
         self, node: OpNode, signals: Iterable[str], *, conditional: bool
     ) -> None:
+        signals = tuple(signals)
+        node.metadata_writes += signals
+        metadata = self.metadata
         for signal in signals:
-            node.metadata_writes += (signal,)
-            if conditional:
-                self.metadata.setdefault(signal, "maybe")
-            else:
-                self.metadata[signal] = "definite"
+            if not conditional:
+                if metadata.get(signal) != "definite":
+                    self._set(_METADATA, signal, "definite")
+            elif signal not in metadata:
+                self._set(_METADATA, signal, "maybe")
 
     def _read_prompt(self, node: OpNode, key: str) -> _PromptState | None:
         if key not in node.prompt_reads:
@@ -435,8 +470,17 @@ class _Walker:
         shadowed = params | {"base"}
         roots: set[str] = set()
         for text in texts:
-            roots.update(_template_roots(template_placeholders(text), shadowed))
-        return frozenset(roots)
+            roots.update(self._roots_of(text))
+        return frozenset(roots - shadowed)
+
+    def _roots_of(self, text: str) -> tuple[str, ...]:
+        """The context roots ``text``'s placeholders read, before any are
+        shadowed: callers drop shadowed roots, which keeps first-use order."""
+        roots = self._text_roots.get(text)
+        if roots is None:
+            roots = _template_roots(template_placeholders(text))
+            self._text_roots[text] = roots
+        return roots
 
     def _write_prompt(
         self,
@@ -449,14 +493,15 @@ class _Walker:
         spill: frozenset[str] = frozenset(),
     ) -> None:
         node.prompt_writes += (key,)
-        self.prompt_log.append(key)
         info = self.prompts.get(key)
         if texts is not None and len(texts) > _TEXT_FAN_LIMIT:
             spill = spill | self._spill_roots(texts, params)
             texts = None
         if info is None:
-            self.prompts[key] = _PromptState(
-                texts, definite=not conditional, params=params, spill=spill
+            self._set(
+                _PROMPTS,
+                key,
+                _PromptState(texts, not conditional, False, params, spill),
             )
             return
         kept_spill = info.spill
@@ -485,12 +530,12 @@ class _Walker:
                 # Exact knowledge again: prior spill is superseded.
                 kept_spill = frozenset()
             definite = True
-        self.prompts[key] = _PromptState(
-            texts,
-            definite=definite,
-            initial=info.initial,
-            params=info.params | params,
-            spill=kept_spill | spill,
+        self._set(
+            _PROMPTS,
+            key,
+            _PromptState(
+                texts, definite, info.initial, info.params | params, kept_spill | spill
+            ),
         )
 
     def _template_reads(
@@ -510,7 +555,9 @@ class _Walker:
             return
         shadowed = shadowed | info.params | {"base"}
         for text in info.texts or ():
-            for root in _template_roots(template_placeholders(text), shadowed):
+            for root in self._roots_of(text):
+                if root in shadowed:
+                    continue
                 if root not in node.template_params:
                     node.template_params += (root,)
                 self._read_context(node, root, hard=False)
@@ -884,7 +931,8 @@ class _Walker:
         self.havoc = True
         # An opaque operator may read any pending write, so none of them
         # can be proven dead from here on.
-        self.pending_writes.clear()
+        for slot in list(self.pending_writes):
+            self._unset(_PENDING, slot)
         return node
 
 
@@ -914,9 +962,10 @@ def build_dataflow(
 ) -> DataflowGraph:
     """Extract the per-operator read/write sets of ``pipeline``.
 
-    Pure: neither the pipeline, the environment, nor any registry cache
-    is mutated — safe to run immediately before a real execution without
-    perturbing it.
+    Pure: neither the pipeline, the environment, nor any view definition
+    is mutated (a registry only keeps the parse of a template it expanded)
+    — safe to run immediately before a real execution without perturbing
+    it.
 
     CHECK/SWITCH arms are analyzed on forked abstract states with joined
     post-states, and statically-dead arms are skipped (see

@@ -10,7 +10,10 @@ Views here support:
 - **dispatch**: pick a view at runtime from predicates over the state
   (e.g. discharge vs radiology vs nursing notes).
 
-Expansion renders the current base chain on every call.
+Expansion renders the current base chain on every call, each view from
+its definition's one parse: a registry keeps a
+:class:`~repro.core.entry.CompiledTemplate` per ``(name, version)``, and
+a redefinition bumps the version, so no parse outlives its definition.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.core.entry import PromptEntry, render_template, template_placeholders
+from repro.core.entry import CompiledTemplate, PromptEntry, template_placeholders
 from repro.errors import UnknownViewError, ViewError, ViewParameterError
 
 __all__ = ["View", "ViewRegistry"]
@@ -50,6 +53,9 @@ class ViewRegistry:
 
     def __init__(self) -> None:
         self._views: dict[str, View] = {}
+        #: each definition's template, parsed once: ``(name, version)`` →
+        #: template.  Not on :class:`View`, whose fields are its content.
+        self._templates: dict[tuple[str, int], CompiledTemplate] = {}
 
     # -- definition ----------------------------------------------------------
 
@@ -142,8 +148,9 @@ class ViewRegistry:
         Parameters flow to every view in the chain.  A derived view's
         template may place its base explicitly with ``{base}``; otherwise
         the base text is prepended.  Missing required parameters raise
-        :class:`ViewParameterError`.  Pure: the static checker expands
-        views through this too.
+        :class:`ViewParameterError`.  Pure but for parsing each
+        definition's template once: the static checker expands views
+        through this too.
         """
         bound = dict(params or {})
         text = ""
@@ -151,7 +158,11 @@ class ViewRegistry:
             values = dict(view.defaults)
             values.update(bound)
             values["base"] = text
-            rendered = render_template(view.template, values)
+            template = self._templates.get((view.name, view.version))
+            if template is None:
+                template = CompiledTemplate(view.template)
+                self._templates[view.name, view.version] = template
+            rendered = template.render(values)
             if text and "{base}" not in view.template:
                 rendered = f"{text}\n{rendered}"
             text = rendered

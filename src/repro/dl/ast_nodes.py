@@ -9,6 +9,7 @@ execution environment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 __all__ = [
@@ -99,6 +100,19 @@ class Program:
 
     views: tuple[ViewDef, ...] = ()
     pipelines: tuple[PipelineDef, ...] = ()
+
+    @cached_property
+    def _lowerings(self) -> dict[str | None, Any]:
+        """Lowered pipelines by ``filename``, kept by the compiler.
+
+        A program is frozen, so lowering it against its own views is a
+        pure function of the program and the filename its spans carry.
+        Not a field: equality, ``repr`` and pickles never see it.
+        """
+        return {}
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {"views": self.views, "pipelines": self.pipelines}
 
     def view(self, name: str) -> ViewDef | None:
         """Look up a view definition by name."""

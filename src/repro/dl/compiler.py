@@ -277,6 +277,11 @@ def compile_program(
 
     ``filename`` (when known) is stamped into every operator span and
     compile error so reports read ``file:line:col``.
+
+    Without ``views`` the lowering depends on nothing but the program
+    and ``filename``, so it is done once per pair and kept with the
+    program: each call still returns a fresh registry and fresh
+    pipelines, over the same operators.
     """
     registry = views if views is not None else ViewRegistry()
     for view in program.views:
@@ -287,14 +292,19 @@ def compile_program(
             base=view.base,
             tags=set(view.tags),
         )
-    lowering = _Lowering(registry, filename=filename)
-    pipelines = {
-        pipeline_def.name: Pipeline(
-            [lowering.lower_statement(statement) for statement in pipeline_def.statements],
-            name=pipeline_def.name,
+    lowered = program._lowerings.get(filename) if views is None else None
+    if lowered is None:
+        lowering = _Lowering(registry, filename=filename)
+        lowered = tuple(
+            (
+                pipeline_def.name,
+                tuple(map(lowering.lower_statement, pipeline_def.statements)),
+            )
+            for pipeline_def in program.pipelines
         )
-        for pipeline_def in program.pipelines
-    }
+        if views is None:
+            program._lowerings[filename] = lowered
+    pipelines = {name: Pipeline(operators, name=name) for name, operators in lowered}
     return CompiledProgram(registry, pipelines)
 
 

@@ -100,15 +100,19 @@ _PUNCT = {
 # ``int()``/``float()`` accept).  NAME and PUNCT, the bulk of any
 # program, are tried first: none of the alternatives they moved ahead of
 # starts with an ASCII letter, ``_`` or one of the punctuation marks, so
-# every match is the same and only failed tries are saved.
+# every match is the same and only failed tries are saved.  String
+# bodies are unrolled loops: a run of plain characters, then any number
+# of (escape or lone quote, plain run) pairs.  Each run is one
+# character-class repeat, where an alternation or a lazy ``[\s\S]*?``
+# would try a branch, or the closing delimiter, at every character.
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:"
     r"(?P<NAME>[A-Za-z_]\w*)"
     r"|(?P<PUNCT>[][{}(),:=<>])"
     r"|(?P<COMMENT>#[^\n]*)"
-    r'|(?P<TRIPLE>"""[\s\S]*?""")'
+    r'|(?P<TRIPLE>"""[^"]*(?:"(?!"")[^"]*)*""")'
     r'|(?P<OPEN_TRIPLE>""")'
-    r"""|(?P<STRING>"(?:[^"\\\n]|\\[\s\S])*"|'(?:[^'\\\n]|\\[\s\S])*')"""
+    r"""|(?P<STRING>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')"""
     r"""|(?P<OPEN_STRING>["'])"""
     r"|(?P<ARROW>->)"
     r"|(?P<NUMBER>-?\d[\d.]*(?:[eE][+-]?\d+)?)"

@@ -205,19 +205,24 @@ class _Parser:
         self._expect(_LBRACKET, "'['")
         args: list[Any] = []
         kwargs: dict[str, Any] = {}
+        tokens = self._tokens
+        # Steps past ',' and ']' inline: neither is the final EOF.
         while self.current[0] is not _RBRACKET:
             token = self.current
-            if token[0] is _NAME and self._peek()[0] is _EQUALS:
+            if token[0] is _NAME and tokens[self._index + 1][0] is _EQUALS:
                 self._index += 2  # NAME '='
-                self.current = self._tokens[self._index]
+                self.current = tokens[self._index]
                 kwargs[token[1]] = self._parse_expr()
             else:
                 args.append(self._parse_expr())
-            if self.current[0] is _COMMA:
-                self._advance()
-            elif self.current[0] is not _RBRACKET:
+            kind = self.current[0]
+            if kind is _COMMA:
+                self._index += 1
+                self.current = tokens[self._index]
+            elif kind is not _RBRACKET:
                 raise self._error("expected ',' or ']' in argument list")
-        self._advance()  # ']'
+        self._index += 1  # ']'
+        self.current = tokens[self._index]
         line, column = self._position(name_token)
         return OpCall(
             name=name_token[1],
@@ -235,10 +240,12 @@ class _Parser:
         if token[0] is _STRING:
             # Could be a bare string or a context condition:
             #   "orders" not in C  /  "orders" in C
-            follower = self._peek()
+            follower = self._tokens[self._index + 1]
             if follower[0] is _NAME and follower[1] in ("not", "in"):
                 return self._parse_context_condition()
-            return self._advance()[1]
+            self._index += 1
+            self.current = follower
+            return token[1]
 
         if token[0] is _NUMBER:
             self._advance()

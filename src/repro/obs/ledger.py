@@ -199,7 +199,9 @@ class RunLedger:
         # The recorder's own early-out, negated: NaN samples as it would.
         if not event.at < self._watermark or event.kind in _FORCED:
             self._recorder.on_event(event)
-            self._watermark = self._recorder.next_watermark
+            # None until a finite event starts the series.
+            watermark = self._recorder.next_watermark
+            self._watermark = -math.inf if watermark is None else watermark
         self._unflushed += 1
         if self._unflushed >= _FLUSH_EVERY:
             self._flush_events()

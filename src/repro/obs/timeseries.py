@@ -11,6 +11,8 @@ future adaptive controller can poll, and ``spear top`` can tail.
 
 Rows are stamped on the *virtual* clock (the event's ``at``), never the
 host clock, so two runs with the same seed produce byte-identical series.
+An event whose ``at`` is not finite (``inf``, ``nan``) has no place on
+that clock: it is skipped, so it neither samples nor moves a watermark.
 
 Row schema (one JSON object per line in ``series.jsonl``)::
 
@@ -27,6 +29,7 @@ import json
 from array import array
 from itertools import compress, count, repeat
 from json.encoder import encode_basestring_ascii
+from math import isfinite
 from operator import attrgetter, ne
 from typing import Any, Callable
 
@@ -122,6 +125,10 @@ class SeriesRecorder:
             and event.at < watermark
             and event.kind not in FORCED_SAMPLE_KINDS
         ):
+            return
+        if not isfinite(event.at):
+            # No place on the clock (inf or nan): such an event can neither
+            # set nor cross a watermark, nor date a row, so it is skipped.
             return
         if watermark is None:
             self._record(event.at, "start")

@@ -140,6 +140,14 @@ class ParallelBatchRunner:
             )
         if options.resilience is not None and base_state.resilience is None:
             base_state.resilience = options.resilience
+        collector = options.collector
+        if collector is not None:
+            # As the Executor wires it: the model and result cache report
+            # through the collector (``run`` subscribes it to the log).
+            if base_state.model is not None:
+                collector.attach_model(base_state.model)
+            if base_state.result_cache is not None:
+                collector.attach_result_cache(base_state.result_cache)
         self.bind = bind
         self.on_error = on_error
         self.workers = workers
@@ -180,6 +188,11 @@ class ParallelBatchRunner:
             registry=self.metrics,
             collector=self.options.collector,
         ):
+            if self.options.collector is not None:
+                # The base log, which lane events are folded into.  A
+                # ledger has subscribed it already (after itself), and a
+                # second subscription is a no-op.
+                self.options.collector.subscribe_to(self.base_state.events)
             return self._run_batch(pipeline, items)
 
     def _run_batch(

@@ -293,10 +293,11 @@ class TestCopyOnWrite:
         walker = PathSensitiveWalker(AnalysisEnv())
         _walk(walker, REF(RefAction.CREATE, "base", key="qa"))
         _walk(walker, GEN("draft", prompt="qa"))
-        before = walker._snapshot()
-        saved = {key: tuple(info) for key, info in before.prompts.items()}
-        saved_context = dict(before.context)
-        saved_metadata = dict(before.metadata)
+        # A copy of the stores shares every prompt state with the walk.
+        before_prompts = dict(walker.prompts)
+        saved = {key: tuple(info) for key, info in before_prompts.items()}
+        before_context = dict(walker.context)
+        before_metadata = dict(walker.metadata)
 
         then = Pipeline(
             [
@@ -306,6 +307,7 @@ class TestCopyOnWrite:
                 REF(RefAction.CREATE, "aside", key="aside"),  # a new key
             ]
         )
+        fork = walker._fork()
         # `confidence` is definite after GEN: the condition is undecided.
         _walk(walker, CHECK(Condition.metadata_below("confidence", 0.7), then=then))
 
@@ -313,11 +315,14 @@ class TestCopyOnWrite:
         assert walker.metadata["delegations"] == "maybe"
         assert walker.prompts["aside"].definite is False
         assert walker.prompts["qa"].texts == frozenset({"base", "base\nmore"})
-        # The pre-branch snapshot still holds exactly what it held.
-        assert {k: tuple(v) for k, v in before.prompts.items()} == saved
-        assert before.prompts["qa"].texts == frozenset({"base"})
-        assert before.context == saved_context
-        assert before.metadata == saved_metadata
+        # The states held before the branch still hold exactly what they
+        # held, and undoing the branch's trail gives the pre-branch stores.
+        assert {k: tuple(v) for k, v in before_prompts.items()} == saved
+        assert before_prompts["qa"].texts == frozenset({"base"})
+        walker._undo(fork)
+        assert walker.prompts == before_prompts
+        assert walker.context == before_context
+        assert walker.metadata == before_metadata
 
     def test_untouched_keys_are_shared_across_the_join(self):
         walker = PathSensitiveWalker(AnalysisEnv(prompts={"a": "A", "b": "B"}))

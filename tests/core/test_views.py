@@ -162,3 +162,55 @@ class TestCaching:
         assert views.expand("B") == "A-text-v3\nB body"
         views.define("B", "B body", base="C")
         assert views.expand("B") == "C-text-v2\nB body"
+
+
+class TestCompiledTemplates:
+    """Each definition version is parsed once, and a redefinition (of the
+    view or of its base) is rendered from its own new text."""
+
+    def test_redefinition_renders_new_text(self, registry):
+        assert registry.expand("med_summary", {"drug": "X"}).endswith("of X.")
+        registry.define("med_summary", "Only {drug}.", params=("drug",))
+        assert registry.expand("med_summary", {"drug": "X"}) == "Only X."
+
+    def test_base_redefinition_renders_new_text(self):
+        views = ViewRegistry()
+        views.define("base", "Base v0.")
+        views.define("child", "Child on {topic}.", params=("topic",), base="base")
+        assert views.expand("child", {"topic": "t"}) == "Base v0.\nChild on t."
+        views.define("base", "Base v1 about {topic}.", params=("topic",))
+        assert views.expand("child", {"topic": "t"}) == (
+            "Base v1 about t.\nChild on t."
+        )
+
+    def test_one_parse_per_definition_version(self, registry, monkeypatch):
+        from repro.core import views as views_module
+
+        parsed = []
+        real = views_module.CompiledTemplate
+
+        def counting(text):
+            parsed.append(text)
+            return real(text)
+
+        monkeypatch.setattr(views_module, "CompiledTemplate", counting)
+        for drug in ("X", "Y", "X"):
+            registry.expand("med_summary", {"drug": drug})
+        assert len(parsed) == 1
+        registry.define("med_summary", "Only {drug}.", params=("drug",))
+        registry.expand("med_summary", {"drug": "X"})
+        registry.expand("med_summary", {"drug": "Z"})
+        assert parsed[1:] == ["Only {drug}."]
+
+    def test_check_cache_key_ignores_the_parsed_templates(self, registry):
+        from repro.analysis.cache import fingerprint_check
+        from repro.core import GEN, Pipeline
+        from repro.core.derived import VIEW
+
+        pipeline = Pipeline(
+            [VIEW("med_summary", key="qa", params={"drug": "X"}), GEN("a", prompt="qa")]
+        )
+        before = fingerprint_check(pipeline, views=registry)
+        registry.expand("med_summary", {"drug": "X"})
+        assert registry._templates
+        assert fingerprint_check(pipeline, views=registry) == before

@@ -332,3 +332,89 @@ class TestSourceSpans:
         compiled = compile_source(self.SOURCE)
         span = compiled.pipeline("spanned").operators[0].span
         assert span.render().startswith("<source>:")
+
+
+_SHARED_SOURCE = """
+view base() { \"\"\"Answer from the record.\"\"\" }
+view ask(topic) extends base { \"\"\"About {topic}?\"\"\" }
+pipeline p {
+  VIEW["ask", key="qa", params={topic: "dosage"}]
+  GEN["out", prompt="qa"]
+  CHECK[M["confidence"] < 0.7] -> REF[APPEND, "Cite the note.", key="qa"]
+  GEN["ghost", prompt="missing"]
+}
+"""
+
+
+class TestLowerOnce:
+    """A program is lowered once per filename; every compile still hands
+    out its own registry and pipelines."""
+
+    def test_compiles_of_one_ast_are_independent(self):
+        from repro.dl import compile_program, parse
+
+        program = parse(_SHARED_SOURCE)
+        first, second = compile_program(program), compile_program(program)
+        assert first.views is not second.views
+        assert first.pipelines["p"] is not second.pipelines["p"]
+        # The operators are lowered once and shared.
+        assert first.pipelines["p"].operators == second.pipelines["p"].operators
+        first.pipelines["p"].operators.append(GEN("extra", prompt="qa"))
+        first.views.define("ask", "Changed {topic}", params=("topic",))
+        assert len(second.pipelines["p"].operators) == 4
+        assert second.views.expand("ask", {"topic": "x"}) == (
+            "Answer from the record.\nAbout x?"
+        )
+        assert len(compile_program(program).pipelines["p"].operators) == 4
+
+    def test_check_after_compile_matches_check_of_the_source(self):
+        from repro.analysis import check_program
+        from repro.dl import compile_program, parse
+
+        program = parse(_SHARED_SOURCE)
+        compile_program(program)
+        after_compile = [d.render() for d in check_program(program)]
+        assert after_compile == [d.render() for d in check_program(_SHARED_SOURCE)]
+        assert any("SPEAR101" in line for line in after_compile)
+
+    def test_each_filename_stamps_its_own_spans(self):
+        from repro.dl import compile_program, parse
+
+        program = parse(_SHARED_SOURCE)
+        for filename in ("a.spear", "b.spear", None, "a.spear"):
+            compiled = compile_program(program, filename=filename)
+            spans = {op.span for op in compiled.pipelines["p"].operators}
+            assert {span.file for span in spans} == {filename}
+        assert set(program._lowerings) == {"a.spear", "b.spear", None}
+
+    def test_passed_views_are_lowered_against_each_time(self):
+        from repro.core.views import ViewRegistry
+        from repro.dl import compile_program, parse
+
+        program = parse('pipeline p { VIEW["outer", key="qa"] }')
+        with pytest.raises(DslCompileError):
+            compile_program(program, views=ViewRegistry())
+        views = ViewRegistry()
+        views.define("outer", "Outer text.")
+        compiled = compile_program(program, views=views)
+        assert compiled.views is views
+        assert program._lowerings == {}
+
+    def test_the_memo_is_no_part_of_the_program(self):
+        import copy
+        import pickle
+
+        from repro.dl import compile_program, format_program, parse
+
+        program = parse(_SHARED_SOURCE)
+        fresh = parse(_SHARED_SOURCE)
+        before = repr(program)
+        compile_program(program)
+        assert program._lowerings
+        assert program == fresh
+        assert repr(program) == before
+        assert format_program(program) == format_program(fresh)
+        restored = pickle.loads(pickle.dumps(program))
+        assert restored == program
+        assert "_lowerings" not in vars(restored)
+        assert "_lowerings" not in vars(copy.deepcopy(program))

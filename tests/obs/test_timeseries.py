@@ -135,3 +135,63 @@ class TestSampling:
         # Histograms have no single scalar value; only counters/gauges
         # become series columns.
         assert set(recorder.sample(0.0)["metrics"]) == {"n_total"}
+
+
+class TestNonFiniteTimestamps:
+    """An event at ``inf`` or ``nan`` is skipped: it samples nothing and
+    moves no watermark, so a ledgered run still ends with bounded rows."""
+
+    @pytest.fixture
+    def bounded(self, monkeypatch):
+        # A recorder that loops on such an event writes rows without end;
+        # fail after a few hundred instead of filling memory and disk.
+        record = SeriesRecorder._record
+        calls = []
+
+        def guarded(recorder, at, trigger):
+            calls.append(at)
+            assert len(calls) < 200, "unbounded sampling"
+            return record(recorder, at, trigger)
+
+        monkeypatch.setattr(SeriesRecorder, "_record", guarded)
+
+    @pytest.mark.parametrize("first", [0.0, float("nan"), float("inf")])
+    def test_ledgered_log_with_inf_and_nan_events(self, tmp_path, bounded, first):
+        from repro.obs.ledger import RunLedger
+
+        log = EventLog()
+        ledger = RunLedger.create(tmp_path / "runs")
+        ledger.open(log)
+        log.emit(EventKind.CHECK, "A", at=first)
+        for at in (0.5, float("inf"), float("nan"), 1.5, float("-inf")):
+            log.emit(EventKind.CHECK, "A", at=at)
+            log.emit(EventKind.REFINE, "R", at=at)
+        log.emit(EventKind.CHECK, "A", at=2.5)
+        ledger.finalize()
+        rows = [
+            json.loads(line)
+            for line in (ledger.path / "series.jsonl").read_text().splitlines()
+        ]
+        stamps = [(row["at"], row["trigger"]) for row in rows]
+        # Only the finite events sample; a non-finite first event sets no
+        # start, so the series starts (and its watermarks fall) at 0.5.
+        zero = 0.0 if first == 0.0 else 0.5
+        assert stamps == [
+            (zero, "start"),
+            (0.5, "refine"),
+            (zero + 1.0, "watermark"),
+            (1.5, "refine"),
+            (zero + 2.0, "watermark"),
+            (2.5, "final"),
+        ]
+        assert not [event for event in log if event.kind is EventKind.ERROR]
+
+    def test_nan_first_event_does_not_poison_the_watermark(self):
+        _registry, _counter, recorder = make_recorder(interval=1.0)
+        log = EventLog()
+        recorder.attach(log)
+        log.emit(EventKind.CHECK, "A", at=float("nan"))
+        log.emit(EventKind.CHECK, "A", at=0.0)
+        log.emit(EventKind.CHECK, "A", at=2.0)
+        assert [row["at"] for row in recorder.rows] == [0.0, 1.0, 2.0]
+        assert recorder.next_watermark == 3.0

@@ -134,10 +134,12 @@ class TestEventRecord:
 
 
 #: sha256 of the four derived ledger files of :func:`_ledgered_lanes`, per
-#: seed: events, report and attribution as written before the fold moved
-#: lane events; the series rows since the ledger subscribes the runner's
+#: seed: events and attribution as written before the fold moved lane
+#: events; the series rows since the ledger subscribes the runner's
 #: collector to the log it persists (before, no one fed that collector and
-#: every row read ``"metrics": {}``).
+#: every row read ``"metrics": {}``); report and series since the runner
+#: attaches the model and result cache to its collector, as the Executor
+#: does (before, the report's model, cache and radix sections were empty).
 PINNED = {
     7: {
         "attribution.json": (
@@ -147,10 +149,10 @@ PINNED = {
             "846feef42ee2ba0e792d385307559c7218514b0ecc0679a6bd8c07708aed4e0d"
         ),
         "report.json": (
-            "e9993c6cc429536c60a52fc1f9a94cf6e816b34f7dd241cadc1d742813b31da0"
+            "a3669d4b26d2f6e880bba7d5fd0502e1e58258d9037fb6cbb81db3fee1ef9ed5"
         ),
         "series.jsonl": (
-            "366d88d3ec664ad70af66b9969ba4e8f366633f93ac60ade0896e7affeb3a663"
+            "90b9dcac51027faad7b389cef675611ba486873e9c2623889d195e15c8730b2e"
         ),
     },
     11: {
@@ -161,10 +163,10 @@ PINNED = {
             "4a8a4b869765da658c1a17a1cd7c4b46ebadaa4f8ebf697303d72a7461e107c2"
         ),
         "report.json": (
-            "580481c71e3c1ec744777c0a667ff9a8244a543e42c9cbb4f60bb0e31952b6dd"
+            "20b4d4c94630f1bc30f4aa4ce97facd6f9c124a5106f091bf996c146d218669d"
         ),
         "series.jsonl": (
-            "0cc6a374eca564fa47cc54d32f68d4bd5573e12899c2d384308909469a2a3c9d"
+            "c30ba18b4f8a79a36aa774bfe8ec20cf7477cc62bdb37bc663a1551642ffa585"
         ),
     },
 }

@@ -249,6 +249,43 @@ class TestParallelBatchRunner:
         lane_hist = registry.get("spear_lane_elapsed_seconds")
         assert lane_hist is not None and lane_hist.count == 4
 
+    def test_collector_without_ledger_counts_what_the_executor_counts(self):
+        """With no ledger to subscribe it, the runner's own collector still
+        sees the folded lane events and the model, as the sequential
+        Executor's collector does over the same items."""
+        from repro.runtime.executor import Executor
+
+        counted = {}
+        for mode in ("parallel", "sequential"):
+            state, corpus = table3.build_state(32, seed=7)
+            items = [{"tweet": tweet.text} for tweet in corpus]
+            collector = ObsCollector()
+            if mode == "parallel":
+                ParallelBatchRunner(
+                    state,
+                    workers=16,
+                    options=RuntimeOptions(collector=collector),
+                ).run(table3.pipeline(), items=items)
+            else:
+                Executor(
+                    options=RuntimeOptions(
+                        model=state.model, clock=state.clock, collector=collector
+                    )
+                ).run(table3.pipeline(), items=items, state=state)
+            counted[mode] = {
+                name: collector.registry.sum_counter(name)
+                for name in (
+                    "spear_gen_calls_total",
+                    "spear_prompt_tokens_total",
+                    "spear_output_tokens_total",
+                )
+            }
+            counted[mode]["spear_model_gen_calls_total"] = (
+                collector.registry.sum_counter("spear_model_gen_calls_total")
+            )
+        assert counted["parallel"]["spear_gen_calls_total"] == 64
+        assert counted["parallel"] == counted["sequential"]
+
 
 class TestParallelStress:
     def test_stress_no_lost_events_or_counter_races(self):
