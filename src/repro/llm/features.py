@@ -8,9 +8,15 @@ that premise operational: a prompt string is parsed into a
 to a per-item error probability.  Refinements therefore matter exactly the
 way the paper assumes, in a fully deterministic and inspectable way.
 
-:func:`extract_features` answers ASCII text by substring tests on one
-lowered copy, running a regex only where a literal it needs is present.
-There ``re.IGNORECASE`` and ``str.lower()`` fold alike; elsewhere they do
+A piece of text is read once: :func:`_analyse` lowers it and tests every
+literal of :data:`_MARKERS` — the feature markers, the stage groups' verbs
+and the router's literals — into one bitmask, beside the facts that depend
+on position (the first ``criteria`` marker, the last ``hint:``, a
+word-limit clause, the word count).  :func:`extract_features` builds its
+record from that pass; a static chunk of a rendered prompt keeps it in
+``chunk.memo["analysis"]``, which :func:`prompt_features` and
+:func:`route_mask` read instead of scanning the chunk again.  On ASCII
+text ``re.IGNORECASE`` and ``str.lower()`` fold alike; elsewhere they do
 not (``ſ`` matches ``s`` case-insensitively but does not lower to it), so
 any other text takes :func:`_regex_features`, the regex definition and the
 oracle the fast path is tested against (DESIGN.md §7).
@@ -21,9 +27,16 @@ from __future__ import annotations
 import re
 import zlib
 from dataclasses import dataclass, field, fields
+from itertools import chain, compress
 from typing import Any
 
-__all__ = ["PromptFeatures", "extract_features", "prompt_features", "segment_layout"]
+__all__ = [
+    "PromptFeatures",
+    "extract_features",
+    "prompt_features",
+    "route_mask",
+    "segment_layout",
+]
 
 _INSTRUCTION_VERBS = (
     "classify",
@@ -173,35 +186,100 @@ _STAGE_GROUPS = (
     {"answer", "extract", "identify", "highlight"},
 )
 
+_SENTIMENT_TERMS = ("negative", "positive", "sentiment")
 
-def _by_words(markers: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """``markers`` split into those without whitespace and the rest."""
-    single = tuple(m for m in markers if not any(c.isspace() for c in m))
-    return single, tuple(m for m in markers if m not in single)
+#: The router's literals by task group (``route_task`` in ``llm/tasks.py``).
+_ROUTE_GROUPS = {
+    "sections": ("### section",),  # ``tasks.SECTION_MARKER``, lowered
+    "rewrite": (
+        "improve the prompt",
+        "rewrite the prompt",
+        "refine the prompt",
+        "write a prompt",
+        "refine the following prompt",
+    ),
+    "qa": ("enoxaparin", "medication history"),
+    "summary": ("summarize", "summarise", "clean up", "clean the"),
+    # "wants filter" includes exactly :attr:`PromptFeatures.has_sentiment_terms`.
+    "filter": (*_SENTIMENT_TERMS, "filter", "select", "classify"),
+}
+
+#: Every literal a reader tests, once, as lowered: bit ``i`` of a mask is
+#: set when ``_MARKERS[i]`` occurs in the lowered text.  ``"## task"`` also
+#: answers ``"### task"``, which contains it.
+_MARKERS = tuple(dict.fromkeys((
+    *_INSTRUCTION_VERBS, *_SORTED_TOPIC_TERMS, *_SENTIMENT_TERMS, *_HINT_MARKERS,
+    *_EXAMPLE_MARKERS, *_FORMAT_MARKERS, "word", *_WORD_LIMIT_HEADS,
+    *_REASONING_MARKERS, "general guidance", "## task",
+    *chain.from_iterable(_ROUTE_GROUPS.values()),
+)))
 
 
-_VERB_WORDS, _VERB_PHRASES = _by_words(_INSTRUCTION_VERBS)
-_TOPIC_WORDS, _TOPIC_PHRASES = _by_words(_SORTED_TOPIC_TERMS)
-_SENTIMENT_WORDS, _SENTIMENT_PHRASES = _by_words(("negative", "positive", "sentiment"))
-_HINT_WORDS, _HINT_PHRASES = _by_words(_HINT_MARKERS)
-_EXAMPLE_WORDS, _EXAMPLE_PHRASES = _by_words(_EXAMPLE_MARKERS)
-_FORMAT_WORDS, _FORMAT_PHRASES = _by_words(_FORMAT_MARKERS)
-_LIMIT_WORDS, _LIMIT_PHRASES = _by_words(_WORD_LIMIT_HEADS)
-_REASONING_WORDS, _REASONING_PHRASES = _by_words(_REASONING_MARKERS)
+def _bit(marker: str) -> int:
+    return 1 << _MARKERS.index(marker)
+
+
+def _bits(markers: Any) -> int:
+    return sum(map(_bit, markers))
+
+
+def _table(markers: Any) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    markers = tuple(markers)
+    return markers, tuple(map(_bit, markers))
+
+
+def _hits(found: Any, table: tuple[tuple[str, ...], tuple[int, ...]]) -> int:
+    """The mask of the ``table`` markers ``found`` holds."""
+    markers, bits = table
+    return sum(compress(bits, map(found, markers)))
+
+
+#: The table split into markers without whitespace, which occur only
+#: inside one word, and the rest.
+_BY_WORD = _table(m for m in _MARKERS if not any(c.isspace() for c in m))
+_BY_TEXT = _table(m for m in _MARKERS if m not in _BY_WORD[0])
+#: The router's part of the table, which its per-call scans test alone.
+_ROUTER = _table(chain.from_iterable(_ROUTE_GROUPS.values()))
+#: One mask per router group, for ``route_task``.
+ROUTE_BITS = {group: _bits(markers) for group, markers in _ROUTE_GROUPS.items()}
+
+_INSTRUCTION = _bits(_INSTRUCTION_VERBS)
+_STAGES = tuple(map(_bits, _STAGE_GROUPS))
+_TOPICS = tuple((term, _bit(term)) for term in _SORTED_TOPIC_TERMS)
+_SENTIMENT = _bits(_SENTIMENT_TERMS)
+_FOCUS = _bits(_HINT_MARKERS)
+_EXAMPLES = _bits(_EXAMPLE_MARKERS)
+_FORMAT = _bits(_FORMAT_MARKERS)
+_WORD = _bit("word")
+_LIMIT_HEADS = _bits(_WORD_LIMIT_HEADS)
+_REASONING = _bits(_REASONING_MARKERS)
+_GUIDANCE = _bit("general guidance")
+_VIEW = _bit("## task")
+
 #: Text longer than this tests its one-word markers on its distinct words.
-#: Timed per call on the benchmark workloads' texts (2-vCPU VM), that takes
-#: 0.6-0.7x the whole-text tests' time on the 2.7 KB ``hol_mixed`` leads,
-#: but 1.04-1.5x on windows under 128 characters and 1.0-1.3x on the
-#: 690-character view scaffolds; no workload has text in between.
+#: Timed per call over the whole table on the benchmark workloads' pieces
+#: (2-vCPU VM), that takes 0.74-0.76x the whole-text tests' time on the
+#: 2.7 KB ``hol_mixed`` leads, but 1.29-1.32x on windows under 128
+#: characters and 1.25-1.38x on pieces of 128-1,024; no workload has a
+#: piece of 1,024-2,048 characters.
 _VOCABULARY_MIN = 1024
 
+#: What one pass over a piece yields: ``(mask, words, criteria, hint,
+#: limit)`` — see :func:`_analyse`.
+_Analysis = tuple[int, int, tuple[int, int] | None, int, bool]
 
-def extract_features(text: str) -> PromptFeatures:
-    """Parse ``text`` into a :class:`PromptFeatures` record."""
-    if not text.isascii():
-        return _regex_features(text)
-    # ASCII: ``IGNORECASE`` folds exactly as ``lower()`` does, so a literal
-    # marker is a substring test on ``lowered`` at the same offsets.
+
+def _analyse(text: str) -> _Analysis:
+    """One pass over ``text``: its marker mask and its positional facts.
+
+    ``mask`` has the bit of every :data:`_MARKERS` literal in the lowered
+    text; ``criteria`` is the span of the first ``criteria`` marker (or
+    None), ``hint`` the start of the last ``\\bhint:`` match (-1: none),
+    ``limit`` whether a word-limit clause matches.  In ASCII text
+    ``IGNORECASE`` folds as ``lower()`` does, so a regex runs only where a
+    literal each of its matches holds is present; in other text the
+    regexes, which fold more, answer what the definition searches by regex.
+    """
     lowered = text.lower()
     words = lowered.split()
     found = lowered.__contains__
@@ -210,50 +288,58 @@ def extract_features(text: str) -> PromptFeatures:
     in_word = found
     if len(lowered) > _VOCABULARY_MIN:
         in_word = " ".join(set(words)).__contains__
-
-    found_verbs = {*filter(in_word, _VERB_WORDS), *filter(found, _VERB_PHRASES)}
-    task_count = sum(1 for group in _STAGE_GROUPS if group & found_verbs)
-
-    hint_terms = tuple(
-        sorted([*filter(in_word, _TOPIC_WORDS), *filter(found, _TOPIC_PHRASES)])
-    )
-
-    criteria_at = lowered.find("criteria")
-    if criteria_at < 0:
-        criteria_count = 0
+    mask = _hits(in_word, _BY_WORD) | _hits(found, _BY_TEXT)
+    if text.isascii():
+        at = lowered.find("criteria")
+        criteria = (at, at + 8) if at >= 0 else None
+        hint = _last_hint(text) if "hint:" in lowered else -1
+        limit = bool(
+            mask & _WORD and mask & _LIMIT_HEADS and _WORD_LIMIT_RE.search(text)
+        )
     else:
-        criteria_count = min(len(_BULLET_LINE_RE.findall(text[criteria_at + 8 :])), 6)
+        marker = _CRITERIA_MARKER_RE.search(text)
+        criteria = marker.span() if marker else None
+        hint = _last_hint(text)
+        limit = bool(_WORD_LIMIT_RE.search(text))
+        mask |= (_FOCUS if _HINT_RE.search(text) else 0) | (
+            _GUIDANCE if _GUIDANCE_MARKER_RE.search(text) else 0
+        )
+    return mask, len(words), criteria, hint, limit
 
-    # The regexes run only where a literal every match contains is present.
-    hint_at = lowered.find("hint:")
+
+def _last_hint(text: str) -> int:
+    return max((match.start() for match in _ADAPTIVE_RE.finditer(text)), default=-1)
+
+
+def _record(
+    text: str, mask: int, words: int, criteria: Any, adaptive: bool, limit: bool
+) -> PromptFeatures:
+    """The :class:`PromptFeatures` of ``text``, whose pieces hit ``mask``."""
+    bullets = _BULLET_LINE_RE.findall(text[criteria[1] :]) if criteria else ()
     return PromptFeatures(
-        has_instruction=bool(found_verbs),
-        has_sentiment_terms=(
-            any(map(in_word, _SENTIMENT_WORDS)) or any(map(found, _SENTIMENT_PHRASES))
-        ),
-        has_focus_hint=any(map(in_word, _HINT_WORDS)) or any(map(found, _HINT_PHRASES)),
-        has_adaptive_hint=hint_at >= 0 and bool(_ADAPTIVE_RE.search(text, hint_at)),
-        has_examples=(
-            any(map(in_word, _EXAMPLE_WORDS)) or any(map(found, _EXAMPLE_PHRASES))
-        ),
-        has_output_format=(
-            any(map(in_word, _FORMAT_WORDS)) or any(map(found, _FORMAT_PHRASES))
-        ),
-        has_word_limit=(
-            in_word("word")
-            and (any(map(in_word, _LIMIT_WORDS)) or any(map(found, _LIMIT_PHRASES)))
-            and bool(_WORD_LIMIT_RE.search(text))
-        ),
-        has_reasoning=(
-            any(map(in_word, _REASONING_WORDS)) or any(map(found, _REASONING_PHRASES))
-        ),
-        has_guidance="general guidance" in lowered,
-        criteria_count=criteria_count,
-        has_view_structure=("### task" in lowered or "## task" in lowered),
-        task_count=task_count,
-        hint_terms=hint_terms,
-        word_count=len(words),
+        has_instruction=bool(mask & _INSTRUCTION),
+        has_sentiment_terms=bool(mask & _SENTIMENT),
+        has_focus_hint=bool(mask & _FOCUS),
+        has_adaptive_hint=adaptive,
+        has_examples=bool(mask & _EXAMPLES),
+        has_output_format=bool(mask & _FORMAT),
+        has_word_limit=limit,
+        has_reasoning=bool(mask & _REASONING),
+        has_guidance=bool(mask & _GUIDANCE),
+        criteria_count=min(len(bullets), 6),
+        has_view_structure=bool(mask & _VIEW),
+        task_count=sum(1 for stage in _STAGES if mask & stage),
+        hint_terms=tuple([term for term, bit in _TOPICS if mask & bit]),
+        word_count=words,
     )
+
+
+def extract_features(text: str) -> PromptFeatures:
+    """Parse ``text`` into a :class:`PromptFeatures` record."""
+    if not text.isascii():
+        return _regex_features(text)
+    mask, words, criteria, hint, limit = _analyse(text)
+    return _record(text, mask, words, criteria, hint >= 0, limit)
 
 
 def _regex_features(text: str) -> PromptFeatures:
@@ -307,55 +393,12 @@ def _regex_features(text: str) -> PromptFeatures:
 _REACH = 40
 _LONG_RUN_RE = re.compile(r"[\s\d]{11}")
 #: With this few characters outside the windows (a plain string, a template
-#: that is mostly slot) combining costs more than scanning them: go flat.
-_MIN_SKIPPED = 2 * _REACH
-
-#: Fields that hold for the text when they hold for any piece of it.
-_ANY_PIECE = (
-    "has_sentiment_terms",
-    "has_focus_hint",
-    "has_examples",
-    "has_output_format",
-    "has_word_limit",
-    "has_reasoning",
-    "has_guidance",
-    "has_view_structure",
-)
-
-
-def _stage_mask(lowered: str) -> int:
-    found = lowered.__contains__
-    return sum(
-        1 << index
-        for index, group in enumerate(_STAGE_GROUPS)
-        if any(map(found, group))
-    )
-
-
-def _held(features: PromptFeatures) -> dict[str, bool]:
-    """The :data:`_ANY_PIECE` fields that hold for one piece."""
-    facts = vars(features)
-    return {name: True for name in _ANY_PIECE if facts[name]}
-
-
-def _chunk_features(chunk: Any) -> tuple[Any, ...]:
-    """What a static chunk contributes wherever it is rendered."""
-    text = chunk.text
-    alone = extract_features(text)
-    lowered = text.lower()
-    # As for the windows, in ASCII text IGNORECASE and ``lower()`` fold
-    # alike; and a part of the chunk holds only what the whole does.
-    maybe = "criteria" in lowered or not text.isascii()
-    marker = maybe and _CRITERIA_MARKER_RE.search(text)
-    chunk.memo["features"] = part = (
-        alone,
-        _held(alone),
-        _stage_mask(lowered) if alone.has_instruction else 0,
-        # ``\b`` at offset 0 depends on what is rendered before the chunk.
-        alone.has_adaptive_hint and bool(_ADAPTIVE_RE.search(text, 1)),
-        marker and marker.span(),
-    )
-    return part
+#: that is mostly slot) combining costs more than scanning the text whole,
+#: so both readers go flat.  Timed per call on the benchmark workloads'
+#: prompts (2-vCPU VM), combining takes 1.2-1.5x the flat router scan and
+#: 0.95-1.2x the flat feature pass with 128-255 characters left out, but
+#: 0.5x and 0.2-0.4x with 576-700 left out; no workload prompt lies between.
+_MIN_SKIPPED = 256
 
 
 def segment_layout(
@@ -396,73 +439,82 @@ def segment_layout(
     return placed, seams, windows
 
 
+def _chunk(chunk: Any) -> _Analysis:
+    """A static chunk's :func:`_analyse`, kept in ``chunk.memo["analysis"]``."""
+    analysis = chunk.memo.get("analysis")
+    if analysis is None:
+        analysis = chunk.memo["analysis"] = _analyse(chunk.text)
+    return analysis
+
+
+def _route_hits(text: str) -> int:
+    """The router's bits of :data:`_MARKERS` in ``text``, lowered."""
+    return _hits(text.lower().__contains__, _ROUTER)
+
+
+def route_mask(prompt: str) -> int:
+    """``_route_hits(prompt)``, scanning only what is new in it.
+
+    A chunk's bits come from its analysis; per call only the windows of
+    :func:`segment_layout` are scanned, for the router's literals alone.
+    ``lower()`` maps each character on its own but the final sigma, which
+    lowers to no ASCII letter, so for an ASCII marker the pieces lower as
+    the whole does, whatever the text.
+    """
+    placed, _, windows = segment_layout(prompt)
+    if windows is None:
+        return _route_hits(prompt)
+    mask = 0
+    for _, segment in placed:
+        if not isinstance(segment, str):
+            mask |= _chunk(segment)[0]
+    for low, high in windows:
+        mask |= _route_hits(prompt[low:high])
+    return mask
+
+
 def prompt_features(prompt: str) -> PromptFeatures:
     """``extract_features(prompt)``, scanning only what is new in it.
 
-    The definition runs once per static chunk (kept in ``chunk.memo``) and
-    per call on each window of :func:`segment_layout`; what one piece
-    cannot settle (word boundaries, the first criteria marker, unbounded
-    runs) is re-read from the real text.
+    Each static chunk is analysed once (:func:`_chunk`) and each window of
+    :func:`segment_layout` per call; every marker lies in one of them.
+    What one piece cannot settle (word boundaries, the first criteria
+    marker, unbounded runs) is re-read from the real text.
     """
-    size = len(prompt)
-    merged = dict.fromkeys(_ANY_PIECE, False)
-    terms: set[str] = set()
-    stages = 0
-    adaptive = False
-    criteria: list[tuple[int, int]] = []  # first-marker candidates
-    words, open_word = 0, False
     placed, seams, windows = segment_layout(prompt)
+    if windows is None:
+        return extract_features(prompt)
+    pieces: list[tuple[int, _Analysis]] = []
+    words, open_word = 0, False
     for start, segment in placed:
         if isinstance(segment, str):
             text = segment
             count = len(text.split())
         else:
             text = segment.text
-            part = segment.memo.get("features") or _chunk_features(segment)
-            alone, held, mask, inner_hint, marker = part
-            merged.update(held)
-            terms.update(alone.hint_terms)
-            stages |= mask
-            adaptive |= inner_hint or (start == 0 and alone.has_adaptive_hint)
-            if marker:
-                criteria.append((start + marker[0], start + marker[1]))
-            count = alone.word_count
+            pieces.append((start, _chunk(segment)))
+            count = pieces[-1][1][1]
         if text:
             # A word continuing across the seam was counted on both sides.
             words += count - (open_word and not text[0].isspace())
             open_word = not text[-1].isspace()
+    pieces += [(low, _analyse(prompt[low:high])) for low, high in windows]
 
-    if windows is None:
-        return extract_features(prompt)
-    for low, high in windows:
-        text = prompt[low:high]
-        window = extract_features(text)
-        merged.update(_held(window))
-        terms.update(window.hint_terms)
-        lowered = text.lower()
-        if window.has_instruction:
-            stages |= _stage_mask(lowered)
-        if window.has_adaptive_hint and not adaptive:
-            adaptive = bool(_ADAPTIVE_RE.search(prompt, low, high))
-        # In ASCII text IGNORECASE and ``lower()`` fold alike: skip the search.
-        if "criteria" in lowered or not text.isascii():
-            marker = _CRITERIA_MARKER_RE.search(prompt, low, high)
-            if marker:
-                criteria.append(marker.span())
-
-    if not merged["has_word_limit"] and any(
+    mask, adaptive, limit = 0, False, False
+    criteria: list[tuple[int, int]] = []  # first-marker candidates
+    for start, (bits, _, span, hint, clause) in pieces:
+        mask |= bits
+        limit |= clause
+        if span:
+            criteria.append((start + span[0], start + span[1]))
+        # ``\b`` at a piece's first offset depends on what comes before it.
+        if hint > 0 or hint == 0 and not adaptive and _ADAPTIVE_RE.match(prompt, start):
+            adaptive = True
+    size = len(prompt)
+    if not limit and any(
         _LONG_RUN_RE.search(prompt, max(0, seam - 16), seam + 36)
         for seam in seams
         if 0 < seam < size
     ):
-        merged["has_word_limit"] = bool(_WORD_LIMIT_RE.search(prompt))
-    bullets = _BULLET_LINE_RE.findall(prompt[min(criteria)[1] :]) if criteria else ()
-    return PromptFeatures(
-        has_instruction=bool(stages),
-        has_adaptive_hint=adaptive,
-        criteria_count=min(len(bullets), 6),
-        task_count=bin(stages).count("1"),
-        hint_terms=tuple(sorted(terms)),
-        word_count=words,
-        **merged,
-    )
+        limit = bool(_WORD_LIMIT_RE.search(prompt))
+    return _record(prompt, mask, words, min(criteria, default=None), adaptive, limit)

@@ -111,9 +111,15 @@ class RadixPrefixCache:
         #: ``(stamp, node)``, at most one per node and one for every leaf, keyed
         #: no later than the node's stamp; None until capacity first runs out.
         self._heap: list[tuple[int, _RadixNode]] | None = None
-        self._pinned_nodes = 0
+        #: nodes pinned against eviction, counted once however often pinned.
+        self.pinned_blocks = 0
         self._tick = 0
         self.stats = CacheStats()
+
+    @property
+    def leaves(self) -> int:
+        """Leaf nodes of the tree: the eviction frontier."""
+        return len(self._leaves)
 
     # -- internals -----------------------------------------------------------
 
@@ -316,7 +322,7 @@ class RadixPrefixCache:
         path = self._walk(tokens)
         for node in path:
             if node.pins == 0:
-                self._pinned_nodes += 1
+                self.pinned_blocks += 1
             node.pins += 1
         return tuple(path)
 
@@ -331,7 +337,7 @@ class RadixPrefixCache:
         for node in handle:
             node.pins -= 1
             if node.pins == 0:
-                self._pinned_nodes -= 1
+                self.pinned_blocks -= 1
         self._evict_to_capacity()
 
     # -- introspection -------------------------------------------------------
@@ -350,8 +356,8 @@ class RadixPrefixCache:
             "evictions": self.stats.evictions,
             "hit_rate": self.stats.hit_rate,
             "nodes": self._size,
-            "leaves": len(self._leaves),
-            "pinned_blocks": self._pinned_nodes,
+            "leaves": self.leaves,
+            "pinned_blocks": self.pinned_blocks,
         }
 
     def __len__(self) -> int:
@@ -363,6 +369,6 @@ class RadixPrefixCache:
         self._size = 0
         self._leaves = set()
         self._heap = None
-        self._pinned_nodes = 0
+        self.pinned_blocks = 0
         self._tick = 0
         self.stats = CacheStats()

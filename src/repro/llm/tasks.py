@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Any
 
 from repro.core.entry import PROMPT_BLOCK_END, PROMPT_BLOCK_START, RenderedPrompt
 from repro.data.clinical import ClinicalCorpus, Patient
 from repro.data.tweets import Tweet, TweetCorpus
 from repro.data import vocab
-from repro.llm.features import PromptFeatures, prompt_features, segment_layout
+from repro.llm.features import ROUTE_BITS, PromptFeatures, prompt_features, route_mask
 from repro.llm.profiles import ModelProfile
 from repro.llm.quality import confidence_for, error_rate, item_rng, noisy_bool
 
@@ -58,41 +57,11 @@ _OBJECTIVE_RE = re.compile(r"objective:\s*(.+)", re.IGNORECASE)
 #: Distinct instruction texts a :class:`TaskEngine` remembers features for.
 _INSTRUCTION_MEMO = 64
 
-_REWRITE_MARKERS = (
-    "improve the prompt",
-    "rewrite the prompt",
-    "refine the prompt",
-    "write a prompt",
-    "refine the following prompt",
-)
-_SUMMARY_MARKERS = ("summarize", "summarise", "clean up", "clean the")
-_FILTER_MARKERS = ("negative", "positive", "sentiment", "filter", "select", "classify")
-#: Every literal the router tests, lowered; a route mask has bit ``i`` set
-#: when ``_ROUTE_MARKERS[i]`` occurs in the lowered prompt.
-_ROUTE_MARKERS = (
-    SECTION_MARKER.lower(),
-    *_REWRITE_MARKERS,
-    "enoxaparin",
-    "medication history",
-    *_SUMMARY_MARKERS,
-    *_FILTER_MARKERS,
-)
-_ROUTE_BITS = tuple(1 << bit for bit in range(len(_ROUTE_MARKERS)))
-#: A prompt shorter than this is routed by scanning it whole: below ~500
-#: characters that costs less than walking its segments.
-_ROUTE_WHOLE = 512
-
-
-def _bits(*markers: str) -> int:
-    return sum(1 << _ROUTE_MARKERS.index(marker) for marker in markers)
-
-
-_SECTIONS = _bits(SECTION_MARKER.lower())
-_REWRITE = _bits(*_REWRITE_MARKERS)
-_QA = _bits("enoxaparin", "medication history")
-_SUMMARY = _bits(*_SUMMARY_MARKERS)
-#: "wants filter" includes exactly :attr:`PromptFeatures.has_sentiment_terms`.
-_FILTER = _bits(*_FILTER_MARKERS)
+_SECTIONS = ROUTE_BITS["sections"]
+_REWRITE = ROUTE_BITS["rewrite"]
+_QA = ROUTE_BITS["qa"]
+_SUMMARY = ROUTE_BITS["summary"]
+_FILTER = ROUTE_BITS["filter"]
 
 
 @dataclass(frozen=True)
@@ -105,54 +74,14 @@ class TaskOutput:
     extras: dict[str, Any] = field(default_factory=dict)
 
 
-def _marker_mask(lowered: str) -> int:
-    """The route mask of an already lowered text."""
-    return sum(compress(_ROUTE_BITS, map(lowered.__contains__, _ROUTE_MARKERS)))
-
-
-def _chunk_mask(chunk: Any) -> int:
-    """A static chunk's route mask, kept in ``chunk.memo["route"]``."""
-    mask = chunk.memo.get("route")
-    if mask is None:
-        mask = chunk.memo["route"] = _marker_mask(chunk.text.lower())
-    return mask
-
-
-def _route_mask(prompt: str) -> int:
-    """``_marker_mask(prompt.lower())``, scanning only what is new in it.
-
-    A marker no static chunk holds whole lies in a window of
-    :func:`segment_layout` (every marker is shorter than its reach), so the
-    chunks' memoised masks and the windows' scans cover every hit.  In
-    ASCII text ``lower()`` maps character by character and pieces lower as
-    the whole does; any other text, a short prompt and one the windows
-    nearly cover are lowered and scanned whole.
-    """
-    if (
-        len(prompt) < _ROUTE_WHOLE
-        or not getattr(prompt, "segments", None)
-        or not prompt.isascii()
-    ):
-        return _marker_mask(prompt.lower())
-    placed, _, windows = segment_layout(prompt)
-    if windows is None:
-        return _marker_mask(prompt.lower())
-    mask = 0
-    for _, segment in placed:
-        if not isinstance(segment, str):
-            mask |= _chunk_mask(segment)
-    for low, high in windows:
-        mask |= _marker_mask(prompt[low:high].lower())
-    return mask
-
-
 def route_task(prompt: str) -> str:
     """Classify the prompt into a task kind (see module docstring).
 
-    Substring tests of :data:`_ROUTE_MARKERS` on the lowered prompt, read
-    through :func:`_route_mask` so a static chunk is scanned once.
+    Substring tests of the router's literals on the lowered prompt, read
+    through :func:`~repro.llm.features.route_mask` so a static chunk is
+    scanned once.
     """
-    mask = _route_mask(prompt)
+    mask = route_mask(prompt)
     if mask & _SECTIONS:
         return "sections"
     if mask & _REWRITE:

@@ -22,20 +22,28 @@ _PIECE_RE = re.compile(r"[A-Za-z0-9_']+|[^A-Za-z0-9_'\s]")
 _WORD_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'"
 _CHUNK = 4
 _MAX_WORD = 8
-#: Distinct words a tokenizer remembers the ids of; a full memo is cleared.
+#: Distinct words the process remembers the ids of; a full memo is cleared.
 _WORD_MEMO = 1 << 14
+
+# One vocabulary per process: an id is the CRC32 of its piece, whichever
+# tokenizer asks, so every tokenizer shares these tables.  A memo value is a
+# function of its key alone; two threads racing on one can only cost a miss.
+#: id -> piece, for :meth:`Tokenizer.decode`.
+_ID_TO_PIECE: dict[int, str] = {}
+#: piece -> id: token lists and radix blocks share one int per id.
+_PIECE_TO_ID: dict[str, int] = {}
+#: whitespace-separated word -> its ids, cleared at ``_WORD_MEMO``.
+_WORD_IDS: dict[str, tuple[int, ...]] = {}
 
 
 class _ChunkTokens:
     """A static chunk encoded once; kept in ``chunk.memo["tokens"]``."""
 
-    __slots__ = ("table", "ids", "head", "head_ids", "tail", "tail_ids")
+    __slots__ = ("ids", "head", "head_ids", "tail", "tail_ids")
 
     def __init__(self, tokenizer: "Tokenizer", chunk: Any) -> None:
         text = chunk.text
         self.ids = tokenizer.encode(text)
-        #: the last decode table known to hold a piece for every id.
-        self.table = tokenizer._id_to_piece
         #: lengths of the leading / trailing word run and their piece counts.
         self.head = len(text) - len(text.lstrip(_WORD_CHARS))
         self.tail = len(text) - len(text.rstrip(_WORD_CHARS))
@@ -46,13 +54,6 @@ class _ChunkTokens:
 
 class Tokenizer:
     """Deterministic text → token-id encoder with decode support for tests."""
-
-    def __init__(self) -> None:
-        self._id_to_piece: dict[int, str] = {}
-        #: piece -> id: token lists and radix blocks share one int per id.
-        self._piece_to_id: dict[str, int] = {}
-        #: whitespace-separated word -> its ids, cleared at ``_WORD_MEMO``.
-        self._word_ids: dict[str, tuple[int, ...]] = {}
 
     @staticmethod
     def pieces(text: str) -> list[str]:
@@ -74,7 +75,7 @@ class Tokenizer:
         words in order, and each distinct word is encoded once.
         """
         words = text.split()
-        memo = self._word_ids
+        memo = _WORD_IDS
         found = list(map(memo.get, words))
         if None in found:
             if len(memo) >= _WORD_MEMO:
@@ -89,13 +90,12 @@ class Tokenizer:
         return list(chain.from_iterable(found))
 
     def _encode_word(self, word: str) -> tuple[int, ...]:
-        known = self._piece_to_id
         ids = []
         for piece in self.pieces(word):
-            token_id = known.get(piece)
+            token_id = _PIECE_TO_ID.get(piece)
             if token_id is None:
-                token_id = known[piece] = zlib.crc32(piece.encode("utf-8"))
-                self._id_to_piece.setdefault(token_id, piece)
+                token_id = _PIECE_TO_ID[piece] = zlib.crc32(piece.encode("utf-8"))
+                _ID_TO_PIECE.setdefault(token_id, piece)
             ids.append(token_id)
         return tuple(ids)
 
@@ -117,11 +117,6 @@ class Tokenizer:
             if not chunk or position == start:
                 continue
             memo = segment.memo.get("tokens") or _ChunkTokens(self, segment)
-            if memo.table is not self._id_to_piece:
-                # Encoded by another tokenizer: learn its pieces for decode.
-                table = memo.table
-                self._id_to_piece.update({i: table[i] for i in memo.ids})
-                memo.table = self._id_to_piece
             low, first = start, 0
             if start and prompt[start - 1] in _WORD_CHARS:
                 low, first = start + memo.head, memo.head_ids
@@ -140,11 +135,11 @@ class Tokenizer:
     def decode(self, ids: list[int]) -> str:
         """Best-effort inverse of :meth:`encode` (pieces joined by spaces).
 
-        Only pieces seen by this tokenizer instance can be decoded; unknown
-        ids render as ``<unk>``.  Decoding exists for tests and debugging —
-        the runtime never needs it.
+        Only pieces some tokenizer of the process has encoded can be
+        decoded; unknown ids render as ``<unk>``.  Decoding exists for tests
+        and debugging — the runtime never needs it.
         """
-        return " ".join(self._id_to_piece.get(token_id, "<unk>") for token_id in ids)
+        return " ".join(_ID_TO_PIECE.get(token_id, "<unk>") for token_id in ids)
 
     def count(self, text: str) -> int:
         """Number of tokens in ``text`` (no id materialization)."""

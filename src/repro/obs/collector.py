@@ -204,7 +204,7 @@ class ObsCollector:
             gauges.gauge(
                 "spear_kv_cache_blocks", "Blocks resident in the prefix cache.",
                 model=label,
-            ).set_function(lambda: float(kv.snapshot()["nodes"]))
+            ).set_function(lambda: float(len(kv)))
             gauges.gauge(
                 "spear_kv_cache_hit_rate",
                 "Token-level prefix-cache hit rate.", model=label,
@@ -217,17 +217,17 @@ class ObsCollector:
                 "spear_prefix_cache_nodes",
                 "Token-block nodes resident in the radix prefix tree.",
                 model=label,
-            ).set_function(lambda: float(kv.snapshot()["nodes"]))
+            ).set_function(lambda: float(len(kv)))
             gauges.gauge(
                 "spear_prefix_cache_leaves",
                 "Leaf nodes of the radix prefix tree (the eviction frontier).",
                 model=label,
-            ).set_function(lambda: float(kv.snapshot()["leaves"]))
+            ).set_function(lambda: float(kv.leaves))
             gauges.gauge(
                 "spear_prefix_cache_pinned_blocks",
                 "Radix nodes pinned against eviction by the scheduler.",
                 model=label,
-            ).set_function(lambda: float(kv.snapshot()["pinned_blocks"]))
+            ).set_function(lambda: float(kv.pinned_blocks))
         if hasattr(model, "add_listener"):
             listener = self._models[model] = (
                 lambda result: self.on_generation(result, model=label)

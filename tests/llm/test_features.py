@@ -1,8 +1,5 @@
 """Tests for prompt feature extraction."""
 
-import ast
-import inspect
-import textwrap
 from unittest import mock
 
 import pytest
@@ -220,39 +217,24 @@ class TestDistinctWordsPath:
         monkeypatch.setattr(features_module, "_VOCABULARY_MIN", -1)
 
     def test_markers_split_on_whitespace_exactly(self):
-        groups = ("VERB", "TOPIC", "SENTIMENT", "HINT", "EXAMPLE", "FORMAT", "LIMIT")
-        for group in (*groups, "REASONING"):
-            words = getattr(features_module, f"_{group}_WORDS")
-            phrases = getattr(features_module, f"_{group}_PHRASES")
-            assert all(not any(c.isspace() for c in m) for m in words)
-            assert all(any(c.isspace() for c in m) for m in phrases)
-        verbs = {*features_module._VERB_WORDS, *features_module._VERB_PHRASES}
-        assert verbs == set(features_module._INSTRUCTION_VERBS)
-        topics = {*features_module._TOPIC_WORDS, *features_module._TOPIC_PHRASES}
-        assert topics == set(features_module.TOPIC_TERMS)
+        words, phrases = features_module._BY_WORD[0], features_module._BY_TEXT[0]
+        assert all(not any(c.isspace() for c in m) for m in words)
+        assert all(any(c.isspace() for c in m) for m in phrases)
+        assert sorted(words + phrases) == sorted(features_module._MARKERS)
+        table = set(features_module._MARKERS)
+        assert set(features_module._INSTRUCTION_VERBS) <= table
+        assert set(features_module.TOPIC_TERMS) <= table
+        assert set(features_module._ROUTER[0]) <= table
 
     def test_every_marker_tested_by_word_has_no_whitespace(self):
         # A marker with whitespace tested on the space-joined distinct words
-        # would match or not by set order, so ``in_word`` is only ever given
-        # a ``_by_words`` word group or a literal word.
-        tree = ast.parse(textwrap.dedent(inspect.getsource(extract_features)))
-        uses = 0
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func, args = node.func, node.args
-            if isinstance(func, ast.Name) and func.id == "in_word":
-                (literal,) = args
-                assert not any(c.isspace() for c in literal.value)
-                uses += 1
-            elif any(isinstance(a, ast.Name) and a.id == "in_word" for a in args):
-                assert isinstance(func, ast.Name) and func.id in ("filter", "map")
-                group = args[1].id
-                assert group.endswith("_WORDS"), group
-                markers = getattr(features_module, group)
-                assert markers and not any(c.isspace() for m in markers for c in m)
-                uses += 1
-        assert uses == 9
+        # would match or not by set order, so the one table's word half
+        # holds only markers without whitespace, each with its own bit.
+        markers, bits = features_module._BY_WORD
+        assert markers and len(markers) == len(bits)
+        for marker, bit in zip(markers, bits):
+            assert not any(c.isspace() for c in marker), marker
+            assert bit == 1 << features_module._MARKERS.index(marker)
 
     def test_every_marker_cut_at_every_offset(self):
         for piece in ASCII_PIECES:

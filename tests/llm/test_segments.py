@@ -216,22 +216,24 @@ class TestSegmentedFeatures:
 
     def test_mostly_slot_prompts_are_scanned_flat(self, monkeypatch):
         monkeypatch.undo()
-        scaffold = StaticChunk("Classify the tweet. " * 10)
+        scaffold = StaticChunk("Classify the tweet. " * 20)
         calls = []
+        analyse = features_module._analyse
         monkeypatch.setattr(
-            features_module,
-            "extract_features",
-            lambda text: calls.append(text) or extract_features(text),
+            features_module, "_analyse", lambda text: calls.append(text) or analyse(text)
         )
         short = segmented(["Classify: ", "so tired of exams"], [True, False])
-        assert prompt_features(short) == extract_features(str(short))
-        assert calls == ["Classify: ", short]  # the chunk once, for its memo
+        want = extract_features(str(short))
         del calls[:]
-        assert prompt_features(short) == extract_features(str(short))
+        assert prompt_features(short) == want
+        assert calls == [short]  # flat: the chunk is not analysed for nothing
+        del calls[:]
+        assert prompt_features(short) == want
         assert calls == [short]
-        del calls[:]
         long = RenderedPrompt(scaffold.text + "so tired", (scaffold, "so tired"))
-        assert prompt_features(long) == extract_features(str(long))
+        want = extract_features(str(long))
+        del calls[:]
+        assert prompt_features(long) == want
         assert calls == [scaffold.text, str(long)[-48:]]
 
     def test_chunk_analysis_is_kept_on_the_chunk(self):
@@ -239,9 +241,9 @@ class TestSegmentedFeatures:
         chunk = template.parts[0]
         first = template.render({"tweet": "so tired of exams"})
         prompt_features(first)
-        kept = chunk.memo["features"]
+        kept = chunk.memo["analysis"]
         prompt_features(template.render({"tweet": "another one"}))
-        assert chunk.memo["features"] is kept
+        assert chunk.memo["analysis"] is kept
 
     def test_fingerprint_is_cached_per_instance(self):
         features = extract_features("Classify. Respond with yes or no.")
@@ -444,7 +446,9 @@ class TestBoundValueChunks:
                 # The second render is the same chunk, analyses kept.
                 again = template.render(context)
                 assert chunk_of(again, lead) is chunk
-                assert {"features", "tokens"} <= set(chunk.memo)
+                # A prompt scanned flat leaves no analysis on its chunks.
+                walked = features_module.segment_layout(again)[2] is not None
+                assert set(chunk.memo) == {"tokens", *["analysis"] * walked}
                 assert_analysed_like_flat(again)
 
     def test_only_long_root_strings_in_a_context_become_chunks(self):
@@ -502,7 +506,7 @@ class TestBoundValueChunks:
         assert base.context.chunks["doc"] is shared
         assert all(chunk_of(prompt, LONG) is shared for prompt in rendered)
         prompt_features(rendered[0])
-        assert "features" in shared.memo
+        assert "analysis" in shared.memo
         forks[1].context.put("doc", LEADS[1])
         own = chunk_of(forks[1].render_prompt("p"), LEADS[1])
         assert base.context.chunks["doc"] is shared is not own

@@ -220,7 +220,7 @@ def test_qa_still_analyses_its_prompt(analysed):
 #: Every literal the router tests, as lowered, upper-cased and title-cased.
 _ROUTE_CASES = tuple(
     variant
-    for marker in tasks_module._ROUTE_MARKERS
+    for marker in features_module._ROUTER[0]
     for variant in (marker, marker.upper(), marker.title())
 )
 #: Case-folding traps: the final sigma lowers by context, the rest by more
@@ -277,11 +277,10 @@ class TestSegmentRouting:
     @pytest.fixture(autouse=True)
     def always_combine(self, monkeypatch):
         # The cases here are short; production would scan them flat.
-        monkeypatch.setattr(tasks_module, "_ROUTE_WHOLE", 0)
         monkeypatch.setattr(features_module, "_MIN_SKIPPED", -1)
 
     def test_no_marker_outreaches_the_window(self):
-        longest = max(map(len, tasks_module._ROUTE_MARKERS))
+        longest = max(map(len, features_module._ROUTER[0]))
         assert longest < features_module._REACH
 
     @settings(max_examples=400, deadline=None)
@@ -321,6 +320,32 @@ class TestSegmentRouting:
         assert wrong > 100
 
 
+class _LoweredCount(str):
+    """Chunk text that counts the times it is lowered."""
+
+    count = 0
+
+    def lower(self) -> str:
+        self.count += 1
+        return str.lower(self)
+
+
+def test_routing_then_features_lower_each_new_chunk_once():
+    # One analysis per chunk: the router's read and the instruction
+    # features of the item-stripped text share it.
+    corpus = make_tweet_corpus(40, seed=7)
+    tweet = next(iter(corpus))
+    engine = TaskEngine(PROFILE)
+    engine.bind_tweets(corpus)
+    lead = _LoweredCount(TestBoundChunkRouting.LEAD + "Tweet:\n")
+    tail = _LoweredCount("\nSelect the tweet only if it is negative.")
+    chunks = (StaticChunk(lead), StaticChunk(tail))
+    prompt = RenderedPrompt(lead + tweet.text + tail, (chunks[0], tweet.text, chunks[1]))
+    assert engine.run(prompt).task == route_task(str(prompt)) == "classify"
+    assert [chunk.text.count for chunk in chunks] == [1, 1]
+    assert [set(chunk.memo) for chunk in chunks] == [{"analysis"}] * 2
+
+
 class TestBoundChunkRouting:
     """Realistic rendered prompts route from their chunks' memos."""
 
@@ -357,16 +382,20 @@ class TestBoundChunkRouting:
         template = CompiledTemplate(self.TEMPLATES[1])
         context = Context({"lead": self.LEAD, "tweet": "so tired of exams"})
         first = template.render(context)
-        assert len(first) >= tasks_module._ROUTE_WHOLE
+        assert features_module.segment_layout(first)[2] is not None  # not flat
         assert route_task(first) == "classify"
         chunks = [s for s in first.segments if isinstance(s, StaticChunk)]
-        assert all("route" in chunk.memo for chunk in chunks)
-        lowered = []
-        real = tasks_module._marker_mask
-        monkeypatch.setattr(
-            tasks_module, "_marker_mask", lambda text: lowered.append(text) or real(text)
-        )
+        assert all("analysis" in chunk.memo for chunk in chunks)
+        lowered, analysed = [], []
+        for name, seen in (("_route_hits", lowered), ("_analyse", analysed)):
+            real = getattr(features_module, name)
+            monkeypatch.setattr(
+                features_module,
+                name,
+                lambda text, seen=seen, real=real: seen.append(text) or real(text),
+            )
         context.put("tweet", "another one, positive")
         assert route_task(template.render(context)) == "classify"
         # Only the window around the tweet slot is scanned again.
         assert len(lowered) == 1 and len(lowered[0]) < 2 * features_module._REACH + 40
+        assert analysed == []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.llm import tokenizer as tokenizer_module
+from repro.llm.model import SimulatedLLM
 from repro.llm.tokenizer import Tokenizer
 
 
@@ -115,5 +116,15 @@ class TestWordMemo:
         text = " ".join(f"w{index}" for index in range(10))
         for _ in range(3):
             assert tokenizer.encode(text) == _reference_encode(text)
-            assert len(tokenizer._word_ids) <= 10
+            assert len(tokenizer_module._WORD_IDS) <= 10
         assert tokenizer.encode("w1 w2") == _reference_encode("w1 w2")
+
+    def test_models_share_one_vocabulary(self):
+        text = "one vocabulary-per-process, shared by models zq7x3 wv9k2"
+        first, second = SimulatedLLM(), SimulatedLLM()
+        ids = first.tokenizer.encode(text)
+        learned = len(tokenizer_module._WORD_IDS)
+        assert second.tokenizer.encode(text) == ids == _reference_encode(text)
+        assert len(tokenizer_module._WORD_IDS) == learned  # no new memo entry
+        decoded = " ".join(Tokenizer.pieces(text))
+        assert first.tokenizer.decode(ids) == second.tokenizer.decode(ids) == decoded
