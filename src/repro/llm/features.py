@@ -459,8 +459,11 @@ def route_mask(prompt: str) -> int:
     :func:`segment_layout` are scanned, for the router's literals alone.
     ``lower()`` maps each character on its own but the final sigma, which
     lowers to no ASCII letter, so for an ASCII marker the pieces lower as
-    the whole does, whatever the text.
+    the whole does, whatever the text.  A prompt of at most
+    :data:`_MIN_SKIPPED` characters is flat without the walk.
     """
+    if len(prompt) <= _MIN_SKIPPED:
+        return _route_hits(prompt)
     placed, _, windows = segment_layout(prompt)
     if windows is None:
         return _route_hits(prompt)
@@ -479,8 +482,11 @@ def prompt_features(prompt: str) -> PromptFeatures:
     Each static chunk is analysed once (:func:`_chunk`) and each window of
     :func:`segment_layout` per call; every marker lies in one of them.
     What one piece cannot settle (word boundaries, the first criteria
-    marker, unbounded runs) is re-read from the real text.
+    marker, unbounded runs) is re-read from the real text.  A short
+    prompt is flat without the walk, as in :func:`route_mask`.
     """
+    if len(prompt) <= _MIN_SKIPPED:
+        return extract_features(prompt)
     placed, seams, windows = segment_layout(prompt)
     if windows is None:
         return extract_features(prompt)

@@ -12,35 +12,35 @@ history and no eviction pressure, this tier reports the chain scheme's
 numbers call for call; it only pulls ahead when capacity forces eviction
 decisions.
 
-:class:`RadixPrefixCache` stores the block-aligned prefixes as a radix
-tree over token blocks:
+:class:`RadixPrefixCache` keeps the block-aligned prefixes in a
+path-compressed radix tree that answers as a tree of one node per block
+would (``tests/llm/reference_radix.py`` keeps that one as the oracle):
 
-- **token-block nodes** — each node is one ``block_size``-token block;
-  a root-to-node path is a cached prefix, and divergent suffixes share
-  the common trunk up to their branch point (SGLang's RadixAttention
-  structure, with the tree edges labelled by whole blocks);
-- **leaf-first LRU eviction** — only childless, unpinned nodes are
-  eviction candidates (coldest first, by a deterministic use stamp), so
-  subtrees are reclaimed bottom-up and every resident block remains
-  reachable from the root at all times: orphaned descendants cannot
-  exist by construction.  Candidates wait in a lazy min-heap, so each
-  eviction costs O(log n) rather than a scan of every leaf;
-- **reference-counted pinning** — :meth:`pin` takes the resident trunk
-  of a token sequence out of the eviction candidate set until the
-  matching :meth:`unpin`; the continuous scheduler pins the trunks of
-  admitted-but-unexecuted requests so an earlier step member's insert
-  cannot evict a later member's matched prefix mid-step, and each
-  member's :meth:`lookup_and_insert` resumes its descent below its pin.
+- **run nodes** — a node is a run of whole blocks, keyed in its parent by
+  its first block; matching it is one slice compare.  A walk that leaves
+  a node part-way **splits** it first: the matched blocks become a new
+  head in its place, with its pins and step mark.  So a touch covers
+  whole nodes, and as it stamps its path's blocks consecutively, block
+  ``k`` of a node has stamp ``stamp + k``;
+- **leaf-first LRU eviction, per run** — only childless, unpinned blocks
+  are candidates, coldest first, so every resident block stays reachable
+  from the root.  Leaves wait in a lazy min-heap by their tail stamp; a
+  popped, current, unpinned leaf's blocks are colder than every other
+  leaf, so one slice trims what the excess asks;
+- **pinning** — :meth:`pin` keeps a resident trunk out of eviction until
+  :meth:`unpin`, so an earlier step member's insert cannot evict a later
+  member's matched prefix.  A handle is the deepest pinned node;
+- **step marks** — a lookup given a :class:`StepMarks` reads the blocks
+  of its matched path's leading nodes that the step marked, then marks
+  its path: the blocks it shares with earlier step members.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator, Sequence
 
-__all__ = ["CacheStats", "RadixPrefixCache"]
+__all__ = ["CacheStats", "RadixPrefixCache", "StepMarks"]
 
 _DEFAULT_BLOCK = 16
 _DEFAULT_CAPACITY = 65536  # blocks
@@ -65,23 +65,38 @@ class CacheStats:
         return self.cached_tokens / self.prompt_tokens
 
 
-class _RadixNode:
-    """One cached token block; a root-to-node path is a cached prefix."""
+class StepMarks:
+    """One engine step's mark; after a lookup given it, ``shared`` is the
+    tokens of the lookup's matched path that the step had marked before."""
 
-    __slots__ = ("block", "parent", "children", "pins", "stamp", "queued")
+    __slots__ = ("shared",)
+
+    def __init__(self) -> None:
+        self.shared = 0
+
+
+class _RadixNode:
+    """A run of ``blocks`` whole cached blocks, its ``tokens``.
+
+    ``children`` are keyed by their first block; ``pins`` > 0 exempts from
+    eviction; ``stamp`` is the first block's LRU use counter; ``queued``
+    says it holds its one heap entry; ``mark`` is the last step's mark.
+    """
+
+    __slots__ = (
+        "tokens", "blocks", "parent", "children", "pins", "stamp", "queued", "mark"
+    )
 
     def __init__(
-        self, block: tuple[int, ...] | None, parent: "_RadixNode | None"
+        self, tokens: list[int], blocks: int, parent: "_RadixNode | None"
     ) -> None:
-        self.block = block
+        self.tokens = tokens
+        self.blocks = blocks
         self.parent = parent
         self.children: dict[tuple[int, ...], _RadixNode] = {}
-        #: reference count of active pins; > 0 exempts from eviction.
-        self.pins = 0
-        #: deterministic LRU stamp (monotonic use counter, not wall time).
-        self.stamp = 0
-        #: whether the node holds its one entry in the eviction heap.
+        self.pins = self.stamp = 0
         self.queued = False
+        self.mark: StepMarks | None = None
 
 
 class RadixPrefixCache:
@@ -105,130 +120,164 @@ class RadixPrefixCache:
             )
         self.block_size = block_size
         self.capacity_blocks = capacity_blocks
-        self._root = _RadixNode(None, None)
-        self._size = 0
-        self._leaves: set[_RadixNode] = set()
-        #: ``(stamp, node)``, at most one per node and one for every leaf, keyed
-        #: no later than the node's stamp; None until capacity first runs out.
-        self._heap: list[tuple[int, _RadixNode]] | None = None
-        #: nodes pinned against eviction, counted once however often pinned.
-        self.pinned_blocks = 0
-        self._tick = 0
-        self.stats = CacheStats()
+        self.clear()
 
     @property
     def leaves(self) -> int:
-        """Leaf nodes of the tree: the eviction frontier."""
+        """Leaf blocks of the tree: the eviction frontier."""
         return len(self._leaves)
 
     # -- internals -----------------------------------------------------------
 
-    def _blocks(self, tokens: Sequence[int]) -> Iterator[tuple[int, ...]]:
-        """Every *complete* block of ``tokens``, in order."""
-        return zip(*[iter(tokens)] * self.block_size)
-
-    def _touch(self, node: _RadixNode) -> None:
-        self._tick += 1
-        node.stamp = self._tick
-
-    def _queue(self, leaf: _RadixNode) -> None:
-        """Give a new leaf its heap entry, unless it still holds one."""
-        if self._heap is not None and not leaf.queued:
-            leaf.queued = True
-            heapq.heappush(self._heap, (leaf.stamp, leaf))
-
-    def _walk(self, tokens: Sequence[int]) -> list[_RadixNode]:
-        """The resident prefix path of ``tokens`` (longest cached trunk)."""
+    def _walk(
+        self, tokens: list[int], handle: _RadixNode | None = None
+    ) -> tuple[list[_RadixNode], int]:
+        """The resident prefix path of ``tokens`` and the tokens it covers;
+        a node the walk leaves part-way is split there first.  The walk
+        resumes below ``handle``, a pin of ``tokens`` still held."""
+        size = self.block_size
+        end = len(tokens) - len(tokens) % size
         path: list[_RadixNode] = []
-        node = self._root
-        for block in self._blocks(tokens):
-            child = node.children.get(block)
+        pos = 0
+        node = handle
+        while node is not None and node.parent is not None:
+            path.append(node)
+            pos += node.blocks * size
+            node = node.parent
+        path.reverse()
+        children = (handle or self._root).children
+        while pos < end:
+            child = children.get(tuple(tokens[pos : pos + size]))
             if child is None:
                 break
+            run = child.tokens
+            stop = pos + len(run)
+            if tokens[pos:stop] != run:
+                matched = size
+                while tokens[pos + matched : pos + matched + size] == (
+                    run[matched : matched + size]
+                ):
+                    matched += size
+                path.append(self._split(child, matched // size))
+                return path, pos + matched
             path.append(child)
-            node = child
-        return path
+            pos = stop
+            children = child.children
+        return path, pos
+
+    def _split(self, node: _RadixNode, blocks: int) -> _RadixNode:
+        """Cut ``node`` after its first ``blocks``; returns the new head.  The
+        node keeps the rest: its children, heap entry and handles."""
+        cut = blocks * self.block_size
+        run = node.tokens
+        parent = node.parent
+        head = _RadixNode(run[:cut], blocks, parent)
+        head.pins, head.stamp, head.mark = node.pins, node.stamp, node.mark
+        parent.children[tuple(run[: self.block_size])] = head
+        node.tokens = run = run[cut:]
+        node.blocks -= blocks
+        node.stamp += blocks
+        node.parent = head
+        head.children[tuple(run[: self.block_size])] = node
+        return head
+
+    def _touch(self, path: list[_RadixNode]) -> None:
+        """Stamp the blocks of ``path`` consecutively, above every stamp."""
+        tick = self._tick
+        for node in path:
+            node.stamp = tick + 1
+            tick += node.blocks
+        self._tick = tick
+
+    def _queue(self, leaf: _RadixNode) -> None:
+        """Give a leaf its heap entry, unless it still holds one."""
+        if self._heap is not None and not leaf.queued:
+            leaf.queued = True
+            heapq.heappush(self._heap, (leaf.stamp + leaf.blocks - 1, leaf))
 
     def _evict_to_capacity(self) -> None:
-        """Reclaim coldest unpinned leaves until within capacity.
+        """Reclaim the coldest unpinned leaf blocks until within capacity.
 
-        Bottom-up by construction: a node is only a candidate once all
-        of its descendants are gone, so the resident set is always a
-        rooted subtree — no block is ever stranded unreachable.  When
-        every leaf is pinned the cache temporarily overflows rather than
-        break a pin.  Every leaf holds a heap entry keyed no later than
-        its stamp, and stamps are unique, so the first popped entry that
-        is current and unpinned belongs to the coldest unpinned leaf —
-        the victim a scan of every leaf would pick.
+        Bottom-up by construction, so the resident set is always a rooted
+        subtree; when every leaf is pinned the cache overflows rather than
+        break a pin.  Every leaf holds a heap entry keyed no later than its
+        tail stamp, and stamps are unique, so the first popped entry that
+        is current and unpinned names the coldest unpinned leaf block, the
+        victim a scan of every leaf would pick; the blocks above it in its
+        run are colder still, so they go next, in one trim.
 
-        A victim's parent left childless is a new leaf.  When it is
-        unpinned and colder than the heap's first key it is colder than
-        every other leaf, so it is the next victim: a cold unique chain
-        is reclaimed upward without a heap round trip per block.
+        A parent left childless, unpinned and colder than the heap's
+        first key is colder than every other leaf, so it is next: a cold
+        chain is reclaimed upward without a heap round trip per run.
         """
         if self._size <= self.capacity_blocks:
             return
-        heap = self._heap
-        if heap is None:
-            heap = self._heap = [(leaf.stamp, leaf) for leaf in self._leaves]
-            heapq.heapify(heap)
+        if self._heap is None:
+            self._heap = []
             for leaf in self._leaves:
-                leaf.queued = True
+                self._queue(leaf)
+        heap = self._heap
         pinned = []
         root = self._root
         while self._size > self.capacity_blocks and heap:
-            stamp, node = heapq.heappop(heap)
+            tail, node = heapq.heappop(heap)
             if node.children:
                 node.queued = False  # re-queued if it becomes a leaf again
-            elif stamp != node.stamp:
-                heapq.heappush(heap, (node.stamp, node))  # touched since
+            elif tail != node.stamp + node.blocks - 1:
+                heapq.heappush(heap, (node.stamp + node.blocks - 1, node))
             elif node.pins:
-                pinned.append((stamp, node))
+                pinned.append((tail, node))
             else:
                 node.queued = False
                 while True:
+                    excess = self._size - self.capacity_blocks
+                    if excess < node.blocks:
+                        self._evict(node, excess)
+                        self._queue(node)
+                        break
                     parent = node.parent
-                    self._evict(node)
+                    self._evict(node, node.blocks)
                     if parent is root or parent.children:
                         break
                     if (
                         self._size <= self.capacity_blocks
                         or parent.pins
-                        or (heap and heap[0][0] <= parent.stamp)
+                        or (heap and heap[0][0] <= parent.stamp + parent.blocks - 1)
                     ):
                         self._queue(parent)
                         break
-                    node = parent  # queued, it would hold a key <= its stamp
+                    node = parent  # queued, it would hold a key <= its tail
         for entry in pinned:
             heapq.heappush(heap, entry)
 
-    def _evict(self, victim: _RadixNode) -> None:
-        """Drop one childless node; its parent may become a leaf."""
-        parent = victim.parent
-        assert parent is not None and victim.block is not None
-        del parent.children[victim.block]
-        self._leaves.discard(victim)
-        self._size -= 1
-        self.stats.evictions += 1
+    def _evict(self, node: _RadixNode, blocks: int) -> None:
+        """Drop the last ``blocks`` of a childless node, all of it at most."""
+        self._size -= blocks
+        self.stats.evictions += blocks
+        if blocks < node.blocks:
+            node.blocks -= blocks
+            del node.tokens[node.blocks * self.block_size :]
+            return
+        parent = node.parent
+        del parent.children[tuple(node.tokens[: self.block_size])]
+        self._leaves.discard(node)
         if parent is not self._root and not parent.children:
             self._leaves.add(parent)
 
     # -- lookups and inserts ------------------------------------------------
 
-    def match_prefix(self, tokens: Sequence[int]) -> int:
+    def match_prefix(self, tokens: list[int]) -> int:
         """Number of leading tokens of ``tokens`` served from cache.
 
         Walks the tree from the root; stops at the first block with no
         resident node (a block is reusable only when its whole prefix
-        matched).  Updates stats and
-        LRU recency on the matched path.
+        matched).  Updates stats and LRU recency on the matched path.
         """
-        path = self._walk(tokens)
-        for node in path:
-            self._touch(node)
-        return self._count_lookup(tokens, len(path))
+        path, cached = self._walk(tokens)
+        self._touch(path)
+        return self._count_lookup(tokens, cached // self.block_size)
 
-    def _count_lookup(self, tokens: Sequence[int], matched: int) -> int:
+    def _count_lookup(self, tokens: list[int], matched: int) -> int:
         """Record one lookup that matched ``matched`` blocks; returns tokens."""
         self.stats.block_hits += matched
         if matched < len(tokens) // self.block_size:
@@ -240,104 +289,101 @@ class RadixPrefixCache:
         return cached
 
     def _insert(
-        self, tokens: Sequence[int], handle: Sequence[_RadixNode] = ()
+        self,
+        tokens: list[int],
+        handle: _RadixNode | None = None,
+        step: StepMarks | None = None,
     ) -> tuple[int, int]:
         """Cache every complete block of ``tokens`` in one descent.
 
-        The descent resumes below ``handle``, a :meth:`pin` of ``tokens``
-        still held: pinned nodes stay resident and keep their blocks, so
-        they are the first ``len(handle)`` nodes a walk from the root
-        would meet, and they are touched in that order here.
         Returns ``(matched, added)``: the blocks already resident on the
-        path (a prefix of it — past the first miss every node is new)
-        and the blocks created.  Each path node is touched once, so
-        stamps rise along the path above every earlier stamp.
+        path and those of the one new leaf run past the first miss.  The
+        path is touched once; with ``step`` its marks are read, then set.
         """
-        tick = self._tick
-        node = self._root
-        for node in handle:
-            tick += 1
-            node.stamp = tick
-        matched, added = len(handle), 0
-        block_size = self.block_size
-        rest = tokens[matched * block_size :] if matched else tokens
-        blocks = zip(*[iter(rest)] * block_size)
-        for block in blocks:
-            child = node.children.get(block)
-            if child is None:
-                # Past the first miss every block is new: one chain, whose
-                # last node is the path's only new leaf.
-                if node is not self._root:
-                    self._leaves.discard(node)
-                for block in chain((block,), blocks):
-                    child = node.children[block] = _RadixNode(block, node)
-                    tick += 1
-                    child.stamp = tick
-                    node = child
-                    added += 1
-                self._size += added
-                self._leaves.add(node)
-                break
-            matched += 1
-            tick += 1
-            child.stamp = tick
-            node = child
-        self._tick = tick
-        if added:
-            self._queue(node)
+        path, pos = self._walk(tokens, handle)
+        size = self.block_size
+        end = len(tokens) - len(tokens) % size
+        if pos < end:
+            parent = path[-1] if path else self._root
+            self._leaves.discard(parent)
+            leaf = _RadixNode(tokens[pos:end], (end - pos) // size, parent)
+            parent.children[tuple(tokens[pos : pos + size])] = leaf
+            self._size += leaf.blocks
+            self._leaves.add(leaf)
+            path.append(leaf)
+        self._touch(path)
+        if step is not None:
+            step.shared = 0
+            for node in path:
+                if node.mark is not step:
+                    break
+                step.shared += node.blocks * size
+            for node in path:
+                node.mark = step
+        if pos < end:
+            self._queue(path[-1])
         self._evict_to_capacity()
-        return matched, added
+        return pos // size, (end - pos) // size
 
-    def insert(self, tokens: Sequence[int]) -> int:
+    def insert(self, tokens: list[int]) -> int:
         """Cache every complete block of ``tokens``; returns blocks added."""
         return self._insert(tokens)[1]
 
     def lookup_and_insert(
-        self, tokens: Sequence[int], handle: Sequence[_RadixNode] = ()
+        self,
+        tokens: list[int],
+        handle: _RadixNode | None = None,
+        step: StepMarks | None = None,
     ) -> int:
         """The per-request path: match the prefix, then cache the prompt.
 
-        One descent does both, with the statistics of :meth:`match_prefix`
-        followed by :meth:`insert` and the same LRU order (stamps only
-        ever compare with each other, and the relative order of every
-        stamp is the one the two walks would leave).  ``handle`` is a
-        :meth:`pin` of ``tokens`` that is still held; the descent starts
-        below it, with every stamp, statistic and eviction of the walk
-        from the root.
+        One descent does both, with the statistics, LRU order and victims
+        of :meth:`match_prefix` followed by :meth:`insert`.  It resumes
+        below ``handle``, a :meth:`pin` of ``tokens`` still held (its nodes
+        stay resident; a split only adds heads above it).  With ``step`` it
+        also reads and sets the step's marks (see :class:`StepMarks`).
         """
-        return self._count_lookup(tokens, self._insert(tokens, handle)[0])
+        return self._count_lookup(tokens, self._insert(tokens, handle, step)[0])
+
+    def mark(self, tokens: list[int], step: StepMarks | None) -> None:
+        """Mark the resident prefix of ``tokens`` with ``step`` (None clears):
+        no stamp, statistic or insert."""
+        for node in self._walk(tokens)[0]:
+            node.mark = step
 
     # -- pinning -------------------------------------------------------------
 
-    def pin(self, tokens: Sequence[int]) -> tuple[_RadixNode, ...]:
+    def pin(self, tokens: list[int]) -> _RadixNode:
         """Pin the resident trunk of ``tokens`` against eviction.
 
-        Walks the currently cached prefix path and takes a reference on
-        every node along it; returns an opaque handle for :meth:`unpin`.
-        Pinned nodes (and, transitively, their ancestors — which cannot
-        become leaves while a pinned descendant exists) stay resident no
-        matter how cold they go.  Pinning a sequence with no resident
-        prefix returns an empty handle; unpinning it is a no-op.
+        Takes a reference on every node of the resident prefix path and
+        returns an opaque handle for :meth:`unpin`.  Pinned nodes (and so
+        their ancestors, which cannot become leaves) stay resident however
+        cold they go.  With nothing resident the handle pins nothing.
         """
-        path = self._walk(tokens)
+        path = self._walk(tokens)[0]
         for node in path:
-            if node.pins == 0:
-                self.pinned_blocks += 1
+            if not node.pins:
+                self.pinned_blocks += node.blocks
             node.pins += 1
-        return tuple(path)
+        return path[-1] if path else self._root
 
-    def unpin(self, handle: tuple[_RadixNode, ...]) -> None:
+    def unpin(self, handle: _RadixNode) -> None:
         """Release a :meth:`pin` reference; over-release raises.
 
-        The whole handle is checked first: a double release must not
-        drop another holder's pin on a shared trunk before it fails.
+        The whole path is checked first: a double release must not drop
+        another holder's pin on a shared trunk before it fails.
         """
-        if any(node.pins <= 0 for node in handle):
+        path = []
+        while handle.parent is not None:
+            path.append(handle)
+            handle = handle.parent
+        if any(node.pins <= 0 for node in path):
             raise ValueError("unpin without a matching pin")
-        for node in handle:
+        for node in path:
             node.pins -= 1
-            if node.pins == 0:
-                self.pinned_blocks -= 1
+            if not node.pins:
+                self.pinned_blocks -= node.blocks
         self._evict_to_capacity()
 
     # -- introspection -------------------------------------------------------
@@ -365,10 +411,14 @@ class RadixPrefixCache:
 
     def clear(self) -> None:
         """Drop all cached blocks (pins included) and reset statistics."""
-        self._root = _RadixNode(None, None)
+        self._root = _RadixNode([], 0, None)
         self._size = 0
-        self._leaves = set()
-        self._heap = None
+        self._leaves: set[_RadixNode] = set()
+        #: ``(tail stamp, node)``, at most one per node and one for every
+        #: leaf, keyed no later than the node's tail stamp; None until
+        #: capacity first runs out.
+        self._heap: list[tuple[int, _RadixNode]] | None = None
+        #: blocks pinned against eviction, counted once however often pinned.
         self.pinned_blocks = 0
         self._tick = 0
         self.stats = CacheStats()

@@ -95,9 +95,8 @@ def route_task(prompt: str) -> str:
     return "freeform"
 
 
-def _fused_order(prompt: str) -> str:
-    """Infer fusion order from which stage the prompt describes first."""
-    lowered = prompt.lower()
+def _fused_order(lowered: str) -> str:
+    """Infer fusion order from which stage the lowered prompt describes first."""
     summary_pos = min(
         (lowered.find(verb) for verb in ("summarize", "summarise", "clean") if verb in lowered),
         default=len(lowered),
@@ -162,9 +161,10 @@ class TaskEngine:
         self.profile = profile
         self._tweets: TweetCorpus | None = None
         self._clinical: ClinicalCorpus | None = None
-        #: instruction text -> features: a plain dict, cleared wholesale at
+        #: instruction text -> [features, asks negative, fused order], the two
+        #: facts None until first used: a plain dict, cleared wholesale at
         #: ``_INSTRUCTION_MEMO`` entries, so lanes share it without a lock.
-        self._instruction_features: dict[str, PromptFeatures] = {}
+        self._instruction_memo: dict[str, list[Any]] = {}
 
     # -- corpus binding ------------------------------------------------------
 
@@ -208,16 +208,16 @@ class TaskEngine:
         stripped = prompt
         if tweet is not None:
             stripped = prompt.replace(tweet.text, "").replace(tweet.clean_text, "")
-        features = self._instruction_features.get(stripped)
-        if features is None:
-            if len(self._instruction_features) >= _INSTRUCTION_MEMO:
-                self._instruction_features.clear()
+        entry = self._instruction_memo.get(stripped)
+        if entry is None:
+            if len(self._instruction_memo) >= _INSTRUCTION_MEMO:
+                self._instruction_memo.clear()
             features = prompt_features(
                 stripped if tweet is None else _strip_segments(prompt, tweet, stripped)
             )
             # Keyed by plain text: the memo must not keep a binding's chunks alive.
-            self._instruction_features[str(stripped)] = features
-        return stripped, features
+            entry = self._instruction_memo[str(stripped)] = [features, None, None]
+        return stripped, entry[0]
 
     def _locate_patient(self, prompt: str) -> Patient | None:
         if self._clinical is None:
@@ -272,9 +272,11 @@ class TaskEngine:
 
     def _predicate_terms(self, prompt: str, features: PromptFeatures) -> dict[str, bool]:
         """Which criteria the prompt asks the filter to apply."""
-        lowered = prompt.lower()
+        entry = self._instruction_memo[prompt]
+        if entry[1] is None:  # lowered on first use, kept beside the features
+            entry[1] = "negative" in prompt.lower()
         return {
-            "negative": "negative" in lowered,
+            "negative": entry[1],
             "school": any(
                 term in features.hint_terms
                 for term in ("school", "class", "exam", "homework", "teacher")
@@ -323,7 +325,10 @@ class TaskEngine:
     def _run_fused(self, prompt: str) -> TaskOutput:
         tweet = self._locate_tweet(prompt)
         instructions, features = self._instructions(prompt, tweet)
-        order = _fused_order(instructions)
+        entry = self._instruction_memo[instructions]
+        if entry[2] is None:  # lowered on first use, kept beside the features
+            entry[2] = _fused_order(instructions.lower())
+        order = entry[2]
         terms = self._predicate_terms(instructions, features)
         correct = self._true_decision(tweet, prompt, terms)
         difficulty = tweet.difficulty if tweet is not None else 0.5

@@ -39,7 +39,7 @@ Prefix economics inside a step: the trunks of every admitted request are
 earlier member's insert can never evict a later member's matched
 prefix, and each member's lookup resumes below its pin), and with
 ``prefix_dedup`` each member's block-aligned overlap with *earlier step
-members* is priced at zero by
+members*, read from the radix tree's step marks, is priced at zero by
 :func:`~repro.llm.latency.estimate_continuous_step` — the shared trunk
 goes through the serial prefill pipe once per step, not once per
 request.  Dedup changes latency accounting only, never texts or cache
@@ -65,10 +65,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 from repro.llm.latency import estimate_continuous_step
+from repro.llm.radix_cache import StepMarks
 from repro.runtime.clock import VirtualClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -240,7 +240,7 @@ class _Request:
         self.decision: Any = None
         self.prepared = False
         #: the request's prefix-cache pin while its step runs.
-        self.handle: tuple = ()
+        self.handle: Any = None
 
 
 class LaneModel:
@@ -451,26 +451,35 @@ class GenScheduler:
 
     def _execute(
         self, requests: "list[_Request]"
-    ) -> tuple[
-        list[_Request], list[tuple[int, int, int]], list[tuple[str, int, Any]]
-    ]:
+    ) -> "tuple[list[_Request], list[tuple[int, int, int]], list[Any], list[int]]":
         """Run the deterministic task engine over prepared requests, in order.
 
         Performs the per-request prefix-cache lookup, resumed below the
         request's step pin, and task execution — the back half of an
         engine step.  Returns the requests that ran, their
-        ``(prompt_tokens, cached_tokens, output_tokens)`` triples and
-        their ``(text, output_tokens, output)`` results, index-aligned.  A
-        request whose lookup or task raises is completed in place with that
-        error (the exception a direct call would raise) and left out; its
-        peers still run.
+        ``(prompt_tokens, cached_tokens, output_tokens)`` triples, their
+        ``(text, output_tokens, output)`` results and their dedup tokens,
+        index-aligned.  A request whose lookup or task raises is
+        completed in place with that error (the exception a direct call
+        would raise) and left out; its peers still run.
+
+        A member's dedup is its largest block-aligned shared prefix with
+        an earlier member that ran, capped at its cached tokens: what its
+        lookup reads from the step's marks.  A member without a lookup
+        marks its resident path after its task; one that raises clears
+        its path, and the members that ran before it mark theirs again.
         """
         model = self.model
+        kv = model.kv_cache
+        dedup_on = self.config.prefix_dedup and len(requests) > 1
+        step = StepMarks() if dedup_on else None
         ran: list[_Request] = []
         triples: list[tuple[int, int, int]] = []
         outputs: list[tuple[str, int, Any]] = []
+        dedup: list[int] = []
         for request in requests:
-            assert request.tokens is not None
+            tokens = request.tokens
+            assert tokens is not None
             caching = (
                 model.enable_prefix_cache
                 if request.use_cache is None
@@ -478,9 +487,7 @@ class GenScheduler:
             )
             try:
                 cached = (
-                    model.kv_cache.lookup_and_insert(
-                        request.tokens, request.handle
-                    )
+                    kv.lookup_and_insert(tokens, request.handle, step)
                     if caching
                     else 0
                 )
@@ -490,11 +497,18 @@ class GenScheduler:
             except Exception as error:  # noqa: BLE001 - delivered to the lane
                 request.error = error
                 request.done = True
+                if step is not None and caching:
+                    kv.mark(tokens, None)
+                    for earlier in ran:
+                        kv.mark(earlier.tokens, step)
                 continue
+            if step is not None and not caching:
+                kv.mark(tokens, step)
+            dedup.append(step.shared if step is not None and caching else 0)
             ran.append(request)
-            triples.append((len(request.tokens), cached, output_tokens))
+            triples.append((len(tokens), cached, output_tokens))
             outputs.append((text, output_tokens, output))
-        return ran, triples, outputs
+        return ran, triples, outputs, dedup
 
     def _policy_key(self, request: _Request) -> tuple:
         deadline = request.deadline if request.deadline is not None else float("inf")
@@ -533,67 +547,6 @@ class GenScheduler:
                 order.append(key)
             groups[key].append(request)
         return [request for key in order for request in groups[key]]
-
-    def _dedup_tokens(
-        self,
-        admitted: "list[_Request]",
-        triples: "list[tuple[int, int, int]]",
-        handles: "list[tuple]",
-    ) -> "list[int]":
-        """Intra-step trunk overlap per member, in admission order.
-
-        Member ``i``'s dedup is its largest block-aligned shared prefix
-        with any *earlier* member of the same step, capped at its own
-        cached-token count (only a cached trunk can be deduplicated —
-        under extreme eviction pressure the trunk may not have survived
-        to ``i``'s lookup, and then it must be paid for again).
-
-        One pass over a trie of the earlier members' blocks: ``i``'s
-        match depth in it is that largest shared prefix, so a step costs
-        O(shared blocks) rather than a comparison per pair of members.
-        Past a member's first miss its keys stay an unexpanded tail (an
-        iterator, under the trie key ``None``): a later member that misses
-        at a node holding a tail expands it one level and looks again, so
-        a tail is cut only as deep as later members match it.  ``handles`` are the members' step pins,
-        index-aligned (``()`` for a member with nothing pinned).  The trie
-        levels inside a pin are keyed by radix node and only the blocks
-        below it are cut: every pin of a step is walked before any
-        insert, so a pinned node stands for exactly one block prefix, and
-        that prefix is pinned for one member exactly when it is pinned
-        for every member that shares it.
-        """
-        if not self.config.prefix_dedup or len(admitted) < 2:
-            return [0] * len(admitted)
-        block_size = self.model.kv_cache.block_size
-        trie: dict = {}
-        dedup: list[int] = []
-        for index, request in enumerate(admitted):
-            node = trie
-            depth = 0
-            handle = handles[index]
-            tokens = request.tokens or ()
-            if handle:
-                tokens = tokens[len(handle) * block_size :]
-            keys = chain(handle, zip(*[iter(tokens)] * block_size))
-            for key in keys:
-                child = node.get(key)
-                if child is None:
-                    # A node holds a tail or children, never both: expand
-                    # the tail one level and look again.
-                    tail = node.pop(None, None)
-                    if tail is not None:
-                        ahead = next(tail, None)
-                        if ahead is not None:
-                            node[ahead] = {None: tail}
-                            child = node.get(key)
-                if child is None:
-                    # Past the first miss nothing is shared: depth is final.
-                    node[key] = {None: keys}
-                    break
-                depth += 1
-                node = child
-            dedup.append(min(depth * block_size, triples[index][1]))
-        return dedup
 
     def _run_step(self) -> None:
         """Form and execute one policy step from the pending queue."""
@@ -677,7 +630,7 @@ class GenScheduler:
         for request in admitted:
             request.handle = kv.pin(request.tokens or [])
         try:
-            ran, triples, outputs = self._execute(admitted)
+            ran, triples, outputs, dedup = self._execute(admitted)
         finally:
             for request in admitted:
                 kv.unpin(request.handle)
@@ -688,9 +641,6 @@ class GenScheduler:
             self._observe_queue_depth()
             return
         admitted = ran
-        dedup = self._dedup_tokens(
-            admitted, triples, [request.handle for request in admitted]
-        )
         step = estimate_continuous_step(
             model.profile,
             triples,

@@ -3,8 +3,10 @@
 Covers the chain oracle's contract (same semantics as the reference
 ``BlockPrefixCache`` in ``reference_block_cache.py`` on the no-eviction
 path), the structural fix (leaf-first eviction cannot
-strand orphaned descendants), pinning, and property-based parity:
-call-for-call the radix cache serves at least the chain cache's tokens.
+strand orphaned descendants), pinning, property-based parity (call for
+call the radix cache serves at least the chain cache's tokens), and the
+run tree against the per-block tree it compresses
+(``reference_radix.py``): answers, stats, stamps, pins and victims.
 """
 
 import pytest
@@ -13,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.llm.model import SimulatedLLM
-from repro.llm.radix_cache import RadixPrefixCache
+from repro.llm.radix_cache import RadixPrefixCache, StepMarks
 from tests.llm.reference_block_cache import BlockPrefixCache
+from tests.llm.reference_radix import BlockRadixCache
 from tests.runtime import table3_workload as table3
 from tests.runtime.reference_dedup import shared_prefix_tokens
 
@@ -214,9 +217,13 @@ class TestPinning:
 
     def test_pin_nonresident_is_empty_and_unpin_noop(self):
         cache = RadixPrefixCache(block_size=4)
+        oracle = BlockRadixCache(block_size=4)
         handle = cache.pin(list(range(8)))
-        assert handle == ()
+        assert oracle.pin(list(range(8))) == ()
+        assert _pinned_blocks(handle) == 0
+        assert cache.snapshot() == oracle.snapshot()
         cache.unpin(handle)  # no-op, no raise
+        assert cache.snapshot() == oracle.snapshot()
 
     def test_unpin_over_release_raises(self):
         cache = RadixPrefixCache(block_size=4)
@@ -228,51 +235,93 @@ class TestPinning:
 
     def test_double_release_keeps_the_other_holders_pins(self):
         cache = RadixPrefixCache(block_size=4)
-        cache.insert(list(range(12)))
-        trunk = cache.pin(list(range(8)))     # holder A: two trunk blocks
-        whole = cache.pin(list(range(12)))    # holder B: trunk + its leaf
-        cache.unpin(whole)
-        with pytest.raises(ValueError):
-            cache.unpin(whole)                # B again: its leaf is unpinned
-        assert [node.pins for node in trunk] == [1, 1]
-        assert cache.snapshot()["pinned_blocks"] == 2
-        cache.unpin(trunk)
+        oracle = BlockRadixCache(block_size=4)
+        trunks = []
+        for tree in (cache, oracle):
+            tree.insert(list(range(12)))
+            trunks.append(tree.pin(list(range(8))))  # holder A: two trunk blocks
+            whole = tree.pin(list(range(12)))    # holder B: trunk + its leaf
+            tree.unpin(whole)
+            with pytest.raises(ValueError):
+                tree.unpin(whole)                # B again: its leaf is unpinned
+            assert tree.snapshot()["pinned_blocks"] == 2
+        assert [pins for _, pins in oracle.blocks().values()].count(1) == 2
+        assert _blocks(cache) == oracle.blocks()
+        cache.unpin(trunks[0])
         assert cache.snapshot()["pinned_blocks"] == 0
 
+    def test_a_later_pin_splits_an_earlier_pinned_run(self):
+        """Each handle releases exactly the blocks it pinned, whichever
+        later pin cut its run, in any release order."""
+        for order in ((0, 1, 2), (2, 1, 0), (1, 0, 2)):
+            cache = RadixPrefixCache(block_size=2)
+            oracle = BlockRadixCache(block_size=2)
+            prompts = [list(range(12)), list(range(6)), list(range(8)) + [99, 99]]
+            for tree in (cache, oracle):
+                tree.insert(prompts[0])
+            handles = [cache.pin(tokens) for tokens in prompts]
+            held = [oracle.pin(tokens) for tokens in prompts]
+            assert [_pinned_blocks(h) for h in handles] == [len(h) for h in held]
+            assert _blocks(cache) == oracle.blocks()
+            for index in order:
+                cache.unpin(handles[index])
+                oracle.unpin(held[index])
+                assert _blocks(cache) == oracle.blocks()
+                assert cache.snapshot() == oracle.snapshot()
+            assert cache.snapshot()["pinned_blocks"] == 0
 
-# -- differential eviction: the heap against the scan it replaced --------------
+
+# -- the run tree against the per-block tree it compresses ---------------------
+
+
+def _block_path(cache, node):
+    """The root-to-node path of ``node`` as blocks."""
+    runs = []
+    while node.parent is not None:
+        runs.append(node.tokens)
+        node = node.parent
+    tokens = [token for run in reversed(runs) for token in run]
+    size = cache.block_size
+    return tuple(tuple(tokens[i : i + size]) for i in range(0, len(tokens), size))
+
+
+def _blocks(cache):
+    """Every resident block path -> ``(stamp, pins)``, as the oracle reports."""
+    found = {}
+    stack = [cache._root]
+    while stack:
+        node = stack.pop()
+        for child in node.children.values():
+            path = _block_path(cache, child)
+            for k in range(child.blocks):
+                found[path[: len(path) - child.blocks + k + 1]] = (
+                    child.stamp + k,
+                    child.pins,
+                )
+            stack.append(child)
+    return found
+
+
+def _pinned_blocks(handle):
+    """The blocks a :meth:`RadixPrefixCache.pin` handle holds."""
+    blocks = 0
+    while handle.parent is not None:
+        blocks += handle.blocks
+        handle = handle.parent
+    return blocks
 
 
 class _Recording(RadixPrefixCache):
-    """Records each victim as its root-to-node block path."""
+    """Records each evicted block as its root-to-block path, in order."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.victims = []
 
-    def _evict(self, victim):
-        path, node = [], victim
-        while node.block is not None:
-            path.append(node.block)
-            node = node.parent
-        self.victims.append(tuple(reversed(path)))
-        super()._evict(victim)
-
-
-class _ScanReference(_Recording):
-    """The O(leaves) eviction scan, kept as the reference order."""
-
-    def _evict_to_capacity(self):
-        while self._size > self.capacity_blocks:
-            victim = None
-            for leaf in self._leaves:
-                if leaf.pins:
-                    continue
-                if victim is None or leaf.stamp < victim.stamp:
-                    victim = leaf
-            if victim is None:
-                break
-            self._evict(victim)
+    def _evict(self, node, blocks):
+        path = _block_path(self, node)
+        self.victims += [path[: len(path) - k] for k in range(blocks)]
+        super()._evict(node, blocks)
 
 
 #: Long runs weighted to inserts and pins over a four-token alphabet, so
@@ -289,13 +338,100 @@ cache_ops = st.lists(
     max_size=80,
 )
 
+#: Engine-shaped steps: a few prompts over a two-token alphabet, so step
+#: members share trunks with each other and with earlier steps.
+step_prompts = st.lists(st.integers(min_value=0, max_value=1), max_size=9)
+engine_steps = st.lists(
+    st.tuples(
+        st.lists(step_prompts, max_size=3),  # inserted before the step
+        st.lists(step_prompts, min_size=1, max_size=5),  # the step's members
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+#: The differential's ops: the cache ops plus a pinned engine step, whose
+#: members are drawn over a two-token alphabet.
+tree_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(OP_KINDS),
+            st.lists(st.integers(min_value=0, max_value=2), max_size=12),
+            st.integers(min_value=0, max_value=7),
+        ),
+        st.tuples(st.just("step"), st.lists(step_prompts, min_size=1, max_size=5)),
+    ),
+    min_size=20,
+    max_size=60,
+)
+
+
+def _assert_same_tree(tree, oracle):
+    assert tree.stats == oracle.stats
+    assert tree.snapshot() == oracle.snapshot()
+    assert tree.victims == oracle.victims
+    assert _blocks(tree) == oracle.blocks()  # resident blocks, stamps and pins
+    assert tree._tick == oracle._tick
+
+
+class TestAgainstPerBlockTree:
+    """Every op on the run tree answers as the per-block tree does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.integers(min_value=1, max_value=32),
+        tree_ops,
+    )
+    def test_same_answers_stats_blocks_and_victims(self, block_size, capacity, ops):
+        tree = _Recording(block_size=block_size, capacity_blocks=capacity)
+        oracle = BlockRadixCache(block_size=block_size, capacity_blocks=capacity)
+        handles, held = [], []
+        for op in ops:
+            if op[0] == "step":
+                members = op[1]
+                pins = [tree.pin(tokens) for tokens in members]
+                oracle_pins = [oracle.pin(tokens) for tokens in members]
+                step = StepMarks()
+                for tokens, handle in zip(members, pins):
+                    assert tree.lookup_and_insert(tokens, handle, step) == (
+                        oracle.lookup_and_insert(tokens)
+                    )
+                for handle in pins:
+                    tree.unpin(handle)
+                for handle in oracle_pins:
+                    oracle.unpin(handle)
+            else:
+                kind, tokens, index = op
+                if kind == "insert":
+                    assert tree.insert(tokens) == oracle.insert(tokens)
+                elif kind == "lookup":
+                    assert tree.lookup_and_insert(tokens) == (
+                        oracle.lookup_and_insert(tokens)
+                    )
+                elif kind == "match":
+                    assert tree.match_prefix(tokens) == oracle.match_prefix(tokens)
+                elif kind == "pin":
+                    handles.append(tree.pin(tokens))
+                    held.append(oracle.pin(tokens))
+                elif kind == "unpin" and handles:
+                    tree.unpin(handles.pop(index % len(handles)))
+                    oracle.unpin(held.pop(index % len(held)))
+                elif kind == "clear":
+                    tree.clear()
+                    oracle.clear()
+                    handles.clear()
+                    held.clear()
+            _assert_same_tree(tree, oracle)
+            assert [_pinned_blocks(h) for h in handles] == [len(h) for h in held]
+
 
 class TestHeapEviction:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=1, max_value=32), cache_ops)
     def test_same_victims_snapshots_and_stats_as_the_scan(self, capacity, ops):
         heap = _Recording(block_size=1, capacity_blocks=capacity)
-        scan = _ScanReference(block_size=1, capacity_blocks=capacity)
+        scan = BlockRadixCache(block_size=1, capacity_blocks=capacity)
         handles = {id(heap): [], id(scan): []}
         for op, tokens, index in ops:
             results = []
@@ -327,7 +463,7 @@ class TestHeapEviction:
 
     def test_capacity_pressure_with_pinned_cold_leaves(self):
         heap = _Recording(block_size=1, capacity_blocks=4)
-        scan = _ScanReference(block_size=1, capacity_blocks=4)
+        scan = BlockRadixCache(block_size=1, capacity_blocks=4)
         for cache in (heap, scan):
             cache.insert([1, 2])
             held = cache.pin([1, 2])
@@ -341,7 +477,7 @@ class TestHeapEviction:
 
     def test_cold_chains_evict_upward_stopping_at_pins_and_branches(self):
         heap = _Recording(block_size=1, capacity_blocks=12)
-        scan = _ScanReference(block_size=1, capacity_blocks=12)
+        scan = BlockRadixCache(block_size=1, capacity_blocks=12)
         for cache in (heap, scan):
             cache.insert([1, 2, 3, 4, 5, 6])  # a cold chain ...
             cache.insert([1, 2, 3, 9])  # ... that branches at 3
@@ -376,19 +512,6 @@ class TestHeapEviction:
         assert len(cache) == 10
 
 
-def _resident_paths(cache):
-    """Every resident node as its root-to-node block path."""
-    paths = set()
-
-    def walk(node, path):
-        for block, child in node.children.items():
-            paths.add(path + (block,))
-            walk(child, path + (block,))
-
-    walk(cache._root, ())
-    return paths
-
-
 class TestOneWalkLookup:
     """``lookup_and_insert`` is one descent; it must equal the two calls."""
 
@@ -400,7 +523,7 @@ class TestOneWalkLookup:
     )
     def test_equals_match_then_insert(self, block_size, capacity, ops):
         one = _Recording(block_size=block_size, capacity_blocks=capacity)
-        two = _Recording(block_size=block_size, capacity_blocks=capacity)
+        two = BlockRadixCache(block_size=block_size, capacity_blocks=capacity)
         handles = {id(one): [], id(two): []}
         for op, tokens, index in ops:
             if op == "lookup":
@@ -422,11 +545,11 @@ class TestOneWalkLookup:
             assert one.victims == two.victims
             assert one.snapshot() == two.snapshot()
             assert one.stats == two.stats
-            assert _resident_paths(one) == _resident_paths(two)
+            assert _blocks(one).keys() == two.blocks().keys()
 
     def test_lookups_under_pressure_evict_the_same_victims(self):
         one = _Recording(block_size=2, capacity_blocks=5)
-        two = _Recording(block_size=2, capacity_blocks=5)
+        two = BlockRadixCache(block_size=2, capacity_blocks=5)
         prompts = [[1, 2, 3, 4, base, base + 1] for base in range(10, 40, 2)]
         prompts += [[1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 9, 9]] * 3
         for tokens in prompts:
@@ -437,39 +560,13 @@ class TestOneWalkLookup:
         assert one.snapshot() == two.snapshot()
 
 
-def _stamps(cache):
-    """Every resident node's stamp and leaf flag, by root-to-node path."""
-    found = {}
-
-    def walk(node, path):
-        for block, child in node.children.items():
-            key = path + (block,)
-            found[key] = (child.stamp, child in cache._leaves)
-            walk(child, key)
-
-    walk(cache._root, ())
-    return found
-
-
-#: Engine-shaped steps: a few prompts over a two-token alphabet, so step
-#: members share trunks with each other and with earlier steps.
-step_prompts = st.lists(st.integers(min_value=0, max_value=1), max_size=9)
-engine_steps = st.lists(
-    st.tuples(
-        st.lists(step_prompts, max_size=3),  # inserted before the step
-        st.lists(step_prompts, min_size=1, max_size=5),  # the step's members
-    ),
-    min_size=1,
-    max_size=8,
-)
-
-
 class TestResumeBelowPin:
     """``lookup_and_insert(tokens, handle)`` resumes below a step pin.
 
-    A pin taken before the step's inserts keeps its nodes resident and
-    unchanged, so the resumed descent must leave exactly what the descent
-    from the root leaves: statistics, stamps, leaves and victims.
+    The pins are taken before the step's inserts, and a later pin or a
+    lookup may split a pinned run above a handle; the resumed lookups
+    must leave what the per-block tree's descents from the root leave:
+    statistics, stamps, pins, leaves and victims.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -480,35 +577,33 @@ class TestResumeBelowPin:
     )
     def test_equals_the_descent_from_the_root(self, block_size, capacity, steps):
         resumed = _Recording(block_size=block_size, capacity_blocks=capacity)
-        rooted = _ScanReference(block_size=block_size, capacity_blocks=capacity)
+        rooted = BlockRadixCache(block_size=block_size, capacity_blocks=capacity)
         for before, members in steps:
             for cache in (resumed, rooted):
                 for tokens in before:
                     cache.insert(tokens)
             handles = [resumed.pin(tokens) for tokens in members]
             held = [rooted.pin(tokens) for tokens in members]
+            step = StepMarks()
             for tokens, handle in zip(members, handles):
-                assert resumed.lookup_and_insert(tokens, handle) == (
+                assert resumed.lookup_and_insert(tokens, handle, step) == (
                     rooted.lookup_and_insert(tokens)
                 )
             for cache, pins in ((resumed, handles), (rooted, held)):
                 for handle in pins:
                     cache.unpin(handle)
-            assert resumed.stats == rooted.stats
-            assert resumed.victims == rooted.victims
-            assert _stamps(resumed) == _stamps(rooted)
-            assert resumed._tick == rooted._tick
-            assert resumed.snapshot() == rooted.snapshot()
+            _assert_same_tree(resumed, rooted)
 
     def test_resumes_below_a_trunk_that_pressure_cannot_evict(self):
         resumed = _Recording(block_size=2, capacity_blocks=3)
-        rooted = _ScanReference(block_size=2, capacity_blocks=3)
+        rooted = BlockRadixCache(block_size=2, capacity_blocks=3)
         members = [[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 7, 8], [9, 9, 9, 9]]
         for cache in (resumed, rooted):
             cache.insert([1, 2, 3, 4])
         handles = [resumed.pin(tokens) for tokens in members]
-        assert [len(handle) for handle in handles] == [2, 2, 0]
         held = [rooted.pin(tokens) for tokens in members]
+        assert [len(handle) for handle in held] == [2, 2, 0]
+        assert [_pinned_blocks(handle) for handle in handles] == [2, 2, 0]
         for tokens, handle in zip(members, handles):
             assert resumed.lookup_and_insert(tokens, handle) == (
                 rooted.lookup_and_insert(tokens)
@@ -518,8 +613,7 @@ class TestResumeBelowPin:
             resumed.unpin(handle)
         for handle in held:
             rooted.unpin(handle)
-        assert _stamps(resumed) == _stamps(rooted)
-        assert resumed.stats == rooted.stats
+        _assert_same_tree(resumed, rooted)
 
 
 class TestRadixProperties:
@@ -591,20 +685,19 @@ class TestRadixProperties:
     def test_resident_blocks_always_reachable(self, workload):
         """The no-orphans invariant under arbitrary eviction pressure."""
         cache = RadixPrefixCache(block_size=4, capacity_blocks=6)
-        inserted: list[list[int]] = []
+        oracle = BlockRadixCache(block_size=4, capacity_blocks=6)
         for tokens in workload:
             cache.insert(tokens)
-            inserted.append(list(tokens))
-        reachable = set()
-
-        def walk(node, path):
-            for block, child in node.children.items():
-                reachable.add(id(child))
-                walk(child, path + [block])
-
-        walk(cache._root, [])
-        assert len(reachable) == len(cache)
-
+            oracle.insert(tokens)
+        reachable = 0
+        stack = [cache._root]
+        while stack:
+            node = stack.pop()
+            for child in node.children.values():
+                reachable += child.blocks
+                stack.append(child)
+        assert reachable == len(cache) == len(_blocks(cache))
+        assert _blocks(cache).keys() == oracle.blocks().keys()
 
 class TestTable3Workload:
     """Both tiers replaying the scaffolded Table-3 workload (48 items)."""

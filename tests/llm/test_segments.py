@@ -236,6 +236,31 @@ class TestSegmentedFeatures:
         assert prompt_features(long) == want
         assert calls == [scaffold.text, str(long)[-48:]]
 
+    def test_short_prompts_skip_the_segment_walk(self, monkeypatch):
+        """A prompt of at most ``_MIN_SKIPPED`` characters cannot leave more
+        out, so it is scanned flat without asking ``segment_layout``."""
+        monkeypatch.undo()
+        walked = []
+        layout = features_module.segment_layout
+        monkeypatch.setattr(
+            features_module,
+            "segment_layout",
+            lambda prompt: walked.append(prompt) or layout(prompt),
+        )
+        limit = features_module._MIN_SKIPPED
+        head = "Summarize the tweet, then select it if negative.\nTweet:\n"
+        for text in ("so tired of exams", "x" * (limit - len(head))):
+            short = segmented([head, text], [True, False])
+            assert len(short) <= limit
+            flat = str(short)
+            assert features_module.route_mask(short) == features_module._route_hits(flat)
+            assert prompt_features(short) == extract_features(flat)
+        assert walked == []
+        long = segmented([head, "x" * (limit + 1 - len(head))], [True, False])
+        prompt_features(long)
+        features_module.route_mask(long)
+        assert walked == [long, long]
+
     def test_chunk_analysis_is_kept_on_the_chunk(self):
         template = CompiledTemplate("Classify the tweet.\nTweet:\n{tweet}")
         chunk = template.parts[0]

@@ -207,6 +207,33 @@ def test_features_per_instruction_text_not_per_call(run, analysed, monkeypatch):
     assert set(analysed) <= instructions
 
 
+def test_predicate_facts_once_per_instruction_text(monkeypatch):
+    """Classify and fused calls read "negative" and the fused order from
+    the instruction memo, filled on first use: a memo hit lowers nothing."""
+    lowered = []
+    real = tasks_module._fused_order
+    monkeypatch.setattr(
+        tasks_module, "_fused_order", lambda text: lowered.append(text) or real(text)
+    )
+    corpus = make_tweet_corpus(12, seed=7)
+    engine = TaskEngine(PROFILE)
+    engine.bind_tweets(corpus)
+    templates = {
+        "classify": "Select the tweet only if its sentiment is Negative.\nTweet:\n{}",
+        "fused": "Summarize the tweet, then filter: is it negative?\nTweet:\n{}",
+    }
+    for tweet in corpus:
+        for task, template in templates.items():
+            output = engine.run(template.format(tweet.text))
+            assert output.task == task
+            if task == "classify":
+                assert output.extras["criteria"]["negative"]
+    assert lowered == [templates["fused"].format("").lower()]
+    memo = engine._instruction_memo
+    assert memo[templates["classify"].format("")][1:] == [True, None]
+    assert memo[templates["fused"].format("")][1:] == [True, "map_filter"]
+
+
 def test_qa_still_analyses_its_prompt(analysed):
     engine = TaskEngine(PROFILE)
     engine.bind_clinical(make_clinical_corpus(12, seed=7))

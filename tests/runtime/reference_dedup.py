@@ -1,10 +1,10 @@
 """The pairwise trunk-overlap measure, kept as the step-dedup oracle.
 
-``GenScheduler._dedup_tokens`` answers "largest block-aligned shared
-prefix with any earlier step member" in one pass over a trie of block
-tuples.  :func:`shared_prefix_tokens` is the definition it replaced: one
-pair of token sequences, compared block by block.  Tests compare the
-two on generated steps.
+The scheduler reads "largest block-aligned shared prefix with any
+earlier step member" from the radix tree's step marks.
+:func:`shared_prefix_tokens` is the definition: one pair of token
+sequences, compared block by block.  Tests compare the two on generated
+steps.
 """
 
 from typing import Sequence

@@ -495,6 +495,64 @@ LONG_MAP_PROMPT = (
 )
 
 
+def _pairwise(prompts, triples, block_size):
+    """Each member's largest shared prefix with an earlier one, capped at
+    its cached tokens: the dedup definition."""
+    return [
+        min(
+            max(
+                (
+                    shared_prefix_tokens(tokens, earlier, block_size)
+                    for earlier in prompts[:index]
+                ),
+                default=0,
+            ),
+            triples[index][1],
+        )
+        for index, tokens in enumerate(prompts)
+    ]
+
+
+def _engine_step(kv, prompts, *, raises=(), uncached=()):
+    """One engine step's back half over ``prompts`` on ``kv``.
+
+    Pins every member, runs the engine's lookups and tasks (member ``i``'s
+    task raises when ``i`` is in ``raises``; it does no lookup when in
+    ``uncached``) and unpins.  Returns the indexes of the members that
+    ran, their triples and their dedup tokens.
+    """
+
+    def execute_task(prompt, max_tokens=None):
+        if int(prompt) in raises:
+            raise ValueError(f"task {prompt} failed")
+        return "", 1, None
+
+    model = SimpleNamespace(
+        kv_cache=kv, enable_prefix_cache=True, execute_task=execute_task
+    )
+    engine = GenScheduler(model)
+    requests = [
+        SimpleNamespace(
+            lane_id=index,
+            prompt=str(index),
+            tokens=tokens,
+            max_tokens=None,
+            use_cache=False if index in uncached else None,
+            error=None,
+            done=False,
+        )
+        for index, tokens in enumerate(prompts)
+    ]
+    for request in requests:
+        request.handle = kv.pin(request.tokens)
+    try:
+        ran, triples, _, dedup = engine._execute(requests)
+    finally:
+        for request in requests:
+            kv.unpin(request.handle)
+    return [request.lane_id for request in ran], triples, dedup
+
+
 class TestPrefixAware:
     """Prefix-aware admission: trunk grouping, dedup pricing, pinning."""
 
@@ -612,26 +670,20 @@ class TestPrefixAware:
         assert engine._trunk_key(short) == ("solo", 5)
 
     def test_dedup_capped_by_cached_tokens(self):
-        from types import SimpleNamespace
-
         llm = SimulatedLLM("qwen2.5-7b-instruct")
-        engine = GenScheduler(llm)
         block = llm.kv_cache.block_size
         trunk = list(range(3 * block))
-
-        def req(tokens, lane):
-            return SimpleNamespace(
-                tokens=tokens, lane_id=lane, priority_rank=1
-            )
-
-        admitted = [req(trunk + [1], 0), req(trunk + [2], 1)]
-        # Second member shares 3 blocks but only 1 survived to its
-        # lookup: dedup must not exceed what the cache actually served.
-        triples = [(len(trunk) + 1, 0, 10), (len(trunk) + 1, block, 10)]
-        assert engine._dedup_tokens(admitted, triples, [(), ()]) == [0, block]
+        members = [trunk + [1], trunk + [2]]
+        # One trunk block resident and pinned, the rest re-created and
+        # evicted by each lookup: the second member shares 3 blocks but
+        # only 1 survived to its lookup, so dedup must not exceed what the
+        # cache actually served.
+        kv = RadixPrefixCache(block_size=block, capacity_blocks=1)
+        kv.insert(trunk[:block])
+        assert _engine_step(kv, members)[2] == [0, block]
         # With ample cache the full trunk dedups.
-        triples = [(len(trunk) + 1, 0, 10), (len(trunk) + 1, 3 * block, 10)]
-        assert engine._dedup_tokens(admitted, triples, [(), ()]) == [0, 3 * block]
+        kv = RadixPrefixCache(block_size=block)
+        assert _engine_step(kv, members)[2] == [0, 3 * block]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -646,44 +698,26 @@ class TestPrefixAware:
                 st.integers(min_value=0, max_value=2),  # trunk
                 st.integers(min_value=0, max_value=24),  # trunk cut
                 st.lists(st.integers(min_value=0, max_value=3), max_size=8),
-                st.integers(min_value=0, max_value=40),  # cached tokens
+                st.integers(min_value=0, max_value=3),  # warm-up cut, in blocks
             ),
             min_size=1,
             max_size=12,
         ),
     )
     def test_dedup_equals_pairwise_oracle(self, block_size, trunks, members):
-        """The one-pass trie dedup is the pairwise shared-prefix maximum
+        """The tree's step marks give the pairwise shared-prefix maximum
         with any earlier member, capped at the member's cached tokens."""
-        model = SimpleNamespace(kv_cache=SimpleNamespace(block_size=block_size))
-        engine = GenScheduler(model)
-        admitted, triples = [], []
-        for lane, (trunk, cut, suffix, cached) in enumerate(members):
+        kv = RadixPrefixCache(block_size=block_size)
+        prompts = []
+        for trunk, cut, suffix, warm in members:
             # Shared and diverging trunks, repeats of one prompt, and
             # prompts shorter than a block all come out of this shape.
             tokens = trunks[trunk % len(trunks)][:cut] + suffix
-            admitted.append(
-                SimpleNamespace(tokens=tokens, lane_id=lane, priority_rank=1)
-            )
-            triples.append((len(tokens), min(cached, len(tokens)), 1))
-        expected = [
-            min(
-                max(
-                    (
-                        shared_prefix_tokens(
-                            request.tokens, earlier.tokens, block_size
-                        )
-                        for earlier in admitted[:index]
-                    ),
-                    default=0,
-                ),
-                triples[index][1],
-            )
-            for index, request in enumerate(admitted)
-        ]
-        assert engine._dedup_tokens(admitted, triples, [()] * len(admitted)) == (
-            expected
-        )
+            kv.insert(tokens[: warm * block_size])  # cached before the step
+            prompts.append(tokens)
+        ran, triples, dedup = _engine_step(kv, prompts)
+        assert ran == list(range(len(prompts)))
+        assert dedup == _pairwise(prompts, triples, block_size)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -694,6 +728,7 @@ class TestPrefixAware:
             st.tuples(
                 st.lists(st.integers(0, 1), max_size=9),
                 st.booleans(),  # the member's task raises after its lookup
+                st.booleans(),  # the member does no lookup (use_cache=False)
             ),
             min_size=1,
             max_size=6,
@@ -702,94 +737,74 @@ class TestPrefixAware:
     def test_dedup_with_pins_equals_pairwise_oracle(
         self, block_size, capacity, warm, members
     ):
-        """Trie levels keyed by pinned node give the block trie's depths,
-        whatever the step's inserts evict and whichever members drop out."""
+        """Pinned trunks, inserts that evict inside the step, members that
+        raise and members without a lookup: the marks give the block
+        trie's depths over the members that ran."""
         kv = RadixPrefixCache(block_size=block_size, capacity_blocks=capacity)
-        engine = GenScheduler(SimpleNamespace(kv_cache=kv))
         for tokens in warm:
             kv.insert(tokens)
-        handles = [kv.pin(tokens) for tokens, _ in members]
-        ran, triples, pins = [], [], []
-        for lane, ((tokens, raises), handle) in enumerate(zip(members, handles)):
-            cached = kv.lookup_and_insert(tokens, handle)
-            if not raises:
-                ran.append(SimpleNamespace(tokens=tokens, lane_id=lane))
-                triples.append((len(tokens), cached, 1))
-                pins.append(handle)
-        for handle in handles:
-            kv.unpin(handle)
-        expected = [
-            min(
-                max(
-                    (
-                        shared_prefix_tokens(
-                            request.tokens, earlier.tokens, block_size
-                        )
-                        for earlier in ran[:index]
-                    ),
-                    default=0,
-                ),
-                triples[index][1],
-            )
-            for index, request in enumerate(ran)
-        ]
-        assert engine._dedup_tokens(ran, triples, pins) == expected
-        assert engine._dedup_tokens(ran, triples, [()] * len(ran)) == expected
+        prompts = [tokens for tokens, _, _ in members]
+        ran, triples, dedup = _engine_step(
+            kv,
+            prompts,
+            raises={i for i, (_, raises, _) in enumerate(members) if raises},
+            uncached={i for i, (_, _, uncached) in enumerate(members) if uncached},
+        )
+        assert dedup == _pairwise([prompts[i] for i in ran], triples, block_size)
+        assert kv.pinned_blocks == 0
 
     @pytest.mark.parametrize("shared", [0, 1, 2, 7, 29, 30])
     def test_dedup_walks_into_an_unexpanded_tail(self, shared):
-        """A bulk member's unique blocks stay one unexpanded tail until a
-        later member sharing ``shared`` of them walks in; depths equal the
-        pairwise oracle, pinned or not, and the tail is cut no deeper."""
+        """A bulk member's unique blocks are one run until a later member
+        sharing ``shared`` of them walks in and splits it; depths equal
+        the pairwise oracle."""
         block = 4
-
-        class Counted(list):
-            """Tokens that count how many of them a walk pulled."""
-
-            pulled = 0
-
-            def __iter__(self):
-                for token in list.__iter__(self):
-                    self.pulled += 1
-                    yield token
-
-        bulk = Counted(range(1000, 1000 + 30 * block))
+        bulk = list(range(1000, 1000 + 30 * block))
         later = bulk[: shared * block] + [7] * (3 * block)
         members = [bulk, later, list(bulk), bulk[: (shared + 1) * block]]
         kv = RadixPrefixCache(block_size=block, capacity_blocks=4 * 30)
-        engine = GenScheduler(SimpleNamespace(kv_cache=kv))
         kv.insert(bulk[: 2 * block])
+        ran, triples, dedup = _engine_step(kv, members)
+        expected = _pairwise(members, triples, block)
+        assert expected[1] == min(shared * block, triples[1][1])
+        assert dedup == expected
+        kv = RadixPrefixCache(block_size=block, capacity_blocks=4 * 30)
+        assert _engine_step(kv, members[:2])[2] == expected[:2]
+
+    def test_a_later_pin_splits_an_earlier_members_pinned_run(self):
+        """Member 0 pins a four-block run; member 1's pin ends inside it
+        and splits it.  Dedup equals the pairwise oracle and every pin is
+        released exactly."""
+        block = 2
+        kv = RadixPrefixCache(block_size=block, capacity_blocks=6)
+        run = list(range(4 * block))
+        kv.insert(run)
+        members = [run + [50, 51], run[: 2 * block] + [60, 61, 62, 63], run]
         handles = [kv.pin(tokens) for tokens in members]
-        ran, triples = [], []
-        for lane, (tokens, handle) in enumerate(zip(members, handles)):
-            cached = kv.lookup_and_insert(tokens, handle)
-            ran.append(SimpleNamespace(tokens=tokens, lane_id=lane))
-            triples.append((len(tokens), cached, 1))
+        assert kv.pinned_blocks == 4
         for handle in handles:
             kv.unpin(handle)
-        expected = [
-            min(
-                max(
-                    (
-                        shared_prefix_tokens(request.tokens, earlier.tokens, block)
-                        for earlier in ran[:index]
-                    ),
-                    default=0,
-                ),
-                triples[index][1],
-            )
-            for index, request in enumerate(ran)
-        ]
-        assert expected[1] == min(shared * block, triples[1][1])
-        bulk.pulled = 0
-        assert engine._dedup_tokens(ran[:2], triples[:2], [()] * 2) == expected[:2]
-        # The bulk member's first block, then one per level the later one reached.
-        assert bulk.pulled == min(shared + 1, 30) * block
-        assert engine._dedup_tokens(ran, triples, [()] * len(ran)) == expected
-        assert engine._dedup_tokens(ran, triples, handles) == expected
+        ran, triples, dedup = _engine_step(kv, members)
+        assert dedup == _pairwise(members, triples, block) == [0, 2 * block, 4 * block]
+        assert kv.pinned_blocks == 0
+        assert kv.match_prefix(run) == 4 * block
+
+    def test_a_member_without_a_lookup_counts_for_later_members(self):
+        """A ``use_cache=False`` member is served nothing and dedups
+        nothing, but the members after it share its resident trunk."""
+        block = 2
+        kv = RadixPrefixCache(block_size=block)
+        trunk = list(range(3 * block))
+        kv.insert(trunk)
+        members = [trunk + [9, 9], trunk + [8, 8], list(range(50, 54))]
+        ran, triples, dedup = _engine_step(kv, members, uncached={0})
+        assert triples[0][1] == 0
+        assert dedup == _pairwise(members, triples, block) == [0, 3 * block, 0]
+        # Its lookup skipped, its own suffix stays out of the cache.
+        assert kv.match_prefix(members[0]) == 3 * block
 
     def test_engine_dedup_under_mid_step_eviction_and_a_raising_task(self):
-        """Every step's dedup, on the engine's own handles, equals the
+        """Every step's dedup, on the engine's own pins, equals the
         pairwise oracle while inserts evict inside the step and one
         member's task raises."""
         state, items = table3.build_state(
@@ -797,53 +812,37 @@ class TestPrefixAware:
         )
         _fail_task_on(state.model, items[9].text)
         calls = []
-        dedup_tokens = GenScheduler._dedup_tokens
         execute = GenScheduler._execute
 
-        def recording_dedup(engine, admitted, triples, handles):
-            result = dedup_tokens(engine, admitted, triples, handles)
-            calls.append(([r.tokens for r in admitted], triples, handles, result))
-            return result
-
-        def counting_execute(engine, requests):
-            before = engine.model.kv_cache.stats.evictions
-            ran = execute(engine, requests)
-            steps.append(
+        def recording_execute(engine, requests):
+            kv = engine.model.kv_cache
+            before, pinned = kv.stats.evictions, kv.pinned_blocks
+            ran, triples, outputs, dedup = execute(engine, requests)
+            calls.append(
                 (
-                    engine.model.kv_cache.stats.evictions - before,
-                    len(requests) - len(ran[0]),
+                    kv.stats.evictions - before,
+                    len(requests) - len(ran),
+                    pinned,
+                    [request.tokens for request in ran],
+                    triples,
+                    dedup,
                 )
             )
-            return ran
+            return ran, triples, outputs, dedup
 
-        steps = []
         runner = ParallelBatchRunner(
             state, bind=table3.bind, workers=8, on_error="collect"
         )
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(GenScheduler, "_dedup_tokens", recording_dedup)
-            patch.setattr(GenScheduler, "_execute", counting_execute)
+            patch.setattr(GenScheduler, "_execute", recording_execute)
             batch = runner.run(table3.pipeline(), items=items)
         assert len(batch.failures()) == 1
-        assert any(evicted for evicted, _ in steps)  # inside a step
-        assert any(dropped for _, dropped in steps)  # the raising member
-        assert any(handle for _, _, handles, _ in calls for handle in handles)
+        assert any(call[0] for call in calls)  # evicted inside a step
+        assert any(call[1] for call in calls)  # the raising member
+        assert any(call[2] for call in calls)  # trunks pinned
         block = state.model.kv_cache.block_size
-        for tokens, triples, handles, result in calls:
-            expected = [
-                min(
-                    max(
-                        (
-                            shared_prefix_tokens(mine, other, block)
-                            for other in tokens[:index]
-                        ),
-                        default=0,
-                    ),
-                    triples[index][1],
-                )
-                for index, mine in enumerate(tokens)
-            ]
-            assert result == expected
+        for _, _, _, tokens, triples, dedup in calls:
+            assert dedup == _pairwise(tokens, triples, block)
 
     def test_sched_events_carry_prefix_payload(self):
         state, runner, _ = self._run(n_items=8, workers=4)
@@ -1083,10 +1082,10 @@ class TestStepErrorRegression:
         poisoned = llm.prepare(prompts[1])
         lookup = llm.kv_cache.lookup_and_insert
 
-        def lookup_or_boom(tokens, handle=()):
+        def lookup_or_boom(tokens, *args):
             if list(tokens) == poisoned:
                 raise RuntimeError("kv lookup failed")
-            return lookup(tokens, handle)
+            return lookup(tokens, *args)
 
         llm.kv_cache.lookup_and_insert = lookup_or_boom
         engine = GenScheduler(llm)

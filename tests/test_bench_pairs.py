@@ -105,3 +105,32 @@ def test_check_record_catches_an_unsupported_verdict():
     ]
     record["summary"]["holds"] = True
     assert len(bench_pairs.check_record(record)) == 2
+
+
+def test_context_medians_are_printed_and_recorded(monkeypatch, tmp_path, capsys):
+    """``setup_s`` and ``peak_rss_mb`` ride along from the same runs."""
+    runs = iter(range(6))
+
+    def run_once(tree, workload, seed, seconds):
+        n = next(runs)
+        values = {"host_items_per_s": 100 + n, "setup_s": 0.01 * n, "peak_rss_mb": 30 + n}
+        return {
+            "correct": True,
+            "failed": 0,
+            "metrics": {name: {"value": value} for name, value in values.items()},
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    path = tmp_path / "claim.json"
+    argv = [str(tmp_path), str(tmp_path), "--workload", "w", "--pairs", "3"]
+    assert bench_pairs.main(argv + ["--json", str(path)]) == 0
+    # Pairs alternate: parent first in odd pairs, change first in even ones.
+    out = capsys.readouterr().out
+    assert "setup_s median (context, not claimed): parent 0.03, change 0.02" in out
+    assert "peak_rss_mb median (context, not claimed): parent 33, change 32" in out
+    record = json.loads(path.read_text())
+    assert record["context"]["peak_rss_mb"] == {
+        "parent": [30.0, 33.0, 34.0],
+        "change": [31.0, 32.0, 35.0],
+    }
+    assert bench_pairs.check_record(record) == []

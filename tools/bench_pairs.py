@@ -8,7 +8,9 @@ even ones), and reads ``host_items_per_s`` from each run's JSON record
 line (the last line of stdout).  It prints every pair's values and ratio,
 both medians, the parent's q1–q3 spread, the median gap and the wins, and
 says whether the gain claim holds: at least 9 wins in 10 and a median gap
-wider than the parent's q1–q3 spread.  An untraced record line carries
+wider than the parent's q1–q3 spread.  Each side's median ``setup_s`` and
+``peak_rss_mb`` from the same runs are printed too, as context for the
+claim, not as claims.  An untraced record line carries
 the three end-to-end metrics only, so bit-equality of ``sim_*`` is
 checked apart (``python -m bench --compare`` records, or ``--trace 1``
 runs).
@@ -20,8 +22,8 @@ Usage::
 
 ``--json PATH`` also writes the claim as one record: both sides (their git
 commit, or null for a directory that is not a checkout, and a sha256 of
-their ``src/`` files), workload, seed, the raw per-pair values, and the
-summary with its verdict.  :func:`check_record` recomputes a record's
+their ``src/`` files), workload, seed, the raw per-pair values, the
+summary with its verdict, and the context metrics' raw values.  :func:`check_record` recomputes a record's
 summary from its raw values; the tier-1 suite runs it over every record
 committed under ``claims/``.
 
@@ -41,6 +43,8 @@ from typing import Any
 
 #: share of pairs the change must win for a claim.
 WIN_SHARE = 0.9
+#: end-to-end metrics read from the same runs and shown beside the claim.
+CONTEXT = ("setup_s", "peak_rss_mb")
 
 
 def summarize(parent: list[float], change: list[float]) -> dict[str, Any]:
@@ -156,6 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     values: dict[str, list[float]] = {"parent": [], "change": []}
+    context = {name: {"parent": [], "change": []} for name in CONTEXT}
     first: list[str] = []
     print(f"{args.workload} seed {args.seed}, host_items_per_s")
     print(f"{'pair':>4}  {'first':<6} {'parent':>12} {'change':>12} {'ratio':>8}")
@@ -168,7 +173,10 @@ def main(argv: list[str] | None = None) -> int:
             )
             if not record["correct"] or record["failed"]:
                 raise SystemExit(f"error: {side} run {index + 1} is not correct")
-            values[side].append(float(record["metrics"]["host_items_per_s"]["value"]))
+            metrics = record["metrics"]
+            values[side].append(float(metrics["host_items_per_s"]["value"]))
+            for name in CONTEXT:
+                context[name][side].append(float(metrics[name]["value"]))
         parent, change = values["parent"][-1], values["change"][-1]
         print(
             f"{index + 1:>4}  {order[0]:<6} {parent:>12.6g} {change:>12.6g}"
@@ -189,6 +197,12 @@ def main(argv: list[str] | None = None) -> int:
         f" wins {summary['wins']}/{summary['pairs']}"
     )
     print(f"claim holds: {'yes' if summary['holds'] else 'no'}")
+    for name, sides in context.items():
+        print(
+            f"{name} median (context, not claimed): parent"
+            f" {statistics.median(sides['parent']):.6g},"
+            f" change {statistics.median(sides['change']):.6g}"
+        )
     if args.json is not None:
         record = {
             "metric": "host_items_per_s",
@@ -202,6 +216,7 @@ def main(argv: list[str] | None = None) -> int:
             "change_values": values["change"],
             "summary": summary,
             "holds": summary["holds"],
+            "context": context,
         }
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(record, indent=1) + "\n")
