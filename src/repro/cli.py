@@ -643,7 +643,7 @@ def render_stats_text(report) -> str:
         if prefix_rows:
             lines.append(
                 format_table(
-                    ["Model", "Radix nodes", "Leaves", "Pinned"],
+                    ["Model", "Radix blocks", "Leaf blocks", "Pinned blocks"],
                     prefix_rows,
                     title="Prefix cache",
                 )

@@ -8,11 +8,11 @@ that premise operational: a prompt string is parsed into a
 to a per-item error probability.  Refinements therefore matter exactly the
 way the paper assumes, in a fully deterministic and inspectable way.
 
-A piece of text is read once: :func:`_analyse` lowers it and tests every
-literal of :data:`_MARKERS` — the feature markers, the stage groups' verbs
-and the router's literals — into one bitmask, beside the facts that depend
-on position (the first ``criteria`` marker, the last ``hint:``, a
-word-limit clause, the word count).  :func:`extract_features` builds its
+A piece of text is read once, by its words: :func:`_analyse` ORs into one
+mask the bits of :data:`_MARKERS` — the feature markers, the stage groups'
+verbs and the router's literals — its distinct words hold, beside the
+facts that depend on position (the first ``criteria`` marker, the last
+``hint:``, a word-limit clause, the word count).  :func:`extract_features` builds its
 record from that pass; a static chunk of a rendered prompt keeps it in
 ``chunk.memo["analysis"]``, which :func:`prompt_features` and
 :func:`route_mask` read instead of scanning the chunk again.  On ASCII
@@ -29,6 +29,8 @@ import zlib
 from dataclasses import dataclass, field, fields
 from itertools import chain, compress
 from typing import Any
+
+from repro.llm.tokenizer import _WORD_BITS, _WORD_IDS, _WORD_MEMO
 
 __all__ = [
     "PromptFeatures",
@@ -256,13 +258,18 @@ _REASONING = _bits(_REASONING_MARKERS)
 _GUIDANCE = _bit("general guidance")
 _VIEW = _bit("## task")
 
-#: Text longer than this tests its one-word markers on its distinct words.
-#: Timed per call over the whole table on the benchmark workloads' pieces
-#: (2-vCPU VM), that takes 0.74-0.76x the whole-text tests' time on the
-#: 2.7 KB ``hol_mixed`` leads, but 1.29-1.32x on windows under 128
-#: characters and 1.25-1.38x on pieces of 128-1,024; no workload has a
-#: piece of 1,024-2,048 characters.
-_VOCABULARY_MIN = 1024
+#: The whitespace-free literals a word is tested for, lowered, with their
+#: bits: each one-word marker's own, then, above :data:`_MARKERS`' bits,
+#: the other markers' parts and the positional ``criteria`` and ``hint:``.
+_OTHER_PARTS = tuple(dict.fromkeys(
+    p for m in (*_BY_TEXT[0], "criteria", "hint:") for p in m.split() if p not in _MARKERS
+))
+_PART = {p: 1 << (_MARKERS + _OTHER_PARTS).index(p) for p in _BY_WORD[0] + _OTHER_PARTS}
+_PARTS = tuple(_PART), tuple(_PART.values())
+_ONE_WORD = sum(_BY_WORD[1])
+#: ``(marker, the bits of its parts, its bit)`` for each marker with whitespace.
+_PHRASES = [(m, sum(map(_PART.get, set(m.split()))), bit) for m, bit in zip(*_BY_TEXT)]
+_CRITERIA_PART, _HINT_PART = _PART["criteria"], _PART["hint:"]
 
 #: What one pass over a piece yields: ``(mask, words, criteria, hint,
 #: limit)`` — see :func:`_analyse`.
@@ -275,24 +282,37 @@ def _analyse(text: str) -> _Analysis:
     ``mask`` has the bit of every :data:`_MARKERS` literal in the lowered
     text; ``criteria`` is the span of the first ``criteria`` marker (or
     None), ``hint`` the start of the last ``\\bhint:`` match (-1: none),
-    ``limit`` whether a word-limit clause matches.  In ASCII text
-    ``IGNORECASE`` folds as ``lower()`` does, so a regex runs only where a
-    literal each of its matches holds is present; in other text the
-    regexes, which fold more, answer what the definition searches by regex.
+    ``limit`` whether a word-limit clause matches.
+
+    A word is tested against :data:`_PARTS`, lowered, once per process:
+    its bits sit beside its ids in the tokenizer's vocabulary.  A one-word
+    marker's bit is its part's; any other is looked for in the lowered text
+    only when each of its parts, which an occurrence holds within words, is
+    in some word.  ``lower()`` maps each character on its own but the final
+    sigma, which lowers to no ASCII letter, so words lower as the whole
+    does for ASCII literals.  ``IGNORECASE`` folds ASCII text as ``lower()``
+    does; in other text the regexes, which fold more, give the positions.
     """
-    lowered = text.lower()
-    words = lowered.split()
-    found = lowered.__contains__
-    # A marker without whitespace occurs only inside one word, so long text
-    # tests it once per distinct word: on those words, space-joined.
-    in_word = found
-    if len(lowered) > _VOCABULARY_MIN:
-        in_word = " ".join(set(words)).__contains__
-    mask = _hits(in_word, _BY_WORD) | _hits(found, _BY_TEXT)
+    words = text.split()
+    memo, parts = _WORD_BITS, 0
+    for word in set(words):
+        bits = memo.get(word)
+        if bits is None:
+            if len(memo) >= _WORD_MEMO:
+                memo.clear()
+                _WORD_IDS.clear()
+            bits = memo[word] = _hits(word.lower().__contains__, _PARTS)
+        parts |= bits
+    mask, lowered = parts & _ONE_WORD, ""
+    for marker, need, bit in _PHRASES:
+        if parts & need == need:
+            lowered = lowered or text.lower()
+            if marker in lowered:
+                mask |= bit
     if text.isascii():
-        at = lowered.find("criteria")
+        at = (lowered or text.lower()).find("criteria") if parts & _CRITERIA_PART else -1
         criteria = (at, at + 8) if at >= 0 else None
-        hint = _last_hint(text) if "hint:" in lowered else -1
+        hint = _last_hint(text) if parts & _HINT_PART else -1
         limit = bool(
             mask & _WORD and mask & _LIMIT_HEADS and _WORD_LIMIT_RE.search(text)
         )

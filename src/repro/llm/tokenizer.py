@@ -1,12 +1,13 @@
 """Deterministic tokenizer for the simulated LLM backend.
 
-A real reproduction of the paper's latency and cache behaviour needs
-token-level accounting: prefix caches operate on token blocks, and the
-latency model charges per prefill/decode token.  We implement a simple,
-fully deterministic word-piece-ish tokenizer: text is split into word and
-punctuation pieces, long words are broken into 4-character chunks (roughly
-matching the ~1.3 tokens/word ratio of BPE vocabularies), and each piece
-maps to a stable 32-bit id via CRC32 (never Python's randomized ``hash``).
+Prefix caches operate on token blocks and the latency model charges per
+prefill/decode token, so reproducing the paper's latency and cache
+behaviour needs token-level accounting.  Text is split into word and
+punctuation pieces, long words into 4-character chunks (roughly the ~1.3
+tokens/word of BPE vocabularies), and each piece maps to a stable 32-bit
+id via CRC32 (never Python's randomized ``hash``).  The process keeps one
+vocabulary: each distinct word's ids and, beside them, the marker bits
+:mod:`repro.llm.features` finds in it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ _ID_TO_PIECE: dict[int, str] = {}
 _PIECE_TO_ID: dict[str, int] = {}
 #: whitespace-separated word -> its ids, cleared at ``_WORD_MEMO``.
 _WORD_IDS: dict[str, tuple[int, ...]] = {}
+#: the same word -> its marker bits (``features._analyse``), cleared with it.
+_WORD_BITS: dict[str, int] = {}
 
 
 class _ChunkTokens:
@@ -80,6 +83,7 @@ class Tokenizer:
         if None in found:
             if len(memo) >= _WORD_MEMO:
                 memo.clear()
+                _WORD_BITS.clear()
             for index, ids in enumerate(found):
                 if ids is None:
                     word = words[index]

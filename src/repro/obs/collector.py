@@ -215,17 +215,18 @@ class ObsCollector:
             ).set_function(lambda: float(kv.stats.evictions))
             gauges.gauge(
                 "spear_prefix_cache_nodes",
-                "Token-block nodes resident in the radix prefix tree.",
+                "Token blocks resident in the radix prefix tree.",
                 model=label,
             ).set_function(lambda: float(len(kv)))
             gauges.gauge(
                 "spear_prefix_cache_leaves",
-                "Leaf nodes of the radix prefix tree (the eviction frontier).",
+                "Leaf blocks of the radix prefix tree, the tail of each "
+                "childless run (the eviction frontier).",
                 model=label,
             ).set_function(lambda: float(kv.leaves))
             gauges.gauge(
                 "spear_prefix_cache_pinned_blocks",
-                "Radix nodes pinned against eviction by the scheduler.",
+                "Radix tree blocks pinned against eviction by the scheduler.",
                 model=label,
             ).set_function(lambda: float(kv.pinned_blocks))
         if hasattr(model, "add_listener"):

@@ -29,7 +29,7 @@ import json
 from array import array
 from itertools import compress, count, repeat
 from json.encoder import encode_basestring_ascii
-from math import isfinite
+from math import inf, isfinite, nextafter
 from operator import attrgetter, ne
 from typing import Any, Callable
 
@@ -116,7 +116,15 @@ class SeriesRecorder:
     # -- sampling ------------------------------------------------------------
 
     def on_event(self, event: Event) -> None:
-        """EventLog subscriber: advance watermarks, force regime samples."""
+        """EventLog subscriber: advance watermarks, force regime samples.
+
+        An event past several watermarks records one row for each, all
+        alike but their stamps; collapsing them would change the ledger's
+        bytes, so they stay.  Where the clock is too coarse for a step of
+        ``interval`` (a watermark near ``2**53 * interval``) the watermark
+        jumps past the event after its row: a loop that added ``interval``
+        there would never end.
+        """
         # Fast path: an event before the next watermark that forces
         # nothing records no row.
         watermark = self.next_watermark
@@ -138,7 +146,10 @@ class SeriesRecorder:
             # than the merged clock; only forward crossings sample.
             while event.at >= self.next_watermark:
                 self._record(self.next_watermark, "watermark")
-                self.next_watermark += self.interval
+                following = self.next_watermark + self.interval
+                if following == self.next_watermark:
+                    following = nextafter(event.at, inf)
+                self.next_watermark = following
         if event.kind in FORCED_SAMPLE_KINDS:
             self._record(event.at, event.kind.value)
 

@@ -2,13 +2,15 @@
 
 from unittest import mock
 
-import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.entry import StaticChunk
 from repro.llm import features as features_module
 from repro.llm.features import PromptFeatures, extract_features
+from repro.llm.tokenizer import Tokenizer, _ChunkTokens
+from tests.llm.reference_features import reference_analyse
+from tests.llm.test_tokenizer import _reference_encode
 
 
 class TestExtraction:
@@ -210,11 +212,7 @@ class TestLiteralFastPath:
 
 
 class TestDistinctWordsPath:
-    """Long text tests its one-word markers on its distinct words only."""
-
-    @pytest.fixture(autouse=True)
-    def always_by_words(self, monkeypatch):
-        monkeypatch.setattr(features_module, "_VOCABULARY_MIN", -1)
+    """Every text is read from its distinct words, each lowered once."""
 
     def test_markers_split_on_whitespace_exactly(self):
         words, phrases = features_module._BY_WORD[0], features_module._BY_TEXT[0]
@@ -227,14 +225,20 @@ class TestDistinctWordsPath:
         assert set(features_module._ROUTER[0]) <= table
 
     def test_every_marker_tested_by_word_has_no_whitespace(self):
-        # A marker with whitespace tested on the space-joined distinct words
-        # would match or not by set order, so the one table's word half
-        # holds only markers without whitespace, each with its own bit.
+        # A word's bits are the parts inside it, so a part with whitespace
+        # could never be found; each one-word marker is its own part, with
+        # its own bit, and every other marker's parts are parts.
         markers, bits = features_module._BY_WORD
         assert markers and len(markers) == len(bits)
         for marker, bit in zip(markers, bits):
             assert not any(c.isspace() for c in marker), marker
             assert bit == 1 << features_module._MARKERS.index(marker)
+            assert features_module._PART[marker] == bit
+        parts = features_module._PARTS[0]
+        assert len(set(parts)) == len(parts) == len(set(features_module._PARTS[1]))
+        assert not any(c.isspace() for part in parts for c in part)
+        for marker in (*features_module._BY_TEXT[0], "criteria", "hint:"):
+            assert set(marker.split()) <= set(parts), marker
 
     def test_every_marker_cut_at_every_offset(self):
         for piece in ASCII_PIECES:
@@ -247,16 +251,68 @@ class TestDistinctWordsPath:
                 f"a\x1c{piece}\x0bb {piece}",
             ):
                 assert extract_features(text) == oracle(text), text
+                assert features_module._analyse(text) == reference_analyse(text), text
 
     @settings(max_examples=600, deadline=None)
     @given(st.lists(st.sampled_from(ASCII_PIECES), max_size=16).map("".join))
     def test_equals_the_definition(self, text):
         assert extract_features(text) == oracle(text)
 
-    def test_long_text_takes_it_as_shipped(self, monkeypatch):
-        monkeypatch.undo()
+    def test_long_text_takes_it_as_shipped(self):
         lead = "harbor lantern willow granite meadow copper " * 30
         for marker in WHOLE_MARKERS:
             for text in (lead + marker, marker + " " + lead, lead + marker.upper() + lead):
-                assert len(text) > features_module._VOCABULARY_MIN
                 assert extract_features(text) == oracle(text), marker
+                assert features_module._analyse(text) == reference_analyse(text), marker
+
+
+#: Every character ``str.split`` splits on that the texts below use.
+SPLITS = (" ", "\t", "\n", "\x0b", "\x1c", "\xa0", "\u2028")
+#: Characters whose lowering or case folding differs from ASCII's: the long
+#: s and the Kelvin sign fold onto ``s`` and ``k``, the dotted capital I
+#: lowers to two characters, and a capital sigma lowers by its context.
+TRAPS = ("\u017f", "\u212a", "\u0130", "\u03a3", "\u03c2", "\u03a3x", "x\u03a3")
+#: Every whole marker, the parts of each, and punctuation around them.
+PARTS = sorted(
+    {part for marker in WHOLE_MARKERS for part in marker.split()}
+    | {*WHOLE_MARKERS, ".", ",", ":", ";", "#", "-", "(", ")", "'", "_"}
+)
+#: A lead of ordinary words, so that a text reaches past 1,024 characters.
+FILLER = "harbor lantern willow granite meadow copper saddle orchard " * 18
+
+
+def _words(pieces):
+    """One piece of a differential text: a marker part, cut, recased, or a break."""
+    return st.one_of(
+        st.sampled_from(pieces),
+        st.sampled_from(pieces).map(str.upper),
+        st.sampled_from(pieces).map(str.title),
+        st.sampled_from(SPLITS),
+        st.sampled_from(TRAPS),
+    )
+
+
+class TestPerWordAnalysis:
+    """``_analyse`` reads words; ``reference_analyse`` reads the whole text."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(_words(PARTS + ASCII_PIECES), max_size=24).map("".join),
+        st.sampled_from(("", FILLER, FILLER + FILLER)),
+        st.booleans(),
+    )
+    def test_equals_the_whole_text_and_keeps_the_ids(self, text, filler, after):
+        text = text + filler if after else filler + text
+        assert features_module._analyse(text) == reference_analyse(text)
+        assert Tokenizer().encode(text) == _reference_encode(text)
+        chunk = StaticChunk(text)
+        assert _ChunkTokens(Tokenizer(), chunk).ids == _reference_encode(text)
+        assert features_module._chunk(chunk) == reference_analyse(text)
+
+    def test_lengths_on_both_sides_of_a_kilobyte(self):
+        for size in (1000, 1023, 1024, 1025, 1100):
+            for marker in ("focus on", "criteria:\n- a", "hint: x", "at most 9 words"):
+                for trap in ("", *TRAPS):
+                    body = (FILLER * 3)[: size - len(marker) - len(trap)]
+                    for text in (body + trap + marker, marker + trap + body):
+                        assert features_module._analyse(text) == reference_analyse(text)

@@ -34,7 +34,7 @@ from repro.data.tweets import Tweet
 from repro.llm import SimulatedLLM
 from repro.llm import features as features_module
 from repro.llm.features import extract_features, prompt_features
-from repro.llm.tasks import TaskEngine, _strip_segments
+from repro.llm.tasks import TaskEngine, _strip_segments, route_task
 from repro.llm.tokenizer import Tokenizer
 
 # -- the adversarial alphabet -------------------------------------------------
@@ -475,6 +475,32 @@ class TestBoundValueChunks:
                 walked = features_module.segment_layout(again)[2] is not None
                 assert set(chunk.memo) == {"tokens", *["analysis"] * walked}
                 assert_analysed_like_flat(again)
+
+    def test_a_new_chunk_is_read_once_across_prepare_route_and_features(
+        self, monkeypatch
+    ):
+        analysed, encoded = [], []
+        analyse, encode = features_module._analyse, Tokenizer.encode
+        monkeypatch.setattr(
+            features_module, "_analyse", lambda text: analysed.append(text) or analyse(text)
+        )
+        monkeypatch.setattr(
+            Tokenizer, "encode", lambda self, text: encoded.append(text) or encode(self, text)
+        )
+        model = SimulatedLLM()
+        template = CompiledTemplate(BOUND_TEMPLATES[0])
+        context = Context({"lead": LONG + "zq7 unseen-words wv9k"})
+        for tweet in ("so tired of exams", "another one, positive", "filter"):
+            context.put("tweet", tweet)
+            prompt = template.render(context)
+            assert features_module.segment_layout(prompt)[2] is not None  # not flat
+            assert model.prepare(prompt) == Tokenizer().encode(str(prompt))
+            assert route_task(prompt) == route_task(str(prompt))
+            assert prompt_features(prompt) == extract_features(str(prompt))
+        lead = context["lead"]
+        # Encoded once, analysed once: the later calls read the chunk's memo.
+        assert encoded.count(lead) == 1 and analysed.count(lead) == 1
+        assert set(chunk_of(prompt, lead).memo) == {"tokens", "analysis"}
 
     def test_only_long_root_strings_in_a_context_become_chunks(self):
         template = CompiledTemplate("{a}|{note.text}|{n}|{r}")

@@ -347,29 +347,35 @@ class TestSegmentRouting:
         assert wrong > 100
 
 
-class _LoweredCount(str):
-    """Chunk text that counts the times it is lowered."""
+class _ReadCount(str):
+    """Chunk text that counts the times it is split and lowered whole."""
 
-    count = 0
+    splits = lowers = 0
+
+    def split(self, *args) -> list[str]:
+        self.splits += 1
+        return str.split(self, *args)
 
     def lower(self) -> str:
-        self.count += 1
+        self.lowers += 1
         return str.lower(self)
 
 
-def test_routing_then_features_lower_each_new_chunk_once():
+def test_routing_then_features_read_each_new_chunk_once():
     # One analysis per chunk: the router's read and the instruction
-    # features of the item-stripped text share it.
+    # features of the item-stripped text share it.  The analysis reads the
+    # chunk's words; no marker with whitespace has all its parts in these
+    # words, so the whole text is never lowered.
     corpus = make_tweet_corpus(40, seed=7)
     tweet = next(iter(corpus))
     engine = TaskEngine(PROFILE)
     engine.bind_tweets(corpus)
-    lead = _LoweredCount(TestBoundChunkRouting.LEAD + "Tweet:\n")
-    tail = _LoweredCount("\nSelect the tweet only if it is negative.")
+    lead = _ReadCount(TestBoundChunkRouting.LEAD + "Tweet:\n")
+    tail = _ReadCount("\nSelect the tweet only if it is negative.")
     chunks = (StaticChunk(lead), StaticChunk(tail))
     prompt = RenderedPrompt(lead + tweet.text + tail, (chunks[0], tweet.text, chunks[1]))
     assert engine.run(prompt).task == route_task(str(prompt)) == "classify"
-    assert [chunk.text.count for chunk in chunks] == [1, 1]
+    assert [(chunk.text.splits, chunk.text.lowers) for chunk in chunks] == [(1, 0)] * 2
     assert [set(chunk.memo) for chunk in chunks] == [{"analysis"}] * 2
 
 

@@ -5,9 +5,11 @@ import zlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.llm import features as features_module
 from repro.llm import tokenizer as tokenizer_module
 from repro.llm.model import SimulatedLLM
 from repro.llm.tokenizer import Tokenizer
+from tests.llm.reference_features import reference_analyse
 
 
 class TestTokenizer:
@@ -118,6 +120,24 @@ class TestWordMemo:
             assert tokenizer.encode(text) == _reference_encode(text)
             assert len(tokenizer_module._WORD_IDS) <= 10
         assert tokenizer.encode("w1 w2") == _reference_encode("w1 w2")
+
+    def test_a_full_vocabulary_clears_ids_and_bits_together(self, monkeypatch):
+        # A word's ids and marker bits are one vocabulary entry: whichever
+        # half fills up first, both are cleared.
+        for module in (tokenizer_module, features_module):
+            monkeypatch.setattr(module, "_WORD_MEMO", 4)
+        ids, bits = tokenizer_module._WORD_IDS, tokenizer_module._WORD_BITS
+        ids.clear()
+        bits.clear()
+        tokenizer, text = Tokenizer(), "w0 w1 w2 w3"
+        assert tokenizer.encode(text) == _reference_encode(text)
+        assert features_module._analyse(text) == reference_analyse(text)
+        assert set(ids) == set(bits) == set(text.split())
+        assert tokenizer.encode("w4") == _reference_encode("w4")  # ids full
+        assert set(ids) == {"w4"} and bits == {}
+        assert features_module._analyse(text) == reference_analyse(text)
+        assert features_module._analyse("focus on") == reference_analyse("focus on")
+        assert ids == {} and set(bits) == {"focus", "on"}  # bits full
 
     def test_models_share_one_vocabulary(self):
         text = "one vocabulary-per-process, shared by models zq7x3 wv9k2"

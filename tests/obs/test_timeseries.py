@@ -44,6 +44,28 @@ class TestWatermarks:
         # Both watermark rows see the counter value at sampling time.
         assert recorder.rows[-1]["metrics"]["ticks_total"] == 3.0
 
+    def test_an_event_where_the_interval_is_lost_to_rounding_finishes(self):
+        # At 2**53 seconds a 1-second step no longer moves a float: adding
+        # the interval to the watermark would loop forever.
+        lines = []
+        _registry, _counter, recorder = make_recorder(interval=1.0, sink=lines.append)
+        log = EventLog()
+        recorder.attach(log)
+        far = 2.0**53
+        log.emit(EventKind.CHECK, "A", at=far - 4.0)  # start
+        log.emit(EventKind.CHECK, "A", at=far + 8.0)
+        stamps = [json.loads(line)["at"] for line in lines]
+        # One row per watermark while the clock still advances: far + 1
+        # rounds back to far, so the watermark then jumps past the event.
+        assert stamps == [far - 4.0, far - 3.0, far - 2.0, far - 1.0, far]
+        assert recorder.next_watermark > far + 8.0
+        log.emit(EventKind.CHECK, "A", at=far + 9.0)
+        assert len(lines) == 5
+        log.emit(EventKind.CHECK, "A", at=2.0**60)
+        stamps = [json.loads(line)["at"] for line in lines]
+        assert 5 < len(stamps) < 10 and stamps == sorted(stamps)
+        assert recorder.next_watermark > 2.0**60
+
     def test_out_of_order_events_never_sample_backwards(self):
         _registry, _counter, recorder = make_recorder(interval=1.0)
         log = EventLog()
